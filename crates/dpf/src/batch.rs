@@ -1,22 +1,26 @@
-//! Batched DPF execution on the simulated GPU (§3.2.1, §3.2.5).
+//! Batched DPF execution on one or more devices (§3.2.1, §3.2.5, §3.2.7).
+
+use std::borrow::Cow;
 
 use gpu_sim::{
-    BlockContext, DeviceBackend, GpuExecutor, KernelReport, LaunchConfig, ResidentAllocation,
-    TransferSrc,
+    BlockContext, DeviceBackend, KernelReport, LaunchConfig, ResidentAllocation, TransferSrc,
 };
 use pir_field::{AtomicLaneRows, LaneVector, ShareMatrix};
 use pir_prf::{GgmPrg, PrfKind};
 use serde::{Deserialize, Serialize};
 
-use crate::fusion::{fused_eval_matmul, fused_eval_matmul_subtree, unfused_eval_matmul};
+use crate::fusion::fused_eval_matmul_subtree;
+use crate::plan::DeviceSplit;
 use crate::recorder::KernelRecorder;
 use crate::strategy::{EvalStrategy, Subtree};
 use crate::DpfKey;
 
-/// How queries are mapped onto the GPU grid.
+/// How a device's `(key, owned subtree)` pairs are mapped onto its grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GridMapping {
-    /// One thread block per DPF key: the standard batched execution mode.
+    /// One launch per device over the whole batch, one thread block per
+    /// pair — on a single device, one block per DPF key: the standard
+    /// batched execution mode.
     BlockPerQuery,
     /// All blocks cooperate on one DPF at a time (cooperative groups), used
     /// for very large tables where a single DPF saturates the device.
@@ -27,7 +31,16 @@ pub enum GridMapping {
     },
 }
 
-/// A batch of DPF queries to evaluate against one table.
+/// A batch of `B ≥ 1` DPF queries to evaluate against one table held by
+/// `D ≥ 1` devices.
+///
+/// Because the final reduction (a sum of partial dot products) is linear,
+/// the domain splits into subtrees ([`DeviceSplit`]): each device holds the
+/// rows of the subtrees it owns and evaluates every key of the batch against
+/// that slice only, one `(key, owned subtree)` pair per thread block, and
+/// the devices' partial rows are summed (§3.2.7). A single device is the
+/// same decomposition with one subtree — the root — so its pairs are the
+/// keys and there is nothing to sum.
 #[derive(Clone, Copy)]
 pub struct BatchEvalJob<'a> {
     /// PRG (and therefore PRF) used by the servers.
@@ -36,38 +49,81 @@ pub struct BatchEvalJob<'a> {
     pub prf_kind: PrfKind,
     /// Keys of the batched queries (all for the same party and domain).
     pub keys: &'a [DpfKey],
-    /// The table the server multiplies against.
+    /// The table the server multiplies against; device `g` reads only the
+    /// rows of its subtrees.
     pub table: &'a ShareMatrix,
     /// Expansion strategy.
     pub strategy: EvalStrategy,
-    /// Whether to fuse the matrix multiplication into the expansion.
-    pub fused: bool,
     /// Threads per block for the launch.
     pub threads_per_block: u32,
     /// Grid mapping (batched or cooperative).
     pub mapping: GridMapping,
 }
 
-/// Results and performance report of a batched evaluation.
+/// Results and performance reports of a batched evaluation.
 #[derive(Clone, Debug)]
 pub struct BatchEvalOutput {
     /// One answer share per input key, in order.
     pub results: Vec<LaneVector>,
-    /// Merged kernel report (counters, occupancy, estimated time).
+    /// Kernel report of the slowest device — the batch's critical path, and
+    /// on a single device simply *the* report (counters, occupancy,
+    /// estimated time; per-key cooperative launches merged).
     pub report: KernelReport,
+    /// One report per device, in device order; never empty, and `report` is
+    /// a copy of its slowest entry.
+    per_device: Vec<KernelReport>,
 }
 
 impl BatchEvalOutput {
-    /// Queries per second implied by the report.
-    #[must_use]
-    pub fn throughput_qps(&self) -> f64 {
-        self.report.throughput_qps(self.results.len() as u64)
+    fn new(results: Vec<LaneVector>, per_device: Vec<KernelReport>) -> Self {
+        let mut slowest = 0;
+        for (device, report) in per_device.iter().enumerate() {
+            if report.estimated_time_s > per_device[slowest].estimated_time_s {
+                slowest = device;
+            }
+        }
+        Self {
+            results,
+            report: per_device[slowest].clone(),
+            per_device,
+        }
     }
 
-    /// Estimated kernel latency in milliseconds.
+    /// Per-device kernel reports, in device order.
+    #[must_use]
+    pub fn per_device(&self) -> &[KernelReport] {
+        &self.per_device
+    }
+
+    /// Total PRF evaluations across all devices.
+    #[must_use]
+    pub fn total_prf_calls(&self) -> u64 {
+        self.per_device.iter().map(|r| r.counters.prf_calls).sum()
+    }
+
+    /// End-to-end estimated time. Devices run in parallel, so this is the
+    /// slowest device plus the host-side reduction of every *other* device's
+    /// partial row per query — nothing on a single device.
+    #[must_use]
+    pub fn estimated_time_s(&self) -> f64 {
+        let reduced_rows = (self.per_device.len() - 1) * self.results.len();
+        self.report.estimated_time_s + 1e-6 * reduced_rows as f64
+    }
+
+    /// Queries per second implied by [`BatchEvalOutput::estimated_time_s`].
+    #[must_use]
+    pub fn throughput_qps(&self) -> f64 {
+        let time_s = self.estimated_time_s();
+        if time_s <= 0.0 {
+            return 0.0;
+        }
+        self.results.len() as f64 / time_s
+    }
+
+    /// Estimated end-to-end latency in milliseconds.
     #[must_use]
     pub fn latency_ms(&self) -> f64 {
-        self.report.latency_ms()
+        self.estimated_time_s() * 1e3
     }
 }
 
@@ -87,7 +143,6 @@ impl<'a> BatchEvalJob<'a> {
             keys,
             table,
             strategy: EvalStrategy::memory_bounded_default(),
-            fused: true,
             threads_per_block: 256,
             mapping: GridMapping::BlockPerQuery,
         }
@@ -97,13 +152,6 @@ impl<'a> BatchEvalJob<'a> {
     #[must_use]
     pub fn with_strategy(mut self, strategy: EvalStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Builder-style: enable or disable operator fusion.
-    #[must_use]
-    pub fn with_fusion(mut self, fused: bool) -> Self {
-        self.fused = fused;
         self
     }
 
@@ -136,80 +184,228 @@ impl<'a> BatchEvalJob<'a> {
             .with_threads_per_block(plan.threads_per_block)
     }
 
-    /// Device memory that stays resident for the whole batch: the table, the
-    /// uploaded keys and the output buffer.
+    /// Device memory that stays resident for the whole batch on a single
+    /// device: the table, the uploaded keys and the output buffer.
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
-        let keys: u64 = self.keys.iter().map(|k| k.size_bytes() as u64).sum();
-        let outputs = self.keys.len() as u64 * self.table.lanes_per_row() as u64 * 4;
-        self.table.size_bytes() as u64 + keys + outputs
+        let outputs = self.keys.len() as u64 * self.row_bytes();
+        self.table.size_bytes() as u64 + self.key_bytes() + outputs
     }
 
-    /// Run the batch on the simulated GPU.
-    ///
-    /// Equivalent to [`BatchEvalJob::run_on`] with the executor's analytical
-    /// backend; kept for callers that hold a concrete [`GpuExecutor`].
+    fn key_bytes(&self) -> u64 {
+        self.keys.iter().map(|k| k.size_bytes() as u64).sum()
+    }
+
+    fn row_bytes(&self) -> u64 {
+        self.table.lanes_per_row() as u64 * 4
+    }
+
+    /// The split of this job's domain across `devices` devices.
     ///
     /// # Panics
     ///
-    /// Panics if the batch is empty or any key addresses a domain larger than
-    /// the table.
-    pub fn run(&self, executor: &GpuExecutor) -> BatchEvalOutput {
-        self.run_on(executor)
+    /// Panics if the batch is empty, `devices` is zero, or the domain is too
+    /// shallow to give every device a subtree.
+    fn device_split(&self, devices: usize) -> DeviceSplit {
+        assert!(!self.keys.is_empty(), "batch must contain at least one key");
+        assert!(devices > 0, "need at least one device");
+        let depth = self.keys[0].depth();
+        DeviceSplit::new(depth, devices).unwrap_or_else(|| {
+            // pir-lint: allow(panic-path, "documented precondition: servers validate the split at construction")
+            panic!("cannot split a depth-{depth} tree across {devices} devices")
+        })
     }
 
-    /// Run the batch through the full [`DeviceBackend`] lifecycle with the
-    /// table streamed for this batch: allocate and upload the table, run,
-    /// free it again.
-    ///
-    /// Servers whose memory plan keeps the table resident should hold the
-    /// table allocation themselves and call [`BatchEvalJob::run_resident`]
-    /// instead — this entry point re-pays the table upload every call.
+    /// [`BatchEvalJob::run_on_devices`] on one device — the one-element face
+    /// of the slice-taking entry point.
     ///
     /// # Panics
     ///
-    /// Panics if the batch is empty or any key addresses a domain larger than
-    /// the table.
+    /// Panics if the batch is empty.
     pub fn run_on(&self, backend: &dyn DeviceBackend) -> BatchEvalOutput {
-        let table_alloc = backend.alloc(self.table.size_bytes() as u64);
-        backend.upload_table(&table_alloc, table_payload(backend, self.table));
-        let output = self.run_resident(backend, &table_alloc);
-        backend.free(table_alloc);
-        output
+        self.run_on_devices(&[backend])
     }
 
-    /// Run the batch against a table that is *already resident* on the
-    /// backend (uploaded into `table_alloc` by the caller's memory plan).
-    /// Only the per-batch keys and outputs are allocated, transferred and
-    /// freed here.
+    /// [`BatchEvalJob::run_resident_on_devices`] on one device whose
+    /// resident slice is the whole table — the one-element face of the
+    /// slice-taking entry point.
     ///
     /// # Panics
     ///
-    /// Panics if the batch is empty, or `table_alloc` does not match the
-    /// job's table size (a stale residency — the caller's plan is out of
-    /// sync with the table).
+    /// Panics if the batch is empty or `table_alloc` does not match the
+    /// job's table size.
     pub fn run_resident(
         &self,
         backend: &dyn DeviceBackend,
         table_alloc: &ResidentAllocation,
     ) -> BatchEvalOutput {
-        assert!(!self.keys.is_empty(), "batch must contain at least one key");
-        assert_eq!(
-            table_alloc.bytes(),
-            self.table.size_bytes() as u64,
-            "resident table allocation does not match the job's table"
-        );
-        match self.mapping {
-            GridMapping::BlockPerQuery => self.run_block_per_query(backend, table_alloc),
-            GridMapping::Cooperative { split_bits } => {
-                self.run_cooperative(backend, table_alloc, split_bits)
-            }
-        }
+        self.run_resident_on_devices(&[backend], &[table_alloc])
     }
 
-    /// Allocate and upload this job's keys, returning the allocation.
-    fn upload_keys(&self, backend: &dyn DeviceBackend) -> ResidentAllocation {
-        let key_bytes: u64 = self.keys.iter().map(|k| k.size_bytes() as u64).sum();
+    /// Run the batch through the full [`DeviceBackend`] lifecycle with every
+    /// device's table slice streamed for this batch: allocate and upload the
+    /// slices, run, free them again.
+    ///
+    /// Servers whose memory plan keeps the slices resident should hold the
+    /// allocations themselves ([`BatchEvalJob::upload_slices`]) and call
+    /// [`BatchEvalJob::run_resident_on_devices`] instead — this entry point
+    /// re-pays the table upload every call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch or the backend list is empty, or there are more
+    /// devices than the domain can be split into.
+    pub fn run_on_devices(&self, backends: &[&dyn DeviceBackend]) -> BatchEvalOutput {
+        let slices = self.upload_slices(backends);
+        let slice_refs: Vec<&ResidentAllocation> = slices.iter().collect();
+        let output = self.run_resident_on_devices(backends, &slice_refs);
+        for (backend, slice) in backends.iter().zip(slices) {
+            backend.free(slice);
+        }
+        output
+    }
+
+    /// Allocate and upload one table slice per backend: the rows
+    /// [`DeviceSplit`] assigns to that device, in subtree order. The caller
+    /// owns the returned allocations (and frees them on the same backends).
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as
+    /// [`BatchEvalJob::run_on_devices`].
+    #[must_use]
+    pub fn upload_slices(&self, backends: &[&dyn DeviceBackend]) -> Vec<ResidentAllocation> {
+        let split = self.device_split(backends.len());
+        let rows = self.table.rows() as u64;
+        let row_bytes = self.row_bytes();
+        let lanes = self.table.lanes_per_row();
+        let lanes_of = |range: &std::ops::Range<u64>| {
+            &self.table.lanes()[range.start as usize * lanes..range.end as usize * lanes]
+        };
+        backends
+            .iter()
+            .zip(split.owned_ranges(rows))
+            .zip(split.slice_bytes(rows, row_bytes))
+            .map(|((backend, owned), bytes)| {
+                let alloc = backend.alloc(bytes);
+                if backend.stores_payloads() {
+                    // One contiguous range (every power-of-two device count)
+                    // uploads straight from the table; striped ownership is
+                    // gathered into one payload first.
+                    let payload: Cow<'_, [u32]> = match owned.as_slice() {
+                        [range] => Cow::Borrowed(lanes_of(range)),
+                        ranges => Cow::Owned(ranges.iter().flat_map(lanes_of).copied().collect()),
+                    };
+                    backend.upload_table(&alloc, TransferSrc::Lanes(&payload));
+                } else {
+                    let owned_rows: u64 = owned.iter().map(|range| range.end - range.start).sum();
+                    backend.upload_table(&alloc, TransferSrc::Opaque(owned_rows * row_bytes));
+                }
+                alloc
+            })
+            .collect()
+    }
+
+    /// Run the batch against table slices that are *already resident*, one
+    /// per backend (uploaded by the caller's memory plan through
+    /// [`BatchEvalJob::upload_slices`]). Only the per-batch keys and outputs
+    /// are allocated, transferred and freed here.
+    ///
+    /// Device `g` gets one launch over its `(key, owned subtree)` pairs (one
+    /// launch per key under [`GridMapping::Cooperative`]). The first
+    /// device's rows seed the answer and every further device adds its
+    /// partial rows through the backend's reduction primitive, so a single
+    /// device reduces nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch or backend list is empty, the domain cannot split
+    /// across the devices, or `slices` disagrees with the backends in length
+    /// or per-device size (a stale residency — the caller's plan is out of
+    /// sync with the table).
+    pub fn run_resident_on_devices(
+        &self,
+        backends: &[&dyn DeviceBackend],
+        slices: &[&ResidentAllocation],
+    ) -> BatchEvalOutput {
+        let split = self.device_split(backends.len());
+        assert_eq!(
+            slices.len(),
+            backends.len(),
+            "one resident table slice per device"
+        );
+        let expected = split.slice_bytes(self.table.rows() as u64, self.row_bytes());
+        for (slice, expected_bytes) in slices.iter().zip(expected) {
+            assert_eq!(
+                slice.bytes(),
+                expected_bytes,
+                "resident slice does not match the job's table split"
+            );
+        }
+
+        // The grid: which subtrees are the units of block work, and how many
+        // keys share a launch. Cooperative groups dedicate the whole device
+        // to one query at a time, split finely enough to fill it.
+        let depth = self.keys[0].depth();
+        let (kernel, subtree_bits, launch_width, cooperative) = match self.mapping {
+            GridMapping::BlockPerQuery => ("dpf_batch", split.split_bits(), self.keys.len(), false),
+            GridMapping::Cooperative { split_bits } => {
+                let bits = split_bits.min(depth).max(split.split_bits());
+                ("dpf_coop", bits, 1, true)
+            }
+        };
+        let subtrees = Subtree::split(&self.keys[0], subtree_bits);
+        // The kernel name is composed once per job, not per launch; it names
+        // the host SIMD backend that executes the PRF sweeps.
+        let prf_backend = self.prg.prf().backend_label();
+        let grid = Grid {
+            kernel_name: format!("{kernel}[{}|{prf_backend}]", self.strategy.label()),
+            launch_width,
+            cooperative,
+        };
+
+        let mut results: Vec<LaneVector> = Vec::new();
+        let mut per_device: Vec<KernelReport> = Vec::with_capacity(backends.len());
+        for (device, (backend, slice)) in backends.iter().zip(slices).enumerate() {
+            let owned: Vec<Subtree> = subtrees
+                .iter()
+                .copied()
+                .filter(|subtree| split.owner(subtree.prefix, subtree.prefix_bits) == device)
+                .collect();
+            let (rows, mut report) = self.run_device(*backend, slice, &owned, &grid);
+            // Stamp the host SIMD provenance: the PRF backend label and —
+            // when the frontier engine ran and probed — its autotuned tile.
+            report.prf_backend = prf_backend.to_string();
+            report.frontier_tile =
+                crate::tile::reported_frontier_tile(self.prg.prf().kind(), prf_backend);
+            per_device.push(report);
+            if results.is_empty() {
+                results = rows;
+            } else {
+                for (result, partial) in results.iter_mut().zip(&rows) {
+                    backend.reduce(&mut result.0, &partial.0);
+                }
+            }
+        }
+
+        BatchEvalOutput::new(results, per_device)
+    }
+
+    /// One device's share of the batch: upload the keys, launch over the
+    /// `(key, owned subtree)` pairs, download one partial row per key.
+    fn run_device(
+        &self,
+        backend: &dyn DeviceBackend,
+        slice: &ResidentAllocation,
+        owned: &[Subtree],
+        grid: &Grid,
+    ) -> (Vec<LaneVector>, KernelReport) {
+        let lanes = self.table.lanes_per_row();
+        let cycles = self.prf_kind.gpu_cycles_per_block();
+
+        // Keys and outputs for the whole batch are allocated once; every
+        // launch runs against the same three allocations.
+        let key_bytes = self.key_bytes();
         let keys_alloc = backend.alloc(key_bytes);
         if backend.stores_payloads() {
             let staged: Vec<u8> = self.keys.iter().flat_map(DpfKey::to_bytes).collect();
@@ -217,138 +413,67 @@ impl<'a> BatchEvalJob<'a> {
         } else {
             backend.upload_keys(&keys_alloc, TransferSrc::Opaque(key_bytes));
         }
-        keys_alloc
-    }
+        let out_alloc = backend.alloc(self.keys.len() as u64 * self.row_bytes());
 
-    fn run_block_per_query(
-        &self,
-        backend: &dyn DeviceBackend,
-        table_alloc: &ResidentAllocation,
-    ) -> BatchEvalOutput {
-        let batch = self.keys.len();
-        let lanes = self.table.lanes_per_row();
-        let config = LaunchConfig::linear(batch as u32, self.threads_per_block);
-        // Each block owns one preallocated output row; no result locking on
-        // the dispatch path.
-        let rows = AtomicLaneRows::new(batch, lanes);
-        let cycles = self.prf_kind.gpu_cycles_per_block();
-        // The kernel name is composed once per job, not per launch; it names
-        // the host SIMD backend that executes the PRF sweeps.
-        let prf_backend = self.prg.prf().backend_label();
-        let kernel_name = format!("dpf_batch[{}|{prf_backend}]", self.strategy.label());
-
-        let keys_alloc = self.upload_keys(backend);
-        let out_alloc = backend.alloc(batch as u64 * lanes as u64 * 4);
-
-        let mut report = backend.launch(
-            &kernel_name,
-            config,
-            &[table_alloc, &keys_alloc, &out_alloc],
-            &|block: &BlockContext<'_>| {
-                let index = block.block_index() as usize;
-                if index >= batch {
-                    return;
-                }
-                let recorder = KernelRecorder::new(block, cycles);
-                // The key is streamed from global memory once per block.
-                block
-                    .counters()
-                    .record_global_read(self.keys[index].size_bytes() as u64);
-                let result = if self.fused {
-                    fused_eval_matmul(
-                        self.prg,
-                        &self.keys[index],
-                        self.table,
-                        self.strategy,
-                        &recorder,
-                    )
-                } else {
-                    unfused_eval_matmul(
-                        self.prg,
-                        &self.keys[index],
-                        self.table,
-                        self.strategy,
-                        &recorder,
-                    )
-                };
-                rows.store_row(index, &result);
-            },
-        );
-
-        let results = download_rows(backend, &out_alloc, rows.into_lane_vectors());
-        backend.free(out_alloc);
-        backend.free(keys_alloc);
-
-        self.tag_report(&mut report, prf_backend);
-        BatchEvalOutput { results, report }
-    }
-
-    fn run_cooperative(
-        &self,
-        backend: &dyn DeviceBackend,
-        table_alloc: &ResidentAllocation,
-        split_bits: u32,
-    ) -> BatchEvalOutput {
-        let cycles = self.prf_kind.gpu_cycles_per_block();
-        let lanes = self.table.lanes_per_row();
-        let mut results = Vec::with_capacity(self.keys.len());
+        let mut rows = Vec::with_capacity(self.keys.len());
         let mut merged: Option<KernelReport> = None;
-        // One launch per key, all sharing one kernel name built up front.
-        let prf_backend = self.prg.prf().backend_label();
-        let kernel_name = format!("dpf_coop[{}|{prf_backend}]", self.strategy.label());
-
-        // Keys and outputs for the whole batch are allocated once; the
-        // per-key launches all run against the same three allocations.
-        let keys_alloc = self.upload_keys(backend);
-        let out_alloc = backend.alloc(self.keys.len() as u64 * lanes as u64 * 4);
-
-        // Cooperative groups dedicate the whole device to one query at a time;
-        // a batch is processed as a sequence of cooperative launches.
-        for key in self.keys {
-            let split_bits = split_bits.min(key.depth());
-            let subtrees = Subtree::split(key, split_bits);
-            let blocks = subtrees.len() as u32;
-            let config =
-                LaunchConfig::linear(blocks, self.threads_per_block).with_cooperative(true);
-            // One disjoint partial row per cooperating block.
-            let partials = AtomicLaneRows::new(subtrees.len(), lanes);
+        for launch_keys in self.keys.chunks(grid.launch_width) {
+            let pairs = launch_keys.len() * owned.len();
+            let config = LaunchConfig::linear(pairs as u32, self.threads_per_block)
+                .with_cooperative(grid.cooperative);
+            // Each block owns one preallocated partial row; no result
+            // locking on the dispatch path.
+            let partials = AtomicLaneRows::new(pairs, lanes);
 
             let report = backend.launch(
-                &kernel_name,
+                &grid.kernel_name,
                 config,
-                &[table_alloc, &keys_alloc, &out_alloc],
+                &[slice, &keys_alloc, &out_alloc],
                 &|block: &BlockContext<'_>| {
                     let index = block.block_index() as usize;
-                    if index >= subtrees.len() {
+                    if index >= pairs {
                         return;
                     }
+                    let key = &launch_keys[index / owned.len()];
                     let recorder = KernelRecorder::new(block, cycles);
+                    // The key is streamed from global memory once per block.
                     block.counters().record_global_read(key.size_bytes() as u64);
                     let partial = fused_eval_matmul_subtree(
                         self.prg,
                         key,
                         self.table,
-                        subtrees[index],
+                        owned[index % owned.len()],
                         self.strategy,
                         &recorder,
                     );
-                    // Grid-wide barrier before the cross-block reduction.
-                    if index == 0 {
-                        block.counters().record_grid_sync();
+                    if grid.cooperative {
+                        // Grid-wide barrier before the cross-block reduction.
+                        if index == 0 {
+                            block.counters().record_grid_sync();
+                        }
+                        block.counters().record_flops(lanes as u64);
                     }
-                    block.counters().record_flops(lanes as u64);
                     partials.store_row(index, &partial);
                 },
             );
 
-            // The cross-block partial sum is the backend's reduction
-            // primitive, so both in-tree backends count (and perform) the
-            // same lane-wise wrapping adds.
-            let mut answer = LaneVector::zeroed(lanes);
-            for partial in partials.into_lane_vectors() {
-                backend.reduce(&mut answer.0, &partial.0);
+            for key_partials in partials.into_lane_vectors().chunks(owned.len()) {
+                let mut row = LaneVector::zeroed(lanes);
+                for partial in key_partials {
+                    if grid.cooperative {
+                        // The cross-block partial sum is the backend's
+                        // reduction primitive, so both in-tree backends
+                        // count (and perform) the same lane-wise adds.
+                        backend.reduce(&mut row.0, &partial.0);
+                    } else {
+                        // Stands in for the on-device fold: the blocks of one
+                        // key accumulate into its row with lock-free wrapping
+                        // lane adds, which no backend counts.
+                        row.add_assign_wrapping(partial);
+                    }
+                }
+                rows.push(row);
             }
-            results.push(answer);
             // pir-lint: allow(secret-flow, "matches the report accumulator's Some/None state, which tracks the public batch position, not key bits")
             merged = Some(match merged {
                 None => report,
@@ -356,44 +481,26 @@ impl<'a> BatchEvalJob<'a> {
             });
         }
 
-        let results = download_rows(backend, &out_alloc, results);
+        let rows = download_rows(backend, &out_alloc, rows);
         backend.free(out_alloc);
         backend.free(keys_alloc);
-
-        // pir-lint: allow(panic-path, "the eval loop above set it for every key; empty batches never reach eval")
-        let mut report = merged.expect("batch is non-empty");
-        self.tag_report(&mut report, prf_backend);
-        BatchEvalOutput { results, report }
-    }
-
-    /// Stamp the host SIMD provenance onto a launch report: the PRF backend
-    /// label and — when the frontier engine ran and probed — the autotuned
-    /// tile it used.
-    fn tag_report(&self, report: &mut KernelReport, prf_backend: &'static str) {
-        report.prf_backend = prf_backend.to_string();
-        report.frontier_tile =
-            crate::tile::reported_frontier_tile(self.prg.prf().kind(), prf_backend);
+        // pir-lint: allow(panic-path, "the launch loop above set it for the first key; empty batches never reach a device")
+        (rows, merged.expect("batch is non-empty"))
     }
 }
 
-/// The upload payload for a table: the real lane buffer for backends that
-/// store payloads, an accounted byte count otherwise.
-pub(crate) fn table_payload<'a>(
-    backend: &dyn DeviceBackend,
-    table: &'a ShareMatrix,
-) -> TransferSrc<'a> {
-    if backend.stores_payloads() {
-        TransferSrc::Lanes(table.lanes())
-    } else {
-        TransferSrc::Opaque(table.size_bytes() as u64)
-    }
+/// The launch shape shared by every device of one run.
+struct Grid {
+    kernel_name: String,
+    launch_width: usize,
+    cooperative: bool,
 }
 
 /// Download `rows` out of `alloc`. A payload-storing backend round-trips the
 /// lanes through its staging buffer and the *downloaded* bytes are decoded
 /// into the returned rows — proving the copies are honest end to end. An
 /// accounting-only backend records the transfer and returns `rows` as-is.
-pub(crate) fn download_rows(
+fn download_rows(
     backend: &dyn DeviceBackend,
     alloc: &ResidentAllocation,
     rows: Vec<LaneVector>,
@@ -420,8 +527,10 @@ pub(crate) fn download_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fusion::fused_eval_matmul;
+    use crate::recorder::NullRecorder;
     use crate::{generate_keys, DpfParams};
-    use gpu_sim::DeviceSpec;
+    use gpu_sim::{BackendKind, DeviceSpec, GpuExecutor};
     use pir_field::{reconstruct_lanes, Ring128};
     use pir_prf::build_prf;
     use rand::rngs::StdRng;
@@ -451,31 +560,51 @@ mod tests {
         (prg, table, targets, keys_a, keys_b)
     }
 
+    fn devices(count: usize, host_threads: usize) -> Vec<Box<dyn DeviceBackend>> {
+        (0..count)
+            .map(|_| {
+                BackendKind::Simulated.build_with_host_threads(DeviceSpec::v100(), host_threads)
+            })
+            .collect()
+    }
+
+    fn backends(devices: &[Box<dyn DeviceBackend>]) -> Vec<&dyn DeviceBackend> {
+        devices.iter().map(AsRef::as_ref).collect()
+    }
+
     #[test]
     #[allow(clippy::needless_range_loop)] // index i addresses three parallel arrays
     fn batched_execution_answers_every_query() {
-        let (prg, table, targets, keys_a, keys_b) = setup(500, 8, 16, 51);
-        let executor = GpuExecutor::with_host_threads(DeviceSpec::v100(), 4);
+        let (prg, table, targets, keys_a, keys_b) = setup(500, 8, 7, 51);
+        for count in [1usize, 3, 4] {
+            let devices = devices(count, 4);
+            let backends = backends(&devices);
+            let out_a = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys_a, &table)
+                .run_on_devices(&backends);
+            let out_b = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys_b, &table)
+                .run_on_devices(&backends);
 
-        let job_a = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys_a, &table);
-        let job_b = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys_b, &table);
-        let out_a = job_a.run(&executor);
-        let out_b = job_b.run(&executor);
-
-        assert_eq!(out_a.results.len(), 16);
-        for i in 0..16 {
-            let row = reconstruct_lanes(
-                &Vec::from(out_a.results[i].clone()),
-                &Vec::from(out_b.results[i].clone()),
-            );
-            assert_eq!(row, table.row(targets[i] as usize), "query {i}");
+            assert_eq!(out_a.results.len(), 7);
+            assert_eq!(out_a.per_device().len(), count);
+            for i in 0..7 {
+                let single = fused_eval_matmul(
+                    &prg,
+                    &keys_a[i],
+                    &table,
+                    EvalStrategy::default(),
+                    &NullRecorder,
+                );
+                assert_eq!(out_a.results[i], single, "{count} devices, query {i}");
+                let row = reconstruct_lanes(
+                    &Vec::from(out_a.results[i].clone()),
+                    &Vec::from(out_b.results[i].clone()),
+                );
+                assert_eq!(row, table.row(targets[i] as usize), "query {i}");
+            }
+            assert!(out_a.throughput_qps() > 0.0);
+            assert!(out_a.latency_ms() > 0.0);
+            assert_eq!(out_a.total_prf_calls(), out_b.total_prf_calls());
         }
-        assert!(out_a.throughput_qps() > 0.0);
-        assert!(out_a.latency_ms() > 0.0);
-        assert_eq!(
-            out_a.report.counters.prf_calls,
-            out_b.report.counters.prf_calls
-        );
     }
 
     #[test]
@@ -487,10 +616,10 @@ mod tests {
         let coop = GridMapping::Cooperative { split_bits: 4 };
         let out_a = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys_a, &table)
             .with_mapping(coop)
-            .run(&executor);
+            .run_on(&executor);
         let out_b = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys_b, &table)
             .with_mapping(coop)
-            .run(&executor);
+            .run_on(&executor);
         for i in 0..3 {
             let row = reconstruct_lanes(
                 &Vec::from(out_a.results[i].clone()),
@@ -503,34 +632,61 @@ mod tests {
     }
 
     #[test]
-    fn unfused_matches_fused_results() {
-        let (prg, table, targets, keys_a, keys_b) = setup(128, 4, 4, 53);
-        // One host thread: peak-memory comparison below must not depend on
-        // how many simulated blocks happen to overlap on host workers.
-        let executor = GpuExecutor::with_host_threads(DeviceSpec::v100(), 1);
-        let fused = BatchEvalJob::new(&prg, PrfKind::Aes128, &keys_a, &table).run(&executor);
-        let unfused = BatchEvalJob::new(&prg, PrfKind::Aes128, &keys_a, &table)
-            .with_fusion(false)
-            .run(&executor);
-        assert_eq!(fused.results, unfused.results);
-        // Unfused needs more peak memory (materialized leaf vectors).
-        assert!(unfused.report.peak_memory_bytes > fused.report.peak_memory_bytes);
+    fn per_device_work_shrinks_with_more_devices() {
+        let (prg, table, _targets, keys_a, _keys_b) = setup(1 << 10, 4, 5, 77);
+        let one = devices(1, 2);
+        let four = devices(4, 2);
+        // A lone query (the whole complex dedicated to it) and a batch.
+        for keys in [&keys_a[..1], &keys_a[..]] {
+            let job = BatchEvalJob::new(&prg, PrfKind::SipHash, keys, &table);
+            let single = job.run_on_devices(&backends(&one));
+            let multi = job.run_on_devices(&backends(&four));
+            assert_eq!(single.results, multi.results);
+            let multi_prf_max = multi
+                .per_device()
+                .iter()
+                .map(|r| r.counters.prf_calls)
+                .max()
+                .unwrap();
+            assert!(
+                multi_prf_max * 3 < single.total_prf_calls(),
+                "{multi_prf_max} vs {}",
+                single.total_prf_calls()
+            );
+        }
+    }
 
-        // And both still decode correctly against party B.
-        let out_b = BatchEvalJob::new(&prg, PrfKind::Aes128, &keys_b, &table).run(&executor);
-        let row = reconstruct_lanes(
-            &Vec::from(fused.results[0].clone()),
-            &Vec::from(out_b.results[0].clone()),
+    #[test]
+    fn residency_reflects_owned_subtrees_for_non_power_of_two_devices() {
+        // 3 devices split a 2^10-row table into 4 subtrees; device 0 owns
+        // subtrees {0, 3} and must account rows for both (half the table),
+        // not rows/3.
+        let (prg, table, _targets, keys_a, _keys_b) = setup(1 << 10, 8, 1, 61);
+        let devices = devices(3, 1);
+        let out = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys_a, &table)
+            .run_on_devices(&backends(&devices));
+
+        let half_table = table.size_bytes() as u64 / 2;
+        let per_device = out.per_device();
+        assert!(
+            per_device[0].peak_memory_bytes >= half_table,
+            "device 0 owns two of four subtrees: peak {} must cover {half_table}",
+            per_device[0].peak_memory_bytes
         );
-        assert_eq!(row, table.row(targets[0] as usize));
+        // Devices 1 and 2 own one subtree each (a quarter of the table), so
+        // their residency stays below device 0's.
+        for report in &per_device[1..] {
+            assert!(report.peak_memory_bytes < per_device[0].peak_memory_bytes);
+        }
     }
 
     #[test]
     fn larger_batches_improve_throughput() {
         let (prg, table, _targets, keys_a, _keys_b) = setup(1 << 12, 8, 64, 54);
         let executor = GpuExecutor::with_host_threads(DeviceSpec::v100(), 4);
-        let small = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys_a[..1], &table).run(&executor);
-        let large = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys_a, &table).run(&executor);
+        let small =
+            BatchEvalJob::new(&prg, PrfKind::SipHash, &keys_a[..1], &table).run_on(&executor);
+        let large = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys_a, &table).run_on(&executor);
         assert!(
             large.throughput_qps() > 5.0 * small.throughput_qps(),
             "batch-64 {} qps should dwarf batch-1 {} qps",
@@ -545,6 +701,13 @@ mod tests {
         let (prg, table, _, _, _) = setup(64, 4, 1, 55);
         let executor = GpuExecutor::with_host_threads(DeviceSpec::v100(), 1);
         let keys: Vec<DpfKey> = Vec::new();
-        let _ = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys, &table).run(&executor);
+        let _ = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys, &table).run_on(&executor);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one device")]
+    fn empty_device_list_panics() {
+        let (prg, table, _, keys_a, _) = setup(64, 4, 1, 56);
+        let _ = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys_a, &table).run_on_devices(&[]);
     }
 }

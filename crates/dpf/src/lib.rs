@@ -15,12 +15,13 @@
 //!   compares: **branch-parallel**, **level-by-level** and the proposed
 //!   **memory-bounded tree traversal** (§3.2.2–§3.2.3),
 //! * [`fusion`] — DPF ⊗ matrix-multiplication operator fusion (§3.2.4),
-//! * [`batch`] — batched execution of many DPFs on the simulated GPU,
+//! * [`batch`] — the one evaluation job: a batch of DPFs over one or more
+//!   devices, each sweeping the table slice it owns (§3.2.1, §3.2.7),
 //!   including the cooperative-groups single-query mode (§3.2.5),
 //! * [`scheduler`] — batch/table-size-aware strategy selection (§3.2.5),
 //! * [`plan`] — batch-resident device memory plans: exact per-device byte
-//!   footprints, table-residency decisions and transfer schedules,
-//! * [`multi_gpu`] — sharding one DPF across several devices (§3.2.7).
+//!   footprints, table-residency decisions and transfer schedules, and the
+//!   device-ownership rule ([`DeviceSplit`]) every layer derives slices from.
 //!
 //! # Example
 //!
@@ -51,7 +52,6 @@ pub mod eval;
 pub mod fusion;
 pub mod gen;
 pub mod key;
-pub mod multi_gpu;
 #[cfg(test)]
 mod parity_tests;
 pub mod plan;
@@ -66,9 +66,9 @@ pub use eval::{eval_point, eval_subtree_root};
 pub use fusion::{fused_eval_matmul, unfused_eval_matmul};
 pub use gen::generate_keys;
 pub use key::{CorrectionWord, DpfKey, DpfParams};
-pub use multi_gpu::{MultiGpuBatchEvalJob, MultiGpuBatchOutput, MultiGpuEvalJob, MultiGpuOutput};
 pub use plan::{
-    DevicePlan, MemoryPlan, PlanCache, PlanKey, PlanLedger, TableResidency, TransferStep,
+    DevicePlan, DeviceSplit, MemoryPlan, PlanCache, PlanKey, PlanLedger, TableResidency,
+    TransferStep,
 };
 pub use recorder::{CountingRecorder, KernelRecorder, NullRecorder, Recorder};
 pub use scheduler::{ExecutionPlan, Scheduler, SchedulerConfig, SchedulerConfigError};

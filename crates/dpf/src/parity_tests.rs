@@ -303,7 +303,6 @@ fn reference_fused_eval_matmul<R: Recorder>(
 mod tests {
     use super::*;
     use crate::batch::BatchEvalJob;
-    use crate::multi_gpu::MultiGpuBatchEvalJob;
     use crate::recorder::{CountingRecorder, NullRecorder};
     use crate::scheduler::{Scheduler, SchedulerConfig};
     use crate::strategy::eval_full_domain;
@@ -450,7 +449,7 @@ mod tests {
             let executor = GpuExecutor::with_host_threads(DeviceSpec::v100(), 1);
             let job =
                 BatchEvalJob::new(&prg, PrfKind::SipHash, &keys, &table).with_strategy(strategy);
-            let out = job.run(&executor);
+            let out = job.run_on(&executor);
 
             let what = format!("{strategy:?}");
             assert_eq!(
@@ -478,10 +477,13 @@ mod tests {
 
     /// The host backend (real memcpys, wall-clock timing, no cost model) and
     /// the simulated backend (analytical roofline) must be *functionally
-    /// indistinguishable*: for every PRF family and every strategy the same
-    /// [`BatchEvalJob`] yields bit-identical answer shares, an exactly-equal
+    /// indistinguishable*: for every PRF family, every strategy and both a
+    /// single device and a non-power-of-two split (3 devices over 4 subtrees,
+    /// one of them pure padding) the same [`BatchEvalJob`] yields
+    /// bit-identical answer shares and, per device, an exactly-equal
     /// [`gpu_sim::CounterSnapshot`], the same peak device memory, and the
     /// same transfer/allocation ledger. Only the time attribution may differ.
+    /// Every device's report carries the host SIMD provenance of its sweeps.
     #[test]
     fn host_backend_matches_simulated_backend() {
         for kind in PrfKind::ALL {
@@ -499,86 +501,58 @@ mod tests {
                 })
                 .collect();
 
-            for strategy in STRATEGIES {
-                let simulated = GpuExecutor::with_host_threads(DeviceSpec::v100(), 1);
-                let host = HostBackend::with_host_threads(DeviceSpec::v100(), 1);
+            for (strategy, devices) in STRATEGIES.into_iter().flat_map(|s| [(s, 1), (s, 3)]) {
+                let simulated: Vec<GpuExecutor> = (0..devices)
+                    .map(|_| GpuExecutor::with_host_threads(DeviceSpec::v100(), 1))
+                    .collect();
+                let hosts: Vec<HostBackend> = (0..devices)
+                    .map(|_| HostBackend::with_host_threads(DeviceSpec::v100(), 1))
+                    .collect();
+                let sim_refs: Vec<&dyn DeviceBackend> =
+                    simulated.iter().map(|e| e as &dyn DeviceBackend).collect();
+                let host_refs: Vec<&dyn DeviceBackend> =
+                    hosts.iter().map(|h| h as &dyn DeviceBackend).collect();
+
                 let job = BatchEvalJob::new(&prg, kind, &keys, &table).with_strategy(strategy);
-                let sim_out = job.run_on(&simulated);
-                let host_out = job.run_on(&host);
+                let sim_out = job.run_on_devices(&sim_refs);
+                let host_out = job.run_on_devices(&host_refs);
 
-                let what = format!("{kind} {strategy:?}");
+                let what = format!("{kind} {strategy:?} devices={devices}");
                 assert_eq!(sim_out.results, host_out.results, "{what}: answer shares");
-                assert_eq!(
-                    sim_out.report.counters, host_out.report.counters,
-                    "{what}: kernel counters"
-                );
-                assert_eq!(
-                    sim_out.report.peak_memory_bytes, host_out.report.peak_memory_bytes,
-                    "{what}: peak device memory"
-                );
-                assert_eq!(
-                    sim_out.report.occupancy, host_out.report.occupancy,
-                    "{what}: occupancy"
-                );
+                assert_eq!(sim_out.per_device().len(), devices, "{what}: reports");
+                assert_eq!(host_out.per_device().len(), devices, "{what}: reports");
+                for (sim, host) in sim_out.per_device().iter().zip(host_out.per_device()) {
+                    assert_eq!(sim.counters, host.counters, "{what}: kernel counters");
+                    assert_eq!(
+                        sim.peak_memory_bytes, host.peak_memory_bytes,
+                        "{what}: peak device memory"
+                    );
+                    assert_eq!(sim.occupancy, host.occupancy, "{what}: occupancy");
+                    for report in [sim, host] {
+                        assert_eq!(
+                            report.prf_backend,
+                            prg.prf().backend_label(),
+                            "{what}: PRF backend stamp"
+                        );
+                        if strategy != EvalStrategy::BranchParallel {
+                            assert_eq!(
+                                report.frontier_tile,
+                                Some(crate::tile::frontier_tile(&prg)),
+                                "{what}: frontier tile stamp"
+                            );
+                        }
+                    }
+                }
 
-                let sim_stats = DeviceBackend::stats(&simulated);
-                let host_stats = DeviceBackend::stats(&host);
-                assert_eq!(sim_stats, host_stats, "{what}: backend transfer ledger");
-                assert_eq!(
-                    sim_stats.live_allocations(),
-                    0,
-                    "{what}: leaked allocations"
-                );
+                for (sim, host) in sim_refs.iter().zip(&host_refs) {
+                    assert_eq!(sim.stats(), host.stats(), "{what}: backend transfer ledger");
+                    assert_eq!(
+                        sim.stats().live_allocations(),
+                        0,
+                        "{what}: leaked allocations"
+                    );
+                }
             }
-        }
-    }
-
-    /// Multi-device sharding over the backend seam gets the same guarantee,
-    /// on a non-power-of-two device count (3 devices over 4 subtrees).
-    #[test]
-    fn host_backend_matches_simulated_backend_multi_device() {
-        let prg = GgmPrg::new(build_prf(PrfKind::SipHash));
-        let mut rng = StdRng::seed_from_u64(0x3B);
-        let rows = 1usize << 9;
-        let lanes = 4usize;
-        let data: Vec<u32> = (0..rows * lanes).map(|_| rng.gen()).collect();
-        let table = ShareMatrix::from_rows(rows, lanes, data);
-        let params = DpfParams::for_domain(rows as u64);
-        let keys: Vec<DpfKey> = (0..2)
-            .map(|_| {
-                let alpha = rng.gen_range(0..rows as u64);
-                generate_keys(&prg, &params, alpha, Ring128::ONE, &mut rng).0
-            })
-            .collect();
-
-        let simulated: Vec<GpuExecutor> = (0..3)
-            .map(|_| GpuExecutor::with_host_threads(DeviceSpec::v100(), 1))
-            .collect();
-        let hosts: Vec<HostBackend> = (0..3)
-            .map(|_| HostBackend::with_host_threads(DeviceSpec::v100(), 1))
-            .collect();
-        let sim_refs: Vec<&dyn DeviceBackend> =
-            simulated.iter().map(|e| e as &dyn DeviceBackend).collect();
-        let host_refs: Vec<&dyn DeviceBackend> =
-            hosts.iter().map(|h| h as &dyn DeviceBackend).collect();
-
-        let job = MultiGpuBatchEvalJob::new(&prg, PrfKind::SipHash, &keys, &table);
-        let sim_out = job.run_on(&sim_refs);
-        let host_out = job.run_on(&host_refs);
-
-        assert_eq!(sim_out.results, host_out.results, "answer shares");
-        assert_eq!(sim_out.per_device.len(), host_out.per_device.len());
-        for (sim, host) in sim_out.per_device.iter().zip(&host_out.per_device) {
-            assert_eq!(sim.counters, host.counters, "{}: kernel counters", sim.name);
-            assert_eq!(
-                sim.peak_memory_bytes, host.peak_memory_bytes,
-                "{}: peak device memory",
-                sim.name
-            );
-        }
-        for (sim, host) in sim_refs.iter().zip(&host_refs) {
-            assert_eq!(sim.stats(), host.stats(), "backend transfer ledger");
-            assert_eq!(sim.stats().live_allocations(), 0, "leaked allocations");
         }
     }
 

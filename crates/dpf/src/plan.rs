@@ -21,6 +21,7 @@
 //! choice minimizes steady-state transfer time for every feasible candidate.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -62,11 +63,9 @@ pub struct TransferStep {
 pub struct DevicePlan {
     /// Device index (0-based).
     pub device_index: usize,
-    /// Bytes of the table slice this device holds. With several devices this
-    /// follows the subtree striping of the multi-GPU engine (device `g` owns
-    /// subtrees ≡ `g` mod device-count, clamped to the unpadded table), with
-    /// a one-row floor so a padded-tail device still has a non-empty
-    /// allocation — exactly what the dispatch layer allocates.
+    /// Bytes of the table slice this device holds
+    /// ([`DeviceSplit::slice_bytes`]) — exactly what the dispatch layer
+    /// allocates.
     pub table_bytes: u64,
     /// Per-batch key upload bytes.
     pub key_bytes: u64,
@@ -122,7 +121,9 @@ impl MemoryPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `table_rows`, `row_bytes`, `batch` or `devices` is zero.
+    /// Panics if `table_rows`, `row_bytes`, `batch` or `devices` is zero, or
+    /// the domain is too shallow to split across `devices` (servers reject
+    /// that at construction, before any plan is built).
     #[must_use]
     #[allow(clippy::too_many_arguments)] // one parameter per plan dimension
     pub fn build(
@@ -139,18 +140,23 @@ impl MemoryPlan {
         assert!(row_bytes > 0, "rows must be at least one byte wide");
         assert!(batch > 0, "plan needs at least one query");
         assert!(devices > 0, "plan needs at least one device");
+        let split = DeviceSplit::new(domain_bits, devices).unwrap_or_else(|| {
+            // pir-lint: allow(panic-path, "documented precondition: servers validate the split at construction")
+            panic!("cannot split a depth-{domain_bits} tree across {devices} devices")
+        });
 
-        let device_plans: Vec<DevicePlan> = owned_rows_per_device(domain_bits, table_rows, devices)
+        let device_plans: Vec<DevicePlan> = split
+            .slice_bytes(table_rows, row_bytes)
             .into_iter()
             .enumerate()
-            .map(|(device_index, rows)| {
+            .map(|(device_index, table_bytes)| {
                 // Per-device scratch: every query of the batch expands on every
                 // device (each against its slice), so the batch term does not
                 // shrink with the device count — only the table slice does.
                 let scratch = StrategyProfile::of(strategy, domain_bits, batch).peak_scratch_bytes;
                 DevicePlan {
                     device_index,
-                    table_bytes: rows.max(1).saturating_mul(row_bytes),
+                    table_bytes,
                     key_bytes: batch.saturating_mul(key_bytes),
                     output_bytes: batch.saturating_mul(row_bytes),
                     scratch_bytes: scratch,
@@ -291,23 +297,87 @@ impl MemoryPlan {
     }
 }
 
-/// Unpadded table rows owned by each of `devices` devices under the subtree
-/// striping the multi-GPU engine uses: the padded domain splits into
-/// `next_pow2(devices)` subtrees, device `g` owns subtrees ≡ `g` (mod
-/// `devices`), and each subtree's rows clamp to the real table.
-fn owned_rows_per_device(domain_bits: u32, table_rows: u64, devices: usize) -> Vec<u64> {
-    let split_bits = (devices as u64).next_power_of_two().trailing_zeros();
-    // More devices than subtrees is rejected upstream (shard validation);
-    // for planning purposes clamp so the arithmetic stays total.
-    let split_bits = split_bits.min(domain_bits);
-    let span = 1u64 << (domain_bits - split_bits);
-    let mut owned = vec![0u64; devices];
-    for subtree in 0..(1u64 << split_bits) {
-        let base = subtree * span;
-        let rows = table_rows.saturating_sub(base).min(span);
-        owned[(subtree % devices as u64) as usize] += rows;
+/// The device-ownership rule (§3.2.7), written down once.
+///
+/// The padded DPF domain of `2^domain_bits` leaves is cut into
+/// `next_pow2(devices)` equal subtrees; subtree `t` belongs to device
+/// `t mod devices` (a non-power-of-two count gives the low-index devices one
+/// extra subtree each), and a device's rows are its subtrees' leaves clamped
+/// to the real, unpadded table. One device is this split at `split_bits = 0`:
+/// a single subtree — the root — owned by device 0.
+///
+/// Everything that needs to know which device holds which rows derives it
+/// from here: [`DevicePlan::table_bytes`], the slices
+/// [`BatchEvalJob`](crate::BatchEvalJob) uploads, expects and sweeps, and
+/// `pir_protocol::{shard_split_bits, shard_owned_ranges}`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DeviceSplit {
+    domain_bits: u32,
+    split_bits: u32,
+    devices: usize,
+}
+
+impl DeviceSplit {
+    /// Split a `2^domain_bits`-leaf domain across `devices` devices; `None`
+    /// if `devices` is zero or the tree is too shallow to give every device
+    /// a subtree.
+    #[must_use]
+    pub fn new(domain_bits: u32, devices: usize) -> Option<Self> {
+        if devices == 0 {
+            return None;
+        }
+        let split_bits = (devices as u64).next_power_of_two().trailing_zeros();
+        (split_bits <= domain_bits).then_some(Self {
+            domain_bits,
+            split_bits,
+            devices,
+        })
     }
-    owned
+
+    /// Prefix bits the domain is split on (`0` for one device).
+    #[must_use]
+    pub fn split_bits(self) -> u32 {
+        self.split_bits
+    }
+
+    /// The device that owns the subtree reached by the `prefix_bits`-bit
+    /// path `prefix`, at or below the split level (`prefix_bits >=
+    /// split_bits`): whoever owns its ancestor at the split level.
+    #[must_use]
+    pub fn owner(self, prefix: u64, prefix_bits: u32) -> usize {
+        ((prefix >> (prefix_bits - self.split_bits)) % self.devices as u64) as usize
+    }
+
+    /// The row ranges each device owns in a table of `table_rows` rows, in
+    /// subtree order. Padded-only subtrees are dropped, so every real row
+    /// lands in exactly one device's ranges.
+    #[must_use]
+    pub fn owned_ranges(self, table_rows: u64) -> Vec<Vec<Range<u64>>> {
+        let span = 1u64 << (self.domain_bits - self.split_bits);
+        let mut ranges = vec![Vec::new(); self.devices];
+        for subtree in 0..(1u64 << self.split_bits) {
+            let start = subtree * span;
+            let end = (start + span).min(table_rows);
+            if start < end {
+                ranges[self.owner(subtree, self.split_bits)].push(start..end);
+            }
+        }
+        ranges
+    }
+
+    /// Bytes of each device's table-slice allocation, with a one-row floor
+    /// so a device whose subtrees are all padding still holds a non-empty
+    /// allocation.
+    #[must_use]
+    pub fn slice_bytes(self, table_rows: u64, row_bytes: u64) -> Vec<u64> {
+        self.owned_ranges(table_rows)
+            .iter()
+            .map(|owned| {
+                let rows: u64 = owned.iter().map(|range| range.end - range.start).sum();
+                rows.max(1).saturating_mul(row_bytes)
+            })
+            .collect()
+    }
 }
 
 /// Shape key a [`PlanCache`] entry is indexed by. Everything that changes
@@ -474,12 +544,15 @@ mod tests {
     #[test]
     fn non_power_of_two_devices_follow_subtree_striping() {
         // 3 devices over a 2^10 domain: 4 subtrees, device 0 owns {0, 3}.
-        let owned = owned_rows_per_device(10, 1 << 10, 3);
-        assert_eq!(owned, vec![512, 256, 256]);
+        let split = DeviceSplit::new(10, 3).unwrap();
+        assert_eq!(split.split_bits(), 2);
+        assert_eq!(split.slice_bytes(1 << 10, 1), vec![512, 256, 256]);
         // A short table clamps the tail subtree (device 0's second).
-        let owned = owned_rows_per_device(10, 700, 3);
-        assert_eq!(owned, vec![256, 256, 188]);
-        assert_eq!(owned.iter().sum::<u64>(), 700);
+        assert_eq!(split.slice_bytes(700, 1), vec![256, 256, 188]);
+        assert_eq!(
+            split.owned_ranges(700),
+            vec![vec![0..256], vec![256..512], vec![512..700]]
+        );
 
         let plan = MemoryPlan::build(16 << 30, chunk128(), 10, 1 << 10, 32, 300, 16, 3);
         assert_eq!(plan.devices.len(), 3);
@@ -500,8 +573,8 @@ mod tests {
         let plan = MemoryPlan::build(16 << 30, chunk128(), 6, 40, 8, 100, 4, 3);
         assert_eq!(plan.devices[0].table_bytes, 16 * 8);
         assert_eq!(plan.devices[2].table_bytes, 8 * 8);
-        let empty = owned_rows_per_device(6, 16, 4);
-        assert_eq!(empty, vec![16, 0, 0, 0]);
+        let ranges = DeviceSplit::new(6, 4).unwrap().owned_ranges(16);
+        assert_eq!(ranges, vec![vec![0..16], vec![], vec![], vec![]]);
         let plan = MemoryPlan::build(16 << 30, chunk128(), 6, 16, 8, 100, 4, 4);
         assert_eq!(plan.devices[1].table_bytes, 8, "one-row floor");
     }

@@ -36,7 +36,7 @@ fn assert_scalar_end_to_end() {
     let keys = vec![key];
 
     let executor = gpu_sim::GpuExecutor::with_host_threads(gpu_sim::DeviceSpec::v100(), 1);
-    let out = BatchEvalJob::new(&prg, PrfKind::Aes128, &keys, &table).run(&executor);
+    let out = BatchEvalJob::new(&prg, PrfKind::Aes128, &keys, &table).run_on(&executor);
     assert_eq!(out.report.prf_backend, "scalar", "report backend tag");
     assert!(
         out.report.name.ends_with("|scalar]"),

@@ -1,100 +1,107 @@
 //! The GPU-accelerated PIR server (the paper's contribution).
+//!
+//! Tables at the paper's production scale (tens of GB, Table 2) exceed a
+//! single V100's 16 GB; §3.2.7 shows the DPF's linear reduction makes the
+//! domain trivially splittable, so each device permanently owns the rows of
+//! its subtrees and evaluates every query of a batch against that slice
+//! only. One device is that split with a single subtree, so the same server
+//! covers both: callers batch queries exactly the same way, and the device
+//! fan-out and partial-share reduction stay internal.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use gpu_sim::{
-    BackendKind, DeviceBackend, DeviceSpec, KernelReport, ResidentAllocation, TransferSrc,
-};
+use gpu_sim::{BackendKind, DeviceBackend, DeviceSpec, KernelReport, ResidentAllocation};
 use pir_dpf::{
-    BatchEvalJob, DpfParams, PlanCache, PlanKey, PlanLedger, Scheduler, SchedulerConfig,
-    TableResidency,
+    BatchEvalJob, DpfParams, MemoryPlan, PlanCache, PlanKey, PlanLedger, Scheduler,
+    SchedulerConfig, TableResidency,
 };
 use pir_prf::{build_prf, GgmPrg, PrfKind};
 
 use crate::error::PirError;
 use crate::message::{PirResponse, ServerQuery};
 use crate::server::{
-    check_schema, responses_from_shares, validate_update, PirServer, ServerMetrics,
+    check_schema, responses_from_shares, shard_split_bits, validate_update, PirServer,
+    ServerMetrics,
 };
 use crate::table::{PirTable, TableSchema};
 
-/// The table allocation a memory plan decided to keep on the device, tagged
-/// with the table version it was uploaded from so hot reloads invalidate it.
-struct ResidentTable {
-    alloc: ResidentAllocation,
+/// The per-device table-slice allocations a memory plan decided to keep on
+/// the devices, tagged with the table version they were uploaded from so hot
+/// reloads invalidate them.
+struct Resident {
+    allocs: Vec<ResidentAllocation>,
     generation: u64,
 }
 
-/// A PIR server that evaluates DPFs on a [`DeviceBackend`] (the analytical
-/// simulated GPU by default).
+/// A PIR server that evaluates DPFs on one [`DeviceBackend`] per device (the
+/// analytical simulated GPU by default), the table split across the devices
+/// by the [`DeviceSplit`](pir_dpf::DeviceSplit) ownership rule.
 ///
 /// Every batch of queries is planned by the batch/table-size-aware
 /// [`Scheduler`] (§3.2.5), evaluated with the fused memory-bounded kernel
 /// (§3.2.3–§3.2.4), and accounted in the server's [`ServerMetrics`].
 ///
-/// Per batch shape the server also builds (and caches) a
-/// [`MemoryPlan`](pir_dpf::MemoryPlan): when the plan keeps the table
-/// resident, the table is uploaded once and re-used across batches — the
-/// upload is re-issued only after a hot reload bumps the table generation —
-/// and the avoided transfers are reported through
-/// [`PirServer::plan_ledger`].
+/// Per batch shape the server also builds (and caches) a [`MemoryPlan`]:
+/// when the plan keeps the table resident, every device's slice is uploaded
+/// once and re-used across batches — the uploads are re-issued only after a
+/// hot reload bumps the table generation — and the avoided transfers are
+/// reported through [`PirServer::plan_ledger`].
 ///
 /// The table sits behind an `RwLock` so entries can be hot-reloaded through
 /// [`PirServer::update_entry`] while queries are being served: a batch holds
-/// the read lock for the whole launch, so it sees one consistent table
-/// version.
+/// the read lock for the whole launch, so every device sees one consistent
+/// table version.
 pub struct GpuPirServer {
     schema: TableSchema,
     table: RwLock<PirTable>,
+    /// In-memory row width. Fixed for the server's lifetime
+    /// ([`validate_update`] pins the entry width), so plans never need the
+    /// table lock to read it.
+    row_bytes: u64,
+    /// Rows one device sweeps per query — what the scheduler's grid rule
+    /// (§3.2.5) is about.
+    rows_per_device: u64,
     prg: GgmPrg,
     prf_kind: PrfKind,
-    backend: Box<dyn DeviceBackend>,
+    backends: Vec<Box<dyn DeviceBackend>>,
     scheduler: Scheduler,
     metrics: Mutex<ServerMetrics>,
     last_report: Mutex<Option<KernelReport>>,
     plan_cache: PlanCache,
-    resident: Mutex<Option<ResidentTable>>,
+    resident: Mutex<Option<Resident>>,
     table_generation: AtomicU64,
     transfers_issued: AtomicU64,
     transfers_avoided: AtomicU64,
 }
 
 impl GpuPirServer {
-    /// Create a server on a specific device with a specific scheduler,
-    /// evaluating on the analytical simulated backend.
-    #[must_use]
+    /// Create a server over an explicit list of devices (one table slice per
+    /// device), a scheduler configuration and a [`BackendKind`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PirError::InvalidSharding`] if `devices` is empty or the
+    /// table's domain cannot be split into that many subtrees, so serving
+    /// layers never have to pre-validate the decomposition themselves.
     pub fn new(
         table: PirTable,
         prf_kind: PrfKind,
-        device: DeviceSpec,
-        scheduler_config: SchedulerConfig,
-    ) -> Self {
-        Self::with_backend_kind(
-            table,
-            prf_kind,
-            device,
-            scheduler_config,
-            BackendKind::Simulated,
-        )
-    }
-
-    /// Create a server evaluating on an explicit [`BackendKind`].
-    #[must_use]
-    pub fn with_backend_kind(
-        table: PirTable,
-        prf_kind: PrfKind,
-        device: DeviceSpec,
+        devices: Vec<DeviceSpec>,
         scheduler_config: SchedulerConfig,
         backend: BackendKind,
-    ) -> Self {
-        Self {
+    ) -> Result<Self, PirError> {
+        let split_bits = shard_split_bits(table.entries(), devices.len())?;
+        Ok(Self {
             schema: table.schema(),
+            row_bytes: table.matrix().lanes_per_row() as u64 * 4,
+            rows_per_device: table.entries().div_ceil(1 << split_bits),
             table: RwLock::new(table),
             prg: GgmPrg::new(build_prf(prf_kind)),
             prf_kind,
-            backend: backend.build(device),
+            backends: devices.into_iter().map(|d| backend.build(d)).collect(),
             scheduler: Scheduler::new(scheduler_config),
             metrics: Mutex::new(ServerMetrics::default()),
             last_report: Mutex::new(None),
@@ -103,19 +110,21 @@ impl GpuPirServer {
             table_generation: AtomicU64::new(0),
             transfers_issued: AtomicU64::new(0),
             transfers_avoided: AtomicU64::new(0),
-        }
+        })
     }
 
-    /// Create a server with the paper's defaults: a V100 and the default
-    /// scheduler thresholds.
+    /// Create a server with the paper's defaults: one simulated V100 and the
+    /// default scheduler thresholds.
     #[must_use]
     pub fn with_defaults(table: PirTable, prf_kind: PrfKind) -> Self {
         Self::new(
             table,
             prf_kind,
-            DeviceSpec::v100(),
+            vec![DeviceSpec::v100()],
             SchedulerConfig::default(),
+            BackendKind::Simulated,
         )
+        .expect("a single device never splits the domain")
     }
 
     /// The PRF family this server evaluates.
@@ -131,6 +140,8 @@ impl GpuPirServer {
     }
 
     /// The kernel report of the most recent batch (None before any batch).
+    /// With several devices this is the slowest device's report — the
+    /// batch's critical path, not a sum over devices.
     #[must_use]
     pub fn last_report(&self) -> Option<KernelReport> {
         self.last_report.lock().clone()
@@ -139,27 +150,76 @@ impl GpuPirServer {
     /// The backend this server evaluates on (`"simulated"` or `"host"`).
     #[must_use]
     pub fn backend_name(&self) -> &str {
-        self.backend.name()
+        self.backends[0].name()
+    }
+
+    /// The number of devices the table is sharded over.
+    #[must_use]
+    pub fn shard_count(&self) -> usize {
+        self.backends.len()
     }
 
     /// Build (or fetch from the plan cache) the memory plan for a batch of
-    /// `batch` queries against the current table shape.
-    fn memory_plan(&self, batch: u64) -> std::sync::Arc<pir_dpf::MemoryPlan> {
-        let row_bytes = self.table.read().matrix().lanes_per_row() as u64 * 4;
+    /// `batch` queries against the table shape.
+    fn memory_plan(&self, batch: u64) -> Arc<MemoryPlan> {
         let key = PlanKey {
             table_rows: self.schema.entries,
-            row_bytes,
+            row_bytes: self.row_bytes,
             key_bytes: DpfParams::for_domain(self.schema.entries).key_size_bytes(),
             batch: batch.max(1),
-            devices: 1,
+            devices: self.backends.len(),
         };
         self.plan_cache.get_or_build(key, || {
-            self.scheduler
-                .memory_plan(key.table_rows, key.row_bytes, key.key_bytes, key.batch, 1)
+            self.scheduler.memory_plan(
+                key.table_rows,
+                key.row_bytes,
+                key.key_bytes,
+                key.batch,
+                key.devices,
+            )
         })
     }
 
-    /// Answer a batch and also return the kernel report for benchmarking.
+    /// Free every slice of a residency that is being replaced or dropped.
+    fn free_resident(&self, stale: Option<Resident>) {
+        let allocs = stale.into_iter().flat_map(|resident| resident.allocs);
+        for (backend, alloc) in self.backends.iter().zip(allocs) {
+            backend.free(alloc);
+        }
+    }
+
+    /// Make `resident` hold this table `generation`'s slices — re-uploading
+    /// through `job` after a hot reload, re-using them otherwise — and
+    /// return the held allocations.
+    fn ensure_resident<'r>(
+        &self,
+        resident: &'r mut Option<Resident>,
+        generation: u64,
+        job: &BatchEvalJob<'_>,
+        backends: &[&dyn DeviceBackend],
+    ) -> &'r [ResidentAllocation] {
+        if resident
+            .as_ref()
+            .is_some_and(|held| held.generation != generation)
+        {
+            self.free_resident(resident.take());
+        }
+        let transfers = if resident.is_some() {
+            &self.transfers_avoided
+        } else {
+            &self.transfers_issued
+        };
+        transfers.fetch_add(backends.len() as u64, Ordering::Relaxed);
+        &resident
+            .get_or_insert_with(|| Resident {
+                allocs: job.upload_slices(backends),
+                generation,
+            })
+            .allocs
+    }
+
+    /// Answer a batch and also return the kernel report for benchmarking
+    /// (see [`GpuPirServer::last_report`] for which one).
     ///
     /// # Errors
     ///
@@ -175,61 +235,46 @@ impl GpuPirServer {
         }
 
         let plan = self.scheduler.plan(
-            self.schema.entries,
+            self.rows_per_device,
             self.schema.entry_bytes as u64,
             queries.len() as u64,
         );
         let memory_plan = self.memory_plan(queries.len() as u64);
         let keys: Vec<_> = queries.iter().map(|q| q.key.clone()).collect();
-        // The read lock brackets the whole launch: a concurrent hot reload
-        // waits, so this batch sees exactly one table version.
+        // The read lock brackets the whole multi-device launch: a concurrent
+        // hot reload waits, so this batch sees exactly one table version.
         let table = self.table.read();
         let generation = self.table_generation.load(Ordering::Acquire);
-        let matrix = table.matrix();
-        let job = BatchEvalJob::new(&self.prg, self.prf_kind, &keys, matrix).with_plan(&plan);
-        let backend = self.backend.as_ref();
+        let job =
+            BatchEvalJob::new(&self.prg, self.prf_kind, &keys, table.matrix()).with_plan(&plan);
+        let backends: Vec<&dyn DeviceBackend> = self.backends.iter().map(AsRef::as_ref).collect();
         let output = if memory_plan.residency == TableResidency::Resident {
             // Held across the launch so a concurrent batch cannot free or
-            // replace the allocation mid-flight.
+            // replace the slices mid-flight.
             let mut resident = self.resident.lock();
-            let current = matches!(&*resident, Some(r) if r.generation == generation);
-            if current {
-                self.transfers_avoided.fetch_add(1, Ordering::Relaxed);
-            } else {
-                if let Some(stale) = resident.take() {
-                    backend.free(stale.alloc);
-                }
-                let alloc = backend.alloc(matrix.size_bytes() as u64);
-                let src = if backend.stores_payloads() {
-                    TransferSrc::Lanes(matrix.lanes())
-                } else {
-                    TransferSrc::Opaque(matrix.size_bytes() as u64)
-                };
-                backend.upload_table(&alloc, src);
-                self.transfers_issued.fetch_add(1, Ordering::Relaxed);
-                *resident = Some(ResidentTable { alloc, generation });
-            }
-            let held = resident.as_ref().expect("resident table just ensured");
-            job.run_resident(backend, &held.alloc)
+            let held = self.ensure_resident(&mut resident, generation, &job, &backends);
+            let slices: Vec<&ResidentAllocation> = held.iter().collect();
+            job.run_resident_on_devices(&backends, &slices)
         } else {
-            // The plan says this batch's working set does not fit alongside a
-            // resident table; release any stale residency and stream.
-            if let Some(stale) = self.resident.lock().take() {
-                backend.free(stale.alloc);
-            }
-            self.transfers_issued.fetch_add(1, Ordering::Relaxed);
-            job.run_on(backend)
+            // The plan says this batch's working set does not fit alongside
+            // resident slices; release any stale residency and stream.
+            self.free_resident(self.resident.lock().take());
+            self.transfers_issued
+                .fetch_add(backends.len() as u64, Ordering::Relaxed);
+            job.run_on_devices(&backends)
         };
         drop(table);
 
+        let prf_calls = output.total_prf_calls();
+        let busy_time_s = output.estimated_time_s();
         let responses = responses_from_shares(queries, output.results);
 
         let bytes_in: u64 = queries.iter().map(|q| q.size_bytes() as u64).sum();
         let bytes_out: u64 = responses.iter().map(|r| r.size_bytes() as u64).sum();
         self.metrics.lock().record_batch(
             queries.len() as u64,
-            output.report.counters.prf_calls,
-            output.report.estimated_time_s,
+            prf_calls,
+            busy_time_s,
             bytes_in,
             bytes_out,
         );
@@ -273,7 +318,11 @@ impl PirServer for GpuPirServer {
 
     fn plan_ledger(&self) -> PlanLedger {
         PlanLedger {
-            resident_bytes: self.backend.stats().resident_bytes,
+            resident_bytes: self
+                .backends
+                .iter()
+                .map(|backend| backend.stats().resident_bytes)
+                .sum(),
             transfers_issued: self.transfers_issued.load(Ordering::Relaxed),
             transfers_avoided: self.transfers_avoided.load(Ordering::Relaxed),
             plan_cache_hits: self.plan_cache.hits(),
@@ -287,8 +336,8 @@ impl std::fmt::Debug for GpuPirServer {
         f.debug_struct("GpuPirServer")
             .field("table", &self.schema.describe())
             .field("prf", &self.prf_kind)
-            .field("backend", &self.backend.name())
-            .field("device", &self.backend.device().name)
+            .field("backend", &self.backend_name())
+            .field("devices", &self.backends.len())
             .finish()
     }
 }
@@ -297,8 +346,16 @@ impl std::fmt::Debug for GpuPirServer {
 mod tests {
     use super::*;
     use crate::client::PirClient;
+    use crate::server::shard_owned_ranges;
+    use gpu_sim::GpuExecutor;
+    use pir_dpf::{fused_eval_matmul, DeviceSplit, EvalStrategy, GridMapping, NullRecorder};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// One device, a power-of-two split, and two non-power-of-two splits
+    /// (3 devices -> 4 subtrees, device 0 owns two; 5 devices -> 8 subtrees).
+    const SHARDS: [usize; 4] = [1, 3, 4, 5];
 
     fn table() -> PirTable {
         PirTable::generate(300, 16, |row, offset| {
@@ -306,49 +363,73 @@ mod tests {
         })
     }
 
+    fn server_on(table: &PirTable, shards: usize, backend: BackendKind) -> GpuPirServer {
+        GpuPirServer::new(
+            table.clone(),
+            PrfKind::SipHash,
+            vec![DeviceSpec::v100(); shards],
+            SchedulerConfig::default(),
+            backend,
+        )
+        .unwrap()
+    }
+
+    fn server(table: &PirTable, shards: usize) -> GpuPirServer {
+        server_on(table, shards, BackendKind::Simulated)
+    }
+
     #[test]
     fn single_query_roundtrip() {
         let table = table();
         let client = PirClient::new(table.schema(), PrfKind::SipHash);
-        let s0 = GpuPirServer::with_defaults(table.clone(), PrfKind::SipHash);
-        let s1 = GpuPirServer::with_defaults(table.clone(), PrfKind::SipHash);
-        let mut rng = StdRng::seed_from_u64(71);
+        for shards in SHARDS {
+            let s0 = server(&table, shards);
+            let s1 = server(&table, shards);
+            assert_eq!(s0.shard_count(), shards);
+            let mut rng = StdRng::seed_from_u64(71);
 
-        for index in [0u64, 1, 137, 299] {
-            let query = client.query(index, &mut rng);
-            let r0 = s0.answer(&query.to_server(0)).unwrap();
-            let r1 = s1.answer(&query.to_server(1)).unwrap();
-            let bytes = client.reconstruct(&query, &r0, &r1).unwrap();
-            assert_eq!(bytes, table.entry(index), "index {index}");
+            for index in [0u64, 1, 137, 299] {
+                let query = client.query(index, &mut rng);
+                let r0 = s0.answer(&query.to_server(0)).unwrap();
+                let r1 = s1.answer(&query.to_server(1)).unwrap();
+                let bytes = client.reconstruct(&query, &r0, &r1).unwrap();
+                assert_eq!(bytes, table.entry(index), "{shards} shards, index {index}");
+            }
+            assert_eq!(s0.metrics().queries_served, 4);
+            assert!(s0.metrics().busy_time_s > 0.0);
+            assert!(s0.last_report().is_some());
         }
-        assert_eq!(s0.metrics().queries_served, 4);
-        assert!(s0.metrics().busy_time_s > 0.0);
-        assert!(s0.last_report().is_some());
     }
 
     #[test]
-    fn batched_queries_roundtrip() {
+    fn batched_queries_roundtrip_with_shard_independent_shares() {
         let table = table();
         let client = PirClient::new(table.schema(), PrfKind::SipHash);
-        let s0 = GpuPirServer::with_defaults(table.clone(), PrfKind::SipHash);
-        let s1 = GpuPirServer::with_defaults(table.clone(), PrfKind::SipHash);
         let mut rng = StdRng::seed_from_u64(72);
 
-        let indices: Vec<u64> = vec![5, 9, 200, 299, 0, 123, 77, 31];
+        // Both sides of every subtree boundary of the 4- and 8-way splits.
+        let indices: Vec<u64> = vec![0, 1, 63, 64, 127, 128, 255, 256, 299];
         let queries: Vec<_> = indices.iter().map(|i| client.query(*i, &mut rng)).collect();
         let to0: Vec<_> = queries.iter().map(|q| q.to_server(0)).collect();
         let to1: Vec<_> = queries.iter().map(|q| q.to_server(1)).collect();
+        let single = server(&table, 1).answer_batch(&to0).unwrap();
 
-        let (r0, report) = s0.answer_batch_with_report(&to0).unwrap();
-        let r1 = s1.answer_batch(&to1).unwrap();
-        assert!(report.estimated_time_s > 0.0);
-        for (i, index) in indices.iter().enumerate() {
-            let bytes = client.reconstruct(&queries[i], &r0[i], &r1[i]).unwrap();
-            assert_eq!(bytes, table.entry(*index));
+        for shards in SHARDS {
+            let s0 = server(&table, shards);
+            let s1 = server(&table, shards);
+            let (r0, report) = s0.answer_batch_with_report(&to0).unwrap();
+            let r1 = s1.answer_batch(&to1).unwrap();
+            assert!(report.estimated_time_s > 0.0);
+            for (i, index) in indices.iter().enumerate() {
+                // Sharding is server-local: the share itself is unchanged.
+                assert_eq!(r0[i].share, single[i].share, "{shards} shards");
+                let bytes = client.reconstruct(&queries[i], &r0[i], &r1[i]).unwrap();
+                assert_eq!(bytes, table.entry(*index), "{shards} shards, index {index}");
+            }
+            assert!(s0.metrics().bytes_in > 0);
+            assert!(s0.metrics().bytes_out > 0);
+            assert!(s0.metrics().average_qps() > 0.0);
         }
-        assert!(s0.metrics().bytes_in > 0);
-        assert!(s0.metrics().bytes_out > 0);
-        assert!(s0.metrics().average_qps() > 0.0);
     }
 
     #[test]
@@ -356,121 +437,217 @@ mod tests {
         let table = table();
         let other_schema = TableSchema::new(1024, 16);
         let client = PirClient::new(other_schema, PrfKind::SipHash);
-        let server = GpuPirServer::with_defaults(table, PrfKind::SipHash);
         let mut rng = StdRng::seed_from_u64(73);
         let query = client.query(3, &mut rng);
-        assert!(matches!(
-            server.answer(&query.to_server(0)),
-            Err(PirError::SchemaMismatch { .. })
-        ));
+        for shards in [1, 2] {
+            assert!(matches!(
+                server(&table, shards).answer(&query.to_server(0)),
+                Err(PirError::SchemaMismatch { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn too_many_shards_is_a_typed_error() {
+        let tiny = PirTable::generate(4, 8, |row, _| row as u8);
+        for (devices, expected) in [(64usize, 64usize), (0, 0)] {
+            assert!(matches!(
+                GpuPirServer::new(
+                    tiny.clone(),
+                    PrfKind::SipHash,
+                    vec![DeviceSpec::v100(); devices],
+                    SchedulerConfig::default(),
+                    BackendKind::Simulated,
+                ),
+                Err(PirError::InvalidSharding { entries: 4, devices }) if devices == expected
+            ));
+        }
     }
 
     #[test]
     fn hot_reloaded_entries_are_served_after_update() {
         let table = table();
         let client = PirClient::new(table.schema(), PrfKind::SipHash);
-        let s0 = GpuPirServer::with_defaults(table.clone(), PrfKind::SipHash);
-        let s1 = GpuPirServer::with_defaults(table.clone(), PrfKind::SipHash);
-        let mut rng = StdRng::seed_from_u64(74);
+        for shards in SHARDS {
+            let s0 = server(&table, shards);
+            let s1 = server(&table, shards);
+            let mut rng = StdRng::seed_from_u64(74);
 
-        let fresh = vec![0xABu8; 16];
-        s0.update_entry(137, &fresh).unwrap();
-        s1.update_entry(137, &fresh).unwrap();
+            let fresh = vec![0xABu8; 16];
+            s0.update_entry(137, &fresh).unwrap();
+            s1.update_entry(137, &fresh).unwrap();
 
-        let query = client.query(137, &mut rng);
-        let r0 = s0.answer(&query.to_server(0)).unwrap();
-        let r1 = s1.answer(&query.to_server(1)).unwrap();
-        assert_eq!(client.reconstruct(&query, &r0, &r1).unwrap(), fresh);
+            let query = client.query(137, &mut rng);
+            let r0 = s0.answer(&query.to_server(0)).unwrap();
+            let r1 = s1.answer(&query.to_server(1)).unwrap();
+            assert_eq!(client.reconstruct(&query, &r0, &r1).unwrap(), fresh);
 
-        // Neighbouring rows are untouched.
-        let query = client.query(136, &mut rng);
-        let r0 = s0.answer(&query.to_server(0)).unwrap();
-        let r1 = s1.answer(&query.to_server(1)).unwrap();
-        assert_eq!(
-            client.reconstruct(&query, &r0, &r1).unwrap(),
-            table.entry(136)
-        );
+            // Neighbouring rows are untouched.
+            let query = client.query(136, &mut rng);
+            let r0 = s0.answer(&query.to_server(0)).unwrap();
+            let r1 = s1.answer(&query.to_server(1)).unwrap();
+            assert_eq!(
+                client.reconstruct(&query, &r0, &r1).unwrap(),
+                table.entry(136)
+            );
 
-        // Typed errors, not panics, on bad updates.
-        assert!(matches!(
-            s0.update_entry(300, &fresh),
-            Err(PirError::IndexOutOfRange { index: 300, .. })
-        ));
-        assert!(matches!(
-            s0.update_entry(0, &[1, 2, 3]),
-            Err(PirError::SchemaMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn works_as_trait_object() {
-        let table = table();
-        let server: Box<dyn PirServer> =
-            Box::new(GpuPirServer::with_defaults(table.clone(), PrfKind::SipHash));
-        assert_eq!(server.schema(), table.schema());
+            // Typed errors, not panics, on bad updates.
+            assert!(matches!(
+                s0.update_entry(300, &fresh),
+                Err(PirError::IndexOutOfRange { index: 300, .. })
+            ));
+            assert!(matches!(
+                s0.update_entry(0, &[1, 2, 3]),
+                Err(PirError::SchemaMismatch { .. })
+            ));
+        }
     }
 
     #[test]
     fn host_backend_server_matches_simulated_server() {
         let table = table();
         let client = PirClient::new(table.schema(), PrfKind::SipHash);
-        let simulated = GpuPirServer::with_defaults(table.clone(), PrfKind::SipHash);
-        let host = GpuPirServer::with_backend_kind(
-            table.clone(),
-            PrfKind::SipHash,
-            DeviceSpec::v100(),
-            SchedulerConfig::default(),
-            gpu_sim::BackendKind::Host,
-        );
-        assert_eq!(host.backend_name(), "host");
-        assert_eq!(simulated.backend_name(), "simulated");
-        let mut rng = StdRng::seed_from_u64(75);
+        for shards in [1, 3] {
+            let simulated = server(&table, shards);
+            let host = server_on(&table, shards, BackendKind::Host);
+            assert_eq!(host.backend_name(), "host");
+            assert_eq!(simulated.backend_name(), "simulated");
+            let mut rng = StdRng::seed_from_u64(75);
 
-        let indices = [0u64, 137, 299];
-        let queries: Vec<_> = indices.iter().map(|i| client.query(*i, &mut rng)).collect();
-        let to0: Vec<_> = queries.iter().map(|q| q.to_server(0)).collect();
-        let from_sim = simulated.answer_batch(&to0).unwrap();
-        let from_host = host.answer_batch(&to0).unwrap();
-        for (sim, host) in from_sim.iter().zip(&from_host) {
-            assert_eq!(sim.share, host.share, "shares must be backend-independent");
+            let indices = [0u64, 137, 299];
+            let queries: Vec<_> = indices.iter().map(|i| client.query(*i, &mut rng)).collect();
+            let to0: Vec<_> = queries.iter().map(|q| q.to_server(0)).collect();
+            let from_sim = simulated.answer_batch(&to0).unwrap();
+            let from_host = host.answer_batch(&to0).unwrap();
+            for (sim, host) in from_sim.iter().zip(&from_host) {
+                assert_eq!(sim.share, host.share, "shares must be backend-independent");
+            }
         }
     }
 
     #[test]
-    fn resident_plan_avoids_repeat_uploads_until_hot_reload() {
+    fn resident_slices_survive_across_batches_until_hot_reload() {
         let table = table();
         let client = PirClient::new(table.schema(), PrfKind::SipHash);
-        let server = GpuPirServer::with_defaults(table.clone(), PrfKind::SipHash);
-        let mut rng = StdRng::seed_from_u64(76);
+        // (Every device of these splits owns real rows; a device whose
+        // subtrees are all padding would add its one-row floor.)
+        for shards in [1u64, 3] {
+            let server = server(&table, shards as usize);
+            let mut rng = StdRng::seed_from_u64(76);
 
-        // The default 16 GiB budget keeps this table resident, so the first
-        // batch uploads it and the second re-uses the allocation.
-        assert!(server.planned_resident_bytes(1) > 0);
-        for _ in 0..2 {
+            // The default 16 GiB budget keeps this table resident, so the
+            // first batch uploads every slice and the second re-uses them.
+            assert!(server.planned_resident_bytes(1) > 0);
+            for _ in 0..2 {
+                let query = client.query(5, &mut rng);
+                server.answer(&query.to_server(0)).unwrap();
+            }
+            let ledger = server.plan_ledger();
+            assert_eq!(ledger.transfers_issued, shards, "one upload per shard");
+            assert_eq!(ledger.transfers_avoided, shards, "second batch re-uses");
+            assert_eq!(ledger.plan_cache_misses, 1);
+            assert!(ledger.plan_cache_hits >= 1);
+            assert_eq!(
+                ledger.resident_bytes,
+                server.table_snapshot().matrix().size_bytes() as u64,
+                "between batches only the slices — exactly the table — stay on the devices"
+            );
+
+            // A hot reload bumps the table generation: the next batch
+            // re-uploads (and still serves the fresh value).
+            let fresh = vec![0x5Au8; 16];
+            server.update_entry(5, &fresh).unwrap();
+            let other = GpuPirServer::with_defaults(table.clone(), PrfKind::SipHash);
+            other.update_entry(5, &fresh).unwrap();
             let query = client.query(5, &mut rng);
-            server.answer(&query.to_server(0)).unwrap();
+            let r0 = server.answer(&query.to_server(0)).unwrap();
+            let r1 = other.answer(&query.to_server(1)).unwrap();
+            assert_eq!(client.reconstruct(&query, &r0, &r1).unwrap(), fresh);
+            assert_eq!(server.plan_ledger().transfers_issued, 2 * shards);
         }
-        let ledger = server.plan_ledger();
-        assert_eq!(ledger.transfers_issued, 1, "one upload for two batches");
-        assert_eq!(ledger.transfers_avoided, 1);
-        assert_eq!(ledger.plan_cache_misses, 1);
-        assert!(ledger.plan_cache_hits >= 1);
-        assert_eq!(
-            ledger.resident_bytes,
-            server.table_snapshot().matrix().size_bytes() as u64,
-            "between batches only the table stays on the device"
-        );
+    }
 
-        // A hot reload bumps the table generation: the next batch re-uploads
-        // (and still serves the fresh value).
-        let fresh = vec![0x5Au8; 16];
-        server.update_entry(5, &fresh).unwrap();
-        let other = GpuPirServer::with_defaults(table, PrfKind::SipHash);
-        other.update_entry(5, &fresh).unwrap();
-        let query = client.query(5, &mut rng);
-        let r0 = server.answer(&query.to_server(0)).unwrap();
-        let r1 = other.answer(&query.to_server(1)).unwrap();
-        assert_eq!(client.reconstruct(&query, &r0, &r1).unwrap(), fresh);
-        assert_eq!(server.plan_ledger().transfers_issued, 2);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        /// One ownership rule, proven once: for random table sizes
+        /// (non-powers-of-two included), batch sizes, device counts and grid
+        /// mappings, (a) the job's shares equal per-key `fused_eval_matmul`,
+        /// (b) the slices the job uploads, the memory plan's
+        /// `DevicePlan::table_bytes` and what the server keeps resident all
+        /// agree, and (c) `shard_owned_ranges` partitions `0..rows`.
+        #[test]
+        fn prop_one_ownership_rule(
+            rows in 5u64..400,
+            batch in 1usize..=9,
+            devices in 1usize..=5,
+            coop_bits in 0u32..=6,
+            seed in any::<u64>(),
+        ) {
+            let table = PirTable::generate(rows, 12, |row, offset| {
+                (row as u8).wrapping_mul(31).wrapping_add(offset as u8) ^ seed as u8
+            });
+            let client = PirClient::new(table.schema(), PrfKind::SipHash);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let queries: Vec<_> = (0..batch as u64)
+                .map(|i| client.query((seed.wrapping_add(i * 97)) % rows, &mut rng).to_server(0))
+                .collect();
+            let keys: Vec<_> = queries.iter().map(|q| q.key.clone()).collect();
+
+            // (a) Shares are the unsplit per-key evaluation, whatever the grid.
+            let prg = GgmPrg::new(build_prf(PrfKind::SipHash));
+            let executors: Vec<GpuExecutor> = (0..devices)
+                .map(|_| GpuExecutor::with_host_threads(DeviceSpec::v100(), 1))
+                .collect();
+            let backends: Vec<&dyn DeviceBackend> =
+                executors.iter().map(|e| e as &dyn DeviceBackend).collect();
+            let mapping = match coop_bits.checked_sub(1) {
+                None => GridMapping::BlockPerQuery,
+                Some(split_bits) => GridMapping::Cooperative { split_bits },
+            };
+            let job = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys, table.matrix())
+                .with_mapping(mapping);
+            let output = job.run_on_devices(&backends);
+            for (key, share) in keys.iter().zip(&output.results) {
+                let whole = fused_eval_matmul(
+                    &prg, key, table.matrix(), EvalStrategy::default(), &NullRecorder,
+                );
+                prop_assert_eq!(share, &whole);
+            }
+
+            // (b) One set of slice sizes, three readers.
+            let server = server(&table, devices);
+            let plan = server.memory_plan(batch as u64);
+            let planned: Vec<u64> = plan.devices.iter().map(|d| d.table_bytes).collect();
+            let uploaded: Vec<u64> = backends
+                .iter()
+                .zip(job.upload_slices(&backends))
+                .map(|(backend, slice)| {
+                    let bytes = slice.bytes();
+                    backend.free(slice);
+                    bytes
+                })
+                .collect();
+            prop_assert_eq!(&uploaded, &planned);
+            let domain_bits = DpfParams::for_domain(rows).domain_bits;
+            let split = DeviceSplit::new(domain_bits, devices).unwrap();
+            prop_assert_eq!(&split.slice_bytes(rows, server.row_bytes), &planned);
+            let responses = server.answer_batch(&queries).unwrap();
+            for (response, share) in responses.iter().zip(output.results) {
+                prop_assert_eq!(&response.share, &Vec::from(share));
+            }
+            prop_assert_eq!(server.plan_ledger().resident_bytes, planned.iter().sum::<u64>());
+            prop_assert_eq!(server.planned_resident_bytes(batch), planned.iter().sum::<u64>());
+
+            // (c) Every row belongs to exactly one shard.
+            let mut owned: Vec<_> = shard_owned_ranges(rows, devices).unwrap().concat();
+            owned.sort_by_key(|range| range.start);
+            let mut next = 0;
+            for range in owned {
+                prop_assert_eq!(range.start, next);
+                prop_assert!(range.end > range.start);
+                next = range.end;
+            }
+            prop_assert_eq!(next, rows);
+        }
     }
 }

@@ -2,14 +2,12 @@
 
 mod cpu;
 mod gpu;
-mod sharded;
 
 pub use cpu::{CpuBatchTiming, CpuPirServer};
 pub use gpu::GpuPirServer;
-pub use sharded::ShardedGpuServer;
 
 use gpu_sim::{BackendKind, DeviceSpec};
-use pir_dpf::{PlanLedger, SchedulerConfig};
+use pir_dpf::{DeviceSplit, DpfParams, PlanLedger, SchedulerConfig};
 use pir_field::LaneVector;
 use pir_prf::PrfKind;
 use serde::{Deserialize, Serialize};
@@ -18,43 +16,33 @@ use crate::error::PirError;
 use crate::message::{PirResponse, ServerQuery};
 use crate::table::{PirTable, TableSchema};
 
+/// The [`DeviceSplit`] of a table of `entries` rows across `devices`, as a
+/// typed error instead of an `Option`. Matching `DpfParams::for_domain`, a
+/// table of one entry has a depth-0 tree and therefore admits exactly one
+/// shard.
+fn device_split(entries: u64, devices: usize) -> Result<DeviceSplit, PirError> {
+    let domain_bits = DpfParams::for_domain(entries.max(1)).domain_bits;
+    DeviceSplit::new(domain_bits, devices).ok_or(PirError::InvalidSharding { entries, devices })
+}
+
 /// Validate that a table of `entries` rows can be sharded across `devices`
-/// and return the number of prefix bits the DPF domain must be split on.
-///
-/// This is the single source of truth for the shard decomposition rule: the
-/// split needs one subtree per device, and — matching `DpfParams::for_domain`
-/// — a table of one entry has a depth-0 tree and therefore admits exactly
-/// one shard.
+/// and return the number of prefix bits the DPF domain must be split on
+/// ([`DeviceSplit::split_bits`]).
 ///
 /// # Errors
 ///
 /// Returns [`PirError::InvalidSharding`] if `devices` is zero or the domain
 /// is too shallow to be split that many ways.
 pub fn shard_split_bits(entries: u64, devices: usize) -> Result<u32, PirError> {
-    if devices == 0 {
-        return Err(PirError::InvalidSharding { entries, devices });
-    }
-    let split_bits = (devices as u64).next_power_of_two().trailing_zeros();
-    let domain_bits = if entries <= 1 {
-        0
-    } else {
-        64 - (entries - 1).leading_zeros()
-    };
-    if split_bits > domain_bits {
-        return Err(PirError::InvalidSharding { entries, devices });
-    }
-    Ok(split_bits)
+    device_split(entries, devices).map(DeviceSplit::split_bits)
 }
 
-/// The row ranges each of `shards` shard-owners serves, derived from the
-/// same split rule as [`shard_split_bits`].
-///
-/// The padded power-of-two DPF domain is cut into `1 << split_bits`
-/// contiguous subtrees; subtree `t` is owned by shard `t % shards` (the
-/// same striping the multi-GPU engine uses for devices, so non-power-of-two
-/// shard counts give the low-index shards one extra subtree each). Ranges
-/// are clamped to the real table, padded-only subtrees are dropped, and
-/// every row lands in exactly one shard's range.
+/// The row ranges each of `shards` shard-owners serves
+/// ([`DeviceSplit::owned_ranges`] — the same rule that assigns table slices
+/// to a [`GpuPirServer`]'s devices, so non-power-of-two shard counts give the
+/// low-index shards one extra subtree each). Ranges are clamped to the real
+/// table, padded-only subtrees are dropped, and every row lands in exactly
+/// one shard's range.
 ///
 /// This is the shard *plan* a scale-out router needs: a shard-owner hosts
 /// the full-shape table with every row outside its ranges zeroed, so —
@@ -69,47 +57,15 @@ pub fn shard_owned_ranges(
     entries: u64,
     shards: usize,
 ) -> Result<Vec<Vec<std::ops::Range<u64>>>, PirError> {
-    let split_bits = shard_split_bits(entries, shards)?;
-    let domain_bits = if entries <= 1 {
-        0
-    } else {
-        64 - (entries - 1).leading_zeros()
-    };
-    let subtree_span = 1u64 << (domain_bits - split_bits);
-    let mut ranges = vec![Vec::new(); shards];
-    for subtree in 0..(1u64 << split_bits) {
-        let start = subtree * subtree_span;
-        let end = ((subtree + 1) * subtree_span).min(entries);
-        if start < end {
-            ranges[subtree as usize % shards].push(start..end);
-        }
-    }
-    Ok(ranges)
+    device_split(entries, shards).map(|split| split.owned_ranges(entries))
 }
 
-/// Build one interchangeable GPU server replica for `table`: a single-device
-/// [`GpuPirServer`] when `shards == 1`, a [`ShardedGpuServer`] over `shards`
-/// V100s otherwise.
+/// Build one interchangeable GPU server replica for `table`: a
+/// [`GpuPirServer`] over `shards` V100s evaluating on `backend` — the
+/// analytical simulated device or the in-process host backend.
 ///
 /// Serving layers that keep pools of identical replicas per party construct
-/// each member through this helper so the single/sharded split (and its
-/// validation) lives in one place.
-///
-/// # Errors
-///
-/// Returns [`PirError::InvalidSharding`] if the table cannot be split across
-/// `shards` devices.
-pub fn build_replica(
-    table: &PirTable,
-    prf_kind: PrfKind,
-    shards: usize,
-    scheduler: SchedulerConfig,
-) -> Result<Box<dyn PirServer>, PirError> {
-    build_replica_with_backend(table, prf_kind, shards, scheduler, BackendKind::Simulated)
-}
-
-/// Like [`build_replica`], but evaluating on an explicit [`BackendKind`] —
-/// the analytical simulated device or the in-process host backend.
+/// each member through this helper.
 ///
 /// # Errors
 ///
@@ -122,24 +78,9 @@ pub fn build_replica_with_backend(
     scheduler: SchedulerConfig,
     backend: BackendKind,
 ) -> Result<Box<dyn PirServer>, PirError> {
-    shard_split_bits(table.entries(), shards)?;
-    if shards > 1 {
-        Ok(Box::new(ShardedGpuServer::with_backend_kind(
-            table.clone(),
-            prf_kind,
-            vec![DeviceSpec::v100(); shards],
-            scheduler,
-            backend,
-        )?))
-    } else {
-        Ok(Box::new(GpuPirServer::with_backend_kind(
-            table.clone(),
-            prf_kind,
-            DeviceSpec::v100(),
-            scheduler,
-            backend,
-        )))
-    }
+    let devices = vec![DeviceSpec::v100(); shards];
+    let server = GpuPirServer::new(table.clone(), prf_kind, devices, scheduler, backend)?;
+    Ok(Box::new(server))
 }
 
 /// Validate an in-place entry update against a table's schema.
@@ -274,11 +215,10 @@ pub trait PirServer: Send + Sync {
 
 /// Assemble wire responses from evaluated answer shares.
 ///
-/// This is the single answer path shared by every GPU-backed server —
-/// single-device batches, sharded multi-device batches and the serving
-/// runtime's externally-formed batches all produce `(queries, shares)` pairs
-/// in matching order and go through here, so response framing can never
-/// drift between server flavours.
+/// This is the single answer path of the GPU-backed server — single-device
+/// batches, sharded multi-device batches and the serving runtime's
+/// externally-formed batches all produce `(queries, shares)` pairs in
+/// matching order and go through here.
 pub(crate) fn responses_from_shares(
     queries: &[ServerQuery],
     shares: Vec<LaneVector>,
@@ -352,33 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_owned_ranges_partition_every_row_exactly_once() {
-        for (entries, shards) in [
-            (1u64, 1usize),
-            (5, 3),
-            (1 << 10, 1),
-            (1 << 10, 3),
-            (100, 7),
-            (257, 4),
-        ] {
-            let ranges = shard_owned_ranges(entries, shards).unwrap();
-            assert_eq!(ranges.len(), shards);
-            let mut owners = vec![0usize; entries as usize];
-            for owned in &ranges {
-                for range in owned {
-                    for row in range.clone() {
-                        owners[row as usize] += 1;
-                    }
-                }
-            }
-            assert!(
-                owners.iter().all(|&n| n == 1),
-                "{entries} rows x {shards} shards must partition: {owners:?}"
-            );
-        }
-    }
-
-    #[test]
     fn shard_owned_ranges_follow_subtree_striping() {
         // 5 entries, 3 shards -> 2 split bits -> 4 subtrees of span 2 over
         // the padded 8-row domain. Shard 0 also owns subtree 3, which clamps
@@ -393,14 +306,20 @@ mod tests {
     }
 
     #[test]
-    fn build_replica_picks_single_or_sharded() {
+    fn build_replica_validates_the_shard_count() {
         let table = PirTable::generate(256, 8, |row, _| row as u8);
-        let single =
-            build_replica(&table, PrfKind::SipHash, 1, SchedulerConfig::default()).unwrap();
-        let sharded =
-            build_replica(&table, PrfKind::SipHash, 3, SchedulerConfig::default()).unwrap();
-        assert_eq!(single.schema(), table.schema());
-        assert_eq!(sharded.schema(), table.schema());
-        assert!(build_replica(&table, PrfKind::SipHash, 512, SchedulerConfig::default()).is_err());
+        let build = |shards| {
+            build_replica_with_backend(
+                &table,
+                PrfKind::SipHash,
+                shards,
+                SchedulerConfig::default(),
+                BackendKind::Simulated,
+            )
+        };
+        // Any shard count serves behind the same trait object.
+        assert_eq!(build(1).unwrap().schema(), table.schema());
+        assert_eq!(build(3).unwrap().schema(), table.schema());
+        assert!(build(512).is_err());
     }
 }

@@ -14,7 +14,7 @@
 //! * **[`PirServeRuntime`]** hosts many named tables (a *table registry*),
 //!   each with its own PRF family, scheduler thresholds and — for tables
 //!   larger than one device — sharding across several simulated `gpu_sim`
-//!   devices via [`pir_protocol::ShardedGpuServer`].
+//!   devices (`TableConfig::shards` devices per [`pir_protocol::GpuPirServer`]).
 //! * Each party of a table owns a **pool of interchangeable server
 //!   replicas** (`TableConfig::replicas`): formed batches are load-balanced
 //!   across idle replicas, so one table's burst traffic fans out over

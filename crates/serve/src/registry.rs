@@ -167,7 +167,7 @@ impl HostedTable {
         config: TableConfig,
     ) -> Result<Self, ServeError> {
         // Reject configs the DPF domain cannot satisfy with a typed error
-        // before any replica is constructed; `build_replica` re-checks, but
+        // before any replica is constructed; replica construction re-checks, but
         // failing early keeps partial pools from ever existing.
         shard_split_bits(table.entries(), config.shards).map_err(invalid_sharding)?;
         // The pool is built at the range's max: replica construction clones

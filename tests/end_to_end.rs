@@ -3,12 +3,13 @@
 
 use std::time::Duration;
 
+use gpu_pir_repro::gpu_sim::{BackendKind, DeviceSpec};
 use gpu_pir_repro::pir_core::{Application, PrivateInferenceSystem, SystemConfig};
+use gpu_pir_repro::pir_dpf::SchedulerConfig;
 use gpu_pir_repro::pir_ml::datasets::{DatasetKind, DatasetScale, SyntheticDataset};
 use gpu_pir_repro::pir_prf::PrfKind;
 use gpu_pir_repro::pir_protocol::{
     CodesignParams, CpuPirServer, FullTableMode, GpuPirServer, PirClient, PirServer, PirTable,
-    ShardedGpuServer,
 };
 use gpu_pir_repro::pir_serve::{PirServeRuntime, ServeConfig, TableConfig};
 use rand::rngs::StdRng;
@@ -138,7 +139,14 @@ fn sharded_and_single_device_servers_are_interchangeable_parties() {
         (row as u8).wrapping_add(offset as u8)
     });
     let client = PirClient::new(table.schema(), PrfKind::SipHash);
-    let sharded = ShardedGpuServer::with_v100_shards(table.clone(), PrfKind::SipHash, 4).unwrap();
+    let sharded = GpuPirServer::new(
+        table.clone(),
+        PrfKind::SipHash,
+        vec![DeviceSpec::v100(); 4],
+        SchedulerConfig::default(),
+        BackendKind::Simulated,
+    )
+    .unwrap();
     let single = GpuPirServer::with_defaults(table.clone(), PrfKind::SipHash);
     let mut rng = StdRng::seed_from_u64(10);
 
