@@ -5,11 +5,12 @@
 //! complementing the modelled GPU numbers produced by the `repro` binary.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gpu_sim::{DeviceBackend, DeviceSpec, HostBackend, TransferSrc};
 use pir_dpf::{
-    eval_point, fused_eval_matmul, generate_keys, unfused_eval_matmul, DpfParams, EvalStrategy,
-    NullRecorder, PlanCache, PlanKey, Scheduler, SchedulerConfig,
+    eval_point, fused_eval_matmul, generate_keys, unfused_eval_matmul, BatchEvalJob, DpfKey,
+    DpfParams, EvalStrategy, NullRecorder, PlanCache, PlanKey, Scheduler, SchedulerConfig,
 };
-use pir_field::{Block128, Ring128, ShareMatrix};
+use pir_field::{matvec_accumulate, Block128, LaneVector, Ring128, ShareMatrix};
 use pir_prf::{build_prf, GgmPrg, PrfKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -123,6 +124,58 @@ fn bench_full_domain(c: &mut Criterion) {
     group.finish();
 }
 
+/// The serving kernel on the repo benchmark's reference shape (2^16 rows ×
+/// 64 B, the paper's K = 128), layer by layer: the fused DPF × table kernel
+/// per key for the two PRFs the benchmark serves, the table sweep alone
+/// (the kernel's memory-bandwidth floor), and a resident 32-key batch on the
+/// wall-clock host backend (what one serving batch costs, host threads and
+/// block-local counters included). Gated against `ci/bench_baseline.json`.
+fn bench_reference_shape(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(5);
+    let rows = 1usize << 16;
+    let lanes = 16usize;
+    let params = DpfParams::for_domain(rows as u64);
+    let table = random_table(&mut rng, rows, lanes);
+    let strategy = EvalStrategy::memory_bounded_default();
+
+    let mut group = c.benchmark_group("fused_matmul_2^16x64B");
+    for kind in [PrfKind::Aes128, PrfKind::Chacha20] {
+        let prg = GgmPrg::new(build_prf(kind));
+        let (key, _) = generate_keys(&prg, &params, 4242, Ring128::ONE, &mut rng);
+        group.bench_function(
+            BenchmarkId::new(format!("{kind:?}"), strategy.label()),
+            |b| b.iter(|| fused_eval_matmul(&prg, &key, &table, strategy, &NullRecorder)),
+        );
+    }
+    group.finish();
+
+    let weights: Vec<Ring128> = (0..rows).map(|_| Ring128::random(&mut rng)).collect();
+    let mut group = c.benchmark_group("matvec_sweep");
+    group.bench_function("2^16x64B", |b| {
+        b.iter(|| {
+            let mut acc = LaneVector::zeroed(lanes);
+            matvec_accumulate(&mut acc, &weights, &table, 0);
+            acc
+        })
+    });
+    group.finish();
+
+    let prg = GgmPrg::new(build_prf(PrfKind::Aes128));
+    let keys: Vec<DpfKey> = (0..32u64)
+        .map(|i| generate_keys(&prg, &params, i * 2053, Ring128::ONE, &mut rng).0)
+        .collect();
+    let host = HostBackend::new(DeviceSpec::v100());
+    let resident = host.alloc(table.size_bytes() as u64);
+    host.upload_table(&resident, TransferSrc::Lanes(table.lanes()));
+    let job = BatchEvalJob::new(&prg, PrfKind::Aes128, &keys, &table);
+    let mut group = c.benchmark_group("batch_resident");
+    group.bench_function(BenchmarkId::new("host", "b32"), |b| {
+        b.iter(|| job.run_resident(&host, &resident))
+    });
+    group.finish();
+    host.free(resident);
+}
+
 /// Figure 14 companion: fused vs unfused evaluation.
 fn bench_fusion(c: &mut Criterion) {
     let prg = GgmPrg::new(build_prf(PrfKind::SipHash));
@@ -193,7 +246,7 @@ fn bench_plan_build(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_prfs, bench_gen_vs_eval, bench_strategies, bench_full_domain, bench_fusion,
-        bench_plan_build
+    targets = bench_prfs, bench_gen_vs_eval, bench_strategies, bench_full_domain,
+        bench_reference_shape, bench_fusion, bench_plan_build
 }
 criterion_main!(benches);

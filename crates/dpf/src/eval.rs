@@ -77,6 +77,53 @@ pub(crate) fn leaf_share(key: &DpfKey, state: NodeState) -> Ring128 {
     value.negate_if(key.party == 1)
 }
 
+/// A width the expansion engine can emit leaf shares at.
+///
+/// Plain evaluation (tests, the unfused baseline) wants the full `Z_{2^128}`
+/// share; the fused DPF × table kernel multiplies by the share's low 32 bits
+/// only ([`Ring128::to_lane`]), and because `2^32` divides `2^128` the low 32
+/// bits of a sum or negation mod `2^128` are the sum or negation mod `2^32` —
+/// so it can compute, store and re-load `u32` leaves and get the very same
+/// lane weights at a quarter of the bytes and without 128-bit carries.
+pub(crate) trait Leaf: Copy + Default {
+    /// What a consumer of this width reads of a full-width share.
+    fn narrow(share: Ring128) -> Self;
+
+    /// The share of the leaf with seed halves `(seed_low, seed_high)` and
+    /// control bit `t` (0 or 1): `seed + t · final_cw`, negated for party 1
+    /// (`negate`). Branch-free in `t`, which is pseudorandom per leaf.
+    fn share(final_cw: Self, negate: bool, seed_low: u64, seed_high: u64, t: u64) -> Self;
+}
+
+impl Leaf for Ring128 {
+    #[inline(always)]
+    fn narrow(share: Ring128) -> Self {
+        share
+    }
+
+    #[inline(always)]
+    fn share(final_cw: Self, negate: bool, seed_low: u64, seed_high: u64, t: u64) -> Self {
+        let mask = u128::from(t).wrapping_neg();
+        let seed = Ring128::from(Block128::from_halves(seed_low, seed_high));
+        (seed + Ring128::new(final_cw.value() & mask)).negate_if(negate)
+    }
+}
+
+impl Leaf for u32 {
+    #[inline(always)]
+    fn narrow(share: Ring128) -> Self {
+        share.to_lane()
+    }
+
+    #[inline(always)]
+    fn share(final_cw: Self, negate: bool, seed_low: u64, _seed_high: u64, t: u64) -> Self {
+        let sum = (seed_low as u32).wrapping_add(final_cw & (t as u32).wrapping_neg());
+        // (x ^ m) - m is x for m = 0 and -x for m = all-ones.
+        let sign = u32::from(negate).wrapping_neg();
+        (sum ^ sign).wrapping_sub(sign)
+    }
+}
+
 /// Evaluate the DPF at a single index.
 ///
 /// Costs `depth` PRF calls. Two parties' results sum to `beta` at the target

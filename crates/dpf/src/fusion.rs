@@ -1,10 +1,10 @@
 //! DPF ⊗ matrix-multiplication operator fusion (§3.2.4).
 
-use pir_field::{matvec_accumulate, matvec_shares, LaneVector, Ring128, ShareMatrix};
+use pir_field::{matvec_accumulate_lanes, matvec_shares, LaneVector, Ring128, ShareMatrix};
 use pir_prf::GgmPrg;
 
 use crate::recorder::Recorder;
-use crate::strategy::{eval_full_domain, eval_subtree_with, EvalStrategy, Subtree};
+use crate::strategy::{eval_full_domain, expand_subtree, EvalStrategy, Subtree};
 use crate::DpfKey;
 
 /// Fused evaluation: expand the DPF and immediately accumulate each chunk of
@@ -70,20 +70,22 @@ where
     recorder.alloc(row_bytes);
     let mut acc = LaneVector::zeroed(lanes);
 
-    eval_subtree_with(
+    // The sweep multiplies by each share's low 32 bits only, so the engine
+    // emits the leaves at that width.
+    expand_subtree(
         prg,
         key,
         subtree,
         strategy,
         recorder,
-        &mut |base, values| {
+        &mut |base, weights: &[u32]| {
             if base >= rows {
                 return; // padded leaves beyond the real table
             }
-            let usable = ((rows - base) as usize).min(values.len());
+            let usable = ((rows - base) as usize).min(weights.len());
             recorder.global_read(usable as u64 * row_bytes);
             recorder.arithmetic(usable as u64 * lanes as u64);
-            matvec_accumulate(&mut acc, &values[..usable], table, base as usize);
+            matvec_accumulate_lanes(&mut acc, &weights[..usable], table, base as usize);
         },
     );
 

@@ -692,6 +692,68 @@ mod tests {
         }
     }
 
+    /// Keys arrive off the wire unvalidated, so the engine must expand *any*
+    /// key exactly as the per-node reference does — not only the ones `Gen`
+    /// emits. Hostile shape: every correction seed has its LSB set (a bit
+    /// `Gen` always clears, and which a pass that parked the control bit in
+    /// the seed's LSB would corrupt), `t_left`/`t_right`, the root seed and
+    /// `final_cw` are arbitrary. Full-width leaves, lane-width (fused)
+    /// leaves and every counter must match, on every SIMD backend.
+    #[test]
+    fn hostile_keys_expand_exactly_like_the_reference() {
+        use crate::{fused_eval_matmul, CorrectionWord};
+        use pir_field::Block128;
+        use pir_prf::{build_prf_with_backend, SimdBackend};
+
+        let mut rng = StdRng::seed_from_u64(0x0BAD_5EED);
+        for kind in [PrfKind::Aes128, PrfKind::SipHash] {
+            for domain in [1u64, 13, 200, 1024] {
+                let params = DpfParams::for_domain(domain);
+                let lanes = 5usize;
+                let data: Vec<u32> = (0..domain as usize * lanes).map(|_| rng.gen()).collect();
+                let table = ShareMatrix::from_rows(domain as usize, lanes, data);
+                for party in 0..2u8 {
+                    let key = DpfKey {
+                        party,
+                        params,
+                        root_seed: Block128::from_u128(rng.gen()),
+                        levels: (0..params.domain_bits)
+                            .map(|_| CorrectionWord {
+                                seed: Block128::from_u128(rng.gen::<u128>() | 1),
+                                t_left: rng.gen(),
+                                t_right: rng.gen(),
+                            })
+                            .collect(),
+                        final_cw: Ring128::new(rng.gen()),
+                    };
+                    for backend in SimdBackend::candidates() {
+                        let prg = GgmPrg::new(build_prf_with_backend(kind, *backend));
+                        for strategy in STRATEGIES {
+                            let what = format!(
+                                "{kind} {strategy:?} domain={domain} party={party} {backend:?}"
+                            );
+                            let recorder = CountingRecorder::new();
+                            let got = eval_full_domain(&prg, &key, strategy, &recorder);
+                            let reference = CountingRecorder::new();
+                            let want = reference_eval_full_domain(&prg, &key, strategy, &reference);
+                            assert_eq!(got, want, "{what}: full-width shares");
+                            assert_counters_equal(&recorder, &reference, &what);
+
+                            let recorder = CountingRecorder::new();
+                            let got = fused_eval_matmul(&prg, &key, &table, strategy, &recorder);
+                            let reference = CountingRecorder::new();
+                            let want = reference_fused_eval_matmul(
+                                &prg, &key, &table, strategy, &reference,
+                            );
+                            assert_eq!(got, want, "{what}: fused answer share");
+                            assert_counters_equal(&recorder, &reference, &what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// The frontier result also reconstructs the point function (end-to-end
     /// sanity on top of the parity proofs), for every PRF family.
     #[test]

@@ -1,5 +1,7 @@
 //! Instrumentation hooks used by the evaluation strategies.
 
+use std::cell::Cell;
+
 use gpu_sim::BlockContext;
 
 /// Receives the hardware-relevant events emitted while a DPF is expanded.
@@ -128,12 +130,33 @@ impl Recorder for CountingRecorder {
     }
 }
 
-/// A recorder that tags PRF cost with a specific cycle count and forwards
-/// everything to a [`BlockContext`] — this is how a DPF strategy becomes a
-/// simulated GPU kernel.
+/// A recorder that tags PRF cost with a specific cycle count and feeds a
+/// [`BlockContext`] — this is how a DPF strategy becomes a simulated GPU
+/// kernel.
+///
+/// One recorder serves one block, and the block's events are accumulated in
+/// plain cells: a 2^16-leaf memory-bounded expansion emits ~23 000 events,
+/// and issuing each as an atomic read-modify-write on counters every host
+/// thread shares made a multi-threaded launch no faster than one thread. The
+/// event counters are flushed into the launch's [`gpu_sim::KernelCounters`]
+/// once, when the recorder drops; totals are identical by construction.
+///
+/// Scratch memory is tracked as the block's own live and peak bytes. Each
+/// *rise* of the block's peak is published to the launch's
+/// [`gpu_sim::MemoryTracker`] as it happens (a handful per block — the peak
+/// is reached inside the first chunk) and the whole peak is returned on drop,
+/// so the tracker holds the sum of the running blocks' peaks so far: exactly
+/// the interleaved high-water mark on one host thread, and an upper bound of
+/// it — never less — on several.
 pub struct KernelRecorder<'a, 'b> {
     ctx: &'a BlockContext<'b>,
     prf_cycles_per_call: u64,
+    prf_calls: Cell<u64>,
+    flops: Cell<u64>,
+    read_bytes: Cell<u64>,
+    write_bytes: Cell<u64>,
+    live_bytes: Cell<u64>,
+    peak_bytes: Cell<u64>,
 }
 
 impl<'a, 'b> KernelRecorder<'a, 'b> {
@@ -143,35 +166,60 @@ impl<'a, 'b> KernelRecorder<'a, 'b> {
         Self {
             ctx,
             prf_cycles_per_call,
+            prf_calls: Cell::new(0),
+            flops: Cell::new(0),
+            read_bytes: Cell::new(0),
+            write_bytes: Cell::new(0),
+            live_bytes: Cell::new(0),
+            peak_bytes: Cell::new(0),
         }
     }
 }
 
+fn bump(cell: &Cell<u64>, by: u64) {
+    cell.set(cell.get() + by);
+}
+
 impl Recorder for KernelRecorder<'_, '_> {
     fn prf_calls(&self, calls: u64) {
-        self.ctx
-            .counters()
-            .record_prf_calls(calls, self.prf_cycles_per_call);
+        bump(&self.prf_calls, calls);
     }
 
     fn alloc(&self, bytes: u64) {
-        self.ctx.memory().alloc(bytes);
+        bump(&self.live_bytes, bytes);
+        let rise = self.live_bytes.get().saturating_sub(self.peak_bytes.get());
+        if rise > 0 {
+            bump(&self.peak_bytes, rise);
+            self.ctx.memory().alloc(rise);
+        }
     }
 
     fn release(&self, bytes: u64) {
-        self.ctx.memory().release(bytes);
+        self.live_bytes
+            .set(self.live_bytes.get().saturating_sub(bytes));
     }
 
     fn global_read(&self, bytes: u64) {
-        self.ctx.counters().record_global_read(bytes);
+        bump(&self.read_bytes, bytes);
     }
 
     fn global_write(&self, bytes: u64) {
-        self.ctx.counters().record_global_write(bytes);
+        bump(&self.write_bytes, bytes);
     }
 
     fn arithmetic(&self, ops: u64) {
-        self.ctx.counters().record_flops(ops);
+        bump(&self.flops, ops);
+    }
+}
+
+impl Drop for KernelRecorder<'_, '_> {
+    fn drop(&mut self) {
+        let counters = self.ctx.counters();
+        counters.record_prf_calls(self.prf_calls.get(), self.prf_cycles_per_call);
+        counters.record_flops(self.flops.get());
+        counters.record_global_read(self.read_bytes.get());
+        counters.record_global_write(self.write_bytes.get());
+        self.ctx.memory().release(self.peak_bytes.get());
     }
 }
 

@@ -9,6 +9,10 @@
 //! exact same event totals as the per-node formulation — the simulated cost
 //! model is layout-independent by construction (the parity tests in
 //! `parity_tests` prove both properties against the scalar reference).
+//!
+//! The engine is generic over the leaf width it emits (`eval::Leaf`):
+//! full `Ring128` shares for the evaluation API, `u32` lane weights for the
+//! fused DPF × table kernel, which reads nothing else of a share.
 
 use pir_field::{Block128, Ring128};
 use pir_prf::{FrontierScratch, GgmPrg};
@@ -16,12 +20,13 @@ use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 use crate::eval::{
-    descend_both, descend_one, leaf_share, subtree_root_state, NodeState, NODE_STATE_BYTES,
+    descend_both, descend_one, leaf_share, subtree_root_state, Leaf, NodeState, NODE_STATE_BYTES,
 };
 use crate::recorder::Recorder;
 use crate::DpfKey;
 
-/// Bytes charged for one materialized leaf output (a 128-bit ring element).
+/// Bytes charged for one materialized leaf output: the modelled kernel's
+/// 128-bit ring element, whatever `Leaf` width the host engine emits.
 const LEAF_BYTES: u64 = 16;
 
 /// How a server expands a DPF over (a slice of) the table domain.
@@ -165,6 +170,25 @@ pub fn eval_subtree_with<R, F>(
     R: Recorder,
     F: FnMut(u64, &[Ring128]),
 {
+    expand_subtree(prg, key, subtree, strategy, recorder, visitor);
+}
+
+/// [`eval_subtree_with`] at the leaf width `L` the consumer reads: the one
+/// engine behind the `Ring128` evaluation API and the fused kernel's `u32`
+/// lane weights. `visitor` sees, for every leaf `j`, exactly
+/// `L::narrow(share_j)`.
+pub(crate) fn expand_subtree<L, R, F>(
+    prg: &GgmPrg,
+    key: &DpfKey,
+    subtree: Subtree,
+    strategy: EvalStrategy,
+    recorder: &R,
+    visitor: &mut F,
+) where
+    L: Leaf,
+    R: Recorder,
+    F: FnMut(u64, &[L]),
+{
     let root = subtree_root_state(prg, key, subtree.prefix, subtree.prefix_bits, recorder);
     let depth_below = key.depth() - subtree.prefix_bits;
     let base_index = subtree.base_index(key);
@@ -258,7 +282,7 @@ where
 
 /// Branch-parallel: each leaf re-walks its path from the subtree root.
 #[allow(clippy::too_many_arguments)]
-fn branch_parallel<R, F>(
+fn branch_parallel<L, R, F>(
     prg: &GgmPrg,
     key: &DpfKey,
     root: NodeState,
@@ -268,8 +292,9 @@ fn branch_parallel<R, F>(
     recorder: &R,
     visitor: &mut F,
 ) where
+    L: Leaf,
     R: Recorder,
-    F: FnMut(u64, &[Ring128]),
+    F: FnMut(u64, &[L]),
 {
     let leaves = 1u64 << depth_below;
     let chunk_len = (leaves as usize).min(256);
@@ -290,7 +315,7 @@ fn branch_parallel<R, F>(
                 recorder,
             );
         }
-        buffer.push(leaf_share(key, state));
+        buffer.push(L::narrow(leaf_share(key, state)));
         recorder.arithmetic(1);
         if buffer.len() == chunk_len {
             visitor(chunk_base, &buffer);
@@ -311,7 +336,7 @@ fn branch_parallel<R, F>(
 /// One instance serves a whole expansion job — `MemoryBounded` reuses it
 /// across every chunk of a `fused_eval_matmul` call, so the hot loop performs
 /// no allocation after the first chunk.
-struct FrontierBuffers {
+struct FrontierBuffers<L> {
     /// Nodes expanded per PRF sweep inside one level: large enough to
     /// amortize per-sweep setup (key schedules, dispatch), small enough that
     /// the two raw sweep outputs (2 × 16 B per node) stay resident in L1
@@ -328,11 +353,11 @@ struct FrontierBuffers {
     next_t_bits: Vec<u64>,
     /// Raw PRF sweep outputs, owned by [`GgmPrg::expand_frontier`].
     scratch: FrontierScratch,
-    /// Leaf shares of the finished chunk.
-    leaves: Vec<Ring128>,
+    /// Leaf shares of the finished chunk, at the width the visitor reads.
+    leaves: Vec<L>,
 }
 
-impl FrontierBuffers {
+impl<L: Leaf> FrontierBuffers<L> {
     /// Buffers sized so that expanding up to `leaves` leaves never
     /// reallocates, sweeping in tiles of the autotuned size for `prg`'s
     /// PRF and backend.
@@ -361,7 +386,7 @@ impl FrontierBuffers {
 /// arithmetic) is identical to the per-node formulation this replaced; the
 /// parity tests assert that equivalence counter by counter.
 #[allow(clippy::too_many_arguments)]
-fn level_by_level<R, F>(
+fn level_by_level<L, R, F>(
     prg: &GgmPrg,
     key: &DpfKey,
     root: NodeState,
@@ -370,20 +395,25 @@ fn level_by_level<R, F>(
     base_index: u64,
     recorder: &R,
     visitor: &mut F,
-    frontier: &mut FrontierBuffers,
+    frontier: &mut FrontierBuffers<L>,
 ) where
+    L: Leaf,
     R: Recorder,
-    F: FnMut(u64, &[Ring128]),
+    F: FnMut(u64, &[L]),
 {
     // Buffer lengths are tracked explicitly and the Vecs only ever grow:
     // every slot in play is overwritten by the fused pass, so per-level
     // resizing (with its zero-fill on regrowth) would be pure overhead when
     // the buffers are reused across levels and chunks.
-    grow_blocks(&mut frontier.seeds, 1);
+    grow(&mut frontier.seeds, 1, Block128::ZERO);
     frontier.seeds[0] = root.seed;
-    grow_words(&mut frontier.t_bits, 1);
+    grow(&mut frontier.t_bits, 1, 0);
     frontier.t_bits[0] = root.t as u64;
     recorder.alloc(NODE_STATE_BYTES);
+
+    // Loop-invariant leaf conversion inputs (the party is public).
+    let final_cw = L::narrow(key.final_cw);
+    let negate = key.party == 1;
 
     let mut len = 1usize;
     for level in 0..depth_below {
@@ -391,25 +421,31 @@ fn level_by_level<R, F>(
         recorder.alloc(next_len as u64 * NODE_STATE_BYTES);
         recorder.prf_calls(2 * len as u64);
 
-        // On the last level the children are the leaves: convert them to ring
+        // On the last level the children are the leaves: convert them to
         // shares directly in the fused pass instead of materializing a final
         // seed level and re-reading it.
         let is_last = level + 1 == depth_below;
         if is_last {
-            grow_leaves(&mut frontier.leaves, next_len);
+            grow(&mut frontier.leaves, next_len, L::default());
         } else {
-            grow_blocks(&mut frontier.next_seeds, next_len);
-            grow_words(&mut frontier.next_t_bits, next_len.div_ceil(64));
+            grow(&mut frontier.next_seeds, next_len, Block128::ZERO);
+            grow(&mut frontier.next_t_bits, next_len.div_ceil(64), 0);
         }
 
+        // The correction word as 64-bit halves and 0/1 words: the fused pass
+        // below is all 64-bit mask arithmetic, no 128-bit temporaries.
         let cw = &key.levels[(level_offset + level) as usize];
+        let (cw_low, cw_high) = cw.seed.halves();
+        let (cw_t_left, cw_t_right) = (u64::from(cw.t_left), u64::from(cw.t_right));
+
         // Sweep the level in L1-sized tiles: the raw PRF outputs never leave
-        // cache, and one fused pass applies the feed-forward, splits the
-        // control bits and applies the correction word (branch-free, matching
-        // how GPU lanes mask the correction). Work runs in 32-node subgroups
-        // so each packed output word is composed in a register and parent
-        // bits are read word-at-a-time — the inner loops are pure iterator
-        // zips with no index arithmetic.
+        // cache, and one fused pass splits the control bits off the sweep
+        // outputs and applies the correction word under the parent's control
+        // bit as an all-ones/all-zeros mask (branch-free in every key bit,
+        // matching how GPU lanes mask the correction). Work runs in 32-node
+        // subgroups so each packed output word is composed in a register and
+        // parent bits are read word-at-a-time — the inner loops are pure
+        // iterator zips with no index arithmetic.
         let mut tile_start = 0usize;
         while tile_start < len {
             let tile_len = (len - tile_start).min(frontier.tile);
@@ -423,49 +459,51 @@ fn level_by_level<R, F>(
                 // `node_base` is a multiple of 32 (tiles and levels are
                 // power-of-two sized), so the group's parent bits live in one
                 // aligned half-word and its child bits fill one output word.
-                let parent_bits =
-                    (frontier.t_bits[node_base / 64] >> (node_base % 64)) & 0xffff_ffff;
+                let mut parent_bits = frontier.t_bits[node_base / 64] >> (node_base % 64);
                 let lefts = &left[group_start..group_start + group_len];
                 let rights = &right[group_start..group_start + group_len];
 
+                // One node: the parent mask, both children's control bits and
+                // the masked seed correction, all on halves. Nothing assumes
+                // the correction seed's LSB is clear — keys arrive off the
+                // wire unvalidated and must expand exactly as the per-node
+                // reference does.
+                let correct = |parent_bits: u64, l: &Block128, r: &Block128| {
+                    let parent = 0u64.wrapping_sub(parent_bits & 1);
+                    let (l_low, l_high) = l.halves();
+                    let (r_low, r_high) = r.halves();
+                    let (mask_low, mask_high) = (cw_low & parent, cw_high & parent);
+                    (
+                        ((l_low & !1) ^ mask_low, l_high ^ mask_high),
+                        (l_low & 1) ^ (parent & cw_t_left),
+                        ((r_low & !1) ^ mask_low, r_high ^ mask_high),
+                        (r_low & 1) ^ (parent & cw_t_right),
+                    )
+                };
+
                 if is_last {
                     let leaves = &mut frontier.leaves[2 * node_base..2 * (node_base + group_len)];
-                    for (i, ((l, r), out)) in lefts
-                        .iter()
-                        .zip(rights)
-                        .zip(leaves.chunks_exact_mut(2))
-                        .enumerate()
-                    {
-                        let parent_t = (parent_bits >> i) & 1 == 1;
-                        let l_state = NodeState {
-                            seed: l.with_cleared_lsb().xor_if(parent_t, cw.seed),
-                            t: l.lsb() ^ (parent_t & cw.t_left),
-                        };
-                        let r_state = NodeState {
-                            seed: r.with_cleared_lsb().xor_if(parent_t, cw.seed),
-                            t: r.lsb() ^ (parent_t & cw.t_right),
-                        };
-                        out[0] = leaf_share(key, l_state);
-                        out[1] = leaf_share(key, r_state);
+                    for ((l, r), out) in lefts.iter().zip(rights).zip(leaves.chunks_exact_mut(2)) {
+                        let (l_seed, l_t, r_seed, r_t) = correct(parent_bits, l, r);
+                        parent_bits >>= 1;
+                        out[0] = L::share(final_cw, negate, l_seed.0, l_seed.1, l_t);
+                        out[1] = L::share(final_cw, negate, r_seed.0, r_seed.1, r_t);
                     }
                 } else {
                     let children =
                         &mut frontier.next_seeds[2 * node_base..2 * (node_base + group_len)];
+                    // Child bits enter at the top of the word and shift down,
+                    // two per node; a short group is aligned afterwards.
                     let mut child_bits = 0u64;
-                    for (i, ((l, r), out)) in lefts
-                        .iter()
-                        .zip(rights)
-                        .zip(children.chunks_exact_mut(2))
-                        .enumerate()
+                    for ((l, r), out) in lefts.iter().zip(rights).zip(children.chunks_exact_mut(2))
                     {
-                        let parent_t = (parent_bits >> i) & 1 == 1;
-                        let l_t = l.lsb() ^ (parent_t & cw.t_left);
-                        let r_t = r.lsb() ^ (parent_t & cw.t_right);
-                        child_bits |= ((l_t as u64) | ((r_t as u64) << 1)) << (2 * i);
-                        out[0] = l.with_cleared_lsb().xor_if(parent_t, cw.seed);
-                        out[1] = r.with_cleared_lsb().xor_if(parent_t, cw.seed);
+                        let (l_seed, l_t, r_seed, r_t) = correct(parent_bits, l, r);
+                        parent_bits >>= 1;
+                        child_bits = (child_bits >> 2) | (l_t << 62) | (r_t << 63);
+                        out[0] = Block128::from_halves(l_seed.0, l_seed.1);
+                        out[1] = Block128::from_halves(r_seed.0, r_seed.1);
                     }
-                    frontier.next_t_bits[node_base / 32] = child_bits;
+                    frontier.next_t_bits[node_base / 32] = child_bits >> (64 - 2 * group_len);
                 }
                 group_start += group_len;
             }
@@ -481,8 +519,8 @@ fn level_by_level<R, F>(
     }
 
     if depth_below == 0 {
-        grow_leaves(&mut frontier.leaves, 1);
-        frontier.leaves[0] = leaf_share(key, root);
+        grow(&mut frontier.leaves, 1, L::default());
+        frontier.leaves[0] = L::narrow(leaf_share(key, root));
     }
     let leaf_count = len;
     recorder.alloc(leaf_count as u64 * LEAF_BYTES);
@@ -494,32 +532,16 @@ fn level_by_level<R, F>(
 
 /// Grow `buf` to at least `n` entries without ever shrinking it.
 #[inline]
-fn grow_blocks(buf: &mut Vec<Block128>, n: usize) {
+fn grow<T: Copy>(buf: &mut Vec<T>, n: usize, fill: T) {
     if buf.len() < n {
-        buf.resize(n, Block128::ZERO);
-    }
-}
-
-/// Grow `buf` to at least `n` words without ever shrinking it.
-#[inline]
-fn grow_words(buf: &mut Vec<u64>, n: usize) {
-    if buf.len() < n {
-        buf.resize(n, 0);
-    }
-}
-
-/// Grow `buf` to at least `n` leaves without ever shrinking it.
-#[inline]
-fn grow_leaves(buf: &mut Vec<Ring128>, n: usize) {
-    if buf.len() < n {
-        buf.resize(n, Ring128::ZERO);
+        buf.resize(n, fill);
     }
 }
 
 /// Memory-bounded tree traversal: depth-first over `chunk`-leaf subtrees, each
 /// expanded level-by-level and consumed immediately.
 #[allow(clippy::too_many_arguments)]
-fn memory_bounded<R, F>(
+fn memory_bounded<L, R, F>(
     prg: &GgmPrg,
     key: &DpfKey,
     root: NodeState,
@@ -530,8 +552,9 @@ fn memory_bounded<R, F>(
     recorder: &R,
     visitor: &mut F,
 ) where
+    L: Leaf,
     R: Recorder,
-    F: FnMut(u64, &[Ring128]),
+    F: FnMut(u64, &[L]),
 {
     let chunk_bits = (chunk as u64).trailing_zeros().min(depth_below);
     // One set of frontier buffers serves every chunk of this traversal: after
@@ -541,7 +564,7 @@ fn memory_bounded<R, F>(
     // Recursive depth-first descent; the explicit recursion depth is bounded by
     // 64 levels so the host stack is more than sufficient.
     #[allow(clippy::too_many_arguments)]
-    fn descend<R, F>(
+    fn descend<L, R, F>(
         prg: &GgmPrg,
         key: &DpfKey,
         state: NodeState,
@@ -551,10 +574,11 @@ fn memory_bounded<R, F>(
         base_index: u64,
         recorder: &R,
         visitor: &mut F,
-        frontier: &mut FrontierBuffers,
+        frontier: &mut FrontierBuffers<L>,
     ) where
+        L: Leaf,
         R: Recorder,
-        F: FnMut(u64, &[Ring128]),
+        F: FnMut(u64, &[L]),
     {
         let remaining = depth_below;
         if remaining <= chunk_bits {
@@ -798,6 +822,46 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
+        /// The lane-width engine (what the fused kernel consumes) emits, leaf
+        /// for leaf and chunk for chunk, the low 32 bits of the full-width
+        /// shares — for every strategy, both parties, non-power-of-two
+        /// domains and non-root subtrees.
+        #[test]
+        fn prop_lane_width_leaves_are_the_low_bits_of_full_width_shares(
+            domain in 2u64..300,
+            split in 0u32..3,
+            seed in any::<u64>(),
+        ) {
+            let prg = prg();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let params = DpfParams::for_domain(domain);
+            let beta = Ring128::new(u128::from(seed) << 17 | 1);
+            let (a, b) = generate_keys(&prg, &params, seed % domain, beta, &mut rng);
+            for key in [&a, &b] {
+                let full = eval_full_domain(&prg, key, EvalStrategy::LevelByLevel, &NullRecorder);
+                for strategy in STRATEGIES {
+                    for subtree in Subtree::split(key, split.min(key.depth())) {
+                        let mut wide = Vec::new();
+                        eval_subtree_with(&prg, key, subtree, strategy, &NullRecorder, &mut |base, v| {
+                            wide.push((base, v.iter().map(|x| x.to_lane()).collect::<Vec<u32>>()));
+                        });
+                        let mut narrow = Vec::new();
+                        expand_subtree(&prg, key, subtree, strategy, &NullRecorder, &mut |base, v: &[u32]| {
+                            narrow.push((base, v.to_vec()));
+                        });
+                        prop_assert_eq!(&narrow, &wide);
+                        for (base, lanes) in &narrow {
+                            for (offset, lane) in lanes.iter().enumerate() {
+                                if let Some(share) = full.get(*base as usize + offset) {
+                                    prop_assert_eq!(*lane, share.to_lane());
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
         #[test]
         fn prop_full_domain_reconstruction(
             domain in 2u64..300,

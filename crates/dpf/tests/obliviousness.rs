@@ -1,0 +1,148 @@
+//! Dynamic obliviousness check: the complement of the lexical `secret-flow`
+//! lint. A server's work must not depend on the index a key hides, so for a
+//! fixed public shape — table, batch size, strategy, grid mapping — every
+//! observable the device layer exports must be *identical* across random
+//! target indices and across the two parties: the launch's event counters
+//! and peak memory, the backend's allocation/transfer ledger, and the number
+//! of PRF blocks actually evaluated.
+
+use std::sync::Arc;
+
+use gpu_sim::{BackendStats, CounterSnapshot, DeviceBackend, DeviceSpec, GpuExecutor, HostBackend};
+use pir_dpf::{generate_keys, BatchEvalJob, DpfKey, DpfParams, EvalStrategy, GridMapping};
+use pir_field::{Ring128, ShareMatrix};
+use pir_prf::{build_prf, CountingPrf, GgmPrg, Prf, PrfKind};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const ROWS: usize = 300; // non-power-of-two: the padded leaves are swept too
+const LANES: usize = 6;
+const BATCH: usize = 4;
+const KIND: PrfKind = PrfKind::SipHash;
+
+const SHAPES: [(EvalStrategy, GridMapping); 4] = [
+    (EvalStrategy::BranchParallel, GridMapping::BlockPerQuery),
+    (EvalStrategy::LevelByLevel, GridMapping::BlockPerQuery),
+    (
+        EvalStrategy::MemoryBounded { chunk: 16 },
+        GridMapping::BlockPerQuery,
+    ),
+    (
+        EvalStrategy::MemoryBounded { chunk: 128 },
+        GridMapping::Cooperative { split_bits: 2 },
+    ),
+];
+
+fn table(rng: &mut StdRng) -> ShareMatrix {
+    let data: Vec<u32> = (0..ROWS * LANES).map(|_| rng.gen()).collect();
+    ShareMatrix::from_rows(ROWS, LANES, data)
+}
+
+/// Both parties' keys for `BATCH` random indices, generated with a PRF the
+/// servers' counter never sees.
+fn random_batch(rng: &mut StdRng) -> [Vec<DpfKey>; 2] {
+    let client = GgmPrg::new(build_prf(KIND));
+    let params = DpfParams::for_domain(ROWS as u64);
+    let (party0, party1) = (0..BATCH)
+        .map(|_| {
+            let alpha = rng.gen_range(0..ROWS as u64);
+            generate_keys(&client, &params, alpha, Ring128::ONE, rng)
+        })
+        .unzip();
+    [party0, party1]
+}
+
+fn backends(host_threads: usize) -> [Box<dyn DeviceBackend>; 2] {
+    [
+        Box::new(GpuExecutor::with_host_threads(
+            DeviceSpec::v100(),
+            host_threads,
+        )),
+        Box::new(HostBackend::with_host_threads(
+            DeviceSpec::v100(),
+            host_threads,
+        )),
+    ]
+}
+
+/// Everything the device layer lets an observer see of one batch.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    counters: CounterSnapshot,
+    peak_memory_bytes: u64,
+    ledger: BackendStats,
+    prf_blocks: u64,
+}
+
+fn observe(
+    backend: &dyn DeviceBackend,
+    keys: &[DpfKey],
+    table: &ShareMatrix,
+    strategy: EvalStrategy,
+    mapping: GridMapping,
+) -> Observed {
+    let counting = Arc::new(CountingPrf::new(build_prf(KIND)));
+    let prg = GgmPrg::new(counting.clone() as Arc<dyn Prf>);
+    let out = BatchEvalJob::new(&prg, KIND, keys, table)
+        .with_strategy(strategy)
+        .with_mapping(mapping)
+        .run_on(backend);
+    Observed {
+        counters: out.report.counters,
+        peak_memory_bytes: out.report.peak_memory_bytes,
+        ledger: backend.stats(),
+        prf_blocks: counting.calls(),
+    }
+}
+
+#[test]
+fn server_work_is_independent_of_the_index_and_the_party() {
+    let mut rng = StdRng::seed_from_u64(0x0B11_7105);
+    let table = table(&mut rng);
+    for (strategy, mapping) in SHAPES {
+        let mut reference: Option<Observed> = None;
+        for trial in 0..16 {
+            for (party, keys) in random_batch(&mut rng).iter().enumerate() {
+                // Fresh backends, so the whole ledger is this batch's delta.
+                for backend in backends(1) {
+                    let seen = observe(backend.as_ref(), keys, &table, strategy, mapping);
+                    assert_eq!(seen.prf_blocks, seen.counters.prf_calls);
+                    let what = format!(
+                        "{strategy:?} {mapping:?} trial={trial} party={party} {:?}",
+                        backend.name()
+                    );
+                    match &reference {
+                        None => reference = Some(seen),
+                        Some(first) => assert_eq!(&seen, first, "{what}"),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Block-local recording must not make the counters depend on how blocks are
+/// spread over host threads; peak memory with concurrent blocks is the sum
+/// of their own peaks, never less than the single-thread high-water mark.
+#[test]
+fn counters_do_not_depend_on_host_threads() {
+    let mut rng = StdRng::seed_from_u64(0x7412_EAD5);
+    let table = table(&mut rng);
+    let [keys, _] = random_batch(&mut rng);
+    for (strategy, mapping) in SHAPES {
+        for (one, four) in backends(1).iter().zip(backends(4).iter()) {
+            let serial = observe(one.as_ref(), &keys, &table, strategy, mapping);
+            let threaded = observe(four.as_ref(), &keys, &table, strategy, mapping);
+            let what = format!("{strategy:?} {mapping:?} {:?}", one.name());
+            assert_eq!(threaded.counters, serial.counters, "{what}: counters");
+            assert_eq!(threaded.prf_blocks, serial.prf_blocks, "{what}: PRF blocks");
+            assert_eq!(threaded.ledger, serial.ledger, "{what}: ledger");
+            assert!(
+                threaded.peak_memory_bytes >= serial.peak_memory_bytes,
+                "{what}: peak {} with 4 threads below {} with 1",
+                threaded.peak_memory_bytes,
+                serial.peak_memory_bytes
+            );
+        }
+    }
+}

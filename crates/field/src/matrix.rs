@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::simd::LaneWeight;
 use crate::{LaneVector, Ring128};
 
 /// A dense matrix of `u32` payload lanes: one row per table entry.
@@ -107,7 +108,24 @@ impl ShareMatrix {
 
     /// Iterate over rows as lane slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[u32]> {
-        self.data.chunks(self.lanes_per_row)
+        // `max(1)`: a zero-width table has no lanes to chunk (and no rows to
+        // yield), but a chunk size of zero would panic.
+        self.data.chunks_exact(self.lanes_per_row.max(1))
+    }
+
+    /// The chunk sweep behind every share-weighted product in this crate:
+    /// `acc += Σ_j weights[j] · row(base_row + j)`.
+    fn accumulate<W: LaneWeight>(&self, acc: &mut LaneVector, weights: &[W], base_row: usize) {
+        assert!(
+            base_row + weights.len() <= self.rows,
+            "chunk [{base_row}, {}) exceeds table rows {}",
+            base_row + weights.len(),
+            self.rows
+        );
+        assert_eq!(acc.len(), self.lanes_per_row, "accumulator width mismatch");
+        let start = base_row * self.lanes_per_row;
+        let rows = &self.data[start..start + weights.len() * self.lanes_per_row];
+        crate::simd::accumulate_rows(&mut acc.0, weights, rows);
     }
 }
 
@@ -128,14 +146,13 @@ pub fn matvec_shares(weights: &[Ring128], matrix: &ShareMatrix) -> LaneVector {
         "weight vector must have one entry per table row"
     );
     let mut acc = LaneVector::zeroed(matrix.lanes_per_row());
-    for (weight, row) in weights.iter().zip(matrix.iter_rows()) {
-        acc.add_scaled_assign(weight.to_lane(), row);
-    }
+    matrix.accumulate(&mut acc, weights, 0);
     acc
 }
 
 /// Accumulate `weights[j] * matrix.row(base_row + j)` into `acc` for a chunk of
-/// rows, the primitive used by the fused DPF-matmul kernel.
+/// rows, with full-width shares as weights (only their low 32 bits — the
+/// [`Ring128::to_lane`] reduction — enter the product).
 ///
 /// # Panics
 ///
@@ -147,26 +164,24 @@ pub fn matvec_accumulate(
     matrix: &ShareMatrix,
     base_row: usize,
 ) {
-    assert!(
-        base_row + weights.len() <= matrix.rows(),
-        "chunk [{base_row}, {}) exceeds table rows {}",
-        base_row + weights.len(),
-        matrix.rows()
-    );
-    assert_eq!(
-        acc.len(),
-        matrix.lanes_per_row(),
-        "accumulator width mismatch"
-    );
-    // Walk the chunk's rows as one contiguous slice so the inner
-    // multiply-accumulate loop carries no per-row bounds checks — this is the
-    // innermost loop of the fused DPF-matmul hot path.
-    let lanes = matrix.lanes_per_row;
-    let start = base_row * lanes;
-    let data = &matrix.data[start..start + weights.len() * lanes];
-    for (weight, row) in weights.iter().zip(data.chunks_exact(lanes)) {
-        crate::simd::accumulate_scaled(&mut acc.0, weight.to_lane(), row);
-    }
+    matrix.accumulate(acc, weights, base_row);
+}
+
+/// [`matvec_accumulate`] with the weights already reduced to `u32` lanes, the
+/// width the fused DPF-matmul kernel emits its leaf shares at. Same kernel,
+/// a quarter of the weight bytes.
+///
+/// # Panics
+///
+/// Panics if the chunk extends past the end of the matrix or `acc` width does
+/// not match the matrix.
+pub fn matvec_accumulate_lanes(
+    acc: &mut LaneVector,
+    weights: &[u32],
+    matrix: &ShareMatrix,
+    base_row: usize,
+) {
+    matrix.accumulate(acc, weights, base_row);
 }
 
 #[cfg(test)]

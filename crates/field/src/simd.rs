@@ -16,7 +16,7 @@
 
 use std::sync::OnceLock;
 
-use crate::Block128;
+use crate::{Block128, Ring128};
 
 /// Environment variable that overrides SIMD backend auto-detection.
 ///
@@ -147,9 +147,9 @@ impl SimdBackend {
 }
 
 /// `acc[i] = acc[i].wrapping_add(scale.wrapping_mul(row[i]))` for every lane,
-/// under the process-wide active backend.
-///
-/// This is the innermost multiply-accumulate of the fused DPF-matmul.
+/// under the process-wide active backend — one row's multiply-accumulate
+/// ([`crate::LaneVector::add_scaled_assign`]). Sweeps over many rows go
+/// through the chunk kernel behind [`crate::matvec_accumulate`] instead.
 ///
 /// # Panics
 ///
@@ -178,6 +178,74 @@ pub fn accumulate_scaled_with(backend: SimdBackend, acc: &mut [u32], scale: u32,
 fn accumulate_scaled_scalar(acc: &mut [u32], scale: u32, row: &[u32]) {
     for (lane, value) in acc.iter_mut().zip(row) {
         *lane = lane.wrapping_add(scale.wrapping_mul(*value));
+    }
+}
+
+/// A per-row weight of the table sweep: anything that reduces to the `u32`
+/// lane the payload arithmetic multiplies by. The fused DPF kernel emits
+/// `u32` lane weights directly; [`Ring128`] shares (tests, the unfused
+/// baseline, the naive oracle) contribute their low 32 bits.
+pub(crate) trait LaneWeight: Copy {
+    /// The weight mod `2^32`.
+    fn lane(self) -> u32;
+}
+
+impl LaneWeight for u32 {
+    #[inline(always)]
+    fn lane(self) -> u32 {
+        self
+    }
+}
+
+impl LaneWeight for Ring128 {
+    #[inline(always)]
+    fn lane(self) -> u32 {
+        self.to_lane()
+    }
+}
+
+/// `acc[i] += Σ_r weights[r] · rows[r · lanes + i]` (wrapping, `lanes =
+/// acc.len()`) over a chunk of contiguous rows, under the process-wide
+/// active backend.
+///
+/// This is the table sweep of the fused DPF-matmul and of the naive oracle:
+/// one dispatch per *chunk*, with the accumulator lanes held in vector
+/// registers across all of the chunk's rows instead of being stored and
+/// re-loaded per row.
+///
+/// # Panics
+///
+/// Panics if `rows.len() != weights.len() * acc.len()`.
+#[inline]
+pub(crate) fn accumulate_rows<W: LaneWeight>(acc: &mut [u32], weights: &[W], rows: &[u32]) {
+    accumulate_rows_with(SimdBackend::active(), acc, weights, rows);
+}
+
+/// [`accumulate_rows`] with an explicit backend (tests).
+pub(crate) fn accumulate_rows_with<W: LaneWeight>(
+    backend: SimdBackend,
+    acc: &mut [u32],
+    weights: &[W],
+    rows: &[u32],
+) {
+    assert_eq!(
+        rows.len(),
+        weights.len() * acc.len(),
+        "need one row of acc.len() lanes per weight"
+    );
+    match backend.supported_or_scalar() {
+        #[cfg(target_arch = "x86_64")]
+        SimdBackend::Avx2 => avx2::accumulate_rows(acc, weights, rows),
+        _ => accumulate_rows_scalar(acc, weights, rows),
+    }
+}
+
+fn accumulate_rows_scalar<W: LaneWeight>(acc: &mut [u32], weights: &[W], rows: &[u32]) {
+    if acc.is_empty() {
+        return;
+    }
+    for (weight, row) in weights.iter().zip(rows.chunks_exact(acc.len())) {
+        accumulate_scaled_scalar(acc, weight.lane(), row);
     }
 }
 
@@ -257,10 +325,12 @@ fn xor_blocks_inplace_scalar(out: &mut [Block128], inputs: &[Block128]) {
 #[allow(unsafe_code)]
 mod avx2 {
     use core::arch::x86_64::{
-        __m256i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_mullo_epi32, _mm256_set1_epi32,
+        __m256i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_maskload_epi32,
+        _mm256_maskstore_epi32, _mm256_mullo_epi32, _mm256_set1_epi32, _mm256_setzero_si256,
         _mm256_storeu_si256, _mm256_xor_si256,
     };
 
+    use super::LaneWeight;
     use crate::Block128;
 
     #[inline]
@@ -290,6 +360,115 @@ mod avx2 {
             }
             for i in chunks * 8..lanes {
                 acc[i] = acc[i].wrapping_add(scale.wrapping_mul(row[i]));
+            }
+        }
+    }
+
+    /// `acc[i] += Σ_r weights[r] · rows[r · lanes + i]`; the safe dispatcher
+    /// has checked `rows.len() == weights.len() * acc.len()`.
+    #[inline]
+    pub(super) fn accumulate_rows<W: LaneWeight>(acc: &mut [u32], weights: &[W], rows: &[u32]) {
+        debug_assert_eq!(rows.len(), weights.len() * acc.len());
+        // SAFETY: reached only via a supported Avx2 backend value, and with
+        // the row-buffer length the dispatcher asserted.
+        unsafe { accumulate_rows_impl(acc, weights, rows) }
+    }
+
+    /// The lane dimension is cut into column blocks of 4, 2 or 1 whole
+    /// vectors plus one masked sub-vector tail; each block keeps its
+    /// accumulators in registers for the whole chunk of rows.
+    // SAFETY: caller must ensure AVX2 is available (`#[target_feature]`) and
+    // `rows.len() == weights.len() * acc.len()`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn accumulate_rows_impl<W: LaneWeight>(acc: &mut [u32], weights: &[W], rows: &[u32]) {
+        let lanes = acc.len();
+        let mut column = 0;
+        // SAFETY: every block below covers lanes [column, column + 8·N) (or
+        // the `lanes - column < 8` masked tail) with column + 8·N <= lanes,
+        // so per row r < weights.len() it touches rows[r·lanes + column ..]
+        // strictly inside row r, and acc[column ..] inside `acc`.
+        unsafe {
+            while lanes - column >= 32 {
+                sweep_columns::<4, W>(acc, weights, rows, column, FULL);
+                column += 32;
+            }
+            if lanes - column >= 16 {
+                sweep_columns::<2, W>(acc, weights, rows, column, FULL);
+                column += 16;
+            }
+            if lanes - column >= 8 {
+                sweep_columns::<1, W>(acc, weights, rows, column, FULL);
+                column += 8;
+            }
+            if lanes > column {
+                sweep_columns::<1, W>(acc, weights, rows, column, lanes - column);
+            }
+        }
+    }
+
+    /// `live` value of [`sweep_columns`] for whole vectors.
+    const FULL: usize = 8;
+
+    /// One column block: `N` accumulator vectors starting at lane `column`,
+    /// swept over every row of the chunk. The last vector carries `live`
+    /// lanes (`FULL`, or fewer for the masked tail of the lane dimension).
+    // SAFETY: caller must ensure AVX2 is available, `rows.len() ==
+    // weights.len() * acc.len()`, and `column + 8·(N − 1) + live <=
+    // acc.len()` with `1 <= live <= 8`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sweep_columns<const N: usize, W: LaneWeight>(
+        acc: &mut [u32],
+        weights: &[W],
+        rows: &[u32],
+        column: usize,
+        live: usize,
+    ) {
+        // Lane j of the mask has its sign bit set iff j < live; masked loads
+        // read nothing (and fault on nothing) in the other lanes, masked
+        // stores write nothing there.
+        const RAMP: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+        let lanes = acc.len();
+        // SAFETY: RAMP[8 - live ..][..8] is in bounds for 1 <= live <= 8;
+        // vectors k < N − 1 are whole (column + 8·k + 8 <= lanes) and use
+        // unaligned full loads/stores, the last one touches only its `live`
+        // lanes through the mask; row pointers stay inside `rows` because
+        // r < weights.len() and rows.len() == weights.len() * lanes.
+        unsafe {
+            let mask = _mm256_loadu_si256(RAMP.as_ptr().add(8 - live).cast::<__m256i>());
+            // Only the last vector of a tail block goes through the mask.
+            let masked = |k: usize| live != FULL && k + 1 == N;
+            let acc_ptr = acc.as_mut_ptr().add(column);
+            let mut sums = [_mm256_setzero_si256(); N];
+            for (k, sum) in sums.iter_mut().enumerate() {
+                *sum = if masked(k) {
+                    _mm256_maskload_epi32(acc_ptr.add(8 * k).cast::<i32>(), mask)
+                } else {
+                    _mm256_loadu_si256(acc_ptr.add(8 * k).cast::<__m256i>())
+                };
+            }
+            let mut row_ptr = rows.as_ptr().add(column);
+            for weight in weights {
+                let scale = _mm256_set1_epi32(weight.lane() as i32);
+                for (k, sum) in sums.iter_mut().enumerate() {
+                    let lanes_k = if masked(k) {
+                        _mm256_maskload_epi32(row_ptr.add(8 * k).cast::<i32>(), mask)
+                    } else {
+                        _mm256_loadu_si256(row_ptr.add(8 * k).cast::<__m256i>())
+                    };
+                    // mullo keeps the low 32 bits of each product — exactly
+                    // `wrapping_mul` — and add_epi32 is `wrapping_add`.
+                    *sum = _mm256_add_epi32(*sum, _mm256_mullo_epi32(lanes_k, scale));
+                }
+                // One past the last row's block start is never dereferenced.
+                row_ptr = row_ptr.wrapping_add(lanes);
+            }
+            for (k, sum) in sums.iter().enumerate() {
+                if masked(k) {
+                    _mm256_maskstore_epi32(acc_ptr.add(8 * k).cast::<i32>(), mask, *sum);
+                } else {
+                    _mm256_storeu_si256(acc_ptr.add(8 * k).cast::<__m256i>(), *sum);
+                }
             }
         }
     }
@@ -425,6 +604,45 @@ mod tests {
                 assert_eq!(want, got, "xor_blocks {backend:?} len={len}");
             }
         }
+    }
+
+    /// The chunk kernel against the per-row scalar loop it replaced, on every
+    /// backend this host can run (so the forced-scalar CI lane covers the
+    /// fallback): lane counts around every column-block seam (masked tail
+    /// only, 1/2/4-vector blocks with and without a tail), chunk sizes from
+    /// empty to the paper's K = 128, both weight widths.
+    #[test]
+    fn row_sweep_matches_per_row_loop() {
+        let mut rng = StdRng::seed_from_u64(0x00C0_1A5E);
+        for backend in SimdBackend::candidates() {
+            for lanes in [1usize, 3, 7, 8, 9, 15, 16, 17, 24, 33] {
+                for rows in [0usize, 1, 2, 127, 128] {
+                    let table: Vec<u32> = (0..rows * lanes).map(|_| rng.gen()).collect();
+                    let shares: Vec<Ring128> =
+                        (0..rows).map(|_| Ring128::random(&mut rng)).collect();
+                    let weights: Vec<u32> = shares.iter().map(|w| w.to_lane()).collect();
+                    let base: Vec<u32> = (0..lanes).map(|_| rng.gen()).collect();
+
+                    let mut want = base.clone();
+                    for (weight, row) in weights.iter().zip(table.chunks_exact(lanes)) {
+                        accumulate_scaled_scalar(&mut want, *weight, row);
+                    }
+                    let what = format!("{backend:?} lanes={lanes} rows={rows}");
+                    let mut got = base.clone();
+                    accumulate_rows_with(*backend, &mut got, &weights, &table);
+                    assert_eq!(got, want, "{what}: u32 weights");
+                    let mut got = base.clone();
+                    accumulate_rows_with(*backend, &mut got, &shares, &table);
+                    assert_eq!(got, want, "{what}: Ring128 weights");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one row of acc.len() lanes per weight")]
+    fn row_sweep_rejects_a_short_row_buffer() {
+        accumulate_rows(&mut [0u32; 4], &[1u32, 2], &[0u32; 7]);
     }
 
     proptest! {

@@ -117,8 +117,8 @@ impl LaneVector {
         crate::simd::add_wrapping(&mut self.0, &other.0);
     }
 
-    /// Accumulate `scale * other` element-wise (wrapping), the core of the
-    /// fused DPF × table multiply.
+    /// Accumulate `scale * other` element-wise (wrapping): one row of a
+    /// share-weighted sum.
     ///
     /// # Panics
     ///

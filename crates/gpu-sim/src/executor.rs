@@ -8,8 +8,9 @@ use crate::{
     MemoryTracker, OccupancyEstimate,
 };
 
-/// Run every block of `config` over a pool of `host_threads` workers with a
-/// work-stealing index, recording into the shared `counters`/`memory`.
+/// Run every block of `config` over a pool of `host_threads` workers (the
+/// caller and `host_threads - 1` scoped threads) with a work-stealing index,
+/// recording into the shared `counters`/`memory`.
 ///
 /// Returns the host wall-clock seconds the sweep took. Both device backends
 /// share this exact loop — the analytical [`GpuExecutor`] and the measured
@@ -28,17 +29,22 @@ pub(crate) fn run_blocks(
     let start = Instant::now();
 
     let workers = host_threads.min(total_blocks.max(1) as usize);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let block_index = next_block.fetch_add(1, Ordering::Relaxed);
-                if block_index >= total_blocks {
-                    break;
-                }
-                let ctx = BlockContext::new(block_index, config, counters, memory);
-                kernel.execute_block(&ctx);
-            });
+    let work = || loop {
+        let block_index = next_block.fetch_add(1, Ordering::Relaxed);
+        if block_index >= total_blocks {
+            break;
         }
+        let ctx = BlockContext::new(block_index, config, counters, memory);
+        kernel.execute_block(&ctx);
+    };
+    // The launching thread is one of the workers: a one-block launch (a lone
+    // query) spawns nothing, and a serving thread's launches keep allocating
+    // from that thread's own heap instead of a fresh thread's.
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
     });
 
     start.elapsed().as_secs_f64()
@@ -186,6 +192,21 @@ mod tests {
         assert!(seen_mask.iter().all(|b| b.load(Ordering::Relaxed) == 1));
         assert_eq!(report.counters.flops, 257);
         assert!(report.estimated_time_s > 0.0);
+    }
+
+    #[test]
+    fn a_one_block_launch_runs_on_the_launching_thread() {
+        let executor = GpuExecutor::with_host_threads(DeviceSpec::v100(), 4);
+        let launcher = std::thread::current().id();
+        let ran_on = std::sync::Mutex::new(None);
+        executor.launch(
+            "lone_block",
+            LaunchConfig::linear(1, 32),
+            |_: &BlockContext<'_>| {
+                *ran_on.lock().unwrap() = Some(std::thread::current().id());
+            },
+        );
+        assert_eq!(ran_on.into_inner().unwrap(), Some(launcher));
     }
 
     #[test]

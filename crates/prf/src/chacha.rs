@@ -6,6 +6,13 @@
 
 use pir_field::{Block128, SimdBackend};
 
+// The block-parallel kernel of this architecture's vector backend.
+#[cfg(target_arch = "aarch64")]
+use crate::simd::chacha_neon as vector;
+#[cfg(target_arch = "x86_64")]
+use crate::simd::chacha_x86 as vector;
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+use crate::simd::LaneKernel;
 use crate::{Prf, PrfKind};
 
 /// The ChaCha20 state constants ("expand 32-byte k").
@@ -109,6 +116,20 @@ impl ChaCha20Prf {
     }
 }
 
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+impl LaneKernel<{ vector::WIDTH }> for ChaCha20Prf {
+    fn steps(&self, inputs: &[Block128], tweaks: &[u64; vector::WIDTH], out: &mut [Block128]) {
+        let mut nonces = [[0u32; vector::WIDTH]; 3];
+        for (lane, tweak) in tweaks.iter().enumerate() {
+            let nonce = Self::nonce(*tweak);
+            for (word, lanes) in nonces.iter_mut().enumerate() {
+                lanes[lane] = nonce[word];
+            }
+        }
+        vector::eval_blocks(&self.key_high, &nonces, inputs, out);
+    }
+}
+
 impl Prf for ChaCha20Prf {
     fn kind(&self) -> PrfKind {
         PrfKind::Chacha20
@@ -121,45 +142,39 @@ impl Prf for ChaCha20Prf {
     }
 
     fn eval_blocks(&self, inputs: &[Block128], tweak: u64, out: &mut [Block128]) {
+        // A non-scalar backend value exists only after runtime detection of
+        // this architecture's kernel (`with_backend`).
+        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+        if self.backend != SimdBackend::Scalar {
+            return self.sweep(inputs, tweak, out);
+        }
         assert_eq!(
             inputs.len(),
             out.len(),
             "eval_blocks input/output length mismatch"
         );
         let nonce = Self::nonce(tweak);
-        #[cfg_attr(
-            not(any(target_arch = "x86_64", target_arch = "aarch64")),
-            allow(unused_mut)
-        )]
-        let mut vector_len = 0;
-        #[cfg(target_arch = "x86_64")]
-        if self.backend == SimdBackend::Avx2 {
-            vector_len = inputs.len() - inputs.len() % crate::simd::chacha_x86::WIDTH;
-            crate::simd::chacha_x86::eval_blocks(
-                &self.key_high,
-                &nonce,
-                &inputs[..vector_len],
-                &mut out[..vector_len],
-            );
-        }
-        #[cfg(target_arch = "aarch64")]
-        if self.backend == SimdBackend::Neon {
-            vector_len = inputs.len() - inputs.len() % crate::simd::chacha_neon::WIDTH;
-            crate::simd::chacha_neon::eval_blocks(
-                &self.key_high,
-                &nonce,
-                &inputs[..vector_len],
-                &mut out[..vector_len],
-            );
-        }
         let mut key = [0u32; 8];
         key[4..8].copy_from_slice(&self.key_high);
-        for (input, slot) in inputs[vector_len..]
-            .iter()
-            .zip(out[vector_len..].iter_mut())
-        {
+        for (input, slot) in inputs.iter().zip(out.iter_mut()) {
             *slot = self.eval_with_key(*input, &mut key, &nonce);
         }
+    }
+
+    fn eval_blocks_pair(
+        &self,
+        inputs: &[Block128],
+        tweak_a: u64,
+        tweak_b: u64,
+        out_a: &mut [Block128],
+        out_b: &mut [Block128],
+    ) {
+        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+        if self.backend != SimdBackend::Scalar {
+            return self.sweep_pair(inputs, tweak_a, tweak_b, out_a, out_b);
+        }
+        self.eval_blocks(inputs, tweak_a, out_a);
+        self.eval_blocks(inputs, tweak_b, out_b);
     }
 
     fn backend_label(&self) -> &'static str {

@@ -55,25 +55,30 @@ impl GgmPrg {
     /// Expand a node seed into its two children.
     ///
     /// Each expansion costs exactly two PRF block evaluations — one per child
-    /// — which is the unit the paper's Figure 6 counts.
+    /// — which is the unit the paper's Figure 6 counts. A lone node takes the
+    /// same batched sweep as a whole frontier (a one-element slice), so hosts
+    /// with a vector backend never fall to the table-driven scalar primitive.
     #[must_use]
     pub fn expand(&self, seed: Block128) -> PrgExpansion {
-        let left = self.prf.eval_block(seed, LEFT_TWEAK) ^ seed;
-        let right = self.prf.eval_block(seed, RIGHT_TWEAK) ^ seed;
+        let (mut left, mut right) = ([Block128::ZERO], [Block128::ZERO]);
+        self.prf
+            .expand_blocks_mmo(&[seed], LEFT_TWEAK, RIGHT_TWEAK, &mut left, &mut right);
         PrgExpansion {
-            seed_left: left.with_cleared_lsb(),
-            seed_right: right.with_cleared_lsb(),
-            t_left: left.lsb(),
-            t_right: right.lsb(),
+            seed_left: left[0].with_cleared_lsb(),
+            seed_right: right[0].with_cleared_lsb(),
+            t_left: left[0].lsb(),
+            t_right: right[0].lsb(),
         }
     }
 
     /// Expand only one child (used by the single-point `Eval`); costs one PRF
-    /// block evaluation.
+    /// block evaluation, through the batched single-tweak sweep.
     #[must_use]
     pub fn expand_one(&self, seed: Block128, right: bool) -> (Block128, bool) {
         let tweak = if right { RIGHT_TWEAK } else { LEFT_TWEAK };
-        let out = self.prf.eval_block(seed, tweak) ^ seed;
+        let mut out = [Block128::ZERO];
+        self.prf.eval_blocks(&[seed], tweak, &mut out);
+        let out = out[0] ^ seed;
         (out.with_cleared_lsb(), out.lsb())
     }
 
@@ -230,14 +235,29 @@ mod tests {
         assert_eq!(prg.expand_one(seed, true), (both.seed_right, both.t_right));
     }
 
+    /// Lone nodes go through the batched sweeps, which must not change what
+    /// they cost: exactly 2 counted blocks per `expand` and 1 per
+    /// `expand_one`, for every PRF family on every backend.
     #[test]
-    fn expand_counts_two_prf_calls() {
-        let counting = crate::build_counting_prf(PrfKind::SipHash);
-        let prg = GgmPrg::new(counting.clone() as Arc<dyn Prf>);
-        let _ = prg.expand(Block128::from_u128(5));
-        assert_eq!(counting.calls(), 2);
-        let _ = prg.expand_one(Block128::from_u128(5), true);
-        assert_eq!(counting.calls(), 3);
+    fn lone_node_expansions_count_exactly() {
+        for kind in PrfKind::ALL {
+            for backend in crate::SimdBackend::candidates() {
+                let counting = Arc::new(crate::CountingPrf::new(crate::build_prf_with_backend(
+                    kind, *backend,
+                )));
+                let prg = GgmPrg::new(counting.clone() as Arc<dyn Prf>);
+                let seed = Block128::from_u128(5);
+                let both = prg.expand(seed);
+                assert_eq!(counting.calls(), 2, "{kind} {backend:?}: expand");
+                let right = prg.expand_one(seed, true);
+                assert_eq!(counting.calls(), 3, "{kind} {backend:?}: expand_one");
+                assert_eq!(right, (both.seed_right, both.t_right), "{kind} {backend:?}");
+                // And they still equal the scalar block function.
+                let reference = counting.inner().eval_block(seed, LEFT_TWEAK) ^ seed;
+                assert_eq!(both.seed_left, reference.with_cleared_lsb(), "{kind}");
+                assert_eq!(both.t_left, reference.lsb(), "{kind}");
+            }
+        }
     }
 
     /// The batched frontier expansion must agree with per-node `expand` for

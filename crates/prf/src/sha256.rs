@@ -6,6 +6,8 @@
 
 use pir_field::{Block128, SimdBackend};
 
+#[cfg(target_arch = "x86_64")]
+use crate::simd::{sha256_x86, LaneKernel};
 use crate::{Prf, PrfKind};
 
 const H0: [u32; 8] = [
@@ -278,6 +280,19 @@ impl Sha256Prf {
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+impl LaneKernel<{ sha256_x86::WIDTH }> for Sha256Prf {
+    fn steps(&self, inputs: &[Block128], tweaks: &[u64; sha256_x86::WIDTH], out: &mut [Block128]) {
+        sha256_x86::eval_blocks(
+            &self.inner_midstate,
+            &self.outer_midstate,
+            inputs,
+            tweaks,
+            out,
+        );
+    }
+}
+
 impl Prf for Sha256Prf {
     fn kind(&self) -> PrfKind {
         PrfKind::Sha256
@@ -288,30 +303,36 @@ impl Prf for Sha256Prf {
     }
 
     fn eval_blocks(&self, inputs: &[Block128], tweak: u64, out: &mut [Block128]) {
+        // The Avx2 backend value exists only after runtime detection
+        // (`with_backend`).
+        #[cfg(target_arch = "x86_64")]
+        if self.backend == SimdBackend::Avx2 {
+            return self.sweep(inputs, tweak, out);
+        }
         assert_eq!(
             inputs.len(),
             out.len(),
             "eval_blocks input/output length mismatch"
         );
-        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
-        let mut vector_len = 0;
-        #[cfg(target_arch = "x86_64")]
-        if self.backend == SimdBackend::Avx2 {
-            vector_len = inputs.len() - inputs.len() % crate::simd::sha256_x86::WIDTH;
-            crate::simd::sha256_x86::eval_blocks(
-                &self.inner_midstate,
-                &self.outer_midstate,
-                &inputs[..vector_len],
-                tweak,
-                &mut out[..vector_len],
-            );
-        }
-        for (input, slot) in inputs[vector_len..]
-            .iter()
-            .zip(out[vector_len..].iter_mut())
-        {
+        for (input, slot) in inputs.iter().zip(out.iter_mut()) {
             *slot = self.mac_block(*input, tweak);
         }
+    }
+
+    fn eval_blocks_pair(
+        &self,
+        inputs: &[Block128],
+        tweak_a: u64,
+        tweak_b: u64,
+        out_a: &mut [Block128],
+        out_b: &mut [Block128],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if self.backend == SimdBackend::Avx2 {
+            return self.sweep_pair(inputs, tweak_a, tweak_b, out_a, out_b);
+        }
+        self.eval_blocks(inputs, tweak_a, out_a);
+        self.eval_blocks(inputs, tweak_b, out_b);
     }
 
     fn backend_label(&self) -> &'static str {

@@ -43,31 +43,38 @@ unsafe fn quarter_round(state: &mut [uint32x4_t; 16], a: usize, b: usize, c: usi
 
 /// Vectorized `eval_blocks` over a whole-multiple-of-[`WIDTH`] batch.
 ///
+/// `nonces[w]` holds nonce word `w` of every lane: lane `j` of each vector
+/// step evaluates under `(nonces[0][j], nonces[1][j], nonces[2][j])`. A
+/// uniform sweep repeats one nonce in all lanes; a padded tail mixes both
+/// child tweaks in one step.
+///
 /// Must only be called when the Neon backend passed runtime detection, and
-/// with `inputs.len() % WIDTH == 0` (the caller evaluates the remainder with
-/// the scalar path).
+/// with `inputs.len() % WIDTH == 0` (the caller pads the remainder up to one
+/// more step).
 pub(crate) fn eval_blocks(
     key_high: &[u32; 4],
-    nonce: &[u32; 3],
+    nonces: &[[u32; WIDTH]; 3],
     inputs: &[Block128],
     out: &mut [Block128],
 ) {
-    debug_assert_eq!(inputs.len() % WIDTH, 0);
-    debug_assert_eq!(inputs.len(), out.len());
+    assert_eq!(inputs.len() % WIDTH, 0, "whole vector steps only");
+    assert_eq!(inputs.len(), out.len(), "input/output length mismatch");
     // SAFETY: caller contract — NEON available (baseline on aarch64).
-    unsafe { eval_blocks_impl(key_high, nonce, inputs, out) }
+    unsafe { eval_blocks_impl(key_high, nonces, inputs, out) }
 }
 
 #[target_feature(enable = "neon")]
 unsafe fn eval_blocks_impl(
     key_high: &[u32; 4],
-    nonce: &[u32; 3],
+    nonces: &[[u32; WIDTH]; 3],
     inputs: &[Block128],
     out: &mut [Block128],
 ) {
     // SAFETY: NEON is enabled by the caller; Block128 is #[repr(transparent)]
-    // over u128, so the word reads at base + 12 + j stay inside `inputs`, and
-    // the only stores target local [u32; 4] arrays.
+    // over u128, so the word reads at base + 12 + j stay inside `inputs`
+    // (whose length the safe wrapper checked to be a multiple of WIDTH);
+    // each `nonces[w]` is 16 readable bytes, and the only stores target
+    // local [u32; 4] arrays.
     unsafe {
         let constants: [uint32x4_t; 4] = [
             vdupq_n_u32(0x6170_7865),
@@ -83,9 +90,9 @@ unsafe fn eval_blocks_impl(
         ];
         let tail_v: [uint32x4_t; 4] = [
             vdupq_n_u32(0), // counter
-            vdupq_n_u32(nonce[0]),
-            vdupq_n_u32(nonce[1]),
-            vdupq_n_u32(nonce[2]),
+            vld1q_u32(nonces[0].as_ptr()),
+            vld1q_u32(nonces[1].as_ptr()),
+            vld1q_u32(nonces[2].as_ptr()),
         ];
 
         // Block128 is #[repr(transparent)] over u128 — each block is four

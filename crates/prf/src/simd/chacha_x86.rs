@@ -14,8 +14,8 @@
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
-    __m256i, _mm256_add_epi32, _mm256_or_si256, _mm256_set1_epi32, _mm256_setr_epi32,
-    _mm256_setr_epi8, _mm256_shuffle_epi8, _mm256_slli_epi32, _mm256_srli_epi32,
+    __m256i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_or_si256, _mm256_set1_epi32,
+    _mm256_setr_epi32, _mm256_setr_epi8, _mm256_shuffle_epi8, _mm256_slli_epi32, _mm256_srli_epi32,
     _mm256_storeu_si256, _mm256_xor_si256,
 };
 
@@ -81,31 +81,38 @@ unsafe fn quarter_round(state: &mut [__m256i; 16], a: usize, b: usize, c: usize,
 
 /// Vectorized `eval_blocks` over a whole-multiple-of-[`WIDTH`] batch.
 ///
+/// `nonces[w]` holds nonce word `w` of every lane: lane `j` of each vector
+/// step evaluates under `(nonces[0][j], nonces[1][j], nonces[2][j])`. A
+/// uniform sweep repeats one nonce in all lanes; a padded tail mixes both
+/// child tweaks in one step.
+///
 /// Must only be called when the Avx2 backend passed runtime detection, and
-/// with `inputs.len() % WIDTH == 0` (the caller evaluates the remainder with
-/// the scalar path).
+/// with `inputs.len() % WIDTH == 0` (the caller pads the remainder up to one
+/// more step).
 pub(crate) fn eval_blocks(
     key_high: &[u32; 4],
-    nonce: &[u32; 3],
+    nonces: &[[u32; WIDTH]; 3],
     inputs: &[Block128],
     out: &mut [Block128],
 ) {
-    debug_assert_eq!(inputs.len() % WIDTH, 0);
-    debug_assert_eq!(inputs.len(), out.len());
+    assert_eq!(inputs.len() % WIDTH, 0, "whole vector steps only");
+    assert_eq!(inputs.len(), out.len(), "input/output length mismatch");
     // SAFETY: caller contract — AVX2 detected at runtime.
-    unsafe { eval_blocks_impl(key_high, nonce, inputs, out) }
+    unsafe { eval_blocks_impl(key_high, nonces, inputs, out) }
 }
 
 #[target_feature(enable = "avx2")]
 unsafe fn eval_blocks_impl(
     key_high: &[u32; 4],
-    nonce: &[u32; 3],
+    nonces: &[[u32; WIDTH]; 3],
     inputs: &[Block128],
     out: &mut [Block128],
 ) {
     // SAFETY: AVX2 is enabled by the caller; Block128 is #[repr(transparent)]
-    // over u128, so the word reads at base + 28 + j stay inside `inputs`, and
-    // the only stores target local [u32; 8] arrays.
+    // over u128, so the word reads at base + 28 + j stay inside `inputs`
+    // (whose length the safe wrapper checked to be a multiple of WIDTH);
+    // each `nonces[w]` is 32 readable bytes (unaligned load), and the only
+    // stores target local [u32; 8] arrays.
     unsafe {
         // The state words that do not depend on the input are the same for every
         // block of the sweep.
@@ -123,9 +130,9 @@ unsafe fn eval_blocks_impl(
         ];
         let tail_v: [__m256i; 4] = [
             _mm256_set1_epi32(0), // counter
-            _mm256_set1_epi32(nonce[0] as i32),
-            _mm256_set1_epi32(nonce[1] as i32),
-            _mm256_set1_epi32(nonce[2] as i32),
+            _mm256_loadu_si256(nonces[0].as_ptr().cast::<__m256i>()),
+            _mm256_loadu_si256(nonces[1].as_ptr().cast::<__m256i>()),
+            _mm256_loadu_si256(nonces[2].as_ptr().cast::<__m256i>()),
         ];
 
         // Block128 is #[repr(transparent)] over u128 — each block is four

@@ -11,9 +11,9 @@
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
-    __m256i, _mm256_add_epi32, _mm256_and_si256, _mm256_andnot_si256, _mm256_or_si256,
-    _mm256_set1_epi32, _mm256_setr_epi32, _mm256_setr_epi8, _mm256_shuffle_epi8, _mm256_slli_epi32,
-    _mm256_srli_epi32, _mm256_storeu_si256, _mm256_xor_si256,
+    __m256i, _mm256_add_epi32, _mm256_and_si256, _mm256_andnot_si256, _mm256_loadu_si256,
+    _mm256_or_si256, _mm256_set1_epi32, _mm256_setr_epi32, _mm256_setr_epi8, _mm256_shuffle_epi8,
+    _mm256_slli_epi32, _mm256_srli_epi32, _mm256_storeu_si256, _mm256_xor_si256,
 };
 
 use pir_field::Block128;
@@ -115,22 +115,24 @@ unsafe fn broadcast_state(words: &[u32; 8]) -> [__m256i; 8] {
     out
 }
 
-/// Vectorized `eval_blocks` over a whole-multiple-of-[`WIDTH`] batch.
+/// Vectorized `eval_blocks` over a whole-multiple-of-[`WIDTH`] batch; lane
+/// `j` of every vector step evaluates under `tweaks[j]` (a uniform sweep
+/// repeats one tweak, a padded tail mixes both child tweaks in one step).
 ///
 /// Must only be called when the Avx2 backend passed runtime detection, and
-/// with `inputs.len() % WIDTH == 0` (the caller evaluates the remainder with
-/// the scalar path).
+/// with `inputs.len() % WIDTH == 0` (the caller pads the remainder up to one
+/// more step).
 pub(crate) fn eval_blocks(
     inner_midstate: &[u32; 8],
     outer_midstate: &[u32; 8],
     inputs: &[Block128],
-    tweak: u64,
+    tweaks: &[u64; WIDTH],
     out: &mut [Block128],
 ) {
-    debug_assert_eq!(inputs.len() % WIDTH, 0);
-    debug_assert_eq!(inputs.len(), out.len());
+    assert_eq!(inputs.len() % WIDTH, 0, "whole vector steps only");
+    assert_eq!(inputs.len(), out.len(), "input/output length mismatch");
     // SAFETY: caller contract — AVX2 detected at runtime.
-    unsafe { eval_blocks_impl(inner_midstate, outer_midstate, inputs, tweak, out) }
+    unsafe { eval_blocks_impl(inner_midstate, outer_midstate, inputs, tweaks, out) }
 }
 
 #[target_feature(enable = "avx2")]
@@ -138,19 +140,24 @@ unsafe fn eval_blocks_impl(
     inner_midstate: &[u32; 8],
     outer_midstate: &[u32; 8],
     inputs: &[Block128],
-    tweak: u64,
+    tweaks: &[u64; WIDTH],
     out: &mut [Block128],
 ) {
     // SAFETY: AVX2 is enabled by the caller; Block128 is #[repr(transparent)]
-    // over u128, so the word reads at base + 28 + j stay inside `inputs`, and
-    // the only stores target local [u32; 8] arrays.
+    // over u128, so the word reads at base + 28 + j stay inside `inputs`
+    // (whose length the safe wrapper checked to be a multiple of WIDTH), the
+    // tweak-word loads read local [u32; 8] arrays, and the only stores target
+    // local [u32; 8] arrays.
     unsafe {
         let zero = _mm256_set1_epi32(0);
         let pad_word = _mm256_set1_epi32(0x8000_0000_u32 as i32);
-        // Message words 4–5 (the tweak) and 14–15 (the bit length) are the same
-        // for every block; as big-endian words they are byte-swapped u32s.
-        let w4 = _mm256_set1_epi32((tweak as u32).swap_bytes() as i32);
-        let w5 = _mm256_set1_epi32(((tweak >> 32) as u32).swap_bytes() as i32);
+        // Message words 4–5 (the lane's tweak) and 14–15 (the bit length) are
+        // the same for every step; as big-endian words they are byte-swapped
+        // u32s.
+        let tweak_low = tweaks.map(|tweak| (tweak as u32).swap_bytes());
+        let tweak_high = tweaks.map(|tweak| ((tweak >> 32) as u32).swap_bytes());
+        let w4 = _mm256_loadu_si256(tweak_low.as_ptr().cast::<__m256i>());
+        let w5 = _mm256_loadu_si256(tweak_high.as_ptr().cast::<__m256i>());
         let inner_len_hi = _mm256_set1_epi32(((INNER_LEN_BITS >> 32) as u32) as i32);
         let inner_len_lo = _mm256_set1_epi32((INNER_LEN_BITS as u32) as i32);
         let outer_len_hi = _mm256_set1_epi32(((OUTER_LEN_BITS >> 32) as u32) as i32);

@@ -1,8 +1,10 @@
 //! Tail-correctness proofs for the vectorized PRF backends.
 //!
 //! Every SIMD path splits a batch into a vector-width-aligned prefix and a
-//! scalar remainder; the seams (length 0, 1, one-below-a-lane, one-above,
-//! and arbitrary non-multiples) are exactly where a wrong split corrupts
+//! remainder (padded through one more vector step, both child tweaks sharing
+//! it when they fit; scalar only where the kernel is narrower than a pair);
+//! the seams (length 0, 1, half a lane, one-below-a-lane, one-above, and
+//! arbitrary non-multiples) are exactly where a wrong split corrupts
 //! outputs. These tests pin every batch entry point — `eval_blocks`,
 //! `eval_blocks_pair` and `expand_blocks_mmo` — to the scalar backend,
 //! byte for byte, for every PRF family × every backend this host supports.
@@ -20,7 +22,18 @@ const LANE: usize = 8;
 
 /// Deterministic edge lengths every property run always covers, in addition
 /// to the sampled ones.
-const EDGE_LENGTHS: [usize; 8] = [0, 1, 2, LANE - 1, LANE, LANE + 1, 2 * LANE - 1, 33];
+const EDGE_LENGTHS: [usize; 10] = [
+    0,
+    1,
+    2,
+    3,
+    LANE / 2,
+    LANE - 1,
+    LANE,
+    LANE + 1,
+    2 * LANE - 1,
+    33,
+];
 
 fn random_blocks(seed: u64, len: usize) -> Vec<Block128> {
     let mut rng = StdRng::seed_from_u64(seed);
