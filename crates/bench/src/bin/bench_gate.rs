@@ -20,6 +20,8 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
+use pir_core::json_escape;
+
 /// One parsed result line.
 #[derive(Clone, Copy, Debug)]
 struct Sample {
@@ -75,20 +77,6 @@ fn extract_number(line: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Escape a benchmark name for embedding in the JSON summary line.
-fn escape(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for c in name.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// One machine-readable line summarizing observed-vs-baseline factors, so CI
 /// logs (and anything scraping them) get the whole gate verdict without
 /// parsing the human-oriented table. Missing benchmarks report `null`.
@@ -102,8 +90,8 @@ fn summary_line(factor: f64, ratios: &BTreeMap<String, Option<f64>>, failed: boo
             line.push(',');
         }
         match ratio {
-            Some(ratio) => line.push_str(&format!("\"{}\":{ratio:.3}", escape(name))),
-            None => line.push_str(&format!("\"{}\":null", escape(name))),
+            Some(ratio) => line.push_str(&format!("\"{}\":{ratio:.3}", json_escape(name))),
+            None => line.push_str(&format!("\"{}\":null", json_escape(name))),
         }
     }
     line.push_str("}}");

@@ -18,8 +18,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 use pir_wire::{
-    decode_message, encode_message_v, Catalog, Dialer, PirTransport, WireError, WireMessage,
-    PROTOCOL_V1,
+    decode_message, encode_message, Catalog, Dialer, PirTransport, WireError, WireMessage,
 };
 
 use crate::error::ClusterError;
@@ -73,12 +72,10 @@ impl ShardConn {
         self.shard
     }
 
-    /// Fetch the shard's catalog (the connect-time handshake). The request
-    /// travels v1 — the one frame every version of the protocol accepts —
-    /// and the reply's advertised ceiling tells the router whether this
-    /// shard can speak v2 stamps at all.
+    /// Fetch the shard's catalog (the connect-time handshake); its
+    /// advertised version ceiling is checked by the router.
     pub(crate) fn handshake(&self) -> Result<Catalog, ClusterError> {
-        match self.call(&WireMessage::CatalogRequest, PROTOCOL_V1, None)? {
+        match self.call(&WireMessage::CatalogRequest, None)? {
             WireMessage::Catalog(catalog) => Ok(catalog),
             other => Err(ClusterError::CatalogMismatch {
                 shard: self.shard,
@@ -96,10 +93,9 @@ impl ShardConn {
     pub(crate) fn call(
         &self,
         message: &WireMessage,
-        version: u16,
         expect_query_id: Option<u64>,
     ) -> Result<WireMessage, ClusterError> {
-        let frame = encode_message_v(message, version);
+        let frame = encode_message(message);
         let started = Instant::now();
         self.telemetry
             .in_flight
@@ -205,12 +201,8 @@ impl ShardConn {
     ///
     /// [`ClusterError::ShardUnavailable`] when zero replicas acked — the
     /// caller must not flip the fence.
-    pub(crate) fn broadcast_update(
-        &self,
-        message: &WireMessage,
-        version: u16,
-    ) -> Result<usize, ClusterError> {
-        let frame = encode_message_v(message, version);
+    pub(crate) fn broadcast_update(&self, message: &WireMessage) -> Result<usize, ClusterError> {
+        let frame = encode_message(message);
         let started = Instant::now();
         let mut state = self.state.lock();
         let mut acked = 0;
@@ -301,7 +293,7 @@ impl ShardConn {
                 return;
             }
         }
-        let frame = encode_message_v(&WireMessage::CatalogRequest, PROTOCOL_V1);
+        let frame = encode_message(&WireMessage::CatalogRequest);
         let started = Instant::now();
         // pir-lint: allow(panic-path, "the dial check at the top of the probe returned early when no connection could be made")
         let transport = state.transport.as_mut().expect("dialed above");
@@ -380,8 +372,7 @@ mod tests {
         fn dial(&self) -> Result<Box<dyn PirTransport>, WireError> {
             self.dials.fetch_add(1, Ordering::SeqCst);
             let (client, mut server) = loopback_pair();
-            // v2 framing so the error's query-id attribution survives.
-            let reply = encode_message_v(&self.reply, pir_wire::PROTOCOL_V2);
+            let reply = encode_message(&self.reply);
             let budget = self.die_after;
             std::thread::spawn(move || {
                 let mut served = 0;
@@ -397,14 +388,7 @@ mod tests {
     }
 
     fn canned_error() -> WireMessage {
-        WireMessage::Error(ErrorReply {
-            code: ErrorCode::UnknownTable,
-            shed: false,
-            min_version: 0,
-            max_version: 0,
-            query_id: 0,
-            message: "canned".into(),
-        })
+        WireMessage::Error(ErrorReply::new(ErrorCode::UnknownTable, 0, "canned"))
     }
 
     #[test]
@@ -426,9 +410,7 @@ mod tests {
                 }),
             ],
         );
-        let reply = conn
-            .call(&WireMessage::CatalogRequest, PROTOCOL_V1, None)
-            .unwrap();
+        let reply = conn.call(&WireMessage::CatalogRequest, None).unwrap();
         assert!(matches!(reply, WireMessage::Error(_)));
         assert_eq!(dials0.load(Ordering::SeqCst), 1);
         assert_eq!(dials1.load(Ordering::SeqCst), 1);
@@ -444,7 +426,7 @@ mod tests {
                 Err(WireError::Transport("connection refused".into()))
             }) as Arc<dyn Dialer>],
         );
-        match conn.call(&WireMessage::CatalogRequest, PROTOCOL_V1, None) {
+        match conn.call(&WireMessage::CatalogRequest, None) {
             Err(ClusterError::ShardUnavailable { shard: 3, detail }) => {
                 assert!(detail.contains("connection refused"));
             }
@@ -468,7 +450,7 @@ mod tests {
                 }),
             })],
         );
-        match conn.call(&WireMessage::CatalogRequest, PROTOCOL_V1, Some(7)) {
+        match conn.call(&WireMessage::CatalogRequest, Some(7)) {
             Err(ClusterError::ShardUnavailable { detail, .. }) => {
                 assert!(detail.contains("desynchronized"), "{detail}");
             }

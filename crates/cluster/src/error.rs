@@ -14,7 +14,7 @@ use pir_wire::WireError;
 pub enum ClusterError {
     /// The static membership or derived shard map is invalid (zero shards,
     /// a shard with no replica endpoints, a table too shallow to split that
-    /// many ways, or a back-haul peer that cannot speak v2 stamps).
+    /// many ways, or a back-haul peer below the protocol floor).
     Config(String),
     /// Every replica endpoint of the shard failed for this call. Queries
     /// fanning out over this shard cannot be answered until a replica

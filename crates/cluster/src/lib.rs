@@ -4,7 +4,7 @@
 //! This crate adds the cluster tier: each party's rows are partitioned
 //! across *shard-owner* processes (each running the unmodified serving
 //! runtime and wire frontend), and a per-party [`ClusterRouter`] owns the
-//! client-facing endpoint, fanning every query out over the v2 wire
+//! client-facing endpoint, fanning every query out over the wire
 //! protocol as back-haul and summing the returned share vectors so the
 //! cluster answers as one giant server.
 //!
@@ -36,7 +36,7 @@
 //!   shed-flagged (retry-later) error.
 //! * **Reload fence** — `update_entry` is two-phase (stage on every
 //!   replica of the owning shard, then flip the per-table fence); a shard
-//!   whose v2 response stamp lags the fence is re-asked exactly once, and
+//!   whose response stamp lags the fence is re-asked exactly once, and
 //!   every aggregate is stamped with a position-dependent digest of the
 //!   per-shard version vector, so the client's existing cross-party stamp
 //!   comparison detects — and transparently retries — any reconstruction

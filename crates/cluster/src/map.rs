@@ -110,19 +110,7 @@ impl ShardMap {
             self.entries,
             "table shape disagrees with the shard map"
         );
-        let owned = &self.ranges[shard];
-        let mut cached_row = u64::MAX;
-        let mut cache: Vec<u8> = Vec::new();
-        PirTable::generate(table.entries(), table.entry_bytes(), |row, offset| {
-            if !owned.iter().any(|range| range.contains(&row)) {
-                return 0;
-            }
-            if row != cached_row {
-                cache = table.entry(row);
-                cached_row = row;
-            }
-            cache[offset]
-        })
+        table.masked(&self.ranges[shard])
     }
 
     /// All shards' masked views, in shard order (the provisioning helper).

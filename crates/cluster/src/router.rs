@@ -30,7 +30,7 @@
 //! every aggregate is stamped with a position-dependent digest of the
 //! per-shard version vector it was computed from. Two parties that mixed
 //! any shard differently produce different digests, and the client's
-//! existing v2 stamp comparison detects it, transparently retries once,
+//! existing stamp comparison detects it, transparently retries once,
 //! and fails with the typed `VersionSkew` on a double straddle — exactly
 //! the single-process machinery, with no client changes. A mixed-version
 //! pair is never silently reconstructed.
@@ -53,9 +53,9 @@ use std::thread::JoinHandle;
 use parking_lot::Mutex;
 use pir_protocol::{validate_update, PirError, PirResponse};
 use pir_wire::{
-    decode_message_versioned, encode_message_v, Catalog, CatalogEntry, ErrorCode, ErrorReply,
-    PirTransport, QueryMsg, ResponseMsg, UpdateAckMsg, UpdateEntryMsg, WireError, WireMessage,
-    MIN_SUPPORTED_VERSION, PROTOCOL_V1, PROTOCOL_V2,
+    decode_request, encode_message, Catalog, CatalogEntry, ErrorCode, ErrorReply, PirTransport,
+    QueryMsg, ResponseMsg, UpdateAckMsg, UpdateEntryMsg, WireError, WireMessage,
+    MAX_SUPPORTED_VERSION, MIN_SUPPORTED_VERSION,
 };
 use rand::SeedableRng;
 
@@ -64,22 +64,6 @@ use crate::config::{ClusterConfig, ClusterMembership};
 use crate::error::ClusterError;
 use crate::map::ShardMap;
 use crate::stats::{RouterStatsSnapshot, RouterTelemetry, TableFenceSnapshot};
-
-/// Longest detail string an error reply echoes back (same bound as the
-/// single-process frontend, for the same reason: client-supplied names
-/// must never push a reply past what the string codec can encode).
-const MAX_ERROR_DETAIL_BYTES: usize = 512;
-
-fn bounded_detail(message: String) -> String {
-    if message.len() <= MAX_ERROR_DETAIL_BYTES {
-        return message;
-    }
-    let mut cut = MAX_ERROR_DETAIL_BYTES;
-    while !message.is_char_boundary(cut) {
-        cut -= 1;
-    }
-    format!("{}... (truncated)", &message[..cut])
-}
 
 /// One table's reload fence.
 struct TableFence {
@@ -132,17 +116,18 @@ impl ClusterRouter {
     /// Connect to every shard, validate the deployment, and build the
     /// router for `party`.
     ///
-    /// Connect-time validation: every shard must answer for `party`, speak
-    /// protocol v2 (the fence is built on response stamps), and advertise a
-    /// catalog identical to shard 0's (masked copies share the schema, so
-    /// any disagreement means mis-provisioning).
+    /// Connect-time validation: every shard must answer for `party`,
+    /// advertise a protocol ceiling at or above the supported floor (the
+    /// fence is built on response stamps), and advertise a catalog identical
+    /// to shard 0's (masked copies share the schema, so any disagreement
+    /// means mis-provisioning).
     ///
     /// # Errors
     ///
     /// [`ClusterError::Config`] for an invalid membership, party, or a
-    /// v1-only shard; [`ClusterError::CatalogMismatch`] for catalog
-    /// disagreements; [`ClusterError::ShardUnavailable`] when a shard
-    /// cannot be reached at all.
+    /// shard below the protocol floor; [`ClusterError::CatalogMismatch`]
+    /// for catalog disagreements; [`ClusterError::ShardUnavailable`] when a
+    /// shard cannot be reached at all.
     pub fn connect(
         membership: &ClusterMembership,
         config: &ClusterConfig,
@@ -170,10 +155,10 @@ impl ClusterRouter {
                     catalog.party
                 )));
             }
-            if catalog.protocol_version < PROTOCOL_V2 {
+            if catalog.protocol_version < MIN_SUPPORTED_VERSION {
                 return Err(ClusterError::Config(format!(
-                    "shard {} speaks protocol v{} but the reload fence needs v{PROTOCOL_V2} \
-                     response stamps",
+                    "shard {} speaks protocol v{}, below the supported floor \
+                     v{MIN_SUPPORTED_VERSION}",
                     conn.shard(),
                     catalog.protocol_version
                 )));
@@ -229,7 +214,7 @@ impl ClusterRouter {
                     tenant: "cluster-fence-calibration".into(),
                     query: query.to_server(party),
                 });
-                match conn.call(&message, PROTOCOL_V2, Some(query_id))? {
+                match conn.call(&message, Some(query_id))? {
                     WireMessage::Response(msg) => {
                         fence.shard[conn.shard()] = Some(msg.table_version);
                     }
@@ -308,9 +293,10 @@ impl ClusterRouter {
 
     /// Serve one client connection until the peer hangs up.
     ///
-    /// Lockstep per connection (one frame in, one out); run one `serve`
-    /// thread per accepted connection for concurrency, exactly like the
-    /// single-process frontend.
+    /// One frame in, one frame out per connection (a session's window is
+    /// served one query at a time — a pipelined router is an open ROADMAP
+    /// item); run one `serve` thread per accepted connection for
+    /// concurrency.
     ///
     /// # Errors
     ///
@@ -336,41 +322,23 @@ impl ClusterRouter {
     /// input, including garbage, yields an encoded reply.
     #[must_use]
     pub fn handle_frame(&self, frame: &[u8]) -> Vec<u8> {
-        let (version, message) = match decode_message_versioned(frame) {
-            Ok(decoded) => decoded,
-            Err(WireError::UnsupportedVersion { got, .. }) => {
-                return encode_message_v(
-                    &WireMessage::Error(ErrorReply::unsupported_range(
-                        got,
-                        MIN_SUPPORTED_VERSION,
-                        PROTOCOL_V2,
-                    )),
-                    PROTOCOL_V1,
-                )
-            }
-            Err(err) => {
-                return encode_message_v(
-                    &error_reply(ErrorCode::Malformed, false, 0, err.to_string()),
-                    PROTOCOL_V1,
-                )
-            }
-        };
-        let reply = match message {
-            WireMessage::CatalogRequest => WireMessage::Catalog(Catalog {
-                protocol_version: PROTOCOL_V2,
+        let reply = match decode_request(frame) {
+            Err(reply) => reply.into(),
+            Ok(WireMessage::CatalogRequest) => WireMessage::Catalog(Catalog {
+                protocol_version: MAX_SUPPORTED_VERSION,
                 party: self.inner.party,
                 tables: self.inner.tables.clone(),
             }),
-            WireMessage::Query(query) => self.handle_query(query),
-            WireMessage::UpdateEntry(update) => self.handle_update(update),
-            other => error_reply(
+            Ok(WireMessage::Query(query)) => self.handle_query(query),
+            Ok(WireMessage::UpdateEntry(update)) => self.handle_update(update),
+            Ok(other) => ErrorReply::new(
                 ErrorCode::InvalidRequest,
-                false,
                 0,
                 format!("router cannot accept a {} message", other.name()),
-            ),
+            )
+            .into(),
         };
-        encode_message_v(&reply, version)
+        encode_message(&reply)
     }
 
     /// Answer one query: fan out, fence-validate, retry once, sum, stamp.
@@ -379,24 +347,24 @@ impl ClusterRouter {
         let query_id = query.query.query_id;
         inner.telemetry.queries.fetch_add(1, Ordering::Relaxed);
         if query.query.party() != inner.party {
-            return error_reply(
+            return ErrorReply::new(
                 ErrorCode::InvalidRequest,
-                false,
                 query_id,
                 format!(
                     "this router fronts party {}, key is for party {}",
                     inner.party,
                     query.query.party()
                 ),
-            );
+            )
+            .into();
         }
         if !inner.maps.contains_key(&query.table) {
-            return error_reply(
+            return ErrorReply::new(
                 ErrorCode::UnknownTable,
-                false,
                 query_id,
                 format!("no table named {:?} is hosted", query.table),
-            );
+            )
+            .into();
         }
         // Fan the same projection out to every shard in parallel; each
         // masked copy turns it into that shard's additive partial share.
@@ -454,9 +422,8 @@ impl ClusterRouter {
             if summed.is_empty() {
                 summed = share.clone();
             } else if summed.len() != share.len() {
-                return error_reply(
+                return ErrorReply::new(
                     ErrorCode::Protocol,
-                    false,
                     query_id,
                     format!(
                         "shards disagree on share width ({} vs {} lanes): mis-provisioned \
@@ -464,7 +431,8 @@ impl ClusterRouter {
                         summed.len(),
                         share.len()
                     ),
-                );
+                )
+                .into();
             } else {
                 for (lane, part) in summed.iter_mut().zip(share.iter()) {
                     *lane = lane.wrapping_add(*part);
@@ -484,7 +452,7 @@ impl ClusterRouter {
     /// One shard's leg of the fan-out, mapped onto the client-visible
     /// outcome.
     fn query_shard(&self, conn: &ShardConn, message: &WireMessage, query_id: u64) -> ShardAnswer {
-        match conn.call(message, PROTOCOL_V2, Some(query_id)) {
+        match conn.call(message, Some(query_id)) {
             Ok(WireMessage::Response(msg)) => Ok((msg.response.share, msg.table_version)),
             Ok(WireMessage::Error(reply)) => {
                 // A shard-level typed error (shed, unknown table...) is the
@@ -494,22 +462,19 @@ impl ClusterRouter {
                     ..reply
                 })))
             }
-            Ok(other) => Err(Box::new(error_reply(
-                ErrorCode::Protocol,
-                false,
-                query_id,
-                format!(
-                    "shard {} answered a query with a {} frame",
-                    conn.shard(),
-                    other.name()
-                ),
-            ))),
-            // The typed degradation: every replica of the shard is gone.
-            // Shed-flagged so clients treat it as retry-later backpressure.
-            Err(err) => {
-                let shed = matches!(err, ClusterError::ShardUnavailable { .. });
-                Err(Box::new(error_to_reply(err, shed, query_id)))
-            }
+            Ok(other) => Err(Box::new(
+                ErrorReply::new(
+                    ErrorCode::Protocol,
+                    query_id,
+                    format!(
+                        "shard {} answered a query with a {} frame",
+                        conn.shard(),
+                        other.name()
+                    ),
+                )
+                .into(),
+            )),
+            Err(err) => Err(Box::new(backhaul_error_reply(&err, query_id))),
         }
     }
 
@@ -544,12 +509,12 @@ impl ClusterRouter {
     fn handle_update(&self, update: UpdateEntryMsg) -> WireMessage {
         let inner = &self.inner;
         let Some(map) = inner.maps.get(&update.table) else {
-            return error_reply(
+            return ErrorReply::new(
                 ErrorCode::UnknownTable,
-                false,
                 0,
                 format!("no table named {:?} is hosted", update.table),
-            );
+            )
+            .into();
         };
         let Some(schema) = inner
             .tables
@@ -557,19 +522,19 @@ impl ClusterRouter {
             .find(|entry| entry.name == update.table)
             .map(|entry| entry.schema)
         else {
-            return error_reply(
+            return ErrorReply::new(
                 ErrorCode::UnknownTable,
-                false,
                 0,
                 format!("no table named {:?} is hosted", update.table),
-            );
+            )
+            .into();
         };
         if let Err(err) = validate_update(schema, update.index, &update.bytes) {
             let code = match err {
                 PirError::IndexOutOfRange { .. } => ErrorCode::IndexOutOfRange,
                 _ => ErrorCode::InvalidRequest,
             };
-            return error_reply(code, false, 0, err.to_string());
+            return ErrorReply::new(code, 0, err.to_string()).into();
         }
         let owner = map.owner_of(update.index);
         // Hold the fence lock across stage+flip: queries validating during
@@ -580,8 +545,7 @@ impl ClusterRouter {
             .telemetry
             .updates_staged
             .fetch_add(1, Ordering::Relaxed);
-        let staged = inner.conns[owner]
-            .broadcast_update(&WireMessage::UpdateEntry(update.clone()), PROTOCOL_V2);
+        let staged = inner.conns[owner].broadcast_update(&WireMessage::UpdateEntry(update.clone()));
         match staged {
             Ok(_acks) => {
                 let fence = fences
@@ -605,10 +569,7 @@ impl ClusterRouter {
             }
             // Zero replicas acked: nothing flipped, the fence is unchanged,
             // and the pre-update row is still what every query sees.
-            Err(err) => {
-                let shed = matches!(err, ClusterError::ShardUnavailable { .. });
-                error_to_reply(err, shed, 0)
-            }
+            Err(err) => backhaul_error_reply(&err, 0),
         }
     }
 
@@ -660,23 +621,13 @@ fn names(tables: &[CatalogEntry]) -> Vec<&str> {
     tables.iter().map(|entry| entry.name.as_str()).collect()
 }
 
-fn error_reply(code: ErrorCode, shed: bool, query_id: u64, message: String) -> WireMessage {
-    WireMessage::Error(ErrorReply {
-        code,
-        shed,
-        min_version: 0,
-        max_version: 0,
-        query_id,
-        message: bounded_detail(message),
-    })
-}
-
-/// Map a back-haul failure onto the client-visible typed reply.
-fn error_to_reply(err: ClusterError, shed: bool, query_id: u64) -> WireMessage {
-    let code = if shed {
-        ErrorCode::Shed
-    } else {
-        ErrorCode::Protocol
+/// Map a back-haul failure onto the client-visible typed reply. The typed
+/// degradation — every replica of a shard is gone — is a shed, so clients
+/// treat it as retry-later backpressure.
+fn backhaul_error_reply(err: &ClusterError, query_id: u64) -> WireMessage {
+    let code = match err {
+        ClusterError::ShardUnavailable { .. } => ErrorCode::Shed,
+        _ => ErrorCode::Protocol,
     };
-    error_reply(code, shed, query_id, err.to_string())
+    ErrorReply::new(code, query_id, err.to_string()).into()
 }

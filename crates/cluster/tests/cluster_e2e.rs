@@ -12,7 +12,10 @@ use pir_cluster::{ClusterConfig, ClusterError, ClusterMembership, ClusterRouter,
 use pir_prf::PrfKind;
 use pir_protocol::PirTable;
 use pir_serve::{PirServeRuntime, ServeConfig, TableConfig, WireFrontend};
-use pir_wire::{loopback_pair, Dialer, PirSession, PirTransport, WireError};
+use pir_wire::{
+    decode_message, encode_message, loopback_pair, Dialer, ErrorCode, ErrorReply, PirSession,
+    PirTransport, QueryMsg, WireError, WireMessage,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -39,8 +42,8 @@ fn shard_runtime(view: PirTable, seed: u64) -> Arc<PirServeRuntime> {
     Arc::new(runtime)
 }
 
-/// A replica endpoint over loopback: every dial spawns a lockstep serve
-/// thread against the replica's runtime. `dead` simulates the process
+/// A replica endpoint over loopback: every dial spawns a frame-at-a-time
+/// serve thread against the replica's runtime. `dead` simulates the process
 /// disappearing (dials refused); `serve_limit` simulates it dying mid-run
 /// (the connection drops when asked to serve one more frame).
 struct ReplicaDialer {
@@ -400,6 +403,40 @@ fn misprovisioned_clusters_are_rejected_at_connect() {
         Err(ClusterError::Config(detail)) => assert!(detail.contains("party"), "{detail}"),
         other => panic!("expected config error, got {other:?}"),
     }
+}
+
+#[test]
+fn routers_answer_hostile_frames_with_typed_bounded_replies() {
+    let ([router, _], _runtimes) = two_party_cluster(&base_table(), 2);
+    let error_of = |frame: &[u8]| match decode_message(&router.handle_frame(frame)).unwrap() {
+        WireMessage::Error(error) => error,
+        other => panic!("expected error, got {}", other.name()),
+    };
+    // The retired version 1 and a future version: well-formed frames, both
+    // outside the range, both answered with the range.
+    for version in [1u8, 42] {
+        let mut frame = encode_message(&WireMessage::CatalogRequest);
+        frame[2] = version;
+        let error = error_of(&frame);
+        assert_eq!(error.code, ErrorCode::UnsupportedVersion);
+        assert_eq!((error.min_version, error.max_version), (2, 2));
+    }
+    for frame in [&b""[..], &b"XX"[..], &[0x50, 0x57, 2, 0, 3][..]] {
+        assert_eq!(error_of(frame).code, ErrorCode::Malformed);
+    }
+    // A table name as long as the string codec allows is echoed truncated,
+    // not re-encoded past the codec's limit.
+    let client = pir_protocol::PirClient::new(base_table().schema(), PrfKind::SipHash);
+    let query = client.query(1, &mut StdRng::seed_from_u64(3));
+    let error = error_of(&encode_message(&WireMessage::Query(QueryMsg {
+        table: "x".repeat(u16::MAX as usize),
+        tenant: "t".into(),
+        query: query.to_server(0),
+    })));
+    assert_eq!(error.code, ErrorCode::UnknownTable);
+    assert_eq!(error.query_id, query.query_id);
+    assert!(error.message.len() <= ErrorReply::MAX_DETAIL_BYTES + 32);
+    assert!(error.message.ends_with("(truncated)"));
 }
 
 #[test]

@@ -13,7 +13,7 @@
 use std::io::Write as _;
 use std::path::Path;
 
-use pir_core::LatencyHistogram;
+use pir_core::{json_escape, LatencyHistogram};
 use pir_protocol::HotCacheStats;
 
 use crate::replay::{OutcomeKind, ReplayResult};
@@ -342,21 +342,8 @@ impl SoakReport {
     }
 }
 
-fn escape(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn push_str_field(out: &mut String, key: &str, value: &str) {
-    out.push_str(&format!("\"{key}\":\"{}\",", escape(value)));
+    out.push_str(&format!("\"{key}\":\"{}\",", json_escape(value)));
 }
 
 fn push_u64_field(out: &mut String, key: &str, value: u64) {
@@ -482,11 +469,5 @@ mod tests {
             "unbalanced braces"
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn string_escaping_covers_quotes_and_controls() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("x\ny"), "x\\u000ay");
     }
 }

@@ -1,5 +1,7 @@
 //! The server-side embedding table as seen by the PIR layer.
 
+use std::ops::Range;
+
 use pir_field::{lanes_for_bytes, LaneVector, ShareMatrix};
 use serde::{Deserialize, Serialize};
 
@@ -97,15 +99,38 @@ impl PirTable {
         let schema = TableSchema::new(entries, entry_bytes);
         let lanes = schema.lanes_per_entry();
         let mut data = Vec::with_capacity(entries as usize * lanes);
-        let mut buffer = vec![0u8; entry_bytes];
         for row in 0..entries {
-            for (offset, byte) in buffer.iter_mut().enumerate() {
-                *byte = fill(row, offset);
+            // One little-endian lane per four bytes, the last zero-padded:
+            // `LaneVector::from_bytes`, filled in place.
+            for lane_start in (0..entry_bytes).step_by(4) {
+                let mut lane = [0u8; 4];
+                for (byte, offset) in lane.iter_mut().zip(lane_start..entry_bytes) {
+                    *byte = fill(row, offset);
+                }
+                data.push(u32::from_le_bytes(lane));
             }
-            data.extend(LaneVector::from_bytes(&buffer).0);
         }
         let matrix = ShareMatrix::from_rows(entries as usize, lanes, data);
         Self { schema, matrix }
+    }
+
+    /// The same-shape table with every row outside `keep` zeroed — the view
+    /// a shard-owner of those row ranges serves (its answer to a full-domain
+    /// key is then its additive partial share).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a range reaches past the last row.
+    #[must_use]
+    pub fn masked(&self, keep: &[Range<u64>]) -> Self {
+        let mut matrix = ShareMatrix::zeroed(self.matrix.rows(), self.matrix.lanes_per_row());
+        for row in keep.iter().flat_map(Clone::clone) {
+            matrix.set_row(row as usize, self.matrix.row(row as usize));
+        }
+        Self {
+            schema: self.schema,
+            matrix,
+        }
     }
 
     /// The table's schema.
@@ -197,6 +222,35 @@ mod tests {
         let table = PirTable::generate(16, 4, |row, offset| (row as u8).wrapping_add(offset as u8));
         assert_eq!(table.entry(3), vec![3, 4, 5, 6]);
         assert_eq!(table.size_bytes(), 16 * 4);
+    }
+
+    #[test]
+    fn generate_pads_the_last_lane_like_from_entries() {
+        // Widths around the lane boundary, against the byte-string builder.
+        for entry_bytes in [1usize, 3, 4, 5, 8, 13] {
+            let fill = |row: u64, offset: usize| (row as u8).wrapping_mul(31) ^ (offset as u8 + 1);
+            let rows: Vec<Vec<u8>> = (0..9u64)
+                .map(|row| (0..entry_bytes).map(|offset| fill(row, offset)).collect())
+                .collect();
+            assert_eq!(
+                PirTable::generate(9, entry_bytes, fill),
+                PirTable::from_entries(&rows),
+                "{entry_bytes} B entries"
+            );
+        }
+    }
+
+    #[test]
+    fn masked_keeps_exactly_the_named_rows() {
+        let table = PirTable::generate(10, 5, |row, offset| row as u8 * 16 + offset as u8 + 1);
+        let view = table.masked(&[1..3, 7..10]);
+        assert_eq!(view.schema(), table.schema());
+        for row in 0..10u64 {
+            let kept = (1..3).contains(&row) || (7..10).contains(&row);
+            let expected = if kept { table.entry(row) } else { vec![0; 5] };
+            assert_eq!(view.entry(row), expected, "row {row}");
+        }
+        assert_eq!(table.masked(&[]), PirTable::generate(10, 5, |_, _| 0));
     }
 
     #[test]

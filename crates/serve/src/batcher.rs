@@ -48,8 +48,8 @@ enum Action {
 /// every replica of the party, then lowers the barrier. Together with the
 /// atomic pair/marker enqueue ordering this yields the consistency
 /// guarantee: both parties answer any given *pair-enqueued* query from the
-/// same table version (wire-path projections enqueue per party and need
-/// admin-side sequencing instead; see `WireFrontend`).
+/// same table version (wire-path projections enqueue per party and carry
+/// a table-version stamp the client compares instead; see `WireFrontend`).
 pub(crate) fn run_batch_former(
     table: Arc<HostedTable>,
     party: usize,
@@ -506,7 +506,7 @@ mod tests {
         for index in 3..5u64 {
             let (entry, rx) = pending(&hosted, index, &mut rng, false);
             live.push(rx);
-            hosted.enqueue_single(0, 16, entry).unwrap();
+            hosted.enqueue(16, [Some(entry), None]).unwrap();
         }
         hosted.queues[0].close();
         worker.join().unwrap();

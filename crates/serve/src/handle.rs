@@ -51,92 +51,21 @@ impl ServeHandle {
                 entries: hosted.schema.entries,
             });
         }
-        // Resolved up front so every shed below is tier-attributed.
-        let tier = hosted.config.tiers.tier_of(tenant);
-        let class = hosted.config.tiers.class(tier);
-        let shed_tier = |amount: u64| {
-            if let Some(stats) = hosted.stats.tier(tier) {
-                stats.shed.fetch_add(amount, Ordering::Relaxed);
-            }
-        };
-        // Checked after table resolution so queries shed by a shutdown are
-        // attributed to their table's telemetry instead of vanishing.
-        if self.inner.shutting_down.load(Ordering::SeqCst) {
-            hosted.stats.shed.fetch_add(1, Ordering::Relaxed);
-            shed_tier(1);
-            return Err(ServeError::ShuttingDown);
-        }
-
-        let guard = match self.inner.admission.admit(tenant) {
-            Ok(guard) => guard,
-            Err(err) => {
-                hosted.stats.shed.fetch_add(1, Ordering::Relaxed);
-                shed_tier(1);
-                return Err(err);
-            }
-        };
-
-        // Key generation is the dominant client-side cost; give every query
-        // its own deterministic RNG stream so concurrent submitters never
-        // serialize on a shared generator.
+        let ticket = self.admit(hosted, tenant)?;
+        // Key generation is the dominant client-side cost (which is why it
+        // comes after the quota check); give every query its own
+        // deterministic RNG stream so concurrent submitters never serialize
+        // on a shared generator.
         let mut rng = self.inner.query_rng();
-        let query = hosted.client.query(index, &mut rng);
-        let submitted_at = Instant::now();
-        let deadline = submitted_at + class.deadline;
-        let priority = class.priority;
-        let canceled = Arc::new(AtomicBool::new(false));
-        let (tx0, rx0) = oneshot::channel();
-        let (tx1, rx1) = oneshot::channel();
-        // Counted *before* the entries become visible to the batch formers:
-        // a worker can answer within the enqueue call itself, and a stats
-        // snapshot must never transiently observe answered > submitted.
-        hosted.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        if let Some(stats) = hosted.stats.tier(tier) {
-            stats.submitted.fetch_add(1, Ordering::Relaxed);
-        }
-        let enqueued = hosted.enqueue_pair(
-            self.inner.admission.policy().queue_capacity,
-            PendingEntry {
-                query: query.to_server(0),
-                enqueued_at: submitted_at,
-                deadline,
-                tier,
-                priority,
-                responder: tx0,
-                canceled: Arc::clone(&canceled),
-            },
-            PendingEntry {
-                query: query.to_server(1),
-                enqueued_at: submitted_at,
-                deadline,
-                tier,
-                priority,
-                responder: tx1,
-                canceled: Arc::clone(&canceled),
-            },
-        );
-        if let Err(err) = enqueued {
-            hosted.stats.submitted.fetch_sub(1, Ordering::Relaxed);
-            hosted.stats.shed.fetch_add(1, Ordering::Relaxed);
-            if let Some(stats) = hosted.stats.tier(tier) {
-                stats.submitted.fetch_sub(1, Ordering::Relaxed);
-            }
-            shed_tier(1);
-            return Err(err);
-        }
-
+        let query = ticket.hosted.client.query(index, &mut rng);
+        let (done, [rx0, rx1]) = ticket.enqueue([query.to_server(0), query.to_server(1)])?;
         Ok(PendingQuery {
-            hosted,
             query,
-            tier,
             rx0: Some(rx0),
             rx1: Some(rx1),
             response0: None,
             response1: None,
-            submitted_at,
-            canceled,
-            completed: false,
-            _guard: guard,
+            done,
         })
     }
 
@@ -162,70 +91,36 @@ impl ServeHandle {
                 actual: hosted.schema.describe(),
             }));
         }
-        let party = usize::from(query.party() & 1);
+        let (done, [rx]) = self.admit(hosted, tenant)?.enqueue([query])?;
+        Ok(PendingShare { rx, done })
+    }
+
+    /// The one admission gate, shared by the embedded and the wire
+    /// submission paths: resolve the tenant's tier, refuse during shutdown,
+    /// take the tenant's quota slot. Every refusal is a shed counted against
+    /// the table and the tier.
+    fn admit(&self, hosted: Arc<HostedTable>, tenant: &str) -> Result<Ticket, ServeError> {
+        // Resolved up front so every shed below is tier-attributed.
         let tier = hosted.config.tiers.tier_of(tenant);
-        let class = hosted.config.tiers.class(tier);
-        let shed_tier = |amount: u64| {
-            if let Some(stats) = hosted.stats.tier(tier) {
-                stats.shed.fetch_add(amount, Ordering::Relaxed);
-            }
+        // Shutdown is checked after table resolution so queries shed by it
+        // are attributed to their table's telemetry instead of vanishing.
+        let admitted = if self.inner.shutting_down.load(Ordering::SeqCst) {
+            Err(ServeError::ShuttingDown)
+        } else {
+            self.inner.admission.admit(tenant)
         };
-        if self.inner.shutting_down.load(Ordering::SeqCst) {
-            hosted.stats.shed.fetch_add(1, Ordering::Relaxed);
-            shed_tier(1);
-            return Err(ServeError::ShuttingDown);
-        }
-        let guard = match self.inner.admission.admit(tenant) {
-            Ok(guard) => guard,
-            Err(err) => {
-                hosted.stats.shed.fetch_add(1, Ordering::Relaxed);
-                shed_tier(1);
-                return Err(err);
-            }
-        };
-        let submitted_at = Instant::now();
-        let deadline = submitted_at + class.deadline;
-        let priority = class.priority;
-        let (tx, rx) = oneshot::channel();
-        let canceled = Arc::new(AtomicBool::new(false));
-        // Wire-path telemetry counts per-party projections (each server
-        // process of a networked deployment sees exactly one projection per
-        // client query), mirroring the pair-level accounting of `query`.
-        hosted.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        if let Some(stats) = hosted.stats.tier(tier) {
-            stats.submitted.fetch_add(1, Ordering::Relaxed);
-        }
-        let enqueued = hosted.enqueue_single(
-            party,
-            self.inner.admission.policy().queue_capacity,
-            PendingEntry {
-                query,
-                enqueued_at: submitted_at,
-                deadline,
+        match admitted {
+            Ok(guard) => Ok(Ticket {
+                hosted,
                 tier,
-                priority,
-                responder: tx,
-                canceled: Arc::clone(&canceled),
-            },
-        );
-        if let Err(err) = enqueued {
-            hosted.stats.submitted.fetch_sub(1, Ordering::Relaxed);
-            hosted.stats.shed.fetch_add(1, Ordering::Relaxed);
-            if let Some(stats) = hosted.stats.tier(tier) {
-                stats.submitted.fetch_sub(1, Ordering::Relaxed);
+                capacity: self.inner.admission.policy().queue_capacity,
+                guard,
+            }),
+            Err(err) => {
+                account(&hosted, tier, Err(&err));
+                Err(err)
             }
-            shed_tier(1);
-            return Err(err);
         }
-        Ok(PendingShare {
-            hosted,
-            tier,
-            rx,
-            submitted_at,
-            canceled,
-            completed: false,
-            _guard: guard,
-        })
     }
 
     /// Overwrite one entry of a hosted table (hot reload) and block until
@@ -241,11 +136,11 @@ impl ServeHandle {
     /// no new keys (§4.2: value updates are transparent).
     ///
     /// Wire-path queries arrive one projection per connection and get no
-    /// such cross-queue atomicity: when updating a runtime that is serving
-    /// remote traffic, sequence updates against in-flight wire queries (or
-    /// accept that a query straddling the update may fail to reconstruct
-    /// and be retried). Stamping responses with a table version so clients
-    /// can detect the straddle is a noted follow-on.
+    /// such cross-queue atomicity; instead every wire response is stamped
+    /// with the table version its share was computed against (see
+    /// [`Self::table_versions`]), so a client whose two shares straddled
+    /// the update sees differing stamps and retries (`PirSession` does so
+    /// transparently, once) instead of reconstructing garbage.
     ///
     /// # Errors
     ///
@@ -300,7 +195,7 @@ impl ServeHandle {
     /// The per-party table-version stamps of a hosted table.
     ///
     /// Each party's counter starts at 1 and increments once per applied
-    /// update; every v2 wire response is stamped with the version its share
+    /// update; every wire response is stamped with the version its share
     /// was computed against. A cluster tier staging an update across shard
     /// owners reads this to verify the staged flip landed (the stamp is the
     /// fence: a shard answering with an unexpected version is mid-reload).
@@ -323,6 +218,159 @@ impl ServeHandle {
     }
 }
 
+/// What a batch former sends back for one queued projection.
+type ShareReceiver = Receiver<Result<AnsweredShare, ServeError>>;
+
+/// The one outcome → counters mapping, at table and tier level: every
+/// admission refusal, enqueue shed and settled future is counted here.
+/// `Ok` carries the submission time the end-to-end latency is measured from.
+fn account(hosted: &HostedTable, tier: usize, outcome: Result<Instant, &ServeError>) {
+    let stats = &hosted.stats;
+    let tier = stats.tier(tier);
+    match outcome {
+        Ok(submitted_at) => {
+            stats.answered.fetch_add(1, Ordering::Relaxed);
+            let elapsed_ms = submitted_at.elapsed().as_secs_f64() * 1e3;
+            stats.e2e.lock().record_ms(elapsed_ms);
+            if let Some(tier) = tier {
+                tier.answered.fetch_add(1, Ordering::Relaxed);
+                tier.e2e.lock().record_ms(elapsed_ms);
+            }
+        }
+        // Backpressure and tier displacement are typed sheds, not protocol
+        // failures; keep the two ledgers apart.
+        Err(err) if err.is_shed() => {
+            stats.shed.fetch_add(1, Ordering::Relaxed);
+            if let Some(tier) = tier {
+                tier.shed.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        Err(_) => {
+            stats.failed.fetch_add(1, Ordering::Relaxed);
+            if let Some(tier) = tier {
+                tier.failed.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// A query past the admission gate ([`ServeHandle::admit`]) and not yet
+/// queued: it holds the tenant's quota slot and knows the tier its entries
+/// are built for. Dropping it un-enqueued releases the slot and counts
+/// nothing.
+struct Ticket {
+    hosted: Arc<HostedTable>,
+    tier: usize,
+    capacity: usize,
+    guard: InFlightGuard,
+}
+
+impl Ticket {
+    /// Build one [`PendingEntry`] per projection, count the submission and
+    /// enqueue the entries atomically — or shed, rolling the count back.
+    ///
+    /// One call is one future and one count: a pair of projections (the
+    /// embedded path) is one submitted query, and so is the lone projection
+    /// a wire frontend sees of a client's query.
+    fn enqueue<const N: usize>(
+        self,
+        queries: [ServerQuery; N],
+    ) -> Result<(Completion, [ShareReceiver; N]), ServeError> {
+        let Self {
+            hosted,
+            tier,
+            capacity,
+            guard,
+        } = self;
+        let class = hosted.config.tiers.class(tier);
+        let submitted_at = Instant::now();
+        let canceled = Arc::new(AtomicBool::new(false));
+        let mut entries = [None, None];
+        let receivers = queries.map(|query| {
+            let (responder, receiver) = oneshot::channel();
+            let party = usize::from(query.party() & 1);
+            debug_assert!(entries[party].is_none(), "one projection per party");
+            entries[party] = Some(PendingEntry {
+                query,
+                enqueued_at: submitted_at,
+                deadline: submitted_at + class.deadline,
+                tier,
+                priority: class.priority,
+                responder,
+                canceled: Arc::clone(&canceled),
+            });
+            receiver
+        });
+        // Counted *before* the entries become visible to the batch formers:
+        // a worker can answer within the enqueue call itself, and a stats
+        // snapshot must never transiently observe answered > submitted.
+        hosted.stats.submitted.fetch_add(1, Ordering::Relaxed);
+        if let Some(stats) = hosted.stats.tier(tier) {
+            stats.submitted.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Err(err) = hosted.enqueue(capacity, entries) {
+            hosted.stats.submitted.fetch_sub(1, Ordering::Relaxed);
+            if let Some(stats) = hosted.stats.tier(tier) {
+                stats.submitted.fetch_sub(1, Ordering::Relaxed);
+            }
+            account(&hosted, tier, Err(&err));
+            return Err(err);
+        }
+        let done = Completion {
+            hosted,
+            tier,
+            submitted_at,
+            canceled,
+            settled: false,
+            _guard: guard,
+        };
+        Ok((done, receivers))
+    }
+}
+
+/// The completion record of one queued query, owned by its future
+/// ([`PendingQuery`] or [`PendingShare`]): the tenant's quota slot, the
+/// cancel flag shared with the queued entries, and the accounting of how
+/// the future ended — settled with an outcome, or dropped first.
+struct Completion {
+    hosted: Arc<HostedTable>,
+    tier: usize,
+    submitted_at: Instant,
+    canceled: Arc<AtomicBool>,
+    settled: bool,
+    _guard: InFlightGuard,
+}
+
+impl Completion {
+    /// Record how the future resolved (see [`account`]).
+    fn settle<T>(&mut self, outcome: &Result<T, ServeError>) {
+        self.settled = true;
+        if outcome.is_err() {
+            // A sibling projection may still be queued at the other party;
+            // flag it so batch formation skips it instead of spending device
+            // work on a share this future will never combine.
+            self.canceled.store(true, Ordering::Release);
+        }
+        let outcome = outcome.as_ref().map(|_| self.submitted_at);
+        account(&self.hosted, self.tier, outcome);
+    }
+}
+
+impl Drop for Completion {
+    fn drop(&mut self) {
+        if self.settled {
+            return;
+        }
+        // Abandoned before resolution (the caller dropped the future, the
+        // wire client hung up): flag the queued entries so batch formation
+        // discards them instead of spending device work, and count the
+        // cancellation so it doesn't vanish from telemetry. (The quota slot
+        // is released by the guard either way.)
+        self.canceled.store(true, Ordering::Release);
+        self.hosted.stats.canceled.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// An admitted query: a [`Future`] resolving to the reconstructed row.
 ///
 /// Dropping the future *cancels* the query: the tenant's quota slot is
@@ -330,23 +378,18 @@ impl ServeHandle {
 /// canceled, so batch formation skips them and the abandoned query consumes
 /// no device work.
 pub struct PendingQuery {
-    hosted: Arc<HostedTable>,
     query: PirQuery,
-    tier: usize,
-    rx0: Option<Receiver<Result<AnsweredShare, ServeError>>>,
-    rx1: Option<Receiver<Result<AnsweredShare, ServeError>>>,
+    rx0: Option<ShareReceiver>,
+    rx1: Option<ShareReceiver>,
     response0: Option<AnsweredShare>,
     response1: Option<AnsweredShare>,
-    submitted_at: Instant,
-    canceled: Arc<AtomicBool>,
-    completed: bool,
-    _guard: InFlightGuard,
+    done: Completion,
 }
 
 impl std::fmt::Debug for PendingQuery {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PendingQuery")
-            .field("table", &self.hosted.name)
+            .field("table", &self.done.hosted.name)
             .field("query_id", &self.query.query_id)
             .field("have_response0", &self.response0.is_some())
             .field("have_response1", &self.response1.is_some())
@@ -394,7 +437,7 @@ impl PendingQuery {
     }
 
     fn poll_side(
-        rx: &mut Option<Receiver<Result<AnsweredShare, ServeError>>>,
+        rx: &mut Option<ShareReceiver>,
         slot: &mut Option<AnsweredShare>,
         cx: &mut Context<'_>,
     ) -> Result<(), Option<ServeError>> {
@@ -414,23 +457,7 @@ impl PendingQuery {
             }
         }
     }
-}
 
-impl Drop for PendingQuery {
-    fn drop(&mut self) {
-        if self.completed {
-            return;
-        }
-        // Abandoned before resolution: flag both queued entries so batch
-        // formation discards them instead of spending device work, and count
-        // the cancellation so it doesn't vanish from telemetry. (The quota
-        // slot is released by the guard either way.)
-        self.canceled.store(true, Ordering::Release);
-        self.hosted.stats.canceled.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-impl PendingQuery {
     /// The shared completion path: resolves to the reconstructed row plus
     /// the table version both shares were stamped with.
     fn poll_inner(&mut self, cx: &mut Context<'_>) -> Poll<Result<(Vec<u8>, u64), ServeError>> {
@@ -440,32 +467,15 @@ impl PendingQuery {
         let side1 = Self::poll_side(&mut self.rx1, &mut self.response1, cx);
         for side in [&side0, &side1] {
             if let Err(Some(err)) = side {
-                self.completed = true;
-                // The sibling party's entry may still be queued; flag it so
-                // batch formation skips it instead of spending device work
-                // on a share this future will never combine.
-                self.canceled.store(true, Ordering::Release);
-                // Tier displacement surfaces here as a typed shed, not a
-                // protocol failure; keep the two ledgers apart.
-                if err.is_shed() {
-                    self.hosted.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tier) = self.hosted.stats.tier(self.tier) {
-                        tier.shed.fetch_add(1, Ordering::Relaxed);
-                    }
-                } else {
-                    self.hosted.stats.failed.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tier) = self.hosted.stats.tier(self.tier) {
-                        tier.failed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                return Poll::Ready(Err(err.clone()));
+                let outcome = Err(err.clone());
+                self.done.settle(&outcome);
+                return Poll::Ready(outcome);
             }
         }
         if side0.is_err() || side1.is_err() {
             return Poll::Pending;
         }
 
-        self.completed = true;
         // pir-lint: allow(panic-path, "both poll_side calls above returned Ok, which fills the slots")
         let share0 = self.response0.take().expect("side 0 resolved");
         let share1 = self.response1.take().expect("side 1 resolved");
@@ -477,30 +487,15 @@ impl PendingQuery {
             share0.table_version, share1.table_version,
             "update barrier must keep pair-enqueued shares on one version"
         );
-        let table_version = share0.table_version;
         let outcome = self
+            .done
             .hosted
             .client
             .reconstruct(&self.query, &share0.response, &share1.response)
+            .map(|row| (row, share0.table_version))
             .map_err(ServeError::from);
-        match &outcome {
-            Ok(_) => {
-                self.hosted.stats.answered.fetch_add(1, Ordering::Relaxed);
-                let elapsed_ms = self.submitted_at.elapsed().as_secs_f64() * 1e3;
-                self.hosted.stats.e2e.lock().record_ms(elapsed_ms);
-                if let Some(tier) = self.hosted.stats.tier(self.tier) {
-                    tier.answered.fetch_add(1, Ordering::Relaxed);
-                    tier.e2e.lock().record_ms(elapsed_ms);
-                }
-            }
-            Err(_) => {
-                self.hosted.stats.failed.fetch_add(1, Ordering::Relaxed);
-                if let Some(tier) = self.hosted.stats.tier(self.tier) {
-                    tier.failed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        Poll::Ready(outcome.map(|row| (row, table_version)))
+        self.done.settle(&outcome);
+        Poll::Ready(outcome)
     }
 }
 
@@ -523,13 +518,8 @@ impl Future for PendingQuery {
 /// [`PendingQuery`]: the queued entry is skipped at batch formation, so a
 /// client that hangs up mid-pipeline costs no device work.
 pub(crate) struct PendingShare {
-    hosted: Arc<HostedTable>,
-    tier: usize,
-    rx: Receiver<Result<AnsweredShare, ServeError>>,
-    submitted_at: Instant,
-    canceled: Arc<AtomicBool>,
-    completed: bool,
-    _guard: InFlightGuard,
+    rx: ShareReceiver,
+    done: Completion,
 }
 
 impl PendingShare {
@@ -549,44 +539,151 @@ impl Future for PendingShare {
             Poll::Ready(Err(oneshot::Canceled)) => Err(ServeError::ShuttingDown),
             Poll::Ready(Ok(result)) => result,
         };
-        this.completed = true;
-        match &outcome {
-            Ok(_) => {
-                this.hosted.stats.answered.fetch_add(1, Ordering::Relaxed);
-                let elapsed_ms = this.submitted_at.elapsed().as_secs_f64() * 1e3;
-                this.hosted.stats.e2e.lock().record_ms(elapsed_ms);
-                if let Some(tier) = this.hosted.stats.tier(this.tier) {
-                    tier.answered.fetch_add(1, Ordering::Relaxed);
-                    tier.e2e.lock().record_ms(elapsed_ms);
-                }
-            }
-            Err(err) if err.is_shed() => {
-                // Displacement by a higher-priority arrival: a typed shed,
-                // not a failure.
-                this.hosted.stats.shed.fetch_add(1, Ordering::Relaxed);
-                if let Some(tier) = this.hosted.stats.tier(this.tier) {
-                    tier.shed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Err(_) => {
-                this.hosted.stats.failed.fetch_add(1, Ordering::Relaxed);
-                if let Some(tier) = this.hosted.stats.tier(this.tier) {
-                    tier.failed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
+        this.done.settle(&outcome);
         Poll::Ready(outcome)
     }
 }
 
-impl Drop for PendingShare {
-    fn drop(&mut self) {
-        if self.completed {
-            return;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{ServeConfig, TableConfig};
+    use crate::runtime::PirServeRuntime;
+    use pir_protocol::{PirClient, PirTable};
+    use std::time::Duration;
+
+    /// The two submission paths behind one face, so one scenario drives both.
+    #[derive(Clone, Copy)]
+    enum Path {
+        /// `ServeHandle::query`: both projections, reconstructed row.
+        Embedded,
+        /// `ServeHandle::submit_server_query`: party 0's projection, share.
+        Wire,
+    }
+
+    /// An admitted query of either path: call it to wait for the outcome,
+    /// drop it to cancel.
+    type Admitted = Box<dyn FnOnce() -> Result<(), ServeError>>;
+
+    /// Every table- and tier-level counter a submission path can move, as
+    /// `name=value` lines.
+    type Ledger = Vec<String>;
+
+    /// Drive quota shed, queue-full shed, displacement, prune-on-cancel,
+    /// cancel-on-drop and shutdown through one submission path and return
+    /// the counters it left behind.
+    ///
+    /// Formation deadlines are far beyond the test's runtime and the batch
+    /// size is never reached, so nothing drains until shutdown and the queue
+    /// contents at every step are exact.
+    fn drive(path: Path) -> Ledger {
+        let runtime = PirServeRuntime::new(
+            ServeConfig::builder()
+                .queue_capacity(2)
+                .per_tenant_quota(2)
+                .seed(5)
+                .build()
+                .unwrap(),
+        );
+        let config = TableConfig::builder()
+            .prf_kind(pir_prf::PrfKind::SipHash)
+            .max_batch(64)
+            .tier("urgent", Duration::from_secs(60), 0)
+            .tier("background", Duration::from_secs(120), 2)
+            .assign_tenant("vip", "urgent")
+            .default_tier("background")
+            .build()
+            .unwrap();
+        let table = PirTable::generate(64, 8, |row, _| row as u8);
+        let client = PirClient::new(table.schema(), pir_prf::PrfKind::SipHash);
+        runtime.register_table("t", table, config).unwrap();
+        let handle = runtime.handle();
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(9);
+        let mut submit = |tenant: &str| -> Result<Admitted, ServeError> {
+            match path {
+                Path::Embedded => handle
+                    .query("t", tenant, 3)
+                    .map(|pending| Box::new(|| pending.wait().map(drop)) as Admitted),
+                Path::Wire => handle
+                    .submit_server_query("t", tenant, client.query(3, &mut rng).to_server(0))
+                    .map(|pending| Box::new(|| pending.wait().map(drop)) as Admitted),
+            }
+        };
+
+        // Two background queries fill the queue; a third is shed outright
+        // (equal priority never displaces).
+        let background1 = submit("worker-a").unwrap();
+        let background2 = submit("worker-b").unwrap();
+        assert!(matches!(
+            submit("worker-c"),
+            Err(ServeError::QueueFull { .. })
+        ));
+        // Urgent arrivals displace them, youngest first.
+        let urgent1 = submit("vip").unwrap();
+        assert!(matches!(background2(), Err(ServeError::Displaced { .. })));
+        let urgent2 = submit("vip").unwrap();
+        assert!(matches!(background1(), Err(ServeError::Displaced { .. })));
+        // The tenant's quota of two is spent.
+        assert!(matches!(
+            submit("vip"),
+            Err(ServeError::QuotaExceeded { .. })
+        ));
+        // A dropped future cancels; its dead entry is what makes room for
+        // the next background arrival in the still-full queue.
+        drop(urgent2);
+        let background3 = submit("worker-d").unwrap();
+        // Shutdown answers what is queued and sheds what comes after.
+        runtime.shutdown();
+        urgent1().unwrap();
+        background3().unwrap();
+        assert!(matches!(submit("worker-e"), Err(ServeError::ShuttingDown)));
+
+        let stats = handle.stats();
+        let table = stats.table("t").unwrap();
+        let mut ledger = vec![
+            format!("submitted={}", table.submitted),
+            format!("answered={}", table.answered),
+            format!("shed={}", table.shed),
+            format!("failed={}", table.failed),
+            format!("canceled={}", table.canceled),
+            format!("displaced={}", table.displaced),
+        ];
+        for name in ["urgent", "background"] {
+            let tier = table.tier(name).unwrap();
+            ledger.extend([
+                format!("{name}.submitted={}", tier.submitted),
+                format!("{name}.answered={}", tier.answered),
+                format!("{name}.shed={}", tier.shed),
+                format!("{name}.failed={}", tier.failed),
+                format!("{name}.displaced={}", tier.displaced),
+            ]);
         }
-        // Abandoned before resolution (the wire client hung up): flag the
-        // queued entry so batch formation discards it.
-        self.canceled.store(true, Ordering::Release);
-        self.hosted.stats.canceled.fetch_add(1, Ordering::Relaxed);
+        ledger
+    }
+
+    #[test]
+    fn both_submission_paths_keep_one_ledger() {
+        let embedded = drive(Path::Embedded);
+        let wire = drive(Path::Wire);
+        assert_eq!(embedded, wire, "embedded vs wire counter deltas");
+        let expected = [
+            "submitted=5",
+            "answered=2",
+            "shed=5",
+            "failed=0",
+            "canceled=1",
+            "displaced=2",
+            "urgent.submitted=2",
+            "urgent.answered=1",
+            "urgent.shed=1", // the quota refusal
+            "urgent.failed=0",
+            "urgent.displaced=0",
+            "background.submitted=3",
+            "background.answered=1",
+            "background.shed=4", // queue-full, two displaced, shutdown
+            "background.failed=0",
+            "background.displaced=2",
+        ];
+        assert_eq!(embedded, expected);
     }
 }

@@ -63,18 +63,18 @@ impl PendingEntry {
 /// A hot-reload marker queued *in order* with the queries.
 ///
 /// Both parties' markers are enqueued atomically, so every *pair-enqueued*
-/// query (the embedded [`enqueue_pair`](HostedTable::enqueue_pair) path)
-/// sits on the same side of the marker in both queues. The batch former
-/// applies the update when the marker reaches the queue front, after
-/// draining in-flight batches — which makes the update a consistent cut:
-/// every pair-enqueued query is answered by both parties from the same
+/// query (the embedded path: [`HostedTable::enqueue`] given both
+/// projections) sits on the same side of the marker in both queues. The
+/// batch former applies the update when the marker reaches the queue front,
+/// after draining in-flight batches — which makes the update a consistent
+/// cut: every pair-enqueued query is answered by both parties from the same
 /// table version, and mixed-version shares (which would reconstruct
 /// garbage, not stale data) cannot occur.
 ///
-/// Wire-path submissions ([`enqueue_single`](HostedTable::enqueue_single))
-/// arrive one projection at a time on independent connections, so no such
-/// cross-queue atomicity exists for them — there the admin must sequence
-/// updates against in-flight traffic (see `WireFrontend`'s docs).
+/// Wire-path submissions arrive one projection at a time on independent
+/// connections, so no such cross-queue atomicity exists for them — there
+/// the version stamp on every share ([`AnsweredShare::table_version`]) lets
+/// the client detect a query that straddled the update and retry it.
 pub(crate) struct UpdateMarker {
     pub index: u64,
     pub bytes: Arc<Vec<u8>>,
@@ -152,9 +152,8 @@ pub(crate) struct HostedTable {
     /// Replicas currently draining each party's queue, moved by the
     /// autoscale controller inside `config.replicas`.
     pub active: [AtomicUsize; 2],
-    /// Hot reloads applied per party, plus one (stamps start at 1 so a
-    /// wire client can tell "stamped version 1" from "unstamped v1 frame",
-    /// which decodes as 0).
+    /// Hot reloads applied per party, plus one (stamps start at 1, so 0
+    /// stays free for "no row" in `CompletedQuery::table_version`).
     pub versions: [AtomicU64; 2],
     pub stats: TableStats,
     pub registered_at: Instant,
@@ -231,90 +230,74 @@ impl HostedTable {
         self.queues[party].activated.notify_all();
     }
 
-    /// Atomically enqueue the two server projections of one query, or shed.
+    /// Atomically enqueue the one or two server projections of one query
+    /// (slot = party), or shed.
     ///
-    /// Both queue locks are taken in a fixed order so concurrent enqueuers
-    /// cannot deadlock, and admissibility is decided on both queues before
-    /// either push — a query is either fully admitted or not admitted at
+    /// The embedded path hands over both projections; the wire frontend's
+    /// path only its own party's (a networked deployment runs one frontend
+    /// per party, and each server process only ever sees its own
+    /// projection). The touched queues are locked in party order — the order
+    /// [`Self::enqueue_update`] takes them in — so concurrent enqueuers
+    /// cannot deadlock, and admissibility is decided on every touched queue
+    /// before any push: a query is either fully admitted or not admitted at
     /// all. A full queue does not immediately shed the *arrival*: if a
     /// strictly lower-priority entry is queued, that entry is displaced
     /// instead (shed with [`ServeError::Displaced`]) — the background tier
     /// absorbs overload so urgent tenants keep their deadline.
-    pub(crate) fn enqueue_pair(
+    pub(crate) fn enqueue(
         &self,
         capacity: usize,
-        to0: PendingEntry,
-        to1: PendingEntry,
+        entries: [Option<PendingEntry>; 2],
     ) -> Result<(), ServeError> {
+        // The queues this query touches, in party order.
+        let touched: Vec<&BatchQueue> = self
+            .queues
+            .iter()
+            .zip(&entries)
+            .filter_map(|(queue, entry)| entry.as_ref().map(|_| queue))
+            .collect();
         let displaced = {
-            let mut q0 = self.queues[0].state.lock();
-            let mut q1 = self.queues[1].state.lock();
-            if q0.closed || q1.closed {
+            let mut locked: Vec<_> = touched.iter().map(|queue| queue.state.lock()).collect();
+            if locked.iter().any(|queue| queue.closed) {
                 return Err(ServeError::ShuttingDown);
             }
-            // Plan both slots before mutating either: admission stays
+            // Plan every slot before mutating any: admission stays
             // all-or-nothing.
-            let plan0 = plan_slot(&q0, capacity, to0.priority);
-            let plan1 = plan_slot(&q1, capacity, to1.priority);
-            let (Some(plan0), Some(plan1)) = (plan0, plan1) else {
+            let plans: Option<Vec<SlotPlan>> = locked
+                .iter()
+                .zip(entries.iter().flatten())
+                .map(|(queue, entry)| plan_slot(queue, capacity, entry.priority))
+                .collect();
+            let Some(plans) = plans else {
                 return Err(ServeError::QueueFull {
                     table: self.name.clone(),
-                    depth: q0.entries.len().max(q1.entries.len()),
+                    depth: locked
+                        .iter()
+                        .map(|queue| queue.entries.len())
+                        .max()
+                        .unwrap_or(0),
                 });
             };
             let mut displaced = Vec::new();
-            if let Some(victim) = execute_slot_plan(&mut q0, plan0) {
-                displaced.push(victim);
+            for ((queue, plan), entry) in locked
+                .iter_mut()
+                .zip(plans)
+                .zip(entries.into_iter().flatten())
+            {
+                displaced.extend(execute_slot_plan(queue, plan));
+                queue.entries.push_back(QueueItem::Query(entry));
             }
-            if let Some(victim) = execute_slot_plan(&mut q1, plan1) {
-                displaced.push(victim);
-            }
-            q0.entries.push_back(QueueItem::Query(to0));
-            q1.entries.push_back(QueueItem::Query(to1));
             displaced
         };
         self.settle_displaced(displaced);
-        // A single wakeup suffices: only *active* workers wait on
-        // `arrived` (parked ones sit on `activated`), and a worker that
-        // discovers it was scaled down mid-wait re-notifies before parking
-        // so the baton cannot be lost.
-        // pir-lint: allow(notify-one, "one item, one wakeup: parked workers re-pass the baton, and barrier epochs end in notify_all, so no enqueue notification is lost")
-        self.queues[0].arrived.notify_one();
-        self.queues[1].arrived.notify_one();
-        Ok(())
-    }
-
-    /// Enqueue one server projection at a single party's queue, or shed.
-    ///
-    /// This is the wire frontend's submission path: a networked deployment
-    /// runs one frontend per party, and each server process only ever sees
-    /// (and queues) its own projection. Applies the same displacement rule
-    /// as [`Self::enqueue_pair`], per queue.
-    pub(crate) fn enqueue_single(
-        &self,
-        party: usize,
-        capacity: usize,
-        entry: PendingEntry,
-    ) -> Result<(), ServeError> {
-        let displaced = {
-            let mut queue = self.queues[party].state.lock();
-            if queue.closed {
-                return Err(ServeError::ShuttingDown);
-            }
-            let Some(plan) = plan_slot(&queue, capacity, entry.priority) else {
-                return Err(ServeError::QueueFull {
-                    table: self.name.clone(),
-                    depth: queue.entries.len(),
-                });
-            };
-            let victim = execute_slot_plan(&mut queue, plan);
-            queue.entries.push_back(QueueItem::Query(entry));
-            victim.into_iter().collect::<Vec<_>>()
-        };
-        self.settle_displaced(displaced);
-        // Single wakeup; see `enqueue_pair` for why this cannot be lost.
-        // pir-lint: allow(notify-one, "one item, one wakeup; same baton/notify_all discipline as enqueue_pair")
-        self.queues[party].arrived.notify_one();
+        for queue in touched {
+            // A single wakeup suffices: only *active* workers wait on
+            // `arrived` (parked ones sit on `activated`), and a worker that
+            // discovers it was scaled down mid-wait re-notifies before
+            // parking so the baton cannot be lost.
+            // pir-lint: allow(notify-one, "one item, one wakeup: parked workers re-pass the baton, and barrier epochs end in notify_all, so no enqueue notification is lost")
+            queue.arrived.notify_one();
+        }
         Ok(())
     }
 
@@ -349,8 +332,8 @@ impl HostedTable {
 
     /// Atomically enqueue a hot-reload barrier at both parties' queues.
     ///
-    /// Same locking discipline as [`Self::enqueue_pair`], so every query
-    /// pair is ordered identically relative to the marker in both queues —
+    /// Same locking discipline as [`Self::enqueue`], so every query pair is
+    /// ordered identically relative to the marker in both queues —
     /// the property the consistency guarantee rests on. Updates are control
     /// traffic and bypass the data queue's capacity check.
     pub(crate) fn enqueue_update(
@@ -567,11 +550,22 @@ mod tests {
     #[test]
     fn enqueue_respects_capacity() {
         let hosted = hosted("capped");
-        hosted
-            .enqueue_pair(1, entry(&hosted, 0), entry(&hosted, 1))
-            .unwrap();
+        let pair = || [Some(entry(&hosted, 0)), Some(entry(&hosted, 1))];
+        hosted.enqueue(1, pair()).unwrap();
+        let err = hosted.enqueue(1, pair()).unwrap_err();
+        assert!(matches!(err, ServeError::QueueFull { depth: 1, .. }));
+        assert_eq!(hosted.queues[0].depth(), 1);
+        assert_eq!(hosted.queues[1].depth(), 1);
+        // A pair is all-or-nothing: party 0's full queue sheds it whole.
+        hosted.queues[1].state.lock().entries.clear();
+        let err = hosted.enqueue(1, pair()).unwrap_err();
+        assert!(matches!(err, ServeError::QueueFull { depth: 1, .. }));
+        assert_eq!(hosted.queues[1].depth(), 0);
+        // A lone projection touches (and is bounded by) only its own
+        // party's queue.
+        hosted.enqueue(1, [None, Some(entry(&hosted, 1))]).unwrap();
         let err = hosted
-            .enqueue_pair(1, entry(&hosted, 0), entry(&hosted, 1))
+            .enqueue(1, [Some(entry(&hosted, 0)), None])
             .unwrap_err();
         assert!(matches!(err, ServeError::QueueFull { depth: 1, .. }));
         assert_eq!(hosted.queues[0].depth(), 1);
@@ -601,8 +595,10 @@ mod tests {
         let hosted = hosted("closing");
         hosted.queues[0].close();
         let err = hosted
-            .enqueue_pair(8, entry(&hosted, 0), entry(&hosted, 1))
+            .enqueue(8, [Some(entry(&hosted, 0)), Some(entry(&hosted, 1))])
             .unwrap_err();
         assert_eq!(err, ServeError::ShuttingDown);
+        // Only the touched queue decides: party 1's is still open.
+        hosted.enqueue(8, [None, Some(entry(&hosted, 1))]).unwrap();
     }
 }

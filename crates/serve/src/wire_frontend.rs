@@ -14,21 +14,19 @@
 //! into halves, the calling thread becomes the *demux* (decode each
 //! arriving frame, enqueue its query into the batcher without waiting) and
 //! a *remux* writer thread drains completed shares **in completion order**
-//! — so a v2 client's later query that lands in a faster batch is answered
+//! — so a client's later query that lands in a faster batch is answered
 //! before an earlier slow one, and the batcher sees the whole pipeline
-//! window at once instead of one lockstep query at a time. Control frames
-//! (catalogs, errors, update acks) are answered inline. Each reply travels
-//! under the version its request arrived with, so v1 clients (which are
-//! lockstep by construction — they never have more than one frame
-//! outstanding) observe exactly the v1 contract on the same port. Query
-//! responses are stamped with the answering party's table version (v2
-//! frames) and error replies echo the query id they answer, which is what
-//! makes out-of-order delivery and hot-reload detection possible
-//! client-side.
+//! window at once instead of one query at a time. Control frames
+//! (catalogs, errors, update acks) are answered inline. Query responses are
+//! stamped with the answering party's table version and error replies echo
+//! the query id they answer, which is what makes out-of-order delivery and
+//! hot-reload detection possible client-side. This is the only service
+//! loop: a transport that cannot split is refused with a typed error.
 //!
 //! Malformed, truncated or wrong-version frames produce typed
 //! [`ErrorReply`]s (for version mismatches, carrying the supported range
-//! per the reject-with-supported-range rule); backpressure sheds
+//! per the reject-with-supported-range rule, see
+//! [`pir_wire::decode_request`]); backpressure sheds
 //! ([`ServeError::QueueFull`], quota, shutdown) become `shed`-flagged wire
 //! errors rather than panics or dropped connections. A client that hangs
 //! up with queries still in flight costs no further device work: the
@@ -42,43 +40,18 @@ use std::task::{Context, Poll, Wake, Waker};
 
 use parking_lot::{Condvar, Mutex};
 use pir_wire::{
-    decode_message_versioned, encode_message_v, Catalog, CatalogEntry, ErrorCode, ErrorReply,
-    PirTransport, QueryMsg, ResponseMsg, SplitTransport, UpdateAckMsg, UpdateEntryMsg, WireError,
-    WireMessage, MAX_SUPPORTED_VERSION, MIN_SUPPORTED_VERSION, PROTOCOL_V1,
+    decode_request, encode_message, Catalog, CatalogEntry, ErrorCode, ErrorReply, PirTransport,
+    QueryMsg, ResponseMsg, SplitTransport, UpdateAckMsg, UpdateEntryMsg, WireError, WireMessage,
+    MAX_SUPPORTED_VERSION,
 };
 
 use crate::error::ServeError;
 use crate::handle::{PendingShare, ServeHandle};
 
-/// Longest detail string an error reply carries back to a client.
-///
-/// Error messages can echo client-supplied strings (table and tenant
-/// names), and the canonical encoding caps strings at `u16::MAX` bytes —
-/// bounding the echo here keeps a hostile 64 KiB table name from ever
-/// pushing a reply past what `put_string` can encode (which would panic
-/// the serve thread) and keeps error frames small.
-const MAX_ERROR_DETAIL_BYTES: usize = 512;
-
-/// Truncate an error detail to [`MAX_ERROR_DETAIL_BYTES`] on a char
-/// boundary.
-fn bounded_detail(message: String) -> String {
-    if message.len() <= MAX_ERROR_DETAIL_BYTES {
-        return message;
-    }
-    let mut cut = MAX_ERROR_DETAIL_BYTES;
-    while !message.is_char_boundary(cut) {
-        cut -= 1;
-    }
-    format!("{}... (truncated)", &message[..cut])
-}
-
 /// The wire-facing server endpoint for one party of the runtime.
 pub struct WireFrontend {
     handle: ServeHandle,
     party: u8,
-    /// Highest protocol version this frontend speaks (defaults to the
-    /// library maximum; capped for staged rollouts and fallback tests).
-    max_version: u16,
 }
 
 /// What one decoded frame asks the frontend to do.
@@ -98,30 +71,8 @@ impl WireFrontend {
     /// Panics if `party` is not 0 or 1 (a deployment wiring error).
     #[must_use]
     pub fn new(handle: ServeHandle, party: u8) -> Self {
-        Self::with_max_version(handle, party, MAX_SUPPORTED_VERSION)
-    }
-
-    /// Create a frontend capped at `max_version` — a staged-rollout knob
-    /// (and the way tests stand up a "v1-only server"): frames above the
-    /// cap are rejected with the capped range, and the catalog advertises
-    /// the cap, so newer clients cleanly fall back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `party` is not 0 or 1 or the cap is outside the library's
-    /// supported range (both are deployment wiring errors).
-    #[must_use]
-    pub fn with_max_version(handle: ServeHandle, party: u8, max_version: u16) -> Self {
         assert!(party < 2, "two-server protocol: party must be 0 or 1");
-        assert!(
-            (MIN_SUPPORTED_VERSION..=MAX_SUPPORTED_VERSION).contains(&max_version),
-            "version cap {max_version} outside the supported range"
-        );
-        Self {
-            handle,
-            party,
-            max_version,
-        }
+        Self { handle, party }
     }
 
     /// The party this frontend answers for.
@@ -130,114 +81,44 @@ impl WireFrontend {
         self.party
     }
 
-    /// The highest protocol version this frontend accepts and advertises.
-    #[must_use]
-    pub fn max_version(&self) -> u16 {
-        self.max_version
-    }
-
     /// Handle one request frame and produce the reply frame, blocking until
-    /// the answer is ready (the lockstep special case of the pipeline; the
-    /// pipelined path is [`Self::serve`]).
+    /// the answer is ready (the one-frame special case; a connection is
+    /// served by [`Self::serve`]).
     ///
-    /// Total: every input, including garbage, yields an encoded reply (the
-    /// request/response discipline keeps the connection usable after an
-    /// error).
+    /// Total: every input, including garbage, yields an encoded reply.
     #[must_use]
     pub fn handle_frame(&self, frame: &[u8]) -> Vec<u8> {
-        let (version, action) = self.process(frame);
-        let reply = match action {
+        let reply = match self.process(frame) {
             FrameAction::Reply(message) => message,
             FrameAction::Share { query_id, share } => share_reply(query_id, share.wait()),
         };
-        encode_message_v(&reply, version)
+        encode_message(&reply)
     }
 
-    /// Decode one frame and decide how to answer it, returning the version
-    /// the reply must be encoded under.
-    fn process(&self, frame: &[u8]) -> (u16, FrameAction) {
-        let (version, message) = match decode_message_versioned(frame) {
-            Ok(decoded) => decoded,
-            Err(WireError::UnsupportedVersion { got, .. }) => {
-                return (
-                    PROTOCOL_V1,
-                    FrameAction::Reply(WireMessage::Error(ErrorReply::unsupported_range(
-                        got,
-                        MIN_SUPPORTED_VERSION,
-                        self.max_version,
-                    ))),
-                )
-            }
-            Err(err) => {
-                return (
-                    PROTOCOL_V1,
-                    FrameAction::Reply(WireMessage::Error(ErrorReply {
-                        code: ErrorCode::Malformed,
-                        shed: false,
-                        min_version: 0,
-                        max_version: 0,
-                        query_id: 0,
-                        message: bounded_detail(err.to_string()),
-                    })),
-                )
-            }
-        };
-        if version > self.max_version {
-            // The library could decode it, but this frontend is capped
-            // below: same reject-with-supported-range rule, answered at the
-            // baseline version so the sender is guaranteed to decode it.
-            return (
-                PROTOCOL_V1,
-                FrameAction::Reply(WireMessage::Error(ErrorReply::unsupported_range(
-                    version,
-                    MIN_SUPPORTED_VERSION,
-                    self.max_version,
-                ))),
-            );
+    /// Decode one frame and decide how to answer it.
+    fn process(&self, frame: &[u8]) -> FrameAction {
+        match decode_request(frame) {
+            Ok(message) => self.dispatch(message),
+            Err(reply) => FrameAction::Reply(reply.into()),
         }
-        (version, self.dispatch(message))
     }
 
-    /// Serve one connection until the peer hangs up.
-    ///
-    /// Splits the transport and runs the demux/remux pair (see the module
-    /// docs above); a transport that cannot split is served lockstep.
+    /// Serve one connection until the peer hangs up: the demux loop (this
+    /// thread) plus the remux writer (spawned) — see the module docs above.
     ///
     /// # Errors
     ///
-    /// Returns [`WireError::Transport`] for I/O failures; a clean
-    /// [`WireError::ConnectionClosed`] hang-up returns `Ok(())`.
+    /// Returns [`WireError::Transport`] for I/O failures and for a
+    /// transport that cannot split into halves (nothing is read from it); a
+    /// clean [`WireError::ConnectionClosed`] hang-up returns `Ok(())`.
     pub fn serve(&self, transport: Box<dyn PirTransport>) -> Result<(), WireError> {
-        match transport.split() {
-            SplitTransport::Halves { recv, send } => self.serve_pipelined(recv, send),
-            SplitTransport::Whole(whole) => self.serve_lockstep(whole),
-        }
-    }
-
-    /// The pre-pipelining serve loop: one frame in, one (blocking) frame
-    /// out. Used for unsplittable transports.
-    fn serve_lockstep(&self, mut transport: Box<dyn PirTransport>) -> Result<(), WireError> {
-        loop {
-            let frame = match transport.recv() {
-                Ok(frame) => frame,
-                Err(WireError::ConnectionClosed) => return Ok(()),
-                Err(err) => return Err(err),
-            };
-            let reply = self.handle_frame(&frame);
-            match transport.send(&reply) {
-                Ok(()) => {}
-                Err(WireError::ConnectionClosed) => return Ok(()),
-                Err(err) => return Err(err),
-            }
-        }
-    }
-
-    /// The demux loop (this thread) plus the remux writer (spawned).
-    fn serve_pipelined(
-        &self,
-        mut recv: Box<dyn PirTransport>,
-        mut send: Box<dyn PirTransport>,
-    ) -> Result<(), WireError> {
+        let SplitTransport::Halves { mut recv, mut send } = transport.split() else {
+            return Err(WireError::Transport(
+                "transport cannot split into receive/send halves, which the demux/remux \
+                 service loop needs"
+                    .into(),
+            ));
+        };
         let remux = Arc::new(Remux::default());
         let writer = {
             let remux = Arc::clone(&remux);
@@ -256,7 +137,7 @@ impl WireFrontend {
             // Control handling (including the blocking update barrier)
             // happens on this thread; only completed shares go through the
             // writer's completion queue.
-            let (version, action) = self.process(&frame);
+            let action = self.process(&frame);
             let mut state = remux.state.lock();
             if state.closed {
                 // The writer hit a send failure: the connection is dead.
@@ -266,14 +147,10 @@ impl WireFrontend {
             }
             match action {
                 FrameAction::Reply(message) => {
-                    state.frames.push_back(encode_message_v(&message, version));
+                    state.frames.push_back(encode_message(&message));
                 }
                 FrameAction::Share { query_id, share } => {
-                    state.pending.push(PendingReply {
-                        share,
-                        query_id,
-                        version,
-                    });
+                    state.pending.push(PendingReply { share, query_id });
                 }
             }
             drop(state);
@@ -305,14 +182,14 @@ impl WireFrontend {
             WireMessage::CatalogRequest => FrameAction::Reply(self.catalog()),
             WireMessage::Query(query) => self.query(query),
             WireMessage::UpdateEntry(update) => FrameAction::Reply(self.update(update)),
-            other => FrameAction::Reply(WireMessage::Error(ErrorReply {
-                code: ErrorCode::InvalidRequest,
-                shed: false,
-                min_version: 0,
-                max_version: 0,
-                query_id: 0,
-                message: format!("server cannot accept a {} message", other.name()),
-            })),
+            other => FrameAction::Reply(
+                ErrorReply::new(
+                    ErrorCode::InvalidRequest,
+                    0,
+                    format!("server cannot accept a {} message", other.name()),
+                )
+                .into(),
+            ),
         }
     }
 
@@ -330,7 +207,7 @@ impl WireFrontend {
             })
             .collect();
         WireMessage::Catalog(Catalog {
-            protocol_version: self.max_version,
+            protocol_version: MAX_SUPPORTED_VERSION,
             party: self.party,
             tables,
         })
@@ -339,25 +216,25 @@ impl WireFrontend {
     fn query(&self, query: QueryMsg) -> FrameAction {
         let query_id = query.query.query_id;
         if query.query.party() != self.party {
-            return FrameAction::Reply(WireMessage::Error(ErrorReply {
-                code: ErrorCode::InvalidRequest,
-                shed: false,
-                min_version: 0,
-                max_version: 0,
-                query_id,
-                message: format!(
-                    "this server answers for party {}, key is for party {}",
-                    self.party,
-                    query.query.party()
-                ),
-            }));
+            return FrameAction::Reply(
+                ErrorReply::new(
+                    ErrorCode::InvalidRequest,
+                    query_id,
+                    format!(
+                        "this server answers for party {}, key is for party {}",
+                        self.party,
+                        query.query.party()
+                    ),
+                )
+                .into(),
+            );
         }
         match self
             .handle
             .submit_server_query(&query.table, &query.tenant, query.query)
         {
             Ok(share) => FrameAction::Share { query_id, share },
-            Err(err) => FrameAction::Reply(WireMessage::Error(serve_error_reply(&err, query_id))),
+            Err(err) => FrameAction::Reply(serve_error_reply(&err, query_id).into()),
         }
     }
 
@@ -370,7 +247,7 @@ impl WireFrontend {
                 table: update.table,
                 index: update.index,
             }),
-            Err(err) => WireMessage::Error(serve_error_reply(&err, 0)),
+            Err(err) => serve_error_reply(&err, 0).into(),
         }
     }
 }
@@ -379,7 +256,6 @@ impl std::fmt::Debug for WireFrontend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WireFrontend")
             .field("party", &self.party)
-            .field("max_version", &self.max_version)
             .finish()
     }
 }
@@ -395,7 +271,7 @@ fn share_reply(
             response: answered.response,
             table_version: answered.table_version,
         }),
-        Err(err) => WireMessage::Error(serve_error_reply(&err, query_id)),
+        Err(err) => serve_error_reply(&err, query_id).into(),
     }
 }
 
@@ -403,9 +279,6 @@ fn share_reply(
 struct PendingReply {
     share: PendingShare,
     query_id: u64,
-    /// Version the response must be encoded under (the version its request
-    /// arrived with).
-    version: u16,
 }
 
 #[derive(Default)]
@@ -417,7 +290,7 @@ struct RemuxState {
     /// Set by the reader on hang-up and by the writer on send failure.
     closed: bool,
     /// The writer's send failure, when it was a real I/O error rather than
-    /// a peer hang-up; `serve_pipelined` surfaces it to its caller.
+    /// a peer hang-up; `serve` surfaces it to its caller.
     error: Option<WireError>,
     /// A share completed (or work arrived) since the writer last looked.
     woken: bool,
@@ -466,7 +339,7 @@ fn run_remux(remux: &Arc<Remux>, send: &mut dyn PirTransport) {
                     match Pin::new(&mut state.pending[index].share).poll(&mut cx) {
                         Poll::Ready(outcome) => {
                             let done = state.pending.swap_remove(index);
-                            ready.push((done.query_id, done.version, outcome));
+                            ready.push((done.query_id, outcome));
                         }
                         Poll::Pending => index += 1,
                     }
@@ -491,8 +364,8 @@ fn run_remux(remux: &Arc<Remux>, send: &mut dyn PirTransport) {
                 return;
             }
         }
-        for (query_id, version, outcome) in ready {
-            let frame = encode_message_v(&share_reply(query_id, outcome), version);
+        for (query_id, outcome) in ready {
+            let frame = encode_message(&share_reply(query_id, outcome));
             if let Err(err) = send.send(&frame) {
                 close_remux(remux, err);
                 return;
@@ -505,7 +378,7 @@ fn run_remux(remux: &Arc<Remux>, send: &mut dyn PirTransport) {
 }
 
 /// Mark the connection dead after a send failure so the reader stops
-/// feeding it, recording the failure for `serve_pipelined` to surface.
+/// feeding it, recording the failure for `serve` to surface.
 fn close_remux(remux: &Remux, err: WireError) {
     let mut state = remux.state.lock();
     // A peer that hangs up mid-send is the same clean close the reader
@@ -533,14 +406,7 @@ fn serve_error_reply(err: &ServeError, query_id: u64) -> ErrorReply {
         | ServeError::InvalidConfig(_)
         | ServeError::TierInversion { .. } => ErrorCode::InvalidRequest,
     };
-    ErrorReply {
-        code,
-        shed: err.is_shed(),
-        min_version: 0,
-        max_version: 0,
-        query_id,
-        message: bounded_detail(err.to_string()),
-    }
+    ErrorReply::new(code, query_id, err.to_string())
 }
 
 #[cfg(test)]
@@ -551,7 +417,7 @@ mod tests {
     use crate::ServeConfig;
     use pir_prf::PrfKind;
     use pir_protocol::PirTable;
-    use pir_wire::{decode_message, encode_message, MsgType, WireEnvelope, PROTOCOL_V2};
+    use pir_wire::{decode_message, MsgType, WireEnvelope};
     use std::time::Duration;
 
     fn runtime() -> PirServeRuntime {
@@ -586,72 +452,31 @@ mod tests {
     }
 
     #[test]
-    fn capped_frontends_advertise_and_enforce_their_ceiling() {
-        let runtime = runtime();
-        let frontend = WireFrontend::with_max_version(runtime.handle(), 0, PROTOCOL_V1);
-        // Catalog advertises the cap...
-        let reply = frontend.handle_frame(&encode_message(&WireMessage::CatalogRequest));
-        match decode_message(&reply).unwrap() {
-            WireMessage::Catalog(catalog) => assert_eq!(catalog.protocol_version, PROTOCOL_V1),
-            other => panic!("expected catalog, got {}", other.name()),
-        }
-        // ...and a v2 frame (which the *library* could decode) is rejected
-        // with the capped range, answered at the baseline version.
-        let frame = encode_message_v(&WireMessage::CatalogRequest, PROTOCOL_V2);
-        let (version, reply) =
-            pir_wire::decode_message_versioned(&frontend.handle_frame(&frame)).unwrap();
-        assert_eq!(version, PROTOCOL_V1);
-        match reply {
-            WireMessage::Error(error) => {
-                assert_eq!(error.code, ErrorCode::UnsupportedVersion);
-                assert_eq!(error.min_version, PROTOCOL_V1);
-                assert_eq!(error.max_version, PROTOCOL_V1);
-            }
-            other => panic!("expected error, got {}", other.name()),
-        }
-    }
-
-    #[test]
-    fn v2_query_replies_are_stamped_and_versioned() {
+    fn query_replies_are_stamped_with_the_table_version() {
         let runtime = runtime();
         let frontend = WireFrontend::new(runtime.handle(), 0);
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(12);
         let client =
             pir_protocol::PirClient::new(pir_protocol::TableSchema::new(128, 8), PrfKind::SipHash);
-        let query = client.query(5, &mut rng);
-        let frame = encode_message_v(
-            &WireMessage::Query(QueryMsg {
+        let mut stamp_of = |index: u64| {
+            let query = client.query(index, &mut rng);
+            let frame = encode_message(&WireMessage::Query(QueryMsg {
                 table: "emb".into(),
                 tenant: "t".into(),
                 query: query.to_server(0),
-            }),
-            PROTOCOL_V2,
-        );
-        let (version, reply) =
-            pir_wire::decode_message_versioned(&frontend.handle_frame(&frame)).unwrap();
-        assert_eq!(version, PROTOCOL_V2, "reply travels in the request version");
-        match reply {
-            WireMessage::Response(msg) => {
-                assert_eq!(msg.response.query_id, query.query_id);
-                assert_eq!(msg.table_version, 1, "fresh table is at version 1");
+            }));
+            match decode_message(&frontend.handle_frame(&frame)).unwrap() {
+                WireMessage::Response(msg) => {
+                    assert_eq!(msg.response.query_id, query.query_id);
+                    msg.table_version
+                }
+                other => panic!("expected response, got {}", other.name()),
             }
-            other => panic!("expected response, got {}", other.name()),
-        }
+        };
+        assert_eq!(stamp_of(5), 1, "fresh table is at version 1");
         // After a hot reload the stamp moves.
         runtime.update_entry("emb", 9, &[7u8; 8]).unwrap();
-        let query = client.query(6, &mut rng);
-        let frame = encode_message_v(
-            &WireMessage::Query(QueryMsg {
-                table: "emb".into(),
-                tenant: "t".into(),
-                query: query.to_server(0),
-            }),
-            PROTOCOL_V2,
-        );
-        match decode_message(&frontend.handle_frame(&frame)).unwrap() {
-            WireMessage::Response(msg) => assert_eq!(msg.table_version, 2),
-            other => panic!("expected response, got {}", other.name()),
-        }
+        assert_eq!(stamp_of(6), 2);
     }
 
     #[test]
@@ -661,8 +486,8 @@ mod tests {
         for frame in [
             &b""[..],
             &b"XX"[..],
-            &[0x50, 0x57, 1, 0, 3][..],               // truncated header
-            &[0x50, 0x57, 1, 0, 200, 0, 0, 0, 0][..], // unknown msg type
+            &[0x50, 0x57, 2, 0, 3][..],               // truncated header
+            &[0x50, 0x57, 2, 0, 200, 0, 0, 0, 0][..], // unknown msg type
         ] {
             let reply = frontend.handle_frame(frame);
             match decode_message(&reply).unwrap() {
@@ -693,7 +518,7 @@ mod tests {
         match decode_message(&reply).unwrap() {
             WireMessage::Error(error) => {
                 assert_eq!(error.code, ErrorCode::UnknownTable);
-                assert!(error.message.len() <= MAX_ERROR_DETAIL_BYTES + 32);
+                assert!(error.message.len() <= ErrorReply::MAX_DETAIL_BYTES + 32);
                 assert!(error.message.ends_with("(truncated)"));
             }
             other => panic!("expected error, got {}", other.name()),
@@ -704,16 +529,42 @@ mod tests {
     fn version_rejection_carries_the_supported_range() {
         let runtime = runtime();
         let frontend = WireFrontend::new(runtime.handle(), 0);
-        let mut frame = encode_message(&WireMessage::CatalogRequest);
-        frame[2] = 42; // future protocol version
-        let reply = frontend.handle_frame(&frame);
-        match decode_message(&reply).unwrap() {
-            WireMessage::Error(error) => {
-                assert_eq!(error.code, ErrorCode::UnsupportedVersion);
-                assert_eq!(error.min_version, pir_wire::MIN_SUPPORTED_VERSION);
-                assert_eq!(error.max_version, pir_wire::MAX_SUPPORTED_VERSION);
+        // The retired version 1 and a future version: both well-formed
+        // frames, both outside the range.
+        for version in [1u8, 42] {
+            let mut frame = encode_message(&WireMessage::CatalogRequest);
+            frame[2] = version;
+            let reply = frontend.handle_frame(&frame);
+            match decode_message(&reply).unwrap() {
+                WireMessage::Error(error) => {
+                    assert_eq!(error.code, ErrorCode::UnsupportedVersion);
+                    assert_eq!((error.min_version, error.max_version), (2, 2));
+                }
+                other => panic!("expected error, got {}", other.name()),
             }
-            other => panic!("expected error, got {}", other.name()),
+        }
+    }
+
+    #[test]
+    fn unsplittable_transports_are_refused_with_a_typed_error() {
+        /// A transport that cannot split; touching it is a test failure.
+        struct Unsplittable;
+        impl PirTransport for Unsplittable {
+            fn send(&mut self, _frame: &[u8]) -> Result<(), WireError> {
+                panic!("an unsplittable transport must not be served");
+            }
+            fn recv(&mut self) -> Result<Vec<u8>, WireError> {
+                panic!("an unsplittable transport must not be served");
+            }
+            fn split(self: Box<Self>) -> SplitTransport {
+                SplitTransport::Whole(self)
+            }
+        }
+        let runtime = runtime();
+        let frontend = WireFrontend::new(runtime.handle(), 0);
+        match frontend.serve(Box::new(Unsplittable)) {
+            Err(WireError::Transport(detail)) => assert!(detail.contains("cannot split")),
+            other => panic!("expected a transport error, got {other:?}"),
         }
     }
 
@@ -726,20 +577,17 @@ mod tests {
         let client =
             pir_protocol::PirClient::new(pir_protocol::TableSchema::new(128, 8), PrfKind::SipHash);
         let query = client.query(5, &mut rng);
-        let frame = encode_message_v(
-            &WireMessage::Query(pir_wire::QueryMsg {
-                table: "emb".into(),
-                tenant: "t".into(),
-                query: query.to_server(1),
-            }),
-            PROTOCOL_V2,
-        );
+        let frame = encode_message(&WireMessage::Query(pir_wire::QueryMsg {
+            table: "emb".into(),
+            tenant: "t".into(),
+            query: query.to_server(1),
+        }));
         let reply = frontend.handle_frame(&frame);
         match decode_message(&reply).unwrap() {
             WireMessage::Error(error) => {
                 assert_eq!(error.code, ErrorCode::InvalidRequest);
                 assert!(error.message.contains("party"));
-                // v2 errors are attributed to the query they answer.
+                // Errors are attributed to the query they answer.
                 assert_eq!(error.query_id, query.query_id);
             }
             other => panic!("expected error, got {}", other.name()),

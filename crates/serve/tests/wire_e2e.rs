@@ -39,18 +39,8 @@ fn serve_loopback(
     runtime: &Arc<PirServeRuntime>,
     party: u8,
 ) -> (Box<dyn PirTransport>, std::thread::JoinHandle<()>) {
-    serve_loopback_capped(runtime, party, pir_wire::MAX_SUPPORTED_VERSION)
-}
-
-/// Like [`serve_loopback`], with the frontend's protocol version capped —
-/// `cap = 1` stands up a "v1-only server" for fallback tests.
-fn serve_loopback_capped(
-    runtime: &Arc<PirServeRuntime>,
-    party: u8,
-    cap: u16,
-) -> (Box<dyn PirTransport>, std::thread::JoinHandle<()>) {
     let (client_end, server_end) = loopback_pair();
-    let frontend = WireFrontend::with_max_version(runtime.handle(), party, cap);
+    let frontend = WireFrontend::new(runtime.handle(), party);
     let worker = std::thread::spawn(move || {
         frontend.serve(Box::new(server_end)).unwrap();
     });
@@ -308,7 +298,7 @@ fn one_sided_errors_do_not_desynchronize_the_session() {
 
 #[test]
 fn pipelined_session_reconstructs_across_two_tables() {
-    // Two tables of very different sizes share one v2 session: the pipeline
+    // Two tables of very different sizes share one session: the pipeline
     // keeps a window of queries in flight across both, and every completion
     // must still reconstruct exactly. Interleaving a slow table with a fast
     // one is also how out-of-order completions arise in practice.
@@ -332,7 +322,6 @@ fn pipelined_session_reconstructs_across_two_tables() {
     let (t0, w0) = serve_loopback(&runtime, 0);
     let (t1, w1) = serve_loopback(&runtime, 1);
     let mut session = PirSession::connect_with_window(t0, t1, "pipelined", 8).unwrap();
-    assert_eq!(session.negotiated_version(), pir_wire::PROTOCOL_V2);
     assert_eq!(session.window(), 8);
 
     let mut rng = StdRng::seed_from_u64(10);
@@ -358,54 +347,6 @@ fn pipelined_session_reconstructs_across_two_tables() {
     assert_eq!(stats.completed, 24);
     assert_eq!(stats.version_skew_failures, 0);
 
-    drop(session);
-    w0.join().unwrap();
-    w1.join().unwrap();
-}
-
-#[test]
-fn v2_client_against_v1_only_servers_falls_back_to_lockstep() {
-    let runtime = Arc::new(test_runtime(83));
-    let (t0, w0) = serve_loopback_capped(&runtime, 0, 1);
-    let (t1, w1) = serve_loopback_capped(&runtime, 1, 1);
-    // The client asks for a deep pipeline; the v1 servers cannot provide
-    // one, and the session must clamp instead of failing.
-    let mut session = PirSession::connect_with_window(t0, t1, "legacy", 16).unwrap();
-    assert_eq!(session.negotiated_version(), pir_wire::PROTOCOL_V1);
-    assert_eq!(session.window(), 1, "v1 fallback is lockstep");
-
-    let table = test_table();
-    let mut rng = StdRng::seed_from_u64(11);
-    for index in [1u64, 200, 400] {
-        assert_eq!(
-            session.query("emb", index, &mut rng).unwrap(),
-            table.entry(index)
-        );
-    }
-    // submit/poll still work — they just behave lockstep.
-    let id = session.submit("emb", 42, &mut rng).unwrap();
-    let done = session.poll().unwrap();
-    assert_eq!(done.query_id, id);
-    assert_eq!(done.outcome.unwrap(), table.entry(42));
-    assert!(!done.retried);
-
-    drop(session);
-    w0.join().unwrap();
-    w1.join().unwrap();
-}
-
-#[test]
-fn mixed_version_frontends_reject_nothing_a_v1_client_needs() {
-    // One party still v1-capped, the other already v2: negotiation takes
-    // the min and the session works — the staged-rollout scenario.
-    let runtime = Arc::new(test_runtime(97));
-    let (t0, w0) = serve_loopback_capped(&runtime, 0, 1);
-    let (t1, w1) = serve_loopback(&runtime, 1);
-    let mut session = PirSession::connect(t0, t1, "staged").unwrap();
-    assert_eq!(session.negotiated_version(), pir_wire::PROTOCOL_V1);
-    let table = test_table();
-    let mut rng = StdRng::seed_from_u64(13);
-    assert_eq!(session.query("emb", 77, &mut rng).unwrap(), table.entry(77));
     drop(session);
     w0.join().unwrap();
     w1.join().unwrap();

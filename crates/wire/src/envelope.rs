@@ -9,11 +9,15 @@
 //! 9       n     body
 //! ```
 //!
-//! Version negotiation is *reject-with-supported-range*: a peer receiving a
-//! version outside `MIN_SUPPORTED_VERSION..=MAX_SUPPORTED_VERSION` answers
+//! There is one body layout per message type — the protocol is version 2 —
+//! but the envelope keeps its `version` field and the range check, so a
+//! version 3 can be staged by widening the range. The rule is
+//! *reject-with-supported-range*: a peer receiving a version outside
+//! `MIN_SUPPORTED_VERSION..=MAX_SUPPORTED_VERSION` (today `2..=2`) answers
 //! with an [`ErrorReply`](crate::messages::ErrorReply) carrying that range
 //! (it cannot decode the body, so it cannot do anything cleverer), and the
-//! sender decides whether it can downgrade.
+//! sender learns what to speak from the typed
+//! [`WireError::UnsupportedVersion`].
 
 use crate::codec::{WireReader, WireWriter};
 use crate::error::WireError;
@@ -21,22 +25,15 @@ use crate::error::WireError;
 /// First two bytes of every frame.
 pub const WIRE_MAGIC: [u8; 2] = *b"PW";
 
-/// Version 1: lockstep request/response. One frame out, one frame back, in
-/// order, unstamped.
-pub const PROTOCOL_V1: u16 = 1;
-
-/// Version 2: pipelined, multiplexed sessions. Query frames carry
-/// client-assigned ids (as in v1), servers may answer **out of order** as
-/// batches complete, `Response` bodies carry a table-version stamp and
-/// `Error` bodies carry the query id they answer (0 = connection-level).
+/// The protocol version: pipelined, multiplexed sessions. Query frames carry
+/// client-assigned ids, servers may answer **out of order** as batches
+/// complete, `Response` bodies carry a table-version stamp and `Error`
+/// bodies carry the query id they answer (0 = connection-level). Every
+/// frame, the `CatalogRequest` handshake included, travels under it.
 pub const PROTOCOL_V2: u16 = 2;
 
-/// The baseline version every implementation speaks; handshake frames
-/// (`CatalogRequest`) travel under it so any peer can decode them.
-pub const PROTOCOL_VERSION: u16 = PROTOCOL_V1;
-
 /// Lowest version this implementation accepts.
-pub const MIN_SUPPORTED_VERSION: u16 = PROTOCOL_V1;
+pub const MIN_SUPPORTED_VERSION: u16 = PROTOCOL_V2;
 
 /// Highest version this implementation accepts.
 pub const MAX_SUPPORTED_VERSION: u16 = PROTOCOL_V2;
@@ -108,17 +105,11 @@ pub struct WireEnvelope {
 }
 
 impl WireEnvelope {
-    /// Wrap a body under the baseline [`PROTOCOL_V1`].
+    /// Wrap a body under [`PROTOCOL_V2`].
     #[must_use]
     pub fn new(msg_type: MsgType, body: Vec<u8>) -> Self {
-        Self::with_version(PROTOCOL_V1, msg_type, body)
-    }
-
-    /// Wrap a body under an explicit protocol version.
-    #[must_use]
-    pub fn with_version(version: u16, msg_type: MsgType, body: Vec<u8>) -> Self {
         Self {
-            version,
+            version: PROTOCOL_V2,
             msg_type,
             body,
         }
@@ -144,7 +135,7 @@ impl WireEnvelope {
     /// * [`WireError::Truncated`] — shorter than the header or body.
     /// * [`WireError::BadMagic`] — wrong leading bytes.
     /// * [`WireError::UnsupportedVersion`] — version outside the supported
-    ///   range (carries the range, per the negotiation rule).
+    ///   range (carries the range, per the reject-with-supported-range rule).
     /// * [`WireError::UnknownMsgType`] — unrecognized type byte.
     /// * [`WireError::BodyLength`] — declared length disagrees with frame.
     pub fn decode(frame: &[u8]) -> Result<Self, WireError> {
@@ -186,13 +177,6 @@ mod tests {
         let envelope = WireEnvelope::new(MsgType::Query, vec![1, 2, 3]);
         let frame = envelope.encode();
         assert_eq!(frame.len(), ENVELOPE_HEADER_BYTES + 3);
-        assert_eq!(WireEnvelope::decode(&frame).unwrap(), envelope);
-    }
-
-    #[test]
-    fn v2_envelopes_roundtrip() {
-        let envelope = WireEnvelope::with_version(PROTOCOL_V2, MsgType::Response, vec![9; 5]);
-        let frame = envelope.encode();
         let decoded = WireEnvelope::decode(&frame).unwrap();
         assert_eq!(decoded.version, PROTOCOL_V2);
         assert_eq!(decoded, envelope);
@@ -200,16 +184,20 @@ mod tests {
 
     #[test]
     fn version_outside_range_carries_the_supported_range() {
-        let mut frame = WireEnvelope::new(MsgType::CatalogRequest, Vec::new()).encode();
-        frame[2] = 9; // version low byte
-        assert_eq!(
-            WireEnvelope::decode(&frame),
-            Err(WireError::UnsupportedVersion {
-                got: 9,
-                min: MIN_SUPPORTED_VERSION,
-                max: MAX_SUPPORTED_VERSION,
-            })
-        );
+        assert_eq!((MIN_SUPPORTED_VERSION, MAX_SUPPORTED_VERSION), (2, 2));
+        // The retired version 1 and a future version alike.
+        for version in [1u8, 9] {
+            let mut frame = WireEnvelope::new(MsgType::CatalogRequest, Vec::new()).encode();
+            frame[2] = version; // version low byte
+            assert_eq!(
+                WireEnvelope::decode(&frame),
+                Err(WireError::UnsupportedVersion {
+                    got: u16::from(version),
+                    min: MIN_SUPPORTED_VERSION,
+                    max: MAX_SUPPORTED_VERSION,
+                })
+            );
+        }
     }
 
     #[test]

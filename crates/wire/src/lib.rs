@@ -7,8 +7,8 @@
 //! versioned byte protocol:
 //!
 //! * **Envelope** ([`WireEnvelope`]): every frame is
-//!   `magic ‖ version ‖ msg_type ‖ body_len ‖ body`, with a
-//!   reject-with-supported-range version-negotiation rule.
+//!   `magic ‖ version ‖ msg_type ‖ body_len ‖ body`; the protocol is
+//!   version 2 and anything else is rejected with the supported range.
 //! * **Canonical codecs** ([`codec`]): hand-rolled, deterministic binary
 //!   encodings for [`ServerQuery`](pir_protocol::ServerQuery),
 //!   [`PirResponse`](pir_protocol::PirResponse), catalog discovery, typed
@@ -42,12 +42,12 @@ pub mod transport;
 
 pub use envelope::{
     MsgType, WireEnvelope, ENVELOPE_HEADER_BYTES, MAX_SUPPORTED_VERSION, MIN_SUPPORTED_VERSION,
-    PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_VERSION, WIRE_MAGIC,
+    PROTOCOL_V2, WIRE_MAGIC,
 };
 pub use error::{ErrorCode, WireError};
 pub use messages::{
-    decode_message, decode_message_versioned, encode_message, encode_message_v, Catalog,
-    CatalogEntry, ErrorReply, QueryMsg, ResponseMsg, UpdateAckMsg, UpdateEntryMsg, WireMessage,
+    decode_message, decode_request, encode_message, encode_message_v, Catalog, CatalogEntry,
+    ErrorReply, QueryMsg, ResponseMsg, UpdateAckMsg, UpdateEntryMsg, WireMessage,
 };
 pub use session::{CompletedQuery, ConnStats, PipelineStats, PirSession};
 pub use transport::{

@@ -15,7 +15,7 @@ use crate::codec::{
     encode_response, encode_schema, encode_server_query, WireReader, WireWriter,
 };
 use crate::envelope::{
-    MsgType, WireEnvelope, MAX_SUPPORTED_VERSION, MIN_SUPPORTED_VERSION, PROTOCOL_V1, PROTOCOL_V2,
+    MsgType, WireEnvelope, MAX_SUPPORTED_VERSION, MIN_SUPPORTED_VERSION, PROTOCOL_V2,
 };
 use crate::error::{ErrorCode, WireError};
 
@@ -55,18 +55,18 @@ pub struct QueryMsg {
 
 /// One server's answer share, with its table-version stamp.
 ///
-/// The stamp is a v2 addition: each party counts the hot reloads it has
-/// applied to the table (starting at 1), and every share is stamped with the
-/// version it was computed against. A client holding two shares whose stamps
-/// differ knows the query straddled a reload — the shares would reconstruct
-/// garbage — and retries instead. Under v1 framing the stamp is not encoded
-/// and decodes as 0 ("unstamped").
+/// Each party counts the hot reloads it has applied to the table (starting
+/// at 1), and every share is stamped with the version it was computed
+/// against. A client holding two shares whose stamps differ knows the query
+/// straddled a reload — the shares would reconstruct garbage — and retries
+/// instead. Every `Response` frame carries the stamp; 0 has no reserved
+/// meaning on the wire.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResponseMsg {
     /// The answer share (query id, party, lanes).
     pub response: PirResponse,
-    /// Table version the share was computed against (v2 frames only; 0
-    /// under v1 framing).
+    /// Table version the share was computed against (a cluster router
+    /// stamps a digest of its shards' versions instead).
     pub table_version: u64,
 }
 
@@ -105,46 +105,72 @@ pub struct ErrorReply {
     /// server accepts. Zero otherwise.
     pub max_version: u16,
     /// The query this error answers, so a pipelined client can attribute it
-    /// (v2 frames only; 0 = connection-level error, and always 0 under v1
-    /// framing, where attribution is positional).
+    /// (0 = connection-level error: a rejected or malformed frame, a failed
+    /// update).
     pub query_id: u64,
-    /// Human-readable detail.
+    /// Human-readable detail, at most [`Self::MAX_DETAIL_BYTES`] (plus a
+    /// truncation marker) when built by [`Self::new`].
     pub message: String,
 }
 
 impl ErrorReply {
-    /// The reply a server sends when a frame's version is outside its
-    /// supported range (the reject-with-supported-range negotiation rule).
-    #[must_use]
-    pub fn unsupported_version(got: u16) -> Self {
-        Self::unsupported_range(got, MIN_SUPPORTED_VERSION, MAX_SUPPORTED_VERSION)
-    }
+    /// Longest detail string a server-built reply carries.
+    ///
+    /// Details can echo client-supplied strings (table and tenant names),
+    /// and the canonical encoding caps strings at `u16::MAX` bytes —
+    /// bounding the echo keeps a hostile 64 KiB table name from ever pushing
+    /// a reply past what `put_string` can encode (which would panic the
+    /// serve thread) and keeps error frames small.
+    pub const MAX_DETAIL_BYTES: usize = 512;
 
-    /// Like [`Self::unsupported_version`], but advertising an explicit
-    /// range — a server capped below [`MAX_SUPPORTED_VERSION`] (staged
-    /// rollout) rejects newer frames with its *own* ceiling.
+    /// The reply a server sends for `code`, attributed to `query_id`
+    /// (0 = connection-level), its detail truncated on a char boundary to
+    /// [`Self::MAX_DETAIL_BYTES`]. Flagged `shed` exactly for
+    /// [`ErrorCode::Shed`].
     #[must_use]
-    pub fn unsupported_range(got: u16, min: u16, max: u16) -> Self {
+    pub fn new(code: ErrorCode, query_id: u64, detail: impl Into<String>) -> Self {
+        let mut message = detail.into();
+        if message.len() > Self::MAX_DETAIL_BYTES {
+            let mut cut = Self::MAX_DETAIL_BYTES;
+            while !message.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            message.truncate(cut);
+            message.push_str("... (truncated)");
+        }
         Self {
-            code: ErrorCode::UnsupportedVersion,
-            shed: false,
-            min_version: min,
-            max_version: max,
-            query_id: 0,
-            message: format!("version {got} is not supported"),
+            code,
+            shed: code == ErrorCode::Shed,
+            min_version: 0,
+            max_version: 0,
+            query_id,
+            message,
         }
     }
 
-    /// Convert into the typed client-side error; `spoken` is the protocol
-    /// version this side had used (echoed into
-    /// [`WireError::UnsupportedVersion::got`] for version rejections).
+    /// The reply a server sends when a frame's version is outside its
+    /// supported range (the reject-with-supported-range rule).
     #[must_use]
-    pub fn into_wire_error(self, spoken: u16) -> WireError {
+    pub fn unsupported_version(got: u16) -> Self {
+        Self {
+            min_version: MIN_SUPPORTED_VERSION,
+            max_version: MAX_SUPPORTED_VERSION,
+            ..Self::new(
+                ErrorCode::UnsupportedVersion,
+                0,
+                format!("version {got} is not supported"),
+            )
+        }
+    }
+
+    /// Convert into the typed client-side error.
+    #[must_use]
+    pub fn into_wire_error(self) -> WireError {
         if self.code == ErrorCode::UnsupportedVersion {
             // `got` is the version *we* spoke — the peer rejected it and
             // told us its supported range.
             return WireError::UnsupportedVersion {
-                got: spoken,
+                got: PROTOCOL_V2,
                 min: self.min_version,
                 max: self.max_version,
             };
@@ -157,6 +183,12 @@ impl ErrorReply {
     }
 }
 
+impl From<ErrorReply> for WireMessage {
+    fn from(reply: ErrorReply) -> Self {
+        Self::Error(reply)
+    }
+}
+
 /// Every message that can cross the wire.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WireMessage {
@@ -166,7 +198,7 @@ pub enum WireMessage {
     Catalog(Catalog),
     /// Client → server: one key projection of a query.
     Query(QueryMsg),
-    /// Server → client: one answer share (stamped under v2 framing).
+    /// Server → client: one stamped answer share.
     Response(ResponseMsg),
     /// Server → client: typed error / backpressure.
     Error(ErrorReply),
@@ -198,36 +230,26 @@ impl WireMessage {
     }
 }
 
-/// Encode a message into a complete frame under the baseline
-/// [`PROTOCOL_V1`] framing (no stamps, positional error attribution).
-#[must_use]
-pub fn encode_message(message: &WireMessage) -> Vec<u8> {
-    encode_message_v(message, PROTOCOL_V1)
-}
-
-/// Encode a message into a complete frame under an explicit protocol
-/// version.
-///
-/// The two versions share every body layout except:
-///
-/// * `Response` — v2 appends the 8-byte table-version stamp;
-/// * `Error` — v2 appends the 8-byte query id the error answers.
-///
-/// Encoding a stamped [`ResponseMsg`] under v1 silently drops the stamp
-/// (v1 cannot carry it); decoding it back yields `table_version == 0`.
+/// [`encode_message`] with the protocol version spelled out by the caller —
+/// for call sites that want the version they measure or test on the page.
 ///
 /// # Panics
 ///
-/// Panics if `version` is outside the supported range: the version here is
-/// chosen by this implementation (negotiated or echoed from a frame that
-/// already passed range validation), so an out-of-range value is a
-/// programming error, not untrusted input.
+/// Panics if `version` is outside the supported range (there is one body
+/// layout, so the only encodable version is [`PROTOCOL_V2`]): the version is
+/// chosen by the caller's code, never by untrusted input.
 #[must_use]
 pub fn encode_message_v(message: &WireMessage, version: u16) -> Vec<u8> {
     assert!(
         (MIN_SUPPORTED_VERSION..=MAX_SUPPORTED_VERSION).contains(&version),
         "cannot encode under unsupported version {version}"
     );
+    encode_message(message)
+}
+
+/// Encode a message into a complete [`PROTOCOL_V2`] frame.
+#[must_use]
+pub fn encode_message(message: &WireMessage) -> Vec<u8> {
     let mut body = WireWriter::new();
     match message {
         WireMessage::CatalogRequest => {}
@@ -248,9 +270,7 @@ pub fn encode_message_v(message: &WireMessage, version: u16) -> Vec<u8> {
         }
         WireMessage::Response(response) => {
             encode_response(&response.response, &mut body);
-            if version >= PROTOCOL_V2 {
-                body.put_u64(response.table_version);
-            }
+            body.put_u64(response.table_version);
         }
         WireMessage::Error(error) => {
             body.put_u8(error.code as u8);
@@ -258,9 +278,7 @@ pub fn encode_message_v(message: &WireMessage, version: u16) -> Vec<u8> {
             body.put_u16(error.min_version);
             body.put_u16(error.max_version);
             body.put_string(&error.message);
-            if version >= PROTOCOL_V2 {
-                body.put_u64(error.query_id);
-            }
+            body.put_u64(error.query_id);
         }
         WireMessage::UpdateEntry(update) => {
             body.put_string(&update.table);
@@ -272,7 +290,7 @@ pub fn encode_message_v(message: &WireMessage, version: u16) -> Vec<u8> {
             body.put_u64(ack.index);
         }
     }
-    WireEnvelope::with_version(version, message.msg_type(), body.into_bytes()).encode()
+    WireEnvelope::new(message.msg_type(), body.into_bytes()).encode()
 }
 
 /// Decode a complete frame into a message.
@@ -283,21 +301,7 @@ pub fn encode_message_v(message: &WireMessage, version: u16) -> Vec<u8> {
 /// wrong-version or trailing-garbage frame; this function never panics on
 /// untrusted input.
 pub fn decode_message(frame: &[u8]) -> Result<WireMessage, WireError> {
-    decode_message_versioned(frame).map(|(_, message)| message)
-}
-
-/// Decode a complete frame into its protocol version and message.
-///
-/// Body layouts differ by version (see [`encode_message_v`]), and a server
-/// must echo replies in the version the request arrived under — this variant
-/// surfaces it.
-///
-/// # Errors
-///
-/// Same as [`decode_message`].
-pub fn decode_message_versioned(frame: &[u8]) -> Result<(u16, WireMessage), WireError> {
     let envelope = WireEnvelope::decode(frame)?;
-    let version = envelope.version;
     let mut reader = WireReader::new(&envelope.body);
     let message = match envelope.msg_type {
         MsgType::CatalogRequest => WireMessage::CatalogRequest,
@@ -337,11 +341,7 @@ pub fn decode_message_versioned(frame: &[u8]) -> Result<(u16, WireMessage), Wire
         }
         MsgType::Response => {
             let response = decode_response(&mut reader)?;
-            let table_version = if version >= PROTOCOL_V2 {
-                reader.u64()?
-            } else {
-                0
-            };
+            let table_version = reader.u64()?;
             WireMessage::Response(ResponseMsg {
                 response,
                 table_version,
@@ -355,11 +355,7 @@ pub fn decode_message_versioned(frame: &[u8]) -> Result<(u16, WireMessage), Wire
             let min_version = reader.u16()?;
             let max_version = reader.u16()?;
             let message = reader.string()?;
-            let query_id = if version >= PROTOCOL_V2 {
-                reader.u64()?
-            } else {
-                0
-            };
+            let query_id = reader.u64()?;
             WireMessage::Error(ErrorReply {
                 code,
                 shed,
@@ -386,7 +382,23 @@ pub fn decode_message_versioned(frame: &[u8]) -> Result<(u16, WireMessage), Wire
         }
     };
     reader.finish()?;
-    Ok((version, message))
+    Ok(message)
+}
+
+/// Decode a frame a server received from an untrusted peer, mapping every
+/// failure onto the connection-level [`ErrorReply`] to send back: a version
+/// outside the supported range is rejected with that range (the
+/// reject-with-supported-range rule), anything else undecodable is
+/// [`ErrorCode::Malformed`].
+///
+/// # Errors
+///
+/// The reply to encode and send instead of serving the frame.
+pub fn decode_request(frame: &[u8]) -> Result<WireMessage, ErrorReply> {
+    decode_message(frame).map_err(|err| match err {
+        WireError::UnsupportedVersion { got, .. } => ErrorReply::unsupported_version(got),
+        err => ErrorReply::new(ErrorCode::Malformed, 0, err.to_string()),
+    })
 }
 
 #[cfg(test)]
@@ -406,7 +418,7 @@ mod tests {
         vec![
             WireMessage::CatalogRequest,
             WireMessage::Catalog(Catalog {
-                protocol_version: 1,
+                protocol_version: PROTOCOL_V2,
                 party: 1,
                 tables: vec![
                     CatalogEntry {
@@ -436,16 +448,9 @@ mod tests {
                     party: 0,
                     share: vec![1, 2, 3, 4],
                 },
-                table_version: 0,
+                table_version: 41,
             }),
-            WireMessage::Error(ErrorReply {
-                code: ErrorCode::Shed,
-                shed: true,
-                min_version: 0,
-                max_version: 0,
-                query_id: 0,
-                message: "queue full".into(),
-            }),
+            WireMessage::Error(ErrorReply::new(ErrorCode::Shed, 77, "queue full")),
             WireMessage::UpdateEntry(UpdateEntryMsg {
                 table: "users".into(),
                 index: 3,
@@ -468,52 +473,27 @@ mod tests {
     }
 
     #[test]
-    fn every_message_roundtrips_under_v2() {
-        for message in sample_messages() {
-            let frame = encode_message_v(&message, PROTOCOL_V2);
-            let (version, decoded) = decode_message_versioned(&frame).unwrap();
-            assert_eq!(version, PROTOCOL_V2);
-            assert_eq!(decoded, message, "{}", message.name());
-        }
+    fn undecodable_requests_map_to_typed_replies() {
+        let mut frame = encode_message(&WireMessage::CatalogRequest);
+        assert_eq!(decode_request(&frame), Ok(WireMessage::CatalogRequest));
+        frame[2] = 1; // the retired version 1
+        let reply = decode_request(&frame).unwrap_err();
+        assert_eq!(reply, ErrorReply::unsupported_version(1));
+        let reply = decode_request(b"XX").unwrap_err();
+        assert_eq!(reply.code, ErrorCode::Malformed);
+        assert_eq!((reply.min_version, reply.max_version), (0, 0));
     }
 
     #[test]
-    fn stamps_and_error_ids_survive_v2_and_drop_under_v1() {
-        let stamped = WireMessage::Response(ResponseMsg {
-            response: PirResponse {
-                query_id: 99,
-                party: 1,
-                share: vec![5, 6],
-            },
-            table_version: 41,
-        });
-        let v2 = encode_message_v(&stamped, PROTOCOL_V2);
-        assert_eq!(decode_message(&v2).unwrap(), stamped);
-        // v1 framing cannot carry the stamp: it decodes as 0 ("unstamped").
-        let v1 = encode_message_v(&stamped, PROTOCOL_V1);
-        assert_eq!(v1.len() + 8, v2.len(), "stamp is exactly 8 bytes");
-        match decode_message(&v1).unwrap() {
-            WireMessage::Response(msg) => {
-                assert_eq!(msg.table_version, 0);
-                assert_eq!(msg.response.query_id, 99);
-            }
-            other => panic!("expected response, got {}", other.name()),
-        }
-
-        let attributed = WireMessage::Error(ErrorReply {
-            code: ErrorCode::Shed,
-            shed: true,
-            min_version: 0,
-            max_version: 0,
-            query_id: 77,
-            message: "queue full".into(),
-        });
-        let v2 = encode_message_v(&attributed, PROTOCOL_V2);
-        assert_eq!(decode_message(&v2).unwrap(), attributed);
-        match decode_message(&encode_message_v(&attributed, PROTOCOL_V1)).unwrap() {
-            WireMessage::Error(reply) => assert_eq!(reply.query_id, 0),
-            other => panic!("expected error, got {}", other.name()),
-        }
+    fn server_built_replies_bound_their_detail_and_flag_sheds() {
+        let reply = ErrorReply::new(ErrorCode::UnknownTable, 9, "€".repeat(30_000));
+        assert!(reply.message.len() <= ErrorReply::MAX_DETAIL_BYTES + 32);
+        assert!(reply.message.ends_with("(truncated)"));
+        assert!(!reply.shed);
+        assert_eq!(reply.query_id, 9);
+        let reply = ErrorReply::new(ErrorCode::Shed, 0, "queue full");
+        assert_eq!(reply.message, "queue full");
+        assert!(reply.shed);
     }
 
     #[test]
@@ -536,7 +516,7 @@ mod tests {
         assert_eq!(reply.min_version, MIN_SUPPORTED_VERSION);
         assert_eq!(reply.max_version, MAX_SUPPORTED_VERSION);
         assert!(matches!(
-            reply.into_wire_error(PROTOCOL_V2),
+            reply.into_wire_error(),
             WireError::UnsupportedVersion {
                 got: PROTOCOL_V2,
                 ..

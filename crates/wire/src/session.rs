@@ -12,12 +12,8 @@
 //!
 //! # Pipelining
 //!
-//! At connect time the session negotiates the protocol version: each server
-//! advertises its highest version in its catalog, and the session speaks
-//! `min(server0, server1, MAX_SUPPORTED_VERSION)` from then on.
-//!
-//! Under **v2** the session is *pipelined*: [`PirSession::submit`] issues a
-//! query without waiting for the answer, keeping up to `window` queries in
+//! The session is *pipelined*: [`PirSession::submit`] issues a query
+//! without waiting for the answer, keeping up to `window` queries in
 //! flight, and [`PirSession::poll`] returns completions **in the order the
 //! servers finish them** — not submission order. Responses carry
 //! table-version stamps; if a query's two shares straddled a hot reload
@@ -25,23 +21,25 @@
 //! retries it transparently, exactly once. The classic blocking
 //! [`PirSession::query`] remains as the one-deep special case.
 //!
-//! Under **v1** (an old server on either side) the session cleanly falls
-//! back to lockstep: the window clamps to 1, frames are unstamped, and
-//! every call behaves exactly as the v1 client did.
+//! There is no version negotiation: the session speaks [`PROTOCOL_V2`], and
+//! a server whose catalog advertises a ceiling below
+//! [`MIN_SUPPORTED_VERSION`] fails [`PirSession::connect`] with the typed
+//! [`WireError::UnsupportedVersion`] (a server that rejects the handshake
+//! frame outright produces the same error from its reply).
 
 use std::collections::{BTreeMap, VecDeque};
 
 use pir_protocol::{PirClient, PirQuery, PirResponse, TableSchema};
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::envelope::{MAX_SUPPORTED_VERSION, MIN_SUPPORTED_VERSION, PROTOCOL_V2};
+use crate::envelope::{MIN_SUPPORTED_VERSION, PROTOCOL_V2};
 use crate::error::WireError;
 use crate::messages::{
-    decode_message, encode_message_v, Catalog, QueryMsg, UpdateAckMsg, UpdateEntryMsg, WireMessage,
+    decode_message, encode_message, Catalog, QueryMsg, UpdateAckMsg, UpdateEntryMsg, WireMessage,
 };
 use crate::transport::PirTransport;
 
-/// Default pipeline depth of a v2 session (overridable via
+/// Default pipeline depth of a session (overridable via
 /// [`PirSession::connect_with_window`]).
 pub const DEFAULT_WINDOW: usize = 32;
 
@@ -92,9 +90,8 @@ pub struct CompletedQuery {
     /// the session.
     pub outcome: Result<Vec<u8>, WireError>,
     /// The table version both answer shares were stamped with when the
-    /// outcome is a row (0 on failure, or when the negotiated protocol
-    /// predates version stamps). Clients use this as the generation key for
-    /// hot-entry caching: a bump means the table was hot-reloaded.
+    /// outcome is a row (0 on failure). Clients use this as the generation
+    /// key for hot-entry caching: a bump means the table was hot-reloaded.
     pub table_version: u64,
     /// Whether the transparent version-skew retry was taken.
     pub retried: bool,
@@ -109,8 +106,8 @@ struct Connection {
 }
 
 impl Connection {
-    fn send(&mut self, message: &WireMessage, version: u16) -> Result<(), WireError> {
-        let frame = encode_message_v(message, version);
+    fn send(&mut self, message: &WireMessage) -> Result<(), WireError> {
+        let frame = encode_message(message);
         self.transport.send(&frame)?;
         self.stats.frames_sent += 1;
         self.stats.bytes_sent += frame.len() as u64;
@@ -155,9 +152,7 @@ pub struct PirSession {
     conns: [Connection; 2],
     tables: BTreeMap<String, SessionTable>,
     tenant: String,
-    /// The protocol version both servers agreed to speak.
-    negotiated: u16,
-    /// Maximum in-flight queries (1 under v1 lockstep).
+    /// Maximum in-flight queries.
     window: usize,
     /// In-flight queries keyed by their *wire* id (session-global, so ids
     /// never collide across tables on one multiplexed connection).
@@ -182,13 +177,12 @@ pub struct PirSession {
 }
 
 impl PirSession {
-    /// Connect over two transports (index = server party), discover the
-    /// catalog from both servers and negotiate the protocol version, with
-    /// the default pipeline window.
+    /// Connect over two transports (index = server party) and discover the
+    /// catalog from both servers, with the default pipeline window.
     ///
     /// # Errors
     ///
-    /// Fails if either server speaks no supported protocol version, does
+    /// Fails if either server does not speak the protocol version, does
     /// not identify as the expected party, or the two catalogs disagree on
     /// any table's schema or PRF family (a client must never mix shares
     /// generated against different table shapes).
@@ -202,9 +196,7 @@ impl PirSession {
 
     /// [`Self::connect`] with an explicit in-flight window.
     ///
-    /// The window only takes effect when both servers speak v2; against a
-    /// v1 server the session clamps it to 1 (lockstep). A window of 0 is
-    /// treated as 1.
+    /// A window of 0 is treated as 1.
     ///
     /// # Errors
     ///
@@ -227,15 +219,10 @@ impl PirSession {
         ];
         let mut catalogs: Vec<Catalog> = Vec::with_capacity(2);
         for (party, conn) in conns.iter_mut().enumerate() {
-            // The handshake travels at the baseline version so any peer can
-            // decode it; the catalog's advertised version drives everything
-            // after.
-            conn.send(&WireMessage::CatalogRequest, MIN_SUPPORTED_VERSION)?;
+            conn.send(&WireMessage::CatalogRequest)?;
             let catalog = match conn.recv()? {
                 WireMessage::Catalog(catalog) => catalog,
-                WireMessage::Error(reply) => {
-                    return Err(reply.into_wire_error(MIN_SUPPORTED_VERSION))
-                }
+                WireMessage::Error(reply) => return Err(reply.into_wire_error()),
                 other => {
                     return Err(WireError::UnexpectedMessage {
                         expected: "Catalog",
@@ -243,9 +230,11 @@ impl PirSession {
                     })
                 }
             };
+            // A ceiling above what this session speaks is fine: the server
+            // range-rejects per frame, not per catalog.
             if catalog.protocol_version < MIN_SUPPORTED_VERSION {
                 return Err(WireError::UnsupportedVersion {
-                    got: MIN_SUPPORTED_VERSION,
+                    got: PROTOCOL_V2,
                     min: catalog.protocol_version,
                     max: catalog.protocol_version,
                 });
@@ -266,17 +255,6 @@ impl PirSession {
                 "the two servers advertise different catalogs".into(),
             ));
         }
-        // Speak the newest version everyone supports.
-        let negotiated = catalog0
-            .protocol_version
-            .min(catalog1.protocol_version)
-            .min(MAX_SUPPORTED_VERSION);
-        let window = if negotiated >= PROTOCOL_V2 {
-            window.max(1)
-        } else {
-            1 // v1 servers are lockstep: fall back cleanly.
-        };
-
         let tables = catalog0
             .tables
             .into_iter()
@@ -292,8 +270,7 @@ impl PirSession {
             conns,
             tables,
             tenant: tenant.into(),
-            negotiated,
-            window,
+            window: window.max(1),
             inflight: BTreeMap::new(),
             ready: VecDeque::new(),
             owed: [0, 0],
@@ -304,13 +281,7 @@ impl PirSession {
         })
     }
 
-    /// The protocol version negotiated with both servers.
-    #[must_use]
-    pub fn negotiated_version(&self) -> u16 {
-        self.negotiated
-    }
-
-    /// The effective in-flight window (1 under v1 lockstep).
+    /// The effective in-flight window.
     #[must_use]
     pub fn window(&self) -> usize {
         self.window
@@ -431,7 +402,7 @@ impl PirSession {
                 tenant: self.tenant.clone(),
                 query: query.to_server(party),
             });
-            self.conns[usize::from(party)].send(&message, self.negotiated)?;
+            self.conns[usize::from(party)].send(&message)?;
             self.owed[usize::from(party)] += 1;
         }
         self.inflight.insert(
@@ -505,29 +476,12 @@ impl PirSession {
                 self.try_complete(wire_id)
             }
             WireMessage::Error(reply) => {
-                let wire_id = if self.negotiated >= PROTOCOL_V2 {
-                    reply.query_id
-                } else {
-                    // v1 error frames carry no id: attribution is
-                    // positional — the oldest query this connection has not
-                    // answered yet (under the lockstep window that is the
-                    // only one).
-                    self.inflight
-                        .values()
-                        .filter(|q| q.outcomes[party].is_none())
-                        .map(|q| q.query.query_id)
-                        .next()
-                        .unwrap_or(0)
-                };
-                if wire_id == 0 {
-                    // Connection-level error (version rejection, malformed
-                    // frame report, ...): poisons the session.
-                    return Err(reply.into_wire_error(self.negotiated));
-                }
+                // Id 0 is a connection-level error (version rejection,
+                // malformed frame report, ...) and poisons the session, as
+                // does an error attributed to a query we never issued.
+                let wire_id = reply.query_id;
                 let Some(entry) = self.inflight.get_mut(&wire_id) else {
-                    // Same connection-level treatment for an error frame
-                    // attributed to a query we never issued.
-                    return Err(reply.into_wire_error(self.negotiated));
+                    return Err(reply.into_wire_error());
                 };
                 if entry.outcomes[party].is_some() {
                     // Same duplicate-answer guard as the Response arm.
@@ -536,8 +490,7 @@ impl PirSession {
                     )));
                 }
                 self.owed[party] -= 1;
-                let err = reply.into_wire_error(self.negotiated);
-                entry.outcomes[party] = Some(Err(err));
+                entry.outcomes[party] = Some(Err(reply.into_wire_error()));
                 self.try_complete(wire_id)
             }
             other => Err(WireError::UnexpectedMessage {
@@ -564,11 +517,11 @@ impl PirSession {
         };
         let mut table_version = 0;
         let outcome = match (outcome0, outcome1) {
-            // Party 0's error wins ties, matching the lockstep client.
+            // Party 0's error wins ties.
             (Err(err), _) => Err(err),
             (_, Err(err)) => Err(err),
             (Ok((response0, stamp0)), Ok((response1, stamp1))) => {
-                if self.negotiated >= PROTOCOL_V2 && stamp0 != stamp1 {
+                if stamp0 != stamp1 {
                     if entry.retried {
                         self.stats.version_skew_failures += 1;
                         Err(WireError::VersionSkew {
@@ -713,7 +666,7 @@ impl PirSession {
         let mut sent = [false; 2];
         let mut send_failure = None;
         for (party, conn) in self.conns.iter_mut().enumerate() {
-            match conn.send(&message, self.negotiated) {
+            match conn.send(&message) {
                 Ok(()) => sent[party] = true,
                 Err(err) => {
                     send_failure = Some(err);
@@ -730,7 +683,7 @@ impl PirSession {
             }
             let outcome = match conn.recv() {
                 Ok(WireMessage::UpdateAck(UpdateAckMsg { .. })) => Ok(()),
-                Ok(WireMessage::Error(reply)) => Err(reply.into_wire_error(self.negotiated)),
+                Ok(WireMessage::Error(reply)) => Err(reply.into_wire_error()),
                 Ok(other) => Err(WireError::UnexpectedMessage {
                     expected: "UpdateAck",
                     got: other.name(),
@@ -752,7 +705,6 @@ impl std::fmt::Debug for PirSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PirSession")
             .field("tenant", &self.tenant)
-            .field("version", &self.negotiated)
             .field("window", &self.window)
             .field("in_flight", &self.inflight.len())
             .field("tables", &self.table_names())

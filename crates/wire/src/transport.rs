@@ -35,8 +35,9 @@ pub enum SplitTransport {
         /// Handle intended for `send` calls.
         send: Box<dyn PirTransport>,
     },
-    /// The transport cannot be split; callers fall back to lockstep
-    /// request/response over the returned whole transport.
+    /// The transport cannot be split (client-side wrappers that never serve,
+    /// or a socket whose handle could not be duplicated); a server refuses
+    /// it with a typed error.
     Whole(Box<dyn PirTransport>),
 }
 
@@ -65,7 +66,7 @@ pub trait PirTransport: Send {
 
     /// Split into independently-usable receive/send halves of the same
     /// connection, enabling full-duplex pipelined service. Transports that
-    /// cannot split return themselves whole and are served lockstep.
+    /// cannot split return themselves whole and cannot be served.
     fn split(self: Box<Self>) -> SplitTransport;
 }
 

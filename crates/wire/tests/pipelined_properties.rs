@@ -1,9 +1,10 @@
-//! Property tests of the v2 pipelined session against *adversarially
+//! Property tests of the pipelined session against *adversarially
 //! scheduled* mock servers:
 //!
 //! (a) whatever completion permutation the two servers pick — independently
 //!     of each other — every pipelined query reconstructs its exact row,
-//! (b) a v2 client against v1-only servers cleanly falls back to lockstep,
+//! (b) a server whose catalog advertises a ceiling below the supported
+//!     floor fails `connect` with the typed version error,
 //! (c) a table-version stamp mismatch triggers exactly one transparent
 //!     retry; a second mismatch fails the query with a typed error without
 //!     poisoning the session.
@@ -15,9 +16,8 @@
 use pir_prf::PrfKind;
 use pir_protocol::{GpuPirServer, PirServer, PirTable, TableSchema};
 use pir_wire::{
-    decode_message_versioned, encode_message_v, loopback_pair, Catalog, CatalogEntry, ErrorReply,
-    LoopbackTransport, PirSession, PirTransport, ResponseMsg, WireError, WireMessage, PROTOCOL_V1,
-    PROTOCOL_V2,
+    decode_message, encode_message, loopback_pair, Catalog, CatalogEntry, ErrorCode, ErrorReply,
+    LoopbackTransport, PirSession, PirTransport, ResponseMsg, WireError, WireMessage, PROTOCOL_V2,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -60,10 +60,10 @@ impl StampRule {
 
 struct MockConfig {
     party: u8,
-    /// Version the catalog advertises (1 = "v1-only server").
+    /// Version ceiling the catalog advertises.
     protocol_version: u16,
     /// Buffer this many queries, then flush them in a permuted order.
-    /// 1 = answer immediately (lockstep-compatible).
+    /// 1 = answer immediately.
     burst: usize,
     /// Seed of the permutation RNG.
     permute_seed: u64,
@@ -74,7 +74,7 @@ struct MockConfig {
 fn run_mock(mut transport: LoopbackTransport, config: MockConfig) {
     let server = GpuPirServer::with_defaults(table(), PrfKind::SipHash);
     let mut rng = StdRng::seed_from_u64(config.permute_seed);
-    let mut buffered: Vec<(u16, ResponseMsg)> = Vec::new();
+    let mut buffered: Vec<ResponseMsg> = Vec::new();
     let mut answered = 0u64;
     loop {
         let frame = match transport.recv() {
@@ -82,8 +82,7 @@ fn run_mock(mut transport: LoopbackTransport, config: MockConfig) {
             Err(WireError::ConnectionClosed) => return,
             Err(err) => panic!("mock transport failed: {err}"),
         };
-        let (version, message) = decode_message_versioned(&frame).expect("well-formed frame");
-        match message {
+        match decode_message(&frame).expect("well-formed frame") {
             WireMessage::CatalogRequest => {
                 let reply = WireMessage::Catalog(Catalog {
                     protocol_version: config.protocol_version,
@@ -95,23 +94,17 @@ fn run_mock(mut transport: LoopbackTransport, config: MockConfig) {
                     }],
                 });
                 transport
-                    .send(&encode_message_v(&reply, version))
+                    .send(&encode_message(&reply))
                     .expect("catalog reply");
             }
             WireMessage::Query(query) => {
-                if config.protocol_version == PROTOCOL_V1 {
-                    assert_eq!(version, PROTOCOL_V1, "v1-only server saw a v2 frame");
-                }
                 let response = server.answer(&query.query).expect("mock answers");
                 let table_version = config.stamp.stamp(answered);
                 answered += 1;
-                buffered.push((
-                    version,
-                    ResponseMsg {
-                        response,
-                        table_version,
-                    },
-                ));
+                buffered.push(ResponseMsg {
+                    response,
+                    table_version,
+                });
                 if buffered.len() >= config.burst {
                     // Fisher–Yates under the scripted seed: THE permutation
                     // under test.
@@ -119,27 +112,21 @@ fn run_mock(mut transport: LoopbackTransport, config: MockConfig) {
                         let j = rng.gen_range(0..=i);
                         buffered.swap(i, j);
                     }
-                    for (reply_version, msg) in buffered.drain(..) {
+                    for msg in buffered.drain(..) {
                         transport
-                            .send(&encode_message_v(
-                                &WireMessage::Response(msg),
-                                reply_version,
-                            ))
+                            .send(&encode_message(&WireMessage::Response(msg)))
                             .expect("response");
                     }
                 }
             }
             other => {
-                let reply = WireMessage::Error(ErrorReply {
-                    code: pir_wire::ErrorCode::InvalidRequest,
-                    shed: false,
-                    min_version: 0,
-                    max_version: 0,
-                    query_id: 0,
-                    message: format!("mock cannot handle {}", other.name()),
-                });
+                let reply = WireMessage::Error(ErrorReply::new(
+                    ErrorCode::InvalidRequest,
+                    0,
+                    format!("mock cannot handle {}", other.name()),
+                ));
                 transport
-                    .send(&encode_message_v(&reply, version))
+                    .send(&encode_message(&reply))
                     .expect("error reply");
             }
         }
@@ -191,7 +178,7 @@ proptest! {
         );
         let mut session =
             PirSession::connect_with_window(t0, t1, "prop", wave).expect("connect");
-        prop_assert_eq!(session.negotiated_version(), PROTOCOL_V2);
+        prop_assert_eq!(session.window(), wave);
 
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
         // Two waves back to back: permutations must not leak state across
@@ -219,42 +206,37 @@ proptest! {
         w1.join().unwrap();
     }
 
-    /// (b) A v2 client connecting to v1-only servers falls back to
-    /// lockstep: version 1, window 1, unstamped frames — and every query
-    /// still works.
+    /// (b) A catalog ceiling below the supported floor — on either
+    /// connection — fails `connect` with the typed version error instead
+    /// of clamping the session to a lockstep it can no longer speak.
     #[test]
-    fn v2_client_falls_back_to_lockstep_against_v1_servers(seed in any::<u64>()) {
+    fn catalog_ceiling_below_the_floor_fails_connect_typed(
+        seed in any::<u64>(),
+        old_party in 0usize..2,
+    ) {
+        let ceiling = |party: usize| if party == old_party { 1 } else { PROTOCOL_V2 };
         let ([t0, t1], [w0, w1]) = spawn_pair(
             MockConfig {
                 party: 0,
-                protocol_version: PROTOCOL_V1,
+                protocol_version: ceiling(0),
                 burst: 1,
                 permute_seed: seed,
-                stamp: StampRule::Fixed(0),
+                stamp: StampRule::Fixed(1),
             },
             MockConfig {
                 party: 1,
-                protocol_version: PROTOCOL_V1,
+                protocol_version: ceiling(1),
                 burst: 1,
                 permute_seed: seed,
-                stamp: StampRule::Fixed(0),
+                stamp: StampRule::Fixed(1),
             },
         );
-        let mut session =
-            PirSession::connect_with_window(t0, t1, "prop", 16).expect("connect");
-        prop_assert_eq!(session.negotiated_version(), PROTOCOL_V1);
-        prop_assert_eq!(session.window(), 1);
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..4 {
-            let index = rng.gen_range(0..ENTRIES);
-            let row = session.query("t", index, &mut rng).expect("answered");
-            prop_assert_eq!(row, expected_row(index));
+        match PirSession::connect_with_window(t0, t1, "prop", 16) {
+            Err(WireError::UnsupportedVersion { got, min, max }) => {
+                prop_assert_eq!((got, min, max), (PROTOCOL_V2, 1, 1));
+            }
+            other => prop_assert!(false, "expected UnsupportedVersion, got {other:?}"),
         }
-        let stats = session.pipeline_stats();
-        prop_assert_eq!(stats.version_retries, 0);
-        prop_assert_eq!(stats.out_of_order_completions, 0);
-        drop(session);
         w0.join().unwrap();
         w1.join().unwrap();
     }
@@ -376,31 +358,25 @@ fn duplicate_answers_are_rejected_not_miscounted() {
     }
 
     let catalog = |party: u8| {
-        encode_message_v(
-            &WireMessage::Catalog(Catalog {
-                protocol_version: PROTOCOL_V2,
-                party,
-                tables: vec![CatalogEntry {
-                    name: "t".into(),
-                    schema: TableSchema::new(ENTRIES, ENTRY_BYTES),
-                    prf_kind: PrfKind::SipHash,
-                }],
-            }),
-            PROTOCOL_V2,
-        )
+        encode_message(&WireMessage::Catalog(Catalog {
+            protocol_version: PROTOCOL_V2,
+            party,
+            tables: vec![CatalogEntry {
+                name: "t".into(),
+                schema: TableSchema::new(ENTRIES, ENTRY_BYTES),
+                prf_kind: PrfKind::SipHash,
+            }],
+        }))
     };
     let response = |query_id: u64, party: u8| {
-        encode_message_v(
-            &WireMessage::Response(ResponseMsg {
-                response: PirResponse {
-                    query_id,
-                    party,
-                    share: vec![0; ENTRY_BYTES],
-                },
-                table_version: 1,
-            }),
-            PROTOCOL_V2,
-        )
+        encode_message(&WireMessage::Response(ResponseMsg {
+            response: PirResponse {
+                query_id,
+                party,
+                share: vec![0; ENTRY_BYTES],
+            },
+            table_version: 1,
+        }))
     };
     // The session assigns wire ids 1, 2, ... — script party 0 to answer
     // query 1 twice while party 1 (which answers only query 2) still owes

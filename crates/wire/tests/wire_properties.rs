@@ -66,17 +66,14 @@ fn sample_message(seed: u64) -> WireMessage {
                     .map(|i| i ^ seed as u32)
                     .collect(),
             },
-            // v1 framing cannot carry a stamp: only 0 roundtrips under the
-            // baseline encoding exercised here (v2 stamps are covered by
-            // the pipelined property tests).
-            table_version: 0,
+            table_version: rng.gen(),
         }),
         4 => WireMessage::Error(ErrorReply {
             code: ErrorCode::from_u8((seed % 8) as u8 + 1).unwrap(),
             shed: seed.is_multiple_of(3),
             min_version: (seed % 5) as u16,
             max_version: (seed % 5) as u16 + 1,
-            query_id: 0,
+            query_id: rng.gen(),
             message: format!("detail {seed}"),
         }),
         5 => WireMessage::UpdateEntry(UpdateEntryMsg {

@@ -72,7 +72,7 @@ fn main() {
         encode_message(&WireMessage::Response(
             gpu_pir_repro::pir_wire::ResponseMsg {
                 response,
-                table_version: 0, // v1 framing: unstamped
+                table_version: 1, // a fresh table, never hot-reloaded
             },
         ))
     };

@@ -1,6 +1,6 @@
-//! Pipelined multiplexed wire sessions vs the lockstep v1 protocol, on the
-//! same skewed load — with queue-depth autoscaling and concurrent hot
-//! reloads.
+//! A pipelined multiplexed wire session vs the same session used one query
+//! at a time, on the same skewed load — with queue-depth autoscaling and
+//! concurrent hot reloads.
 //!
 //! ```text
 //! cargo run --example wire_pipelined --release
@@ -9,10 +9,10 @@
 //! Two phases run the identical skewed two-table workload (hot table takes
 //! ~70% of queries) through the wire boundary:
 //!
-//! * **lockstep** — the servers are capped at protocol v1, so the session
-//!   falls back to one-query-at-a-time. Every device batch carries one
-//!   query: the batcher never sees two requests at once.
-//! * **pipelined** — v2 servers, a 32-deep session window. The batcher sees
+//! * **lockstep** — a window-1 session issuing blocking `query()` calls.
+//!   Every device batch carries one query: the batcher never sees two
+//!   requests at once.
+//! * **pipelined** — a 32-deep session window. The batcher sees
 //!   the whole window, forms real batches, the autoscaler grows the hot
 //!   table's replica pool under the backlog, and responses come back **out
 //!   of order** (fast cold-table answers overtake slow hot-table batches).
@@ -33,7 +33,7 @@ use gpu_pir_repro::pir_protocol::PirTable;
 use gpu_pir_repro::pir_serve::{
     AutoscalePolicy, PirServeRuntime, ServeConfig, StatsSnapshot, TableConfig, WireFrontend,
 };
-use gpu_pir_repro::pir_wire::{loopback_pair, PirSession, PirTransport, PROTOCOL_V1, PROTOCOL_V2};
+use gpu_pir_repro::pir_wire::{loopback_pair, PirSession, PirTransport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -104,15 +104,13 @@ fn build_runtime(seed: u64) -> Arc<PirServeRuntime> {
     Arc::new(runtime)
 }
 
-/// Serve one loopback connection with a version-capped frontend, returning
-/// the client end.
+/// Serve one loopback connection, returning the client end.
 fn serve_conn(
     runtime: &Arc<PirServeRuntime>,
     party: u8,
-    max_version: u16,
 ) -> (Box<dyn PirTransport>, std::thread::JoinHandle<()>) {
     let (client_end, server_end) = loopback_pair();
-    let frontend = WireFrontend::with_max_version(runtime.handle(), party, max_version);
+    let frontend = WireFrontend::new(runtime.handle(), party);
     let worker = std::thread::spawn(move || {
         frontend
             .serve(Box::new(server_end))
@@ -173,14 +171,12 @@ struct PhaseOutcome {
     skew_failures: u64,
 }
 
-/// Phase 1: v1-capped servers, lockstep session.
+/// Phase 1: a window-1 session, one blocking query at a time.
 fn run_lockstep() -> PhaseOutcome {
     let runtime = build_runtime(1001);
-    let (t0, w0) = serve_conn(&runtime, 0, PROTOCOL_V1);
-    let (t1, w1) = serve_conn(&runtime, 1, PROTOCOL_V1);
-    let mut session = PirSession::connect_with_window(t0, t1, "loadgen", WINDOW).expect("connect");
-    assert_eq!(session.negotiated_version(), PROTOCOL_V1);
-    assert_eq!(session.window(), 1, "v1 fallback is lockstep");
+    let (t0, w0) = serve_conn(&runtime, 0);
+    let (t1, w1) = serve_conn(&runtime, 1);
+    let mut session = PirSession::connect_with_window(t0, t1, "loadgen", 1).expect("connect");
 
     let mut rng = StdRng::seed_from_u64(2026);
     let started = Instant::now();
@@ -204,14 +200,12 @@ fn run_lockstep() -> PhaseOutcome {
     }
 }
 
-/// Phase 2: v2 servers, 32-deep pipeline, autoscaling, concurrent reloads.
+/// Phase 2: 32-deep pipeline, autoscaling, concurrent reloads.
 fn run_pipelined() -> PhaseOutcome {
     let runtime = build_runtime(1001);
-    let (t0, w0) = serve_conn(&runtime, 0, PROTOCOL_V2);
-    let (t1, w1) = serve_conn(&runtime, 1, PROTOCOL_V2);
+    let (t0, w0) = serve_conn(&runtime, 0);
+    let (t1, w1) = serve_conn(&runtime, 1);
     let mut session = PirSession::connect_with_window(t0, t1, "loadgen", WINDOW).expect("connect");
-    assert_eq!(session.negotiated_version(), PROTOCOL_V2);
-    assert_eq!(session.window(), WINDOW);
 
     // The admin: its own session on fresh connections, churning hot-table
     // rows for the whole traffic phase. Every update moves the table
@@ -219,8 +213,8 @@ fn run_pipelined() -> PhaseOutcome {
     // each straddle.
     let stop_churn = Arc::new(AtomicBool::new(false));
     let churn = {
-        let (a0, aw0) = serve_conn(&runtime, 0, PROTOCOL_V2);
-        let (a1, aw1) = serve_conn(&runtime, 1, PROTOCOL_V2);
+        let (a0, aw0) = serve_conn(&runtime, 0);
+        let (a1, aw1) = serve_conn(&runtime, 1);
         let stop = Arc::clone(&stop_churn);
         let handle = std::thread::spawn(move || {
             let mut admin = PirSession::connect(a0, a1, "admin").expect("admin connect");
@@ -347,11 +341,11 @@ fn main() {
          boundary, twice\n"
     );
 
-    println!("--- lockstep (servers capped at v1) ---");
+    println!("--- lockstep (window 1, blocking queries) ---");
     let lockstep = run_lockstep();
     let lockstep_qps = report("lockstep ", &lockstep);
 
-    println!("\n--- pipelined (v2, window {WINDOW}, autoscaling, reload churn) ---");
+    println!("\n--- pipelined (window {WINDOW}, autoscaling, reload churn) ---");
     let pipelined = run_pipelined();
     let pipelined_qps = report("pipelined", &pipelined);
 
@@ -368,7 +362,7 @@ fn main() {
         "pipelined phase must observe out-of-order completions"
     );
     assert_eq!(lockstep.skew_failures, 0, "no churn ran in phase 1");
-    assert_eq!(lockstep.version_retries, 0, "v1 frames carry no stamps");
+    assert_eq!(lockstep.version_retries, 0, "no reload ran in phase 1");
     // Note on pipelined.skew_failures: a nonzero count is fine — each one
     // is a query that straddled reloads twice, was *detected* by the
     // stamps, failed typed, and was re-issued above. The "zero

@@ -22,7 +22,7 @@ use std::time::Duration;
 use gpu_pir_repro::pir_prf::PrfKind;
 use gpu_pir_repro::pir_protocol::PirTable;
 use gpu_pir_repro::pir_serve::{PirServeRuntime, ServeConfig, TableConfig, WireFrontend};
-use gpu_pir_repro::pir_wire::{PirSession, TcpTransport, MAX_SUPPORTED_VERSION};
+use gpu_pir_repro::pir_wire::{PirSession, TcpTransport, PROTOCOL_V2};
 use rand::SeedableRng;
 
 const ENTRIES: u64 = 1 << 12;
@@ -70,7 +70,7 @@ fn spawn_server(party: u8) -> (std::net::SocketAddr, std::thread::JoinHandle<()>
 }
 
 fn main() {
-    println!("wire protocol (up to v{MAX_SUPPORTED_VERSION}): two TCP servers, one session\n");
+    println!("wire protocol v{PROTOCOL_V2}: two TCP servers, one session\n");
     let (addr0, server0) = spawn_server(0);
     let (addr1, server1) = spawn_server(1);
 
@@ -78,7 +78,6 @@ fn main() {
     let t0 = Box::new(TcpTransport::connect(addr0).expect("connect server 0"));
     let t1 = Box::new(TcpTransport::connect(addr1).expect("connect server 1"));
     let mut session = PirSession::connect(t0, t1, "wire-demo").expect("catalog handshake");
-    println!("negotiated protocol v{}", session.negotiated_version());
 
     let schema = session.schema("embeddings").expect("discovered table");
     println!(
