@@ -1,5 +1,5 @@
 //! Orchestration: walk the workspace, run the passes per the policy, apply
-//! annotation suppression, and assign baseline keys.
+//! annotation suppression, and assign finding keys.
 
 use std::collections::BTreeSet;
 use std::fs;

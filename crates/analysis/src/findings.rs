@@ -1,7 +1,7 @@
-//! Finding representation and stable baseline keys.
+//! Finding representation and stable finding keys.
 //!
-//! A finding's identity must survive unrelated edits to the same file, or the
-//! ratchet would churn on every rebase. Keys are therefore content-addressed,
+//! A finding's identity must survive unrelated edits to the same file, so a
+//! report can be compared across commits. Keys are therefore content-addressed,
 //! not line-addressed: `pass:file:hash:occurrence`, where `hash` is an
 //! FNV-1a digest of the *trimmed source line* containing the finding and
 //! `occurrence` disambiguates identical lines within one file (in file
@@ -25,7 +25,7 @@ pub struct Finding {
     pub message: String,
     /// The trimmed source line (also the content anchor of the key).
     pub snippet: String,
-    /// Stable baseline key (see module docs).
+    /// Stable key (see module docs).
     pub key: String,
 }
 

@@ -1,70 +1,47 @@
-//! `pir-lint` — run the workspace static-analysis passes and gate against
-//! the committed baseline.
+//! `pir-lint` — run the workspace static-analysis passes; any finding fails.
 //!
 //! ```text
-//! pir-lint [--root DIR] [--policy FILE] [--baseline FILE]
-//!          [--update-baseline] [--write-baseline]
+//! pir-lint [--root DIR] [--policy FILE]
 //! ```
 //!
-//! Exit codes: `0` clean (or all findings baselined), `1` gate failure (new
-//! findings, or stale baseline entries that must be deleted), `2` usage or
-//! configuration error.
+//! Exit codes: `0` clean, `1` findings, `2` usage or configuration error.
+//! The one escape hatch is an adjacent `// pir-lint: allow(<pass>,
+//! "<reason>")` annotation.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use pir_analysis::baseline::{Baseline, Entry};
 use pir_analysis::driver;
 use pir_analysis::policy::Policy;
 
 struct Args {
     root: PathBuf,
     policy: PathBuf,
-    baseline: Option<PathBuf>,
-    update_baseline: bool,
-    write_baseline: bool,
 }
 
 fn usage() -> &'static str {
-    "usage: pir-lint [--root DIR] [--policy FILE] [--baseline FILE] \
-     [--update-baseline] [--write-baseline]\n\
+    "usage: pir-lint [--root DIR] [--policy FILE]\n\
      \n\
      --root DIR          workspace root to analyze (default: .)\n\
-     --policy FILE       policy manifest (default: <root>/ci/lint_policy.cfg)\n\
-     --baseline FILE     ratchet baseline; without it, any finding fails\n\
-     --update-baseline   delete baseline entries whose finding is gone (the\n\
-                         only permitted edit: the baseline may never grow)\n\
-     --write-baseline    (bootstrap only) write all current findings to the\n\
-                         baseline file; refuses to overwrite a non-empty one"
+     --policy FILE       policy manifest (default: <root>/ci/lint_policy.cfg)"
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
         policy: PathBuf::new(),
-        baseline: None,
-        update_baseline: false,
-        write_baseline: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--root" => args.root = PathBuf::from(it.next().ok_or("--root needs a value")?),
             "--policy" => args.policy = PathBuf::from(it.next().ok_or("--policy needs a value")?),
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a value")?))
-            }
-            "--update-baseline" => args.update_baseline = true,
-            "--write-baseline" => args.write_baseline = true,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
     if args.policy.as_os_str().is_empty() {
         args.policy = args.root.join("ci").join("lint_policy.cfg");
-    }
-    if (args.update_baseline || args.write_baseline) && args.baseline.is_none() {
-        return Err("--update-baseline/--write-baseline require --baseline".into());
     }
     Ok(args)
 }
@@ -107,120 +84,19 @@ fn main() -> ExitCode {
         }
     };
 
-    let baseline = match &args.baseline {
-        None => Baseline::default(),
-        Some(path) if !path.is_file() && args.write_baseline => Baseline::default(),
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => match Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("pir-lint: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            Err(e) => {
-                eprintln!("pir-lint: cannot read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        },
-    };
-
-    if args.write_baseline {
-        let path = args.baseline.as_ref().expect("checked in parse_args");
-        if !baseline.entries.is_empty() {
-            eprintln!(
-                "pir-lint: refusing --write-baseline over a non-empty baseline; \
-                 the ratchet only shrinks (delete entries by hand if you must)"
-            );
-            return ExitCode::from(2);
-        }
-        let fresh = Baseline {
-            entries: report
-                .findings
-                .iter()
-                .map(|f| Entry {
-                    key: f.key.clone(),
-                    reason: format!("bootstrap: {}", f.message),
-                })
-                .collect(),
-        };
-        if let Err(e) = std::fs::write(path, fresh.write()) {
-            eprintln!("pir-lint: write baseline: {e}");
-            return ExitCode::from(2);
-        }
-        println!(
-            "pir-lint: wrote {} bootstrap entries to {}",
-            fresh.entries.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let new: Vec<_> = report
-        .findings
-        .iter()
-        .filter(|f| !baseline.contains(&f.key))
-        .collect();
-    let carried = report.findings.len() - new.len();
-    let stale: Vec<_> = baseline
-        .entries
-        .iter()
-        .filter(|e| !report.findings.iter().any(|f| f.key == e.key))
-        .collect();
-
-    for f in &new {
+    for f in &report.findings {
         println!("{f}");
         println!("    key: {}", f.key);
     }
-
-    if args.update_baseline {
-        let path = args.baseline.as_ref().expect("checked in parse_args");
-        if !stale.is_empty() {
-            let kept = Baseline {
-                entries: baseline
-                    .entries
-                    .iter()
-                    .filter(|e| report.findings.iter().any(|f| f.key == e.key))
-                    .cloned()
-                    .collect(),
-            };
-            if let Err(e) = std::fs::write(path, kept.write()) {
-                eprintln!("pir-lint: write baseline: {e}");
-                return ExitCode::from(2);
-            }
-            println!(
-                "pir-lint: ratchet tightened — removed {} paid-off entr{} from {}",
-                stale.len(),
-                if stale.len() == 1 { "y" } else { "ies" },
-                path.display()
-            );
-        }
-    } else {
-        for e in &stale {
-            println!(
-                "stale baseline entry (debt paid — delete it or run --update-baseline): {}",
-                e.key
-            );
-        }
-    }
-
-    let stale_blocks = !stale.is_empty() && !args.update_baseline;
     println!(
-        "pir-lint: {} files, {} findings ({} new, {} baselined{})",
+        "pir-lint: {} files, {} findings",
         report.files_scanned,
-        report.findings.len(),
-        new.len(),
-        carried,
-        if stale.is_empty() {
-            String::new()
-        } else {
-            format!(", {} stale", stale.len())
-        }
+        report.findings.len()
     );
 
-    if !new.is_empty() || stale_blocks {
-        ExitCode::from(1)
-    } else {
+    if report.findings.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
 }

@@ -1,5 +1,5 @@
-//! End-to-end tests for the `pir-lint` binary: seeded violations must fail,
-//! the committed workspace must pass, and the baseline must ratchet.
+//! End-to-end tests for the `pir-lint` binary: seeded violations must fail
+//! and the committed workspace must pass.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -181,117 +181,7 @@ pub fn first(v: &[u64]) -> u64 {
     assert_eq!(code, 0, "{stdout}");
 }
 
-#[test]
-fn baseline_ratchets() {
-    let tree = TempTree::new("ratchet");
-    seed_violations(&tree);
-    let root = tree.root();
-    let policy = tree.path("ci/lint_policy.cfg");
-    let baseline = tree.path("ci/lint_baseline.json");
-
-    // Bootstrap: write all current findings to the baseline.
-    let (code, stdout, stderr) = run_lint(&[
-        "--root",
-        &root,
-        "--policy",
-        &policy,
-        "--baseline",
-        &baseline,
-        "--write-baseline",
-    ]);
-    assert_eq!(code, 0, "stdout:\n{stdout}\nstderr:\n{stderr}");
-
-    // Same tree, baselined: known debt passes the gate.
-    let (code, stdout, _) = run_lint(&[
-        "--root",
-        &root,
-        "--policy",
-        &policy,
-        "--baseline",
-        &baseline,
-    ]);
-    assert_eq!(code, 0, "{stdout}");
-    assert!(stdout.contains("0 new"), "{stdout}");
-
-    // New debt is barred even with every old finding baselined.
-    tree.write(
-        "crates/app/src/extra.rs",
-        "pub fn boom(v: &[u64]) -> u64 {\n    v.last().copied().unwrap()\n}\n",
-    );
-    let (code, stdout, _) = run_lint(&[
-        "--root",
-        &root,
-        "--policy",
-        &policy,
-        "--baseline",
-        &baseline,
-    ]);
-    assert_eq!(code, 1, "{stdout}");
-    assert!(stdout.contains("1 new"), "{stdout}");
-
-    // Pay off the new debt plus one old finding: the stale entry now
-    // blocks until --update-baseline deletes it.
-    std::fs::remove_file(tree.root.join("crates/app/src/extra.rs")).unwrap();
-    tree.write(
-        "crates/simd/src/lib.rs",
-        r#"#![deny(unsafe_op_in_unsafe_fn)]
-
-pub fn read_first(v: &[u8]) -> u8 {
-    assert!(!v.is_empty());
-    // SAFETY: the assert above guarantees at least one readable byte.
-    unsafe { *v.as_ptr() }
-}
-"#,
-    );
-    let (code, stdout, _) = run_lint(&[
-        "--root",
-        &root,
-        "--policy",
-        &policy,
-        "--baseline",
-        &baseline,
-    ]);
-    assert_eq!(code, 1, "{stdout}");
-    assert!(stdout.contains("stale baseline entry"), "{stdout}");
-
-    let (code, stdout, _) = run_lint(&[
-        "--root",
-        &root,
-        "--policy",
-        &policy,
-        "--baseline",
-        &baseline,
-        "--update-baseline",
-    ]);
-    assert_eq!(code, 0, "{stdout}");
-    assert!(stdout.contains("ratchet tightened"), "{stdout}");
-
-    // The tightened baseline is the new floor.
-    let (code, stdout, _) = run_lint(&[
-        "--root",
-        &root,
-        "--policy",
-        &policy,
-        "--baseline",
-        &baseline,
-    ]);
-    assert_eq!(code, 0, "{stdout}");
-
-    // Bootstrapping over a non-empty baseline is refused: it may only shrink.
-    let (code, _, stderr) = run_lint(&[
-        "--root",
-        &root,
-        "--policy",
-        &policy,
-        "--baseline",
-        &baseline,
-        "--write-baseline",
-    ]);
-    assert_eq!(code, 2, "{stderr}");
-    assert!(stderr.contains("refusing"), "{stderr}");
-}
-
-/// The committed workspace, policy, and baseline must pass the gate — this
+/// The committed workspace and policy must pass the gate — this
 /// is exactly what the CI lint job runs.
 #[test]
 fn committed_workspace_is_clean() {
@@ -304,8 +194,6 @@ fn committed_workspace_is_clean() {
         &repo_root.to_string_lossy(),
         "--policy",
         &repo_root.join("ci/lint_policy.cfg").to_string_lossy(),
-        "--baseline",
-        &repo_root.join("ci/lint_baseline.json").to_string_lossy(),
     ]);
     assert_eq!(code, 0, "stdout:\n{stdout}\nstderr:\n{stderr}");
 }

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpu_sim::{DeviceBackend, DeviceSpec, HostBackend, TransferSrc};
 use pir_dpf::{
     eval_point, fused_eval_matmul, generate_keys, unfused_eval_matmul, BatchEvalJob, DpfKey,
-    DpfParams, EvalStrategy, NullRecorder, PlanCache, PlanKey, Scheduler, SchedulerConfig,
+    DpfParams, EvalStrategy, NullRecorder,
 };
 use pir_field::{matvec_accumulate, Block128, LaneVector, Ring128, ShareMatrix};
 use pir_prf::{build_prf, GgmPrg, PrfKind};
@@ -213,40 +213,10 @@ fn bench_fusion(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batch-resident memory plans are built on the dispatch path (once per
-/// new batch shape, cached afterwards), so both the cold build and the
-/// cache hit must stay far below a kernel launch. Gated against
-/// `ci/bench_baseline.json`.
-fn bench_plan_build(c: &mut Criterion) {
-    let scheduler = Scheduler::new(SchedulerConfig::default());
-    let mut group = c.benchmark_group("plan_build");
-    for (rows, devices) in [(1u64 << 16, 1usize), (1 << 18, 4)] {
-        group.bench_function(
-            BenchmarkId::new(
-                "memory_plan",
-                format!("2^{}x{devices}", rows.trailing_zeros()),
-            ),
-            |b| b.iter(|| scheduler.memory_plan(rows, 32, 545, 64, devices)),
-        );
-    }
-    let cache = PlanCache::new();
-    let key = PlanKey {
-        table_rows: 1 << 16,
-        row_bytes: 32,
-        key_bytes: 545,
-        batch: 64,
-        devices: 1,
-    };
-    group.bench_function("plan_cache_hit", |b| {
-        b.iter(|| cache.get_or_build(key, || scheduler.memory_plan(1 << 16, 32, 545, 64, 1)))
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_prfs, bench_gen_vs_eval, bench_strategies, bench_full_domain,
-        bench_reference_shape, bench_fusion, bench_plan_build
+        bench_reference_shape, bench_fusion
 }
 criterion_main!(benches);

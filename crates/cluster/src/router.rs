@@ -253,7 +253,10 @@ impl ClusterRouter {
                         for conn in &inner.conns {
                             conn.try_probe();
                         }
-                        std::thread::sleep(interval);
+                        // Parked, not asleep: `shutdown` unparks, so a drop
+                        // never waits out the interval. A spurious wake is
+                        // just an early probe round.
+                        std::thread::park_timeout(interval);
                     }
                 })
                 // pir-lint: allow(panic-path, "OS thread spawn fails only on resource exhaustion; no recovery path at connect")
@@ -287,6 +290,7 @@ impl ClusterRouter {
     pub fn shutdown(&self) {
         self.inner.stop.store(true, Ordering::SeqCst);
         if let Some(prober) = self.prober.lock().take() {
+            prober.thread().unpark();
             let _ = prober.join();
         }
     }

@@ -439,8 +439,8 @@ fn routers_answer_hostile_frames_with_typed_bounded_replies() {
     assert!(error.message.ends_with("(truncated)"));
 }
 
-#[test]
-fn probing_keeps_connections_warm() {
+/// A party-0 router over one single-replica shard, probing at `interval`.
+fn probing_router(interval: Duration) -> (ClusterRouter, Arc<PirServeRuntime>) {
     let table = base_table();
     let views = pir_cluster::ShardMap::new(ENTRIES, 1)
         .unwrap()
@@ -450,9 +450,15 @@ fn probing_keeps_connections_warm() {
         &runtime, 0,
     ))]);
     let config = ClusterConfig {
-        probe_interval: Some(Duration::from_millis(5)),
+        probe_interval: Some(interval),
     };
     let router = ClusterRouter::connect(&membership, &config, 0).unwrap();
+    (router, runtime)
+}
+
+#[test]
+fn probing_keeps_connections_warm() {
+    let (router, _runtime) = probing_router(Duration::from_millis(5));
     std::thread::sleep(Duration::from_millis(40));
     let stats = router.stats();
     assert_eq!(stats.shards[0].probe_failures, 0);
@@ -462,4 +468,19 @@ fn probing_keeps_connections_warm() {
     );
     assert_eq!(stats.shards[0].connected_replica, Some(0));
     router.shutdown();
+}
+
+#[test]
+fn shutdown_wakes_a_parked_prober() {
+    let (router, _runtime) = probing_router(Duration::from_secs(10));
+    // Long enough for the first probe round to finish and the prober to
+    // park; the bound below holds on either side of that race.
+    std::thread::sleep(Duration::from_millis(20));
+    let started = std::time::Instant::now();
+    router.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "shutdown waited {:?} on a 10 s probe interval",
+        started.elapsed()
+    );
 }

@@ -172,9 +172,8 @@ impl<'a> BatchEvalJob<'a> {
     /// Builder-style: apply an [`ExecutionPlan`](crate::ExecutionPlan)
     /// chosen by the [`Scheduler`](crate::Scheduler).
     ///
-    /// This is the submission path for *externally formed* batches: a serving
-    /// layer that accumulates concurrent queries (rather than receiving one
-    /// pre-built batch) plans once per batch and hands the plan here, so
+    /// This is the submission path for *externally formed* batches: a server
+    /// plans once for its table and hands the plan to every batch's job, so
     /// every knob the scheduler chose — strategy, grid mapping, threads per
     /// block — is applied atomically instead of field by field.
     #[must_use]
@@ -246,7 +245,7 @@ impl<'a> BatchEvalJob<'a> {
     /// device's table slice streamed for this batch: allocate and upload the
     /// slices, run, free them again.
     ///
-    /// Servers whose memory plan keeps the slices resident should hold the
+    /// Servers that keep the slices resident should hold the
     /// allocations themselves ([`BatchEvalJob::upload_slices`]) and call
     /// [`BatchEvalJob::run_resident_on_devices`] instead — this entry point
     /// re-pays the table upload every call.
@@ -307,7 +306,7 @@ impl<'a> BatchEvalJob<'a> {
     }
 
     /// Run the batch against table slices that are *already resident*, one
-    /// per backend (uploaded by the caller's memory plan through
+    /// per backend (uploaded by the caller through
     /// [`BatchEvalJob::upload_slices`]). Only the per-batch keys and outputs
     /// are allocated, transferred and freed here.
     ///

@@ -54,8 +54,8 @@ impl DpfParams {
     }
 
     /// Serialized size of any key generated for these parameters, in bytes
-    /// (see [`DpfKey::size_bytes`]). Memory planning uses this to size key
-    /// uploads before any key of the batch exists.
+    /// (see [`DpfKey::size_bytes`]). The residency rule uses this to size
+    /// key uploads before any key of the batch exists.
     #[must_use]
     pub fn key_size_bytes(&self) -> u64 {
         1 + 16 + u64::from(self.domain_bits) * 17 + 16

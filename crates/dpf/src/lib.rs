@@ -18,10 +18,10 @@
 //! * [`batch`] — the one evaluation job: a batch of DPFs over one or more
 //!   devices, each sweeping the table slice it owns (§3.2.1, §3.2.7),
 //!   including the cooperative-groups single-query mode (§3.2.5),
-//! * [`scheduler`] — batch/table-size-aware strategy selection (§3.2.5),
-//! * [`plan`] — batch-resident device memory plans: exact per-device byte
-//!   footprints, table-residency decisions and transfer schedules, and the
-//!   device-ownership rule ([`DeviceSplit`]) every layer derives slices from.
+//! * [`scheduler`] — batch/table-size-aware strategy selection (§3.2.5) and
+//!   the table-residency rule ([`Scheduler::residency`]),
+//! * [`plan`] — the device-ownership rule ([`DeviceSplit`]) every layer
+//!   derives slices from, and the residency outcome and counters.
 //!
 //! # Example
 //!
@@ -66,10 +66,7 @@ pub use eval::{eval_point, eval_subtree_root};
 pub use fusion::{fused_eval_matmul, unfused_eval_matmul};
 pub use gen::generate_keys;
 pub use key::{CorrectionWord, DpfKey, DpfParams};
-pub use plan::{
-    DevicePlan, DeviceSplit, MemoryPlan, PlanCache, PlanKey, PlanLedger, TableResidency,
-    TransferStep,
-};
+pub use plan::{DeviceSplit, PlanLedger, TableResidency};
 pub use recorder::{CountingRecorder, KernelRecorder, NullRecorder, Recorder};
 pub use scheduler::{ExecutionPlan, Scheduler, SchedulerConfig, SchedulerConfigError};
 pub use strategy::{

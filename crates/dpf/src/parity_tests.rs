@@ -306,8 +306,8 @@ mod tests {
     use crate::recorder::{CountingRecorder, NullRecorder};
     use crate::scheduler::{Scheduler, SchedulerConfig};
     use crate::strategy::eval_full_domain;
-    use crate::{eval_point, generate_keys, DpfParams, TableResidency};
-    use gpu_sim::{CostModel, DeviceBackend, DeviceSpec, GpuExecutor, HostBackend};
+    use crate::{eval_point, generate_keys, DeviceSplit, DpfParams, TableResidency};
+    use gpu_sim::{DeviceBackend, DeviceSpec, GpuExecutor, HostBackend};
     use pir_prf::{build_prf, PrfKind};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -556,86 +556,54 @@ mod tests {
         }
     }
 
-    /// For autoscaler-realistic batch sizes the memory plan's transfer
-    /// schedule is *optimal* against the device cost model: no alternative
-    /// residency assignment that fits the budget moves fewer steady-state
-    /// bytes (or less steady-state transfer time) per batch. Covers a
-    /// non-power-of-two device count.
+    /// The residency rule, pinned as a literal table computed on the commit
+    /// that still built a memory plan per batch shape: covers a
+    /// non-power-of-two device count, both outcomes, and the shapes the repo
+    /// benchmark serves under the default budget.
     #[test]
-    fn memory_plan_transfer_schedule_is_cost_model_optimal() {
-        let cost = CostModel::new(DeviceSpec::v100());
-        let scheduler = Scheduler::new(SchedulerConfig {
-            // Small enough that large batches on many-row tables overflow and
-            // force streaming, so both residency outcomes are exercised.
-            memory_budget_bytes: 8 * 1024 * 1024,
+    fn residency_rule_matches_the_pinned_table() {
+        use TableResidency::{Resident, Streamed};
+        const MIB: u64 = 1 << 20;
+        // Small enough that the widest shape's slices fill a device on their
+        // own and force streaming, so both outcomes are exercised.
+        let tight = Scheduler::new(SchedulerConfig {
+            memory_budget_bytes: 8 * MIB,
             ..SchedulerConfig::default()
         });
-        // (rows, lanes, devices): autoscaler-formed shapes, including the
-        // non-power-of-two 3-device split.
-        let shapes = [
-            (1u64 << 12, 8usize, 1usize),
-            (1 << 16, 16, 3),
-            (1 << 18, 32, 4),
-        ];
-        // Queue-depth autoscaler batch sizes observed in serving: shallow,
-        // mid, and saturated queues.
-        let batches = [4u64, 37, 256];
-
-        let mut resident_seen = false;
-        let mut streamed_seen = false;
-        for (rows, lanes, devices) in shapes {
-            let row_bytes = lanes as u64 * 4;
-            let key_bytes = DpfParams::for_domain(rows).key_size_bytes();
+        let default = Scheduler::default();
+        let mut outcomes = Vec::new();
+        let mut pin = |scheduler: &Scheduler,
+                       rows: u64,
+                       lanes: u64,
+                       devices: usize,
+                       batches: [u64; 3],
+                       residency: TableResidency,
+                       resident_bytes: u64| {
+            let params = DpfParams::for_domain(rows);
+            let slices = DeviceSplit::new(params.domain_bits, devices)
+                .unwrap()
+                .slice_bytes(rows, lanes * 4);
+            let slice_sum = match residency {
+                Resident => slices.iter().sum(),
+                Streamed => 0,
+            };
+            assert_eq!(resident_bytes, slice_sum, "resident bytes are the slices");
             for batch in batches {
-                let plan = scheduler.memory_plan(rows, row_bytes, key_bytes, batch, devices);
-                assert!(plan.fits_budget(), "chosen plan must fit the budget");
-                match plan.residency {
-                    TableResidency::Resident => resident_seen = true,
-                    TableResidency::Streamed => streamed_seen = true,
-                }
-
-                // Enumerate every residency candidate the planner could have
-                // picked; the chosen schedule must minimize steady-state
-                // transfer bytes and cost-model transfer time among those
-                // that fit.
-                let what = format!(
+                assert_eq!(
+                    scheduler.residency(params, &slices, lanes * 4, batch),
+                    (residency, resident_bytes),
                     "rows=2^{} devices={devices} batch={batch}",
                     rows.trailing_zeros()
                 );
-                for candidate in [TableResidency::Resident, TableResidency::Streamed] {
-                    let alternative = plan.with_residency(candidate);
-                    if !alternative.fits_budget() {
-                        continue;
-                    }
-                    assert!(
-                        plan.steady_batch_transfer_bytes()
-                            <= alternative.steady_batch_transfer_bytes(),
-                        "{what}: candidate {candidate:?} moves fewer steady-state bytes"
-                    );
-                    assert!(
-                        plan.steady_batch_transfer_time_s(&cost)
-                            <= alternative.steady_batch_transfer_time_s(&cost),
-                        "{what}: candidate {candidate:?} is faster on the cost model"
-                    );
-                }
-
-                // The schedule's arithmetic must be self-consistent: first
-                // batch = steady state + whatever the plan keeps resident.
-                assert_eq!(
-                    plan.first_batch_transfer_bytes(),
-                    plan.steady_batch_transfer_bytes() + plan.resident_bytes(),
-                    "{what}: schedule bytes"
-                );
-                // And per-batch savings are exactly the resident table bytes.
-                assert_eq!(
-                    plan.avoided_transfer_bytes_per_batch(),
-                    plan.resident_bytes(),
-                    "{what}: avoided bytes"
-                );
             }
-        }
-        assert!(resident_seen, "sweep never produced a resident plan");
-        assert!(streamed_seen, "sweep never produced a streamed plan");
+            outcomes.push(residency);
+        };
+        pin(&tight, 1 << 12, 8, 1, [4, 37, 256], Resident, MIB / 8);
+        pin(&tight, 1 << 16, 16, 3, [4, 37, 256], Resident, 4 * MIB);
+        pin(&tight, 1 << 18, 32, 4, [4, 37, 256], Streamed, 0);
+        pin(&default, 1 << 16, 16, 1, [1, 32, 64], Resident, 4 * MIB);
+        pin(&default, 1 << 10, 8, 1, [1, 32, 64], Resident, MIB / 32);
+        assert!(outcomes.contains(&Resident) && outcomes.contains(&Streamed));
     }
 
     /// For every PRF family × strategy, every SIMD backend this host supports

@@ -1,4 +1,5 @@
-//! Batch- and table-size-aware scheduling (§3.2.5).
+//! Batch- and table-size-aware scheduling (§3.2.5), and the table-residency
+//! rule (§3.2.3, §3.2.7): the two device-side planning decisions.
 
 use std::fmt;
 
@@ -6,7 +7,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::analysis::StrategyProfile;
 use crate::batch::GridMapping;
-use crate::plan::MemoryPlan;
+use crate::key::DpfParams;
+use crate::plan::TableResidency;
 use crate::strategy::EvalStrategy;
 
 /// A [`SchedulerConfig`] that cannot produce a valid execution plan.
@@ -196,9 +198,7 @@ impl Scheduler {
         } else {
             64 - (table_rows - 1).leading_zeros()
         };
-        let strategy = EvalStrategy::MemoryBounded {
-            chunk: self.config.chunk,
-        };
+        let strategy = self.strategy();
 
         // Saturate rather than overflow for pathological table shapes (u64
         // rows × u64-wide entries can exceed 2^64); a saturated size simply
@@ -237,43 +237,55 @@ impl Scheduler {
         }
     }
 
-    /// Build the batch-resident [`MemoryPlan`] that goes with
-    /// [`Scheduler::plan`] for the same workload: same strategy choice, same
-    /// memory budget, batch capped at the execution plan's `max_batch`.
+    /// Whether a table's slices stay on the devices across batches of
+    /// `batch` queries, and the bytes they pin when they do (0 when streamed).
     ///
-    /// `row_bytes` is the in-memory row width (`lanes_per_row × 4`), which
-    /// may exceed the logical entry width by padding; `key_bytes` is the
-    /// serialized size of one key
-    /// ([`DpfParams::key_size_bytes`](crate::DpfParams::key_size_bytes)).
+    /// The table is [`TableResidency::Resident`] iff on **every** device the
+    /// launch's working set fits beside the slice:
     ///
-    /// # Panics
+    /// ```text
+    /// slice_bytes[d] + batch·(key_bytes + row_bytes) + scratch(batch) ≤ memory_budget_bytes
+    /// ```
     ///
-    /// Panics if `table_rows`, `row_bytes` or `devices` is zero.
+    /// where `scratch` is the strategy's closed-form peak
+    /// ([`StrategyProfile::peak_scratch_bytes`]). Every query of the batch
+    /// expands on every device, so the batch term does not shrink with the
+    /// device count — only the slice does. Transfer time is strictly
+    /// increasing in bytes, so keeping the slices whenever this holds is the
+    /// cost-model minimum by construction.
+    ///
+    /// `slice_bytes` is [`DeviceSplit::slice_bytes`](crate::DeviceSplit::slice_bytes)
+    /// for the table (a property of the table alone, so callers compute it
+    /// once); `row_bytes` is the in-memory row width (`lanes_per_row × 4`).
     #[must_use]
-    pub fn memory_plan(
+    pub fn residency(
         &self,
-        table_rows: u64,
+        params: DpfParams,
+        slice_bytes: &[u64],
         row_bytes: u64,
-        key_bytes: u64,
-        requested_batch: u64,
-        devices: usize,
-    ) -> MemoryPlan {
-        let execution = self.plan(table_rows, row_bytes, requested_batch);
-        let domain_bits = if table_rows <= 1 {
-            0
+        batch: u64,
+    ) -> (TableResidency, u64) {
+        let scratch =
+            StrategyProfile::of(self.strategy(), params.domain_bits, batch).peak_scratch_bytes;
+        let per_batch = batch
+            .saturating_mul(params.key_size_bytes().saturating_add(row_bytes))
+            .saturating_add(scratch);
+        let fits = slice_bytes
+            .iter()
+            .all(|slice| slice.saturating_add(per_batch) <= self.config.memory_budget_bytes);
+        if fits {
+            (TableResidency::Resident, slice_bytes.iter().sum())
         } else {
-            64 - (table_rows - 1).leading_zeros()
-        };
-        MemoryPlan::build(
-            self.config.memory_budget_bytes,
-            execution.strategy,
-            domain_bits,
-            table_rows,
-            row_bytes,
-            key_bytes,
-            execution.max_batch.max(1),
-            devices,
-        )
+            (TableResidency::Streamed, 0)
+        }
+    }
+
+    /// The one expansion strategy the scheduler deploys: memory-bounded
+    /// traversal at the configured chunk.
+    fn strategy(&self) -> EvalStrategy {
+        EvalStrategy::MemoryBounded {
+            chunk: self.config.chunk,
+        }
     }
 }
 
@@ -334,6 +346,34 @@ mod tests {
             GridMapping::Cooperative { split_bits } => assert!(split_bits <= 4),
             GridMapping::BlockPerQuery => panic!("expected cooperative mapping"),
         }
+    }
+
+    #[test]
+    fn residency_is_the_budget_inequality_exactly() {
+        use TableResidency::{Resident, Streamed};
+        // 2^15 rows × 64 B on one device, under a budget that admits exactly
+        // eight queries beside the table.
+        let params = DpfParams::for_domain(1 << 15);
+        let table_bytes = (1u64 << 15) * 64;
+        let working_set = |batch: u64| {
+            let strategy = EvalStrategy::MemoryBounded { chunk: 128 };
+            batch * (params.key_size_bytes() + 64)
+                + StrategyProfile::of(strategy, 15, batch).peak_scratch_bytes
+        };
+        let scheduler = Scheduler::new(SchedulerConfig {
+            memory_budget_bytes: table_bytes + working_set(8),
+            ..SchedulerConfig::default()
+        });
+        let residency = |slices: &[u64], batch| scheduler.residency(params, slices, 64, batch);
+        assert_eq!(residency(&[table_bytes], 8), (Resident, table_bytes));
+        assert_eq!(residency(&[table_bytes], 9), (Streamed, 0));
+        // Every device must fit: one byte more on a second slice streams the
+        // same batch, one byte less keeps both slices.
+        assert_eq!(residency(&[table_bytes, table_bytes + 1], 8), (Streamed, 0));
+        assert_eq!(
+            residency(&[table_bytes, table_bytes - 1], 8),
+            (Resident, 2 * table_bytes - 1)
+        );
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl ResidentAllocation {
 }
 
 /// What a transfer is carrying, so backend telemetry can distinguish the
-/// one-time table upload (the bytes a memory plan keeps resident) from the
+/// one-time table upload (the bytes a server keeps resident) from the
 /// unavoidable per-batch key/output traffic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TransferKind {
@@ -287,7 +287,7 @@ impl BackendLedger {
 /// Implementors: the analytical [`GpuExecutor`](crate::GpuExecutor) and the
 /// measured [`HostBackend`]; a real CUDA/Metal/wgpu backend slots in by
 /// implementing these same nine operations over a device context (see the
-/// README's "Device backends & memory plans" section for the mapping onto
+/// README's "Device backends & table residency" section for the mapping onto
 /// `cudaMalloc`/`cudaMemcpy`/launch/`cudaMemcpyD2H`/`cudaFree`).
 pub trait DeviceBackend: Send + Sync {
     /// Human-readable backend name (telemetry, ledger printouts).
@@ -312,8 +312,8 @@ pub trait DeviceBackend: Send + Sync {
     /// Copy `src` into `dst` (host→device).
     fn upload(&self, dst: &ResidentAllocation, kind: TransferKind, src: TransferSrc<'_>);
 
-    /// Upload table (or table-shard) bytes — the transfer a batch-resident
-    /// memory plan exists to avoid repeating.
+    /// Upload table (or table-shard) bytes — the transfer table residency
+    /// exists to avoid repeating.
     fn upload_table(&self, dst: &ResidentAllocation, src: TransferSrc<'_>) {
         self.upload(dst, TransferKind::Table, src);
     }

@@ -96,9 +96,9 @@ impl CostModel {
 
     /// Seconds to move `bytes` across the host↔device link (one direction).
     ///
-    /// This is the cost a batch-resident memory plan optimizes: every byte a
-    /// plan keeps resident across launches is a byte that never pays this
-    /// (much slower than HBM) PCIe-class rate again.
+    /// This is the cost table residency avoids: every byte kept on the
+    /// device across launches is a byte that never pays this (much slower
+    /// than HBM) PCIe-class rate again.
     #[must_use]
     pub fn transfer_time_s(&self, bytes: u64) -> f64 {
         bytes as f64 / self.device.host_link_bytes_per_second()

@@ -35,7 +35,7 @@ pub struct DeviceSpec {
     pub issue_efficiency: f64,
     /// Host↔device interconnect bandwidth in GB/s (PCIe for the paper's
     /// V100). This is the term that makes table re-uploads expensive and
-    /// batch-resident memory plans worthwhile: at 16 GB/s a 16 GB table
+    /// keeping tables resident worthwhile: at 16 GB/s a 16 GB table
     /// costs a full second to move, ~60x its one-pass HBM read.
     pub host_link_gbps: f64,
 }

@@ -13,12 +13,10 @@ mod movielens;
 pub mod production;
 mod taobao;
 mod wikitext;
-pub mod zipf;
 
 pub use catalog::{CatalogEntry, DatasetCatalog};
 pub use production::{ProductionProfile, ProductionTableStats};
 pub use wikitext::sessions_as_token_sequences;
-pub use zipf::ZipfSampler;
 
 use serde::{Deserialize, Serialize};
 

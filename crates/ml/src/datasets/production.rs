@@ -12,8 +12,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::datasets::zipf::ZipfSampler;
 use crate::workload::AccessWorkload;
+use crate::workload::ZipfSampler;
 
 /// One row of Table 2: a device-only sparse feature's embedding table.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]

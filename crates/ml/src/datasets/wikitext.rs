@@ -10,9 +10,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::datasets::zipf::ZipfSampler;
 use crate::datasets::{split_workload, DatasetKind, DatasetScale, SyntheticDataset};
 use crate::quality::QualityModel;
+use crate::workload::ZipfSampler;
 
 const PAPER_ENTRIES: u64 = 131_000;
 const EMBEDDING_DIM: usize = 128;

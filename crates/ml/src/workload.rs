@@ -271,6 +271,22 @@ mod tests {
     }
 
     #[test]
+    fn samples_follow_the_skew() {
+        use rand::SeedableRng;
+        let sampler = ZipfSampler::new(1000, 1.1);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut counts = vec![0u64; 1000];
+        for _ in 0..20_000 {
+            counts[sampler.sample(&mut rng) as usize] += 1;
+        }
+        let top_100: u64 = counts[..100].iter().sum();
+        assert!(
+            top_100 > 10_000,
+            "top 10% of a Zipf(1.1) should draw most samples, got {top_100}"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "at least one index")]
     fn zipf_rejects_empty_table() {
         let _ = ZipfSampler::new(0, 1.0);

@@ -103,6 +103,11 @@ impl CpuPirServer {
     ///
     /// Returns [`PirError::SchemaMismatch`] if any query targets a different
     /// table shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `queries` is empty: there is no batch to time
+    /// ([`PirServer::answer_batch`] answers an empty slice with no responses).
     pub fn answer_batch_with_timing(
         &self,
         queries: &[ServerQuery],
@@ -197,6 +202,9 @@ impl PirServer for CpuPirServer {
     }
 
     fn answer_batch(&self, queries: &[ServerQuery]) -> Result<Vec<PirResponse>, PirError> {
+        if queries.is_empty() {
+            return Ok(Vec::new());
+        }
         let (responses, _) = self.answer_batch_with_timing(queries)?;
         Ok(responses)
     }
@@ -261,6 +269,14 @@ mod tests {
             let single = server.answer(query).unwrap();
             assert_eq!(single.share, response.share);
         }
+    }
+
+    #[test]
+    fn empty_batches_answer_nothing() {
+        let server = CpuPirServer::new(table(), PrfKind::SipHash, 2);
+        assert_eq!(server.answer_batch(&[]).unwrap(), vec![]);
+        assert_eq!(server.metrics(), ServerMetrics::default());
+        assert_eq!(server.last_timing(), CpuBatchTiming::default());
     }
 
     #[test]

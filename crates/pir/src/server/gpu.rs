@@ -9,27 +9,24 @@
 //! fan-out and partial-share reduction stay internal.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
 use gpu_sim::{BackendKind, DeviceBackend, DeviceSpec, KernelReport, ResidentAllocation};
 use pir_dpf::{
-    BatchEvalJob, DpfParams, MemoryPlan, PlanCache, PlanKey, PlanLedger, Scheduler,
-    SchedulerConfig, TableResidency,
+    BatchEvalJob, DpfParams, ExecutionPlan, PlanLedger, Scheduler, SchedulerConfig, TableResidency,
 };
 use pir_prf::{build_prf, GgmPrg, PrfKind};
 
 use crate::error::PirError;
 use crate::message::{PirResponse, ServerQuery};
 use crate::server::{
-    check_schema, responses_from_shares, shard_split_bits, validate_update, PirServer,
-    ServerMetrics,
+    check_schema, device_split, responses_from_shares, validate_update, PirServer, ServerMetrics,
 };
 use crate::table::{PirTable, TableSchema};
 
-/// The per-device table-slice allocations a memory plan decided to keep on
-/// the devices, tagged with the table version they were uploaded from so hot
+/// The per-device table-slice allocations the residency rule keeps on the
+/// devices, tagged with the table version they were uploaded from so hot
 /// reloads invalidate them.
 struct Resident {
     allocs: Vec<ResidentAllocation>,
@@ -40,15 +37,18 @@ struct Resident {
 /// analytical simulated GPU by default), the table split across the devices
 /// by the [`DeviceSplit`](pir_dpf::DeviceSplit) ownership rule.
 ///
-/// Every batch of queries is planned by the batch/table-size-aware
-/// [`Scheduler`] (§3.2.5), evaluated with the fused memory-bounded kernel
-/// (§3.2.3–§3.2.4), and accounted in the server's [`ServerMetrics`].
+/// Everything that depends only on the table is planned once, at
+/// construction: the [`Scheduler`]'s grid mapping and strategy (§3.2.5) and
+/// each device's slice size. Every batch is evaluated with the fused
+/// memory-bounded kernel (§3.2.3–§3.2.4) under that plan and accounted in
+/// the server's [`ServerMetrics`].
 ///
-/// Per batch shape the server also builds (and caches) a [`MemoryPlan`]:
-/// when the plan keeps the table resident, every device's slice is uploaded
-/// once and re-used across batches — the uploads are re-issued only after a
-/// hot reload bumps the table generation — and the avoided transfers are
-/// reported through [`PirServer::plan_ledger`].
+/// Per batch only [`Scheduler::residency`] is evaluated — one inequality per
+/// device: when the batch's working set fits beside the slices, every
+/// device's slice is uploaded once and re-used across batches — the uploads
+/// are re-issued only after a hot reload bumps the table generation — and the
+/// avoided transfers are reported through [`PirServer::plan_ledger`];
+/// otherwise the table is streamed for that batch.
 ///
 /// The table sits behind an `RwLock` so entries can be hot-reloaded through
 /// [`PirServer::update_entry`] while queries are being served: a batch holds
@@ -58,19 +58,23 @@ pub struct GpuPirServer {
     schema: TableSchema,
     table: RwLock<PirTable>,
     /// In-memory row width. Fixed for the server's lifetime
-    /// ([`validate_update`] pins the entry width), so plans never need the
-    /// table lock to read it.
+    /// ([`validate_update`] pins the entry width), so the residency rule
+    /// never needs the table lock to read it.
     row_bytes: u64,
-    /// Rows one device sweeps per query — what the scheduler's grid rule
-    /// (§3.2.5) is about.
-    rows_per_device: u64,
+    /// Bytes of each device's table slice
+    /// ([`DeviceSplit::slice_bytes`](pir_dpf::DeviceSplit::slice_bytes)).
+    slice_bytes: Vec<u64>,
+    params: DpfParams,
+    /// The scheduler's choice for the rows one device sweeps per query.
+    /// Strategy, grid mapping and threads per block depend on the table
+    /// alone; `max_batch` is not consulted (residency is decided per batch).
+    plan: ExecutionPlan,
     prg: GgmPrg,
     prf_kind: PrfKind,
     backends: Vec<Box<dyn DeviceBackend>>,
     scheduler: Scheduler,
     metrics: Mutex<ServerMetrics>,
     last_report: Mutex<Option<KernelReport>>,
-    plan_cache: PlanCache,
     resident: Mutex<Option<Resident>>,
     table_generation: AtomicU64,
     transfers_issued: AtomicU64,
@@ -93,19 +97,24 @@ impl GpuPirServer {
         scheduler_config: SchedulerConfig,
         backend: BackendKind,
     ) -> Result<Self, PirError> {
-        let split_bits = shard_split_bits(table.entries(), devices.len())?;
+        let schema = table.schema();
+        let split = device_split(schema.entries, devices.len())?;
+        let scheduler = Scheduler::new(scheduler_config);
+        let row_bytes = table.matrix().lanes_per_row() as u64 * 4;
+        let rows_per_device = schema.entries.div_ceil(1 << split.split_bits());
         Ok(Self {
-            schema: table.schema(),
-            row_bytes: table.matrix().lanes_per_row() as u64 * 4,
-            rows_per_device: table.entries().div_ceil(1 << split_bits),
+            schema,
+            row_bytes,
+            slice_bytes: split.slice_bytes(schema.entries, row_bytes),
+            params: DpfParams::for_domain(schema.entries),
+            plan: scheduler.plan(rows_per_device, schema.entry_bytes as u64, 1),
             table: RwLock::new(table),
             prg: GgmPrg::new(build_prf(prf_kind)),
             prf_kind,
             backends: devices.into_iter().map(|d| backend.build(d)).collect(),
-            scheduler: Scheduler::new(scheduler_config),
+            scheduler,
             metrics: Mutex::new(ServerMetrics::default()),
             last_report: Mutex::new(None),
-            plan_cache: PlanCache::new(),
             resident: Mutex::new(None),
             table_generation: AtomicU64::new(0),
             transfers_issued: AtomicU64::new(0),
@@ -159,25 +168,11 @@ impl GpuPirServer {
         self.backends.len()
     }
 
-    /// Build (or fetch from the plan cache) the memory plan for a batch of
-    /// `batch` queries against the table shape.
-    fn memory_plan(&self, batch: u64) -> Arc<MemoryPlan> {
-        let key = PlanKey {
-            table_rows: self.schema.entries,
-            row_bytes: self.row_bytes,
-            key_bytes: DpfParams::for_domain(self.schema.entries).key_size_bytes(),
-            batch: batch.max(1),
-            devices: self.backends.len(),
-        };
-        self.plan_cache.get_or_build(key, || {
-            self.scheduler.memory_plan(
-                key.table_rows,
-                key.row_bytes,
-                key.key_bytes,
-                key.batch,
-                key.devices,
-            )
-        })
+    /// The residency rule for a batch of `batch` queries against this
+    /// table: pure arithmetic over what `new` computed.
+    fn residency(&self, batch: usize) -> (TableResidency, u64) {
+        self.scheduler
+            .residency(self.params, &self.slice_bytes, self.row_bytes, batch as u64)
     }
 
     /// Free every slice of a residency that is being replaced or dropped.
@@ -225,6 +220,11 @@ impl GpuPirServer {
     ///
     /// Returns [`PirError::SchemaMismatch`] if any query targets a different
     /// table shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `queries` is empty: there is no launch to report
+    /// ([`PirServer::answer_batch`] answers an empty slice with no responses).
     pub fn answer_batch_with_report(
         &self,
         queries: &[ServerQuery],
@@ -234,21 +234,16 @@ impl GpuPirServer {
             check_schema(self.schema, query)?;
         }
 
-        let plan = self.scheduler.plan(
-            self.rows_per_device,
-            self.schema.entry_bytes as u64,
-            queries.len() as u64,
-        );
-        let memory_plan = self.memory_plan(queries.len() as u64);
+        let (residency, _) = self.residency(queries.len());
         let keys: Vec<_> = queries.iter().map(|q| q.key.clone()).collect();
         // The read lock brackets the whole multi-device launch: a concurrent
         // hot reload waits, so this batch sees exactly one table version.
         let table = self.table.read();
         let generation = self.table_generation.load(Ordering::Acquire);
-        let job =
-            BatchEvalJob::new(&self.prg, self.prf_kind, &keys, table.matrix()).with_plan(&plan);
+        let job = BatchEvalJob::new(&self.prg, self.prf_kind, &keys, table.matrix())
+            .with_plan(&self.plan);
         let backends: Vec<&dyn DeviceBackend> = self.backends.iter().map(AsRef::as_ref).collect();
-        let output = if memory_plan.residency == TableResidency::Resident {
+        let output = if residency == TableResidency::Resident {
             // Held across the launch so a concurrent batch cannot free or
             // replace the slices mid-flight.
             let mut resident = self.resident.lock();
@@ -256,8 +251,8 @@ impl GpuPirServer {
             let slices: Vec<&ResidentAllocation> = held.iter().collect();
             job.run_resident_on_devices(&backends, &slices)
         } else {
-            // The plan says this batch's working set does not fit alongside
-            // resident slices; release any stale residency and stream.
+            // This batch's working set does not fit alongside resident
+            // slices; release any stale residency and stream.
             self.free_resident(self.resident.lock().take());
             self.transfers_issued
                 .fetch_add(backends.len() as u64, Ordering::Relaxed);
@@ -304,6 +299,9 @@ impl PirServer for GpuPirServer {
     }
 
     fn answer_batch(&self, queries: &[ServerQuery]) -> Result<Vec<PirResponse>, PirError> {
+        if queries.is_empty() {
+            return Ok(Vec::new());
+        }
         let (responses, _) = self.answer_batch_with_report(queries)?;
         Ok(responses)
     }
@@ -313,7 +311,7 @@ impl PirServer for GpuPirServer {
     }
 
     fn planned_resident_bytes(&self, batch: usize) -> u64 {
-        self.memory_plan(batch as u64).resident_bytes()
+        self.residency(batch).1
     }
 
     fn plan_ledger(&self) -> PlanLedger {
@@ -325,8 +323,6 @@ impl PirServer for GpuPirServer {
                 .sum(),
             transfers_issued: self.transfers_issued.load(Ordering::Relaxed),
             transfers_avoided: self.transfers_avoided.load(Ordering::Relaxed),
-            plan_cache_hits: self.plan_cache.hits(),
-            plan_cache_misses: self.plan_cache.misses(),
         }
     }
 }
@@ -545,8 +541,6 @@ mod tests {
             let ledger = server.plan_ledger();
             assert_eq!(ledger.transfers_issued, shards, "one upload per shard");
             assert_eq!(ledger.transfers_avoided, shards, "second batch re-uses");
-            assert_eq!(ledger.plan_cache_misses, 1);
-            assert!(ledger.plan_cache_hits >= 1);
             assert_eq!(
                 ledger.resident_bytes,
                 server.table_snapshot().matrix().size_bytes() as u64,
@@ -567,14 +561,52 @@ mod tests {
         }
     }
 
+    #[test]
+    fn planned_resident_bytes_matches_the_launch() {
+        let table = table();
+        let client = PirClient::new(table.schema(), PrfKind::SipHash);
+        let mut rng = StdRng::seed_from_u64(77);
+        for shards in [1, 3, 4] {
+            for batch in [1usize, 8, 64] {
+                let server = server(&table, shards);
+                let queries: Vec<_> = (0..batch as u64)
+                    .map(|i| client.query(i * 4, &mut rng).to_server(0))
+                    .collect();
+                // Observed between the two batches and after the re-use.
+                for _ in 0..2 {
+                    server.answer_batch(&queries).unwrap();
+                    assert_eq!(
+                        server.planned_resident_bytes(batch),
+                        server.plan_ledger().resident_bytes,
+                        "{shards} shards, batch {batch}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_batches_answer_nothing() {
+        let table = table();
+        for backend in [BackendKind::Simulated, BackendKind::Host] {
+            let server = server_on(&table, 3, backend);
+            assert_eq!(server.answer_batch(&[]).unwrap(), vec![]);
+            assert_eq!(server.metrics(), ServerMetrics::default());
+            assert_eq!(server.plan_ledger(), PlanLedger::default());
+            assert!(server.last_report().is_none());
+            for device in &server.backends {
+                assert_eq!(device.stats().launches, 0);
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
         /// One ownership rule, proven once: for random table sizes
         /// (non-powers-of-two included), batch sizes, device counts and grid
         /// mappings, (a) the job's shares equal per-key `fused_eval_matmul`,
-        /// (b) the slices the job uploads, the memory plan's
-        /// `DevicePlan::table_bytes` and what the server keeps resident all
-        /// agree, and (c) `shard_owned_ranges` partitions `0..rows`.
+        /// (b) the slices the job uploads, the slice bytes the server planned
+        /// at construction and what it keeps resident all agree, and (c) `shard_owned_ranges` partitions `0..rows`.
         #[test]
         fn prop_one_ownership_rule(
             rows in 5u64..400,
@@ -616,8 +648,7 @@ mod tests {
 
             // (b) One set of slice sizes, three readers.
             let server = server(&table, devices);
-            let plan = server.memory_plan(batch as u64);
-            let planned: Vec<u64> = plan.devices.iter().map(|d| d.table_bytes).collect();
+            let planned = &server.slice_bytes;
             let uploaded: Vec<u64> = backends
                 .iter()
                 .zip(job.upload_slices(&backends))
@@ -627,10 +658,10 @@ mod tests {
                     bytes
                 })
                 .collect();
-            prop_assert_eq!(&uploaded, &planned);
+            prop_assert_eq!(&uploaded, planned);
             let domain_bits = DpfParams::for_domain(rows).domain_bits;
             let split = DeviceSplit::new(domain_bits, devices).unwrap();
-            prop_assert_eq!(&split.slice_bytes(rows, server.row_bytes), &planned);
+            prop_assert_eq!(&split.slice_bytes(rows, server.row_bytes), planned);
             let responses = server.answer_batch(&queries).unwrap();
             for (response, share) in responses.iter().zip(output.results) {
                 prop_assert_eq!(&response.share, &Vec::from(share));

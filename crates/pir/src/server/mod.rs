@@ -167,7 +167,8 @@ pub trait PirServer: Send + Sync {
     fn answer(&self, query: &ServerQuery) -> Result<PirResponse, PirError>;
 
     /// Answer a batch of queries (the server is free to batch them onto the
-    /// device however it likes).
+    /// device however it likes). An empty batch is answered with no
+    /// responses and no work.
     ///
     /// # Errors
     ///
@@ -195,19 +196,19 @@ pub trait PirServer: Send + Sync {
     /// Metrics accumulated since the server was created.
     fn metrics(&self) -> ServerMetrics;
 
-    /// The device bytes this server's memory plan keeps resident across
-    /// batches of `batch` queries — what a serving-layer device budget
-    /// should lease on top of the per-batch working set. Servers without a
-    /// device memory plan (the CPU baseline) report zero.
+    /// The device bytes this server keeps resident across batches of `batch`
+    /// queries (its table slices when the residency rule holds, zero when it
+    /// streams) — what a serving-layer device budget should lease on top of
+    /// the per-batch working set. Servers without a device (the CPU
+    /// baseline) report zero.
     fn planned_resident_bytes(&self, batch: usize) -> u64 {
         let _ = batch;
         0
     }
 
-    /// Memory-plan telemetry accumulated since the server was created:
-    /// backend-reported resident bytes, table transfers issued/avoided, and
-    /// plan-cache hit counters. Servers without a device memory plan report
-    /// an empty ledger.
+    /// Residency telemetry accumulated since the server was created:
+    /// backend-reported resident bytes and table transfers issued/avoided.
+    /// Servers without a device report an empty ledger.
     fn plan_ledger(&self) -> PlanLedger {
         PlanLedger::default()
     }

@@ -233,10 +233,10 @@ pub(crate) fn run_batch_former(
             }
         }
 
-        // The lease carries the memory plan's backend-reported resident
-        // footprint for this batch size — the plan (not the serve layer)
-        // decides what stays on-device, so telemetry reflects what the
-        // backend will actually hold.
+        // The lease carries the table slices the replica keeps on-device
+        // for this batch size (zero when it streams) — the replica's
+        // residency rule, not the serve layer, decides what stays, so
+        // telemetry reflects what the backend will actually hold.
         let planned_bytes = slot.server.planned_resident_bytes(queries.len());
         let lease = budget.acquire(table.config.shards, planned_bytes);
         table

@@ -16,8 +16,9 @@ use parking_lot::{Condvar, Mutex};
 struct BudgetState {
     in_use: usize,
     /// Backend-reported resident table bytes held by in-flight leases. This
-    /// is the figure the memory plan computed (and the backend's ledger
-    /// verifies) — the serve layer never re-derives table sizes itself.
+    /// is the figure the replica's residency rule computed (and the
+    /// backend's ledger verifies) — the serve layer never re-derives table
+    /// sizes itself.
     resident_bytes_in_use: u64,
     /// High-water mark of `resident_bytes_in_use` since the runtime started.
     peak_resident_bytes: u64,
@@ -74,7 +75,7 @@ impl DeviceBudget {
 
     /// Block until `devices` tokens are free *and* every older waiter has
     /// been served, then lease them along with `resident_bytes` — the
-    /// memory plan's backend-reported resident footprint for the batch
+    /// replica's planned resident footprint for the batch
     /// (tracked for telemetry, not gated on).
     ///
     /// The runtime validates at registration time that no single batch needs

@@ -90,9 +90,8 @@ pub use config::{
 pub use error::ServeError;
 pub use handle::{PendingQuery, ServeHandle};
 pub use oneshot::block_on;
+pub use pir_dpf::PlanLedger;
 pub use runtime::PirServeRuntime;
-pub use stats::{
-    PlanTelemetry, ReplicaStatsSnapshot, StatsSnapshot, TableStatsSnapshot, TierStatsSnapshot,
-};
+pub use stats::{ReplicaStatsSnapshot, StatsSnapshot, TableStatsSnapshot, TierStatsSnapshot};
 pub use tier::{formation_order, BatchCandidate, SloClass, SloTiers};
 pub use wire_frontend::WireFrontend;

@@ -17,9 +17,7 @@ use crate::config::{ServeConfig, TableConfig};
 use crate::error::ServeError;
 use crate::handle::ServeHandle;
 use crate::registry::{HostedTable, TableRegistry};
-use crate::stats::{
-    PlanTelemetry, ReplicaStatsSnapshot, StatsSnapshot, TableStatsSnapshot, TierStatsSnapshot,
-};
+use crate::stats::{ReplicaStatsSnapshot, StatsSnapshot, TableStatsSnapshot, TierStatsSnapshot};
 
 /// A latch the autoscale controllers park on between sampling ticks, so
 /// shutdown interrupts a sleeping controller immediately instead of
@@ -109,9 +107,8 @@ impl RuntimeInner {
                         })
                     })
                     .collect();
-                // Memory-plan telemetry: sum each replica's backend-reported
-                // ledger — residency and transfer counts come from the
-                // device layer, not from serve-side size math.
+                // Residency telemetry: sum each replica's backend-reported
+                // ledger.
                 let plan = hosted
                     .pools
                     .iter()
@@ -120,13 +117,6 @@ impl RuntimeInner {
                     .fold(pir_dpf::PlanLedger::default(), |acc, ledger| {
                         acc.merged_with(&ledger)
                     });
-                let plan = PlanTelemetry {
-                    resident_bytes: plan.resident_bytes,
-                    transfers_issued: plan.transfers_issued,
-                    transfers_avoided: plan.transfers_avoided,
-                    plan_cache_hits: plan.plan_cache_hits,
-                    plan_cache_misses: plan.plan_cache_misses,
-                };
                 // Per-tier telemetry: class identity comes from the config,
                 // counters and latency quantiles from the matching
                 // `TierStats` slot.
@@ -734,10 +724,6 @@ mod tests {
         assert!(
             plan.transfers_issued >= 2,
             "each party uploads at least once"
-        );
-        assert!(
-            plan.plan_cache_hits + plan.plan_cache_misses >= plan.transfers_issued,
-            "every launch consults the plan cache"
         );
         // Leases returned their resident bytes, but the high-water mark
         // proves the batcher leased the plan's figure while launching.

@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use pir_core::LatencyHistogram;
+use pir_dpf::PlanLedger;
 
 /// Internal, shared per-table statistics.
 #[derive(Debug, Default)]
@@ -115,26 +116,6 @@ pub struct ReplicaStatsSnapshot {
     pub utilization: f64,
 }
 
-/// Memory-plan telemetry for one hosted table, aggregated over every
-/// replica of both parties' pools.
-///
-/// These figures come straight from each replica's backend ledger and plan
-/// counters ([`pir_protocol::PirServer::plan_ledger`]) — the serve layer
-/// reports what the device layer measured, it never re-derives sizes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PlanTelemetry {
-    /// Table bytes currently resident on the replicas' devices.
-    pub resident_bytes: u64,
-    /// Table-upload transfer events issued (cold starts + hot reloads).
-    pub transfers_issued: u64,
-    /// Table-upload transfer events avoided by plan-directed residency.
-    pub transfers_avoided: u64,
-    /// Memory-plan lookups served from the per-replica plan caches.
-    pub plan_cache_hits: u64,
-    /// Memory-plan lookups that had to build a fresh plan.
-    pub plan_cache_misses: u64,
-}
-
 /// Point-in-time statistics of one SLO tier of a hosted table.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TierStatsSnapshot {
@@ -203,8 +184,11 @@ pub struct TableStatsSnapshot {
     pub table_versions: [u64; 2],
     /// One entry per (party, replica) in the table's pools.
     pub replicas: Vec<ReplicaStatsSnapshot>,
-    /// Memory-plan telemetry summed over every replica of both pools.
-    pub plan: PlanTelemetry,
+    /// Residency telemetry summed over every replica of both pools, straight
+    /// from each replica's [`pir_protocol::PirServer::plan_ledger`] — the
+    /// serve layer reports what the device layer measured, it never
+    /// re-derives sizes.
+    pub plan: PlanLedger,
     /// Host SIMD backend executing this table's PRF sweeps (`"scalar"`,
     /// `"avx2"` or `"neon"` — runtime-detected, overridable with the
     /// `PIR_PRF_BACKEND` environment variable).

@@ -13,7 +13,7 @@
 //! two-table load (one sharded, one pooled) through both configurations
 //! with the same seed, asserts every reconstructed row matches its
 //! ground truth *and* its counterpart from the other backend, and prints
-//! each runtime's resident-plan ledger: plan-directed residency should
+//! each runtime's residency ledger: a table that fits its devices should
 //! upload each table slice once per replica and avoid every repeat
 //! transfer, on both backends alike.
 
@@ -95,22 +95,14 @@ fn run_workload(backend: BackendKind) -> (Vec<Vec<u8>>, StatsSnapshot) {
 }
 
 fn report(label: &str, stats: &StatsSnapshot) {
-    println!("--- {label}: resident-plan ledger ---");
+    println!("--- {label}: residency ledger ---");
     for table in &stats.tables {
         let plan = table.plan;
         println!(
-            "  {:<5} resident {:>7} B | transfers issued {:>2}, avoided {:>3} | plan cache {} hits / {} misses",
-            table.table,
-            plan.resident_bytes,
-            plan.transfers_issued,
-            plan.transfers_avoided,
-            plan.plan_cache_hits,
-            plan.plan_cache_misses,
+            "  {:<5} resident {:>7} B | transfers issued {:>2}, avoided {:>3}",
+            table.table, plan.resident_bytes, plan.transfers_issued, plan.transfers_avoided,
         );
-        assert!(
-            plan.resident_bytes > 0,
-            "{label}: table stays plan-resident"
-        );
+        assert!(plan.resident_bytes > 0, "{label}: table stays resident");
         assert!(
             plan.transfers_avoided > 0,
             "{label}: residency must avoid repeat uploads"
