@@ -4,8 +4,9 @@
 //! runtime the workspace adds on top of the paper's stack. It sweeps the
 //! number of concurrent clients against one hosted table and reports how
 //! batch occupancy (queries coalesced per device launch, the §3.2.1 lever)
-//! and latency quantiles respond. Occupancy should rise with offered
-//! concurrency while p50 stays bounded by the former's max-wait policy.
+//! and latency quantiles respond. Formation is work-conserving — the
+//! in-flight launch is the batching window — so occupancy should rise with
+//! offered concurrency while a lone client's queue wait stays near zero.
 
 use std::time::Duration;
 

@@ -2,16 +2,24 @@
 //! party, replica).
 //!
 //! Each party's replicas drain one shared bounded queue under a
-//! *max-batch-size / max-wait-time* policy — the same two-knob formation rule
-//! production inference servers use — and submit each formed batch to their
-//! own server replica in one call, where the scheduler turns it into a single
+//! *work-conserving* formation rule: a replica that is free takes what is
+//! queued now — at most `max_batch` entries — and submits it to its own
+//! server replica in one call, where the scheduler turns it into a single
 //! [`pir_dpf::ExecutionPlan`] and launches it as one simulated kernel.
+//! Nothing waits in front of an idle device; queries that arrive while every
+//! active replica is inside `answer_batch` queue up and form the next batch,
+//! so the in-flight launch is the batching window: under load batches fill
+//! (the paper's launch amortisation, §3.2.1, §3.2.5), and a lone query is
+//! launched at once. `max_wait` and the tier deadlines do not delay a launch;
+//! they are the age at which a queued entry is promoted to the front of
+//! formation (see [`formation_order`]).
+//!
 //! Because every replica worker competes for the same queue, a burst on a hot
 //! table naturally fans out: while replica 0 is inside `answer_batch`,
-//! replica 1's worker picks up the next formed batch instead of queueing
-//! behind it. Before launching, a worker leases the replica's devices from
-//! the runtime-wide [`DeviceBudget`](crate::budget::DeviceBudget), so
-//! cross-table load shares one fleet instead of statically partitioning it.
+//! replica 1's worker forms the next batch instead of queueing behind it.
+//! Before launching, a worker leases the replica's devices from the
+//! runtime-wide [`DeviceBudget`](crate::budget::DeviceBudget), so cross-table
+//! load shares one fleet instead of statically partitioning it.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -19,7 +27,9 @@ use std::time::Instant;
 
 use crate::budget::DeviceBudget;
 use crate::error::ServeError;
-use crate::registry::{AnsweredShare, HostedTable, PendingEntry, QueueItem, UpdateMarker};
+use crate::registry::{
+    AnsweredShare, HostedTable, PendingEntry, QueueItem, QueueState, UpdateMarker,
+};
 use crate::tier::{formation_order, BatchCandidate};
 
 /// What one trip through the queue decided to do.
@@ -56,7 +66,7 @@ pub(crate) fn run_batch_former(
     replica: usize,
     budget: Arc<DeviceBudget>,
 ) {
-    let policy = table.config.batch;
+    let max_batch = table.config.batch.max_batch;
     let queue = &table.queues[party];
     let slot = &table.pools[party][replica];
 
@@ -92,7 +102,6 @@ pub(crate) fn run_batch_former(
                         let Some(QueueItem::Update(marker)) = state.entries.pop_front() else {
                             unreachable!("front checked above");
                         };
-                        state.pending_updates -= 1;
                         state.barrier = true;
                         // Entries popped before the marker must finish
                         // reading the old table before the update lands.
@@ -101,106 +110,22 @@ pub(crate) fn run_batch_former(
                         }
                         break Action::Apply(marker);
                     }
-                    Some(QueueItem::Query(_)) => {}
-                    None if state.closed => break Action::Exit,
-                    None => {
-                        queue.arrived.wait(&mut state);
-                        continue;
-                    }
-                }
-
-                // Phase 2: accumulate until the *earliest queued deadline*
-                // (each entry's `enqueued_at + its SLO class's deadline`) —
-                // so an urgent arrival ends a background batch's
-                // accumulation at its own, tighter deadline, and with a
-                // single tier this degenerates to the classic
-                // `oldest + max_wait` rule. Re-scanned on every wakeup
-                // because a new arrival can carry an *earlier* deadline
-                // than everything already queued. A queued update ends
-                // accumulation early so the barrier is reached promptly.
-                loop {
-                    let (live, earliest) = scan_live(&mut state, policy.max_batch);
-                    if live >= policy.max_batch
-                        || state.pending_updates > 0
-                        || state.closed
-                        || state.barrier
-                    {
-                        break;
-                    }
-                    let Some(earliest) = earliest else {
-                        // Everything queued was canceled and pruned.
-                        break;
-                    };
-                    let Some(remaining) = earliest.checked_duration_since(Instant::now()) else {
-                        break;
-                    };
-                    if queue.arrived.wait_for(&mut state, remaining).timed_out() {
-                        break;
-                    }
-                }
-                if state.barrier {
-                    continue;
-                }
-
-                // Formation: rank the live prefix (everything ahead of the
-                // first update marker — entries behind it belong to the new
-                // table version's batches) with the tier ordering: expired
-                // deadlines first (age promotion: an overdue background
-                // entry cannot be starved by a stream of urgent arrivals),
-                // then priority, then FIFO. Urgent entries take the batch,
-                // background entries fill whatever residue `max_batch`
-                // leaves. Canceled queries are discarded as they are found —
-                // their responders close (nobody is listening) and they
-                // never reach the device — and they don't occupy batch
-                // slots, so heavy cancellation can't make formed batches
-                // run undersized.
-                let mut positions = Vec::new();
-                let mut candidates = Vec::new();
-                let mut index = 0;
-                while index < state.entries.len() {
-                    match &state.entries[index] {
-                        QueueItem::Query(entry) => {
-                            if entry.is_canceled() {
-                                drop(state.entries.remove(index));
-                            } else {
-                                positions.push(index);
-                                candidates.push(BatchCandidate {
-                                    deadline: entry.deadline,
-                                    priority: entry.priority,
-                                });
-                                index += 1;
-                            }
+                    // Work-conserving: this replica is free, so it takes
+                    // what is queued *now*; the launch is the only window
+                    // in which the next batch accumulates.
+                    Some(QueueItem::Query(_)) => {
+                        let batch = form_batch(&mut state, max_batch);
+                        if batch.is_empty() {
+                            // Everything ahead of the next marker was
+                            // canceled; look at the queue again.
+                            continue;
                         }
-                        QueueItem::Update(_) => break,
+                        state.inflight_batches += 1;
+                        break Action::Batch(batch);
                     }
+                    None if state.closed => break Action::Exit,
+                    None => queue.arrived.wait(&mut state),
                 }
-                let order = formation_order(Instant::now(), &candidates);
-                // Map ranks to queue positions, then pull highest positions
-                // first so earlier removals don't shift later ones.
-                let mut picks: Vec<(usize, usize)> = order
-                    .iter()
-                    .take(policy.max_batch)
-                    .enumerate()
-                    .filter_map(|(rank, &candidate)| {
-                        positions.get(candidate).map(|&position| (position, rank))
-                    })
-                    .collect();
-                picks.sort_unstable_by_key(|pick| std::cmp::Reverse(pick.0));
-                let mut ranked = Vec::with_capacity(picks.len());
-                for (position, rank) in picks {
-                    if let Some(QueueItem::Query(entry)) = state.entries.remove(position) {
-                        ranked.push((rank, entry));
-                    }
-                }
-                ranked.sort_unstable_by_key(|(rank, _)| *rank);
-                let batch: Vec<PendingEntry> = ranked.into_iter().map(|(_, entry)| entry).collect();
-                if batch.is_empty() {
-                    // Everything was canceled (or a marker is at the
-                    // front); go around again.
-                    continue;
-                }
-                state.inflight_batches += 1;
-                break Action::Batch(batch);
             }
         };
 
@@ -219,9 +144,9 @@ pub(crate) fn run_batch_former(
             Action::Batch(batch) => batch,
         };
 
-        // Phase 3: submit the formed batch as one execution plan, off the
-        // queue lock so new arrivals keep queueing (and sibling replicas
-        // keep forming) during the launch.
+        // Submit the formed batch as one execution plan, off the queue lock
+        // so new arrivals keep queueing (and sibling replicas keep forming)
+        // during the launch.
         let queries: Vec<_> = batch.iter().map(|entry| entry.query.clone()).collect();
         let drained_at = Instant::now();
         table.stats.record_batch(batch.len());
@@ -285,42 +210,57 @@ pub(crate) fn run_batch_former(
     }
 }
 
-/// Queries in the queue that are still worth answering, counted up to
-/// `cap` — pruning canceled entries as they are found — together with the
-/// earliest SLO deadline among them.
+/// Form one batch from what is queued now: at most `max_batch` live
+/// entries of the prefix ahead of the first update marker (entries behind it
+/// belong to the new table version's batches), in [`formation_order`] —
+/// expired deadlines first (age promotion: an overdue background entry
+/// cannot be starved by a stream of urgent arrivals), then priority, then
+/// FIFO, so urgent entries take the batch and background entries fill
+/// whatever residue `max_batch` leaves.
 ///
-/// Accumulation counts *these* toward `max_batch`: formation discards
-/// canceled entries, so counting them too would let heavy cancellation end
-/// accumulation early and launch undersized batches before the deadline.
-/// The scan runs under the queue lock on every accumulation wakeup, so it
-/// stops at `cap` live entries, and canceled entries (which formation
-/// would discard anyway) are dropped on sight — each one costs a visit
-/// once ever, not once per wakeup, keeping a canceled-dominated backlog
-/// from turning every wakeup into a full-queue walk.
-fn scan_live(state: &mut crate::registry::QueueState, cap: usize) -> (usize, Option<Instant>) {
-    let mut live = 0;
-    let mut earliest: Option<Instant> = None;
+/// Canceled entries in that prefix are discarded as they are found — their
+/// responders close (nobody is listening), they never reach the device and
+/// they occupy no batch slot, so heavy cancellation cannot make formed
+/// batches run undersized.
+fn form_batch(state: &mut QueueState, max_batch: usize) -> Vec<PendingEntry> {
+    let mut positions = Vec::new();
+    let mut candidates = Vec::new();
     let mut index = 0;
-    while live < cap && index < state.entries.len() {
+    while index < state.entries.len() {
         match &state.entries[index] {
             QueueItem::Query(entry) => {
                 if entry.is_canceled() {
                     drop(state.entries.remove(index));
                 } else {
-                    live += 1;
-                    earliest = Some(match earliest {
-                        Some(current) => current.min(entry.deadline),
-                        None => entry.deadline,
+                    positions.push(index);
+                    candidates.push(BatchCandidate {
+                        deadline: entry.deadline,
+                        priority: entry.priority,
                     });
                     index += 1;
                 }
             }
-            // An update marker: leave it in place (the accumulation gate's
-            // `pending_updates` check ends the wait) and skip past it.
-            QueueItem::Update(_) => index += 1,
+            QueueItem::Update(_) => break,
         }
     }
-    (live, earliest)
+    let order = formation_order(Instant::now(), &candidates);
+    // Map ranks to queue positions, then pull highest positions first so
+    // earlier removals don't shift later ones.
+    let mut picks: Vec<(usize, usize)> = order
+        .iter()
+        .take(max_batch)
+        .enumerate()
+        .filter_map(|(rank, &candidate)| positions.get(candidate).map(|&position| (position, rank)))
+        .collect();
+    picks.sort_unstable_by_key(|pick| std::cmp::Reverse(pick.0));
+    let mut ranked = Vec::with_capacity(picks.len());
+    for (position, rank) in picks {
+        if let Some(QueueItem::Query(entry)) = state.entries.remove(position) {
+            ranked.push((rank, entry));
+        }
+    }
+    ranked.sort_unstable_by_key(|(rank, _)| *rank);
+    ranked.into_iter().map(|(_, entry)| entry).collect()
 }
 
 /// Apply one hot-reload marker to every replica of `party`.
@@ -384,6 +324,27 @@ mod tests {
         )
     }
 
+    /// A single-tier table whose `max_wait` is far beyond any test's
+    /// runtime: nothing below may depend on it elapsing.
+    fn patient_table(max_batch: usize) -> Arc<HostedTable> {
+        let table = PirTable::generate(64, 8, |row, _| row as u8);
+        let config = TableConfig::builder()
+            .prf_kind(pir_prf::PrfKind::SipHash)
+            .max_batch(max_batch)
+            .max_wait(Duration::from_secs(10))
+            .build()
+            .unwrap();
+        Arc::new(HostedTable::build("t", table, config).expect("valid table"))
+    }
+
+    fn spawn_former(
+        hosted: &Arc<HostedTable>,
+        budget: Arc<DeviceBudget>,
+    ) -> std::thread::JoinHandle<()> {
+        let hosted = Arc::clone(hosted);
+        std::thread::spawn(move || run_batch_former(hosted, 0, 0, budget))
+    }
+
     #[test]
     fn former_coalesces_queued_entries_into_one_batch() {
         let table = PirTable::generate(128, 8, |row, _| row as u8);
@@ -409,12 +370,9 @@ mod tests {
         }
         hosted.queues[0].close(); // run one batch, then exit
 
-        let worker = {
-            let hosted = Arc::clone(&hosted);
-            let budget = Arc::new(DeviceBudget::new(None));
-            std::thread::spawn(move || run_batch_former(hosted, 0, 0, budget))
-        };
-        worker.join().unwrap();
+        spawn_former(&hosted, Arc::new(DeviceBudget::new(None)))
+            .join()
+            .unwrap();
 
         for rx in receivers {
             assert!(oneshot::block_on(rx).unwrap().is_ok());
@@ -453,12 +411,9 @@ mod tests {
         }
         hosted.queues[0].close();
 
-        let worker = {
-            let hosted = Arc::clone(&hosted);
-            let budget = Arc::new(DeviceBudget::new(None));
-            std::thread::spawn(move || run_batch_former(hosted, 0, 0, budget))
-        };
-        worker.join().unwrap();
+        spawn_former(&hosted, Arc::new(DeviceBudget::new(None)))
+            .join()
+            .unwrap();
 
         // Only the 3 live entries crossed the device.
         assert_eq!(hosted.stats.batched_queries.load(Ordering::Relaxed), 3);
@@ -470,51 +425,122 @@ mod tests {
 
     #[test]
     fn cancellation_does_not_shrink_formed_batches() {
-        // 3 queued entries of which 2 are canceled: with a generous
-        // deadline the former must keep accumulating (canceled entries
-        // don't count toward max_batch) instead of launching an undersized
-        // batch of 1 — the 2 live entries fed in later complete one full
-        // batch of 3.
-        let table = PirTable::generate(64, 8, |row, _| row as u8);
-        let config = TableConfig::builder()
-            .prf_kind(pir_prf::PrfKind::SipHash)
-            .max_batch(3)
-            .max_wait(Duration::from_secs(10))
-            .build()
-            .unwrap();
-        let hosted = Arc::new(HostedTable::build("t", table, config).expect("valid table"));
+        // 6 queued entries of which 3 are canceled, and room for 3 per
+        // launch: canceled entries occupy no batch slot, so the 3 live ones
+        // come out as exactly one full batch.
+        let hosted = patient_table(3);
         let mut rng = StdRng::seed_from_u64(8);
         let mut live = Vec::new();
         {
             let mut state = hosted.queues[0].state.lock();
-            for index in 0..3u64 {
-                let (entry, rx) = pending(&hosted, index, &mut rng, index < 2);
+            for index in 0..6u64 {
+                let (entry, rx) = pending(&hosted, index, &mut rng, index % 2 == 0);
                 state.entries.push_back(QueueItem::Query(entry));
-                if index >= 2 {
+                if index % 2 != 0 {
                     live.push(rx);
                 }
             }
         }
-        let worker = {
-            let hosted = Arc::clone(&hosted);
-            let budget = Arc::new(DeviceBudget::new(None));
-            std::thread::spawn(move || run_batch_former(hosted, 0, 0, budget))
-        };
-        // Give a buggy former ample time to launch the undersized batch
-        // before the queue refills.
-        std::thread::sleep(Duration::from_millis(100));
-        for index in 3..5u64 {
-            let (entry, rx) = pending(&hosted, index, &mut rng, false);
-            live.push(rx);
-            hosted.enqueue(16, [Some(entry), None]).unwrap();
-        }
         hosted.queues[0].close();
-        worker.join().unwrap();
+        spawn_former(&hosted, Arc::new(DeviceBudget::new(None)))
+            .join()
+            .unwrap();
         for rx in live {
             assert!(oneshot::block_on(rx).unwrap().is_ok());
         }
         assert_eq!(hosted.stats.batches.load(Ordering::Relaxed), 1);
         assert_eq!(hosted.stats.max_batch.load(Ordering::Relaxed), 3);
+        assert_eq!(hosted.pools[0][0].server.metrics().queries_served, 3);
+    }
+
+    #[test]
+    fn lone_query_on_an_idle_replica_launches_at_once() {
+        let hosted = patient_table(8);
+        let worker = spawn_former(&hosted, Arc::new(DeviceBudget::new(None)));
+        let mut rng = StdRng::seed_from_u64(9);
+        let (entry, rx) = pending(&hosted, 5, &mut rng, false);
+        hosted.enqueue(16, [Some(entry), None]).unwrap();
+        assert!(oneshot::block_on(rx).unwrap().is_ok());
+        hosted.queues[0].close();
+        worker.join().unwrap();
+        assert_eq!(hosted.stats.batches.load(Ordering::Relaxed), 1);
+        let waited_ms = hosted.stats.queue_wait.lock().quantile_ms(1.0).unwrap();
+        assert!(
+            waited_ms < 100.0,
+            "an idle replica must not sit out the 10 s max_wait (waited {waited_ms} ms)"
+        );
+    }
+
+    #[test]
+    fn launch_in_flight_is_the_batching_window() {
+        // The only replica is held mid-launch: the test owns the one-device
+        // budget, so the worker forms a first batch and blocks leasing it.
+        let hosted = patient_table(8);
+        let budget = Arc::new(DeviceBudget::new(Some(1)));
+        let held = budget.acquire(1, 0);
+        let mut rng = StdRng::seed_from_u64(10);
+        let (first, first_rx) = pending(&hosted, 0, &mut rng, false);
+        hosted.enqueue(16, [Some(first), None]).unwrap();
+        let worker = spawn_former(&hosted, Arc::clone(&budget));
+        while hosted.stats.batches.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+
+        // Everything that arrives meanwhile comes out as one batch.
+        let mut receivers = vec![first_rx];
+        for index in 1..=5u64 {
+            let (entry, rx) = pending(&hosted, index, &mut rng, false);
+            hosted.enqueue(16, [Some(entry), None]).unwrap();
+            receivers.push(rx);
+        }
+        hosted.queues[0].close();
+        drop(held);
+        worker.join().unwrap();
+        for rx in receivers {
+            assert!(oneshot::block_on(rx).unwrap().is_ok());
+        }
+        assert_eq!(hosted.stats.batches.load(Ordering::Relaxed), 2);
+        assert_eq!(hosted.stats.max_batch.load(Ordering::Relaxed), 5);
+        assert_eq!(hosted.stats.batched_queries.load(Ordering::Relaxed), 6);
+    }
+
+    #[test]
+    fn formation_takes_the_expired_background_entry_first() {
+        // Two tiers queued behind a busy replica, more than one launch
+        // admits: the overdue background entry is picked first, the residue
+        // goes to the urgent tier in arrival order, and nothing behind the
+        // update marker is touched.
+        let hosted = patient_table(2);
+        let mut rng = StdRng::seed_from_u64(11);
+        let now = Instant::now();
+        let mut entry = |priority: u8, deadline: Instant| {
+            let (mut entry, _rx) = pending(&hosted, 1, &mut rng, false);
+            entry.priority = priority;
+            entry.deadline = deadline;
+            QueueItem::Query(entry)
+        };
+        let urgent = [1, 2, 3].map(|ms| now + Duration::from_secs(ms));
+        let overdue = now - Duration::from_millis(1);
+        let mut state = QueueState::default();
+        state.entries.push_back(entry(0, urgent[0]));
+        state.entries.push_back(entry(0, urgent[1]));
+        state.entries.push_back(entry(2, overdue));
+        let (tx, _rx) = oneshot::channel();
+        state.entries.push_back(QueueItem::Update(UpdateMarker {
+            index: 0,
+            bytes: Arc::new(vec![0; 8]),
+            responder: tx,
+        }));
+        state.entries.push_back(entry(0, urgent[2]));
+
+        let deadlines = |batch: &[PendingEntry]| -> Vec<Instant> {
+            batch.iter().map(|entry| entry.deadline).collect()
+        };
+        assert_eq!(deadlines(&form_batch(&mut state, 2)), [overdue, urgent[0]]);
+        assert_eq!(deadlines(&form_batch(&mut state, 2)), [urgent[1]]);
+        assert!(form_batch(&mut state, 2).is_empty());
+        assert!(matches!(state.entries.front(), Some(QueueItem::Update(_))));
+        assert_eq!(state.entries.len(), 2);
     }
 
     #[test]
@@ -536,12 +562,9 @@ mod tests {
             }
         }
         hosted.queues[0].close();
-        let worker = {
-            let hosted = Arc::clone(&hosted);
-            let budget = Arc::new(DeviceBudget::new(None));
-            std::thread::spawn(move || run_batch_former(hosted, 0, 0, budget))
-        };
-        worker.join().unwrap();
+        spawn_former(&hosted, Arc::new(DeviceBudget::new(None)))
+            .join()
+            .unwrap();
         assert_eq!(hosted.stats.batches.load(Ordering::Relaxed), 0);
         assert_eq!(hosted.pools[0][0].server.metrics().queries_served, 0);
     }

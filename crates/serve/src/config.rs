@@ -14,14 +14,18 @@ use pir_prf::PrfKind;
 use crate::error::ServeError;
 use crate::tier::{SloClass, SloTiers};
 
-/// When a forming batch is submitted to the device (§3.2.5's premise: the
-/// GPU only pays off when kernel launches are amortized over many queries).
+/// How a free replica forms its next batch from the queue (§3.2.5's premise:
+/// the GPU only pays off when kernel launches are amortized over many
+/// queries). Formation is work-conserving: a replica never idles in front of
+/// a queued query, and what arrives during a launch forms the next batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchPolicy {
-    /// Submit as soon as this many queries have accumulated.
+    /// The most queries one launch takes from the queue.
     pub max_batch: usize,
-    /// Submit at the latest this long after the *oldest* queued query
-    /// arrived, even if the batch is still small.
+    /// The age at which a queued query is promoted ahead of every fresh one
+    /// at formation — the deadline of the single class an untiered table
+    /// runs (where the order is FIFO either way, so it only labels
+    /// `deadline_ms` in telemetry). It never delays a launch.
     pub max_wait: Duration,
 }
 
@@ -148,11 +152,11 @@ pub struct TableConfig {
     pub backend: BackendKind,
     /// Batch-formation policy for this table's two batch formers.
     pub batch: BatchPolicy,
-    /// SLO priority tiers: per-tenant service classes whose deadlines drive
-    /// batch formation (urgent tenants close batches early, background
-    /// tenants fill residue and absorb displacement shedding). Defaults to
-    /// a single class whose deadline is `batch.max_wait`, which reproduces
-    /// classic max-batch/max-wait formation exactly.
+    /// SLO priority tiers: per-tenant service classes that rank the queue
+    /// at batch formation (urgent tenants first, background tenants fill
+    /// residue, are promoted once their deadline passes, and absorb
+    /// displacement shedding). Defaults to a single class whose deadline is
+    /// `batch.max_wait`, which forms batches in exact FIFO order.
     pub tiers: SloTiers,
 }
 
@@ -246,14 +250,15 @@ impl TableConfigBuilder {
         self
     }
 
-    /// Submit batches at this size.
+    /// Take at most this many queued queries per launch.
     #[must_use]
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.config.batch.max_batch = max_batch;
         self
     }
 
-    /// Submit batches at the latest this long after the oldest arrival.
+    /// Promote a query still queued after this long ahead of fresh ones
+    /// (see [`BatchPolicy::max_wait`]).
     #[must_use]
     pub fn max_wait(mut self, max_wait: Duration) -> Self {
         self.config.batch.max_wait = max_wait;

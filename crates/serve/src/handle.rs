@@ -221,6 +221,16 @@ impl ServeHandle {
 /// What a batch former sends back for one queued projection.
 type ShareReceiver = Receiver<Result<AnsweredShare, ServeError>>;
 
+/// Where one party's half of a [`PendingQuery`] stands.
+enum Side {
+    /// The share is in its slot.
+    Ready,
+    Pending,
+    /// The entry was dropped unanswered.
+    Closed,
+    Failed(ServeError),
+}
+
 /// The one outcome → counters mapping, at table and tier level: every
 /// admission refusal, enqueue shed and settled future is counted here.
 /// `Ok` carries the submission time the end-to-end latency is measured from.
@@ -440,20 +450,25 @@ impl PendingQuery {
         rx: &mut Option<ShareReceiver>,
         slot: &mut Option<AnsweredShare>,
         cx: &mut Context<'_>,
-    ) -> Result<(), Option<ServeError>> {
+    ) -> Side {
         if slot.is_some() {
-            return Ok(());
+            return Side::Ready;
         }
-        // pir-lint: allow(panic-path, "rx is taken only when its slot fills, checked just above")
-        let receiver = rx.as_mut().expect("receiver live until slot filled");
+        // A receiver is taken when its slot fills or its channel closes.
+        let Some(receiver) = rx.as_mut() else {
+            return Side::Closed;
+        };
         match Pin::new(receiver).poll(cx) {
-            Poll::Pending => Err(None),
-            Poll::Ready(Err(oneshot::Canceled)) => Err(Some(ServeError::ShuttingDown)),
-            Poll::Ready(Ok(Err(err))) => Err(Some(err)),
+            Poll::Pending => Side::Pending,
+            Poll::Ready(Err(oneshot::Canceled)) => {
+                *rx = None;
+                Side::Closed
+            }
+            Poll::Ready(Ok(Err(err))) => Side::Failed(err),
             Poll::Ready(Ok(Ok(response))) => {
                 *slot = Some(response);
                 *rx = None;
-                Ok(())
+                Side::Ready
             }
         }
     }
@@ -463,20 +478,28 @@ impl PendingQuery {
     fn poll_inner(&mut self, cx: &mut Context<'_>) -> Poll<Result<(Vec<u8>, u64), ServeError>> {
         // Poll *both* sides even if the first is pending, so each registers
         // its waker and either server can wake this future.
-        let side0 = Self::poll_side(&mut self.rx0, &mut self.response0, cx);
-        let side1 = Self::poll_side(&mut self.rx1, &mut self.response1, cx);
-        for side in [&side0, &side1] {
-            if let Err(Some(err)) = side {
-                let outcome = Err(err.clone());
-                self.done.settle(&outcome);
-                return Poll::Ready(outcome);
-            }
-        }
-        if side0.is_err() || side1.is_err() {
-            return Poll::Pending;
+        let sides = [
+            Self::poll_side(&mut self.rx0, &mut self.response0, cx),
+            Self::poll_side(&mut self.rx1, &mut self.response1, cx),
+        ];
+        // A typed error from either party is the outcome. A channel that
+        // closed unanswered carries no reason of its own — the entry was
+        // pruned because its sibling was displaced at the other party (whose
+        // typed error is there or on its way), or its worker is gone — so it
+        // decides the outcome only once the other side has resolved too.
+        let failure = match sides {
+            [Side::Failed(err), _] | [_, Side::Failed(err)] => Some(err),
+            [Side::Pending, _] | [_, Side::Pending] => return Poll::Pending,
+            [Side::Closed, _] | [_, Side::Closed] => Some(ServeError::ShuttingDown),
+            [Side::Ready, Side::Ready] => None,
+        };
+        if let Some(err) = failure {
+            let outcome = Err(err);
+            self.done.settle(&outcome);
+            return Poll::Ready(outcome);
         }
 
-        // pir-lint: allow(panic-path, "both poll_side calls above returned Ok, which fills the slots")
+        // pir-lint: allow(panic-path, "both sides are Ready, which fills the slots")
         let share0 = self.response0.take().expect("side 0 resolved");
         let share1 = self.response1.take().expect("side 1 resolved");
         // Pair-enqueued queries are protected by the cross-queue update
@@ -573,14 +596,15 @@ mod tests {
     /// cancel-on-drop and shutdown through one submission path and return
     /// the counters it left behind.
     ///
-    /// Formation deadlines are far beyond the test's runtime and the batch
-    /// size is never reached, so nothing drains until shutdown and the queue
-    /// contents at every step are exact.
+    /// Both parties' replicas are parked mid-launch for the whole scenario,
+    /// so nothing drains until they are released and the queue contents at
+    /// every step are exact.
     fn drive(path: Path) -> Ledger {
         let runtime = PirServeRuntime::new(
             ServeConfig::builder()
                 .queue_capacity(2)
                 .per_tenant_quota(2)
+                .device_budget(1)
                 .seed(5)
                 .build()
                 .unwrap(),
@@ -598,6 +622,7 @@ mod tests {
         let client = PirClient::new(table.schema(), pir_prf::PrfKind::SipHash);
         runtime.register_table("t", table, config).unwrap();
         let handle = runtime.handle();
+        let (launching, parked) = runtime.park_replicas("t");
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(9);
         let mut submit = |tenant: &str| -> Result<Admitted, ServeError> {
             match path {
@@ -633,7 +658,9 @@ mod tests {
         drop(urgent2);
         let background3 = submit("worker-d").unwrap();
         // Shutdown answers what is queued and sheds what comes after.
+        drop(launching);
         runtime.shutdown();
+        parked.wait().unwrap();
         urgent1().unwrap();
         background3().unwrap();
         assert!(matches!(submit("worker-e"), Err(ServeError::ShuttingDown)));
@@ -662,13 +689,58 @@ mod tests {
     }
 
     #[test]
+    fn a_query_displaced_at_one_party_resolves_as_displaced() {
+        // The two queues drain independently, so a query can be evicted at
+        // one party while its sibling entry is still queued at the other,
+        // where formation then prunes it unanswered. The typed reason must
+        // win over the closed channel, whichever party it comes from.
+        let runtime = PirServeRuntime::new(
+            ServeConfig::builder()
+                .queue_capacity(1)
+                .device_budget(1)
+                .seed(6)
+                .build()
+                .unwrap(),
+        );
+        let config = TableConfig::builder()
+            .prf_kind(pir_prf::PrfKind::SipHash)
+            .tier("urgent", Duration::from_secs(60), 0)
+            .tier("background", Duration::from_secs(120), 2)
+            .assign_tenant("vip", "urgent")
+            .default_tier("background")
+            .build()
+            .unwrap();
+        let table = PirTable::generate(64, 8, |row, _| row as u8);
+        let client = PirClient::new(table.schema(), pir_prf::PrfKind::SipHash);
+        runtime.register_table("t", table, config).unwrap();
+        let handle = runtime.handle();
+        let (launching, parked) = runtime.park_replicas("t");
+
+        let background = handle.query("t", "worker", 3).unwrap();
+        // A wire-path arrival touches party 1's queue only.
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(9);
+        let urgent = handle
+            .submit_server_query("t", "vip", client.query(3, &mut rng).to_server(1))
+            .unwrap();
+        drop(launching);
+        runtime.shutdown();
+        assert!(matches!(
+            background.wait(),
+            Err(ServeError::Displaced { .. })
+        ));
+        urgent.wait().unwrap();
+        parked.wait().unwrap();
+        assert_eq!(handle.stats().table("t").unwrap().displaced, 1);
+    }
+
+    #[test]
     fn both_submission_paths_keep_one_ledger() {
         let embedded = drive(Path::Embedded);
         let wire = drive(Path::Wire);
         assert_eq!(embedded, wire, "embedded vs wire counter deltas");
         let expected = [
-            "submitted=5",
-            "answered=2",
+            "submitted=6",
+            "answered=3",
             "shed=5",
             "failed=0",
             "canceled=1",
@@ -678,8 +750,8 @@ mod tests {
             "urgent.shed=1", // the quota refusal
             "urgent.failed=0",
             "urgent.displaced=0",
-            "background.submitted=3",
-            "background.answered=1",
+            "background.submitted=4", // one of them the parked query
+            "background.answered=2",
             "background.shed=4", // queue-full, two displaced, shutdown
             "background.failed=0",
             "background.displaced=2",

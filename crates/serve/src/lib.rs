@@ -22,12 +22,13 @@
 //!   launch, and every launch leases its devices from a runtime-wide
 //!   **device budget** (`ServeConfig::device_budget`) so hot tables borrow
 //!   fleet capacity idle tables are not using.
-//! * A **dynamic batch former** per (table, party, replica) collects
-//!   in-flight queries under a *max-batch-size / max-wait-time* policy and
-//!   submits each formed batch through the §3.2.5 scheduler as one
-//!   [`pir_dpf::ExecutionPlan`], so concurrent requests amortize kernel
-//!   launches exactly as the paper prescribes without coordinating with each
-//!   other.
+//! * A **dynamic batch former** per (table, party, replica) is
+//!   work-conserving: a free replica takes what is queued (up to
+//!   `max_batch`) and submits it through the §3.2.5 scheduler as one
+//!   [`pir_dpf::ExecutionPlan`]; what arrives during that launch forms the
+//!   next batch. Concurrent requests amortize kernel launches exactly as the
+//!   paper prescribes without coordinating with each other, and a lone
+//!   query never waits in front of an idle device.
 //! * An **admission/backpressure layer** — bounded per-(table, server) queues
 //!   and per-tenant in-flight quotas — sheds load with typed
 //!   [`ServeError`]s instead of letting latency collapse.

@@ -36,10 +36,10 @@ pub(crate) struct AnsweredShare {
 pub(crate) struct PendingEntry {
     pub query: ServerQuery,
     pub enqueued_at: Instant,
-    /// Absolute batch-formation deadline: `enqueued_at` plus the tenant's
-    /// SLO-class deadline. Accumulation closes the forming batch at the
-    /// earliest queued deadline, and an expired deadline promotes the entry
-    /// to the front of formation (see [`crate::tier::formation_order`]).
+    /// Absolute promotion deadline: `enqueued_at` plus the tenant's
+    /// SLO-class deadline. Once it has passed, the entry is ranked ahead of
+    /// every fresh one at formation (see [`crate::tier::formation_order`]);
+    /// it never delays a launch.
     pub deadline: Instant,
     /// Index of the tenant's SLO class in the table's tier set.
     pub tier: usize,
@@ -93,9 +93,6 @@ pub(crate) enum QueueItem {
 pub(crate) struct QueueState {
     pub entries: std::collections::VecDeque<QueueItem>,
     pub closed: bool,
-    /// Update markers currently queued; batch formation stops growing a
-    /// batch early when one is waiting so the barrier is reached promptly.
-    pub pending_updates: usize,
     /// Batches popped from this queue whose device launch has not finished.
     pub inflight_batches: usize,
     /// An update barrier is being applied: all pops pause until cleared.
@@ -347,9 +344,7 @@ impl HostedTable {
             return Err(ServeError::ShuttingDown);
         }
         q0.entries.push_back(QueueItem::Update(to0));
-        q0.pending_updates += 1;
         q1.entries.push_back(QueueItem::Update(to1));
-        q1.pending_updates += 1;
         drop(q0);
         drop(q1);
         // All formers must wake: whichever reaches the marker first becomes

@@ -396,6 +396,28 @@ fn run_autoscaler(inner: &RuntimeInner, table: &HostedTable) {
     }
 }
 
+#[cfg(test)]
+impl PirServeRuntime {
+    /// Park the single replica of both parties of `table` mid-launch, so
+    /// that whatever a test submits next stays queued: the runtime's
+    /// one-device budget is leased to the caller, and each party's worker
+    /// has formed a batch of the one query submitted here and is blocked
+    /// leasing a device for it. Dropping the lease lets the launches go.
+    pub(crate) fn park_replicas(
+        &self,
+        table: &str,
+    ) -> (crate::budget::DeviceLease, crate::PendingQuery) {
+        assert_eq!(self.inner.budget.capacity(), Some(1));
+        let lease = self.inner.budget.acquire(1, 0);
+        let parked = self.handle().query(table, "parked", 0).expect("admitted");
+        let hosted = self.inner.registry.get(table).expect("registered");
+        while hosted.queues.iter().any(|queue| queue.depth() > 0) {
+            std::thread::yield_now();
+        }
+        (lease, parked)
+    }
+}
+
 impl Drop for PirServeRuntime {
     fn drop(&mut self) {
         self.shutdown();
@@ -504,12 +526,12 @@ mod tests {
                 .unwrap(),
         );
         let table = PirTable::generate(64, 8, |row, _| row as u8);
-        // A long max_wait so the in-flight queries stay queued while we
-        // exceed the quota.
+        // A quota slot is pinned by its unresolved `PendingQuery`, however
+        // soon the batch formers answer it, so holding q1 and q2 is what
+        // keeps the tenant at its quota.
         let config = TableConfig::builder()
             .prf_kind(PrfKind::SipHash)
             .max_batch(1024)
-            .max_wait(Duration::from_millis(250))
             .build()
             .unwrap();
         runtime.register_table("emb", table, config).unwrap();
@@ -539,6 +561,7 @@ mod tests {
             ServeConfig::builder()
                 .queue_capacity(2)
                 .per_tenant_quota(1000)
+                .device_budget(1)
                 .seed(4)
                 .build()
                 .unwrap(),
@@ -547,25 +570,22 @@ mod tests {
         let config = TableConfig::builder()
             .prf_kind(PrfKind::SipHash)
             .max_batch(1024)
-            .max_wait(Duration::from_millis(250))
             .build()
             .unwrap();
         runtime.register_table("emb", table, config).unwrap();
         let handle = runtime.handle();
 
+        // With every replica busy, arrivals stay queued and the bounded
+        // queue fills.
+        let (launching, parked) = runtime.park_replicas("emb");
         let q1 = handle.query("emb", "t", 1).unwrap();
         let q2 = handle.query("emb", "t", 2).unwrap();
-        let shed = loop {
-            // The workers may drain the queue between submissions; keep
-            // pushing until the bounded queue rejects one.
-            match handle.query("emb", "t", 3) {
-                Err(err) => break err,
-                Ok(q) => assert!(q.wait().is_ok()),
-            }
-        };
-        assert!(matches!(shed, ServeError::QueueFull { .. }));
-        assert!(q1.wait().is_ok());
-        assert!(q2.wait().is_ok());
+        let shed = handle.query("emb", "t", 3).unwrap_err();
+        assert!(matches!(shed, ServeError::QueueFull { depth: 2, .. }));
+        drop(launching);
+        for q in [parked, q1, q2] {
+            assert!(q.wait().is_ok());
+        }
     }
 
     #[test]
@@ -658,34 +678,44 @@ mod tests {
 
     #[test]
     fn canceled_queries_cost_no_device_work() {
-        let runtime = PirServeRuntime::new(ServeConfig::builder().seed(19).build().unwrap());
+        let runtime = PirServeRuntime::new(
+            ServeConfig::builder()
+                .device_budget(1)
+                .seed(19)
+                .build()
+                .unwrap(),
+        );
         let table = PirTable::generate(64, 8, |row, _| row as u8);
-        // A long max_wait keeps the first query parked in the formers while
-        // we cancel it, so formation observes the canceled flag.
         let config = TableConfig::builder()
             .prf_kind(PrfKind::SipHash)
             .max_batch(64)
-            .max_wait(Duration::from_millis(150))
             .build()
             .unwrap();
         runtime.register_table("emb", table, config).unwrap();
         let handle = runtime.handle();
 
+        // The replicas are busy while the query is abandoned, so it is still
+        // queued — and formation observes the canceled flag — when they
+        // come back for the next batch.
+        let (launching, parked) = runtime.park_replicas("emb");
         let doomed = handle.query("emb", "t", 1).unwrap();
         drop(doomed);
-        let answered = handle.query("emb", "t", 2).unwrap().wait().unwrap();
-        assert_eq!(answered[0], 2);
+        let survivor = handle.query("emb", "t", 2).unwrap();
+        drop(launching);
+        assert_eq!(survivor.wait().unwrap()[0], 2);
+        assert!(parked.wait().is_ok());
 
         let stats = runtime.stats();
         let snapshot = stats.table("emb").unwrap();
         assert_eq!(snapshot.canceled, 1);
-        assert_eq!(snapshot.submitted, 2);
-        assert_eq!(snapshot.answered, 1);
-        // Only the surviving query crossed each party's device: the canceled
-        // one consumed no batch slot and no kernel work.
-        assert_eq!(snapshot.batched_queries, 2);
+        assert_eq!(snapshot.submitted, 3);
+        assert_eq!(snapshot.answered, 2);
+        // Only the parked and the surviving query crossed each party's
+        // device: the canceled one consumed no batch slot and no kernel
+        // work.
+        assert_eq!(snapshot.batched_queries, 4);
         let device_queries: u64 = snapshot.replicas.iter().map(|r| r.queries).sum();
-        assert_eq!(device_queries, 2);
+        assert_eq!(device_queries, 4);
         runtime.shutdown();
     }
 

@@ -123,7 +123,8 @@ pub struct TierStatsSnapshot {
     pub tier: String,
     /// Scheduling rank (0 = most urgent).
     pub priority: u8,
-    /// The class's batch-formation deadline, in milliseconds.
+    /// The class's promotion deadline (the queued age after which its
+    /// entries outrank fresh ones at formation), in milliseconds.
     pub deadline_ms: f64,
     /// Queries admitted under this tier.
     pub submitted: u64,

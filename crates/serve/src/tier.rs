@@ -6,18 +6,17 @@
 //! interactive inference on the critical path and background
 //! backfill/training readers — with order-of-magnitude different deadlines.
 //! [`SloTiers`] lets a table declare an ordered set of [`SloClass`]es and
-//! assign tenants to them; the batch former then becomes *deadline-aware*:
+//! assign tenants to them. Formation itself is work-conserving (a free
+//! replica launches what is queued, see `batcher`), so the tiers decide *who
+//! rides* a batch when more is queued than `max_batch` admits, never *when*
+//! it launches:
 //!
-//! * **Urgent tenants close batches early.** Accumulation waits until the
-//!   *earliest queued deadline* (each entry's `enqueued_at + class.deadline`)
-//!   instead of `oldest + max_wait`, so an interactive arrival ends a
-//!   background batch's accumulation at its own, tighter deadline.
 //! * **Background tenants fill residue.** Formation ranks the queue with
 //!   [`formation_order`]: deadline-expired entries first (earliest deadline
 //!   wins — this is *age promotion*, the anti-starvation rule), then
 //!   priority, then arrival order. Whatever capacity the urgent entries
 //!   leave in a `max_batch`-sized batch is filled with background entries
-//!   already queued, so the early close never wastes device occupancy.
+//!   already queued, so urgency never wastes device occupancy.
 //! * **Background tenants absorb shedding.** When a dispatch queue is at
 //!   capacity, an arriving *higher-priority* query displaces the
 //!   youngest lowest-priority queued entry (shed with the typed
@@ -25,7 +24,7 @@
 //!
 //! Starvation is bounded by construction: once a background entry's
 //! deadline passes, `formation_order` ranks it ahead of every non-expired
-//! urgent entry, so it is selected within the next batch close unless it is
+//! urgent entry, so it is selected by the next formation unless it is
 //! displaced — and displacement delivers a typed shed, never silence.
 //!
 //! Tier deadlines must be *non-decreasing with priority number* (priority 0
@@ -45,8 +44,8 @@ pub struct SloClass {
     /// Human-readable tier name, used in config assignments and telemetry
     /// labels.
     pub name: String,
-    /// Batch-formation deadline: an entry of this class closes its party's
-    /// forming batch at the latest this long after it was enqueued.
+    /// Promotion age: an entry of this class still queued this long after
+    /// it was enqueued outranks every fresh entry at formation.
     pub deadline: Duration,
     /// Scheduling rank; 0 is the most urgent. Lower priority numbers win
     /// residue slots and displace higher numbers when a queue is full.
@@ -163,8 +162,8 @@ impl SloTiers {
 
     /// The single-class tier set every table without explicit tiers gets:
     /// one class named `default` whose deadline is the batch policy's
-    /// `max_wait` — which makes tier-aware formation degenerate to exactly
-    /// the classic max-batch/max-wait behavior.
+    /// `max_wait` — which makes tier-aware formation degenerate to exact
+    /// FIFO.
     #[must_use]
     pub fn single(deadline: Duration) -> Self {
         Self {
@@ -250,7 +249,7 @@ pub struct BatchCandidate {
 ///    deadline has passed — however lowly its tier — outranks every
 ///    non-expired entry. This is the *age promotion* that bounds
 ///    background starvation: a background entry is picked at the latest by
-///    the first close after its deadline expires.
+///    the first formation after its deadline expires.
 /// 2. **Then priority, then arrival order.** Residue capacity goes to the
 ///    most urgent classes; within a class, FIFO (candidate index order is
 ///    queue order).

@@ -381,8 +381,9 @@ fn quota_exhaustion_is_a_shed_wire_error() {
             .build()
             .unwrap(),
     );
-    // A slow batch former so the first query holds its quota slot while the
-    // second arrives.
+    // The first query's quota slot is pinned by its unresolved
+    // `PendingQuery`, however soon the batch former answers it, so the
+    // second arrives over quota.
     let config = TableConfig::builder()
         .prf_kind(PrfKind::SipHash)
         .max_batch(64)
