@@ -7,8 +7,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpu_sim::{DeviceBackend, DeviceSpec, HostBackend, TransferSrc};
 use pir_dpf::{
-    eval_point, fused_eval_matmul, generate_keys, unfused_eval_matmul, BatchEvalJob, DpfKey,
-    DpfParams, EvalStrategy, NullRecorder,
+    eval_point, fused_eval_matmul, generate_keys, unfused_eval_matmul, BatchEvalJob, DeviceSplit,
+    DpfKey, DpfParams, EvalStrategy, NullRecorder,
 };
 use pir_field::{matvec_accumulate, Block128, LaneVector, Ring128, ShareMatrix};
 use pir_prf::{build_prf, GgmPrg, PrfKind};
@@ -176,6 +176,43 @@ fn bench_reference_shape(c: &mut Criterion) {
     host.free(resident);
 }
 
+/// What a cluster shard pays per lookup (2^14 × 64 B, SipHash, one key, the
+/// table resident on the host backend — the `cluster_shards_closed` shape):
+/// `full` sweeps the whole domain, `owned_half` the one subtree a shard of
+/// two owns. Both gated against `ci/bench_baseline.json`, so a shard that
+/// drifts back toward a full sweep shows as `owned_half` doubling.
+fn bench_shard_eval(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(23);
+    let rows = 1u64 << 14;
+    let params = DpfParams::for_domain(rows);
+    let table = random_table(&mut rng, rows as usize, 16);
+    let prg = GgmPrg::new(build_prf(PrfKind::SipHash));
+    let keys = [generate_keys(&prg, &params, 4242, Ring128::ONE, &mut rng).0];
+    let job = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys, &table);
+    let whole = DeviceSplit::new(params.domain_bits, 1).expect("one device");
+    let upper_half = rows / 2..rows;
+
+    let mut group = c.benchmark_group("shard_eval");
+    for (name, split) in [
+        ("full", whole.clone()),
+        (
+            "owned_half",
+            whole.restricted_to(std::slice::from_ref(&upper_half), rows),
+        ),
+    ] {
+        let host = HostBackend::new(DeviceSpec::v100());
+        let backends = [&host as &dyn DeviceBackend];
+        let resident = job.upload_slices(&split, &backends);
+        group.bench_function(name, |b| {
+            b.iter(|| job.run_resident_on_devices(&split, &backends, &[&resident[0]]))
+        });
+        for slice in resident {
+            host.free(slice);
+        }
+    }
+    group.finish();
+}
+
 /// Figure 14 companion: fused vs unfused evaluation.
 fn bench_fusion(c: &mut Criterion) {
     let prg = GgmPrg::new(build_prf(PrfKind::SipHash));
@@ -217,6 +254,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_prfs, bench_gen_vs_eval, bench_strategies, bench_full_domain,
-        bench_reference_shape, bench_fusion
+        bench_reference_shape, bench_shard_eval, bench_fusion
 }
 criterion_main!(benches);

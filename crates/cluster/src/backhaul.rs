@@ -75,7 +75,7 @@ impl ShardConn {
     /// Fetch the shard's catalog (the connect-time handshake); its
     /// advertised version ceiling is checked by the router.
     pub(crate) fn handshake(&self) -> Result<Catalog, ClusterError> {
-        match self.call(&WireMessage::CatalogRequest, None)? {
+        match self.call(&encode_message(&WireMessage::CatalogRequest), None)? {
             WireMessage::Catalog(catalog) => Ok(catalog),
             other => Err(ClusterError::CatalogMismatch {
                 shard: self.shard,
@@ -84,7 +84,9 @@ impl ShardConn {
         }
     }
 
-    /// Send one request and read its reply, failing over across replicas.
+    /// Send one encoded request and read its reply, failing over across
+    /// replicas. The caller encodes, so a query fanned out to every shard is
+    /// encoded once, not once per leg.
     ///
     /// `expect_query_id` guards pipelining invariants: the back-haul is
     /// lockstep per connection, so a reply whose query id disagrees means
@@ -92,15 +94,14 @@ impl ShardConn {
     /// half-failed send) — it is discarded like a transport failure.
     pub(crate) fn call(
         &self,
-        message: &WireMessage,
+        frame: &[u8],
         expect_query_id: Option<u64>,
     ) -> Result<WireMessage, ClusterError> {
-        let frame = encode_message(message);
         let started = Instant::now();
         self.telemetry
             .in_flight
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let outcome = self.call_inner(&frame, expect_query_id);
+        let outcome = self.call_inner(frame, expect_query_id);
         self.telemetry
             .in_flight
             .fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
@@ -387,6 +388,10 @@ mod tests {
         }
     }
 
+    fn catalog_request() -> Vec<u8> {
+        encode_message(&WireMessage::CatalogRequest)
+    }
+
     fn canned_error() -> WireMessage {
         WireMessage::Error(ErrorReply::new(ErrorCode::UnknownTable, 0, "canned"))
     }
@@ -410,7 +415,7 @@ mod tests {
                 }),
             ],
         );
-        let reply = conn.call(&WireMessage::CatalogRequest, None).unwrap();
+        let reply = conn.call(&catalog_request(), None).unwrap();
         assert!(matches!(reply, WireMessage::Error(_)));
         assert_eq!(dials0.load(Ordering::SeqCst), 1);
         assert_eq!(dials1.load(Ordering::SeqCst), 1);
@@ -426,7 +431,7 @@ mod tests {
                 Err(WireError::Transport("connection refused".into()))
             }) as Arc<dyn Dialer>],
         );
-        match conn.call(&WireMessage::CatalogRequest, None) {
+        match conn.call(&catalog_request(), None) {
             Err(ClusterError::ShardUnavailable { shard: 3, detail }) => {
                 assert!(detail.contains("connection refused"));
             }
@@ -450,7 +455,7 @@ mod tests {
                 }),
             })],
         );
-        match conn.call(&WireMessage::CatalogRequest, Some(7)) {
+        match conn.call(&catalog_request(), Some(7)) {
             Err(ClusterError::ShardUnavailable { detail, .. }) => {
                 assert!(detail.contains("desynchronized"), "{detail}");
             }

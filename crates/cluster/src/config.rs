@@ -10,7 +10,7 @@ use crate::error::ClusterError;
 
 /// The replica endpoints of one shard-owner.
 ///
-/// Replicas are interchangeable: each hosts the same masked table copy, so
+/// Replicas are interchangeable: each hosts the same masked table view, so
 /// the router holds one live connection per shard and rotates to the next
 /// replica when it fails. Order is the failover preference order.
 #[derive(Clone)]
@@ -48,8 +48,9 @@ impl fmt::Debug for ShardEndpoints {
 ///
 /// Shard order is load-bearing: shard `i` here must be provisioned with
 /// [`ShardMap::mask_table`](crate::ShardMap::mask_table) view `i` — the
-/// router has no way to detect a permuted deployment (every masked copy
-/// shares the catalog schema) and would silently aggregate wrong rows.
+/// router has no way to detect a permuted deployment (every masked view
+/// shares the catalog schema): queries would still sum correctly, but a
+/// reload would be sent to a shard that does not hold the row and refused.
 #[derive(Clone, Debug)]
 pub struct ClusterMembership {
     /// One endpoint set per shard-owner, in shard-index order.

@@ -26,8 +26,9 @@ pub enum ClusterError {
         detail: String,
     },
     /// A shard-owner advertised a catalog that disagrees with shard 0's.
-    /// All owners must host the same full-shape tables (masked copies share
-    /// the schema), so a mismatch means the cluster was mis-provisioned.
+    /// All owners must host views of the same tables (a masked view keeps
+    /// the table's schema), so a mismatch means the cluster was
+    /// mis-provisioned.
     CatalogMismatch {
         /// The disagreeing shard.
         shard: usize,

@@ -2,8 +2,8 @@
 //!
 //! One GPU server per party stops scaling when the table outgrows a box.
 //! This crate adds the cluster tier: each party's rows are partitioned
-//! across *shard-owner* processes (each running the unmodified serving
-//! runtime and wire frontend), and a per-party [`ClusterRouter`] owns the
+//! across *shard-owner* processes (each running the ordinary serving
+//! runtime and wire frontend over its view of the table), and a per-party [`ClusterRouter`] owns the
 //! client-facing endpoint, fanning every query out over the wire
 //! protocol as back-haul and summing the returned share vectors so the
 //! cluster answers as one giant server.
@@ -12,12 +12,17 @@
 //!
 //! The answer share is a linear reduction — `Σ_r dpf(r) · t(r)` over
 //! wrapping `u32` lanes — so zeroed rows contribute nothing. Each shard is
-//! provisioned with the **full-shape** table with every non-owned row
-//! zeroed ([`ShardMap::mask_table`]); its ordinary answer to the client's
-//! ordinary key projection is therefore an additive partial share, and the
-//! lane-wise wrapping sum over shards is bit-identical to the unsharded
-//! answer. No shard-aware client, key-splitting, or runtime change exists
-//! anywhere: a single-process deployment is just the 1-shard instance.
+//! provisioned with a masked view of the table ([`ShardMap::mask_table`]):
+//! the table's schema, the shard's rows, every other row zero. Its answer
+//! to the client's ordinary full-domain key projection is therefore an
+//! additive partial share, and the lane-wise wrapping sum over shards is
+//! bit-identical to the unsharded answer. The view records which rows it
+//! kept, and they are whole DPF subtrees, so the shard's server expands,
+//! uploads and keeps resident those subtrees only — S shards do one
+//! evaluation's worth of PRF work between them, not S (§3.2.7) — and
+//! refuses a write to a row it does not hold. No shard-aware client,
+//! key-splitting, wire or runtime option exists anywhere: a single-process
+//! deployment is just the 1-shard instance.
 //!
 //! The partition reuses the multi-GPU split rule
 //! ([`shard_split_bits`](pir_protocol::shard_split_bits)): contiguous DPF

@@ -12,10 +12,13 @@ use crate::error::ClusterError;
 /// Derived from `shard_split_bits`, the same rule the in-process multi-GPU
 /// engine uses for devices: the padded power-of-two DPF domain is cut into
 /// `1 << split_bits` contiguous subtrees and subtree `t` belongs to shard
-/// `t % shards`. Because the reduction is linear, a shard-owner hosting the
-/// full-shape table with every non-owned row zeroed computes an *additive
-/// partial share*; the router sums the shards' answers lane-wise (wrapping)
-/// and the total equals the unsharded answer bit-exactly.
+/// `t % shards`. Because the reduction is linear, a shard-owner serving the
+/// view of the table that keeps its rows and zeroes the rest computes an
+/// *additive partial share*; the router sums the shards' answers lane-wise
+/// (wrapping) and the total equals the unsharded answer bit-exactly. The
+/// shard's server reads the kept rows off the view and evaluates only the
+/// subtrees that hold them, so the shards also split the *work* of one
+/// evaluation between them.
 #[derive(Clone, Debug)]
 pub struct ShardMap {
     entries: u64,
@@ -99,10 +102,12 @@ impl ShardMap {
             .any(|range| range.contains(&index))
     }
 
-    /// The view `shard` is provisioned with: the full-shape table with
-    /// every row outside the shard's owned ranges zeroed. Serving it
-    /// through an *unmodified* runtime yields the shard's additive partial
-    /// share for any full-domain query key.
+    /// The view `shard` is provisioned with: [`PirTable::masked`] to the
+    /// shard's owned ranges — the table's schema, so any full-domain query
+    /// key is accepted, and only the shard's rows, so the answer is the
+    /// shard's additive partial share. Served through the ordinary runtime,
+    /// which sweeps, uploads and keeps resident the owned subtrees only and
+    /// refuses a write outside them.
     #[must_use]
     pub fn mask_table(&self, table: &PirTable, shard: usize) -> PirTable {
         assert_eq!(

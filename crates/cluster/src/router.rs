@@ -3,7 +3,8 @@
 //! The router owns the client-facing endpoint for **one party** and makes a
 //! shard set look like one giant server. For every query it fans the
 //! client's single key projection out to each shard-owner (whose masked
-//! table makes its answer an additive partial share), sums the returned
+//! view of the table makes its answer an additive partial share, computed
+//! over the shard's own subtrees only), sums the returned
 //! share vectors lane-wise, and answers the client with one stamped
 //! response. Because the per-row reduction is linear and the masked views
 //! partition the rows, the sum is bit-identical to what an unsharded server
@@ -119,7 +120,7 @@ impl ClusterRouter {
     /// Connect-time validation: every shard must answer for `party`,
     /// advertise a protocol ceiling at or above the supported floor (the
     /// fence is built on response stamps), and advertise a catalog identical
-    /// to shard 0's (masked copies share the schema, so any disagreement
+    /// to shard 0's (masked views share the schema, so any disagreement
     /// means mis-provisioning).
     ///
     /// # Errors
@@ -209,12 +210,12 @@ impl ClusterRouter {
             for conn in &conns {
                 let query = client.query(0, &mut rng);
                 let query_id = query.query_id;
-                let message = WireMessage::Query(QueryMsg {
+                let frame = encode_message(&WireMessage::Query(QueryMsg {
                     table: entry.name.clone(),
                     tenant: "cluster-fence-calibration".into(),
                     query: query.to_server(party),
-                });
-                match conn.call(&message, Some(query_id))? {
+                }));
+                match conn.call(&frame, Some(query_id))? {
                     WireMessage::Response(msg) => {
                         fence.shard[conn.shard()] = Some(msg.table_version);
                     }
@@ -362,22 +363,24 @@ impl ClusterRouter {
             )
             .into();
         }
-        if !inner.maps.contains_key(&query.table) {
+        let Some((table, _)) = inner.maps.get_key_value(&query.table) else {
             return ErrorReply::new(
                 ErrorCode::UnknownTable,
                 query_id,
                 format!("no table named {:?} is hosted", query.table),
             )
             .into();
-        }
+        };
         // Fan the same projection out to every shard in parallel; each
-        // masked copy turns it into that shard's additive partial share.
-        let message = WireMessage::Query(query.clone());
+        // masked view turns it into that shard's additive partial share.
+        // Every leg (and a fence-retry re-ask) sends the same bytes, so the
+        // frame is encoded once.
+        let frame = encode_message(&WireMessage::Query(query));
         let mut answers: Vec<ShardAnswer> = std::thread::scope(|scope| {
             let handles: Vec<_> = inner
                 .conns
                 .iter()
-                .map(|conn| scope.spawn(|| self.query_shard(conn, &message, query_id)))
+                .map(|conn| scope.spawn(|| self.query_shard(conn, &frame, query_id)))
                 .collect();
             handles
                 .into_iter()
@@ -394,19 +397,19 @@ impl ClusterRouter {
         // the retry are *answered* — the digest stamp below exposes them
         // to the client's cross-party check, which is the actual safety
         // net; the retry only keeps client-visible skew rare.
-        let lagging = self.lagging_shards(&query.table, &answers);
+        let lagging = self.lagging_shards(table, &answers);
         if !lagging.is_empty() {
             inner
                 .telemetry
                 .fence_retries
                 .fetch_add(1, Ordering::Relaxed);
             for &shard in &lagging {
-                answers[shard] = self.query_shard(&inner.conns[shard], &message, query_id);
+                answers[shard] = self.query_shard(&inner.conns[shard], &frame, query_id);
             }
             if let Some(Err(reply)) = answers.iter().find(|outcome| outcome.is_err()) {
                 return (**reply).clone();
             }
-            if !self.lagging_shards(&query.table, &answers).is_empty() {
+            if !self.lagging_shards(table, &answers).is_empty() {
                 inner.telemetry.fence_lagged.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -455,8 +458,8 @@ impl ClusterRouter {
 
     /// One shard's leg of the fan-out, mapped onto the client-visible
     /// outcome.
-    fn query_shard(&self, conn: &ShardConn, message: &WireMessage, query_id: u64) -> ShardAnswer {
-        match conn.call(message, Some(query_id)) {
+    fn query_shard(&self, conn: &ShardConn, frame: &[u8], query_id: u64) -> ShardAnswer {
+        match conn.call(frame, Some(query_id)) {
             Ok(WireMessage::Response(msg)) => Ok((msg.response.share, msg.table_version)),
             Ok(WireMessage::Error(reply)) => {
                 // A shard-level typed error (shed, unknown table...) is the

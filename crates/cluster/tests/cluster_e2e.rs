@@ -14,7 +14,7 @@ use pir_protocol::PirTable;
 use pir_serve::{PirServeRuntime, ServeConfig, TableConfig, WireFrontend};
 use pir_wire::{
     decode_message, encode_message, loopback_pair, Dialer, ErrorCode, ErrorReply, PirSession,
-    PirTransport, QueryMsg, WireError, WireMessage,
+    PirTransport, QueryMsg, UpdateEntryMsg, WireError, WireMessage,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -200,6 +200,46 @@ fn updates_route_to_the_owning_shard_and_flip_the_fence() {
             );
         }
     }
+}
+
+#[test]
+fn a_misrouted_update_is_refused_by_the_shard_that_does_not_hold_the_row() {
+    let table = base_table();
+    let (routers, runtimes) = two_party_cluster(&table, 2);
+    let map = routers[0].shard_map("emb").unwrap();
+    assert_eq!(map.owner_of(5), 0);
+    // Past the router, straight at party 0's shard 1: its view zeroed row 5,
+    // and writing it there would count the row twice in every aggregate.
+    let misrouted = encode_message(&WireMessage::UpdateEntry(UpdateEntryMsg {
+        table: "emb".into(),
+        index: 5,
+        bytes: vec![0xAA; ENTRY_BYTES],
+    }));
+    let shard1 = WireFrontend::new(runtimes[1].handle(), 0);
+    match decode_message(&shard1.handle_frame(&misrouted)).unwrap() {
+        WireMessage::Error(reply) => {
+            assert_eq!(reply.code, ErrorCode::Protocol);
+            assert!(reply.message.contains("row 5"), "{}", reply.message);
+        }
+        other => panic!("expected a typed error, got {}", other.name()),
+    }
+    // Nothing was applied: no version moved, and the row reads as before.
+    assert_eq!(runtimes[1].handle().table_versions("emb").unwrap(), [1, 1]);
+    let mut session = connect_session(&routers, "t");
+    let mut rng = StdRng::seed_from_u64(12);
+    assert_eq!(session.query("emb", 5, &mut rng).unwrap(), table.entry(5));
+    // The same write through the router reaches the owner and lands.
+    session
+        .update_entry("emb", 5, &[0xAA; ENTRY_BYTES])
+        .unwrap();
+    assert_eq!(
+        session.query("emb", 5, &mut rng).unwrap(),
+        [0xAA; ENTRY_BYTES]
+    );
+    assert_eq!(
+        routers[0].stats().fences[0].shard_versions,
+        [Some(2), Some(1)]
+    );
 }
 
 #[test]

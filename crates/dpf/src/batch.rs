@@ -40,7 +40,10 @@ pub enum GridMapping {
 /// that slice only, one `(key, owned subtree)` pair per thread block, and
 /// the devices' partial rows are summed (§3.2.7). A single device is the
 /// same decomposition with one subtree — the root — so its pairs are the
-/// keys and there is nothing to sum.
+/// keys and there is nothing to sum. Who owns what is the caller's
+/// [`DeviceSplit`], not derived from the device count: a split restricted to
+/// a masked view's rows sweeps only those, the other owners living in other
+/// processes.
 #[derive(Clone, Copy)]
 pub struct BatchEvalJob<'a> {
     /// PRG (and therefore PRF) used by the servers.
@@ -199,35 +202,29 @@ impl<'a> BatchEvalJob<'a> {
         self.table.lanes_per_row() as u64 * 4
     }
 
-    /// The split of this job's domain across `devices` devices.
+    /// The whole domain on one device.
     ///
     /// # Panics
     ///
-    /// Panics if the batch is empty, `devices` is zero, or the domain is too
-    /// shallow to give every device a subtree.
-    fn device_split(&self, devices: usize) -> DeviceSplit {
+    /// Panics if the batch is empty.
+    fn whole_domain(&self) -> DeviceSplit {
         assert!(!self.keys.is_empty(), "batch must contain at least one key");
-        assert!(devices > 0, "need at least one device");
-        let depth = self.keys[0].depth();
-        DeviceSplit::new(depth, devices).unwrap_or_else(|| {
-            // pir-lint: allow(panic-path, "documented precondition: servers validate the split at construction")
-            panic!("cannot split a depth-{depth} tree across {devices} devices")
-        })
+        // pir-lint: allow(panic-path, "one device splits on zero bits, which every depth admits")
+        DeviceSplit::new(self.keys[0].depth(), 1).expect("one device always splits")
     }
 
-    /// [`BatchEvalJob::run_on_devices`] on one device — the one-element face
-    /// of the slice-taking entry point.
+    /// [`BatchEvalJob::run_on_devices`] on one device that owns the whole
+    /// domain.
     ///
     /// # Panics
     ///
     /// Panics if the batch is empty.
     pub fn run_on(&self, backend: &dyn DeviceBackend) -> BatchEvalOutput {
-        self.run_on_devices(&[backend])
+        self.run_on_devices(&self.whole_domain(), &[backend])
     }
 
     /// [`BatchEvalJob::run_resident_on_devices`] on one device whose
-    /// resident slice is the whole table — the one-element face of the
-    /// slice-taking entry point.
+    /// resident slice is the whole table.
     ///
     /// # Panics
     ///
@@ -238,7 +235,7 @@ impl<'a> BatchEvalJob<'a> {
         backend: &dyn DeviceBackend,
         table_alloc: &ResidentAllocation,
     ) -> BatchEvalOutput {
-        self.run_resident_on_devices(&[backend], &[table_alloc])
+        self.run_resident_on_devices(&self.whole_domain(), &[backend], &[table_alloc])
     }
 
     /// Run the batch through the full [`DeviceBackend`] lifecycle with every
@@ -252,38 +249,46 @@ impl<'a> BatchEvalJob<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the batch or the backend list is empty, or there are more
-    /// devices than the domain can be split into.
-    pub fn run_on_devices(&self, backends: &[&dyn DeviceBackend]) -> BatchEvalOutput {
-        let slices = self.upload_slices(backends);
+    /// Panics if the batch is empty or `backends` is not one per device of
+    /// `split`.
+    pub fn run_on_devices(
+        &self,
+        split: &DeviceSplit,
+        backends: &[&dyn DeviceBackend],
+    ) -> BatchEvalOutput {
+        let slices = self.upload_slices(split, backends);
         let slice_refs: Vec<&ResidentAllocation> = slices.iter().collect();
-        let output = self.run_resident_on_devices(backends, &slice_refs);
+        let output = self.run_resident_on_devices(split, backends, &slice_refs);
         for (backend, slice) in backends.iter().zip(slices) {
             backend.free(slice);
         }
         output
     }
 
-    /// Allocate and upload one table slice per backend: the rows
-    /// [`DeviceSplit`] assigns to that device, in subtree order. The caller
-    /// owns the returned allocations (and frees them on the same backends).
+    /// Allocate and upload one table slice per backend: the rows `split`
+    /// assigns to that device, in subtree order. The caller owns the
+    /// returned allocations (and frees them on the same backends).
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as
-    /// [`BatchEvalJob::run_on_devices`].
+    /// Panics if `backends` is not one per device of `split`.
     #[must_use]
-    pub fn upload_slices(&self, backends: &[&dyn DeviceBackend]) -> Vec<ResidentAllocation> {
-        let split = self.device_split(backends.len());
+    pub fn upload_slices(
+        &self,
+        split: &DeviceSplit,
+        backends: &[&dyn DeviceBackend],
+    ) -> Vec<ResidentAllocation> {
         let rows = self.table.rows() as u64;
         let row_bytes = self.row_bytes();
         let lanes = self.table.lanes_per_row();
         let lanes_of = |range: &std::ops::Range<u64>| {
             &self.table.lanes()[range.start as usize * lanes..range.end as usize * lanes]
         };
+        let owned_ranges = split.owned_ranges(rows);
+        assert_eq!(backends.len(), owned_ranges.len(), "one backend per device");
         backends
             .iter()
-            .zip(split.owned_ranges(rows))
+            .zip(owned_ranges)
             .zip(split.slice_bytes(rows, row_bytes))
             .map(|((backend, owned), bytes)| {
                 let alloc = backend.alloc(bytes);
@@ -318,22 +323,23 @@ impl<'a> BatchEvalJob<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the batch or backend list is empty, the domain cannot split
-    /// across the devices, or `slices` disagrees with the backends in length
-    /// or per-device size (a stale residency — the caller's plan is out of
-    /// sync with the table).
+    /// Panics if the batch is empty, or `backends` or `slices` disagrees
+    /// with `split` in length or per-device size (a stale residency — the
+    /// caller's plan is out of sync with the table).
     pub fn run_resident_on_devices(
         &self,
+        split: &DeviceSplit,
         backends: &[&dyn DeviceBackend],
         slices: &[&ResidentAllocation],
     ) -> BatchEvalOutput {
-        let split = self.device_split(backends.len());
+        assert!(!self.keys.is_empty(), "batch must contain at least one key");
+        let expected = split.slice_bytes(self.table.rows() as u64, self.row_bytes());
+        assert_eq!(backends.len(), expected.len(), "one backend per device");
         assert_eq!(
             slices.len(),
-            backends.len(),
+            expected.len(),
             "one resident table slice per device"
         );
-        let expected = split.slice_bytes(self.table.rows() as u64, self.row_bytes());
         for (slice, expected_bytes) in slices.iter().zip(expected) {
             assert_eq!(
                 slice.bytes(),
@@ -347,13 +353,9 @@ impl<'a> BatchEvalJob<'a> {
         // to one query at a time, split finely enough to fill it.
         let depth = self.keys[0].depth();
         let (kernel, subtree_bits, launch_width, cooperative) = match self.mapping {
-            GridMapping::BlockPerQuery => ("dpf_batch", split.split_bits(), self.keys.len(), false),
-            GridMapping::Cooperative { split_bits } => {
-                let bits = split_bits.min(depth).max(split.split_bits());
-                ("dpf_coop", bits, 1, true)
-            }
+            GridMapping::BlockPerQuery => ("dpf_batch", 0, self.keys.len(), false),
+            GridMapping::Cooperative { split_bits } => ("dpf_coop", split_bits.min(depth), 1, true),
         };
-        let subtrees = Subtree::split(&self.keys[0], subtree_bits);
         // The kernel name is composed once per job, not per launch; it names
         // the host SIMD backend that executes the PRF sweeps.
         let prf_backend = self.prg.prf().backend_label();
@@ -365,13 +367,12 @@ impl<'a> BatchEvalJob<'a> {
 
         let mut results: Vec<LaneVector> = Vec::new();
         let mut per_device: Vec<KernelReport> = Vec::with_capacity(backends.len());
-        for (device, (backend, slice)) in backends.iter().zip(slices).enumerate() {
-            let owned: Vec<Subtree> = subtrees
+        for ((backend, slice), owned) in backends.iter().zip(slices).zip(split.owned_subtrees()) {
+            let blocks: Vec<Subtree> = owned
                 .iter()
-                .copied()
-                .filter(|subtree| split.owner(subtree.prefix, subtree.prefix_bits) == device)
+                .flat_map(|subtree| subtree.refined(subtree_bits))
                 .collect();
-            let (rows, mut report) = self.run_device(*backend, slice, &owned, &grid);
+            let (rows, mut report) = self.run_device(*backend, slice, &blocks, &grid);
             // Stamp the host SIMD provenance: the PRF backend label and —
             // when the frontier engine ran and probed — its autotuned tile.
             report.prf_backend = prf_backend.to_string();
@@ -571,6 +572,10 @@ mod tests {
         devices.iter().map(AsRef::as_ref).collect()
     }
 
+    fn split(keys: &[DpfKey], devices: usize) -> DeviceSplit {
+        DeviceSplit::new(keys[0].depth(), devices).unwrap()
+    }
+
     #[test]
     #[allow(clippy::needless_range_loop)] // index i addresses three parallel arrays
     fn batched_execution_answers_every_query() {
@@ -578,10 +583,11 @@ mod tests {
         for count in [1usize, 3, 4] {
             let devices = devices(count, 4);
             let backends = backends(&devices);
+            let split = split(&keys_a, count);
             let out_a = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys_a, &table)
-                .run_on_devices(&backends);
+                .run_on_devices(&split, &backends);
             let out_b = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys_b, &table)
-                .run_on_devices(&backends);
+                .run_on_devices(&split, &backends);
 
             assert_eq!(out_a.results.len(), 7);
             assert_eq!(out_a.per_device().len(), count);
@@ -638,8 +644,8 @@ mod tests {
         // A lone query (the whole complex dedicated to it) and a batch.
         for keys in [&keys_a[..1], &keys_a[..]] {
             let job = BatchEvalJob::new(&prg, PrfKind::SipHash, keys, &table);
-            let single = job.run_on_devices(&backends(&one));
-            let multi = job.run_on_devices(&backends(&four));
+            let single = job.run_on_devices(&split(keys, 1), &backends(&one));
+            let multi = job.run_on_devices(&split(keys, 4), &backends(&four));
             assert_eq!(single.results, multi.results);
             let multi_prf_max = multi
                 .per_device()
@@ -663,7 +669,7 @@ mod tests {
         let (prg, table, _targets, keys_a, _keys_b) = setup(1 << 10, 8, 1, 61);
         let devices = devices(3, 1);
         let out = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys_a, &table)
-            .run_on_devices(&backends(&devices));
+            .run_on_devices(&split(&keys_a, 3), &backends(&devices));
 
         let half_table = table.size_bytes() as u64 / 2;
         let per_device = out.per_device();
@@ -704,9 +710,59 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one device")]
-    fn empty_device_list_panics() {
+    #[should_panic(expected = "one backend per device")]
+    fn backends_must_match_the_split() {
         let (prg, table, _, keys_a, _) = setup(64, 4, 1, 56);
-        let _ = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys_a, &table).run_on_devices(&[]);
+        let _ = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys_a, &table)
+            .run_on_devices(&split(&keys_a, 2), &[]);
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)] // a one-range view is a case, not a typo
+    fn a_restricted_split_sweeps_only_the_kept_rows() {
+        // Zero every row outside `kept`; the restricted split must give the
+        // whole-domain share of that view, on either mapping, while
+        // uploading and expanding only the cover of `kept`.
+        let (prg, full, _, keys_a, _) = setup(300, 4, 3, 57);
+        let depth = keys_a[0].depth();
+        let cases: [(&[std::ops::Range<u64>], usize, u64, u64); 5] = [
+            (&[0..256], 1, 256, 256),      // one aligned subtree
+            (&[256..300], 1, 256, 44),     // clamped tail: covered to the padded end
+            (&[1..3, 70..100], 1, 32, 32), // arbitrary ranges: a dyadic cover
+            (&[1..3, 70..100], 2, 33, 33), // device 1 keeps its one-leaf floor
+            (&[], 1, 1, 1),                // nothing kept: the floor alone
+        ];
+        for (kept, devices, cover_leaves, slice_rows) in cases {
+            let mut view = ShareMatrix::zeroed(300, 4);
+            for row in kept.iter().flat_map(Clone::clone) {
+                view.set_row(row as usize, full.row(row as usize));
+            }
+            let split = DeviceSplit::new(depth, devices)
+                .unwrap()
+                .restricted_to(kept, 300);
+            let leaves: u64 = split
+                .owned_subtrees()
+                .iter()
+                .flatten()
+                .map(|subtree| subtree.leaves(depth).end - subtree.leaves(depth).start)
+                .sum();
+            assert_eq!(leaves, cover_leaves, "{kept:?} on {devices}");
+            let planned: u64 = split.slice_bytes(300, 16).iter().sum();
+            assert_eq!(planned, slice_rows * 16, "{kept:?} on {devices}");
+
+            let devices = self::devices(devices, 1);
+            let whole =
+                BatchEvalJob::new(&prg, PrfKind::SipHash, &keys_a, &view).run_on(&*devices[0]);
+            for mapping in [
+                GridMapping::BlockPerQuery,
+                GridMapping::Cooperative { split_bits: 3 },
+            ] {
+                let owned = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys_a, &view)
+                    .with_mapping(mapping)
+                    .run_on_devices(&split, &backends(&devices));
+                assert_eq!(owned.results, whole.results, "{kept:?} {mapping:?}");
+                assert!(owned.total_prf_calls() < whole.total_prf_calls());
+            }
+        }
     }
 }

@@ -514,8 +514,9 @@ mod tests {
                     hosts.iter().map(|h| h as &dyn DeviceBackend).collect();
 
                 let job = BatchEvalJob::new(&prg, kind, &keys, &table).with_strategy(strategy);
-                let sim_out = job.run_on_devices(&sim_refs);
-                let host_out = job.run_on_devices(&host_refs);
+                let split = DeviceSplit::new(keys[0].depth(), devices).unwrap();
+                let sim_out = job.run_on_devices(&split, &sim_refs);
+                let host_out = job.run_on_devices(&split, &host_refs);
 
                 let what = format!("{kind} {strategy:?} devices={devices}");
                 assert_eq!(sim_out.results, host_out.results, "{what}: answer shares");

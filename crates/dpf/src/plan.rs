@@ -19,6 +19,8 @@ use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
+use crate::strategy::Subtree;
+
 /// Whether the table (or each device's table slice) stays on the device
 /// across batches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -40,16 +42,22 @@ pub enum TableResidency {
 /// to the real, unpadded table. One device is this split at `split_bits = 0`:
 /// a single subtree — the root — owned by device 0.
 ///
+/// A server whose table is a masked view — a cluster shard, whose other
+/// owners live in other processes — narrows the split to the rows the view
+/// kept ([`DeviceSplit::restricted_to`]): it is the same decomposition with
+/// fewer subtrees, and the skipped rows are zero.
+///
 /// Everything that needs to know which device holds which rows derives it
 /// from here: [`Scheduler::residency`](crate::Scheduler::residency)'s
 /// inputs, the slices [`BatchEvalJob`](crate::BatchEvalJob) uploads, expects
 /// and sweeps, and
 /// `pir_protocol::{shard_split_bits, shard_owned_ranges}`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeviceSplit {
     domain_bits: u32,
     split_bits: u32,
-    devices: usize,
+    /// The subtrees each device evaluates, in leaf order.
+    owned: Vec<Vec<Subtree>>,
 }
 
 impl DeviceSplit {
@@ -62,49 +70,101 @@ impl DeviceSplit {
             return None;
         }
         let split_bits = (devices as u64).next_power_of_two().trailing_zeros();
-        (split_bits <= domain_bits).then_some(Self {
+        if split_bits > domain_bits {
+            return None;
+        }
+        let mut owned = vec![Vec::new(); devices];
+        for prefix in 0..1u64 << split_bits {
+            owned[(prefix % devices as u64) as usize].push(Subtree {
+                prefix,
+                prefix_bits: split_bits,
+            });
+        }
+        Some(Self {
             domain_bits,
             split_bits,
-            devices,
+            owned,
         })
+    }
+
+    /// This split narrowed to the `kept` row ranges of a view of a
+    /// `table_rows`-row table whose other rows are zero: every device keeps
+    /// the part of its subtrees inside the aligned cover of `kept`
+    /// ([`Subtree::cover`]). Rows past the table are nobody's, so a range
+    /// that reaches the last row is covered to the padded end — a shard's
+    /// ranges (whole subtrees clamped to the table) come back as those
+    /// subtrees, and a view that kept every row leaves the split unchanged.
+    ///
+    /// Any cover gives the same shares, because the rows it skips contribute
+    /// zero; what it skips depends on `kept` alone, never on a key. A device
+    /// left without a subtree keeps one leaf of its first — a zero row, the
+    /// one-row floor of [`DeviceSplit::slice_bytes`] — so every device still
+    /// has a launch.
+    #[must_use]
+    pub fn restricted_to(mut self, kept: &[Range<u64>], table_rows: u64) -> Self {
+        let domain_bits = self.domain_bits;
+        let cover: Vec<Subtree> = kept
+            .iter()
+            .flat_map(|range| {
+                let end = if range.end >= table_rows {
+                    1 << domain_bits
+                } else {
+                    range.end
+                };
+                Subtree::cover(range.start..end, domain_bits)
+            })
+            .collect();
+        for owned in &mut self.owned {
+            let floor = owned[0].refined(domain_bits).next();
+            *owned = owned
+                .iter()
+                .flat_map(|subtree| cover.iter().filter_map(|kept| subtree.intersection(*kept)))
+                .collect();
+            if owned.is_empty() {
+                owned.extend(floor);
+            }
+        }
+        self
     }
 
     /// Prefix bits the domain is split on (`0` for one device).
     #[must_use]
-    pub fn split_bits(self) -> u32 {
+    pub fn split_bits(&self) -> u32 {
         self.split_bits
     }
 
-    /// The device that owns the subtree reached by the `prefix_bits`-bit
-    /// path `prefix`, at or below the split level (`prefix_bits >=
-    /// split_bits`): whoever owns its ancestor at the split level.
+    /// The subtrees each device evaluates, in device order; never empty for
+    /// any device.
     #[must_use]
-    pub fn owner(self, prefix: u64, prefix_bits: u32) -> usize {
-        ((prefix >> (prefix_bits - self.split_bits)) % self.devices as u64) as usize
+    pub fn owned_subtrees(&self) -> &[Vec<Subtree>] {
+        &self.owned
     }
 
     /// The row ranges each device owns in a table of `table_rows` rows, in
     /// subtree order. Padded-only subtrees are dropped, so every real row
-    /// lands in exactly one device's ranges.
+    /// of an unrestricted split lands in exactly one device's ranges.
     #[must_use]
-    pub fn owned_ranges(self, table_rows: u64) -> Vec<Vec<Range<u64>>> {
-        let span = 1u64 << (self.domain_bits - self.split_bits);
-        let mut ranges = vec![Vec::new(); self.devices];
-        for subtree in 0..(1u64 << self.split_bits) {
-            let start = subtree * span;
-            let end = (start + span).min(table_rows);
-            if start < end {
-                ranges[self.owner(subtree, self.split_bits)].push(start..end);
-            }
-        }
-        ranges
+    pub fn owned_ranges(&self, table_rows: u64) -> Vec<Vec<Range<u64>>> {
+        self.owned
+            .iter()
+            .map(|owned| {
+                owned
+                    .iter()
+                    .map(|subtree| {
+                        let leaves = subtree.leaves(self.domain_bits);
+                        leaves.start..leaves.end.min(table_rows)
+                    })
+                    .filter(|rows| !rows.is_empty())
+                    .collect()
+            })
+            .collect()
     }
 
     /// Bytes of each device's table-slice allocation, with a one-row floor
     /// so a device whose subtrees are all padding still holds a non-empty
     /// allocation.
     #[must_use]
-    pub fn slice_bytes(self, table_rows: u64, row_bytes: u64) -> Vec<u64> {
+    pub fn slice_bytes(&self, table_rows: u64, row_bytes: u64) -> Vec<u64> {
         self.owned_ranges(table_rows)
             .iter()
             .map(|owned| {

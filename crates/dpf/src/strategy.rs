@@ -18,6 +18,7 @@ use pir_field::{Block128, Ring128};
 use pir_prf::{FrontierScratch, GgmPrg};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::ops::Range;
 
 use crate::eval::{
     descend_both, descend_one, leaf_share, subtree_root_state, Leaf, NodeState, NODE_STATE_BYTES,
@@ -120,18 +121,62 @@ impl Subtree {
             "cannot split a depth-{} tree into 2^{split_bits} subtrees",
             key.depth()
         );
-        (0..(1u64 << split_bits))
-            .map(|prefix| Self {
-                prefix,
-                prefix_bits: split_bits,
-            })
-            .collect()
+        Self::root().refined(split_bits).collect()
+    }
+
+    /// The fewest aligned subtrees of a `2^domain_bits`-leaf domain whose
+    /// leaves are exactly `leaves`, in leaf order: at each step the largest
+    /// subtree that starts at the range's start and ends within it.
+    #[must_use]
+    pub fn cover(leaves: Range<u64>, domain_bits: u32) -> Vec<Self> {
+        let mut cover = Vec::new();
+        let mut start = leaves.start;
+        while start < leaves.end {
+            let aligned = start.trailing_zeros().min(domain_bits);
+            let span_bits = aligned.min((leaves.end - start).ilog2());
+            cover.push(Self {
+                prefix: start >> span_bits,
+                prefix_bits: domain_bits - span_bits,
+            });
+            start += 1 << span_bits;
+        }
+        cover
+    }
+
+    /// The leaves (padded-domain indices) under this subtree of a
+    /// `2^domain_bits`-leaf domain.
+    #[must_use]
+    pub fn leaves(&self, domain_bits: u32) -> Range<u64> {
+        let span_bits = domain_bits - self.prefix_bits;
+        self.prefix << span_bits..(self.prefix + 1) << span_bits
+    }
+
+    /// The subtree both `self` and `other` contain: aligned subtrees nest or
+    /// are disjoint, so that is the deeper of the two, or nothing.
+    #[must_use]
+    pub fn intersection(self, other: Self) -> Option<Self> {
+        let (outer, inner) = if self.prefix_bits <= other.prefix_bits {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        (inner.prefix >> (inner.prefix_bits - outer.prefix_bits) == outer.prefix).then_some(inner)
+    }
+
+    /// This subtree cut into descendants at least `prefix_bits` deep, in
+    /// leaf order; a subtree already that deep is its own refinement.
+    pub fn refined(self, prefix_bits: u32) -> impl Iterator<Item = Self> {
+        let extra = prefix_bits.saturating_sub(self.prefix_bits);
+        (0..1u64 << extra).map(move |child| Self {
+            prefix: self.prefix << extra | child,
+            prefix_bits: self.prefix_bits + extra,
+        })
     }
 
     /// Index of the first leaf covered by this subtree, in the padded domain.
     #[must_use]
     pub fn base_index(&self, key: &DpfKey) -> u64 {
-        self.prefix << (key.depth() - self.prefix_bits)
+        self.leaves(key.depth()).start
     }
 
     /// Number of (padded) leaves under this subtree.

@@ -4,12 +4,16 @@
 //! observable the device layer exports must be *identical* across random
 //! target indices and across the two parties: the launch's event counters
 //! and peak memory, the backend's allocation/transfer ledger, and the number
-//! of PRF blocks actually evaluated.
+//! of PRF blocks actually evaluated. A launch restricted to the subtrees a
+//! masked view kept skips work — but which work is a function of the public
+//! ownership alone, so it is held to the same standard.
 
 use std::sync::Arc;
 
 use gpu_sim::{BackendStats, CounterSnapshot, DeviceBackend, DeviceSpec, GpuExecutor, HostBackend};
-use pir_dpf::{generate_keys, BatchEvalJob, DpfKey, DpfParams, EvalStrategy, GridMapping};
+use pir_dpf::{
+    generate_keys, BatchEvalJob, DeviceSplit, DpfKey, DpfParams, EvalStrategy, GridMapping,
+};
 use pir_field::{Ring128, ShareMatrix};
 use pir_prf::{build_prf, CountingPrf, GgmPrg, Prf, PrfKind};
 use rand::rngs::StdRng;
@@ -74,19 +78,29 @@ struct Observed {
     prf_blocks: u64,
 }
 
+/// One device's ownership: the whole domain, or the cover of `kept`.
+fn one_device(kept: Option<&[std::ops::Range<u64>]>) -> DeviceSplit {
+    let whole = DeviceSplit::new(DpfParams::for_domain(ROWS as u64).domain_bits, 1).unwrap();
+    match kept {
+        None => whole,
+        Some(kept) => whole.restricted_to(kept, ROWS as u64),
+    }
+}
+
 fn observe(
     backend: &dyn DeviceBackend,
     keys: &[DpfKey],
     table: &ShareMatrix,
     strategy: EvalStrategy,
     mapping: GridMapping,
+    split: &DeviceSplit,
 ) -> Observed {
     let counting = Arc::new(CountingPrf::new(build_prf(KIND)));
     let prg = GgmPrg::new(counting.clone() as Arc<dyn Prf>);
     let out = BatchEvalJob::new(&prg, KIND, keys, table)
         .with_strategy(strategy)
         .with_mapping(mapping)
-        .run_on(backend);
+        .run_on_devices(split, &[backend]);
     Observed {
         counters: out.report.counters,
         peak_memory_bytes: out.report.peak_memory_bytes,
@@ -95,17 +109,20 @@ fn observe(
     }
 }
 
-#[test]
-fn server_work_is_independent_of_the_index_and_the_party() {
-    let mut rng = StdRng::seed_from_u64(0x0B11_7105);
+/// Every observable of a launch over `split` is one value, whatever the
+/// indices the keys hide (inside or outside the owned rows alike) and
+/// whichever party's keys they are. Returns that value per shape.
+fn pinned_across_indices_and_parties(split: &DeviceSplit, seed: u64) -> Vec<Observed> {
+    let mut rng = StdRng::seed_from_u64(seed);
     let table = table(&mut rng);
+    let mut pinned = Vec::new();
     for (strategy, mapping) in SHAPES {
         let mut reference: Option<Observed> = None;
         for trial in 0..16 {
             for (party, keys) in random_batch(&mut rng).iter().enumerate() {
                 // Fresh backends, so the whole ledger is this batch's delta.
                 for backend in backends(1) {
-                    let seen = observe(backend.as_ref(), keys, &table, strategy, mapping);
+                    let seen = observe(backend.as_ref(), keys, &table, strategy, mapping, split);
                     assert_eq!(seen.prf_blocks, seen.counters.prf_calls);
                     let what = format!(
                         "{strategy:?} {mapping:?} trial={trial} party={party} {:?}",
@@ -117,6 +134,37 @@ fn server_work_is_independent_of_the_index_and_the_party() {
                     }
                 }
             }
+        }
+        pinned.extend(reference);
+    }
+    pinned
+}
+
+#[test]
+fn server_work_is_independent_of_the_index_and_the_party() {
+    pinned_across_indices_and_parties(&one_device(None), 0x0B11_7105);
+}
+
+/// A shard's launch: the second of two subtrees (clamped to the table), and
+/// a view aligned to nothing. The random indices fall inside and outside
+/// the owned rows; nothing observable may tell which.
+#[test]
+fn an_owned_subtree_launch_is_as_oblivious_as_a_full_one() {
+    let whole = pinned_across_indices_and_parties(&one_device(None), 0x5AAD_0001);
+    let upper_half = 256..ROWS as u64;
+    for kept in [std::slice::from_ref(&upper_half), &[3..40, 100..101]] {
+        let owned = pinned_across_indices_and_parties(&one_device(Some(kept)), 0x5AAD_0001);
+        for (owned, whole) in owned.iter().zip(&whole) {
+            // Less of everything the ownership decides, by construction.
+            assert!(owned.prf_blocks < whole.prf_blocks, "{kept:?}");
+            assert!(
+                owned.ledger.upload_bytes < whole.ledger.upload_bytes,
+                "{kept:?}"
+            );
+            assert!(
+                owned.peak_memory_bytes < whole.peak_memory_bytes,
+                "{kept:?}"
+            );
         }
     }
 }
@@ -131,8 +179,9 @@ fn counters_do_not_depend_on_host_threads() {
     let [keys, _] = random_batch(&mut rng);
     for (strategy, mapping) in SHAPES {
         for (one, four) in backends(1).iter().zip(backends(4).iter()) {
-            let serial = observe(one.as_ref(), &keys, &table, strategy, mapping);
-            let threaded = observe(four.as_ref(), &keys, &table, strategy, mapping);
+            let split = one_device(None);
+            let serial = observe(one.as_ref(), &keys, &table, strategy, mapping, &split);
+            let threaded = observe(four.as_ref(), &keys, &table, strategy, mapping, &split);
             let what = format!("{strategy:?} {mapping:?} {:?}", one.name());
             assert_eq!(threaded.counters, serial.counters, "{what}: counters");
             assert_eq!(threaded.prf_blocks, serial.prf_blocks, "{what}: PRF blocks");

@@ -23,6 +23,13 @@ pub enum PirError {
     ResponseMismatch(String),
     /// A batch request violates the protocol's fixed query budget.
     BudgetViolation(String),
+    /// A write addresses a row the server's masked table view does not hold:
+    /// the row belongs to another shard-owner, and writing it here would
+    /// count it twice.
+    RowNotOwned {
+        /// The row the write addressed.
+        index: u64,
+    },
     /// The table's DPF domain cannot be split across the requested number of
     /// devices (more shards than subtrees, or zero devices).
     InvalidSharding {
@@ -50,6 +57,9 @@ impl fmt::Display for PirError {
             }
             PirError::ResponseMismatch(msg) => write!(f, "responses do not match: {msg}"),
             PirError::BudgetViolation(msg) => write!(f, "query budget violated: {msg}"),
+            PirError::RowNotOwned { index } => {
+                write!(f, "row {index} is not held by this server's table view")
+            }
             PirError::InvalidSharding { entries, devices } => {
                 write!(
                     f,

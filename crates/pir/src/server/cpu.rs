@@ -20,7 +20,7 @@ use pir_prf::{build_prf, GgmPrg, PrfKind};
 
 use crate::error::PirError;
 use crate::message::{PirResponse, ServerQuery};
-use crate::server::{check_schema, validate_update, PirServer, ServerMetrics};
+use crate::server::{check_schema, validate_owned_update, PirServer, ServerMetrics};
 use crate::table::{PirTable, TableSchema};
 
 /// Timing of one CPU batch: measured on the host and modelled on the Xeon.
@@ -191,8 +191,9 @@ impl PirServer for CpuPirServer {
     }
 
     fn update_entry(&self, index: u64, bytes: &[u8]) -> Result<(), PirError> {
-        validate_update(self.schema, index, bytes)?;
-        self.table.write().update_entry(index, bytes);
+        let mut table = self.table.write();
+        validate_owned_update(&table, index, bytes)?;
+        table.update_entry(index, bytes);
         Ok(())
     }
 

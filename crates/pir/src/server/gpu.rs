@@ -7,6 +7,13 @@
 //! only. One device is that split with a single subtree, so the same server
 //! covers both: callers batch queries exactly the same way, and the device
 //! fan-out and partial-share reduction stay internal.
+//!
+//! A cluster shard is the same argument one level up: its table is a
+//! [`PirTable::masked`] view, the other owners live in other processes, and
+//! the server narrows its split to the subtrees that cover the rows the view
+//! kept — so a shard expands, uploads and keeps resident a shard's worth of
+//! the table, and its answer to a full-domain key is unchanged because the
+//! rows it skips are zero.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -14,14 +21,16 @@ use parking_lot::{Mutex, RwLock};
 
 use gpu_sim::{BackendKind, DeviceBackend, DeviceSpec, KernelReport, ResidentAllocation};
 use pir_dpf::{
-    BatchEvalJob, DpfParams, ExecutionPlan, PlanLedger, Scheduler, SchedulerConfig, TableResidency,
+    BatchEvalJob, DeviceSplit, DpfParams, ExecutionPlan, PlanLedger, Scheduler, SchedulerConfig,
+    TableResidency,
 };
 use pir_prf::{build_prf, GgmPrg, PrfKind};
 
 use crate::error::PirError;
 use crate::message::{PirResponse, ServerQuery};
 use crate::server::{
-    check_schema, device_split, responses_from_shares, validate_update, PirServer, ServerMetrics,
+    check_schema, device_split, responses_from_shares, validate_owned_update, PirServer,
+    ServerMetrics,
 };
 use crate::table::{PirTable, TableSchema};
 
@@ -34,8 +43,8 @@ struct Resident {
 }
 
 /// A PIR server that evaluates DPFs on one [`DeviceBackend`] per device (the
-/// analytical simulated GPU by default), the table split across the devices
-/// by the [`DeviceSplit`](pir_dpf::DeviceSplit) ownership rule.
+/// analytical simulated GPU by default), the rows the table holds split
+/// across the devices by the [`DeviceSplit`] ownership rule.
 ///
 /// Everything that depends only on the table is planned once, at
 /// construction: the [`Scheduler`]'s grid mapping and strategy (§3.2.5) and
@@ -57,12 +66,15 @@ struct Resident {
 pub struct GpuPirServer {
     schema: TableSchema,
     table: RwLock<PirTable>,
-    /// In-memory row width. Fixed for the server's lifetime
-    /// ([`validate_update`] pins the entry width), so the residency rule
-    /// never needs the table lock to read it.
+    /// In-memory row width. Fixed for the server's lifetime (updates pin the
+    /// entry width), so the residency rule never needs the table lock to
+    /// read it.
     row_bytes: u64,
-    /// Bytes of each device's table slice
-    /// ([`DeviceSplit::slice_bytes`](pir_dpf::DeviceSplit::slice_bytes)).
+    /// Which subtrees each device evaluates: the device split, narrowed to
+    /// the rows a masked view kept. Fixed for the server's lifetime (updates
+    /// are refused outside the kept rows).
+    split: DeviceSplit,
+    /// Bytes of each device's table slice ([`DeviceSplit::slice_bytes`]).
     slice_bytes: Vec<u64>,
     params: DpfParams,
     /// The scheduler's choice for the rows one device sweeps per query.
@@ -98,14 +110,21 @@ impl GpuPirServer {
         backend: BackendKind,
     ) -> Result<Self, PirError> {
         let schema = table.schema();
-        let split = device_split(schema.entries, devices.len())?;
+        let split = device_split(schema.entries, devices.len())?
+            .restricted_to(table.kept_ranges(), schema.entries);
         let scheduler = Scheduler::new(scheduler_config);
         let row_bytes = table.matrix().lanes_per_row() as u64 * 4;
-        let rows_per_device = schema.entries.div_ceil(1 << split.split_bits());
+        let slice_bytes = split.slice_bytes(schema.entries, row_bytes);
+        // The most rows any one device sweeps per query (slices floor at one).
+        let rows_per_device = slice_bytes
+            .iter()
+            .max()
+            .map_or(1, |bytes| bytes / row_bytes);
         Ok(Self {
             schema,
             row_bytes,
-            slice_bytes: split.slice_bytes(schema.entries, row_bytes),
+            split,
+            slice_bytes,
             params: DpfParams::for_domain(schema.entries),
             plan: scheduler.plan(rows_per_device, schema.entry_bytes as u64, 1),
             table: RwLock::new(table),
@@ -207,7 +226,7 @@ impl GpuPirServer {
         transfers.fetch_add(backends.len() as u64, Ordering::Relaxed);
         &resident
             .get_or_insert_with(|| Resident {
-                allocs: job.upload_slices(backends),
+                allocs: job.upload_slices(&self.split, backends),
                 generation,
             })
             .allocs
@@ -249,14 +268,14 @@ impl GpuPirServer {
             let mut resident = self.resident.lock();
             let held = self.ensure_resident(&mut resident, generation, &job, &backends);
             let slices: Vec<&ResidentAllocation> = held.iter().collect();
-            job.run_resident_on_devices(&backends, &slices)
+            job.run_resident_on_devices(&self.split, &backends, &slices)
         } else {
             // This batch's working set does not fit alongside resident
             // slices; release any stale residency and stream.
             self.free_resident(self.resident.lock().take());
             self.transfers_issued
                 .fetch_add(backends.len() as u64, Ordering::Relaxed);
-            job.run_on_devices(&backends)
+            job.run_on_devices(&self.split, &backends)
         };
         drop(table);
 
@@ -284,8 +303,8 @@ impl PirServer for GpuPirServer {
     }
 
     fn update_entry(&self, index: u64, bytes: &[u8]) -> Result<(), PirError> {
-        validate_update(self.schema, index, bytes)?;
         let mut table = self.table.write();
+        validate_owned_update(&table, index, bytes)?;
         table.update_entry(index, bytes);
         // Bumped while the write lock is held, so every batch that reads the
         // new table also sees the new generation and re-uploads residency.
@@ -603,21 +622,31 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
         /// One ownership rule, proven once: for random table sizes
-        /// (non-powers-of-two included), batch sizes, device counts and grid
-        /// mappings, (a) the job's shares equal per-key `fused_eval_matmul`,
+        /// (non-powers-of-two included), batch sizes, device counts, grid
+        /// mappings and masked views (none, a shard's ranges, arbitrary
+        /// ranges), (a) the job's shares equal per-key `fused_eval_matmul`,
         /// (b) the slices the job uploads, the slice bytes the server planned
-        /// at construction and what it keeps resident all agree, and (c) `shard_owned_ranges` partitions `0..rows`.
+        /// at construction and what it keeps resident all agree — and are
+        /// the kept rows × row bytes, (c) `shard_owned_ranges` partitions `0..rows`.
         #[test]
         fn prop_one_ownership_rule(
             rows in 5u64..400,
             batch in 1usize..=9,
             devices in 1usize..=5,
             coop_bits in 0u32..=6,
+            mask in 0usize..=4,
             seed in any::<u64>(),
         ) {
-            let table = PirTable::generate(rows, 12, |row, offset| {
+            let whole = PirTable::generate(rows, 12, |row, offset| {
                 (row as u8).wrapping_mul(31).wrapping_add(offset as u8) ^ seed as u8
             });
+            // `mask`: 0 is the whole table, 1..=3 that shard of three, 4 two
+            // ranges aligned to nothing.
+            let table = match mask {
+                0 => whole,
+                4 => whole.masked(&[1..rows / 3, rows / 2..rows - 1]),
+                shard => whole.masked(&shard_owned_ranges(rows, 3).unwrap()[shard - 1]),
+            };
             let client = PirClient::new(table.schema(), PrfKind::SipHash);
             let mut rng = StdRng::seed_from_u64(seed);
             let queries: Vec<_> = (0..batch as u64)
@@ -636,9 +665,10 @@ mod tests {
                 None => GridMapping::BlockPerQuery,
                 Some(split_bits) => GridMapping::Cooperative { split_bits },
             };
+            let server = server(&table, devices);
             let job = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys, table.matrix())
                 .with_mapping(mapping);
-            let output = job.run_on_devices(&backends);
+            let output = job.run_on_devices(&server.split, &backends);
             for (key, share) in keys.iter().zip(&output.results) {
                 let whole = fused_eval_matmul(
                     &prg, key, table.matrix(), EvalStrategy::default(), &NullRecorder,
@@ -647,11 +677,10 @@ mod tests {
             }
 
             // (b) One set of slice sizes, three readers.
-            let server = server(&table, devices);
             let planned = &server.slice_bytes;
             let uploaded: Vec<u64> = backends
                 .iter()
-                .zip(job.upload_slices(&backends))
+                .zip(job.upload_slices(&server.split, &backends))
                 .map(|(backend, slice)| {
                     let bytes = slice.bytes();
                     backend.free(slice);
@@ -661,7 +690,20 @@ mod tests {
             prop_assert_eq!(&uploaded, planned);
             let domain_bits = DpfParams::for_domain(rows).domain_bits;
             let split = DeviceSplit::new(domain_bits, devices).unwrap();
-            prop_assert_eq!(&split.slice_bytes(rows, server.row_bytes), planned);
+            if mask == 0 {
+                prop_assert_eq!(&split, &server.split);
+            }
+            // Each device holds the kept rows of its subtrees (one row at least).
+            let kept: Vec<u64> = table.kept_ranges().iter().flat_map(Clone::clone).collect();
+            let held: Vec<u64> = split
+                .owned_ranges(rows)
+                .iter()
+                .map(|owned| {
+                    let rows = kept.iter().filter(|row| owned.iter().any(|r| r.contains(row)));
+                    (rows.count() as u64).max(1) * server.row_bytes
+                })
+                .collect();
+            prop_assert_eq!(&held, planned);
             let responses = server.answer_batch(&queries).unwrap();
             for (response, share) in responses.iter().zip(output.results) {
                 prop_assert_eq!(&response.share, &Vec::from(share));

@@ -34,7 +34,7 @@ fn device_split(entries: u64, devices: usize) -> Result<DeviceSplit, PirError> {
 /// Returns [`PirError::InvalidSharding`] if `devices` is zero or the domain
 /// is too shallow to be split that many ways.
 pub fn shard_split_bits(entries: u64, devices: usize) -> Result<u32, PirError> {
-    device_split(entries, devices).map(DeviceSplit::split_bits)
+    device_split(entries, devices).map(|split| split.split_bits())
 }
 
 /// The row ranges each of `shards` shard-owners serves
@@ -44,10 +44,13 @@ pub fn shard_split_bits(entries: u64, devices: usize) -> Result<u32, PirError> {
 /// table, padded-only subtrees are dropped, and every row lands in exactly
 /// one shard's range.
 ///
-/// This is the shard *plan* a scale-out router needs: a shard-owner hosts
-/// the full-shape table with every row outside its ranges zeroed, so —
-/// the reduction being linear — per-shard answer shares sum (lane-wise,
-/// wrapping) to exactly the unsharded answer share.
+/// This is the shard *plan* a scale-out router needs: a shard-owner serves
+/// [`PirTable::masked`] to its ranges — the table's shape, every other row
+/// zero — so, the reduction being linear, per-shard answer shares sum
+/// (lane-wise, wrapping) to exactly the unsharded answer share. The ranges
+/// being whole subtrees clamped to the table, a [`GpuPirServer`] over such a
+/// view expands exactly those subtrees: the shards' work sums to one
+/// unsharded evaluation, as their shares do.
 ///
 /// # Errors
 ///
@@ -105,6 +108,24 @@ pub fn validate_update(schema: TableSchema, index: u64, bytes: &[u8]) -> Result<
             expected: format!("{} B entries", schema.entry_bytes),
             actual: format!("{} B update payload", bytes.len()),
         });
+    }
+    Ok(())
+}
+
+/// [`validate_update`] against the table a server holds: a masked view also
+/// refuses rows it did not keep, which belong to another shard-owner.
+///
+/// # Errors
+///
+/// As [`validate_update`], plus [`PirError::RowNotOwned`].
+pub(crate) fn validate_owned_update(
+    table: &PirTable,
+    index: u64,
+    bytes: &[u8],
+) -> Result<(), PirError> {
+    validate_update(table.schema(), index, bytes)?;
+    if !table.keeps(index) {
+        return Err(PirError::RowNotOwned { index });
     }
     Ok(())
 }
@@ -188,9 +209,10 @@ pub trait PirServer: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`PirError::IndexOutOfRange`] if `index` is outside the table
-    /// and [`PirError::SchemaMismatch`] if the payload width differs from
-    /// the schema (see [`validate_update`]).
+    /// Returns [`PirError::IndexOutOfRange`] if `index` is outside the table,
+    /// [`PirError::SchemaMismatch`] if the payload width differs from the
+    /// schema (see [`validate_update`]), and [`PirError::RowNotOwned`] if the
+    /// server holds a masked view that did not keep the row.
     fn update_entry(&self, index: u64, bytes: &[u8]) -> Result<(), PirError>;
 
     /// Metrics accumulated since the server was created.

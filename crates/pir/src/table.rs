@@ -58,6 +58,9 @@ impl TableSchema {
 pub struct PirTable {
     schema: TableSchema,
     matrix: ShareMatrix,
+    /// The rows this table holds, sorted and disjoint: all of them, unless
+    /// it is a [`PirTable::masked`] view.
+    kept: Vec<Range<u64>>,
 }
 
 impl PirTable {
@@ -85,7 +88,7 @@ impl PirTable {
             data.extend(LaneVector::from_bytes(entry).0);
         }
         let matrix = ShareMatrix::from_rows(entries.len(), lanes, data);
-        Self { schema, matrix }
+        Self::whole(schema, matrix)
     }
 
     /// Build a table of `entries` rows of `entry_bytes` each, filled by
@@ -111,12 +114,23 @@ impl PirTable {
             }
         }
         let matrix = ShareMatrix::from_rows(entries as usize, lanes, data);
-        Self { schema, matrix }
+        Self::whole(schema, matrix)
+    }
+
+    fn whole(schema: TableSchema, matrix: ShareMatrix) -> Self {
+        Self {
+            schema,
+            matrix,
+            kept: std::iter::once(0..schema.entries).collect(),
+        }
     }
 
     /// The same-shape table with every row outside `keep` zeroed — the view
     /// a shard-owner of those row ranges serves (its answer to a full-domain
-    /// key is then its additive partial share).
+    /// key is then its additive partial share). The view remembers what it
+    /// kept ([`PirTable::kept_ranges`]), so a server evaluates, uploads and
+    /// keeps resident only those rows and refuses writes to the others; a
+    /// view that keeps every row *is* the table.
     ///
     /// # Panics
     ///
@@ -127,10 +141,29 @@ impl PirTable {
         for row in keep.iter().flat_map(Clone::clone) {
             matrix.set_row(row as usize, self.matrix.row(row as usize));
         }
+        // Sorted, with overlapping and touching ranges merged, so equal row
+        // sets compare equal.
+        let mut sorted: Vec<Range<u64>> = keep.iter().filter(|r| !r.is_empty()).cloned().collect();
+        sorted.sort_by_key(|range| range.start);
+        let mut kept: Vec<Range<u64>> = Vec::with_capacity(sorted.len());
+        for range in sorted {
+            match kept.last_mut() {
+                Some(last) if range.start <= last.end => last.end = last.end.max(range.end),
+                _ => kept.push(range),
+            }
+        }
         Self {
             schema: self.schema,
             matrix,
+            kept,
         }
+    }
+
+    /// The row ranges this table holds, sorted and disjoint: `0..entries`
+    /// unless it is a [`PirTable::masked`] view.
+    #[must_use]
+    pub fn kept_ranges(&self) -> &[Range<u64>] {
+        &self.kept
     }
 
     /// The table's schema.
@@ -186,15 +219,23 @@ impl PirTable {
         bytes
     }
 
+    /// Whether this table holds row `index` — every row in range, unless it
+    /// is a [`PirTable::masked`] view.
+    #[must_use]
+    pub fn keeps(&self, index: u64) -> bool {
+        self.kept.iter().any(|range| range.contains(&index))
+    }
+
     /// Overwrite one entry (model refresh without re-indexing, §4.2 "Changes
     /// to Embedding Table": value updates are transparent to clients).
     ///
     /// # Panics
     ///
-    /// Panics if the index is out of range or the payload width differs from
-    /// the schema.
+    /// Panics if the index is out of range or outside a masked view, or the
+    /// payload width differs from the schema.
     pub fn update_entry(&mut self, index: u64, bytes: &[u8]) {
         assert!(index < self.entries(), "entry {index} out of range");
+        assert!(self.keeps(index), "entry {index} is outside this view");
         assert_eq!(bytes.len(), self.schema.entry_bytes, "entry width mismatch");
         let lanes = LaneVector::from_bytes(bytes);
         self.matrix.set_row(index as usize, &lanes.0);
@@ -250,7 +291,24 @@ mod tests {
             let expected = if kept { table.entry(row) } else { vec![0; 5] };
             assert_eq!(view.entry(row), expected, "row {row}");
         }
-        assert_eq!(table.masked(&[]), PirTable::generate(10, 5, |_, _| 0));
+        assert_eq!(view.kept_ranges(), [1..3, 7..10]);
+        assert_eq!(
+            table.masked(&[]).matrix(),
+            PirTable::generate(10, 5, |_, _| 0).matrix()
+        );
+    }
+
+    #[test]
+    fn a_view_that_keeps_every_row_is_the_table() {
+        let table = PirTable::generate(10, 5, |row, offset| row as u8 * 16 + offset as u8 + 1);
+        assert_eq!(table.kept_ranges(), std::slice::from_ref(&(0..10)));
+        // Out of order, overlapping, touching and empty ranges normalise.
+        assert_eq!(table.masked(&[4..10, 0..2, 1..4, 6..6]), table);
+        assert_eq!(
+            table.masked(&[5..7, 0..2, 6..8]).kept_ranges(),
+            [0..2, 5..8]
+        );
+        assert_ne!(table.masked(&[0..5, 5..9]), table);
     }
 
     #[test]

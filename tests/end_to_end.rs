@@ -9,7 +9,8 @@ use gpu_pir_repro::pir_dpf::SchedulerConfig;
 use gpu_pir_repro::pir_ml::datasets::{DatasetKind, DatasetScale, SyntheticDataset};
 use gpu_pir_repro::pir_prf::PrfKind;
 use gpu_pir_repro::pir_protocol::{
-    CodesignParams, CpuPirServer, FullTableMode, GpuPirServer, PirClient, PirServer, PirTable,
+    shard_owned_ranges, CodesignParams, CpuPirServer, FullTableMode, GpuPirServer, NaivePir,
+    PirClient, PirResponse, PirServer, PirTable,
 };
 use gpu_pir_repro::pir_serve::{PirServeRuntime, ServeConfig, TableConfig};
 use rand::rngs::StdRng;
@@ -160,6 +161,84 @@ fn sharded_and_single_device_servers_are_interchangeable_parties() {
             table.entry(index)
         );
     }
+}
+
+#[test]
+fn shard_owners_of_masked_views_sum_to_the_naive_answer() {
+    // The cluster tier's data path without the sockets: per party, one server
+    // per shard over that shard's masked view, each evaluating only the
+    // subtree it owns; the router's lane-wise wrapping sum of their shares is
+    // the party's share, and the pair reconstructs what naive PIR returns.
+    let mut table = PirTable::generate(300, 24, |row, offset| {
+        (row as u8).wrapping_mul(7).wrapping_add(offset as u8)
+    });
+    let ranges = shard_owned_ranges(table.entries(), 2).unwrap();
+    let shard_servers = |party_table: &PirTable| -> Vec<GpuPirServer> {
+        ranges
+            .iter()
+            .map(|owned| GpuPirServer::with_defaults(party_table.masked(owned), PrfKind::SipHash))
+            .collect()
+    };
+    let parties = [shard_servers(&table), shard_servers(&table)];
+    let schema = table.schema();
+    let client = PirClient::new(schema, PrfKind::SipHash);
+    let mut rng = StdRng::seed_from_u64(12);
+
+    let lookup = |index: u64, rng: &mut StdRng| {
+        let query = client.query(index, rng);
+        let responses: Vec<PirResponse> = (0..2u8)
+            .map(|party| {
+                let projection = query.to_server(party);
+                let mut share = vec![0u32; schema.lanes_per_entry()];
+                for shard in &parties[party as usize] {
+                    let part = shard.answer(&projection).unwrap().share;
+                    for (lane, part) in share.iter_mut().zip(part) {
+                        *lane = lane.wrapping_add(part);
+                    }
+                }
+                PirResponse {
+                    query_id: query.query_id,
+                    party,
+                    share,
+                }
+            })
+            .collect();
+        client
+            .reconstruct(&query, &responses[0], &responses[1])
+            .unwrap()
+    };
+    let naive_lookup = |table: &PirTable, index: u64, rng: &mut StdRng| {
+        let naive = NaivePir::new(table.clone());
+        let (q0, q1) = naive.query(index, rng).unwrap();
+        naive.reconstruct(&naive.answer(&q0), &naive.answer(&q1))
+    };
+
+    // Both sides of the shard boundary (row 256 of the padded 512) and the
+    // clamped tail.
+    for index in [0, 255, 256, 299] {
+        assert_eq!(
+            lookup(index, &mut rng),
+            naive_lookup(&table, index, &mut rng)
+        );
+    }
+    // Each shard did a shard's worth of the expansion: one step down to its
+    // subtree, then that subtree — together, one unsharded evaluation.
+    for party in &parties {
+        for shard in party {
+            assert_eq!(shard.metrics().prf_calls, 4 * (1 + 2 * 256 - 2));
+        }
+    }
+
+    // One hot reload through the owner of row 280 — and only the owner: the
+    // other shard does not hold the row and says so.
+    let fresh = vec![0xC3u8; 24];
+    for party in &parties {
+        assert!(party[0].update_entry(280, &fresh).is_err());
+        party[1].update_entry(280, &fresh).unwrap();
+    }
+    table.update_entry(280, &fresh);
+    assert_eq!(lookup(280, &mut rng), fresh);
+    assert_eq!(lookup(279, &mut rng), naive_lookup(&table, 279, &mut rng));
 }
 
 #[test]
