@@ -96,21 +96,6 @@ fn bench_backend_expand(c: &mut Criterion) {
     }
 }
 
-/// Cost of one frontier-tile autotune probe (paid once per
-/// `(PrfKind, backend)` per process; see `pir_dpf::tile`).
-fn bench_tile_probe(c: &mut Criterion) {
-    let mut group = c.benchmark_group("tile_autotune");
-    group.bench_function(BenchmarkId::from_parameter("probe"), |b| {
-        b.iter(|| {
-            std::hint::black_box(pir_dpf::tile::probe_frontier_tile(
-                PrfKind::SipHash,
-                SimdBackend::detect(),
-            ))
-        });
-    });
-    group.finish();
-}
-
 /// Per-node GGM expansion vs one frontier sweep over the same seeds.
 fn bench_frontier_expansion(c: &mut Criterion) {
     let seeds = inputs();
@@ -144,6 +129,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_scalar_vs_batched, bench_backend_dispatch, bench_backend_expand,
-        bench_tile_probe, bench_frontier_expansion
+        bench_frontier_expansion
 }
 criterion_main!(benches);

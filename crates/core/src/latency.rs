@@ -102,117 +102,6 @@ impl LatencyBreakdown {
     }
 }
 
-/// An accumulating latency histogram with exact quantiles.
-///
-/// The serving runtime records one sample per answered query and exports
-/// p50/p99 through its stats snapshot; experiments use it to summarize a
-/// run. Samples are kept as recorded (milliseconds) and quantiles are
-/// computed by nearest-rank on demand, so small-sample behaviour is exact
-/// rather than bucket-approximated.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct LatencyHistogram {
-    samples_ms: Vec<f64>,
-    /// Ring cursor once the retention cap is reached.
-    next: usize,
-}
-
-impl LatencyHistogram {
-    /// Retention cap: once this many samples are held, new samples
-    /// overwrite the oldest (sliding-window quantiles), bounding the memory
-    /// of a long-lived serving process at ~512 KiB per histogram.
-    pub const MAX_SAMPLES: usize = 65_536;
-
-    /// An empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one latency sample in milliseconds.
-    ///
-    /// Non-finite samples are ignored (they would poison every quantile).
-    pub fn record_ms(&mut self, ms: f64) {
-        if !ms.is_finite() {
-            return;
-        }
-        if self.samples_ms.len() < Self::MAX_SAMPLES {
-            self.samples_ms.push(ms);
-        } else {
-            self.samples_ms[self.next] = ms;
-            self.next = (self.next + 1) % Self::MAX_SAMPLES;
-        }
-    }
-
-    /// Number of recorded samples.
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.samples_ms.len()
-    }
-
-    /// Mean latency, or `None` when empty.
-    #[must_use]
-    pub fn mean_ms(&self) -> Option<f64> {
-        if self.samples_ms.is_empty() {
-            return None;
-        }
-        Some(self.samples_ms.iter().sum::<f64>() / self.samples_ms.len() as f64)
-    }
-
-    /// Several `q`-quantiles (nearest-rank) in milliseconds, sharing one
-    /// sort of the retained samples; entries are `None` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `q` is not in `[0, 1]`.
-    #[must_use]
-    pub fn quantiles_ms(&self, qs: &[f64]) -> Vec<Option<f64>> {
-        for q in qs {
-            assert!((0.0..=1.0).contains(q), "quantile {q} outside [0, 1]");
-        }
-        if self.samples_ms.is_empty() {
-            return vec![None; qs.len()];
-        }
-        let mut sorted = self.samples_ms.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
-        qs.iter()
-            .map(|q| {
-                let rank = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
-                Some(sorted[rank.min(sorted.len() - 1)])
-            })
-            .collect()
-    }
-
-    /// The `q`-quantile (nearest-rank) in milliseconds, or `None` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is not in `[0, 1]`.
-    #[must_use]
-    pub fn quantile_ms(&self, q: f64) -> Option<f64> {
-        self.quantiles_ms(&[q])[0]
-    }
-
-    /// Median latency (p50), or `None` when empty.
-    #[must_use]
-    pub fn p50_ms(&self) -> Option<f64> {
-        self.quantile_ms(0.50)
-    }
-
-    /// Tail latency (p99), or `None` when empty.
-    #[must_use]
-    pub fn p99_ms(&self) -> Option<f64> {
-        self.quantile_ms(0.99)
-    }
-
-    /// Merge another histogram's samples into this one (subject to the same
-    /// retention cap).
-    pub fn merge(&mut self, other: &Self) {
-        for &ms in &other.samples_ms {
-            self.record_ms(ms);
-        }
-    }
-}
-
 /// The end-to-end latency model.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LatencyModel {
@@ -354,48 +243,5 @@ mod tests {
         let with = without.with_queue_ms(500.0);
         assert!((with.total_ms() - without.total_ms() - 500.0).abs() < 1e-9);
         assert_eq!(with.dominant_component(), "queue");
-    }
-
-    #[test]
-    fn histogram_quantiles_are_nearest_rank() {
-        let mut hist = LatencyHistogram::new();
-        assert_eq!(hist.p50_ms(), None);
-        assert_eq!(hist.mean_ms(), None);
-        for ms in 1..=100 {
-            hist.record_ms(ms as f64);
-        }
-        assert_eq!(hist.count(), 100);
-        assert_eq!(hist.p50_ms(), Some(50.0));
-        assert_eq!(hist.p99_ms(), Some(99.0));
-        assert_eq!(hist.quantile_ms(1.0), Some(100.0));
-        assert_eq!(hist.quantile_ms(0.0), Some(1.0));
-        assert!((hist.mean_ms().unwrap() - 50.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_retention_is_bounded() {
-        let mut hist = LatencyHistogram::new();
-        for ms in 0..(LatencyHistogram::MAX_SAMPLES + 10) {
-            hist.record_ms(ms as f64);
-        }
-        assert_eq!(hist.count(), LatencyHistogram::MAX_SAMPLES);
-        // The oldest samples were overwritten by the newest.
-        assert_eq!(hist.quantile_ms(0.0), Some(10.0));
-        let quantiles = hist.quantiles_ms(&[0.5, 0.99]);
-        assert_eq!(quantiles.len(), 2);
-        assert!(quantiles[0].unwrap() < quantiles[1].unwrap());
-    }
-
-    #[test]
-    fn histogram_merge_and_nonfinite_filtering() {
-        let mut a = LatencyHistogram::new();
-        a.record_ms(1.0);
-        a.record_ms(f64::NAN);
-        a.record_ms(f64::INFINITY);
-        let mut b = LatencyHistogram::new();
-        b.record_ms(3.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.quantile_ms(1.0), Some(3.0));
     }
 }

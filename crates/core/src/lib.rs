@@ -26,7 +26,7 @@ pub mod system;
 pub mod throughput;
 
 pub use application::Application;
-pub use latency::{LatencyBreakdown, LatencyHistogram, LatencyModel, NetworkModel};
+pub use latency::{LatencyBreakdown, LatencyModel, NetworkModel};
 pub use optimizer::{CodesignOptimizer, OperatingPoint, QualityTarget};
 pub use system::{InferenceOutcome, PrivateInferenceSystem, SystemConfig};
 pub use throughput::{CpuBaselineModel, GpuThroughputModel, ThroughputPoint};

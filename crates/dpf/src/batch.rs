@@ -373,11 +373,8 @@ impl<'a> BatchEvalJob<'a> {
                 .flat_map(|subtree| subtree.refined(subtree_bits))
                 .collect();
             let (rows, mut report) = self.run_device(*backend, slice, &blocks, &grid);
-            // Stamp the host SIMD provenance: the PRF backend label and —
-            // when the frontier engine ran and probed — its autotuned tile.
+            // Stamp the host SIMD provenance: the PRF backend label.
             report.prf_backend = prf_backend.to_string();
-            report.frontier_tile =
-                crate::tile::reported_frontier_tile(self.prg.prf().kind(), prf_backend);
             per_device.push(report);
             if results.is_empty() {
                 results = rows;

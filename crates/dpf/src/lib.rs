@@ -72,7 +72,4 @@ pub use scheduler::{ExecutionPlan, Scheduler, SchedulerConfig, SchedulerConfigEr
 pub use strategy::{
     eval_full_domain, eval_full_domain_with, eval_subtree_with, EvalStrategy, Subtree,
 };
-pub use tile::{
-    frontier_tile, frontier_tile_for, reported_frontier_tile, DEFAULT_FRONTIER_TILE,
-    FRONTIER_TILE_CANDIDATES,
-};
+pub use tile::{frontier_tile, reported_frontier_tile, FRONTIER_TILE};

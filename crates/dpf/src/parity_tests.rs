@@ -535,13 +535,6 @@ mod tests {
                             prg.prf().backend_label(),
                             "{what}: PRF backend stamp"
                         );
-                        if strategy != EvalStrategy::BranchParallel {
-                            assert_eq!(
-                                report.frontier_tile,
-                                Some(crate::tile::frontier_tile(&prg)),
-                                "{what}: frontier tile stamp"
-                            );
-                        }
                     }
                 }
 

@@ -10,6 +10,7 @@ use crate::batch::GridMapping;
 use crate::key::DpfParams;
 use crate::plan::TableResidency;
 use crate::strategy::EvalStrategy;
+use crate::tile::FRONTIER_TILE;
 
 /// A [`SchedulerConfig`] that cannot produce a valid execution plan.
 ///
@@ -85,6 +86,9 @@ impl SchedulerConfig {
         None => unreachable!(),
     };
 
+    /// The paper's `K`.
+    const DEFAULT_CHUNK: usize = 128;
+
     /// Check the configuration for values that would make every plan
     /// degenerate.
     ///
@@ -113,11 +117,16 @@ impl SchedulerConfig {
     }
 }
 
+// The widest level a memory-bounded chunk of K leaves sweeps is K/2 nodes,
+// inside one frontier tile: the tile shapes `LevelByLevel` only, never the
+// strategy the scheduler deploys.
+const _: () = assert!(FRONTIER_TILE >= SchedulerConfig::DEFAULT_CHUNK / 2);
+
 impl Default for SchedulerConfig {
     fn default() -> Self {
         Self {
             cooperative_threshold_bits: 22,
-            chunk: 128,
+            chunk: Self::DEFAULT_CHUNK,
             threads_per_block: 256,
             memory_budget_bytes: Self::DEFAULT_MEMORY_BUDGET,
             num_sms: 80,
@@ -134,12 +143,10 @@ pub struct ExecutionPlan {
     pub mapping: GridMapping,
     /// Threads per block.
     pub threads_per_block: u32,
-    /// Largest batch size that fits the memory budget (after the table and
-    /// per-query outputs are accounted for).
-    pub max_batch: u64,
 }
 
-/// Chooses strategy, mapping and batch size from the table and batch shape.
+/// Chooses strategy and mapping from the table shape, and decides table
+/// residency per batch.
 ///
 /// The decision procedure follows §3.2.5: very large tables (≥ 2^22 entries)
 /// expose enough parallelism in a single DPF, so the whole device cooperates
@@ -184,40 +191,20 @@ impl Scheduler {
         &self.config
     }
 
-    /// Plan execution for a table of `table_rows` entries of `entry_bytes`
-    /// each, with `requested_batch` queries available to batch.
+    /// Plan execution for a table of `table_rows` entries. How many queries
+    /// fit beside the table is a per-batch question: [`Scheduler::residency`].
     ///
     /// # Panics
     ///
     /// Panics if `table_rows` is zero.
     #[must_use]
-    pub fn plan(&self, table_rows: u64, entry_bytes: u64, requested_batch: u64) -> ExecutionPlan {
+    pub fn plan(&self, table_rows: u64) -> ExecutionPlan {
         assert!(table_rows > 0, "table must contain at least one row");
-        let domain_bits = if table_rows <= 1 {
-            0
-        } else {
-            64 - (table_rows - 1).leading_zeros()
-        };
-        let strategy = self.strategy();
-
-        // Saturate rather than overflow for pathological table shapes (u64
-        // rows × u64-wide entries can exceed 2^64); a saturated size simply
-        // pins max_batch at its floor of 1.
-        let table_bytes = table_rows.saturating_mul(entry_bytes);
-        let per_query_output = entry_bytes;
-        let max_batch = StrategyProfile::max_batch_within(
-            strategy,
-            domain_bits,
-            per_query_output,
-            table_bytes,
-            self.config.memory_budget_bytes,
-        )
-        .max(1);
-
         let cooperative = table_rows >= 1u64 << self.config.cooperative_threshold_bits;
         let mapping = if cooperative {
             // Enough subtrees to give every SM several blocks, but never deeper
             // than the tree itself.
+            let domain_bits = 64 - (table_rows - 1).leading_zeros();
             let split_bits =
                 (self.config.num_sms.next_power_of_two().trailing_zeros() + 2).min(domain_bits);
             GridMapping::Cooperative { split_bits }
@@ -226,14 +213,9 @@ impl Scheduler {
         };
 
         ExecutionPlan {
-            strategy,
+            strategy: self.strategy(),
             mapping,
             threads_per_block: self.config.threads_per_block,
-            max_batch: if cooperative {
-                requested_batch.max(1)
-            } else {
-                max_batch.min(requested_batch.max(1))
-            },
         }
     }
 
@@ -296,16 +278,15 @@ mod tests {
     #[test]
     fn small_tables_use_batched_execution() {
         let scheduler = Scheduler::default();
-        let plan = scheduler.plan(1 << 16, 256, 512);
+        let plan = scheduler.plan(1 << 16);
         assert_eq!(plan.mapping, GridMapping::BlockPerQuery);
-        assert_eq!(plan.max_batch, 512);
         assert_eq!(plan.strategy, EvalStrategy::MemoryBounded { chunk: 128 });
     }
 
     #[test]
     fn huge_tables_switch_to_cooperative_groups() {
         let scheduler = Scheduler::default();
-        let plan = scheduler.plan(1 << 23, 256, 512);
+        let plan = scheduler.plan(1 << 23);
         match plan.mapping {
             GridMapping::Cooperative { split_bits } => assert!(split_bits >= 7),
             GridMapping::BlockPerQuery => panic!("expected cooperative mapping"),
@@ -315,23 +296,10 @@ mod tests {
     #[test]
     fn threshold_is_respected_exactly() {
         let scheduler = Scheduler::default();
-        let below = scheduler.plan((1 << 22) - 1, 128, 64);
-        let at = scheduler.plan(1 << 22, 128, 64);
+        let below = scheduler.plan((1 << 22) - 1);
+        let at = scheduler.plan(1 << 22);
         assert_eq!(below.mapping, GridMapping::BlockPerQuery);
         assert!(matches!(at.mapping, GridMapping::Cooperative { .. }));
-    }
-
-    #[test]
-    fn memory_budget_limits_batch() {
-        let config = SchedulerConfig {
-            memory_budget_bytes: 64 * 1024 * 1024,
-            ..SchedulerConfig::default()
-        };
-        let scheduler = Scheduler::new(config);
-        // 2^20 rows of 32 bytes = 32 MB table; scratch per query ~4.5 KB.
-        let plan = scheduler.plan(1 << 20, 32, u64::MAX);
-        assert!(plan.max_batch >= 1);
-        assert!(plan.max_batch < 100_000);
     }
 
     #[test]
@@ -341,7 +309,7 @@ mod tests {
             ..SchedulerConfig::default()
         };
         let scheduler = Scheduler::new(config);
-        let plan = scheduler.plan(16, 64, 1);
+        let plan = scheduler.plan(16);
         match plan.mapping {
             GridMapping::Cooperative { split_bits } => assert!(split_bits <= 4),
             GridMapping::BlockPerQuery => panic!("expected cooperative mapping"),
@@ -379,7 +347,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one row")]
     fn zero_rows_rejected() {
-        let _ = Scheduler::default().plan(0, 64, 1);
+        let _ = Scheduler::default().plan(0);
     }
 
     #[test]
@@ -435,13 +403,5 @@ mod tests {
             chunk: 0,
             ..SchedulerConfig::default()
         });
-    }
-
-    #[test]
-    fn pathological_table_sizes_saturate_instead_of_overflowing() {
-        let scheduler = Scheduler::default();
-        // u64::MAX rows × 1 KiB entries would overflow table_rows * entry_bytes.
-        let plan = scheduler.plan(u64::MAX / 2, 1024, 32);
-        assert!(plan.max_batch >= 1);
     }
 }

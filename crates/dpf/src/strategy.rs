@@ -24,6 +24,7 @@ use crate::eval::{
     descend_both, descend_one, leaf_share, subtree_root_state, Leaf, NodeState, NODE_STATE_BYTES,
 };
 use crate::recorder::Recorder;
+use crate::tile::FRONTIER_TILE;
 use crate::DpfKey;
 
 /// Bytes charged for one materialized leaf output: the modelled kernel's
@@ -252,7 +253,7 @@ pub(crate) fn expand_subtree<L, R, F>(
             );
         }
         EvalStrategy::LevelByLevel => {
-            let mut frontier = FrontierBuffers::for_job(prg, 1usize << depth_below);
+            let mut frontier = FrontierBuffers::for_job(1usize << depth_below);
             level_by_level(
                 prg,
                 key,
@@ -382,12 +383,6 @@ fn branch_parallel<L, R, F>(
 /// across every chunk of a `fused_eval_matmul` call, so the hot loop performs
 /// no allocation after the first chunk.
 struct FrontierBuffers<L> {
-    /// Nodes expanded per PRF sweep inside one level: large enough to
-    /// amortize per-sweep setup (key schedules, dispatch), small enough that
-    /// the two raw sweep outputs (2 × 16 B per node) stay resident in L1
-    /// while the fused pass consumes them. Autotuned per
-    /// `(PrfKind, backend)` — see [`crate::tile`].
-    tile: usize,
     /// Seeds of the current level (the frontier).
     seeds: Vec<Block128>,
     /// Seeds of the next level (swap target).
@@ -404,17 +399,14 @@ struct FrontierBuffers<L> {
 
 impl<L: Leaf> FrontierBuffers<L> {
     /// Buffers sized so that expanding up to `leaves` leaves never
-    /// reallocates, sweeping in tiles of the autotuned size for `prg`'s
-    /// PRF and backend.
-    fn for_job(prg: &GgmPrg, leaves: usize) -> Self {
-        let tile = crate::tile::frontier_tile(prg);
+    /// reallocates.
+    fn for_job(leaves: usize) -> Self {
         Self {
-            tile,
             seeds: Vec::with_capacity(leaves),
             next_seeds: Vec::with_capacity(leaves),
             t_bits: Vec::with_capacity(leaves.div_ceil(64)),
             next_t_bits: Vec::with_capacity(leaves.div_ceil(64)),
-            scratch: FrontierScratch::with_capacity(tile.min(leaves)),
+            scratch: FrontierScratch::with_capacity(FRONTIER_TILE.min(leaves)),
             leaves: Vec::with_capacity(leaves),
         }
     }
@@ -493,7 +485,7 @@ fn level_by_level<L, R, F>(
         // iterator zips with no index arithmetic.
         let mut tile_start = 0usize;
         while tile_start < len {
-            let tile_len = (len - tile_start).min(frontier.tile);
+            let tile_len = (len - tile_start).min(FRONTIER_TILE);
             let tile = &frontier.seeds[tile_start..tile_start + tile_len];
             let (left, right) = prg.frontier_sweeps(tile, &mut frontier.scratch);
 
@@ -604,7 +596,7 @@ fn memory_bounded<L, R, F>(
     let chunk_bits = (chunk as u64).trailing_zeros().min(depth_below);
     // One set of frontier buffers serves every chunk of this traversal: after
     // the first chunk the hot loop allocates nothing.
-    let mut frontier = FrontierBuffers::for_job(prg, 1usize << chunk_bits);
+    let mut frontier = FrontierBuffers::for_job(1usize << chunk_bits);
 
     // Recursive depth-first descent; the explicit recursion depth is bounded by
     // 64 levels so the host stack is more than sufficient.
@@ -703,19 +695,25 @@ mod tests {
     fn full_domain_matches_point_eval_for_all_strategies() {
         let prg = prg();
         let mut rng = StdRng::seed_from_u64(31);
-        let params = DpfParams::for_domain(200); // non-power-of-two
-        let (a, b) = generate_keys(&prg, &params, 137, Ring128::ONE, &mut rng);
+        // Non-power-of-two domains: one inside a single frontier tile, one
+        // whose last levels take several tiles each.
+        const MULTI_TILE: u64 = 1500;
+        assert!(MULTI_TILE > 4 * FRONTIER_TILE as u64);
+        for domain in [200, MULTI_TILE] {
+            let params = DpfParams::for_domain(domain);
+            let (a, b) = generate_keys(&prg, &params, 137, Ring128::ONE, &mut rng);
 
-        for strategy in STRATEGIES {
-            for key in [&a, &b] {
-                let full = eval_full_domain(&prg, key, strategy, &NullRecorder);
-                assert_eq!(full.len(), 200);
-                for j in (0..200u64).step_by(13) {
-                    assert_eq!(
-                        full[j as usize],
-                        eval_point(&prg, key, j),
-                        "strategy {strategy:?} index {j}"
-                    );
+            for strategy in STRATEGIES {
+                for key in [&a, &b] {
+                    let full = eval_full_domain(&prg, key, strategy, &NullRecorder);
+                    assert_eq!(full.len() as u64, domain);
+                    for j in (0..domain).step_by(13) {
+                        assert_eq!(
+                            full[j as usize],
+                            eval_point(&prg, key, j),
+                            "strategy {strategy:?} domain {domain} index {j}"
+                        );
+                    }
                 }
             }
         }

@@ -1,176 +1,33 @@
-//! Frontier tile autotuning.
+//! The frontier tile.
 //!
 //! The level-synchronous frontier engine sweeps each tree level in tiles of
-//! `tile` nodes: large enough to amortize per-sweep setup (key schedules,
-//! SIMD dispatch), small enough that the two raw sweep outputs (2 × 16 B per
-//! node) stay resident in L1 while the fused correction pass consumes them.
-//! The best size depends on the PRF (how many bytes of state one sweep keeps
-//! hot) and on the active SIMD backend (vector sweeps retire several times
-//! more nodes per microsecond, shifting the setup/cache balance), so instead
-//! of one hard-coded constant the engine probes a small candidate set on
-//! first use per `(PrfKind, backend)` and caches the winner for the process
-//! lifetime.
-//!
-//! The probe runs on a **freshly built, non-counting** PRF of the same kind
-//! and backend, so the caller's [`pir_prf::CountingPrf`] counters (the cost
-//! model's "number of PRFs" metric) are never perturbed — counter parity
-//! across backends is part of the correctness contract.
+//! [`FRONTIER_TILE`] nodes: large enough to amortize per-sweep setup (key
+//! schedules, SIMD dispatch), small enough that the two raw sweep outputs
+//! (2 × 16 B per node) stay resident in L1 while the fused correction pass
+//! consumes them. It is a constant: `LevelByLevel` over 2^16 leaves reads
+//! within 3 % of itself at 128, 256 and 512 for AES, ChaCha20 and SipHash,
+//! and the serving path never sees it (its widest level is below one tile —
+//! the assertion next to `SchedulerConfig::default`).
 
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use pir_prf::{GgmPrg, PrfKind};
 
-use pir_field::Block128;
-use pir_prf::{build_prf_with_backend, FrontierScratch, GgmPrg, PrfKind, SimdBackend};
+/// Nodes expanded per PRF sweep inside one level. A power of two ≥ 32: the
+/// fused correction pass composes packed control-bit words in 32-node groups
+/// and requires tiles to preserve that alignment.
+pub const FRONTIER_TILE: usize = 256;
 
-/// Tile sizes the autotuner considers, all powers of two ≥ 32 (the fused
-/// correction pass composes packed control-bit words in 32-node groups and
-/// requires tiles to preserve that alignment).
-pub const FRONTIER_TILE_CANDIDATES: [usize; 3] = [128, 256, 512];
+const _: () = assert!(FRONTIER_TILE.is_power_of_two() && FRONTIER_TILE >= 32);
 
-/// Tile used when no probe has run (e.g. for an unknown backend label) —
-/// the engine's previous fixed constant.
-pub const DEFAULT_FRONTIER_TILE: usize = 256;
-
-/// Seeds per probe sweep: enough full tiles of the largest candidate to make
-/// per-tile effects visible, small enough to finish in well under a
-/// millisecond for every primitive.
-const PROBE_SEEDS: usize = 2048;
-
-/// Timed repetitions per candidate; the minimum is kept (the usual
-/// noise-rejection choice for microbenchmarks).
-const PROBE_REPS: usize = 3;
-
-fn cache() -> &'static Mutex<HashMap<(PrfKind, &'static str), usize>> {
-    static CACHE: OnceLock<Mutex<HashMap<(PrfKind, &'static str), usize>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// The autotuned frontier tile for this expansion job: cached per
-/// `(PrfKind, backend)`, probed on first use.
+/// [`FRONTIER_TILE`], whatever the PRF — kept as a function because
+/// `benchmark/` imports it.
 #[must_use]
-pub fn frontier_tile(prg: &GgmPrg) -> usize {
-    frontier_tile_for(prg.prf().kind(), prg.prf().backend_label())
+pub fn frontier_tile(_prg: &GgmPrg) -> usize {
+    FRONTIER_TILE
 }
 
-/// The autotuned frontier tile for an explicit `(PrfKind, backend)` pair.
-///
-/// Unknown backend labels return [`DEFAULT_FRONTIER_TILE`] without probing.
+/// [`FRONTIER_TILE`], whatever the PRF and backend — kept as a function
+/// because `benchmark/` imports it.
 #[must_use]
-pub fn frontier_tile_for(kind: PrfKind, backend: &'static str) -> usize {
-    let Some(backend_value) = SimdBackend::from_label(backend) else {
-        return DEFAULT_FRONTIER_TILE;
-    };
-    if let Some(&tile) = cache()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .get(&(kind, backend))
-    {
-        return tile;
-    }
-    let tile = probe_frontier_tile(kind, backend_value);
-    cache()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .insert((kind, backend), tile);
-    tile
-}
-
-/// The cached tile choice for a `(PrfKind, backend)` pair, if a probe has
-/// already run — the report/telemetry read path (never triggers a probe).
-#[must_use]
-pub fn reported_frontier_tile(kind: PrfKind, backend: &str) -> Option<usize> {
-    SimdBackend::from_label(backend).and_then(|b| {
-        cache()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&(kind, b.label()))
-            .copied()
-    })
-}
-
-/// Time the candidate tile sizes against a synthetic frontier workload and
-/// return the fastest.
-///
-/// Public so the benchmark suite can measure probe cost and report choices;
-/// normal callers go through [`frontier_tile`], which caches.
-#[must_use]
-pub fn probe_frontier_tile(kind: PrfKind, backend: SimdBackend) -> usize {
-    let prg = GgmPrg::new(build_prf_with_backend(kind, backend));
-    let seeds: Vec<Block128> = (0..PROBE_SEEDS as u128)
-        .map(|i| Block128::from_u128(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x0050_4952))
-        .collect();
-    let mut scratch = FrontierScratch::with_capacity(
-        FRONTIER_TILE_CANDIDATES[FRONTIER_TILE_CANDIDATES.len() - 1],
-    );
-
-    let mut best = (DEFAULT_FRONTIER_TILE, f64::INFINITY);
-    for candidate in FRONTIER_TILE_CANDIDATES {
-        // Warm-up sweep: fault in the scratch and warm the dispatch path.
-        for tile in seeds.chunks(candidate) {
-            let _ = prg.frontier_sweeps(tile, &mut scratch);
-        }
-        let mut fastest = f64::INFINITY;
-        for _ in 0..PROBE_REPS {
-            let start = Instant::now();
-            for tile in seeds.chunks(candidate) {
-                let (left, right) = prg.frontier_sweeps(tile, &mut scratch);
-                // Consume one lane per sweep so the work cannot be elided.
-                std::hint::black_box((left[0], right[0]));
-            }
-            fastest = fastest.min(start.elapsed().as_secs_f64());
-        }
-        if fastest < best.1 {
-            best = (candidate, fastest);
-        }
-    }
-    best.0
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn probe_returns_a_candidate() {
-        let tile = probe_frontier_tile(PrfKind::SipHash, SimdBackend::Scalar);
-        assert!(FRONTIER_TILE_CANDIDATES.contains(&tile));
-    }
-
-    #[test]
-    fn choice_is_cached_and_reported() {
-        let prg = GgmPrg::new(pir_prf::build_prf_with_backend(
-            PrfKind::Chacha20,
-            SimdBackend::Scalar,
-        ));
-        let first = frontier_tile(&prg);
-        assert!(FRONTIER_TILE_CANDIDATES.contains(&first));
-        // Second call must hit the cache and agree.
-        assert_eq!(frontier_tile(&prg), first);
-        assert_eq!(
-            reported_frontier_tile(PrfKind::Chacha20, "scalar"),
-            Some(first)
-        );
-    }
-
-    #[test]
-    fn unknown_backend_label_gets_default() {
-        assert_eq!(
-            frontier_tile_for(PrfKind::Aes128, "riscv-vector"),
-            DEFAULT_FRONTIER_TILE
-        );
-        assert_eq!(
-            reported_frontier_tile(PrfKind::Aes128, "riscv-vector"),
-            None
-        );
-    }
-
-    #[test]
-    fn candidates_preserve_group_alignment() {
-        for candidate in FRONTIER_TILE_CANDIDATES {
-            assert!(candidate.is_power_of_two());
-            assert!(candidate >= 32);
-        }
-        assert!(DEFAULT_FRONTIER_TILE.is_power_of_two());
-    }
+pub fn reported_frontier_tile(_kind: PrfKind, _backend: &str) -> Option<usize> {
+    Some(FRONTIER_TILE)
 }

@@ -43,12 +43,6 @@ fn assert_scalar_end_to_end() {
         "kernel name {:?} must carry the scalar backend",
         out.report.name
     );
-    assert!(
-        out.report
-            .frontier_tile
-            .is_some_and(|tile| pir_dpf::FRONTIER_TILE_CANDIDATES.contains(&tile)),
-        "frontier tile must have been probed for the scalar backend"
-    );
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //!
 //! * [`GpuExecutor`](crate::GpuExecutor) — the analytical backend. Transfers
 //!   are *accounted* (the ledger tracks every byte) but not performed; launch
-//!   time comes from the roofline [`CostModel`].
+//!   time comes from the roofline [`CostModel`](crate::CostModel).
 //! * [`HostBackend`] — the measured backend. Uploads really copy bytes into
 //!   per-allocation staging buffers, downloads copy them back out, and launch
 //!   time is the host wall clock. No cost model is consulted anywhere.
@@ -23,7 +23,7 @@ use std::sync::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    CostModel, DeviceSpec, Kernel, KernelCounters, KernelReport, LaunchConfig, MemoryTracker,
+    DeviceSpec, Kernel, KernelCounters, KernelReport, LaunchConfig, MemoryTracker,
     OccupancyEstimate,
 };
 
@@ -296,10 +296,6 @@ pub trait DeviceBackend: Send + Sync {
     /// The device this backend drives.
     fn device(&self) -> &DeviceSpec;
 
-    /// The analytical cost model, if this backend's timings are modelled
-    /// rather than measured. `None` for measured backends.
-    fn cost_model(&self) -> Option<&CostModel>;
-
     /// Whether uploads must carry real payloads (`Bytes`/`Lanes`).
     ///
     /// Accounting-only backends return `false`, letting callers pass
@@ -374,10 +370,6 @@ impl DeviceBackend for crate::GpuExecutor {
 
     fn device(&self) -> &DeviceSpec {
         crate::GpuExecutor::device(self)
-    }
-
-    fn cost_model(&self) -> Option<&CostModel> {
-        Some(crate::GpuExecutor::cost_model(self))
     }
 
     fn stores_payloads(&self) -> bool {
@@ -485,10 +477,6 @@ impl DeviceBackend for HostBackend {
         &self.device
     }
 
-    fn cost_model(&self) -> Option<&CostModel> {
-        None
-    }
-
     fn stores_payloads(&self) -> bool {
         true
     }
@@ -535,7 +523,6 @@ impl DeviceBackend for HostBackend {
             peak_memory_bytes: memory.peak(),
             host_wall_time_s: wall_s,
             prf_backend: String::new(),
-            frontier_tile: None,
         }
     }
 
@@ -677,7 +664,6 @@ mod tests {
         );
         assert!(backend.download(&alloc, TransferSrc::Opaque(8)).is_none());
         assert!(!DeviceBackend::stores_payloads(&backend));
-        assert!(DeviceBackend::cost_model(&backend).is_some());
         DeviceBackend::free(&backend, alloc);
     }
 
@@ -719,8 +705,6 @@ mod tests {
         let host = BackendKind::Host.build_with_host_threads(DeviceSpec::v100(), 1);
         assert_eq!(sim.name(), BackendKind::Simulated.label());
         assert_eq!(host.name(), BackendKind::Host.label());
-        assert!(sim.cost_model().is_some());
-        assert!(host.cost_model().is_none());
     }
 
     #[test]

@@ -107,12 +107,6 @@ impl GpuExecutor {
         &self.device
     }
 
-    /// The executor's cost model.
-    #[must_use]
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
-    }
-
     /// Launch `kernel` with `config`, running every block functionally and
     /// returning the combined report.
     ///
@@ -159,7 +153,6 @@ impl GpuExecutor {
             peak_memory_bytes: memory.peak(),
             host_wall_time_s,
             prf_backend: String::new(),
-            frontier_tile: None,
         }
     }
 }

@@ -30,10 +30,6 @@ pub struct KernelReport {
     /// or `"neon"`); empty when the launch did not involve PRF work.
     #[serde(default)]
     pub prf_backend: String,
-    /// Autotuned frontier tile the sweep used, if the frontier engine ran
-    /// (see `pir_dpf::tile`).
-    #[serde(default)]
-    pub frontier_tile: Option<usize>,
 }
 
 impl KernelReport {
@@ -84,7 +80,6 @@ impl KernelReport {
             } else {
                 self.prf_backend.clone()
             },
-            frontier_tile: self.frontier_tile.or(other.frontier_tile),
         }
     }
 }
@@ -113,7 +108,6 @@ mod tests {
             peak_memory_bytes: peak,
             host_wall_time_s: 0.0,
             prf_backend: String::new(),
-            frontier_tile: None,
         }
     }
 

@@ -13,8 +13,9 @@
 use std::io::Write as _;
 use std::path::Path;
 
-use pir_core::{json_escape, LatencyHistogram};
+use pir_core::json_escape;
 use pir_protocol::HotCacheStats;
+use pir_serve::LatencyHistogram;
 
 use crate::replay::{OutcomeKind, ReplayResult};
 use crate::trace::{Phase, Trace};

@@ -171,15 +171,9 @@ impl CpuPirServer {
             })
             .collect();
 
-        let bytes_in: u64 = queries.iter().map(|q| q.size_bytes() as u64).sum();
-        let bytes_out: u64 = responses.iter().map(|r| r.size_bytes() as u64).sum();
-        self.metrics.lock().record_batch(
-            queries.len() as u64,
-            prf_calls,
-            modeled_xeon_s,
-            bytes_in,
-            bytes_out,
-        );
+        self.metrics
+            .lock()
+            .record_batch(queries.len() as u64, prf_calls, modeled_xeon_s);
         *self.last_timing.lock() = timing;
         Ok((responses, timing))
     }

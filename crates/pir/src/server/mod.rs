@@ -139,35 +139,13 @@ pub struct ServerMetrics {
     pub prf_calls: u64,
     /// Estimated device-busy seconds (modelled time, not host wall time).
     pub busy_time_s: f64,
-    /// Bytes received from clients.
-    pub bytes_in: u64,
-    /// Bytes returned to clients.
-    pub bytes_out: u64,
 }
 
 impl ServerMetrics {
-    /// Average sustained throughput in queries per second.
-    #[must_use]
-    pub fn average_qps(&self) -> f64 {
-        if self.busy_time_s <= 0.0 {
-            return 0.0;
-        }
-        self.queries_served as f64 / self.busy_time_s
-    }
-
-    pub(crate) fn record_batch(
-        &mut self,
-        queries: u64,
-        prf_calls: u64,
-        busy_time_s: f64,
-        bytes_in: u64,
-        bytes_out: u64,
-    ) {
+    pub(crate) fn record_batch(&mut self, queries: u64, prf_calls: u64, busy_time_s: f64) {
         self.queries_served += queries;
         self.prf_calls += prf_calls;
         self.busy_time_s += busy_time_s;
-        self.bytes_in += bytes_in;
-        self.bytes_out += bytes_out;
     }
 }
 
@@ -273,20 +251,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn metrics_accumulate_and_average() {
+    fn metrics_accumulate() {
         let mut metrics = ServerMetrics::default();
-        metrics.record_batch(10, 1000, 0.5, 100, 200);
-        metrics.record_batch(10, 1000, 0.5, 100, 200);
+        metrics.record_batch(10, 1000, 0.5);
+        metrics.record_batch(10, 1000, 0.5);
         assert_eq!(metrics.queries_served, 20);
         assert_eq!(metrics.prf_calls, 2000);
-        assert!((metrics.average_qps() - 20.0).abs() < 1e-9);
-        assert_eq!(metrics.bytes_in, 200);
-        assert_eq!(metrics.bytes_out, 400);
-    }
-
-    #[test]
-    fn empty_metrics_have_zero_qps() {
-        assert_eq!(ServerMetrics::default().average_qps(), 0.0);
+        assert!((metrics.busy_time_s - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!   and per-tenant in-flight quotas — sheds load with typed
 //!   [`ServeError`]s instead of letting latency collapse.
 //! * **Telemetry** ([`StatsSnapshot`]) exports queue depth, batch occupancy
-//!   and p50/p99 latency built on [`pir_core::LatencyHistogram`].
+//!   and p50/p99 latency built on [`LatencyHistogram`].
 //! * **[`ServeHandle`]** is the clonable *embedded* client API: `query(table,
 //!   tenant, index)` admits a lookup and returns a [`PendingQuery`] — a plain
 //!   [`std::future::Future`] — which either resolves on the caller's
@@ -93,6 +93,8 @@ pub use handle::{PendingQuery, ServeHandle};
 pub use oneshot::block_on;
 pub use pir_dpf::PlanLedger;
 pub use runtime::PirServeRuntime;
-pub use stats::{ReplicaStatsSnapshot, StatsSnapshot, TableStatsSnapshot, TierStatsSnapshot};
+pub use stats::{
+    LatencyHistogram, ReplicaStatsSnapshot, StatsSnapshot, TableStatsSnapshot, TierStatsSnapshot,
+};
 pub use tier::{formation_order, BatchCandidate, SloClass, SloTiers};
 pub use wire_frontend::WireFrontend;

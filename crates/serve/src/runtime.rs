@@ -172,10 +172,6 @@ impl RuntimeInner {
                     replicas,
                     plan,
                     prf_backend: pir_prf::SimdBackend::active().label(),
-                    frontier_tile: pir_dpf::reported_frontier_tile(
-                        hosted.config.prf_kind,
-                        pir_prf::SimdBackend::active().label(),
-                    ),
                     queue_p50_ms: queue_quantiles[0],
                     queue_p99_ms: queue_quantiles[1],
                     e2e_p50_ms: e2e_quantiles[0],

@@ -17,7 +17,7 @@
 //! discovery, sessions over TCP, hot reload — see `examples/wire_tcp.rs`.
 
 use gpu_pir_repro::pir_prf::PrfKind;
-use gpu_pir_repro::pir_protocol::{GpuPirServer, PirClient, PirServer, PirTable};
+use gpu_pir_repro::pir_protocol::{GpuPirServer, PirClient, PirTable};
 use gpu_pir_repro::pir_wire::{decode_message, encode_message, QueryMsg, WireMessage};
 use rand::SeedableRng;
 
@@ -62,22 +62,26 @@ fn main() {
         table.entries() * 16 / 1000
     );
 
-    // Server side: decode the frame, answer the single-key query.
+    // Server side: decode the frame, answer the single-key query; the
+    // simulated V100 reports what the evaluation cost.
     let answer = |server: &GpuPirServer, frame: &[u8]| {
         let decoded = decode_message(frame).expect("well-formed frame");
         let WireMessage::Query(request) = decoded else {
             panic!("expected a query frame");
         };
-        let response = server.answer(&request.query).expect("server answers");
-        encode_message(&WireMessage::Response(
+        let (mut responses, report) = server
+            .answer_batch_with_report(&[request.query])
+            .expect("server answers");
+        let reply = encode_message(&WireMessage::Response(
             gpu_pir_repro::pir_wire::ResponseMsg {
-                response,
+                response: responses.remove(0),
                 table_version: 1, // a fresh table, never hot-reloaded
             },
-        ))
+        ));
+        (reply, report)
     };
-    let reply0 = answer(&server0, &frames[0]);
-    let reply1 = answer(&server1, &frames[1]);
+    let (reply0, report) = answer(&server0, &frames[0]);
+    let (reply1, _) = answer(&server1, &frames[1]);
     println!(
         "Each server returns a {} B response frame.",
         reply0.len().max(reply1.len())
@@ -98,8 +102,6 @@ fn main() {
         &row[..8]
     );
 
-    // The simulated V100 reports what the evaluation cost.
-    let report = server0.last_report().expect("a kernel ran");
     println!(
         "Server kernel: {} PRF calls, estimated {:.3} ms on the simulated V100, utilization {:.1}%.",
         report.counters.prf_calls,

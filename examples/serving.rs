@@ -132,7 +132,7 @@ fn main() {
     );
     println!("{shed_retries} submissions were shed and retried");
     println!(
-        "\n{:<8} {:>9} {:>7} {:>9} {:>11} {:>10} {:>10} {:>10} {:>8} {:>5}",
+        "\n{:<8} {:>9} {:>7} {:>9} {:>11} {:>10} {:>10} {:>10} {:>8}",
         "table",
         "answered",
         "shed",
@@ -141,12 +141,11 @@ fn main() {
         "max batch",
         "p50 (ms)",
         "p99 (ms)",
-        "backend",
-        "tile"
+        "backend"
     );
     for table in &stats.tables {
         println!(
-            "{:<8} {:>9} {:>7} {:>9} {:>11.2} {:>10} {:>10.2} {:>10.2} {:>8} {:>5}",
+            "{:<8} {:>9} {:>7} {:>9} {:>11.2} {:>10} {:>10.2} {:>10.2} {:>8}",
             table.table,
             table.answered,
             table.shed,
@@ -156,9 +155,6 @@ fn main() {
             table.e2e_p50_ms.unwrap_or(f64::NAN),
             table.e2e_p99_ms.unwrap_or(f64::NAN),
             table.prf_backend,
-            table
-                .frontier_tile
-                .map_or_else(|| "-".to_string(), |t| t.to_string()),
         );
     }
 
