@@ -320,8 +320,10 @@ mod tests {
     ];
 
     /// Domains exercising the padded power-of-two case, the non-power-of-two
-    /// truncation and the singleton tree.
-    const DOMAINS: [u64; 4] = [1, 13, 64, 200];
+    /// truncation, the singleton tree, and (5 000) a memory-bounded descent
+    /// above several host runs, whose `K`-chunk events are replayed.
+    const DOMAINS: [u64; 5] = [1, 13, 64, 200, 5000];
+    const _: () = assert!(DOMAINS[4] > 2 * crate::tile::HOST_FRONTIER_LEAVES as u64);
 
     fn assert_counters_equal(actual: &CountingRecorder, expected: &CountingRecorder, what: &str) {
         assert_eq!(
@@ -396,33 +398,36 @@ mod tests {
     fn frontier_matches_reference_on_subtrees() {
         let prg = GgmPrg::new(build_prf(PrfKind::SipHash));
         let mut rng = StdRng::seed_from_u64(77);
-        let params = DpfParams::for_domain(256);
-        let (key, _) = generate_keys(&prg, &params, 100, Ring128::ONE, &mut rng);
-        for strategy in STRATEGIES {
-            for subtree in Subtree::split(&key, 2) {
-                let frontier = CountingRecorder::new();
-                let mut got = Vec::new();
-                crate::strategy::eval_subtree_with(
-                    &prg,
-                    &key,
-                    subtree,
-                    strategy,
-                    &frontier,
-                    &mut |base, values| got.push((base, values.to_vec())),
-                );
-                let reference = CountingRecorder::new();
-                let mut want = Vec::new();
-                reference_eval_subtree_with(
-                    &prg,
-                    &key,
-                    subtree,
-                    strategy,
-                    &reference,
-                    &mut |base, values| want.push((base, values.to_vec())),
-                );
-                let what = format!("{strategy:?} subtree={subtree:?}");
-                assert_eq!(got, want, "{what}: chunks");
-                assert_counters_equal(&frontier, &reference, &what);
+        // 5 000 leaves in halves: each subtree still spans two host runs.
+        for (domain, split_bits) in [(256, 2), (5000, 1)] {
+            let params = DpfParams::for_domain(domain);
+            let (key, _) = generate_keys(&prg, &params, 100, Ring128::ONE, &mut rng);
+            for strategy in STRATEGIES {
+                for subtree in Subtree::split(&key, split_bits) {
+                    let frontier = CountingRecorder::new();
+                    let mut got = Vec::new();
+                    crate::strategy::eval_subtree_with(
+                        &prg,
+                        &key,
+                        subtree,
+                        strategy,
+                        &frontier,
+                        &mut |base, values| got.push((base, values.to_vec())),
+                    );
+                    let reference = CountingRecorder::new();
+                    let mut want = Vec::new();
+                    reference_eval_subtree_with(
+                        &prg,
+                        &key,
+                        subtree,
+                        strategy,
+                        &reference,
+                        &mut |base, values| want.push((base, values.to_vec())),
+                    );
+                    let what = format!("{strategy:?} subtree={subtree:?}");
+                    assert_eq!(got, want, "{what}: chunks");
+                    assert_counters_equal(&frontier, &reference, &what);
+                }
             }
         }
     }

@@ -10,7 +10,7 @@ use crate::batch::GridMapping;
 use crate::key::DpfParams;
 use crate::plan::TableResidency;
 use crate::strategy::EvalStrategy;
-use crate::tile::FRONTIER_TILE;
+use crate::tile::{FRONTIER_TILE, HOST_FRONTIER_LEAVES};
 
 /// A [`SchedulerConfig`] that cannot produce a valid execution plan.
 ///
@@ -117,10 +117,16 @@ impl SchedulerConfig {
     }
 }
 
-// The widest level a memory-bounded chunk of K leaves sweeps is K/2 nodes,
-// inside one frontier tile: the tile shapes `LevelByLevel` only, never the
-// strategy the scheduler deploys.
-const _: () = assert!(FRONTIER_TILE >= SchedulerConfig::DEFAULT_CHUNK / 2);
+// The deployed memory-bounded strategy accounts for K leaves per chunk but
+// the host expands HOST_FRONTIER_LEAVES-leaf runs: K must fit in one run (so
+// the run, not K, sets the host width), and the widest seed level a run
+// sweeps — half its leaves — must be whole frontier tiles (both are powers
+// of two, so at least one tile).
+const _: () = assert!(
+    HOST_FRONTIER_LEAVES.is_power_of_two()
+        && HOST_FRONTIER_LEAVES >= SchedulerConfig::DEFAULT_CHUNK
+        && HOST_FRONTIER_LEAVES / 2 >= FRONTIER_TILE
+);
 
 impl Default for SchedulerConfig {
     fn default() -> Self {

@@ -24,7 +24,7 @@ use crate::eval::{
     descend_both, descend_one, leaf_share, subtree_root_state, Leaf, NodeState, NODE_STATE_BYTES,
 };
 use crate::recorder::Recorder;
-use crate::tile::FRONTIER_TILE;
+use crate::tile::{FRONTIER_TILE, HOST_FRONTIER_LEAVES};
 use crate::DpfKey;
 
 /// Bytes charged for one materialized leaf output: the modelled kernel's
@@ -254,16 +254,21 @@ pub(crate) fn expand_subtree<L, R, F>(
         }
         EvalStrategy::LevelByLevel => {
             let mut frontier = FrontierBuffers::for_job(1usize << depth_below);
-            level_by_level(
+            let leaves = level_by_level(
                 prg,
                 key,
                 root,
                 subtree.prefix_bits,
                 depth_below,
-                base_index,
-                recorder,
-                visitor,
                 &mut frontier,
+            );
+            account(
+                recorder,
+                depth_below,
+                depth_below,
+                base_index,
+                leaves,
+                visitor,
             );
         }
         EvalStrategy::MemoryBounded { chunk } => {
@@ -376,12 +381,12 @@ fn branch_parallel<L, R, F>(
 }
 
 /// Reusable buffers backing the frontier engine: ping-pong seed levels with
-/// packed control bits, the PRF scratch, and the materialized leaf chunk
-/// handed to the visitor.
+/// packed control bits, the PRF scratch, and the leaves of one run, handed to
+/// the visitor chunk by chunk.
 ///
 /// One instance serves a whole expansion job — `MemoryBounded` reuses it
-/// across every chunk of a `fused_eval_matmul` call, so the hot loop performs
-/// no allocation after the first chunk.
+/// across every host run of a `fused_eval_matmul` call, so the hot loop
+/// performs no allocation after the first run.
 struct FrontierBuffers<L> {
     /// Seeds of the current level (the frontier).
     seeds: Vec<Block128>,
@@ -399,45 +404,41 @@ struct FrontierBuffers<L> {
 
 impl<L: Leaf> FrontierBuffers<L> {
     /// Buffers sized so that expanding up to `leaves` leaves never
-    /// reallocates.
+    /// reallocates. The leaf level is converted to shares straight from the
+    /// sweep, never stored as seeds, so the widest seed level is `leaves / 2`
+    /// (or the lone root).
     fn for_job(leaves: usize) -> Self {
+        let seeds = (leaves / 2).max(1);
         Self {
-            seeds: Vec::with_capacity(leaves),
-            next_seeds: Vec::with_capacity(leaves),
-            t_bits: Vec::with_capacity(leaves.div_ceil(64)),
-            next_t_bits: Vec::with_capacity(leaves.div_ceil(64)),
-            scratch: FrontierScratch::with_capacity(FRONTIER_TILE.min(leaves)),
+            seeds: Vec::with_capacity(seeds),
+            next_seeds: Vec::with_capacity(seeds),
+            t_bits: Vec::with_capacity(seeds.div_ceil(64)),
+            next_t_bits: Vec::with_capacity(seeds.div_ceil(64)),
+            scratch: FrontierScratch::with_capacity(FRONTIER_TILE.min(seeds)),
             leaves: Vec::with_capacity(leaves),
         }
     }
 }
 
 /// Level-by-level: materialize every node of each level, expanding the whole
-/// frontier per level with two batched PRF sweeps.
+/// frontier per level with two batched PRF sweeps, and return the
+/// `2^depth_below` leaf shares under `root`.
 ///
 /// `level_offset` is the absolute tree depth of `root` (0 when expanding from
 /// the real root), needed to pick the right correction words when expanding a
 /// subtree.
 ///
-/// The recorder event stream (PRF totals, alloc/release sequence, leaf
-/// arithmetic) is identical to the per-node formulation this replaced; the
-/// parity tests assert that equivalence counter by counter.
-#[allow(clippy::too_many_arguments)]
-fn level_by_level<L, R, F>(
+/// The run records nothing: what the modelled kernel would record for it is
+/// replayed afterwards by [`account`], so the host can expand at a width the
+/// model does not share.
+fn level_by_level<'f, L: Leaf>(
     prg: &GgmPrg,
     key: &DpfKey,
     root: NodeState,
     level_offset: u32,
     depth_below: u32,
-    base_index: u64,
-    recorder: &R,
-    visitor: &mut F,
-    frontier: &mut FrontierBuffers<L>,
-) where
-    L: Leaf,
-    R: Recorder,
-    F: FnMut(u64, &[L]),
-{
+    frontier: &'f mut FrontierBuffers<L>,
+) -> &'f [L] {
     // Buffer lengths are tracked explicitly and the Vecs only ever grow:
     // every slot in play is overwritten by the fused pass, so per-level
     // resizing (with its zero-fill on regrowth) would be pure overhead when
@@ -446,7 +447,6 @@ fn level_by_level<L, R, F>(
     frontier.seeds[0] = root.seed;
     grow(&mut frontier.t_bits, 1, 0);
     frontier.t_bits[0] = root.t as u64;
-    recorder.alloc(NODE_STATE_BYTES);
 
     // Loop-invariant leaf conversion inputs (the party is public).
     let final_cw = L::narrow(key.final_cw);
@@ -455,8 +455,6 @@ fn level_by_level<L, R, F>(
     let mut len = 1usize;
     for level in 0..depth_below {
         let next_len = len * 2;
-        recorder.alloc(next_len as u64 * NODE_STATE_BYTES);
-        recorder.prf_calls(2 * len as u64);
 
         // On the last level the children are the leaves: convert them to
         // shares directly in the fused pass instead of materializing a final
@@ -547,7 +545,6 @@ fn level_by_level<L, R, F>(
             tile_start += tile_len;
         }
 
-        recorder.release(len as u64 * NODE_STATE_BYTES);
         if !is_last {
             std::mem::swap(&mut frontier.seeds, &mut frontier.next_seeds);
             std::mem::swap(&mut frontier.t_bits, &mut frontier.next_t_bits);
@@ -559,12 +556,54 @@ fn level_by_level<L, R, F>(
         grow(&mut frontier.leaves, 1, L::default());
         frontier.leaves[0] = L::narrow(leaf_share(key, root));
     }
-    let leaf_count = len;
-    recorder.alloc(leaf_count as u64 * LEAF_BYTES);
-    recorder.arithmetic(leaf_count as u64);
-    visitor(base_index, &frontier.leaves[..leaf_count]);
-    recorder.release(leaf_count as u64 * LEAF_BYTES);
-    recorder.release(leaf_count as u64 * NODE_STATE_BYTES);
+    &frontier.leaves[..len]
+}
+
+/// Record the events of a `2^chunk_bits`-leaf memory-bounded traversal of a
+/// `2^height`-leaf subtree whose `leaves` are already computed, calling
+/// `visitor` once per chunk in leaf order between the chunk's leaf
+/// allocation and release — exactly where the traversal would.
+///
+/// Above the chunk level a node charges its state and the two PRF calls of
+/// its expansion around both children; a chunk charges the per-node
+/// level-by-level stream (root state, each level's allocation, sweep and
+/// release of its parent level, then the leaves). These are the events of
+/// the per-node formulation, event for event; the parity tests assert it
+/// counter by counter.
+fn account<L, R, F>(
+    recorder: &R,
+    height: u32,
+    chunk_bits: u32,
+    base_index: u64,
+    leaves: &[L],
+    visitor: &mut F,
+) where
+    R: Recorder,
+    F: FnMut(u64, &[L]),
+{
+    if height > chunk_bits {
+        recorder.alloc(NODE_STATE_BYTES);
+        recorder.prf_calls(2);
+        let (left, right) = leaves.split_at(leaves.len() / 2);
+        account(recorder, height - 1, chunk_bits, base_index, left, visitor);
+        let right_base = base_index + left.len() as u64;
+        account(recorder, height - 1, chunk_bits, right_base, right, visitor);
+        recorder.release(NODE_STATE_BYTES);
+        return;
+    }
+    recorder.alloc(NODE_STATE_BYTES);
+    for level in 0..height {
+        let len = 1u64 << level;
+        recorder.alloc(2 * len * NODE_STATE_BYTES);
+        recorder.prf_calls(2 * len);
+        recorder.release(len * NODE_STATE_BYTES);
+    }
+    let leaf_count = leaves.len() as u64;
+    recorder.alloc(leaf_count * LEAF_BYTES);
+    recorder.arithmetic(leaf_count);
+    visitor(base_index, leaves);
+    recorder.release(leaf_count * LEAF_BYTES);
+    recorder.release(leaf_count * NODE_STATE_BYTES);
 }
 
 /// Grow `buf` to at least `n` entries without ever shrinking it.
@@ -577,6 +616,15 @@ fn grow<T: Copy>(buf: &mut Vec<T>, n: usize, fill: T) {
 
 /// Memory-bounded tree traversal: depth-first over `chunk`-leaf subtrees, each
 /// expanded level-by-level and consumed immediately.
+///
+/// *Execute wide, account narrow.* The paper sizes `K` to a thread block's
+/// shared memory; on the host the top levels of a `K`-leaf chunk hold 1–8
+/// nodes, too few to fill a vector PRF sweep. So the host descends only to
+/// subtrees of [`HOST_FRONTIER_LEAVES`] leaves (or `chunk`, if larger),
+/// expands each in one level-by-level run, and replays over the computed
+/// leaves the events the `chunk`-leaf traversal records ([`account`]): the
+/// shares, the visitor's `(base, chunk)` calls and every counter are those
+/// of the paper's `K`, and the PRF evaluates the same number of blocks.
 #[allow(clippy::too_many_arguments)]
 fn memory_bounded<L, R, F>(
     prg: &GgmPrg,
@@ -594,9 +642,12 @@ fn memory_bounded<L, R, F>(
     F: FnMut(u64, &[L]),
 {
     let chunk_bits = (chunk as u64).trailing_zeros().min(depth_below);
-    // One set of frontier buffers serves every chunk of this traversal: after
-    // the first chunk the hot loop allocates nothing.
-    let mut frontier = FrontierBuffers::for_job(1usize << chunk_bits);
+    let run_bits = (chunk.max(HOST_FRONTIER_LEAVES) as u64)
+        .trailing_zeros()
+        .min(depth_below);
+    // One set of frontier buffers serves every run of this traversal: after
+    // the first run the hot loop allocates nothing.
+    let mut frontier = FrontierBuffers::for_job(1usize << run_bits);
 
     // Recursive depth-first descent; the explicit recursion depth is bounded by
     // 64 levels so the host stack is more than sufficient.
@@ -606,8 +657,9 @@ fn memory_bounded<L, R, F>(
         key: &DpfKey,
         state: NodeState,
         level: u32,
-        depth_below: u32,
+        remaining: u32,
         chunk_bits: u32,
+        run_bits: u32,
         base_index: u64,
         recorder: &R,
         visitor: &mut F,
@@ -617,42 +669,29 @@ fn memory_bounded<L, R, F>(
         R: Recorder,
         F: FnMut(u64, &[L]),
     {
-        let remaining = depth_below;
-        if remaining <= chunk_bits {
-            // Expand this subtree level-by-level (at most `chunk` leaves) and
-            // hand the chunk to the consumer.
-            level_by_level(
-                prg, key, state, level, remaining, base_index, recorder, visitor, frontier,
-            );
+        if remaining <= run_bits {
+            let leaves = level_by_level(prg, key, state, level, remaining, frontier);
+            account(recorder, remaining, chunk_bits, base_index, leaves, visitor);
             return;
         }
         recorder.alloc(NODE_STATE_BYTES);
         let (left, right) = descend_both(prg, key, state, level as usize, recorder);
         let half = 1u64 << (remaining - 1);
-        descend(
-            prg,
-            key,
-            left,
-            level + 1,
-            remaining - 1,
-            chunk_bits,
-            base_index,
-            recorder,
-            visitor,
-            frontier,
-        );
-        descend(
-            prg,
-            key,
-            right,
-            level + 1,
-            remaining - 1,
-            chunk_bits,
-            base_index + half,
-            recorder,
-            visitor,
-            frontier,
-        );
+        for (child, base) in [(left, base_index), (right, base_index + half)] {
+            descend(
+                prg,
+                key,
+                child,
+                level + 1,
+                remaining - 1,
+                chunk_bits,
+                run_bits,
+                base,
+                recorder,
+                visitor,
+                frontier,
+            );
+        }
         recorder.release(NODE_STATE_BYTES);
     }
 
@@ -663,6 +702,7 @@ fn memory_bounded<L, R, F>(
         prefix_bits,
         depth_below,
         chunk_bits,
+        run_bits,
         base_index,
         recorder,
         visitor,
@@ -696,10 +736,13 @@ mod tests {
         let prg = prg();
         let mut rng = StdRng::seed_from_u64(31);
         // Non-power-of-two domains: one inside a single frontier tile, one
-        // whose last levels take several tiles each.
+        // whose last levels take several tiles each, and one whose
+        // memory-bounded descent spans several host runs.
         const MULTI_TILE: u64 = 1500;
         assert!(MULTI_TILE > 4 * FRONTIER_TILE as u64);
-        for domain in [200, MULTI_TILE] {
+        const MULTI_RUN: u64 = 5000;
+        assert!(MULTI_RUN > 2 * HOST_FRONTIER_LEAVES as u64);
+        for domain in [200, MULTI_TILE, MULTI_RUN] {
             let params = DpfParams::for_domain(domain);
             let (a, b) = generate_keys(&prg, &params, 137, Ring128::ONE, &mut rng);
 

@@ -20,6 +20,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const ROWS: usize = 300; // non-power-of-two: the padded leaves are swept too
+/// Past two host runs of 2 048 leaves: the memory-bounded descent above a
+/// run and the replay of its `K`-leaf chunks are held to the same standard.
+const WIDE_ROWS: usize = 5000;
 const LANES: usize = 6;
 const BATCH: usize = 4;
 const KIND: PrfKind = PrfKind::SipHash;
@@ -37,19 +40,19 @@ const SHAPES: [(EvalStrategy, GridMapping); 4] = [
     ),
 ];
 
-fn table(rng: &mut StdRng) -> ShareMatrix {
-    let data: Vec<u32> = (0..ROWS * LANES).map(|_| rng.gen()).collect();
-    ShareMatrix::from_rows(ROWS, LANES, data)
+fn table(rng: &mut StdRng, rows: usize) -> ShareMatrix {
+    let data: Vec<u32> = (0..rows * LANES).map(|_| rng.gen()).collect();
+    ShareMatrix::from_rows(rows, LANES, data)
 }
 
 /// Both parties' keys for `BATCH` random indices, generated with a PRF the
 /// servers' counter never sees.
-fn random_batch(rng: &mut StdRng) -> [Vec<DpfKey>; 2] {
+fn random_batch(rng: &mut StdRng, rows: usize) -> [Vec<DpfKey>; 2] {
     let client = GgmPrg::new(build_prf(KIND));
-    let params = DpfParams::for_domain(ROWS as u64);
+    let params = DpfParams::for_domain(rows as u64);
     let (party0, party1) = (0..BATCH)
         .map(|_| {
-            let alpha = rng.gen_range(0..ROWS as u64);
+            let alpha = rng.gen_range(0..rows as u64);
             generate_keys(&client, &params, alpha, Ring128::ONE, rng)
         })
         .unzip();
@@ -79,11 +82,11 @@ struct Observed {
 }
 
 /// One device's ownership: the whole domain, or the cover of `kept`.
-fn one_device(kept: Option<&[std::ops::Range<u64>]>) -> DeviceSplit {
-    let whole = DeviceSplit::new(DpfParams::for_domain(ROWS as u64).domain_bits, 1).unwrap();
+fn one_device(rows: usize, kept: Option<&[std::ops::Range<u64>]>) -> DeviceSplit {
+    let whole = DeviceSplit::new(DpfParams::for_domain(rows as u64).domain_bits, 1).unwrap();
     match kept {
         None => whole,
-        Some(kept) => whole.restricted_to(kept, ROWS as u64),
+        Some(kept) => whole.restricted_to(kept, rows as u64),
     }
 }
 
@@ -109,17 +112,23 @@ fn observe(
     }
 }
 
-/// Every observable of a launch over `split` is one value, whatever the
-/// indices the keys hide (inside or outside the owned rows alike) and
-/// whichever party's keys they are. Returns that value per shape.
-fn pinned_across_indices_and_parties(split: &DeviceSplit, seed: u64) -> Vec<Observed> {
+/// Every observable of a launch over `split` of a `rows`-row table is one
+/// value, whatever the indices the keys hide (inside or outside the owned
+/// rows alike) and whichever party's keys they are. Returns that value per
+/// shape.
+fn pinned_across_indices_and_parties(
+    split: &DeviceSplit,
+    seed: u64,
+    rows: usize,
+    shapes: &[(EvalStrategy, GridMapping)],
+) -> Vec<Observed> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let table = table(&mut rng);
+    let table = table(&mut rng, rows);
     let mut pinned = Vec::new();
-    for (strategy, mapping) in SHAPES {
+    for &(strategy, mapping) in shapes {
         let mut reference: Option<Observed> = None;
         for trial in 0..16 {
-            for (party, keys) in random_batch(&mut rng).iter().enumerate() {
+            for (party, keys) in random_batch(&mut rng, rows).iter().enumerate() {
                 // Fresh backends, so the whole ledger is this batch's delta.
                 for backend in backends(1) {
                     let seen = observe(backend.as_ref(), keys, &table, strategy, mapping, split);
@@ -142,7 +151,22 @@ fn pinned_across_indices_and_parties(split: &DeviceSplit, seed: u64) -> Vec<Obse
 
 #[test]
 fn server_work_is_independent_of_the_index_and_the_party() {
-    pinned_across_indices_and_parties(&one_device(None), 0x0B11_7105);
+    pinned_across_indices_and_parties(&one_device(ROWS, None), 0x0B11_7105, ROWS, &SHAPES);
+}
+
+/// The deployed shape on a table spanning several host runs.
+#[test]
+fn server_work_past_one_host_run_is_independent_of_the_index_and_the_party() {
+    let shape = (
+        EvalStrategy::MemoryBounded { chunk: 128 },
+        GridMapping::BlockPerQuery,
+    );
+    pinned_across_indices_and_parties(
+        &one_device(WIDE_ROWS, None),
+        0x0B11_7106,
+        WIDE_ROWS,
+        &[shape],
+    );
 }
 
 /// A shard's launch: the second of two subtrees (clamped to the table), and
@@ -150,10 +174,16 @@ fn server_work_is_independent_of_the_index_and_the_party() {
 /// the owned rows; nothing observable may tell which.
 #[test]
 fn an_owned_subtree_launch_is_as_oblivious_as_a_full_one() {
-    let whole = pinned_across_indices_and_parties(&one_device(None), 0x5AAD_0001);
+    let whole =
+        pinned_across_indices_and_parties(&one_device(ROWS, None), 0x5AAD_0001, ROWS, &SHAPES);
     let upper_half = 256..ROWS as u64;
     for kept in [std::slice::from_ref(&upper_half), &[3..40, 100..101]] {
-        let owned = pinned_across_indices_and_parties(&one_device(Some(kept)), 0x5AAD_0001);
+        let owned = pinned_across_indices_and_parties(
+            &one_device(ROWS, Some(kept)),
+            0x5AAD_0001,
+            ROWS,
+            &SHAPES,
+        );
         for (owned, whole) in owned.iter().zip(&whole) {
             // Less of everything the ownership decides, by construction.
             assert!(owned.prf_blocks < whole.prf_blocks, "{kept:?}");
@@ -175,11 +205,11 @@ fn an_owned_subtree_launch_is_as_oblivious_as_a_full_one() {
 #[test]
 fn counters_do_not_depend_on_host_threads() {
     let mut rng = StdRng::seed_from_u64(0x7412_EAD5);
-    let table = table(&mut rng);
-    let [keys, _] = random_batch(&mut rng);
+    let table = table(&mut rng, ROWS);
+    let [keys, _] = random_batch(&mut rng, ROWS);
     for (strategy, mapping) in SHAPES {
         for (one, four) in backends(1).iter().zip(backends(4).iter()) {
-            let split = one_device(None);
+            let split = one_device(ROWS, None);
             let serial = observe(one.as_ref(), &keys, &table, strategy, mapping, &split);
             let threaded = observe(four.as_ref(), &keys, &table, strategy, mapping, &split);
             let what = format!("{strategy:?} {mapping:?} {:?}", one.name());

@@ -26,8 +26,9 @@ pub struct KernelReport {
     /// Wall-clock seconds the functional simulation took on the host (useful
     /// for judging simulation cost, not part of the model).
     pub host_wall_time_s: f64,
-    /// Host SIMD backend that executed the PRF sweeps (`"scalar"`, `"avx2"`
-    /// or `"neon"`); empty when the launch did not involve PRF work.
+    /// Host SIMD backend that executed the PRF sweeps (`"scalar"`, `"avx2"`,
+    /// `"avx2+vaes"` or `"neon"`); empty when the launch did not involve PRF
+    /// work.
     #[serde(default)]
     pub prf_backend: String,
 }

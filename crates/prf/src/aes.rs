@@ -95,7 +95,7 @@ const fn rotate_table(base: &[u32; 256], bits: u32) -> [u32; 256] {
 /// is the FIPS-197 state byte at row `r`, column `c`).
 #[derive(Clone)]
 pub struct Aes128 {
-    round_key_columns: [[u32; 4]; ROUNDS + 1],
+    pub(crate) round_key_columns: [[u32; 4]; ROUNDS + 1],
 }
 
 impl Aes128 {
@@ -219,8 +219,9 @@ impl Aes128Prf {
     }
 
     /// Pin the batched sweeps to a SIMD backend (unsupported requests fall
-    /// back to scalar). Only the x86_64 backend accelerates AES (via AES-NI);
-    /// NEON hosts use the scalar path.
+    /// back to scalar). Only the x86_64 backend accelerates AES (via AES-NI,
+    /// and VAES for the paired sweeps where the CPU has it); NEON hosts use
+    /// the scalar path.
     #[must_use]
     pub fn with_backend(mut self, backend: SimdBackend) -> Self {
         self.backend = match backend.supported_or_scalar() {
@@ -269,8 +270,6 @@ impl Prf for Aes128Prf {
     ) {
         #[cfg(target_arch = "x86_64")]
         if self.backend == SimdBackend::Avx2 {
-            assert_eq!(inputs.len(), out_a.len());
-            assert_eq!(inputs.len(), out_b.len());
             crate::simd::aes_x86::pair_sweep(
                 &self.cipher.round_key_columns,
                 tweak_block(tweak_a),
@@ -296,8 +295,6 @@ impl Prf for Aes128Prf {
     ) {
         #[cfg(target_arch = "x86_64")]
         if self.backend == SimdBackend::Avx2 {
-            assert_eq!(inputs.len(), out_a.len());
-            assert_eq!(inputs.len(), out_b.len());
             crate::simd::aes_x86::pair_sweep(
                 &self.cipher.round_key_columns,
                 tweak_block(tweak_a),
@@ -314,7 +311,13 @@ impl Prf for Aes128Prf {
         pir_field::simd::xor_blocks_inplace(out_b, inputs);
     }
 
+    /// `"avx2+vaes"` where the paired sweeps run the VAES kernel, so a
+    /// kernel report says which AES kernel produced its number.
     fn backend_label(&self) -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        if self.backend == SimdBackend::Avx2 && crate::simd::aes_x86::has_vaes() {
+            return "avx2+vaes";
+        }
         self.backend.label()
     }
 }

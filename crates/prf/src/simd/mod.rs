@@ -11,8 +11,8 @@
 //! instructions.
 //!
 //! Layout mirrors Expander's dual-backend field pattern: one portable entry
-//! point per primitive, `*_x86` (AVX2 / AES-NI) and `*_neon` implementations
-//! selected behind it at runtime.
+//! point per primitive, `*_x86` (AVX2 / AES-NI / VAES) and `*_neon`
+//! implementations selected behind it at runtime.
 
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 use pir_field::Block128;

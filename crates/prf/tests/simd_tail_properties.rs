@@ -21,8 +21,11 @@ use rand::{Rng, SeedableRng};
 const LANE: usize = 8;
 
 /// Deterministic edge lengths every property run always covers, in addition
-/// to the sampled ones.
-const EDGE_LENGTHS: [usize; 10] = [
+/// to the sampled ones. The VAES pair sweep also steps `LANE` inputs at a
+/// time (16 blocks under two tweaks) and hands the rest to the AES-NI
+/// kernel's 4-input steps and single tail, so 15–17 and 31 (three wide
+/// steps, one narrow step, three singles) sit on its seams.
+const EDGE_LENGTHS: [usize; 13] = [
     0,
     1,
     2,
@@ -32,6 +35,9 @@ const EDGE_LENGTHS: [usize; 10] = [
     LANE,
     LANE + 1,
     2 * LANE - 1,
+    2 * LANE,
+    2 * LANE + 1,
+    31,
     33,
 ];
 
