@@ -129,7 +129,8 @@ fn bench_full_domain(c: &mut Criterion) {
 /// per key for the two PRFs the benchmark serves, the table sweep alone
 /// (the kernel's memory-bandwidth floor), and a resident 32-key batch on the
 /// wall-clock host backend (what one serving batch costs, host threads and
-/// block-local counters included). Gated against `ci/bench_baseline.json`.
+/// block-local counters included), on every host thread and on one. Gated
+/// against `ci/bench_baseline.json`.
 fn bench_reference_shape(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     let rows = 1usize << 16;
@@ -164,16 +165,25 @@ fn bench_reference_shape(c: &mut Criterion) {
     let keys: Vec<DpfKey> = (0..32u64)
         .map(|i| generate_keys(&prg, &params, i * 2053, Ring128::ONE, &mut rng).0)
         .collect();
-    let host = HostBackend::new(DeviceSpec::v100());
-    let resident = host.alloc(table.size_bytes() as u64);
-    host.upload_table(&resident, TransferSrc::Lanes(table.lanes()));
     let job = BatchEvalJob::new(&prg, PrfKind::Aes128, &keys, &table);
     let mut group = c.benchmark_group("batch_resident");
-    group.bench_function(BenchmarkId::new("host", "b32"), |b| {
-        b.iter(|| job.run_resident(&host, &resident))
-    });
+    // Every host thread, and one: the one-thread batch shows the per-key
+    // cost of the lockstep ranges without thread scheduling in it.
+    for (name, host) in [
+        ("host", HostBackend::new(DeviceSpec::v100())),
+        (
+            "host1",
+            HostBackend::with_host_threads(DeviceSpec::v100(), 1),
+        ),
+    ] {
+        let resident = host.alloc(table.size_bytes() as u64);
+        host.upload_table(&resident, TransferSrc::Lanes(table.lanes()));
+        group.bench_function(BenchmarkId::new(name, "b32"), |b| {
+            b.iter(|| job.run_resident(&host, &resident))
+        });
+        host.free(resident);
+    }
     group.finish();
-    host.free(resident);
 }
 
 /// What a cluster shard pays per lookup (2^14 × 64 B, SipHash, one key, the

@@ -1,15 +1,29 @@
 //! Batched DPF execution on one or more devices (§3.2.1, §3.2.5, §3.2.7).
+//!
+//! A launch is one block per `(key, owned subtree)` pair, numbered
+//! subtree-major. The host runs a launch's blocks in contiguous ranges, one
+//! range per worker at a time (`gpu_sim`'s ranges: at most eight blocks, cut
+//! from the launch shape alone). The blocks of a range that share a subtree
+//! run in lockstep as one key group — for each host run, every key's leaves,
+//! then one sweep of the run's rows for all of them — so the table is read
+//! once per group, as the blocks an SM holds at the same time share it
+//! through L2 on a GPU. Each block then records its own key's events on its
+//! own recorder, one recorder alive at a time: counters, the ledger, modelled
+//! time and, at one host thread, peak memory are those of the blocks run one
+//! by one.
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use gpu_sim::{
-    BlockContext, DeviceBackend, KernelReport, LaunchConfig, ResidentAllocation, TransferSrc,
+    BlockContext, BlockRange, DeviceBackend, Kernel, KernelReport, LaunchConfig,
+    ResidentAllocation, TransferSrc,
 };
 use pir_field::{AtomicLaneRows, LaneVector, ShareMatrix};
 use pir_prf::{GgmPrg, PrfKind};
 use serde::{Deserialize, Serialize};
 
-use crate::fusion::fused_eval_matmul_subtree;
+use crate::fusion::{fused_eval_matmul_group, record_fused};
 use crate::plan::DeviceSplit;
 use crate::recorder::KernelRecorder;
 use crate::strategy::{EvalStrategy, Subtree};
@@ -418,45 +432,27 @@ impl<'a> BatchEvalJob<'a> {
             let pairs = launch_keys.len() * owned.len();
             let config = LaunchConfig::linear(pairs as u32, self.threads_per_block)
                 .with_cooperative(grid.cooperative);
-            // Each block owns one preallocated partial row; no result
-            // locking on the dispatch path.
-            let partials = AtomicLaneRows::new(pairs, lanes);
-
+            let kernel = BatchKernel {
+                job: self,
+                keys: launch_keys,
+                owned,
+                cooperative: grid.cooperative,
+                cycles,
+                // Each block owns one preallocated partial row; no result
+                // locking on the dispatch path.
+                partials: AtomicLaneRows::new(pairs, lanes),
+            };
             let report = backend.launch(
                 &grid.kernel_name,
                 config,
                 &[slice, &keys_alloc, &out_alloc],
-                &|block: &BlockContext<'_>| {
-                    let index = block.block_index() as usize;
-                    if index >= pairs {
-                        return;
-                    }
-                    let key = &launch_keys[index / owned.len()];
-                    let recorder = KernelRecorder::new(block, cycles);
-                    // The key is streamed from global memory once per block.
-                    block.counters().record_global_read(key.size_bytes() as u64);
-                    let partial = fused_eval_matmul_subtree(
-                        self.prg,
-                        key,
-                        self.table,
-                        owned[index % owned.len()],
-                        self.strategy,
-                        &recorder,
-                    );
-                    if grid.cooperative {
-                        // Grid-wide barrier before the cross-block reduction.
-                        if index == 0 {
-                            block.counters().record_grid_sync();
-                        }
-                        block.counters().record_flops(lanes as u64);
-                    }
-                    partials.store_row(index, &partial);
-                },
+                &kernel,
             );
 
-            for key_partials in partials.into_lane_vectors().chunks(owned.len()) {
+            let partials = kernel.partials.into_lane_vectors();
+            for slot in 0..launch_keys.len() {
                 let mut row = LaneVector::zeroed(lanes);
-                for partial in key_partials {
+                for partial in partials.iter().skip(slot).step_by(launch_keys.len()) {
                     if grid.cooperative {
                         // The cross-block partial sum is the backend's
                         // reduction primitive, so both in-tree backends
@@ -483,6 +479,79 @@ impl<'a> BatchEvalJob<'a> {
         backend.free(keys_alloc);
         // pir-lint: allow(panic-path, "the launch loop above set it for the first key; empty batches never reach a device")
         (rows, merged.expect("batch is non-empty"))
+    }
+}
+
+/// One launch over `(key, owned subtree)` pairs, subtree-major: block `s ·
+/// keys + k` evaluates key `k` over subtree `s`, so the blocks of a host
+/// worker's range are mostly keys sharing one subtree.
+struct BatchKernel<'k> {
+    job: &'k BatchEvalJob<'k>,
+    keys: &'k [DpfKey],
+    owned: &'k [Subtree],
+    cooperative: bool,
+    /// Modelled cycles per PRF call.
+    cycles: u64,
+    partials: AtomicLaneRows,
+}
+
+impl BatchKernel<'_> {
+    /// Evaluate the `blocks` of `range` — consecutive, one subtree's — as
+    /// one key group, sharing the table read ([`fused_eval_matmul_group`]),
+    /// then record each block's own events on its own recorder, one
+    /// recorder alive at a time, so a block's counters and peak are exactly
+    /// those of the block run alone.
+    fn run_group(&self, range: &BlockRange<'_>, blocks: Range<u64>) {
+        let width = self.keys.len() as u64;
+        let subtree = self.owned[(blocks.start / width) as usize];
+        let first = (blocks.start % width) as usize;
+        let group = &self.keys[first..first + (blocks.end - blocks.start) as usize];
+        let job = self.job;
+        let shares = fused_eval_matmul_group(job.prg, group, job.table, subtree, job.strategy);
+        let lanes = job.table.lanes_per_row() as u64;
+        for index in blocks.clone() {
+            let slot = (index - blocks.start) as usize;
+            let key = &group[slot];
+            let block = range.block(index);
+            let recorder = KernelRecorder::new(&block, self.cycles);
+            // The key is streamed from global memory once per block.
+            block.counters().record_global_read(key.size_bytes() as u64);
+            record_fused(key.depth(), job.table, subtree, job.strategy, &recorder);
+            drop(recorder); // flushed before the next block's is created
+            if self.cooperative {
+                // Grid-wide barrier before the cross-block reduction.
+                if index == 0 {
+                    block.counters().record_grid_sync();
+                }
+                block.counters().record_flops(lanes);
+            }
+            self.partials.store_row(index as usize, &shares[slot]);
+        }
+    }
+}
+
+impl Kernel for BatchKernel<'_> {
+    fn execute_block(&self, block: &BlockContext<'_>) {
+        let index = block.block_index();
+        let range = BlockRange::new(
+            index..index + 1,
+            block.config(),
+            block.counters(),
+            block.memory(),
+        );
+        self.execute_range(&range);
+    }
+
+    /// The range cut at subtree boundaries, each piece one key group.
+    fn execute_range(&self, range: &BlockRange<'_>) {
+        let width = self.keys.len() as u64;
+        let indices = range.indices();
+        let mut start = indices.start;
+        while start < indices.end {
+            let end = indices.end.min((start / width + 1) * width);
+            self.run_group(range, start..end);
+            start = end;
+        }
     }
 }
 
@@ -606,6 +675,46 @@ mod tests {
             assert!(out_a.throughput_qps() > 0.0);
             assert!(out_a.latency_ms() > 0.0);
             assert_eq!(out_a.total_prf_calls(), out_b.total_prf_calls());
+        }
+    }
+
+    /// A host worker runs the keys of its range that share a subtree in
+    /// lockstep. Whatever the batch size (whole ranges of eight, ragged
+    /// ones, ranges of one), the host threads, the backend and the ownership
+    /// (the root, or a restricted split whose subtrees cut ranges apart),
+    /// every share is the key's own fused evaluation. 2 500 rows make two
+    /// host runs, the second cut short by the end of the table.
+    #[test]
+    fn lockstep_ranges_give_every_key_its_own_share() {
+        let (prg, full, _, keys, _) = setup(2500, 4, 32, 58);
+        let kept = [40..700, 2100..2500];
+        let mut view = ShareMatrix::zeroed(2500, 4);
+        for row in kept.iter().flat_map(Clone::clone) {
+            view.set_row(row as usize, full.row(row as usize));
+        }
+        let depth = keys[0].depth();
+        let whole = DeviceSplit::new(depth, 1).unwrap();
+        let restricted = whole.clone().restricted_to(&kept, 2500);
+        assert!(restricted.owned_subtrees()[0].len() > 1);
+        let want: Vec<LaneVector> = keys
+            .iter()
+            .map(|key| fused_eval_matmul(&prg, key, &view, EvalStrategy::default(), &NullRecorder))
+            .collect();
+        for batch in [2usize, 3, 8, 9, 32] {
+            for threads in [1, 2] {
+                for kind in [BackendKind::Simulated, BackendKind::Host] {
+                    let backend = kind.build_with_host_threads(DeviceSpec::v100(), threads);
+                    for split in [&whole, &restricted] {
+                        let out = BatchEvalJob::new(&prg, PrfKind::SipHash, &keys[..batch], &view)
+                            .run_on_devices(split, &[backend.as_ref()]);
+                        assert_eq!(
+                            out.results,
+                            want[..batch],
+                            "B={batch} threads={threads} {kind:?} {split:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

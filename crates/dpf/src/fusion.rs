@@ -1,10 +1,24 @@
 //! DPF ⊗ matrix-multiplication operator fusion (§3.2.4).
+//!
+//! The fused kernel expands a key run by run and multiplies each run's leaf
+//! shares into the table rows they weigh, never materializing the `O(L)`
+//! leaf vector. The paper fuses per key and batches keys in one launch
+//! (§3.2.1), where the blocks an SM holds at the same time share the table
+//! through L2. The host runs a worker's blocks one after another, so the
+//! kernel takes the keys of a worker's range together
+//! (`fused_eval_matmul_group`): for each run, every key's leaves, then one
+//! sweep of the run's rows for all of them — the table is read once per key
+//! group instead of once per key. Computing records nothing; each key's
+//! events are `record_fused`'s, a function of the public shape, recorded
+//! on that key's own block. One key is the group of one.
 
-use pir_field::{matvec_accumulate_lanes, matvec_shares, LaneVector, Ring128, ShareMatrix};
+use pir_field::{matvec_accumulate_keys, matvec_shares, LaneVector, Ring128, ShareMatrix};
 use pir_prf::GgmPrg;
 
 use crate::recorder::Recorder;
-use crate::strategy::{eval_full_domain, expand_subtree, EvalStrategy, Subtree};
+use crate::strategy::{
+    account_subtree, eval_full_domain, EvalStrategy, FrontierBuffers, RunPlan, Subtree,
+};
 use crate::DpfKey;
 
 /// Fused evaluation: expand the DPF and immediately accumulate each chunk of
@@ -56,43 +70,110 @@ pub fn fused_eval_matmul_subtree<R>(
 where
     R: Recorder,
 {
-    assert!(
-        table.rows() as u64 >= key.params.domain_size,
-        "table with {} rows cannot serve a domain of {}",
-        table.rows(),
-        key.params.domain_size
-    );
-    let lanes = table.lanes_per_row();
-    let row_bytes = lanes as u64 * 4;
+    let mut shares =
+        fused_eval_matmul_group(prg, std::slice::from_ref(key), table, subtree, strategy);
+    record_fused(key.depth(), table, subtree, strategy, recorder);
+    // pir-lint: allow(panic-path, "a group of one key yields one share")
+    shares.pop().expect("one share per key")
+}
+
+/// Fused evaluation of several keys of one domain over the same subtree,
+/// sharing the table read: for each host run, every key's leaf shares, then
+/// one multi-key sweep of the run's rows ([`matvec_accumulate_keys`]).
+/// Returns one partial share per key, in order; records nothing.
+///
+/// Padded runs past the last table row are expanded like every other run —
+/// the PRF work is the public shape's — and only their sweep is skipped.
+///
+/// # Panics
+///
+/// Panics if the table has fewer rows than the keys' domain size.
+pub(crate) fn fused_eval_matmul_group(
+    prg: &GgmPrg,
+    keys: &[DpfKey],
+    table: &ShareMatrix,
+    subtree: Subtree,
+    strategy: EvalStrategy,
+) -> Vec<LaneVector> {
     let rows = table.rows() as u64;
+    for key in keys {
+        assert!(
+            rows >= key.params.domain_size,
+            "table with {rows} rows cannot serve a domain of {}",
+            key.params.domain_size
+        );
+    }
+    let mut accs = vec![LaneVector::zeroed(table.lanes_per_row()); keys.len()];
+    let Some(first) = keys.first() else {
+        return accs;
+    };
+    let plan = RunPlan::new(first.depth(), subtree, strategy);
+    let per_key = plan.roots_per_key();
+    let mut roots = Vec::with_capacity(keys.len() * per_key);
+    for key in keys {
+        plan.push_roots(prg, key, &mut roots);
+    }
+    let mut frontier = FrontierBuffers::for_job(plan.run_len());
+    let run_len = plan.run_len();
+    // One run of `u32` lane weights per key, back to back: the layout the
+    // multi-key sweep reads.
+    let mut weights = vec![0u32; keys.len() * run_len];
+
+    for run in 0..plan.runs() {
+        let key_runs = keys.iter().zip(roots.chunks_exact(per_key));
+        for ((key, key_roots), out) in key_runs.zip(weights.chunks_exact_mut(run_len)) {
+            plan.expand(prg, key, key_roots, run, &mut frontier, out);
+        }
+        let base = plan.run_base(run);
+        if base >= rows {
+            continue; // padded leaves beyond the real table
+        }
+        let usable = ((rows - base) as usize).min(run_len);
+        if usable < run_len {
+            // The table ends inside this run: close up each key's chunk.
+            for group in 1..keys.len() {
+                let from = group * run_len;
+                weights.copy_within(from..from + usable, group * usable);
+            }
+        }
+        matvec_accumulate_keys(
+            &mut accs,
+            &weights[..keys.len() * usable],
+            table,
+            base as usize,
+        );
+    }
+    accs
+}
+
+/// Record what the fused kernel records for one key of depth `depth` over
+/// `subtree`: its accumulator, the expansion ([`account_subtree`]), the
+/// table rows under the subtree and their multiply-adds — all functions of
+/// the public shape, identical whichever key of the shape it is.
+pub(crate) fn record_fused<R: Recorder>(
+    depth: u32,
+    table: &ShareMatrix,
+    subtree: Subtree,
+    strategy: EvalStrategy,
+    recorder: &R,
+) {
+    let lanes = table.lanes_per_row() as u64;
+    let row_bytes = lanes * 4;
+    let leaves = subtree.leaves(depth);
+    // Padded leaves beyond the real table read nothing.
+    let rows = leaves
+        .end
+        .min(table.rows() as u64)
+        .saturating_sub(leaves.start);
 
     // Per-block accumulator lives in registers / shared memory.
     recorder.alloc(row_bytes);
-    let mut acc = LaneVector::zeroed(lanes);
-
-    // The sweep multiplies by each share's low 32 bits only, so the engine
-    // emits the leaves at that width.
-    expand_subtree(
-        prg,
-        key,
-        subtree,
-        strategy,
-        recorder,
-        &mut |base, weights: &[u32]| {
-            if base >= rows {
-                return; // padded leaves beyond the real table
-            }
-            let usable = ((rows - base) as usize).min(weights.len());
-            recorder.global_read(usable as u64 * row_bytes);
-            recorder.arithmetic(usable as u64 * lanes as u64);
-            matvec_accumulate_lanes(&mut acc, &weights[..usable], table, base as usize);
-        },
-    );
-
+    account_subtree(recorder, depth, subtree, strategy, &mut |_, _| {});
+    recorder.global_read(rows * row_bytes);
+    recorder.arithmetic(rows * lanes);
     // The accumulator is written back to global memory once.
     recorder.global_write(row_bytes);
     recorder.release(row_bytes);
-    acc
 }
 
 /// Unfused baseline: materialize the entire leaf share vector in global

@@ -321,7 +321,8 @@ mod tests {
 
     /// Domains exercising the padded power-of-two case, the non-power-of-two
     /// truncation, the singleton tree, and (5 000) a memory-bounded descent
-    /// above several host runs, whose `K`-chunk events are replayed.
+    /// above several host runs, whose `K`-chunk events are accounted apart
+    /// from them.
     const DOMAINS: [u64; 5] = [1, 13, 64, 200, 5000];
     const _: () = assert!(DOMAINS[4] > 2 * crate::tile::HOST_FRONTIER_LEAVES as u64);
 
@@ -476,6 +477,46 @@ mod tests {
                 out.report.peak_memory_bytes,
                 job.resident_bytes() + reference.peak_bytes(),
                 "{what}: report peak memory"
+            );
+        }
+
+        // A 9-key batch at one host thread runs a range of eight keys in
+        // lockstep and a ragged range of one. Its counters are the per-key
+        // references summed, and its peak is one key's on top of the
+        // resident bytes: the references run one after another into one
+        // recorder, which sums their events and keeps the largest peak.
+        let keys: Vec<DpfKey> = (0..9)
+            .map(|i| generate_keys(&prg, &params, i * 53, Ring128::ONE, &mut rng).0)
+            .collect();
+        let key_bytes: u64 = keys.iter().map(|key| key.size_bytes() as u64).sum();
+        for strategy in STRATEGIES {
+            let reference = CountingRecorder::new();
+            for key in &keys {
+                let _ = reference_fused_eval_matmul(&prg, key, &table, strategy, &reference);
+            }
+            let executor = GpuExecutor::with_host_threads(DeviceSpec::v100(), 1);
+            let job =
+                BatchEvalJob::new(&prg, PrfKind::SipHash, &keys, &table).with_strategy(strategy);
+            let out = job.run_on(&executor);
+
+            let what = format!("{strategy:?}, 9 keys");
+            let counters = out.report.counters;
+            assert_eq!(counters.prf_calls, reference.prf_calls_total(), "{what}");
+            assert_eq!(
+                counters.global_read_bytes,
+                reference.read_bytes_total() + key_bytes,
+                "{what}: fused reads + streamed keys"
+            );
+            assert_eq!(
+                counters.global_write_bytes,
+                reference.write_bytes_total(),
+                "{what}"
+            );
+            assert_eq!(counters.flops, reference.arithmetic_total(), "{what}");
+            assert_eq!(
+                out.report.peak_memory_bytes,
+                job.resident_bytes() + reference.peak_bytes(),
+                "{what}: one key's peak"
             );
         }
     }

@@ -135,19 +135,20 @@ impl Recorder for CountingRecorder {
 /// kernel.
 ///
 /// One recorder serves one block, and the block's events are accumulated in
-/// plain cells: a 2^16-leaf memory-bounded expansion emits ~23 000 events,
-/// and issuing each as an atomic read-modify-write on counters every host
-/// thread shares made a multi-threaded launch no faster than one thread. The
-/// event counters are flushed into the launch's [`gpu_sim::KernelCounters`]
-/// once, when the recorder drops; totals are identical by construction.
+/// plain cells and flushed into the launch's [`gpu_sim::KernelCounters`]
+/// once, when the recorder drops: issuing each as an atomic read-modify-write
+/// on counters every host thread shares made a multi-threaded launch no
+/// faster than one thread. Totals are identical by construction.
 ///
 /// Scratch memory is tracked as the block's own live and peak bytes. Each
 /// *rise* of the block's peak is published to the launch's
-/// [`gpu_sim::MemoryTracker`] as it happens (a handful per block — the peak
-/// is reached inside the first chunk) and the whole peak is returned on drop,
-/// so the tracker holds the sum of the running blocks' peaks so far: exactly
-/// the interleaved high-water mark on one host thread, and an upper bound of
-/// it — never less — on several.
+/// [`gpu_sim::MemoryTracker`] as it happens and the whole peak is returned on
+/// drop, so the tracker holds the sum of the live recorders' peaks. The peak
+/// is exact only at one host thread: there one recorder is alive at a time
+/// (the batch kernel records a block after computing its key group, and
+/// drops each block's recorder before creating the next), so the tracker's
+/// high-water mark is the largest block's. On several threads each holds
+/// one, and the mark is an upper bound — never less.
 pub struct KernelRecorder<'a, 'b> {
     ctx: &'a BlockContext<'b>,
     prf_cycles_per_call: u64,

@@ -10,6 +10,13 @@
 //! model is layout-independent by construction (the parity tests in
 //! `parity_tests` prove both properties against the scalar reference).
 //!
+//! Computing and recording are separate: a `RunPlan` cuts a subtree into
+//! host runs and computes their leaves without recording anything, and
+//! `account_subtree` records the modelled kernel's events over the same
+//! shape. Both are functions of the public shape, which is what lets the
+//! fused batch kernel expand several keys' runs in lockstep and still charge
+//! each block exactly its own key's events.
+//!
 //! The engine is generic over the leaf width it emits (`eval::Leaf`):
 //! full `Ring128` shares for the evaluation API, `u32` lane weights for the
 //! fused DPF × table kernel, which reads nothing else of a share.
@@ -23,7 +30,7 @@ use std::ops::Range;
 use crate::eval::{
     descend_both, descend_one, leaf_share, subtree_root_state, Leaf, NodeState, NODE_STATE_BYTES,
 };
-use crate::recorder::Recorder;
+use crate::recorder::{NullRecorder, Recorder};
 use crate::tile::{FRONTIER_TILE, HOST_FRONTIER_LEAVES};
 use crate::DpfKey;
 
@@ -201,10 +208,10 @@ impl Default for Subtree {
 /// reconstructed value is zero), callers that multiply against a table simply
 /// skip them.
 ///
-/// This is the single implementation behind plain evaluation, fused
-/// evaluation and the simulated GPU kernels: the `recorder` observes PRF
-/// calls, scratch allocation and memory traffic so the same code produces
-/// both functional results and performance counters.
+/// This is the single implementation behind plain evaluation and the
+/// `recorder`'s view of it: the leaves come from the host's runs, and the
+/// recorder observes the PRF calls, scratch memory and arithmetic of the
+/// modelled kernel over the same shape, before the visitor's calls.
 pub fn eval_subtree_with<R, F>(
     prg: &GgmPrg,
     key: &DpfKey,
@@ -219,10 +226,8 @@ pub fn eval_subtree_with<R, F>(
     expand_subtree(prg, key, subtree, strategy, recorder, visitor);
 }
 
-/// [`eval_subtree_with`] at the leaf width `L` the consumer reads: the one
-/// engine behind the `Ring128` evaluation API and the fused kernel's `u32`
-/// lane weights. `visitor` sees, for every leaf `j`, exactly
-/// `L::narrow(share_j)`.
+/// [`eval_subtree_with`] at the leaf width `L` the consumer reads: `visitor`
+/// sees, for every leaf `j`, exactly `L::narrow(share_j)`.
 pub(crate) fn expand_subtree<L, R, F>(
     prg: &GgmPrg,
     key: &DpfKey,
@@ -235,57 +240,29 @@ pub(crate) fn expand_subtree<L, R, F>(
     R: Recorder,
     F: FnMut(u64, &[L]),
 {
-    let root = subtree_root_state(prg, key, subtree.prefix, subtree.prefix_bits, recorder);
-    let depth_below = key.depth() - subtree.prefix_bits;
-    let base_index = subtree.base_index(key);
-
-    match strategy {
-        EvalStrategy::BranchParallel => {
-            branch_parallel(
-                prg,
-                key,
-                root,
-                subtree,
-                depth_below,
-                base_index,
-                recorder,
-                visitor,
-            );
-        }
-        EvalStrategy::LevelByLevel => {
-            let mut frontier = FrontierBuffers::for_job(1usize << depth_below);
-            let leaves = level_by_level(
-                prg,
-                key,
-                root,
-                subtree.prefix_bits,
-                depth_below,
-                &mut frontier,
-            );
-            account(
-                recorder,
-                depth_below,
-                depth_below,
-                base_index,
-                leaves,
-                visitor,
-            );
-        }
-        EvalStrategy::MemoryBounded { chunk } => {
-            let chunk = chunk.max(1).next_power_of_two();
-            memory_bounded(
-                prg,
-                key,
-                root,
-                subtree.prefix_bits,
-                depth_below,
-                base_index,
-                chunk,
-                recorder,
-                visitor,
-            );
-        }
-    }
+    let plan = RunPlan::new(key.depth(), subtree, strategy);
+    let mut roots = Vec::with_capacity(plan.roots_per_key());
+    plan.push_roots(prg, key, &mut roots);
+    let mut frontier = FrontierBuffers::for_job(plan.run_len());
+    let mut leaves = vec![L::default(); plan.run_len()];
+    // Every chunk lies inside one run and the chunks come in leaf order, so
+    // each run is expanded once, when its first chunk is visited.
+    let mut expanded = None;
+    account_subtree(
+        recorder,
+        key.depth(),
+        subtree,
+        strategy,
+        &mut |base, len| {
+            let run = (base - plan.base) >> plan.run_bits;
+            if expanded != Some(run) {
+                plan.expand(prg, key, &roots, run, &mut frontier, &mut leaves);
+                expanded = Some(run);
+            }
+            let offset = (base - plan.run_base(run)) as usize;
+            visitor(base, &leaves[offset..offset + len]);
+        },
+    );
 }
 
 /// Expand `key` over its whole domain, streaming leaf chunks to `visitor`.
@@ -331,63 +308,236 @@ where
     output
 }
 
-/// Branch-parallel: each leaf re-walks its path from the subtree root.
-#[allow(clippy::too_many_arguments)]
-fn branch_parallel<L, R, F>(
+/// Leaves per branch-parallel chunk (at most; the whole subtree if smaller).
+const BRANCH_CHUNK_BITS: u32 = 8;
+
+/// How the host expands one subtree: in runs of `2^run_bits` leaves, in leaf
+/// order, each from its own root. A function of the public shape alone.
+///
+/// *Execute wide, account narrow.* The paper sizes the memory-bounded `K` to
+/// a thread block's shared memory; on the host the top levels of a `K`-leaf
+/// chunk hold 1–8 nodes, too few to fill a vector PRF sweep. So the host
+/// expands the levels above a [`HOST_FRONTIER_LEAVES`]-leaf run (or a
+/// `K`-leaf one, if larger) breadth-first once — the run roots — and each
+/// run level by level, while [`account_subtree`] records what the `K`-leaf
+/// traversal records over the same shape: the shares, the chunks and every
+/// counter are those of the paper's `K`, and the PRF evaluates the same
+/// blocks. Level-by-level is one run of the whole subtree; branch-parallel
+/// re-walks every leaf of a run from the subtree root.
+///
+/// Because computing records nothing, several keys sharing a subtree can be
+/// expanded run by run in lockstep (the fused batch kernel), each key's
+/// events recorded afterwards on its own block.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RunPlan {
+    subtree: Subtree,
+    /// Levels below the subtree root.
+    depth_below: u32,
+    /// Levels expanded breadth-first above the runs.
+    top_bits: u32,
+    /// `log2` of the leaves per run.
+    run_bits: u32,
+    /// Branch-parallel: each leaf re-walks its path from the subtree root.
+    rewalk: bool,
+    /// First leaf of the subtree (padded-domain index).
+    base: u64,
+}
+
+impl RunPlan {
+    /// The runs of `subtree` of a depth-`depth` key under `strategy`.
+    pub(crate) fn new(depth: u32, subtree: Subtree, strategy: EvalStrategy) -> Self {
+        let depth_below = depth - subtree.prefix_bits;
+        let (run_bits, rewalk) = match strategy {
+            EvalStrategy::BranchParallel => (BRANCH_CHUNK_BITS.min(depth_below), true),
+            EvalStrategy::LevelByLevel => (depth_below, false),
+            EvalStrategy::MemoryBounded { chunk } => {
+                let run = chunk.max(1).next_power_of_two().max(HOST_FRONTIER_LEAVES);
+                ((run as u64).trailing_zeros().min(depth_below), false)
+            }
+        };
+        Self {
+            subtree,
+            depth_below,
+            top_bits: if rewalk { 0 } else { depth_below - run_bits },
+            run_bits,
+            rewalk,
+            base: subtree.leaves(depth).start,
+        }
+    }
+
+    /// Number of runs, in leaf order.
+    pub(crate) fn runs(&self) -> u64 {
+        1 << (self.depth_below - self.run_bits)
+    }
+
+    /// Leaves per run.
+    pub(crate) fn run_len(&self) -> usize {
+        1 << self.run_bits
+    }
+
+    /// First leaf (padded-domain index) of run `run`.
+    pub(crate) fn run_base(&self, run: u64) -> u64 {
+        self.base + (run << self.run_bits)
+    }
+
+    /// Nodes [`RunPlan::push_roots`] appends per key.
+    pub(crate) fn roots_per_key(&self) -> usize {
+        1 << self.top_bits
+    }
+
+    /// Append `key`'s run roots to `roots`: the subtree root, expanded
+    /// breadth-first down to the runs — the PRF blocks the paper's
+    /// depth-first descent evaluates, in another order. A re-walk starts
+    /// every run from the subtree root itself.
+    pub(crate) fn push_roots(&self, prg: &GgmPrg, key: &DpfKey, roots: &mut Vec<NodeState>) {
+        let Subtree {
+            prefix,
+            prefix_bits,
+        } = self.subtree;
+        let first = roots.len();
+        let root = subtree_root_state(prg, key, prefix, prefix_bits, &NullRecorder);
+        roots.push(root);
+        for level in prefix_bits..prefix_bits + self.top_bits {
+            // In place, last parent first: node i's children land in slots
+            // 2i and 2i + 1, never over a parent still to expand.
+            let parents = roots.len() - first;
+            roots.resize(first + 2 * parents, root);
+            for node in (0..parents).rev() {
+                let state = roots[first + node];
+                let (left, right) = descend_both(prg, key, state, level as usize, &NullRecorder);
+                roots[first + 2 * node] = left;
+                roots[first + 2 * node + 1] = right;
+            }
+        }
+    }
+
+    /// Write run `run` of `key` — from the key's `roots`, as pushed by
+    /// [`RunPlan::push_roots`] — into `out` ([`RunPlan::run_len`] leaves).
+    /// Records nothing.
+    pub(crate) fn expand<L: Leaf>(
+        &self,
+        prg: &GgmPrg,
+        key: &DpfKey,
+        roots: &[NodeState],
+        run: u64,
+        frontier: &mut FrontierBuffers,
+        out: &mut [L],
+    ) {
+        let level = self.subtree.prefix_bits + self.top_bits;
+        if self.rewalk {
+            rewalk(
+                prg,
+                key,
+                roots[0],
+                level,
+                self.depth_below,
+                run << self.run_bits,
+                out,
+            );
+        } else {
+            let root = roots[run as usize];
+            level_by_level(prg, key, root, level, self.run_bits, frontier, out);
+        }
+    }
+}
+
+/// Record what the modelled kernel records for expanding `subtree` of a
+/// depth-`depth` key with `strategy`, then call `visitor(base, len)` once per
+/// chunk of leaves, in leaf order.
+///
+/// The per-node formulation's events, summed: its PRF calls, its leaf
+/// conversions and its scratch high-water mark, in closed form. Every
+/// recorder reads these as totals and a peak, so one allocation to the peak
+/// and back stands for the traversal's whole allocate/release sequence; the
+/// parity tests assert the result counter by counter against the per-node
+/// reference. All of it is a function of the shape alone, and recording it
+/// costs a handful of events whatever the domain.
+pub(crate) fn account_subtree<R, F>(
+    recorder: &R,
+    depth: u32,
+    subtree: Subtree,
+    strategy: EvalStrategy,
+    visitor: &mut F,
+) where
+    R: Recorder,
+    F: FnMut(u64, usize),
+{
+    let height = depth - subtree.prefix_bits;
+    let leaves = 1u64 << height;
+    let (chunk_bits, prf_calls, peak_bytes) = match strategy {
+        // Each leaf re-walks its path, one call per level, into one chunk
+        // buffer live for the whole subtree.
+        EvalStrategy::BranchParallel => {
+            let chunk_bits = BRANCH_CHUNK_BITS.min(height);
+            let peak = (1u64 << chunk_bits) * LEAF_BYTES;
+            (chunk_bits, leaves * u64::from(height), peak)
+        }
+        // One level-by-level chunk: two calls per inner node.
+        EvalStrategy::LevelByLevel => (height, 2 * (leaves - 1), chunk_peak(height)),
+        // Depth-first down to `K`-leaf chunks: the same calls, and one node
+        // state per level above the chunk live beside the chunk's own peak.
+        EvalStrategy::MemoryBounded { chunk } => {
+            let chunk = chunk.max(1).next_power_of_two();
+            let chunk_bits = (chunk as u64).trailing_zeros().min(height);
+            let descent = u64::from(height - chunk_bits) * NODE_STATE_BYTES;
+            (
+                chunk_bits,
+                2 * (leaves - 1),
+                descent + chunk_peak(chunk_bits),
+            )
+        }
+    };
+    // The walk from the root to the subtree root: one call per level.
+    recorder.prf_calls(u64::from(subtree.prefix_bits) + prf_calls);
+    recorder.alloc(peak_bytes);
+    recorder.release(peak_bytes);
+    recorder.arithmetic(leaves);
+    let chunk_len = 1u64 << chunk_bits;
+    let base = subtree.leaves(depth).start;
+    for chunk_base in (base..base + leaves).step_by(chunk_len as usize) {
+        visitor(chunk_base, chunk_len as usize);
+    }
+}
+
+/// Scratch high-water mark of one per-node level-by-level expansion of
+/// `2^bits` leaves: the root state, then each level's children beside their
+/// parents (three half-widths of the last level at most), then the leaves
+/// beside the last level of states.
+fn chunk_peak(bits: u32) -> u64 {
+    let leaves = 1u64 << bits;
+    (leaves * (NODE_STATE_BYTES + LEAF_BYTES)).max(3 * leaves / 2 * NODE_STATE_BYTES)
+}
+
+/// Branch-parallel: leaf `first_local + i` of the `depth_below`-level subtree
+/// under `root` (at absolute depth `level_offset`) into `out[i]`, each
+/// re-walking its path from `root`.
+fn rewalk<L: Leaf>(
     prg: &GgmPrg,
     key: &DpfKey,
     root: NodeState,
-    subtree: Subtree,
+    level_offset: u32,
     depth_below: u32,
-    base_index: u64,
-    recorder: &R,
-    visitor: &mut F,
-) where
-    L: Leaf,
-    R: Recorder,
-    F: FnMut(u64, &[L]),
-{
-    let leaves = 1u64 << depth_below;
-    let chunk_len = (leaves as usize).min(256);
-    recorder.alloc(chunk_len as u64 * LEAF_BYTES);
-    let mut buffer = Vec::with_capacity(chunk_len);
-    let mut chunk_base = base_index;
-
-    for local in 0..leaves {
+    first_local: u64,
+    out: &mut [L],
+) {
+    for (local, leaf) in (first_local..).zip(out.iter_mut()) {
         let mut state = root;
         for level in 0..depth_below {
             let right = (local >> (depth_below - 1 - level)) & 1 == 1;
-            state = descend_one(
-                prg,
-                key,
-                state,
-                (subtree.prefix_bits + level) as usize,
-                right,
-                recorder,
-            );
+            let level = (level_offset + level) as usize;
+            state = descend_one(prg, key, state, level, right, &NullRecorder);
         }
-        buffer.push(L::narrow(leaf_share(key, state)));
-        recorder.arithmetic(1);
-        if buffer.len() == chunk_len {
-            visitor(chunk_base, &buffer);
-            chunk_base += buffer.len() as u64;
-            buffer.clear();
-        }
+        *leaf = L::narrow(leaf_share(key, state));
     }
-    if !buffer.is_empty() {
-        visitor(chunk_base, &buffer);
-    }
-    recorder.release(chunk_len as u64 * LEAF_BYTES);
 }
 
 /// Reusable buffers backing the frontier engine: ping-pong seed levels with
-/// packed control bits, the PRF scratch, and the leaves of one run, handed to
-/// the visitor chunk by chunk.
+/// packed control bits and the PRF scratch.
 ///
-/// One instance serves a whole expansion job — `MemoryBounded` reuses it
-/// across every host run of a `fused_eval_matmul` call, so the hot loop
-/// performs no allocation after the first run.
-struct FrontierBuffers<L> {
+/// One instance serves a whole expansion job — every run of every key a
+/// [`RunPlan`] expands — so the hot loop performs no allocation after the
+/// first run.
+pub(crate) struct FrontierBuffers {
     /// Seeds of the current level (the frontier).
     seeds: Vec<Block128>,
     /// Seeds of the next level (swap target).
@@ -398,16 +548,14 @@ struct FrontierBuffers<L> {
     next_t_bits: Vec<u64>,
     /// Raw PRF sweep outputs, owned by [`GgmPrg::expand_frontier`].
     scratch: FrontierScratch,
-    /// Leaf shares of the finished chunk, at the width the visitor reads.
-    leaves: Vec<L>,
 }
 
-impl<L: Leaf> FrontierBuffers<L> {
+impl FrontierBuffers {
     /// Buffers sized so that expanding up to `leaves` leaves never
     /// reallocates. The leaf level is converted to shares straight from the
     /// sweep, never stored as seeds, so the widest seed level is `leaves / 2`
     /// (or the lone root).
-    fn for_job(leaves: usize) -> Self {
+    pub(crate) fn for_job(leaves: usize) -> Self {
         let seeds = (leaves / 2).max(1);
         Self {
             seeds: Vec::with_capacity(seeds),
@@ -415,30 +563,31 @@ impl<L: Leaf> FrontierBuffers<L> {
             t_bits: Vec::with_capacity(seeds.div_ceil(64)),
             next_t_bits: Vec::with_capacity(seeds.div_ceil(64)),
             scratch: FrontierScratch::with_capacity(FRONTIER_TILE.min(seeds)),
-            leaves: Vec::with_capacity(leaves),
         }
     }
 }
 
 /// Level-by-level: materialize every node of each level, expanding the whole
-/// frontier per level with two batched PRF sweeps, and return the
-/// `2^depth_below` leaf shares under `root`.
+/// frontier per level with two batched PRF sweeps, and write the
+/// `2^depth_below` leaf shares under `root` into `out`.
 ///
 /// `level_offset` is the absolute tree depth of `root` (0 when expanding from
 /// the real root), needed to pick the right correction words when expanding a
 /// subtree.
 ///
-/// The run records nothing: what the modelled kernel would record for it is
-/// replayed afterwards by [`account`], so the host can expand at a width the
-/// model does not share.
-fn level_by_level<'f, L: Leaf>(
+/// The run records nothing: what the modelled kernel records is
+/// [`account_subtree`]'s, so the host can expand at a width the model does
+/// not share.
+fn level_by_level<L: Leaf>(
     prg: &GgmPrg,
     key: &DpfKey,
     root: NodeState,
     level_offset: u32,
     depth_below: u32,
-    frontier: &'f mut FrontierBuffers<L>,
-) -> &'f [L] {
+    frontier: &mut FrontierBuffers,
+    out: &mut [L],
+) {
+    debug_assert_eq!(out.len(), 1 << depth_below);
     // Buffer lengths are tracked explicitly and the Vecs only ever grow:
     // every slot in play is overwritten by the fused pass, so per-level
     // resizing (with its zero-fill on regrowth) would be pure overhead when
@@ -460,9 +609,7 @@ fn level_by_level<'f, L: Leaf>(
         // shares directly in the fused pass instead of materializing a final
         // seed level and re-reading it.
         let is_last = level + 1 == depth_below;
-        if is_last {
-            grow(&mut frontier.leaves, next_len, L::default());
-        } else {
+        if !is_last {
             grow(&mut frontier.next_seeds, next_len, Block128::ZERO);
             grow(&mut frontier.next_t_bits, next_len.div_ceil(64), 0);
         }
@@ -517,12 +664,12 @@ fn level_by_level<'f, L: Leaf>(
                 };
 
                 if is_last {
-                    let leaves = &mut frontier.leaves[2 * node_base..2 * (node_base + group_len)];
-                    for ((l, r), out) in lefts.iter().zip(rights).zip(leaves.chunks_exact_mut(2)) {
+                    let leaves = &mut out[2 * node_base..2 * (node_base + group_len)];
+                    for ((l, r), pair) in lefts.iter().zip(rights).zip(leaves.chunks_exact_mut(2)) {
                         let (l_seed, l_t, r_seed, r_t) = correct(parent_bits, l, r);
                         parent_bits >>= 1;
-                        out[0] = L::share(final_cw, negate, l_seed.0, l_seed.1, l_t);
-                        out[1] = L::share(final_cw, negate, r_seed.0, r_seed.1, r_t);
+                        pair[0] = L::share(final_cw, negate, l_seed.0, l_seed.1, l_t);
+                        pair[1] = L::share(final_cw, negate, r_seed.0, r_seed.1, r_t);
                     }
                 } else {
                     let children =
@@ -553,57 +700,8 @@ fn level_by_level<'f, L: Leaf>(
     }
 
     if depth_below == 0 {
-        grow(&mut frontier.leaves, 1, L::default());
-        frontier.leaves[0] = L::narrow(leaf_share(key, root));
+        out[0] = L::narrow(leaf_share(key, root));
     }
-    &frontier.leaves[..len]
-}
-
-/// Record the events of a `2^chunk_bits`-leaf memory-bounded traversal of a
-/// `2^height`-leaf subtree whose `leaves` are already computed, calling
-/// `visitor` once per chunk in leaf order between the chunk's leaf
-/// allocation and release — exactly where the traversal would.
-///
-/// Above the chunk level a node charges its state and the two PRF calls of
-/// its expansion around both children; a chunk charges the per-node
-/// level-by-level stream (root state, each level's allocation, sweep and
-/// release of its parent level, then the leaves). These are the events of
-/// the per-node formulation, event for event; the parity tests assert it
-/// counter by counter.
-fn account<L, R, F>(
-    recorder: &R,
-    height: u32,
-    chunk_bits: u32,
-    base_index: u64,
-    leaves: &[L],
-    visitor: &mut F,
-) where
-    R: Recorder,
-    F: FnMut(u64, &[L]),
-{
-    if height > chunk_bits {
-        recorder.alloc(NODE_STATE_BYTES);
-        recorder.prf_calls(2);
-        let (left, right) = leaves.split_at(leaves.len() / 2);
-        account(recorder, height - 1, chunk_bits, base_index, left, visitor);
-        let right_base = base_index + left.len() as u64;
-        account(recorder, height - 1, chunk_bits, right_base, right, visitor);
-        recorder.release(NODE_STATE_BYTES);
-        return;
-    }
-    recorder.alloc(NODE_STATE_BYTES);
-    for level in 0..height {
-        let len = 1u64 << level;
-        recorder.alloc(2 * len * NODE_STATE_BYTES);
-        recorder.prf_calls(2 * len);
-        recorder.release(len * NODE_STATE_BYTES);
-    }
-    let leaf_count = leaves.len() as u64;
-    recorder.alloc(leaf_count * LEAF_BYTES);
-    recorder.arithmetic(leaf_count);
-    visitor(base_index, leaves);
-    recorder.release(leaf_count * LEAF_BYTES);
-    recorder.release(leaf_count * NODE_STATE_BYTES);
 }
 
 /// Grow `buf` to at least `n` entries without ever shrinking it.
@@ -612,102 +710,6 @@ fn grow<T: Copy>(buf: &mut Vec<T>, n: usize, fill: T) {
     if buf.len() < n {
         buf.resize(n, fill);
     }
-}
-
-/// Memory-bounded tree traversal: depth-first over `chunk`-leaf subtrees, each
-/// expanded level-by-level and consumed immediately.
-///
-/// *Execute wide, account narrow.* The paper sizes `K` to a thread block's
-/// shared memory; on the host the top levels of a `K`-leaf chunk hold 1–8
-/// nodes, too few to fill a vector PRF sweep. So the host descends only to
-/// subtrees of [`HOST_FRONTIER_LEAVES`] leaves (or `chunk`, if larger),
-/// expands each in one level-by-level run, and replays over the computed
-/// leaves the events the `chunk`-leaf traversal records ([`account`]): the
-/// shares, the visitor's `(base, chunk)` calls and every counter are those
-/// of the paper's `K`, and the PRF evaluates the same number of blocks.
-#[allow(clippy::too_many_arguments)]
-fn memory_bounded<L, R, F>(
-    prg: &GgmPrg,
-    key: &DpfKey,
-    root: NodeState,
-    prefix_bits: u32,
-    depth_below: u32,
-    base_index: u64,
-    chunk: usize,
-    recorder: &R,
-    visitor: &mut F,
-) where
-    L: Leaf,
-    R: Recorder,
-    F: FnMut(u64, &[L]),
-{
-    let chunk_bits = (chunk as u64).trailing_zeros().min(depth_below);
-    let run_bits = (chunk.max(HOST_FRONTIER_LEAVES) as u64)
-        .trailing_zeros()
-        .min(depth_below);
-    // One set of frontier buffers serves every run of this traversal: after
-    // the first run the hot loop allocates nothing.
-    let mut frontier = FrontierBuffers::for_job(1usize << run_bits);
-
-    // Recursive depth-first descent; the explicit recursion depth is bounded by
-    // 64 levels so the host stack is more than sufficient.
-    #[allow(clippy::too_many_arguments)]
-    fn descend<L, R, F>(
-        prg: &GgmPrg,
-        key: &DpfKey,
-        state: NodeState,
-        level: u32,
-        remaining: u32,
-        chunk_bits: u32,
-        run_bits: u32,
-        base_index: u64,
-        recorder: &R,
-        visitor: &mut F,
-        frontier: &mut FrontierBuffers<L>,
-    ) where
-        L: Leaf,
-        R: Recorder,
-        F: FnMut(u64, &[L]),
-    {
-        if remaining <= run_bits {
-            let leaves = level_by_level(prg, key, state, level, remaining, frontier);
-            account(recorder, remaining, chunk_bits, base_index, leaves, visitor);
-            return;
-        }
-        recorder.alloc(NODE_STATE_BYTES);
-        let (left, right) = descend_both(prg, key, state, level as usize, recorder);
-        let half = 1u64 << (remaining - 1);
-        for (child, base) in [(left, base_index), (right, base_index + half)] {
-            descend(
-                prg,
-                key,
-                child,
-                level + 1,
-                remaining - 1,
-                chunk_bits,
-                run_bits,
-                base,
-                recorder,
-                visitor,
-                frontier,
-            );
-        }
-        recorder.release(NODE_STATE_BYTES);
-    }
-
-    descend(
-        prg,
-        key,
-        root,
-        prefix_bits,
-        depth_below,
-        chunk_bits,
-        run_bits,
-        base_index,
-        recorder,
-        visitor,
-        &mut frontier,
-    );
 }
 
 #[cfg(test)]

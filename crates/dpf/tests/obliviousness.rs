@@ -25,6 +25,9 @@ const ROWS: usize = 300; // non-power-of-two: the padded leaves are swept too
 const WIDE_ROWS: usize = 5000;
 const LANES: usize = 6;
 const BATCH: usize = 4;
+/// One host worker runs a launch in ranges of eight blocks: nine keys make
+/// a range run in lockstep and a ragged range of one.
+const LOCKSTEP_BATCH: usize = 9;
 const KIND: PrfKind = PrfKind::SipHash;
 
 const SHAPES: [(EvalStrategy, GridMapping); 4] = [
@@ -45,12 +48,12 @@ fn table(rng: &mut StdRng, rows: usize) -> ShareMatrix {
     ShareMatrix::from_rows(rows, LANES, data)
 }
 
-/// Both parties' keys for `BATCH` random indices, generated with a PRF the
+/// Both parties' keys for `batch` random indices, generated with a PRF the
 /// servers' counter never sees.
-fn random_batch(rng: &mut StdRng, rows: usize) -> [Vec<DpfKey>; 2] {
+fn random_batch(rng: &mut StdRng, rows: usize, batch: usize) -> [Vec<DpfKey>; 2] {
     let client = GgmPrg::new(build_prf(KIND));
     let params = DpfParams::for_domain(rows as u64);
-    let (party0, party1) = (0..BATCH)
+    let (party0, party1) = (0..batch)
         .map(|_| {
             let alpha = rng.gen_range(0..rows as u64);
             generate_keys(&client, &params, alpha, Ring128::ONE, rng)
@@ -112,14 +115,15 @@ fn observe(
     }
 }
 
-/// Every observable of a launch over `split` of a `rows`-row table is one
-/// value, whatever the indices the keys hide (inside or outside the owned
-/// rows alike) and whichever party's keys they are. Returns that value per
-/// shape.
+/// Every observable of a launch of `batch` keys over `split` of a `rows`-row
+/// table is one value, whatever the indices the keys hide (inside or outside
+/// the owned rows alike) and whichever party's keys they are. Returns that
+/// value per shape.
 fn pinned_across_indices_and_parties(
     split: &DeviceSplit,
     seed: u64,
     rows: usize,
+    batch: usize,
     shapes: &[(EvalStrategy, GridMapping)],
 ) -> Vec<Observed> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -128,7 +132,7 @@ fn pinned_across_indices_and_parties(
     for &(strategy, mapping) in shapes {
         let mut reference: Option<Observed> = None;
         for trial in 0..16 {
-            for (party, keys) in random_batch(&mut rng, rows).iter().enumerate() {
+            for (party, keys) in random_batch(&mut rng, rows, batch).iter().enumerate() {
                 // Fresh backends, so the whole ledger is this batch's delta.
                 for backend in backends(1) {
                     let seen = observe(backend.as_ref(), keys, &table, strategy, mapping, split);
@@ -151,7 +155,7 @@ fn pinned_across_indices_and_parties(
 
 #[test]
 fn server_work_is_independent_of_the_index_and_the_party() {
-    pinned_across_indices_and_parties(&one_device(ROWS, None), 0x0B11_7105, ROWS, &SHAPES);
+    pinned_across_indices_and_parties(&one_device(ROWS, None), 0x0B11_7105, ROWS, BATCH, &SHAPES);
 }
 
 /// The deployed shape on a table spanning several host runs.
@@ -165,6 +169,25 @@ fn server_work_past_one_host_run_is_independent_of_the_index_and_the_party() {
         &one_device(WIDE_ROWS, None),
         0x0B11_7106,
         WIDE_ROWS,
+        BATCH,
+        &[shape],
+    );
+}
+
+/// Keys that share a host worker's range run in lockstep, run by run; the
+/// ranges are cut from the batch size alone, so nothing observable may
+/// depend on which indices the keys of a range hide.
+#[test]
+fn a_lockstep_batch_with_a_ragged_range_is_independent_of_the_index_and_the_party() {
+    let shape = (
+        EvalStrategy::MemoryBounded { chunk: 128 },
+        GridMapping::BlockPerQuery,
+    );
+    pinned_across_indices_and_parties(
+        &one_device(WIDE_ROWS, None),
+        0x0B11_7107,
+        WIDE_ROWS,
+        LOCKSTEP_BATCH,
         &[shape],
     );
 }
@@ -174,14 +197,20 @@ fn server_work_past_one_host_run_is_independent_of_the_index_and_the_party() {
 /// the owned rows; nothing observable may tell which.
 #[test]
 fn an_owned_subtree_launch_is_as_oblivious_as_a_full_one() {
-    let whole =
-        pinned_across_indices_and_parties(&one_device(ROWS, None), 0x5AAD_0001, ROWS, &SHAPES);
+    let whole = pinned_across_indices_and_parties(
+        &one_device(ROWS, None),
+        0x5AAD_0001,
+        ROWS,
+        BATCH,
+        &SHAPES,
+    );
     let upper_half = 256..ROWS as u64;
     for kept in [std::slice::from_ref(&upper_half), &[3..40, 100..101]] {
         let owned = pinned_across_indices_and_parties(
             &one_device(ROWS, Some(kept)),
             0x5AAD_0001,
             ROWS,
+            BATCH,
             &SHAPES,
         );
         for (owned, whole) in owned.iter().zip(&whole) {
@@ -206,7 +235,7 @@ fn an_owned_subtree_launch_is_as_oblivious_as_a_full_one() {
 fn counters_do_not_depend_on_host_threads() {
     let mut rng = StdRng::seed_from_u64(0x7412_EAD5);
     let table = table(&mut rng, ROWS);
-    let [keys, _] = random_batch(&mut rng, ROWS);
+    let [keys, _] = random_batch(&mut rng, ROWS, BATCH);
     for (strategy, mapping) in SHAPES {
         for (one, four) in backends(1).iter().zip(backends(4).iter()) {
             let split = one_device(ROWS, None);

@@ -48,7 +48,9 @@ mod vector;
 
 pub use block::Block128;
 pub use lane_rows::AtomicLaneRows;
-pub use matrix::{matvec_accumulate, matvec_accumulate_lanes, matvec_shares, ShareMatrix};
+pub use matrix::{
+    matvec_accumulate, matvec_accumulate_keys, matvec_accumulate_lanes, matvec_shares, ShareMatrix,
+};
 pub use ring::{Ring128, RingElement};
 pub use share::{reconstruct_lanes, reconstruct_ring, share_lanes, share_ring, AdditiveShare};
 pub use simd::SimdBackend;

@@ -114,18 +114,23 @@ impl ShareMatrix {
     }
 
     /// The chunk sweep behind every share-weighted product in this crate:
-    /// `acc += Σ_j weights[j] · row(base_row + j)`.
-    fn accumulate<W: LaneWeight>(&self, acc: &mut LaneVector, weights: &[W], base_row: usize) {
+    /// for each key `g`, `accs[g] += Σ_j weights[g · n + j] · row(base_row +
+    /// j)` with `n = weights.len() / accs.len()`.
+    fn accumulate<W: LaneWeight>(&self, accs: &mut [LaneVector], weights: &[W], base_row: usize) {
+        let chunk = weights.len().checked_div(accs.len()).unwrap_or(0);
         assert!(
-            base_row + weights.len() <= self.rows,
+            base_row + chunk <= self.rows,
             "chunk [{base_row}, {}) exceeds table rows {}",
-            base_row + weights.len(),
+            base_row + chunk,
             self.rows
         );
-        assert_eq!(acc.len(), self.lanes_per_row, "accumulator width mismatch");
+        assert!(
+            accs.iter().all(|acc| acc.len() == self.lanes_per_row),
+            "accumulator width mismatch"
+        );
         let start = base_row * self.lanes_per_row;
-        let rows = &self.data[start..start + weights.len() * self.lanes_per_row];
-        crate::simd::accumulate_rows(&mut acc.0, weights, rows);
+        let rows = &self.data[start..start + chunk * self.lanes_per_row];
+        crate::simd::accumulate_rows(accs, weights, rows);
     }
 }
 
@@ -146,7 +151,7 @@ pub fn matvec_shares(weights: &[Ring128], matrix: &ShareMatrix) -> LaneVector {
         "weight vector must have one entry per table row"
     );
     let mut acc = LaneVector::zeroed(matrix.lanes_per_row());
-    matrix.accumulate(&mut acc, weights, 0);
+    matrix.accumulate(std::slice::from_mut(&mut acc), weights, 0);
     acc
 }
 
@@ -164,12 +169,12 @@ pub fn matvec_accumulate(
     matrix: &ShareMatrix,
     base_row: usize,
 ) {
-    matrix.accumulate(acc, weights, base_row);
+    matrix.accumulate(std::slice::from_mut(acc), weights, base_row);
 }
 
 /// [`matvec_accumulate`] with the weights already reduced to `u32` lanes, the
-/// width the fused DPF-matmul kernel emits its leaf shares at. Same kernel,
-/// a quarter of the weight bytes.
+/// width the fused DPF-matmul kernel emits its leaf shares at: the one-key
+/// case of [`matvec_accumulate_keys`].
 ///
 /// # Panics
 ///
@@ -181,7 +186,26 @@ pub fn matvec_accumulate_lanes(
     matrix: &ShareMatrix,
     base_row: usize,
 ) {
-    matrix.accumulate(acc, weights, base_row);
+    matvec_accumulate_keys(std::slice::from_mut(acc), weights, matrix, base_row);
+}
+
+/// Several keys' chunks against the same rows in one sweep: `weights` holds
+/// one chunk of `n = weights.len() / accs.len()` lane weights per key, back
+/// to back, and `accs[g] += Σ_j weights[g · n + j] · matrix.row(base_row +
+/// j)`. Each row is read once for a register tile of keys instead of once
+/// per key — the table read a batch of fused DPF keys shares.
+///
+/// # Panics
+///
+/// Panics if `weights` is not one equal chunk per key, the chunk extends past
+/// the end of the matrix, or an accumulator's width does not match it.
+pub fn matvec_accumulate_keys(
+    accs: &mut [LaneVector],
+    weights: &[u32],
+    matrix: &ShareMatrix,
+    base_row: usize,
+) {
+    matrix.accumulate(accs, weights, base_row);
 }
 
 #[cfg(test)]
@@ -232,6 +256,32 @@ mod tests {
             );
         }
         assert_eq!(full, chunked);
+    }
+
+    #[test]
+    fn a_key_group_sweep_is_each_key_swept_alone() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let matrix = random_matrix(&mut rng, 40, 6);
+        let weights: Vec<u32> = (0..3 * 30).map(|_| rng.gen()).collect();
+        let mut grouped = vec![LaneVector::zeroed(6); 3];
+        matvec_accumulate_keys(&mut grouped, &weights, &matrix, 7);
+        for (key, acc) in grouped.iter().enumerate() {
+            let mut alone = LaneVector::zeroed(6);
+            matvec_accumulate_lanes(&mut alone, &weights[key * 30..][..30], &matrix, 7);
+            assert_eq!(*acc, alone, "key {key}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds table rows")]
+    fn a_key_group_chunk_past_the_table_panics() {
+        let matrix = ShareMatrix::zeroed(8, 2);
+        matvec_accumulate_keys(
+            &mut [LaneVector::zeroed(2), LaneVector::zeroed(2)],
+            &[0; 10],
+            &matrix,
+            4,
+        );
     }
 
     #[test]

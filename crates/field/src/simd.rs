@@ -16,7 +16,7 @@
 
 use std::sync::OnceLock;
 
-use crate::{Block128, Ring128};
+use crate::{Block128, LaneVector, Ring128};
 
 /// Environment variable that overrides SIMD backend auto-detection.
 ///
@@ -204,48 +204,69 @@ impl LaneWeight for Ring128 {
     }
 }
 
-/// `acc[i] += Σ_r weights[r] · rows[r · lanes + i]` (wrapping, `lanes =
-/// acc.len()`) over a chunk of contiguous rows, under the process-wide
-/// active backend.
+/// For every key `g`: `accs[g][i] += Σ_r weights[g · n + r] ·
+/// rows[r · lanes + i]` (wrapping; `lanes` is the accumulators' width,
+/// `n = weights.len() / accs.len()` the chunk's row count), under the
+/// process-wide active backend.
 ///
 /// This is the table sweep of the fused DPF-matmul and of the naive oracle:
 /// one dispatch per *chunk*, with the accumulator lanes held in vector
-/// registers across all of the chunk's rows instead of being stored and
-/// re-loaded per row.
+/// registers across the chunk's rows instead of being stored and re-loaded
+/// per row, and each row loaded once for all the keys of a register tile. A
+/// single key is the one-tile case.
 ///
 /// # Panics
 ///
-/// Panics if `rows.len() != weights.len() * acc.len()`.
+/// Panics if the accumulators differ in width, `weights` is not one chunk
+/// per key, or `rows` is not one row of `lanes` lanes per chunk weight.
 #[inline]
-pub(crate) fn accumulate_rows<W: LaneWeight>(acc: &mut [u32], weights: &[W], rows: &[u32]) {
-    accumulate_rows_with(SimdBackend::active(), acc, weights, rows);
+pub(crate) fn accumulate_rows<W: LaneWeight>(accs: &mut [LaneVector], weights: &[W], rows: &[u32]) {
+    accumulate_rows_with(SimdBackend::active(), accs, weights, rows);
 }
 
 /// [`accumulate_rows`] with an explicit backend (tests).
 pub(crate) fn accumulate_rows_with<W: LaneWeight>(
     backend: SimdBackend,
-    acc: &mut [u32],
+    accs: &mut [LaneVector],
     weights: &[W],
     rows: &[u32],
 ) {
+    let keys = accs.len();
+    let lanes = accs.first().map_or(0, LaneVector::len);
+    assert!(
+        accs.iter().all(|acc| acc.len() == lanes),
+        "accumulators must share one width"
+    );
+    let chunk = weights.len().checked_div(keys).unwrap_or(0);
+    assert_eq!(
+        weights.len(),
+        chunk * keys,
+        "need one chunk of weights per key"
+    );
     assert_eq!(
         rows.len(),
-        weights.len() * acc.len(),
+        chunk * lanes,
         "need one row of acc.len() lanes per weight"
     );
+    if chunk == 0 || lanes == 0 {
+        return;
+    }
     match backend.supported_or_scalar() {
         #[cfg(target_arch = "x86_64")]
-        SimdBackend::Avx2 => avx2::accumulate_rows(acc, weights, rows),
-        _ => accumulate_rows_scalar(acc, weights, rows),
+        SimdBackend::Avx2 => avx2::accumulate_rows(accs, weights, rows),
+        _ => accumulate_rows_scalar(accs, weights, rows),
     }
 }
 
-fn accumulate_rows_scalar<W: LaneWeight>(acc: &mut [u32], weights: &[W], rows: &[u32]) {
-    if acc.is_empty() {
-        return;
-    }
-    for (weight, row) in weights.iter().zip(rows.chunks_exact(acc.len())) {
-        accumulate_scaled_scalar(acc, weight.lane(), row);
+/// The reference: each key's chunk, row by row. The dispatcher has checked
+/// the shapes and that there is at least one row and one lane.
+fn accumulate_rows_scalar<W: LaneWeight>(accs: &mut [LaneVector], weights: &[W], rows: &[u32]) {
+    let chunk = weights.len() / accs.len();
+    for (acc, key_weights) in accs.iter_mut().zip(weights.chunks_exact(chunk)) {
+        let lanes = acc.len();
+        for (weight, row) in key_weights.iter().zip(rows.chunks_exact(lanes)) {
+            accumulate_scaled_scalar(&mut acc.0, weight.lane(), row);
+        }
     }
 }
 
@@ -331,7 +352,7 @@ mod avx2 {
     };
 
     use super::LaneWeight;
-    use crate::Block128;
+    use crate::{Block128, LaneVector};
 
     #[inline]
     pub(super) fn accumulate_scaled(acc: &mut [u32], scale: u32, row: &[u32]) {
@@ -364,111 +385,204 @@ mod avx2 {
         }
     }
 
-    /// `acc[i] += Σ_r weights[r] · rows[r · lanes + i]`; the safe dispatcher
-    /// has checked `rows.len() == weights.len() * acc.len()`.
+    /// `accs[g][i] += Σ_r weights[g · n + r] · rows[r · lanes + i]`; the safe
+    /// dispatcher has checked that the accumulators share one width
+    /// `lanes > 0`, that `weights.len() == accs.len() · n` with `n > 0`, and
+    /// that `rows.len() == n · lanes`.
     #[inline]
-    pub(super) fn accumulate_rows<W: LaneWeight>(acc: &mut [u32], weights: &[W], rows: &[u32]) {
-        debug_assert_eq!(rows.len(), weights.len() * acc.len());
+    pub(super) fn accumulate_rows<W: LaneWeight>(
+        accs: &mut [LaneVector],
+        weights: &[W],
+        rows: &[u32],
+    ) {
         // SAFETY: reached only via a supported Avx2 backend value, and with
-        // the row-buffer length the dispatcher asserted.
-        unsafe { accumulate_rows_impl(acc, weights, rows) }
+        // the shapes the dispatcher asserted.
+        unsafe { accumulate_rows_impl(accs, weights, rows) }
     }
 
-    /// The lane dimension is cut into column blocks of 4, 2 or 1 whole
-    /// vectors plus one masked sub-vector tail; each block keeps its
-    /// accumulators in registers for the whole chunk of rows.
+    /// Rows per pass of every register tile: 8 KiB of a 64-byte-row table,
+    /// so the tiles after the first re-read the block from L1.
+    const ROW_BLOCK: usize = 128;
+
+    /// The chunk is swept in blocks of [`ROW_BLOCK`] rows. Within a block the
+    /// lane dimension is cut into column blocks of 4, 2 or 1 whole vectors
+    /// plus one masked sub-vector tail, and the keys into register tiles of
+    /// eight accumulator vectors (2 keys × 4 vectors, 4 × 2, 8 × 1; smaller
+    /// at the key tail). A tile keeps its accumulators in registers across
+    /// the block's rows and loads each row vector once for all its keys.
     // SAFETY: caller must ensure AVX2 is available (`#[target_feature]`) and
-    // `rows.len() == weights.len() * acc.len()`.
+    // the shapes `accumulate_rows` documents.
     #[target_feature(enable = "avx2")]
-    unsafe fn accumulate_rows_impl<W: LaneWeight>(acc: &mut [u32], weights: &[W], rows: &[u32]) {
-        let lanes = acc.len();
-        let mut column = 0;
-        // SAFETY: every block below covers lanes [column, column + 8·N) (or
-        // the `lanes - column < 8` masked tail) with column + 8·N <= lanes,
-        // so per row r < weights.len() it touches rows[r·lanes + column ..]
-        // strictly inside row r, and acc[column ..] inside `acc`.
+    unsafe fn accumulate_rows_impl<W: LaneWeight>(
+        accs: &mut [LaneVector],
+        weights: &[W],
+        rows: &[u32],
+    ) {
+        let lanes = accs[0].len();
+        let chunk = weights.len() / accs.len();
+        let mut first = 0;
+        while first < chunk {
+            let block = Block {
+                chunk,
+                first,
+                rows: (chunk - first).min(ROW_BLOCK),
+            };
+            let mut column = 0;
+            // SAFETY: every column block below covers lanes [column, column
+            // + 8·N) (or the `lanes - column < 8` masked tail) with column +
+            // 8·N <= lanes, so per row r < chunk it touches rows[r·lanes +
+            // column ..] strictly inside row r, and accs[g][column ..]
+            // inside each accumulator.
+            unsafe {
+                while lanes - column >= 32 {
+                    sweep_keys::<4, false, W>(accs, weights, rows, &block, column, 8);
+                    column += 32;
+                }
+                if lanes - column >= 16 {
+                    sweep_keys::<2, false, W>(accs, weights, rows, &block, column, 8);
+                    column += 16;
+                }
+                if lanes - column >= 8 {
+                    sweep_keys::<1, false, W>(accs, weights, rows, &block, column, 8);
+                    column += 8;
+                }
+                if lanes > column {
+                    sweep_keys::<1, true, W>(accs, weights, rows, &block, column, lanes - column);
+                }
+            }
+            first += block.rows;
+        }
+    }
+
+    /// The rows `first .. first + rows` of a `chunk`-row sweep.
+    struct Block {
+        chunk: usize,
+        first: usize,
+        rows: usize,
+    }
+
+    /// One column block of one row block, for every key: register tiles of
+    /// up to eight accumulator vectors, `N` per key (`TAIL` and `live` as for
+    /// [`sweep_tile`]).
+    // SAFETY: as for `sweep_tile`, for every key.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sweep_keys<const N: usize, const TAIL: bool, W: LaneWeight>(
+        accs: &mut [LaneVector],
+        weights: &[W],
+        rows: &[u32],
+        block: &Block,
+        column: usize,
+        live: usize,
+    ) {
+        let mut key = 0;
+        // SAFETY: each tile covers keys [key, key + KT) with key + KT <=
+        // accs.len(); the column and row bounds are the caller's.
         unsafe {
-            while lanes - column >= 32 {
-                sweep_columns::<4, W>(acc, weights, rows, column, FULL);
-                column += 32;
-            }
-            if lanes - column >= 16 {
-                sweep_columns::<2, W>(acc, weights, rows, column, FULL);
-                column += 16;
-            }
-            if lanes - column >= 8 {
-                sweep_columns::<1, W>(acc, weights, rows, column, FULL);
-                column += 8;
-            }
-            if lanes > column {
-                sweep_columns::<1, W>(acc, weights, rows, column, lanes - column);
+            while key < accs.len() {
+                let left = accs.len() - key;
+                key += if N == 1 && left >= 8 {
+                    sweep_tile::<N, 8, TAIL, W>(accs, key, weights, rows, block, column, live)
+                } else if N <= 2 && left >= 4 {
+                    sweep_tile::<N, 4, TAIL, W>(accs, key, weights, rows, block, column, live)
+                } else if left >= 2 {
+                    sweep_tile::<N, 2, TAIL, W>(accs, key, weights, rows, block, column, live)
+                } else {
+                    sweep_tile::<N, 1, TAIL, W>(accs, key, weights, rows, block, column, live)
+                };
             }
         }
     }
 
-    /// `live` value of [`sweep_columns`] for whole vectors.
-    const FULL: usize = 8;
-
-    /// One column block: `N` accumulator vectors starting at lane `column`,
-    /// swept over every row of the chunk. The last vector carries `live`
-    /// lanes (`FULL`, or fewer for the masked tail of the lane dimension).
-    // SAFETY: caller must ensure AVX2 is available, `rows.len() ==
-    // weights.len() * acc.len()`, and `column + 8·(N − 1) + live <=
-    // acc.len()` with `1 <= live <= 8`.
+    /// One register tile: keys `key .. key + KT`, `N` accumulator vectors
+    /// each starting at lane `column`, swept over the rows of `block`. In a
+    /// `TAIL` block (the lane dimension's masked tail) the last vector of a
+    /// key carries only `live` lanes; otherwise every vector is whole.
+    /// Returns `KT`.
+    // SAFETY: caller must ensure AVX2 is available, the shapes
+    // `accumulate_rows` documents, `key + KT <= accs.len()`, `block.first +
+    // block.rows <= block.chunk`, and `column + 8·(N − 1) + live <= lanes`
+    // with `1 <= live <= 8`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn sweep_columns<const N: usize, W: LaneWeight>(
-        acc: &mut [u32],
+    unsafe fn sweep_tile<const N: usize, const KT: usize, const TAIL: bool, W: LaneWeight>(
+        accs: &mut [LaneVector],
+        key: usize,
         weights: &[W],
         rows: &[u32],
+        block: &Block,
         column: usize,
         live: usize,
-    ) {
+    ) -> usize {
         // Lane j of the mask has its sign bit set iff j < live; masked loads
         // read nothing (and fault on nothing) in the other lanes, masked
         // stores write nothing there.
         const RAMP: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
-        let lanes = acc.len();
+        let lanes = accs[key].len();
+        // Accumulator pointers stay inside keys key .. key + KT, weight
+        // pointers inside each key's chunk (first + r < chunk), and row
+        // pointers inside `rows` (rows.len() == chunk · lanes).
         // SAFETY: RAMP[8 - live ..][..8] is in bounds for 1 <= live <= 8;
-        // vectors k < N − 1 are whole (column + 8·k + 8 <= lanes) and use
-        // unaligned full loads/stores, the last one touches only its `live`
-        // lanes through the mask; row pointers stay inside `rows` because
-        // r < weights.len() and rows.len() == weights.len() * lanes.
+        // vectors j < N − 1 are whole (column + 8·j + 8 <= lanes), the last
+        // one touches only its `live` lanes through the mask.
         unsafe {
             let mask = _mm256_loadu_si256(RAMP.as_ptr().add(8 - live).cast::<__m256i>());
             // Only the last vector of a tail block goes through the mask.
-            let masked = |k: usize| live != FULL && k + 1 == N;
-            let acc_ptr = acc.as_mut_ptr().add(column);
-            let mut sums = [_mm256_setzero_si256(); N];
-            for (k, sum) in sums.iter_mut().enumerate() {
-                *sum = if masked(k) {
-                    _mm256_maskload_epi32(acc_ptr.add(8 * k).cast::<i32>(), mask)
-                } else {
-                    _mm256_loadu_si256(acc_ptr.add(8 * k).cast::<__m256i>())
-                };
+            let masked = |j: usize| TAIL && j + 1 == N;
+            let acc_ptrs: [*mut u32; KT] =
+                core::array::from_fn(|k| accs[key + k].0.as_mut_ptr().add(column));
+            let weight_ptrs: [*const W; KT] = core::array::from_fn(|k| {
+                weights.as_ptr().add((key + k) * block.chunk + block.first)
+            });
+            let mut sums = [[_mm256_setzero_si256(); N]; KT];
+            for (sum, acc_ptr) in sums.iter_mut().zip(acc_ptrs) {
+                for (j, vector) in sum.iter_mut().enumerate() {
+                    *vector = load_vector(acc_ptr.add(8 * j), masked(j), mask);
+                }
             }
-            let mut row_ptr = rows.as_ptr().add(column);
-            for weight in weights {
-                let scale = _mm256_set1_epi32(weight.lane() as i32);
-                for (k, sum) in sums.iter_mut().enumerate() {
-                    let lanes_k = if masked(k) {
-                        _mm256_maskload_epi32(row_ptr.add(8 * k).cast::<i32>(), mask)
-                    } else {
-                        _mm256_loadu_si256(row_ptr.add(8 * k).cast::<__m256i>())
-                    };
-                    // mullo keeps the low 32 bits of each product — exactly
-                    // `wrapping_mul` — and add_epi32 is `wrapping_add`.
-                    *sum = _mm256_add_epi32(*sum, _mm256_mullo_epi32(lanes_k, scale));
+            let mut row_ptr = rows.as_ptr().add(block.first * lanes + column);
+            let mut row = [_mm256_setzero_si256(); N];
+            for r in 0..block.rows {
+                for (j, vector) in row.iter_mut().enumerate() {
+                    *vector = load_vector(row_ptr.add(8 * j), masked(j), mask);
+                }
+                for (sum, weight_ptr) in sums.iter_mut().zip(weight_ptrs) {
+                    let scale = _mm256_set1_epi32((*weight_ptr.add(r)).lane() as i32);
+                    for (vector, lanes_j) in sum.iter_mut().zip(row) {
+                        // mullo keeps the low 32 bits of each product —
+                        // exactly `wrapping_mul` — and add_epi32 is
+                        // `wrapping_add`.
+                        *vector = _mm256_add_epi32(*vector, _mm256_mullo_epi32(lanes_j, scale));
+                    }
                 }
                 // One past the last row's block start is never dereferenced.
                 row_ptr = row_ptr.wrapping_add(lanes);
             }
-            for (k, sum) in sums.iter().enumerate() {
-                if masked(k) {
-                    _mm256_maskstore_epi32(acc_ptr.add(8 * k).cast::<i32>(), mask, *sum);
-                } else {
-                    _mm256_storeu_si256(acc_ptr.add(8 * k).cast::<__m256i>(), *sum);
+            for (sum, acc_ptr) in sums.iter().zip(acc_ptrs) {
+                for (j, vector) in sum.iter().enumerate() {
+                    if masked(j) {
+                        _mm256_maskstore_epi32(acc_ptr.add(8 * j).cast::<i32>(), mask, *vector);
+                    } else {
+                        _mm256_storeu_si256(acc_ptr.add(8 * j).cast::<__m256i>(), *vector);
+                    }
                 }
+            }
+        }
+        KT
+    }
+
+    /// Eight lanes at `ptr`, or only the `mask`ed ones.
+    // SAFETY: caller must ensure AVX2 is available and that the eight lanes
+    // at `ptr` (the masked ones, if `masked`) are readable.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_vector(ptr: *const u32, masked: bool, mask: __m256i) -> __m256i {
+        // SAFETY: the caller's bounds.
+        unsafe {
+            if masked {
+                _mm256_maskload_epi32(ptr.cast::<i32>(), mask)
+            } else {
+                _mm256_loadu_si256(ptr.cast::<__m256i>())
             }
         }
     }
@@ -616,7 +730,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x00C0_1A5E);
         for backend in SimdBackend::candidates() {
             for lanes in [1usize, 3, 7, 8, 9, 15, 16, 17, 24, 33] {
-                for rows in [0usize, 1, 2, 127, 128] {
+                for rows in [0usize, 1, 2, 127, 128, 129, 300] {
                     let table: Vec<u32> = (0..rows * lanes).map(|_| rng.gen()).collect();
                     let shares: Vec<Ring128> =
                         (0..rows).map(|_| Ring128::random(&mut rng)).collect();
@@ -628,12 +742,12 @@ mod tests {
                         accumulate_scaled_scalar(&mut want, *weight, row);
                     }
                     let what = format!("{backend:?} lanes={lanes} rows={rows}");
-                    let mut got = base.clone();
+                    let mut got = [LaneVector(base.clone())];
                     accumulate_rows_with(*backend, &mut got, &weights, &table);
-                    assert_eq!(got, want, "{what}: u32 weights");
-                    let mut got = base.clone();
+                    assert_eq!(got[0].0, want, "{what}: u32 weights");
+                    let mut got = [LaneVector(base.clone())];
                     accumulate_rows_with(*backend, &mut got, &shares, &table);
-                    assert_eq!(got, want, "{what}: Ring128 weights");
+                    assert_eq!(got[0].0, want, "{what}: Ring128 weights");
                 }
             }
         }
@@ -642,10 +756,45 @@ mod tests {
     #[test]
     #[should_panic(expected = "one row of acc.len() lanes per weight")]
     fn row_sweep_rejects_a_short_row_buffer() {
-        accumulate_rows(&mut [0u32; 4], &[1u32, 2], &[0u32; 7]);
+        accumulate_rows(&mut [LaneVector::zeroed(4)], &[1u32, 2], &[0u32; 7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one chunk of weights per key")]
+    fn row_sweep_rejects_ragged_key_chunks() {
+        let mut accs = [LaneVector::zeroed(4), LaneVector::zeroed(4)];
+        accumulate_rows(&mut accs, &[1u32, 2, 3], &[0u32; 4]);
     }
 
     proptest! {
+        /// The multi-key sweep on every backend against the scalar
+        /// reference: every register-tile shape (1–9 keys: whole tiles and
+        /// key tails) crossed with every column-block seam (1–40 lanes) and
+        /// row blocks with and without a ragged end.
+        #[test]
+        fn multi_key_sweep_matches_scalar(
+            seed in any::<u64>(),
+            keys in 1usize..10,
+            lanes in 1usize..41,
+            rows in 0usize..300,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let table: Vec<u32> = (0..rows * lanes).map(|_| rng.gen()).collect();
+            let weights: Vec<u32> = (0..keys * rows).map(|_| rng.gen()).collect();
+            let base: Vec<LaneVector> = (0..keys)
+                .map(|_| (0..lanes).map(|_| rng.gen()).collect())
+                .collect();
+            let mut want = base.clone();
+            if rows > 0 {
+                accumulate_rows_scalar(&mut want, &weights, &table);
+            }
+            for backend in SimdBackend::candidates() {
+                let mut got = base.clone();
+                accumulate_rows_with(*backend, &mut got, &weights, &table);
+                prop_assert_eq!(&got, &want);
+            }
+        }
+
         #[test]
         fn accumulate_scaled_matches_scalar(
             seed in any::<u64>(),

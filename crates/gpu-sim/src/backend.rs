@@ -393,14 +393,7 @@ impl DeviceBackend for crate::GpuExecutor {
     ) -> KernelReport {
         self.ledger.count_launch();
         let resident_bytes: u64 = resident.iter().map(|a| a.bytes()).sum();
-        self.launch_with_resident_memory(
-            name,
-            config,
-            resident_bytes,
-            |block: &crate::BlockContext<'_>| {
-                kernel.execute_block(block);
-            },
-        )
+        self.launch_dyn(name, config, resident_bytes, kernel)
     }
 
     fn reduce(&self, accumulator: &mut [u32], partial: &[u32]) {

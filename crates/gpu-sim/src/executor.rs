@@ -4,13 +4,27 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::{
-    BlockContext, CostModel, DeviceSpec, Kernel, KernelCounters, KernelReport, LaunchConfig,
+    BlockRange, CostModel, DeviceSpec, Kernel, KernelCounters, KernelReport, LaunchConfig,
     MemoryTracker, OccupancyEstimate,
 };
 
+/// Most blocks one host worker takes at a time: the GPU analogue is the
+/// handful of blocks an SM holds resident together, sharing its L2.
+const RANGE_BLOCKS: u64 = 8;
+
+/// Blocks per range of a `total_blocks` launch over `workers` workers:
+/// `min(8, ceil(total_blocks / workers))`, at least one. A function of the
+/// public launch shape only, so a launch of at most `workers` blocks — a lone
+/// query included — runs block by block, exactly as without ranges.
+fn range_blocks(total_blocks: u64, workers: usize) -> u64 {
+    total_blocks.div_ceil(workers as u64).clamp(1, RANGE_BLOCKS)
+}
+
 /// Run every block of `config` over a pool of `host_threads` workers (the
-/// caller and `host_threads - 1` scoped threads) with a work-stealing index,
-/// recording into the shared `counters`/`memory`.
+/// caller and `host_threads - 1` scoped threads), each taking contiguous
+/// ranges of [`range_blocks`] blocks from a work-stealing index and running
+/// them through [`Kernel::execute_range`], recording into the shared
+/// `counters`/`memory`.
 ///
 /// Returns the host wall-clock seconds the sweep took. Both device backends
 /// share this exact loop — the analytical [`GpuExecutor`] and the measured
@@ -29,13 +43,14 @@ pub(crate) fn run_blocks(
     let start = Instant::now();
 
     let workers = host_threads.min(total_blocks.max(1) as usize);
+    let range_len = range_blocks(total_blocks, workers);
     let work = || loop {
-        let block_index = next_block.fetch_add(1, Ordering::Relaxed);
-        if block_index >= total_blocks {
+        let first = next_block.fetch_add(range_len, Ordering::Relaxed);
+        if first >= total_blocks {
             break;
         }
-        let ctx = BlockContext::new(block_index, config, counters, memory);
-        kernel.execute_block(&ctx);
+        let end = (first + range_len).min(total_blocks);
+        kernel.execute_range(&BlockRange::new(first..end, config, counters, memory));
     };
     // The launching thread is one of the workers: a one-block launch (a lone
     // query) spawns nothing, and a serving thread's launches keep allocating
@@ -52,9 +67,9 @@ pub(crate) fn run_blocks(
 
 /// Executes simulated kernels and produces [`KernelReport`]s.
 ///
-/// Blocks of a launch are distributed over host worker threads with a simple
-/// work-stealing index; this parallelism only accelerates the *simulation*,
-/// the modelled GPU time comes from the cost model.
+/// Blocks of a launch are distributed over host worker threads in contiguous
+/// ranges from a work-stealing index; this parallelism only accelerates the
+/// *simulation*, the modelled GPU time comes from the cost model.
 #[derive(Debug)]
 pub struct GpuExecutor {
     device: DeviceSpec,
@@ -134,12 +149,25 @@ impl GpuExecutor {
     where
         K: Kernel,
     {
+        self.launch_dyn(name, config, resident_bytes, &kernel)
+    }
+
+    /// [`GpuExecutor::launch_with_resident_memory`] behind the object-safe
+    /// [`crate::DeviceBackend::launch`], keeping the kernel's own
+    /// [`Kernel::execute_range`].
+    pub(crate) fn launch_dyn(
+        &self,
+        name: &str,
+        config: LaunchConfig,
+        resident_bytes: u64,
+        kernel: &dyn Kernel,
+    ) -> KernelReport {
         let occupancy = OccupancyEstimate::estimate(&self.device, &config);
         let counters = KernelCounters::new();
         let memory = MemoryTracker::new();
         memory.set_resident(resident_bytes);
 
-        let host_wall_time_s = run_blocks(config, self.host_threads, &counters, &memory, &kernel);
+        let host_wall_time_s = run_blocks(config, self.host_threads, &counters, &memory, kernel);
         let snapshot = counters.snapshot();
         let time = self.cost_model.kernel_time(&snapshot, &occupancy);
 
@@ -166,6 +194,7 @@ impl Default for GpuExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BlockContext;
     use std::sync::atomic::AtomicU64 as StdAtomicU64;
 
     #[test]
@@ -185,6 +214,55 @@ mod tests {
         assert!(seen_mask.iter().all(|b| b.load(Ordering::Relaxed) == 1));
         assert_eq!(report.counters.flops, 257);
         assert!(report.estimated_time_s > 0.0);
+    }
+
+    /// Counts how often each block runs and the length of every range.
+    struct RangeProbe {
+        runs: Vec<StdAtomicU64>,
+        longest_range: StdAtomicU64,
+    }
+
+    impl Kernel for RangeProbe {
+        fn execute_block(&self, block: &BlockContext<'_>) {
+            self.runs[block.block_index() as usize].fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn execute_range(&self, range: &BlockRange<'_>) {
+            let len = range.indices().end - range.indices().start;
+            self.longest_range.fetch_max(len, Ordering::Relaxed);
+            for index in range.indices() {
+                self.execute_block(&range.block(index));
+            }
+        }
+    }
+
+    #[test]
+    fn every_block_runs_once_in_ranges_of_the_public_shape() {
+        for threads in 1..=4usize {
+            for blocks in 1..=40u32 {
+                let executor = GpuExecutor::with_host_threads(DeviceSpec::v100(), threads);
+                let probe = RangeProbe {
+                    runs: (0..blocks).map(|_| StdAtomicU64::new(0)).collect(),
+                    longest_range: StdAtomicU64::new(0),
+                };
+                executor.launch_dyn("ranges", LaunchConfig::linear(blocks, 32), 0, &probe);
+                let what = format!("{blocks} blocks on {threads} threads");
+                assert!(
+                    probe.runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                    "{what}"
+                );
+                let longest = probe.longest_range.load(Ordering::Relaxed);
+                let workers = threads.min(blocks as usize) as u64;
+                assert_eq!(
+                    longest,
+                    u64::from(blocks).div_ceil(workers).min(8),
+                    "{what}"
+                );
+                if blocks as usize <= threads {
+                    assert_eq!(longest, 1, "{what}: a launch of ≤ workers blocks");
+                }
+            }
+        }
     }
 
     #[test]

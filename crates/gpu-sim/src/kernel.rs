@@ -1,5 +1,7 @@
 //! The kernel abstraction executed by the simulator.
 
+use std::ops::Range;
+
 use crate::{KernelCounters, LaunchConfig, MemoryTracker};
 
 /// Per-block execution context handed to a kernel.
@@ -62,6 +64,58 @@ impl<'a> BlockContext<'a> {
     }
 }
 
+/// A contiguous range of one launch's blocks, handed to one host worker.
+///
+/// On a GPU the blocks resident at the same time share the L2 cache; the
+/// host runs a worker's blocks one after another, so a kernel that wants
+/// them to share what they read takes the whole range at once
+/// ([`Kernel::execute_range`]).
+pub struct BlockRange<'a> {
+    indices: Range<u64>,
+    config: LaunchConfig,
+    counters: &'a KernelCounters,
+    memory: &'a MemoryTracker,
+}
+
+impl<'a> BlockRange<'a> {
+    /// The blocks `indices` of a launch (used by the executor).
+    #[must_use]
+    pub fn new(
+        indices: Range<u64>,
+        config: LaunchConfig,
+        counters: &'a KernelCounters,
+        memory: &'a MemoryTracker,
+    ) -> Self {
+        Self {
+            indices,
+            config,
+            counters,
+            memory,
+        }
+    }
+
+    /// Linear indices of the blocks in this range.
+    #[must_use]
+    pub fn indices(&self) -> Range<u64> {
+        self.indices.clone()
+    }
+
+    /// The context of block `index` of this range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not in the range.
+    #[must_use]
+    pub fn block(&self, index: u64) -> BlockContext<'a> {
+        assert!(
+            self.indices.contains(&index),
+            "block {index} outside range {:?}",
+            self.indices
+        );
+        BlockContext::new(index, self.config, self.counters, self.memory)
+    }
+}
+
 /// A simulated GPU kernel.
 ///
 /// Implemented for any `Fn(&BlockContext) + Sync` closure, so simple kernels
@@ -70,11 +124,21 @@ impl<'a> BlockContext<'a> {
 pub trait Kernel: Sync {
     /// Execute one thread block.
     ///
-    /// The executor calls this once per block in the grid, potentially from
-    /// many host threads concurrently; implementations must only communicate
-    /// through interior-mutable state they own (mirroring global memory) and
-    /// the context's counters.
+    /// The executor calls this once per block in the grid (through
+    /// [`Kernel::execute_range`]), potentially from many host threads
+    /// concurrently; implementations must only communicate through
+    /// interior-mutable state they own (mirroring global memory) and the
+    /// context's counters.
     fn execute_block(&self, block: &BlockContext<'_>);
+
+    /// Execute a contiguous range of blocks on one host worker. The default
+    /// runs them one by one in index order; a kernel may run them together,
+    /// as long as every block records what it would have recorded alone.
+    fn execute_range(&self, range: &BlockRange<'_>) {
+        for index in range.indices() {
+            self.execute_block(&range.block(index));
+        }
+    }
 }
 
 impl<F> Kernel for F

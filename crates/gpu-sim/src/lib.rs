@@ -58,7 +58,7 @@ pub use counters::{CounterSnapshot, KernelCounters};
 pub use device::{CpuSpec, DeviceSpec};
 pub use executor::GpuExecutor;
 pub use grid::{Dim3, LaunchConfig};
-pub use kernel::{BlockContext, Kernel};
+pub use kernel::{BlockContext, BlockRange, Kernel};
 pub use memory::MemoryTracker;
 pub use occupancy::OccupancyEstimate;
 pub use report::KernelReport;

@@ -3,11 +3,12 @@
 
 use std::time::Duration;
 
-use gpu_pir_repro::gpu_sim::{BackendKind, DeviceSpec};
+use gpu_pir_repro::gpu_sim::{BackendKind, DeviceSpec, HostBackend};
 use gpu_pir_repro::pir_core::{Application, PrivateInferenceSystem, SystemConfig};
-use gpu_pir_repro::pir_dpf::SchedulerConfig;
+use gpu_pir_repro::pir_dpf::{generate_keys, BatchEvalJob, DpfKey, DpfParams, SchedulerConfig};
+use gpu_pir_repro::pir_field::{reconstruct_lanes, Ring128};
 use gpu_pir_repro::pir_ml::datasets::{DatasetKind, DatasetScale, SyntheticDataset};
-use gpu_pir_repro::pir_prf::PrfKind;
+use gpu_pir_repro::pir_prf::{build_prf, GgmPrg, PrfKind};
 use gpu_pir_repro::pir_protocol::{
     shard_owned_ranges, CodesignParams, CpuPirServer, FullTableMode, GpuPirServer, NaivePir,
     PirClient, PirResponse, PirServer, PirTable,
@@ -302,4 +303,38 @@ fn serving_runtime_batches_concurrent_queries_across_tables() {
         assert!(table.max_batch <= 32);
     }
     runtime.shutdown();
+}
+
+#[test]
+fn a_lockstep_batch_on_a_two_thread_host_backend_matches_naive_pir() {
+    // 32 keys per party on a two-thread host backend: each worker takes
+    // ranges of eight keys and runs them in lockstep, run by run, reading
+    // each table slice once per range. 3 000 rows make two host runs, the
+    // second cut short by the end of the table. Every pair of shares must
+    // reconstruct exactly what naive PIR returns.
+    let table = PirTable::generate(3000, 24, |row, offset| {
+        (row as u8).wrapping_mul(11).wrapping_add(offset as u8)
+    });
+    let naive = NaivePir::new(table.clone());
+    let prg = GgmPrg::new(build_prf(PrfKind::Aes128));
+    let params = DpfParams::for_domain(table.entries());
+    let mut rng = StdRng::seed_from_u64(13);
+    let indices: Vec<u64> = (0..32).map(|_| rng.gen_range(0..table.entries())).collect();
+    let (keys0, keys1): (Vec<DpfKey>, Vec<DpfKey>) = indices
+        .iter()
+        .map(|&index| generate_keys(&prg, &params, index, Ring128::ONE, &mut rng))
+        .unzip();
+    let host = HostBackend::with_host_threads(DeviceSpec::v100(), 2);
+    let shares = |keys: &[DpfKey]| {
+        BatchEvalJob::new(&prg, PrfKind::Aes128, keys, table.matrix())
+            .run_on(&host)
+            .results
+    };
+    let (shares0, shares1) = (shares(&keys0), shares(&keys1));
+    for ((index, share0), share1) in indices.iter().zip(&shares0).zip(&shares1) {
+        let (q0, q1) = naive.query(*index, &mut rng).unwrap();
+        let want = naive.reconstruct(&naive.answer(&q0), &naive.answer(&q1));
+        let got = table.lanes_to_entry_bytes(&reconstruct_lanes(&share0.0, &share1.0));
+        assert_eq!(got, want, "row {index}");
+    }
 }
