@@ -11,7 +11,7 @@ use pir_dpf::{
     DpfKey, DpfParams, EvalStrategy, NullRecorder,
 };
 use pir_field::{matvec_accumulate, Block128, LaneVector, Ring128, ShareMatrix};
-use pir_prf::{build_prf, GgmPrg, PrfKind};
+use pir_prf::{build_prf, build_prf_with_backend, GgmPrg, LevelCorrection, PrfKind, SimdBackend};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -186,6 +186,47 @@ fn bench_reference_shape(c: &mut Criterion) {
     group.finish();
 }
 
+/// The GGM correction pass alone, on the sweep outputs of one 2 048-leaf
+/// host run's worth of nodes: a 1 024-node level to corrected children and
+/// packed bits (the run's 1 023 inner nodes), then a 1 024-node level to
+/// `u32` leaves (its last level). `scalar` is the reference pass, `simd` the
+/// pass of a PRF built for this host's best backend (two nodes per ymm
+/// register on AVX2). The correction word has its LSB set and every parent
+/// bit pattern occurs. `simd` is gated against `ci/bench_baseline.json`.
+fn bench_correction_pass(c: &mut Criterion) {
+    const NODES: usize = 1024;
+    let mut rng = StdRng::seed_from_u64(29);
+    let left: Vec<Block128> = (0..NODES).map(|_| Block128::random(&mut rng)).collect();
+    let right: Vec<Block128> = (0..NODES).map(|_| Block128::random(&mut rng)).collect();
+    let parents: Vec<u64> = (0..NODES / 64).map(|_| rng.gen()).collect();
+    let cw = LevelCorrection {
+        seed: Block128::from_u128(rng.gen::<u128>() | 1),
+        t_left: true,
+        t_right: false,
+    };
+    let final_cw: u32 = rng.gen();
+
+    let mut group = c.benchmark_group("correction_pass");
+    for (name, backend) in [
+        ("scalar", SimdBackend::Scalar),
+        ("simd", SimdBackend::detect()),
+    ] {
+        let prg = GgmPrg::new(build_prf_with_backend(PrfKind::Aes128, backend));
+        let mut children = vec![Block128::ZERO; 2 * NODES];
+        let mut child_t = vec![0u64; 2 * NODES / 64];
+        let mut leaves = vec![0u32; 2 * NODES];
+        group.bench_function(BenchmarkId::new("run_2048", name), |b| {
+            b.iter(|| {
+                let sweeps = (&left[..], &right[..]);
+                prg.correct_frontier(sweeps, &parents, &cw, &mut children, &mut child_t);
+                prg.correct_frontier_leaves(sweeps, &parents, &cw, final_cw, true, &mut leaves);
+                std::hint::black_box((children.last().copied(), leaves.last().copied()))
+            })
+        });
+    }
+    group.finish();
+}
+
 /// What a cluster shard pays per lookup (2^14 × 64 B, SipHash, one key, the
 /// table resident on the host backend — the `cluster_shards_closed` shape):
 /// `full` sweeps the whole domain, `owned_half` the one subtree a shard of
@@ -264,6 +305,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_prfs, bench_gen_vs_eval, bench_strategies, bench_full_domain,
-        bench_reference_shape, bench_shard_eval, bench_fusion
+        bench_reference_shape, bench_correction_pass, bench_shard_eval, bench_fusion
 }
 criterion_main!(benches);

@@ -9,7 +9,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pir_field::Block128;
-use pir_prf::{build_prf, build_prf_with_backend, FrontierScratch, GgmPrg, PrfKind, SimdBackend};
+use pir_prf::{
+    build_prf, build_prf_with_backend, FrontierScratch, GgmPrg, LevelCorrection, PrfKind,
+    SimdBackend,
+};
 
 /// Number of blocks per measured sweep (one mid-size GGM level).
 const BATCH: usize = 1024;
@@ -116,8 +119,17 @@ fn bench_frontier_expansion(c: &mut Criterion) {
             let mut scratch = FrontierScratch::with_capacity(BATCH);
             let mut children = vec![Block128::ZERO; 2 * BATCH];
             let mut t_bits = vec![0u64; (2 * BATCH).div_ceil(64)];
+            let parents = vec![0u64; BATCH / 64];
+            let zero = LevelCorrection::default();
             b.iter(|| {
-                prg.expand_frontier(&seeds, &mut scratch, &mut children, &mut t_bits);
+                prg.expand_frontier(
+                    &seeds,
+                    &parents,
+                    &zero,
+                    &mut scratch,
+                    &mut children,
+                    &mut t_bits,
+                );
                 std::hint::black_box(children.last().copied())
             });
         });

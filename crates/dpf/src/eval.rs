@@ -1,7 +1,7 @@
 //! Single-point DPF evaluation and path walking.
 
 use pir_field::{Block128, Ring128};
-use pir_prf::GgmPrg;
+use pir_prf::{GgmPrg, LevelCorrection};
 
 use crate::recorder::Recorder;
 use crate::{DpfKey, NullRecorder};
@@ -89,10 +89,18 @@ pub(crate) trait Leaf: Copy + Default {
     /// What a consumer of this width reads of a full-width share.
     fn narrow(share: Ring128) -> Self;
 
-    /// The share of the leaf with seed halves `(seed_low, seed_high)` and
-    /// control bit `t` (0 or 1): `seed + t · final_cw`, negated for party 1
-    /// (`negate`). Branch-free in `t`, which is pseudorandom per leaf.
-    fn share(final_cw: Self, negate: bool, seed_low: u64, seed_high: u64, t: u64) -> Self;
+    /// The leaf shares of one tile of `key`'s last level: the children of
+    /// the nodes whose sweep outputs are `sweeps` and control bits
+    /// `parent_t`, corrected by `cw`, into `out` (two per node). For every
+    /// child, exactly `narrow(leaf_share(..))` of its corrected state.
+    fn last_level(
+        prg: &GgmPrg,
+        key: &DpfKey,
+        sweeps: (&[Block128], &[Block128]),
+        parent_t: &[u64],
+        cw: &LevelCorrection,
+        out: &mut [Self],
+    );
 }
 
 impl Leaf for Ring128 {
@@ -101,11 +109,36 @@ impl Leaf for Ring128 {
         share
     }
 
-    #[inline(always)]
-    fn share(final_cw: Self, negate: bool, seed_low: u64, seed_high: u64, t: u64) -> Self {
-        let mask = u128::from(t).wrapping_neg();
-        let seed = Ring128::from(Block128::from_halves(seed_low, seed_high));
-        (seed + Ring128::new(final_cw.value() & mask)).negate_if(negate)
+    /// The corrected children, 64 nodes at a time, then [`leaf_share`]:
+    /// a full-width share needs the whole child seed.
+    fn last_level(
+        prg: &GgmPrg,
+        key: &DpfKey,
+        (left, right): (&[Block128], &[Block128]),
+        parent_t: &[u64],
+        cw: &LevelCorrection,
+        out: &mut [Self],
+    ) {
+        let mut children = [Block128::ZERO; 128];
+        let mut child_t = [0u64; 2];
+        let chunks = left
+            .chunks(64)
+            .zip(right.chunks(64))
+            .zip(out.chunks_mut(128));
+        for (word, ((lefts, rights), shares)) in chunks.enumerate() {
+            let n = lefts.len();
+            prg.correct_frontier(
+                (lefts, rights),
+                &parent_t[word..],
+                cw,
+                &mut children[..2 * n],
+                &mut child_t[..(2 * n).div_ceil(64)],
+            );
+            for (j, (child, share)) in children.iter().zip(shares.iter_mut()).enumerate() {
+                let t = (child_t[j / 64] >> (j % 64)) & 1 == 1;
+                *share = leaf_share(key, NodeState { seed: *child, t });
+            }
+        }
     }
 }
 
@@ -115,12 +148,16 @@ impl Leaf for u32 {
         share.to_lane()
     }
 
-    #[inline(always)]
-    fn share(final_cw: Self, negate: bool, seed_low: u64, _seed_high: u64, t: u64) -> Self {
-        let sum = (seed_low as u32).wrapping_add(final_cw & (t as u32).wrapping_neg());
-        // (x ^ m) - m is x for m = 0 and -x for m = all-ones.
-        let sign = u32::from(negate).wrapping_neg();
-        (sum ^ sign).wrapping_sub(sign)
+    fn last_level(
+        prg: &GgmPrg,
+        key: &DpfKey,
+        sweeps: (&[Block128], &[Block128]),
+        parent_t: &[u64],
+        cw: &LevelCorrection,
+        out: &mut [Self],
+    ) {
+        let final_cw = key.final_cw.to_lane();
+        prg.correct_frontier_leaves(sweeps, parent_t, cw, final_cw, key.party == 1, out);
     }
 }
 

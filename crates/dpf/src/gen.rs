@@ -4,7 +4,7 @@ use pir_field::{Block128, Ring128};
 use pir_prf::GgmPrg;
 use rand::Rng;
 
-use crate::{CorrectionWord, DpfKey, DpfParams};
+use crate::{DpfKey, DpfParams, LevelCorrection};
 
 /// Generate a pair of DPF keys encoding the point function that is `beta` at
 /// index `alpha` and zero everywhere else.
@@ -58,7 +58,7 @@ pub fn generate_keys<R: Rng + ?Sized>(
         let t_left_cw = exp_a.t_left ^ exp_b.t_left ^ bit ^ true;
         let t_right_cw = exp_a.t_right ^ exp_b.t_right ^ bit;
 
-        levels.push(CorrectionWord {
+        levels.push(LevelCorrection {
             seed: seed_cw,
             t_left: t_left_cw,
             t_right: t_right_cw,

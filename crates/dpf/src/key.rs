@@ -1,21 +1,8 @@
 //! DPF key material and domain parameters.
 
 use pir_field::{Block128, Ring128};
+use pir_prf::LevelCorrection;
 use serde::{Deserialize, Serialize};
-
-/// Per-level correction word of the GGM-tree DPF.
-///
-/// During evaluation, a node whose control bit is set XORs `seed` into both
-/// children's seeds and the respective `t_*` bits into their control bits.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CorrectionWord {
-    /// Seed correction applied to both children.
-    pub seed: Block128,
-    /// Control-bit correction for the left child.
-    pub t_left: bool,
-    /// Control-bit correction for the right child.
-    pub t_right: bool,
-}
 
 /// Static parameters of a DPF: the table size it addresses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -77,7 +64,7 @@ pub struct DpfKey {
     /// Root seed.
     pub root_seed: Block128,
     /// Per-level correction words (`params.domain_bits` of them).
-    pub levels: Vec<CorrectionWord>,
+    pub levels: Vec<LevelCorrection>,
     /// Final output correction word in `Z_{2^128}`.
     pub final_cw: Ring128,
 }
@@ -164,7 +151,7 @@ mod tests {
                 params,
                 root_seed: Block128::from(7u128),
                 levels: vec![
-                    CorrectionWord {
+                    LevelCorrection {
                         seed: Block128::from(9u128),
                         t_left: true,
                         t_right: false,
@@ -187,7 +174,7 @@ mod tests {
             params: DpfParams::for_domain(1 << bits),
             root_seed: Block128::ZERO,
             levels: vec![
-                CorrectionWord {
+                LevelCorrection {
                     seed: Block128::ZERO,
                     t_left: false,
                     t_right: false,

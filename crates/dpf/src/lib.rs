@@ -65,7 +65,8 @@ pub use batch::{BatchEvalJob, BatchEvalOutput, GridMapping};
 pub use eval::{eval_point, eval_subtree_root};
 pub use fusion::{fused_eval_matmul, unfused_eval_matmul};
 pub use gen::generate_keys;
-pub use key::{CorrectionWord, DpfKey, DpfParams};
+pub use key::{DpfKey, DpfParams};
+pub use pir_prf::LevelCorrection;
 pub use plan::{DeviceSplit, PlanLedger, TableResidency};
 pub use recorder::{CountingRecorder, KernelRecorder, NullRecorder, Recorder};
 pub use scheduler::{ExecutionPlan, Scheduler, SchedulerConfig, SchedulerConfigError};

@@ -709,7 +709,7 @@ mod tests {
     /// leaves and every counter must match, on every SIMD backend.
     #[test]
     fn hostile_keys_expand_exactly_like_the_reference() {
-        use crate::{fused_eval_matmul, CorrectionWord};
+        use crate::{fused_eval_matmul, LevelCorrection};
         use pir_field::Block128;
         use pir_prf::{build_prf_with_backend, SimdBackend};
 
@@ -726,7 +726,7 @@ mod tests {
                         params,
                         root_seed: Block128::from_u128(rng.gen()),
                         levels: (0..params.domain_bits)
-                            .map(|_| CorrectionWord {
+                            .map(|_| LevelCorrection {
                                 seed: Block128::from_u128(rng.gen::<u128>() | 1),
                                 t_left: rng.gen(),
                                 t_right: rng.gen(),

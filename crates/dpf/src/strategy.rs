@@ -3,7 +3,8 @@
 //! The level-synchronous strategies run on a **frontier engine**: the whole
 //! current tree level lives in one contiguous seed buffer (control bits packed
 //! 64-per-word), each level is expanded with two batched PRF sweeps
-//! ([`pir_prf::Prf::eval_blocks`]) into a second buffer, and the buffers
+//! ([`GgmPrg::frontier_sweeps`]) and one correction pass
+//! ([`GgmPrg::correct_frontier`]) into a second buffer, and the buffers
 //! ping-pong. This replaces per-node `NodeState` construction and per-node
 //! dynamic PRF dispatch with straight-line loops, while the recorder sees the
 //! exact same event totals as the per-node formulation — the simulated cost
@@ -546,7 +547,7 @@ pub(crate) struct FrontierBuffers {
     t_bits: Vec<u64>,
     /// Control bits of the next level.
     next_t_bits: Vec<u64>,
-    /// Raw PRF sweep outputs, owned by [`GgmPrg::expand_frontier`].
+    /// Raw PRF sweep outputs, owned by [`GgmPrg::frontier_sweeps`].
     scratch: FrontierScratch,
 }
 
@@ -588,119 +589,52 @@ fn level_by_level<L: Leaf>(
     out: &mut [L],
 ) {
     debug_assert_eq!(out.len(), 1 << depth_below);
+    if depth_below == 0 {
+        out[0] = L::narrow(leaf_share(key, root));
+        return;
+    }
     // Buffer lengths are tracked explicitly and the Vecs only ever grow:
-    // every slot in play is overwritten by the fused pass, so per-level
+    // every slot in play is overwritten by the correction pass, so per-level
     // resizing (with its zero-fill on regrowth) would be pure overhead when
-    // the buffers are reused across levels and chunks.
+    // the buffers are reused across levels and runs.
     grow(&mut frontier.seeds, 1, Block128::ZERO);
     frontier.seeds[0] = root.seed;
     grow(&mut frontier.t_bits, 1, 0);
-    frontier.t_bits[0] = root.t as u64;
-
-    // Loop-invariant leaf conversion inputs (the party is public).
-    let final_cw = L::narrow(key.final_cw);
-    let negate = key.party == 1;
+    frontier.t_bits[0] = u64::from(root.t);
 
     let mut len = 1usize;
     for level in 0..depth_below {
-        let next_len = len * 2;
-
-        // On the last level the children are the leaves: convert them to
-        // shares directly in the fused pass instead of materializing a final
-        // seed level and re-reading it.
+        let cw = &key.levels[(level_offset + level) as usize];
+        // On the last level the children are the leaves: the pass converts
+        // them straight to shares, never stored as a seed level.
         let is_last = level + 1 == depth_below;
         if !is_last {
-            grow(&mut frontier.next_seeds, next_len, Block128::ZERO);
-            grow(&mut frontier.next_t_bits, next_len.div_ceil(64), 0);
+            grow(&mut frontier.next_seeds, 2 * len, Block128::ZERO);
+            grow(&mut frontier.next_t_bits, (2 * len).div_ceil(64), 0);
         }
-
-        // The correction word as 64-bit halves and 0/1 words: the fused pass
-        // below is all 64-bit mask arithmetic, no 128-bit temporaries.
-        let cw = &key.levels[(level_offset + level) as usize];
-        let (cw_low, cw_high) = cw.seed.halves();
-        let (cw_t_left, cw_t_right) = (u64::from(cw.t_left), u64::from(cw.t_right));
-
-        // Sweep the level in L1-sized tiles: the raw PRF outputs never leave
-        // cache, and one fused pass splits the control bits off the sweep
-        // outputs and applies the correction word under the parent's control
-        // bit as an all-ones/all-zeros mask (branch-free in every key bit,
-        // matching how GPU lanes mask the correction). Work runs in 32-node
-        // subgroups so each packed output word is composed in a register and
-        // parent bits are read word-at-a-time — the inner loops are pure
-        // iterator zips with no index arithmetic.
-        let mut tile_start = 0usize;
-        while tile_start < len {
-            let tile_len = (len - tile_start).min(FRONTIER_TILE);
-            let tile = &frontier.seeds[tile_start..tile_start + tile_len];
-            let (left, right) = prg.frontier_sweeps(tile, &mut frontier.scratch);
-
-            let mut group_start = 0usize;
-            while group_start < tile_len {
-                let group_len = (tile_len - group_start).min(32);
-                let node_base = tile_start + group_start;
-                // `node_base` is a multiple of 32 (tiles and levels are
-                // power-of-two sized), so the group's parent bits live in one
-                // aligned half-word and its child bits fill one output word.
-                let mut parent_bits = frontier.t_bits[node_base / 64] >> (node_base % 64);
-                let lefts = &left[group_start..group_start + group_len];
-                let rights = &right[group_start..group_start + group_len];
-
-                // One node: the parent mask, both children's control bits and
-                // the masked seed correction, all on halves. Nothing assumes
-                // the correction seed's LSB is clear — keys arrive off the
-                // wire unvalidated and must expand exactly as the per-node
-                // reference does.
-                let correct = |parent_bits: u64, l: &Block128, r: &Block128| {
-                    let parent = 0u64.wrapping_sub(parent_bits & 1);
-                    let (l_low, l_high) = l.halves();
-                    let (r_low, r_high) = r.halves();
-                    let (mask_low, mask_high) = (cw_low & parent, cw_high & parent);
-                    (
-                        ((l_low & !1) ^ mask_low, l_high ^ mask_high),
-                        (l_low & 1) ^ (parent & cw_t_left),
-                        ((r_low & !1) ^ mask_low, r_high ^ mask_high),
-                        (r_low & 1) ^ (parent & cw_t_right),
-                    )
-                };
-
-                if is_last {
-                    let leaves = &mut out[2 * node_base..2 * (node_base + group_len)];
-                    for ((l, r), pair) in lefts.iter().zip(rights).zip(leaves.chunks_exact_mut(2)) {
-                        let (l_seed, l_t, r_seed, r_t) = correct(parent_bits, l, r);
-                        parent_bits >>= 1;
-                        pair[0] = L::share(final_cw, negate, l_seed.0, l_seed.1, l_t);
-                        pair[1] = L::share(final_cw, negate, r_seed.0, r_seed.1, r_t);
-                    }
-                } else {
-                    let children =
-                        &mut frontier.next_seeds[2 * node_base..2 * (node_base + group_len)];
-                    // Child bits enter at the top of the word and shift down,
-                    // two per node; a short group is aligned afterwards.
-                    let mut child_bits = 0u64;
-                    for ((l, r), out) in lefts.iter().zip(rights).zip(children.chunks_exact_mut(2))
-                    {
-                        let (l_seed, l_t, r_seed, r_t) = correct(parent_bits, l, r);
-                        parent_bits >>= 1;
-                        child_bits = (child_bits >> 2) | (l_t << 62) | (r_t << 63);
-                        out[0] = Block128::from_halves(l_seed.0, l_seed.1);
-                        out[1] = Block128::from_halves(r_seed.0, r_seed.1);
-                    }
-                    frontier.next_t_bits[node_base / 32] = child_bits >> (64 - 2 * group_len);
-                }
-                group_start += group_len;
+        // Sweep the level in L1-sized tiles and hand each tile's raw outputs
+        // to the correction pass while they are in cache. A tile starts on a
+        // multiple of 64 nodes, so its parent bits start a word and its
+        // child bits fill whole words of their own.
+        for start in (0..len).step_by(FRONTIER_TILE) {
+            let end = (start + FRONTIER_TILE).min(len);
+            let sweeps = prg.frontier_sweeps(&frontier.seeds[start..end], &mut frontier.scratch);
+            let parent_t = &frontier.t_bits[start / 64..];
+            if is_last {
+                L::last_level(prg, key, sweeps, parent_t, cw, &mut out[2 * start..2 * end]);
+            } else {
+                prg.correct_frontier(
+                    sweeps,
+                    parent_t,
+                    cw,
+                    &mut frontier.next_seeds[2 * start..2 * end],
+                    &mut frontier.next_t_bits[start / 32..(2 * end).div_ceil(64)],
+                );
             }
-            tile_start += tile_len;
         }
-
-        if !is_last {
-            std::mem::swap(&mut frontier.seeds, &mut frontier.next_seeds);
-            std::mem::swap(&mut frontier.t_bits, &mut frontier.next_t_bits);
-        }
-        len = next_len;
-    }
-
-    if depth_below == 0 {
-        out[0] = L::narrow(leaf_share(key, root));
+        std::mem::swap(&mut frontier.seeds, &mut frontier.next_seeds);
+        std::mem::swap(&mut frontier.t_bits, &mut frontier.next_t_bits);
+        len *= 2;
     }
 }
 

@@ -3,8 +3,8 @@
 //! The level-synchronous frontier engine sweeps each tree level in tiles of
 //! [`FRONTIER_TILE`] nodes: large enough to amortize per-sweep setup (key
 //! schedules, SIMD dispatch), small enough that the two raw sweep outputs
-//! (2 × 16 B per node) stay resident in L1 while the fused correction pass
-//! consumes them. It is a constant: `LevelByLevel` over 2^16 leaves reads
+//! (2 × 16 B per node) stay resident in L1 while the correction pass
+//! (`GgmPrg::correct_frontier`) consumes them. It is a constant: `LevelByLevel` over 2^16 leaves reads
 //! within 3 % of itself at 128, 256 and 512 for AES, ChaCha20 and SipHash.
 //!
 //! The memory-bounded strategy expands `HOST_FRONTIER_LEAVES`-leaf runs
@@ -15,12 +15,12 @@
 
 use pir_prf::{GgmPrg, PrfKind};
 
-/// Nodes expanded per PRF sweep inside one level. A power of two ≥ 32: the
-/// fused correction pass composes packed control-bit words in 32-node groups
-/// and requires tiles to preserve that alignment.
+/// Nodes expanded per PRF sweep inside one level. A multiple of 64, so
+/// every tile's packed parent bits start a word and its children's bits fill
+/// words no other tile writes: each tile is one call of the correction pass.
 pub const FRONTIER_TILE: usize = 256;
 
-const _: () = assert!(FRONTIER_TILE.is_power_of_two() && FRONTIER_TILE >= 32);
+const _: () = assert!(FRONTIER_TILE.is_multiple_of(64));
 
 /// Leaves per host level-by-level run of the memory-bounded strategy (or the
 /// chunk, if larger). A 2^16-leaf key restarts from a lone node 32 times

@@ -320,6 +320,10 @@ impl Prf for Aes128Prf {
         }
         self.backend.label()
     }
+
+    fn simd_backend(&self) -> SimdBackend {
+        self.backend
+    }
 }
 
 /// The tweak is mixed into the plaintext before encryption (counter-mode

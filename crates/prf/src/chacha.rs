@@ -180,6 +180,10 @@ impl Prf for ChaCha20Prf {
     fn backend_label(&self) -> &'static str {
         self.backend.label()
     }
+
+    fn simd_backend(&self) -> SimdBackend {
+        self.backend
+    }
 }
 
 #[cfg(test)]

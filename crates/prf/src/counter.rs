@@ -104,6 +104,10 @@ impl Prf for CountingPrf {
     fn backend_label(&self) -> &'static str {
         self.inner.backend_label()
     }
+
+    fn simd_backend(&self) -> pir_field::SimdBackend {
+        self.inner.simd_backend()
+    }
 }
 
 impl std::fmt::Debug for CountingPrf {

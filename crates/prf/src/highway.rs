@@ -195,6 +195,10 @@ impl Prf for HighwayPrf {
     fn backend_label(&self) -> &'static str {
         self.backend.label()
     }
+
+    fn simd_backend(&self) -> SimdBackend {
+        self.backend
+    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@
 //! Rust behind a single object-safe [`Prf`] trait, together with:
 //!
 //! * [`GgmPrg`] — the length-doubling PRG (built from any [`Prf`] with a
-//!   Matyas–Meyer–Oseas feed-forward) that drives GGM-tree expansion,
+//!   Matyas–Meyer–Oseas feed-forward) that drives GGM-tree expansion, with
+//!   the pass that applies a [`LevelCorrection`] to a whole frontier,
 //! * [`CountingPrf`] — a decorator that counts invocations, used by the GPU
 //!   simulator's cost model and by the paper's Figure 6 "number of PRFs"
 //!   metric,
@@ -61,7 +62,7 @@ pub use chacha::ChaCha20Prf;
 pub use counter::CountingPrf;
 pub use highway::HighwayPrf;
 pub use pir_field::SimdBackend;
-pub use prg::{FrontierScratch, GgmPrg, PrgExpansion};
+pub use prg::{FrontierScratch, GgmPrg, LevelCorrection, PrgExpansion};
 pub use sha256::{hmac_sha256, sha256, Sha256Prf};
 pub use siphash::{siphash24, SipHashPrf};
 
@@ -166,6 +167,14 @@ pub trait Prf: Send + Sync {
     /// backend report `"scalar"` regardless of what was requested.
     fn backend_label(&self) -> &'static str {
         "scalar"
+    }
+
+    /// The SIMD backend this instance was built for (after runtime
+    /// detection, so an `Avx2` value proves the host has AVX2). A
+    /// [`GgmPrg`] runs its correction pass on it, so a PRF pinned to
+    /// scalar gets the scalar pass too, whatever the process default.
+    fn simd_backend(&self) -> SimdBackend {
+        SimdBackend::Scalar
     }
 }
 

@@ -1,10 +1,28 @@
-//! The length-doubling PRG that drives GGM-tree expansion.
+//! The length-doubling PRG that drives GGM-tree expansion, and the pass that
+//! applies a DPF level's correction word to a whole frontier of children.
 
 use std::sync::Arc;
 
-use pir_field::Block128;
+use pir_field::{Block128, SimdBackend};
+use serde::{Deserialize, Serialize};
 
 use crate::Prf;
+
+/// One level's correction word of the GGM-tree DPF.
+///
+/// During evaluation, a node whose control bit is set XORs `seed` into both
+/// children's seeds and the respective `t_*` bits into their control bits.
+/// Nothing assumes `seed`'s least-significant bit is clear: keys arrive off
+/// the wire unvalidated.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct LevelCorrection {
+    /// Seed correction applied to both children.
+    pub seed: Block128,
+    /// Control-bit correction for the left child.
+    pub t_left: bool,
+    /// Control-bit correction for the right child.
+    pub t_right: bool,
+}
 
 /// The result of expanding one tree node into its two children.
 ///
@@ -32,6 +50,9 @@ pub struct PrgExpansion {
 #[derive(Clone)]
 pub struct GgmPrg {
     prf: Arc<dyn Prf>,
+    /// The backend of the correction pass: the PRF instance's own, so a
+    /// forced-scalar PRF gets the scalar pass too.
+    pass: SimdBackend,
 }
 
 /// Tweak used to derive the left child.
@@ -43,7 +64,8 @@ impl GgmPrg {
     /// Build a PRG from the given PRF.
     #[must_use]
     pub fn new(prf: Arc<dyn Prf>) -> Self {
-        Self { prf }
+        let pass = prf.simd_backend();
+        Self { prf, pass }
     }
 
     /// Access the underlying PRF (e.g. to read its call counter).
@@ -82,57 +104,106 @@ impl GgmPrg {
         (out.with_cleared_lsb(), out.lsb())
     }
 
-    /// Expand a whole frontier of seeds one level down in two batched PRF
-    /// sweeps (one per child tweak).
+    /// Expand a whole frontier of DPF nodes one level down: two batched PRF
+    /// sweeps ([`GgmPrg::frontier_sweeps`]), then the correction pass
+    /// ([`GgmPrg::correct_frontier`]).
     ///
-    /// `seeds[i]`'s children land at `out_seeds[2 * i]` (left) and
-    /// `out_seeds[2 * i + 1]` (right), with their control bits packed into
-    /// `out_t` (bit `j % 64` of word `j / 64` for child index `j`; `out_t` is
-    /// fully overwritten). Each child is bit-identical to the corresponding
-    /// [`GgmPrg::expand`] output, and the call costs exactly
-    /// `2 * seeds.len()` PRF block evaluations — the unit the cost model
-    /// counts is unchanged, only the host-side batching differs.
+    /// Node `i` has seed `seeds[i]` and control bit `i % 64` of word `i / 64`
+    /// of `parent_t`. Its children land at `children[2 * i]` (left) and
+    /// `children[2 * i + 1]` (right), with their control bits packed the
+    /// same way into `child_t`, which is fully overwritten. Each child is
+    /// what the per-node descent gives: the [`GgmPrg::expand`] output, with
+    /// `cw` applied if the parent's bit is set. A zero `cw` gives the plain
+    /// expansion. The call costs exactly `2 * seeds.len()` PRF block
+    /// evaluations.
     ///
     /// # Panics
     ///
-    /// Panics if `out_seeds` is not exactly twice `seeds` or `out_t` cannot
-    /// hold one bit per child.
+    /// As [`GgmPrg::correct_frontier`].
     pub fn expand_frontier(
         &self,
         seeds: &[Block128],
+        parent_t: &[u64],
+        cw: &LevelCorrection,
         scratch: &mut FrontierScratch,
-        out_seeds: &mut [Block128],
-        out_t: &mut [u64],
+        children: &mut [Block128],
+        child_t: &mut [u64],
     ) {
-        let n = seeds.len();
-        assert_eq!(out_seeds.len(), 2 * n, "need two child slots per seed");
-        assert_eq!(
-            out_t.len(),
-            (2 * n).div_ceil(64),
-            "need one packed control bit per child"
-        );
-        let (left, right) = self.frontier_sweeps(seeds, scratch);
+        let sweeps = self.frontier_sweeps(seeds, scratch);
+        self.correct_frontier(sweeps, parent_t, cw, children, child_t);
+    }
 
-        out_t.fill(0);
-        for i in 0..n {
-            let left = left[i];
-            let right = right[i];
-            out_seeds[2 * i] = left.with_cleared_lsb();
-            out_seeds[2 * i + 1] = right.with_cleared_lsb();
-            let bits = (left.lsb() as u64) | ((right.lsb() as u64) << 1);
-            out_t[i / 32] |= bits << (2 * i % 64);
+    /// The correction pass over one frontier's sweep outputs `(left,
+    /// right)` (as [`GgmPrg::frontier_sweeps`] returns them): splits each
+    /// output into its child seed and control bit and applies `cw` under the
+    /// parent's bit, branch-free in seeds and bits. Layout as
+    /// [`GgmPrg::expand_frontier`]; any length is accepted, and parent bits
+    /// past the frontier are ignored.
+    ///
+    /// Runs on the backend of this PRG's PRF ([`Prf::simd_backend`]): two
+    /// nodes per ymm register on AVX2, the scalar reference otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `left` and `right` differ in length, `parent_t` holds fewer
+    /// than one bit per node, `children` is not exactly two per node, or
+    /// `child_t` is not exactly the words that hold one bit per child.
+    pub fn correct_frontier(
+        &self,
+        (left, right): (&[Block128], &[Block128]),
+        parent_t: &[u64],
+        cw: &LevelCorrection,
+        children: &mut [Block128],
+        child_t: &mut [u64],
+    ) {
+        check_pass_shape(left, right, parent_t, children.len());
+        assert_eq!(
+            child_t.len(),
+            (2 * left.len()).div_ceil(64),
+            "need exactly the words holding one bit per child"
+        );
+        #[cfg(target_arch = "x86_64")]
+        if self.pass == SimdBackend::Avx2 {
+            return crate::simd::ggm_x86::correct(left, right, parent_t, cw, children, child_t);
         }
+        correct_scalar(left, right, parent_t, cw, children, child_t);
+    }
+
+    /// The last level's correction pass, straight to `u32` leaf shares:
+    /// child `j` (layout as [`GgmPrg::correct_frontier`]) becomes
+    /// `out[j] = ±(low 32 bits of its seed + t_j · final_cw)`, negated when
+    /// `negate` (party 1). Branch-free in seeds and bits; any length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `left` and `right` differ in length, `parent_t` holds fewer
+    /// than one bit per node, or `out` is not exactly two per node.
+    pub fn correct_frontier_leaves(
+        &self,
+        (left, right): (&[Block128], &[Block128]),
+        parent_t: &[u64],
+        cw: &LevelCorrection,
+        final_cw: u32,
+        negate: bool,
+        out: &mut [u32],
+    ) {
+        check_pass_shape(left, right, parent_t, out.len());
+        #[cfg(target_arch = "x86_64")]
+        if self.pass == SimdBackend::Avx2 {
+            return crate::simd::ggm_x86::leaves(left, right, parent_t, cw, final_cw, negate, out);
+        }
+        leaves_scalar(left, right, parent_t, cw, final_cw, negate, out);
     }
 
     /// Run the two batched child sweeps for a frontier, returning the full
     /// PRG outputs `G_0(s) = PRF(s, 0) ⊕ s` and `G_1(s) = PRF(s, 1) ⊕ s`
     /// (feed-forward applied, control bit still embedded in the LSB).
     ///
-    /// This is the lowest-level building block of the frontier engine:
-    /// callers that also apply correction words fuse the control-bit split
-    /// and the correction into one pass over the returned slices instead of
-    /// paying a separate interleave loop (see the `pir-dpf` strategies).
-    /// Costs exactly `2 * seeds.len()` PRF block evaluations.
+    /// The first half of [`GgmPrg::expand_frontier`]: a caller that sweeps a
+    /// level tile by tile hands each tile's outputs to
+    /// [`GgmPrg::correct_frontier`] or [`GgmPrg::correct_frontier_leaves`]
+    /// while they are in cache. Costs exactly `2 * seeds.len()` PRF block
+    /// evaluations.
     pub fn frontier_sweeps<'s>(
         &self,
         seeds: &[Block128],
@@ -156,7 +227,7 @@ impl GgmPrg {
     }
 }
 
-/// Reusable buffers for [`GgmPrg::expand_frontier`], holding the raw PRF
+/// Reusable buffers for [`GgmPrg::frontier_sweeps`], holding the raw PRF
 /// outputs of the left and right sweeps. Keeping them outside the call lets a
 /// level-synchronous expansion reuse one allocation across every level and
 /// chunk of a job.
@@ -181,6 +252,104 @@ impl FrontierScratch {
             left: Vec::with_capacity(seeds),
             right: Vec::with_capacity(seeds),
         }
+    }
+}
+
+/// The length conditions every correction pass (and the AVX2 kernels'
+/// memory accesses) rely on: `outputs` slots, two per node, and a parent bit
+/// per node.
+pub(crate) fn check_pass_shape(
+    left: &[Block128],
+    right: &[Block128],
+    parent_t: &[u64],
+    outputs: usize,
+) {
+    let n = left.len();
+    assert_eq!(right.len(), n, "left and right sweeps differ in length");
+    assert!(
+        parent_t.len() >= n.div_ceil(64),
+        "need one packed parent bit per node"
+    );
+    assert_eq!(outputs, 2 * n, "need two child slots per node");
+}
+
+/// One node of the correction pass: its corrected left and right children
+/// and their control bits (`t_left | t_right << 1`), from the raw sweep
+/// outputs and the parent's control bit `parent` (0 or 1).
+#[inline(always)]
+pub(crate) fn correct_node(
+    left: Block128,
+    right: Block128,
+    parent: u64,
+    cw: &LevelCorrection,
+) -> (Block128, Block128, u64) {
+    let mask = 0u64.wrapping_sub(parent);
+    let (cw_low, cw_high) = cw.seed.halves();
+    let (cw_low, cw_high) = (cw_low & mask, cw_high & mask);
+    let (l_low, l_high) = left.halves();
+    let (r_low, r_high) = right.halves();
+    let t_left = (l_low & 1) ^ (mask & u64::from(cw.t_left));
+    let t_right = (r_low & 1) ^ (mask & u64::from(cw.t_right));
+    (
+        Block128::from_halves((l_low & !1) ^ cw_low, l_high ^ cw_high),
+        Block128::from_halves((r_low & !1) ^ cw_low, r_high ^ cw_high),
+        t_left | t_right << 1,
+    )
+}
+
+/// The `u32` leaf share of a corrected child with control bit `t` (0 or 1):
+/// `(low 32 bits + t · final_cw)`, negated when `sign` is all-ones.
+#[inline(always)]
+pub(crate) fn leaf_lane(child: Block128, t: u64, final_cw: u32, sign: u32) -> u32 {
+    let sum = (child.halves().0 as u32).wrapping_add(final_cw & (t as u32).wrapping_neg());
+    // (x ^ m) - m is x for m = 0 and -x for m = all-ones.
+    (sum ^ sign).wrapping_sub(sign)
+}
+
+/// The scalar reference of [`GgmPrg::correct_frontier`]: 32 nodes fill one
+/// packed output word, their parent bits read as one half-word.
+pub(crate) fn correct_scalar(
+    left: &[Block128],
+    right: &[Block128],
+    parent_t: &[u64],
+    cw: &LevelCorrection,
+    children: &mut [Block128],
+    child_t: &mut [u64],
+) {
+    let groups = left.chunks(32).zip(right.chunks(32));
+    let outputs = children.chunks_mut(64).zip(child_t.iter_mut());
+    for (group, ((lefts, rights), (pairs, word))) in groups.zip(outputs).enumerate() {
+        let mut parents = parent_t[group / 2] >> (32 * (group % 2));
+        let mut bits = 0u64;
+        let nodes = lefts.iter().zip(rights).zip(pairs.chunks_exact_mut(2));
+        for (k, ((l, r), pair)) in nodes.enumerate() {
+            let (l, r, two) = correct_node(*l, *r, parents & 1, cw);
+            parents >>= 1;
+            pair[0] = l;
+            pair[1] = r;
+            bits |= two << (2 * k);
+        }
+        *word = bits;
+    }
+}
+
+/// The scalar reference of [`GgmPrg::correct_frontier_leaves`].
+pub(crate) fn leaves_scalar(
+    left: &[Block128],
+    right: &[Block128],
+    parent_t: &[u64],
+    cw: &LevelCorrection,
+    final_cw: u32,
+    negate: bool,
+    out: &mut [u32],
+) {
+    let sign = u32::from(negate).wrapping_neg();
+    let nodes = left.iter().zip(right).zip(out.chunks_exact_mut(2));
+    for (i, ((l, r), pair)) in nodes.enumerate() {
+        let parent = (parent_t[i / 64] >> (i % 64)) & 1;
+        let (l, r, two) = correct_node(*l, *r, parent, cw);
+        pair[0] = leaf_lane(l, two & 1, final_cw, sign);
+        pair[1] = leaf_lane(r, two >> 1, final_cw, sign);
     }
 }
 
@@ -273,7 +442,18 @@ mod tests {
                 let mut scratch = FrontierScratch::new();
                 let mut children = vec![Block128::ZERO; 2 * n];
                 let mut t_bits = vec![0u64; (2 * n).div_ceil(64)];
-                prg.expand_frontier(&seeds, &mut scratch, &mut children, &mut t_bits);
+                // A zero correction leaves every node, set bit or not, as
+                // `expand` gives it.
+                let parents = vec![u64::MAX; n.div_ceil(64)];
+                let zero = LevelCorrection::default();
+                prg.expand_frontier(
+                    &seeds,
+                    &parents,
+                    &zero,
+                    &mut scratch,
+                    &mut children,
+                    &mut t_bits,
+                );
 
                 for (i, seed) in seeds.iter().enumerate() {
                     let expected = prg.expand(*seed);
@@ -296,7 +476,15 @@ mod tests {
         let mut scratch = FrontierScratch::new();
         let mut children = vec![Block128::ZERO; 80];
         let mut t_bits = vec![0u64; 2];
-        prg.expand_frontier(&seeds, &mut scratch, &mut children, &mut t_bits);
+        let zero = LevelCorrection::default();
+        prg.expand_frontier(
+            &seeds,
+            &[0],
+            &zero,
+            &mut scratch,
+            &mut children,
+            &mut t_bits,
+        );
         assert_eq!(counting.calls(), 80);
     }
 
@@ -308,7 +496,15 @@ mod tests {
         let mut scratch = FrontierScratch::with_capacity(1);
         let mut children = vec![Block128::ZERO; 2];
         let mut t_bits = vec![u64::MAX];
-        prg.expand_frontier(&seeds, &mut scratch, &mut children, &mut t_bits);
+        let zero = LevelCorrection::default();
+        prg.expand_frontier(
+            &seeds,
+            &[0],
+            &zero,
+            &mut scratch,
+            &mut children,
+            &mut t_bits,
+        );
         assert_eq!(t_bits[0] >> 2, 0, "bits beyond the frontier must be zero");
     }
 }

@@ -338,6 +338,10 @@ impl Prf for Sha256Prf {
     fn backend_label(&self) -> &'static str {
         self.backend.label()
     }
+
+    fn simd_backend(&self) -> SimdBackend {
+        self.backend
+    }
 }
 
 #[cfg(test)]

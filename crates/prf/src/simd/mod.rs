@@ -12,7 +12,9 @@
 //!
 //! Layout mirrors Expander's dual-backend field pattern: one portable entry
 //! point per primitive, `*_x86` (AVX2 / AES-NI / VAES) and `*_neon`
-//! implementations selected behind it at runtime.
+//! implementations selected behind it at runtime. `ggm_x86` is the one
+//! kernel that is not a primitive's: the GGM correction pass behind
+//! `GgmPrg`, whose scalar reference lives in `prg.rs`.
 
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 use pir_field::Block128;
@@ -23,6 +25,8 @@ pub(crate) mod aes_x86;
 pub(crate) mod chacha_neon;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod chacha_x86;
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod ggm_x86;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod highway_x86;
 #[cfg(target_arch = "x86_64")]

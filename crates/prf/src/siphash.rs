@@ -468,6 +468,10 @@ impl Prf for SipHashPrf {
     fn backend_label(&self) -> &'static str {
         self.backend.label()
     }
+
+    fn simd_backend(&self) -> SimdBackend {
+        self.backend
+    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! as the exact lengths these encoders produce, and tests assert the two
 //! never drift.
 
-use pir_dpf::{CorrectionWord, DpfKey, DpfParams};
+use pir_dpf::{DpfKey, DpfParams, LevelCorrection};
 use pir_field::{Block128, Ring128};
 use pir_prf::PrfKind;
 use pir_protocol::{PirResponse, ServerQuery, TableSchema};
@@ -317,7 +317,7 @@ pub fn decode_schema(reader: &mut WireReader<'_>) -> Result<TableSchema, WireErr
 /// `DpfKey` header byte: party in bit 7, tree depth in bits 0..=6.
 const KEY_PARTY_BIT: u8 = 0x80;
 const KEY_DEPTH_MASK: u8 = 0x7F;
-/// `CorrectionWord` flag byte: `t_left` in bit 0, `t_right` in bit 1.
+/// `LevelCorrection` flag byte: `t_left` in bit 0, `t_right` in bit 1.
 const CW_T_LEFT: u8 = 0x01;
 const CW_T_RIGHT: u8 = 0x02;
 
@@ -377,7 +377,7 @@ pub fn decode_dpf_key(reader: &mut WireReader<'_>, domain_size: u64) -> Result<D
                 "correction-word flag byte has reserved bits set",
             ));
         }
-        levels.push(CorrectionWord {
+        levels.push(LevelCorrection {
             seed,
             t_left: flags & CW_T_LEFT != 0,
             t_right: flags & CW_T_RIGHT != 0,

@@ -5,13 +5,15 @@ use std::time::Duration;
 
 use gpu_pir_repro::gpu_sim::{BackendKind, DeviceSpec, HostBackend};
 use gpu_pir_repro::pir_core::{Application, PrivateInferenceSystem, SystemConfig};
-use gpu_pir_repro::pir_dpf::{generate_keys, BatchEvalJob, DpfKey, DpfParams, SchedulerConfig};
-use gpu_pir_repro::pir_field::{reconstruct_lanes, Ring128};
+use gpu_pir_repro::pir_dpf::{
+    eval_point, generate_keys, BatchEvalJob, DpfKey, DpfParams, SchedulerConfig,
+};
+use gpu_pir_repro::pir_field::{reconstruct_lanes, Block128, Ring128};
 use gpu_pir_repro::pir_ml::datasets::{DatasetKind, DatasetScale, SyntheticDataset};
 use gpu_pir_repro::pir_prf::{build_prf, GgmPrg, PrfKind};
 use gpu_pir_repro::pir_protocol::{
     shard_owned_ranges, CodesignParams, CpuPirServer, FullTableMode, GpuPirServer, NaivePir,
-    PirClient, PirResponse, PirServer, PirTable,
+    NaiveQuery, PirClient, PirResponse, PirServer, PirTable,
 };
 use gpu_pir_repro::pir_serve::{PirServeRuntime, ServeConfig, TableConfig};
 use rand::rngs::StdRng;
@@ -336,5 +338,58 @@ fn a_lockstep_batch_on_a_two_thread_host_backend_matches_naive_pir() {
         let want = naive.reconstruct(&naive.answer(&q0), &naive.answer(&q1));
         let got = table.lanes_to_entry_bytes(&reconstruct_lanes(&share0.0, &share1.0));
         assert_eq!(got, want, "row {index}");
+    }
+}
+
+#[test]
+fn keys_with_lsb_set_correction_seeds_expand_like_the_per_node_walk() {
+    // Keys arrive off the wire unvalidated. These are Gen's keys with the
+    // LSB of every correction seed set, a bit Gen always clears, so they no
+    // longer encode a point function; the servers must still expand them
+    // exactly as the per-node walk (`eval_point`) does. Nine keys per party
+    // on a two-thread host backend run in lockstep ranges, and 3 000 rows
+    // cut the second host run short. Each pair of answer shares must
+    // reconstruct what naive PIR returns for the pair of weight vectors the
+    // walk gives.
+    let table = PirTable::generate(3000, 24, |row, offset| {
+        (row as u8).wrapping_mul(7).wrapping_add(offset as u8)
+    });
+    let naive = NaivePir::new(table.clone());
+    let prg = GgmPrg::new(build_prf(PrfKind::Aes128));
+    let params = DpfParams::for_domain(table.entries());
+    let mut rng = StdRng::seed_from_u64(29);
+    let hostile = |mut key: DpfKey| {
+        for level in &mut key.levels {
+            level.seed = Block128::from_u128(level.seed.as_u128() | 1);
+        }
+        key
+    };
+    let (keys0, keys1): (Vec<DpfKey>, Vec<DpfKey>) = (0..9)
+        .map(|_| {
+            let index = rng.gen_range(0..table.entries());
+            let (key0, key1) = generate_keys(&prg, &params, index, Ring128::ONE, &mut rng);
+            (hostile(key0), hostile(key1))
+        })
+        .unzip();
+    let host = HostBackend::with_host_threads(DeviceSpec::v100(), 2);
+    let shares = |keys: &[DpfKey]| {
+        BatchEvalJob::new(&prg, PrfKind::Aes128, keys, table.matrix())
+            .run_on(&host)
+            .results
+    };
+    let walk = |key: &DpfKey| NaiveQuery {
+        share: (0..table.entries())
+            .map(|row| eval_point(&prg, key, row))
+            .collect(),
+    };
+    let (shares0, shares1) = (shares(&keys0), shares(&keys1));
+    for (i, (share0, share1)) in shares0.iter().zip(&shares1).enumerate() {
+        let (answer0, answer1) = (
+            naive.answer(&walk(&keys0[i])),
+            naive.answer(&walk(&keys1[i])),
+        );
+        let want = naive.reconstruct(&answer0, &answer1);
+        let got = table.lanes_to_entry_bytes(&reconstruct_lanes(&share0.0, &share1.0));
+        assert_eq!(got, want, "key pair {i}");
     }
 }
