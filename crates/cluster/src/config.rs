@@ -11,7 +11,7 @@ use crate::error::ClusterError;
 /// The replica endpoints of one shard-owner.
 ///
 /// Replicas are interchangeable: each hosts the same masked table view, so
-/// the router holds one live connection per shard and rotates to the next
+/// the router holds one live query link per shard and rotates to the next
 /// replica when it fails. Order is the failover preference order.
 #[derive(Clone)]
 pub struct ShardEndpoints {

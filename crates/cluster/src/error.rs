@@ -37,6 +37,9 @@ pub enum ClusterError {
     },
     /// A back-haul wire failure failover could not absorb.
     Wire(WireError),
+    /// The router shut down while the call was pending (or before it was
+    /// made).
+    ShuttingDown,
 }
 
 impl fmt::Display for ClusterError {
@@ -50,6 +53,7 @@ impl fmt::Display for ClusterError {
                 write!(f, "shard {shard} catalog mismatch: {detail}")
             }
             Self::Wire(err) => write!(f, "back-haul wire error: {err}"),
+            Self::ShuttingDown => write!(f, "the router is shutting down"),
         }
     }
 }

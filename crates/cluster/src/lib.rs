@@ -33,10 +33,13 @@
 //!
 //! * **Privacy unchanged** — one router per party sees only that party's
 //!   key projection; nothing in this crate can represent a key pair.
-//! * **Health-checked failover** — each shard has a replica list; a dead
-//!   replica is redialed around mid-call (each replica at most once per
-//!   call), a background prober keeps connections warm, and only a shard
-//!   with *no* live replica degrades to the typed
+//! * **Pipelined back-haul** — the router fans each query out without
+//!   waiting and matches shard replies by a router-wide id, so every shard
+//!   batches a session's whole window (see [`ClusterRouter`]).
+//! * **Health-checked failover** — each shard has a replica list; the legs
+//!   pending on a dead replica are re-sent on the next one (each replica
+//!   dialed at most once per leg), a background prober keeps connections
+//!   warm, and only a shard with *no* live replica degrades to the typed
 //!   [`ClusterError::ShardUnavailable`], surfaced to clients as a
 //!   shed-flagged (retry-later) error.
 //! * **Reload fence** — `update_entry` is two-phase (stage on every

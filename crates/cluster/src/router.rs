@@ -10,6 +10,21 @@
 //! partition the rows, the sum is bit-identical to what an unsharded server
 //! would have produced.
 //!
+//! # Pipelined service
+//!
+//! [`ClusterRouter::serve`] has the wire frontend's demux/remux shape. The
+//! calling thread decodes each client frame; a query is renumbered under a
+//! router-wide back-haul id (every session numbers its own wire ids from 1,
+//! so two sessions on one router would collide), encoded once, written to
+//! every shard's pipelined link, and the thread goes straight back to
+//! reading. Each shard link's reader matches replies by that id; the leg
+//! that completes a query's aggregate runs the fence check, the once-only
+//! re-ask, the lane-wise sum and the digest stamp, restores the client's id
+//! and hands the encoded reply to the connection's writer thread. So a
+//! shard sees the session's whole window at once and batches it, and no
+//! thread is spawned per query. Control frames (catalogs, updates, errors)
+//! are answered inline, in arrival order.
+//!
 //! # Trust model
 //!
 //! One router per party, deployed alongside that party's shards. A router
@@ -38,29 +53,30 @@
 //!
 //! On top of detection, the router keeps a per-table **fence**: the
 //! expected version of every shard (pinned by a calibration query at
-//! connect) plus a flip counter. `update_entry` is two-phase under the
-//! fence lock — **stage** the row on every replica of the owning shard,
-//! then **flip** the fence — which guarantees replicas stay
+//! connect) plus a flip counter. `update_entry` is two-phase and serialized
+//! by a staging lock — **stage** the row on every replica of the owning
+//! shard, then **flip** the fence — which guarantees replicas stay
 //! interchangeable across failover and gives queries a reference to chase:
 //! a shard whose stamp lags the fence raced a flip mid-flight and is
 //! re-asked exactly once before the aggregate is stamped, keeping
-//! client-visible skew rare even under heavy reload churn.
+//! client-visible skew rare even under heavy reload churn. The fence lock
+//! itself is never held across a network call.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 use pir_protocol::{validate_update, PirError, PirResponse};
 use pir_wire::{
     decode_request, encode_message, Catalog, CatalogEntry, ErrorCode, ErrorReply, PirTransport,
-    QueryMsg, ResponseMsg, UpdateAckMsg, UpdateEntryMsg, WireError, WireMessage,
+    QueryMsg, ResponseMsg, SplitTransport, UpdateAckMsg, UpdateEntryMsg, WireError, WireMessage,
     MAX_SUPPORTED_VERSION, MIN_SUPPORTED_VERSION,
 };
 use rand::SeedableRng;
 
-use crate::backhaul::ShardConn;
+use crate::backhaul::{LegSink, ShardConn};
 use crate::config::{ClusterConfig, ClusterMembership};
 use crate::error::ClusterError;
 use crate::map::ShardMap;
@@ -95,11 +111,13 @@ struct RouterInner {
     /// Shard 0's catalog entries, re-advertised to clients.
     tables: Vec<CatalogEntry>,
     maps: HashMap<String, ShardMap>,
-    /// Per-table fences. One lock for all of them: `update_entry` holds it
-    /// across stage+flip so queries validating mid-reload wait for a
-    /// consistent post-flip state instead of shedding.
+    /// Per-table fences, locked only for in-memory checks and flips.
     fences: Mutex<HashMap<String, TableFence>>,
-    conns: Vec<ShardConn>,
+    /// Serializes updates across stage + flip; queries never wait on it.
+    staging: Mutex<()>,
+    conns: Vec<Arc<ShardConn>>,
+    /// Next back-haul id (0 is the wire's connection-level id).
+    next_id: AtomicU64,
     telemetry: RouterTelemetry,
     stop: AtomicBool,
 }
@@ -113,6 +131,30 @@ pub struct ClusterRouter {
 /// What the fan-out produced for one shard.
 type ShardAnswer = Result<(Vec<u32>, u64), Box<WireMessage>>;
 
+/// One client query in flight: its legs' answers, gathered until the last
+/// one lands. Every leg's sink is this aggregate.
+struct Aggregate {
+    router: Arc<RouterInner>,
+    /// The client's wire id, restored on the reply.
+    client_id: u64,
+    /// The router-wide back-haul id every leg travels under.
+    id: u64,
+    table: String,
+    /// The encoded leg, shared by every shard and by a fence re-ask.
+    frame: Arc<Vec<u8>>,
+    /// The client connection's writer.
+    reply: mpsc::Sender<Vec<u8>>,
+    gather: Mutex<Gather>,
+}
+
+struct Gather {
+    answers: Vec<Option<ShardAnswer>>,
+    /// Legs still outstanding.
+    outstanding: usize,
+    /// The once-only fence re-ask was taken.
+    reasked: bool,
+}
+
 impl ClusterRouter {
     /// Connect to every shard, validate the deployment, and build the
     /// router for `party`.
@@ -121,14 +163,16 @@ impl ClusterRouter {
     /// advertise a protocol ceiling at or above the supported floor (the
     /// fence is built on response stamps), and advertise a catalog identical
     /// to shard 0's (masked views share the schema, so any disagreement
-    /// means mis-provisioning).
+    /// means mis-provisioning). Each shard's pipelined query link is dialed
+    /// last.
     ///
     /// # Errors
     ///
-    /// [`ClusterError::Config`] for an invalid membership, party, or a
-    /// shard below the protocol floor; [`ClusterError::CatalogMismatch`]
-    /// for catalog disagreements; [`ClusterError::ShardUnavailable`] when a
-    /// shard cannot be reached at all.
+    /// [`ClusterError::Config`] for an invalid membership, party, a shard
+    /// below the protocol floor, or a replica transport that cannot split
+    /// into halves; [`ClusterError::CatalogMismatch`] for catalog
+    /// disagreements; [`ClusterError::ShardUnavailable`] when a shard
+    /// cannot be reached at all.
     pub fn connect(
         membership: &ClusterMembership,
         config: &ClusterConfig,
@@ -140,11 +184,11 @@ impl ClusterRouter {
                 "two-server protocol: party must be 0 or 1, got {party}"
             )));
         }
-        let conns: Vec<ShardConn> = membership
+        let conns: Vec<Arc<ShardConn>> = membership
             .shards
             .iter()
             .enumerate()
-            .map(|(shard, endpoints)| ShardConn::new(shard, endpoints.replicas.clone()))
+            .map(|(shard, endpoints)| Arc::new(ShardConn::new(shard, endpoints.replicas.clone())))
             .collect();
         let mut tables: Option<Vec<CatalogEntry>> = None;
         for conn in &conns {
@@ -208,14 +252,12 @@ impl ClusterRouter {
             // pir-lint: allow(panic-path, "the loop above inserted a fence for every table entry")
             let fence = fences.get_mut(&entry.name).expect("inserted above");
             for conn in &conns {
-                let query = client.query(0, &mut rng);
-                let query_id = query.query_id;
                 let frame = encode_message(&WireMessage::Query(QueryMsg {
                     table: entry.name.clone(),
                     tenant: "cluster-fence-calibration".into(),
-                    query: query.to_server(party),
+                    query: client.query(0, &mut rng).to_server(party),
                 }));
-                match conn.call(&frame, Some(query_id))? {
+                match conn.call(&frame)? {
                     WireMessage::Response(msg) => {
                         fence.shard[conn.shard()] = Some(msg.table_version);
                     }
@@ -236,12 +278,17 @@ impl ClusterRouter {
                 }
             }
         }
+        for conn in &conns {
+            conn.connect_link()?;
+        }
         let inner = Arc::new(RouterInner {
             party,
             tables,
             maps,
             fences: Mutex::new(fences),
+            staging: Mutex::new(()),
             conns,
+            next_id: AtomicU64::new(1),
             telemetry: RouterTelemetry::default(),
             stop: AtomicBool::new(false),
         });
@@ -287,297 +334,82 @@ impl ClusterRouter {
         self.inner.maps.get(table)
     }
 
-    /// Stop the background prober. Idempotent; also runs on drop.
+    /// Stop the background prober and close every shard's back-haul:
+    /// queries still in flight, and any arriving later, are answered with a
+    /// shed-flagged error. Returns without waiting on a shard. Idempotent;
+    /// also runs on drop.
     pub fn shutdown(&self) {
         self.inner.stop.store(true, Ordering::SeqCst);
         if let Some(prober) = self.prober.lock().take() {
             prober.thread().unpark();
             let _ = prober.join();
         }
+        for conn in &self.inner.conns {
+            conn.close();
+        }
     }
 
-    /// Serve one client connection until the peer hangs up.
-    ///
-    /// One frame in, one frame out per connection (a session's window is
-    /// served one query at a time — a pipelined router is an open ROADMAP
-    /// item); run one `serve` thread per accepted connection for
-    /// concurrency.
+    /// Serve one client connection until the peer hangs up: the demux loop
+    /// (this thread) plus a writer thread — see the module docs. Run one
+    /// `serve` thread per accepted connection. A client that stops reading
+    /// stalls only its own writer.
     ///
     /// # Errors
     ///
-    /// Returns [`WireError::Transport`] for I/O failures; a clean
-    /// [`WireError::ConnectionClosed`] hang-up returns `Ok(())`.
-    pub fn serve(&self, mut transport: Box<dyn PirTransport>) -> Result<(), WireError> {
-        loop {
-            let frame = match transport.recv() {
-                Ok(frame) => frame,
-                Err(WireError::ConnectionClosed) => return Ok(()),
-                Err(err) => return Err(err),
-            };
-            let reply = self.handle_frame(&frame);
-            match transport.send(&reply) {
-                Ok(()) => {}
-                Err(WireError::ConnectionClosed) => return Ok(()),
-                Err(err) => return Err(err),
+    /// Returns [`WireError::Transport`] for I/O failures and for a
+    /// transport that cannot split into halves (nothing is read from it); a
+    /// clean [`WireError::ConnectionClosed`] hang-up returns `Ok(())`.
+    pub fn serve(&self, transport: Box<dyn PirTransport>) -> Result<(), WireError> {
+        let SplitTransport::Halves { mut recv, mut send } = transport.split() else {
+            return Err(WireError::Transport(
+                "transport cannot split into receive/send halves, which the router's \
+                 demux/writer pair needs"
+                    .into(),
+            ));
+        };
+        let (reply, replies) = mpsc::channel::<Vec<u8>>();
+        let writer = std::thread::Builder::new()
+            .name(format!("cluster-writer-party{}", self.inner.party))
+            .spawn(move || -> Result<(), WireError> {
+                for frame in replies {
+                    send.send(&frame)?;
+                }
+                Ok(())
+            })
+            // pir-lint: allow(panic-path, "OS thread spawn fails only on resource exhaustion; the connection cannot proceed without its writer")
+            .expect("spawn cluster writer");
+        let outcome = loop {
+            match recv.recv() {
+                Ok(frame) => self.inner.dispatch(&frame, &reply),
+                Err(WireError::ConnectionClosed) => break Ok(()),
+                Err(err) => break Err(err),
             }
+        };
+        // The writer sends what in-flight queries still owe, then exits
+        // once the last of them drops its sender.
+        drop(reply);
+        let written = writer
+            .join()
+            .unwrap_or_else(|_| Err(WireError::Transport("cluster writer panicked".into())));
+        match (outcome, written) {
+            (Ok(()), Err(err)) if err != WireError::ConnectionClosed => Err(err),
+            (outcome, _) => outcome,
         }
     }
 
-    /// Handle one request frame and produce the reply frame. Total: every
-    /// input, including garbage, yields an encoded reply.
+    /// Handle one request frame and produce the reply frame, blocking until
+    /// it is ready (the one-frame special case of [`Self::serve`]). Total:
+    /// every input, including garbage, yields an encoded reply.
     #[must_use]
     pub fn handle_frame(&self, frame: &[u8]) -> Vec<u8> {
-        let reply = match decode_request(frame) {
-            Err(reply) => reply.into(),
-            Ok(WireMessage::CatalogRequest) => WireMessage::Catalog(Catalog {
-                protocol_version: MAX_SUPPORTED_VERSION,
-                party: self.inner.party,
-                tables: self.inner.tables.clone(),
-            }),
-            Ok(WireMessage::Query(query)) => self.handle_query(query),
-            Ok(WireMessage::UpdateEntry(update)) => self.handle_update(update),
-            Ok(other) => ErrorReply::new(
-                ErrorCode::InvalidRequest,
-                0,
-                format!("router cannot accept a {} message", other.name()),
+        let (reply, replies) = mpsc::channel();
+        self.inner.dispatch(frame, &reply);
+        drop(reply);
+        replies.recv().unwrap_or_else(|_| {
+            encode_message(
+                &ErrorReply::new(ErrorCode::Protocol, 0, "query dropped unanswered").into(),
             )
-            .into(),
-        };
-        encode_message(&reply)
-    }
-
-    /// Answer one query: fan out, fence-validate, retry once, sum, stamp.
-    fn handle_query(&self, query: QueryMsg) -> WireMessage {
-        let inner = &self.inner;
-        let query_id = query.query.query_id;
-        inner.telemetry.queries.fetch_add(1, Ordering::Relaxed);
-        if query.query.party() != inner.party {
-            return ErrorReply::new(
-                ErrorCode::InvalidRequest,
-                query_id,
-                format!(
-                    "this router fronts party {}, key is for party {}",
-                    inner.party,
-                    query.query.party()
-                ),
-            )
-            .into();
-        }
-        let Some((table, _)) = inner.maps.get_key_value(&query.table) else {
-            return ErrorReply::new(
-                ErrorCode::UnknownTable,
-                query_id,
-                format!("no table named {:?} is hosted", query.table),
-            )
-            .into();
-        };
-        // Fan the same projection out to every shard in parallel; each
-        // masked view turns it into that shard's additive partial share.
-        // Every leg (and a fence-retry re-ask) sends the same bytes, so the
-        // frame is encoded once.
-        let frame = encode_message(&WireMessage::Query(query));
-        let mut answers: Vec<ShardAnswer> = std::thread::scope(|scope| {
-            let handles: Vec<_> = inner
-                .conns
-                .iter()
-                .map(|conn| scope.spawn(|| self.query_shard(conn, &frame, query_id)))
-                .collect();
-            handles
-                .into_iter()
-                // pir-lint: allow(panic-path, "join errors only if the scoped thread panicked; re-raising the panic is the point")
-                .map(|handle| handle.join().expect("shard fan-out thread panicked"))
-                .collect()
-        });
-        if let Some(Err(reply)) = answers.iter().find(|outcome| outcome.is_err()) {
-            return (**reply).clone();
-        }
-        // Chase the fence: a shard whose stamp lags it raced a flip
-        // mid-flight and is re-asked exactly once (never holding the fence
-        // lock across the network call). Whatever versions remain after
-        // the retry are *answered* — the digest stamp below exposes them
-        // to the client's cross-party check, which is the actual safety
-        // net; the retry only keeps client-visible skew rare.
-        let lagging = self.lagging_shards(table, &answers);
-        if !lagging.is_empty() {
-            inner
-                .telemetry
-                .fence_retries
-                .fetch_add(1, Ordering::Relaxed);
-            for &shard in &lagging {
-                answers[shard] = self.query_shard(&inner.conns[shard], &frame, query_id);
-            }
-            if let Some(Err(reply)) = answers.iter().find(|outcome| outcome.is_err()) {
-                return (**reply).clone();
-            }
-            if !self.lagging_shards(table, &answers).is_empty() {
-                inner.telemetry.fence_lagged.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let shares = match answers
-            .iter()
-            .map(Result::as_ref)
-            .collect::<Result<Vec<_>, _>>()
-        {
-            Ok(shares) => shares,
-            Err(reply) => return (**reply).clone(),
-        };
-        let cluster = stamp_digest(shares.iter().map(|(_, stamp)| *stamp));
-        // Sum the partial shares lane-wise (wrapping add is associative and
-        // commutative, so this is bit-identical to the unsharded answer).
-        let mut summed: Vec<u32> = Vec::new();
-        for (share, _) in &shares {
-            if summed.is_empty() {
-                summed = share.clone();
-            } else if summed.len() != share.len() {
-                return ErrorReply::new(
-                    ErrorCode::Protocol,
-                    query_id,
-                    format!(
-                        "shards disagree on share width ({} vs {} lanes): mis-provisioned \
-                         cluster",
-                        summed.len(),
-                        share.len()
-                    ),
-                )
-                .into();
-            } else {
-                for (lane, part) in summed.iter_mut().zip(share.iter()) {
-                    *lane = lane.wrapping_add(*part);
-                }
-            }
-        }
-        WireMessage::Response(ResponseMsg {
-            response: PirResponse {
-                query_id,
-                party: inner.party,
-                share: summed,
-            },
-            table_version: cluster,
         })
-    }
-
-    /// One shard's leg of the fan-out, mapped onto the client-visible
-    /// outcome.
-    fn query_shard(&self, conn: &ShardConn, frame: &[u8], query_id: u64) -> ShardAnswer {
-        match conn.call(frame, Some(query_id)) {
-            Ok(WireMessage::Response(msg)) => Ok((msg.response.share, msg.table_version)),
-            Ok(WireMessage::Error(reply)) => {
-                // A shard-level typed error (shed, unknown table...) is the
-                // aggregate's error, re-attributed to the client's query.
-                Err(Box::new(WireMessage::Error(ErrorReply {
-                    query_id,
-                    ..reply
-                })))
-            }
-            Ok(other) => Err(Box::new(
-                ErrorReply::new(
-                    ErrorCode::Protocol,
-                    query_id,
-                    format!(
-                        "shard {} answered a query with a {} frame",
-                        conn.shard(),
-                        other.name()
-                    ),
-                )
-                .into(),
-            )),
-            Err(err) => Err(Box::new(backhaul_error_reply(&err, query_id))),
-        }
-    }
-
-    /// Compare every shard's stamp against the fence, returning the
-    /// shards whose answers *lag* it (they raced a flip mid-flight and
-    /// hold the pre-reload table). An unpinned slot is pinned; a stamp
-    /// *ahead* of the fence means the fence itself is stale (a flip
-    /// landed between this router's bump and the shard's answer on the
-    /// other party's router — versions only ever advance), so the fence
-    /// adopts it rather than flagging the shard.
-    fn lagging_shards(&self, table: &str, answers: &[ShardAnswer]) -> Vec<usize> {
-        let mut fences = self.inner.fences.lock();
-        let Some(fence) = fences.get_mut(table) else {
-            return Vec::new(); // unhosted table: nothing to validate
-        };
-        let mut lagging = Vec::new();
-        for (shard, outcome) in answers.iter().enumerate() {
-            let Ok((_, stamp)) = outcome.as_ref() else {
-                continue; // errored legs were already returned to the client
-            };
-            match fence.shard[shard] {
-                None => fence.shard[shard] = Some(*stamp),
-                Some(expected) if *stamp < expected => lagging.push(shard),
-                Some(expected) if *stamp > expected => fence.shard[shard] = Some(*stamp),
-                Some(_) => {}
-            }
-        }
-        lagging
-    }
-
-    /// Apply one hot reload through the cluster-wide two-phase fence.
-    fn handle_update(&self, update: UpdateEntryMsg) -> WireMessage {
-        let inner = &self.inner;
-        let Some(map) = inner.maps.get(&update.table) else {
-            return ErrorReply::new(
-                ErrorCode::UnknownTable,
-                0,
-                format!("no table named {:?} is hosted", update.table),
-            )
-            .into();
-        };
-        let Some(schema) = inner
-            .tables
-            .iter()
-            .find(|entry| entry.name == update.table)
-            .map(|entry| entry.schema)
-        else {
-            return ErrorReply::new(
-                ErrorCode::UnknownTable,
-                0,
-                format!("no table named {:?} is hosted", update.table),
-            )
-            .into();
-        };
-        if let Err(err) = validate_update(schema, update.index, &update.bytes) {
-            let code = match err {
-                PirError::IndexOutOfRange { .. } => ErrorCode::IndexOutOfRange,
-                _ => ErrorCode::InvalidRequest,
-            };
-            return ErrorReply::new(code, 0, err.to_string()).into();
-        }
-        let owner = map.owner_of(update.index);
-        // Hold the fence lock across stage+flip: queries validating during
-        // the staging window wait and then see the consistent post-flip
-        // fence, so the exactly-once retry is enough.
-        let mut fences = self.inner.fences.lock();
-        inner
-            .telemetry
-            .updates_staged
-            .fetch_add(1, Ordering::Relaxed);
-        let staged = inner.conns[owner].broadcast_update(&WireMessage::UpdateEntry(update.clone()));
-        match staged {
-            Ok(_acks) => {
-                let fence = fences
-                    .get_mut(&update.table)
-                    // pir-lint: allow(panic-path, "a fence is created for every hosted table at connect, and the map lookup above proved the table is hosted")
-                    .expect("hosted table has a fence");
-                if let Some(version) = fence.shard[owner].as_mut() {
-                    // Each replica applied exactly one update: the shard's
-                    // own version counter advanced by one.
-                    *version += 1;
-                }
-                fence.cluster += 1;
-                inner
-                    .telemetry
-                    .updates_flipped
-                    .fetch_add(1, Ordering::Relaxed);
-                WireMessage::UpdateAck(UpdateAckMsg {
-                    table: update.table,
-                    index: update.index,
-                })
-            }
-            // Zero replicas acked: nothing flipped, the fence is unchanged,
-            // and the pre-update row is still what every query sees.
-            Err(err) => backhaul_error_reply(&err, 0),
-        }
     }
 
     /// Point-in-time router stats (telemetry, per-shard back-haul, fences).
@@ -602,9 +434,328 @@ impl ClusterRouter {
             fence_lagged: inner.telemetry.fence_lagged.load(Ordering::Relaxed),
             updates_staged: inner.telemetry.updates_staged.load(Ordering::Relaxed),
             updates_flipped: inner.telemetry.updates_flipped.load(Ordering::Relaxed),
-            shards: inner.conns.iter().map(ShardConn::snapshot).collect(),
+            shards: inner.conns.iter().map(|conn| conn.snapshot()).collect(),
             fences,
         }
+    }
+}
+
+impl RouterInner {
+    /// Answer one request frame through `reply`: control frames inline, a
+    /// query by fanning it out (the leg that completes it replies).
+    fn dispatch(self: &Arc<Self>, frame: &[u8], reply: &mpsc::Sender<Vec<u8>>) {
+        let message = match decode_request(frame) {
+            Err(error) => error.into(),
+            Ok(WireMessage::CatalogRequest) => WireMessage::Catalog(Catalog {
+                protocol_version: MAX_SUPPORTED_VERSION,
+                party: self.party,
+                tables: self.tables.clone(),
+            }),
+            Ok(WireMessage::Query(query)) => match self.fan_out(query, reply) {
+                Ok(()) => return,
+                Err(error) => error.into(),
+            },
+            Ok(WireMessage::UpdateEntry(update)) => self.handle_update(update),
+            Ok(other) => ErrorReply::new(
+                ErrorCode::InvalidRequest,
+                0,
+                format!("router cannot accept a {} message", other.name()),
+            )
+            .into(),
+        };
+        let _ = reply.send(encode_message(&message));
+    }
+
+    /// Renumber one query under a fresh back-haul id and write it to every
+    /// shard without waiting; each masked view turns the same projection
+    /// into that shard's additive partial share.
+    fn fan_out(
+        self: &Arc<Self>,
+        mut query: QueryMsg,
+        reply: &mpsc::Sender<Vec<u8>>,
+    ) -> Result<(), ErrorReply> {
+        let client_id = query.query.query_id;
+        self.telemetry.queries.fetch_add(1, Ordering::Relaxed);
+        if query.query.party() != self.party {
+            return Err(ErrorReply::new(
+                ErrorCode::InvalidRequest,
+                client_id,
+                format!(
+                    "this router fronts party {}, key is for party {}",
+                    self.party,
+                    query.query.party()
+                ),
+            ));
+        }
+        if !self.maps.contains_key(&query.table) {
+            return Err(ErrorReply::new(
+                ErrorCode::UnknownTable,
+                client_id,
+                format!("no table named {:?} is hosted", query.table),
+            ));
+        }
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        query.query.query_id = id;
+        let table = query.table.clone();
+        let frame = Arc::new(encode_message(&WireMessage::Query(query)));
+        let aggregate = Arc::new(Aggregate {
+            router: Arc::clone(self),
+            client_id,
+            id,
+            table,
+            frame: Arc::clone(&frame),
+            reply: reply.clone(),
+            gather: Mutex::new(Gather {
+                answers: vec![None; self.conns.len()],
+                outstanding: self.conns.len(),
+                reasked: false,
+            }),
+        });
+        for conn in &self.conns {
+            conn.submit(
+                id,
+                Arc::clone(&frame),
+                Arc::clone(&aggregate) as Arc<dyn LegSink>,
+            );
+        }
+        Ok(())
+    }
+
+    /// Compare every shard's stamp against the fence, returning the
+    /// shards whose answers *lag* it (they raced a flip mid-flight and
+    /// hold the pre-reload table). An unpinned slot is pinned; a stamp
+    /// *ahead* of the fence means the fence itself is stale (a flip
+    /// landed between this router's bump and the shard's answer on the
+    /// other party's router, or the stage landed before this router's
+    /// flip — versions only ever advance), so the fence adopts it rather
+    /// than flagging the shard.
+    fn lagging_shards(&self, table: &str, stamps: &[u64]) -> Vec<usize> {
+        let mut fences = self.fences.lock();
+        let Some(fence) = fences.get_mut(table) else {
+            return Vec::new(); // unhosted table: nothing to validate
+        };
+        let mut lagging = Vec::new();
+        for (shard, &stamp) in stamps.iter().enumerate() {
+            match fence.shard[shard] {
+                None => fence.shard[shard] = Some(stamp),
+                Some(expected) if stamp < expected => lagging.push(shard),
+                Some(expected) if stamp > expected => fence.shard[shard] = Some(stamp),
+                Some(_) => {}
+            }
+        }
+        lagging
+    }
+
+    /// Apply one hot reload through the cluster-wide two-phase fence.
+    fn handle_update(&self, update: UpdateEntryMsg) -> WireMessage {
+        let unknown = || {
+            ErrorReply::new(
+                ErrorCode::UnknownTable,
+                0,
+                format!("no table named {:?} is hosted", update.table),
+            )
+            .into()
+        };
+        let Some(map) = self.maps.get(&update.table) else {
+            return unknown();
+        };
+        let Some(schema) = self
+            .tables
+            .iter()
+            .find(|entry| entry.name == update.table)
+            .map(|entry| entry.schema)
+        else {
+            return unknown();
+        };
+        if let Err(err) = validate_update(schema, update.index, &update.bytes) {
+            let code = match err {
+                PirError::IndexOutOfRange { .. } => ErrorCode::IndexOutOfRange,
+                _ => ErrorCode::InvalidRequest,
+            };
+            return ErrorReply::new(code, 0, err.to_string()).into();
+        }
+        let owner = map.owner_of(update.index);
+        // One update at a time from stage to flip. Queries keep validating
+        // meanwhile: an answer from a replica that already applied the
+        // stage is *ahead* of the fence, which adopts it, so the flip below
+        // takes the larger of the two.
+        let _staging = self.staging.lock();
+        let before = self
+            .fences
+            .lock()
+            .get(&update.table)
+            .and_then(|fence| fence.shard[owner]);
+        self.telemetry
+            .updates_staged
+            .fetch_add(1, Ordering::Relaxed);
+        let (table, index) = (update.table.clone(), update.index);
+        match self.conns[owner].broadcast_update(&WireMessage::UpdateEntry(update)) {
+            Ok(_acks) => {
+                let mut fences = self.fences.lock();
+                let fence = fences
+                    .get_mut(&table)
+                    // pir-lint: allow(panic-path, "a fence is created for every hosted table at connect, and the map lookup above proved the table is hosted")
+                    .expect("hosted table has a fence");
+                if let (Some(version), Some(before)) = (fence.shard[owner].as_mut(), before) {
+                    // Each replica applied exactly one update: the shard's
+                    // own version counter advanced by one.
+                    *version = (*version).max(before + 1);
+                }
+                fence.cluster += 1;
+                self.telemetry
+                    .updates_flipped
+                    .fetch_add(1, Ordering::Relaxed);
+                WireMessage::UpdateAck(UpdateAckMsg { table, index })
+            }
+            // Zero replicas acked: nothing flipped, the fence is unchanged,
+            // and the pre-update row is still what every query sees.
+            Err(err) => backhaul_error_reply(&err, 0),
+        }
+    }
+}
+
+impl LegSink for Aggregate {
+    fn leg_done(self: Arc<Self>, shard: usize, outcome: Result<WireMessage, ClusterError>) {
+        let answer = self.shard_answer(shard, outcome);
+        let answers = {
+            let mut gather = self.gather.lock();
+            gather.answers[shard] = Some(answer);
+            gather.outstanding -= 1;
+            if gather.outstanding > 0 {
+                return;
+            }
+            std::mem::take(&mut gather.answers)
+        };
+        // Every leg has landed, so nothing else touches the gather now.
+        if let Some(message) = self.settle(answers) {
+            let _ = self.reply.send(encode_message(&message));
+        }
+    }
+}
+
+impl Aggregate {
+    /// One shard's leg, mapped onto the client-visible outcome.
+    fn shard_answer(
+        &self,
+        shard: usize,
+        outcome: Result<WireMessage, ClusterError>,
+    ) -> ShardAnswer {
+        match outcome {
+            Ok(WireMessage::Response(msg)) => Ok((msg.response.share, msg.table_version)),
+            Ok(WireMessage::Error(reply)) => {
+                // A shard-level typed error (shed, unknown table...) is the
+                // aggregate's error, re-attributed to the client's query.
+                Err(Box::new(WireMessage::Error(ErrorReply {
+                    query_id: self.client_id,
+                    ..reply
+                })))
+            }
+            Ok(other) => Err(Box::new(
+                ErrorReply::new(
+                    ErrorCode::Protocol,
+                    self.client_id,
+                    format!(
+                        "shard {shard} answered a query with a {} frame",
+                        other.name()
+                    ),
+                )
+                .into(),
+            )),
+            Err(err) => Err(Box::new(backhaul_error_reply(&err, self.client_id))),
+        }
+    }
+
+    /// Every leg has answered: fence-validate, re-ask once, sum, stamp.
+    /// Returns `None` when lagging shards were re-asked instead.
+    fn settle(self: &Arc<Self>, answers: Vec<Option<ShardAnswer>>) -> Option<WireMessage> {
+        let mut shares = Vec::with_capacity(answers.len());
+        for answer in answers {
+            match answer {
+                Some(Ok(share)) => shares.push(share),
+                Some(Err(reply)) => return Some(*reply),
+                None => {
+                    return Some(
+                        ErrorReply::new(
+                            ErrorCode::Protocol,
+                            self.client_id,
+                            "a shard leg went missing",
+                        )
+                        .into(),
+                    )
+                }
+            }
+        }
+        let router = &self.router;
+        // Chase the fence: a shard whose stamp lags it raced a flip
+        // mid-flight and is re-asked exactly once (under the same id and
+        // frame, never holding the fence lock across the network call).
+        // Whatever versions remain after the retry are *answered* — the
+        // digest stamp below exposes them to the client's cross-party
+        // check, which is the actual safety net; the retry only keeps
+        // client-visible skew rare.
+        let stamps: Vec<u64> = shares.iter().map(|(_, stamp)| *stamp).collect();
+        let lagging = router.lagging_shards(&self.table, &stamps);
+        if !lagging.is_empty() {
+            let mut gather = self.gather.lock();
+            if !gather.reasked {
+                router
+                    .telemetry
+                    .fence_retries
+                    .fetch_add(1, Ordering::Relaxed);
+                gather.reasked = true;
+                gather.outstanding = lagging.len();
+                gather.answers = shares.into_iter().map(|share| Some(Ok(share))).collect();
+                for &shard in &lagging {
+                    gather.answers[shard] = None;
+                }
+                drop(gather);
+                for &shard in &lagging {
+                    router.conns[shard].submit(
+                        self.id,
+                        Arc::clone(&self.frame),
+                        Arc::clone(self) as Arc<dyn LegSink>,
+                    );
+                }
+                return None;
+            }
+            router
+                .telemetry
+                .fence_lagged
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        let cluster = stamp_digest(stamps.into_iter());
+        // Sum the partial shares lane-wise (wrapping add is associative and
+        // commutative, so this is bit-identical to the unsharded answer).
+        let mut shares = shares.into_iter().map(|(share, _)| share);
+        let mut summed = shares.next().unwrap_or_default();
+        for share in shares {
+            if summed.len() != share.len() {
+                return Some(
+                    ErrorReply::new(
+                        ErrorCode::Protocol,
+                        self.client_id,
+                        format!(
+                            "shards disagree on share width ({} vs {} lanes): mis-provisioned \
+                             cluster",
+                            summed.len(),
+                            share.len()
+                        ),
+                    )
+                    .into(),
+                );
+            }
+            for (lane, part) in summed.iter_mut().zip(&share) {
+                *lane = lane.wrapping_add(*part);
+            }
+        }
+        Some(WireMessage::Response(ResponseMsg {
+            response: PirResponse {
+                query_id: self.client_id,
+                party: router.party,
+                share: summed,
+            },
+            table_version: cluster,
+        }))
     }
 }
 
@@ -629,11 +780,12 @@ fn names(tables: &[CatalogEntry]) -> Vec<&str> {
 }
 
 /// Map a back-haul failure onto the client-visible typed reply. The typed
-/// degradation — every replica of a shard is gone — is a shed, so clients
-/// treat it as retry-later backpressure.
+/// degradations — every replica of a shard is gone, or the router is
+/// shutting down — are sheds, so clients treat them as retry-later
+/// backpressure.
 fn backhaul_error_reply(err: &ClusterError, query_id: u64) -> WireMessage {
     let code = match err {
-        ClusterError::ShardUnavailable { .. } => ErrorCode::Shed,
+        ClusterError::ShardUnavailable { .. } | ClusterError::ShuttingDown => ErrorCode::Shed,
         _ => ErrorCode::Protocol,
     };
     ErrorReply::new(code, query_id, err.to_string()).into()

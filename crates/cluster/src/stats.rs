@@ -8,13 +8,18 @@ use std::time::Duration;
 /// never serialize the fan-out hot path).
 #[derive(Debug, Default)]
 pub(crate) struct ShardTelemetry {
-    /// Back-haul calls currently outstanding.
+    /// Back-haul calls currently outstanding (a gauge: the pipelined query
+    /// link carries a session's whole window at once).
     pub in_flight: AtomicU64,
-    /// Completed back-haul calls (queries, updates, probes).
+    /// Completed back-haul calls: one per query leg (a fence re-ask is a
+    /// leg of its own), plus the control calls (handshake, calibration,
+    /// staged updates, probes).
     pub calls: AtomicU64,
     /// Times the live connection was abandoned and the next replica dialed.
     pub failovers: AtomicU64,
-    /// Cumulative wall-clock spent in back-haul calls, in nanoseconds.
+    /// Cumulative wall-clock spent in back-haul calls, in nanoseconds. A
+    /// leg is timed from its first write to its reply, so this includes
+    /// the time it queued on the shard behind the rest of the window.
     pub call_nanos: AtomicU64,
     /// Probe rounds that found the shard unreachable.
     pub probe_failures: AtomicU64,
@@ -45,20 +50,22 @@ pub(crate) struct RouterTelemetry {
 pub struct ShardStatsSnapshot {
     /// Shard index.
     pub shard: usize,
-    /// Back-haul calls outstanding at snapshot time.
+    /// Back-haul calls outstanding at snapshot time; above 1 while a
+    /// window is in flight, 0 at rest.
     pub in_flight: u64,
-    /// Completed back-haul calls.
+    /// Completed back-haul calls: one per query leg, plus control calls.
     pub calls: u64,
     /// Replica failovers taken.
     pub failovers: u64,
-    /// Cumulative wall-clock spent in back-haul calls.
+    /// Cumulative wall-clock spent in back-haul calls (a leg's includes
+    /// its queueing on the shard).
     pub call_time: Duration,
     /// Probe rounds that found the shard unreachable.
     pub probe_failures: u64,
     /// Replicas marked stale (failed an update stage; excluded from
     /// failover until re-provisioned).
     pub stale_replicas: usize,
-    /// The replica the live connection points at, if connected.
+    /// The replica the live query link points at, if connected.
     pub connected_replica: Option<usize>,
 }
 

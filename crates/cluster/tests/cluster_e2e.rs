@@ -4,17 +4,19 @@
 //! (shard, party) — each party's shard-owners are separate processes with
 //! their own masked table copy — and one router per party fronting them.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use pir_cluster::{ClusterConfig, ClusterError, ClusterMembership, ClusterRouter, ShardEndpoints};
 use pir_prf::PrfKind;
 use pir_protocol::PirTable;
 use pir_serve::{PirServeRuntime, ServeConfig, TableConfig, WireFrontend};
 use pir_wire::{
-    decode_message, encode_message, loopback_pair, Dialer, ErrorCode, ErrorReply, PirSession,
-    PirTransport, QueryMsg, UpdateEntryMsg, WireError, WireMessage,
+    decode_message, encode_message, loopback_pair, Dialer, ErrorCode, ErrorReply,
+    LoopbackTransport, PirSession, PirTransport, QueryMsg, SplitTransport, TcpDialer, TcpTransport,
+    UpdateEntryMsg, WireError, WireMessage,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,13 +44,20 @@ fn shard_runtime(view: PirTable, seed: u64) -> Arc<PirServeRuntime> {
     Arc::new(runtime)
 }
 
-/// A replica endpoint over loopback: every dial spawns a frame-at-a-time
-/// serve thread against the replica's runtime. `dead` simulates the process
-/// disappearing (dials refused); `serve_limit` simulates it dying mid-run
-/// (the connection drops when asked to serve one more frame).
+/// A replica endpoint over loopback. A healthy replica serves every dial
+/// with the frontend's pipelined `serve`; a faulty one serves frame at a
+/// time and dies the way its [`Fault`] says.
 struct ReplicaDialer {
     runtime: Arc<PirServeRuntime>,
     party: u8,
+    fault: Option<Fault>,
+}
+
+/// How a faulty replica dies: `dead` simulates the process disappearing
+/// (dials refused, a live connection dropped at its next frame);
+/// `serve_limit` simulates it dying mid-run (a connection drops when asked
+/// to serve one frame more).
+struct Fault {
     dead: Arc<AtomicBool>,
     serve_limit: Option<usize>,
 }
@@ -58,33 +67,41 @@ impl ReplicaDialer {
         Arc::new(Self {
             runtime: Arc::clone(runtime),
             party,
-            dead: Arc::new(AtomicBool::new(false)),
-            serve_limit: None,
+            fault: None,
         })
     }
 }
 
 impl Dialer for ReplicaDialer {
     fn dial(&self) -> Result<Box<dyn PirTransport>, WireError> {
-        if self.dead.load(Ordering::SeqCst) {
-            return Err(WireError::Transport("replica is down".into()));
-        }
         let (client, mut server) = loopback_pair();
         let frontend = WireFrontend::new(self.runtime.handle(), self.party);
-        let limit = self.serve_limit;
-        std::thread::spawn(move || {
-            let mut served = 0usize;
-            while let Ok(frame) = server.recv() {
-                if limit.is_some_and(|n| served >= n) {
-                    return; // drops the connection mid-call
-                }
-                let reply = frontend.handle_frame(&frame);
-                if server.send(&reply).is_err() {
-                    return;
-                }
-                served += 1;
+        match &self.fault {
+            None => {
+                std::thread::spawn(move || {
+                    let _ = frontend.serve(Box::new(server));
+                });
             }
-        });
+            Some(fault) => {
+                if fault.dead.load(Ordering::SeqCst) {
+                    return Err(WireError::Transport("replica is down".into()));
+                }
+                let (dead, limit) = (Arc::clone(&fault.dead), fault.serve_limit);
+                std::thread::spawn(move || {
+                    let mut served = 0usize;
+                    while let Ok(frame) = server.recv() {
+                        if dead.load(Ordering::SeqCst) || limit.is_some_and(|n| served >= n) {
+                            return; // drops the connection mid-call
+                        }
+                        let reply = frontend.handle_frame(&frame);
+                        if server.send(&reply).is_err() {
+                            return;
+                        }
+                        served += 1;
+                    }
+                });
+            }
+        }
         Ok(Box::new(client))
     }
 
@@ -125,6 +142,14 @@ fn two_party_cluster(
 
 /// Connect a client session to the two routers over loopback.
 fn connect_session(routers: &[Arc<ClusterRouter>; 2], tenant: &str) -> PirSession {
+    connect_session_with_window(routers, tenant, 1)
+}
+
+fn connect_session_with_window(
+    routers: &[Arc<ClusterRouter>; 2],
+    tenant: &str,
+    window: usize,
+) -> PirSession {
     let mut ends: Vec<Box<dyn PirTransport>> = Vec::new();
     for router in routers {
         let (client, server) = loopback_pair();
@@ -136,7 +161,31 @@ fn connect_session(routers: &[Arc<ClusterRouter>; 2], tenant: &str) -> PirSessio
     }
     let t1 = ends.pop().unwrap();
     let t0 = ends.pop().unwrap();
-    PirSession::connect(t0, t1, tenant).expect("session connect")
+    PirSession::connect_with_window(t0, t1, tenant, window).expect("session connect")
+}
+
+/// Drive `count` lookups through `session` with its window kept full,
+/// asserting every row against `table`; returns the completions' wire ids.
+fn drive_window(
+    session: &mut PirSession,
+    table: &PirTable,
+    count: usize,
+    rng: &mut StdRng,
+) -> Vec<u64> {
+    let (mut submitted, mut ids) = (0, Vec::new());
+    while ids.len() < count {
+        while submitted < count && session.in_flight() < session.window() {
+            session
+                .submit("emb", rng.gen_range(0..ENTRIES), rng)
+                .expect("submit");
+            submitted += 1;
+        }
+        let done = session.poll().expect("session healthy");
+        let row = done.outcome.expect("answered");
+        assert_eq!(row, table.entry(done.index), "row {}", done.index);
+        ids.push(done.query_id);
+    }
+    ids
 }
 
 #[test]
@@ -324,16 +373,20 @@ fn dying_replica_fails_over_without_losing_queries() {
     let mut routers = Vec::new();
     let mut keep = Vec::new();
     for party in 0..2u8 {
-        // Shard 0: first replica serves the handshake plus one call, then
-        // drops every connection; second replica is healthy. Shard 1:
-        // healthy single replica. Both replicas of shard 0 host the same
-        // masked copy, as a real deployment would.
+        // Shard 0: every connection to the first replica serves two
+        // frames, then drops — its admin connection carries the handshake
+        // and the calibration, its query link two queries; the second
+        // replica is healthy. Shard 1: healthy single replica. Both
+        // replicas of shard 0 host the same masked copy, as a real
+        // deployment would.
         let dying_runtime = shard_runtime(views[0].clone(), 40 + u64::from(party));
         let dying: Arc<dyn Dialer> = Arc::new(ReplicaDialer {
             runtime: Arc::clone(&dying_runtime),
             party,
-            dead: Arc::new(AtomicBool::new(false)),
-            serve_limit: Some(2),
+            fault: Some(Fault {
+                dead: Arc::new(AtomicBool::new(false)),
+                serve_limit: Some(2),
+            }),
         });
         let healthy_runtime = shard_runtime(views[0].clone(), 50 + u64::from(party));
         let shard1_runtime = shard_runtime(views[1].clone(), 60 + u64::from(party));
@@ -351,8 +404,8 @@ fn dying_replica_fails_over_without_losing_queries() {
     let routers = [router0, router1];
     let mut session = connect_session(&routers, "t");
     let mut rng = StdRng::seed_from_u64(11);
-    // Query 1 consumes the dying replica's last serve; query 2 hits the
-    // dropped connection mid-call and must fail over, not fail.
+    // Queries 1 and 2 use up the dying replica's query link; query 3 hits
+    // the dropped connection mid-call and must fail over, not fail.
     for index in [10u64, 20, 30, 70, 15] {
         let row = session.query("emb", index, &mut rng).expect("answered");
         assert_eq!(row, table.entry(index), "row {index}");
@@ -383,13 +436,15 @@ fn losing_every_replica_degrades_to_a_typed_shed_error() {
     for party in 0..2u8 {
         let runtime = shard_runtime(views[0].clone(), 70 + u64::from(party));
         let dead = Arc::new(AtomicBool::new(false));
+        // Once `dead` flips, the live query link drops at its next frame
+        // and every redial is refused.
         let replica: Arc<dyn Dialer> = Arc::new(ReplicaDialer {
             runtime: Arc::clone(&runtime),
             party,
-            dead: Arc::clone(&dead),
-            // Serves only the connect handshake; afterwards the live
-            // connection is gone and redials are refused once `dead` flips.
-            serve_limit: Some(1),
+            fault: Some(Fault {
+                dead: Arc::clone(&dead),
+                serve_limit: None,
+            }),
         });
         let membership = ClusterMembership::new(vec![ShardEndpoints::single(replica)]);
         routers.push(Arc::new(
@@ -523,4 +578,240 @@ fn shutdown_wakes_a_parked_prober() {
         "shutdown waited {:?} on a 10 s probe interval",
         started.elapsed()
     );
+}
+
+#[test]
+fn a_session_window_reaches_every_shard_as_one_batch() {
+    let table = base_table();
+    let (routers, runtimes) = two_party_cluster(&table, 2);
+    let before: Vec<_> = routers.iter().map(|router| router.stats()).collect();
+    let mut session = connect_session_with_window(&routers, "t", 8);
+    const QUERIES: usize = 64;
+    drive_window(
+        &mut session,
+        &table,
+        QUERIES,
+        &mut StdRng::seed_from_u64(13),
+    );
+    for (router, before) in routers.iter().zip(&before) {
+        let stats = router.stats();
+        let legs: u64 = stats
+            .shards
+            .iter()
+            .zip(&before.shards)
+            .map(|(now, then)| now.calls - then.calls)
+            .sum();
+        assert_eq!(legs, (2 * QUERIES) as u64, "one leg per shard per query");
+        assert!(stats.shards.iter().all(|s| s.in_flight == 0), "{stats:?}");
+        assert!(stats.shards.iter().all(|s| s.failovers == 0), "{stats:?}");
+        assert_eq!(stats.fence_retries, 0);
+    }
+    let max_batch = runtimes
+        .iter()
+        .map(|runtime| runtime.stats().tables[0].max_batch)
+        .max()
+        .unwrap();
+    assert!(
+        max_batch > 1,
+        "a window of 8 must reach some shard's batcher as a multi-key launch"
+    );
+}
+
+#[test]
+fn sessions_with_colliding_wire_ids_each_read_their_own_rows() {
+    let table = base_table();
+    let (routers, _runtimes) = two_party_cluster(&table, 2);
+    const QUERIES: usize = 40;
+    let (done, finished) = mpsc::channel();
+    for seed in 0..2u64 {
+        let (routers, table, done) = (routers.clone(), table.clone(), done.clone());
+        std::thread::spawn(move || {
+            let mut session = connect_session_with_window(&routers, "t", 8);
+            let mut rng = StdRng::seed_from_u64(20 + seed);
+            let mut ids = drive_window(&mut session, &table, QUERIES, &mut rng);
+            ids.sort_unstable();
+            done.send(ids).unwrap();
+        });
+    }
+    for _ in 0..2 {
+        // A leg lost to an id collision would hang its session: time out.
+        let ids = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("both sessions finish");
+        // Both sessions numbered their wire ids 1..=n, concurrently.
+        assert_eq!(ids, (1..=QUERIES as u64).collect::<Vec<_>>());
+    }
+    for router in &routers {
+        assert_eq!(router.stats().queries, 2 * QUERIES as u64);
+    }
+}
+
+/// A TCP listener that serves every accepted connection with `serve`.
+fn tcp_endpoint<F>(serve: F) -> SocketAddr
+where
+    F: Fn(Box<dyn PirTransport>) + Send + Sync + 'static,
+{
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let serve = Arc::new(serve);
+    std::thread::spawn(move || {
+        while let Ok((stream, _)) = listener.accept() {
+            let serve = Arc::clone(&serve);
+            let transport = TcpTransport::from_stream(stream).unwrap();
+            std::thread::spawn(move || serve(Box::new(transport)));
+        }
+    });
+    addr
+}
+
+/// A one-party query frame for `index` and its client wire id.
+fn query_frame(index: u64, party: u8, seed: u64) -> (Vec<u8>, u64) {
+    let client = pir_protocol::PirClient::new(base_table().schema(), PrfKind::SipHash);
+    let query = client.query(index, &mut StdRng::seed_from_u64(seed));
+    let frame = encode_message(&WireMessage::Query(QueryMsg {
+        table: "emb".into(),
+        tenant: "t".into(),
+        query: query.to_server(party),
+    }));
+    (frame, query.query_id)
+}
+
+#[test]
+fn shutdown_with_live_shards_and_idle_readers_returns_promptly() {
+    let views = pir_cluster::ShardMap::new(ENTRIES, 2)
+        .unwrap()
+        .provision(&base_table());
+    let mut runtimes = Vec::new();
+    let mut shards = Vec::new();
+    for (shard, view) in views.into_iter().enumerate() {
+        let runtime = shard_runtime(view, 80 + shard as u64);
+        let handle = runtime.handle();
+        let addr = tcp_endpoint(move |transport| {
+            let _ = WireFrontend::new(handle.clone(), 0).serve(transport);
+        });
+        // A 50 ms io timeout: the readers go idle past it many times over.
+        shards.push(ShardEndpoints::single(Arc::new(TcpDialer::with_timeouts(
+            addr,
+            Duration::from_secs(1),
+            Duration::from_millis(50),
+        ))));
+        runtimes.push(runtime);
+    }
+    let config = ClusterConfig {
+        probe_interval: None,
+    };
+    let router = ClusterRouter::connect(&ClusterMembership::new(shards), &config, 0).unwrap();
+    for index in [3, 70] {
+        let (frame, id) = query_frame(index, 0, index);
+        match decode_message(&router.handle_frame(&frame)).unwrap() {
+            WireMessage::Response(msg) => assert_eq!(msg.response.query_id, id),
+            other => panic!("expected a share, got {}", other.name()),
+        }
+    }
+    std::thread::sleep(Duration::from_millis(200));
+    let stats = router.stats();
+    assert!(
+        stats.shards.iter().all(|s| s.failovers == 0),
+        "idle read timeouts are not failovers: {stats:?}"
+    );
+    assert!(stats.shards.iter().all(|s| s.connected_replica == Some(0)));
+    let started = Instant::now();
+    router.shutdown();
+    drop(router);
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "shutdown took {:?} with the shards still up",
+        started.elapsed()
+    );
+}
+
+#[test]
+fn a_query_in_flight_at_shutdown_gets_a_typed_shed_error() {
+    let views = pir_cluster::ShardMap::new(ENTRIES, 1)
+        .unwrap()
+        .provision(&base_table());
+    let runtime = shard_runtime(views[0].clone(), 85);
+    // The first dial (the admin connection) is served; the query link
+    // swallows every leg.
+    let dials = AtomicUsize::new(0);
+    let handle = runtime.handle();
+    let dialer = move || -> Result<Box<dyn PirTransport>, WireError> {
+        let (client, mut server) = loopback_pair();
+        if dials.fetch_add(1, Ordering::SeqCst) == 0 {
+            let frontend = WireFrontend::new(handle.clone(), 0);
+            std::thread::spawn(move || frontend.serve(Box::new(server)));
+        } else {
+            std::thread::spawn(move || while server.recv().is_ok() {});
+        }
+        Ok(Box::new(client))
+    };
+    let membership = ClusterMembership::new(vec![ShardEndpoints::single(Arc::new(dialer))]);
+    let config = ClusterConfig {
+        probe_interval: None,
+    };
+    let router = Arc::new(ClusterRouter::connect(&membership, &config, 0).unwrap());
+    let (frame, id) = query_frame(5, 0, 5);
+    let (tx, rx) = mpsc::channel();
+    {
+        let router = Arc::clone(&router);
+        std::thread::spawn(move || tx.send(router.handle_frame(&frame)));
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while router.stats().shards[0].in_flight == 0 {
+        assert!(Instant::now() < deadline, "the leg never went out");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    router.shutdown();
+    let reply = rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("the in-flight query is answered, not hung");
+    match decode_message(&reply).unwrap() {
+        WireMessage::Error(error) => {
+            assert_eq!(error.code, ErrorCode::Shed);
+            assert!(error.shed);
+            assert_eq!(error.query_id, id, "attributed to the client's id");
+            assert!(error.message.contains("shutting down"), "{}", error.message);
+        }
+        other => panic!("expected a typed error, got {}", other.name()),
+    }
+    // Later queries are refused the same way, at once.
+    let (frame, _) = query_frame(6, 0, 6);
+    match decode_message(&router.handle_frame(&frame)).unwrap() {
+        WireMessage::Error(error) => assert_eq!(error.code, ErrorCode::Shed),
+        other => panic!("expected a typed error, got {}", other.name()),
+    }
+    assert_eq!(router.stats().shards[0].in_flight, 0);
+}
+
+#[test]
+fn a_shard_transport_that_cannot_split_is_refused_at_connect() {
+    /// A loopback endpoint that refuses to split into halves.
+    struct Whole(LoopbackTransport);
+    impl PirTransport for Whole {
+        fn send(&mut self, frame: &[u8]) -> Result<(), WireError> {
+            self.0.send(frame)
+        }
+        fn recv(&mut self) -> Result<Vec<u8>, WireError> {
+            self.0.recv()
+        }
+        fn split(self: Box<Self>) -> SplitTransport {
+            SplitTransport::Whole(self)
+        }
+    }
+    let runtime = shard_runtime(base_table(), 86);
+    let handle = runtime.handle();
+    let dialer = move || -> Result<Box<dyn PirTransport>, WireError> {
+        let (client, server) = loopback_pair();
+        let frontend = WireFrontend::new(handle.clone(), 0);
+        std::thread::spawn(move || frontend.serve(Box::new(server)));
+        Ok(Box::new(Whole(client)))
+    };
+    let membership = ClusterMembership::new(vec![ShardEndpoints::single(Arc::new(dialer))]);
+    let config = ClusterConfig {
+        probe_interval: None,
+    };
+    match ClusterRouter::connect(&membership, &config, 0) {
+        Err(ClusterError::Config(detail)) => assert!(detail.contains("cannot split"), "{detail}"),
+        other => panic!("expected a config error, got {other:?}"),
+    }
 }
