@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use pir_core::json_escape;
+use pir_load::report::json_escape;
 
 /// One parsed result line.
 #[derive(Clone, Copy, Debug)]

@@ -41,11 +41,11 @@ pub fn table2() -> Table {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiments::by_name;
 
     #[test]
     fn tables_have_expected_row_counts() {
-        assert_eq!(table1().rows.len(), 6);
-        assert_eq!(table2().rows.len(), 5);
+        assert_eq!(by_name("table1")[0].rows.len(), 6);
+        assert_eq!(by_name("table2")[0].rows.len(), 5);
     }
 }

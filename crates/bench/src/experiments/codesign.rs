@@ -203,17 +203,14 @@ pub fn figure18_19_20() -> Table {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiments::{by_name, cell};
 
     #[test]
     fn figure16_codesign_never_hurts() {
-        let tables = figure16();
-        for table in &tables {
+        for table in by_name("fig16") {
             for row in &table.rows {
-                let without: f64 = row[1].parse().unwrap_or(f64::INFINITY);
-                let with: f64 = row[2].parse().unwrap_or(f64::INFINITY);
                 assert!(
-                    with <= without * 1.001,
+                    cell(row, 2) <= cell(row, 1) * 1.001,
                     "co-design should not need more resources: {row:?}"
                 );
             }
@@ -222,13 +219,42 @@ mod tests {
 
     #[test]
     fn figure17_has_points_for_every_app_and_variant() {
-        let table = figure17();
-        assert!(table.rows.len() >= 6);
+        // Every app has both fronts; along each, PRFs/inference strictly rise
+        // while KB/inference strictly fall, and co-design's cheapest point
+        // needs fewer PRFs than batch PIR's.
+        let table = &by_name("fig17")[0];
+        let mut apps: Vec<&str> = table.rows.iter().map(|row| row[0].as_str()).collect();
+        apps.dedup();
+        assert_eq!(apps.len(), 3);
+        for app in apps {
+            let front = |variant: &str| -> Vec<(f64, f64)> {
+                table
+                    .rows
+                    .iter()
+                    .filter(|row| row[0] == app && row[1] == variant)
+                    .map(|row| (cell(row, 2), cell(row, 3)))
+                    .collect()
+            };
+            let (batch_pir, codesign) = (front("batch-pir"), front("with co-design"));
+            for points in [&batch_pir, &codesign] {
+                assert!(!points.is_empty(), "{app}");
+                for pair in points.windows(2) {
+                    assert!(pair[0].0 < pair[1].0, "{app}: PRFs must rise: {pair:?}");
+                    assert!(pair[0].1 > pair[1].1, "{app}: KB must fall: {pair:?}");
+                }
+            }
+            assert!(
+                codesign[0].0 < batch_pir[0].0,
+                "{app}: co-design's cheapest point {:?} vs batch-PIR's {:?}",
+                codesign[0],
+                batch_pir[0]
+            );
+        }
     }
 
     #[test]
     fn figures18_20_have_both_budgets() {
-        let table = figure18_19_20();
+        let table = &by_name("fig18")[0];
         let tight = table.rows.iter().filter(|r| r[1].contains("100KB")).count();
         let relaxed = table.rows.iter().filter(|r| r[1].contains("300KB")).count();
         assert!(tight >= 3);

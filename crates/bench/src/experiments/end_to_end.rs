@@ -135,18 +135,17 @@ pub fn table3() -> Table {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiments::{by_name, cell};
 
     #[test]
     fn figure11_improvements_match_the_papers_direction() {
-        let tables = figure11();
+        let tables = by_name("fig11");
         assert_eq!(tables.len(), 2);
         // Every normalized GPU entry must be > 1 (faster than the CPU baseline).
         for table in &tables {
             for row in &table.rows {
                 if row[1].contains("GPU") {
-                    let normalized: f64 = row[3].parse().unwrap();
-                    assert!(normalized > 1.0, "{row:?}");
+                    assert!(cell(row, 3) > 1.0, "{row:?}");
                 }
             }
         }
@@ -154,10 +153,10 @@ mod tests {
 
     #[test]
     fn figure12_latency_stays_within_sla() {
-        let table = figure12();
+        let table = &by_name("fig12")[0];
         assert!(!table.rows.is_empty());
         for row in &table.rows {
-            let total: f64 = row[5].parse().unwrap();
+            let total = cell(row, 5);
             assert!(
                 total < 500.0,
                 "end-to-end latency {total} ms exceeds the ~500 ms SLA"
@@ -167,11 +166,8 @@ mod tests {
 
     #[test]
     fn table3_relaxed_is_at_least_eco() {
-        let table = table3();
-        for row in &table.rows {
-            let eco: f64 = row[2].parse().unwrap();
-            let relaxed: f64 = row[3].parse().unwrap();
-            let cpu: f64 = row[1].parse().unwrap();
+        for row in &by_name("table3")[0].rows {
+            let (cpu, eco, relaxed) = (cell(row, 1), cell(row, 2), cell(row, 3));
             assert!(relaxed >= eco);
             assert!(eco > cpu);
         }

@@ -130,37 +130,28 @@ pub fn figure8() -> Vec<Table> {
     vec![memory, utilization]
 }
 
-/// Figure 9: utilization vs batch size and vs table size.
+/// Figure 9: utilization vs table size for a lone query (cooperative groups
+/// vs one thread block).
 #[must_use]
-pub fn figure9() -> Vec<Table> {
+pub fn figure9() -> Table {
     let device = DeviceSpec::v100();
-    let mut batch_table = Table::new(
-        "Figure 9a: utilization vs batch size (2^20-entry table)",
-        &["batch", "utilization"],
-    );
     let gpu = GpuThroughputModel::v100(PrfKind::Aes128);
-    let (prf_calls, bytes) = eval_profile(20);
-    for batch in [1u64, 4, 16, 64, 256, 1024, 4096] {
-        let point = gpu.at_batch(prf_calls, bytes, batch);
-        batch_table.push_row(vec![batch.to_string(), format!("{:.2}", point.utilization)]);
-    }
-
-    let mut size_table = Table::new(
-        "Figure 9b: utilization vs table size (batch=1, cooperative groups vs one block)",
+    let mut table = Table::new(
+        "Figure 9: utilization vs table size (batch=1, cooperative groups vs one block)",
         &["table size", "cooperative groups", "single block"],
     );
+    let single_block =
+        OccupancyEstimate::estimate(&device, &LaunchConfig::linear(1, 256)).achieved_utilization;
     for bits in [14u32, 18, 20, 22, 24, 26] {
         let (prf_calls, bytes) = eval_profile(bits);
         let coop = gpu.at_batch(prf_calls, bytes, 1);
-        let single_block = OccupancyEstimate::estimate(&device, &LaunchConfig::linear(1, 256))
-            .achieved_utilization;
-        size_table.push_row(vec![
+        table.push_row(vec![
             format!("2^{bits}"),
             format!("{:.2}", coop.utilization),
-            format!("{:.3}", single_block),
+            format!("{single_block:.3}"),
         ]);
     }
-    vec![batch_table, size_table]
+    table
 }
 
 /// Figure 13: throughput vs latency for each GPU optimization.
@@ -390,59 +381,122 @@ pub fn table5() -> Table {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiments::{by_name, cell};
+
+    #[test]
+    fn figure3_gen_is_cheap_next_to_eval() {
+        for row in &by_name("fig3")[0].rows {
+            assert!(cell(row, 1) < cell(row, 3), "Gen PRF calls: {row:?}");
+            assert!(cell(row, 2) < cell(row, 4), "Gen ms: {row:?}");
+        }
+    }
 
     #[test]
     fn figure6_shows_the_strategy_tradeoff() {
-        let table = figure6();
-        // For every table size, branch-parallel has the most PRF calls and
-        // level-by-level the most memory.
+        let table = &by_name("fig6")[0];
         assert_eq!(table.rows.len(), 15);
+        // Rows come in (branch-parallel, level-by-level, memory-bounded)
+        // triples, one per table size.
+        for sizes in table.rows.chunks(3) {
+            let [branch, level, bounded] = sizes else {
+                unreachable!()
+            };
+            assert!(cell(branch, 2) > cell(level, 2), "{sizes:?}");
+            assert_eq!(cell(bounded, 2), cell(level, 2), "{sizes:?}");
+            assert!(cell(level, 3) > cell(branch, 3), "{sizes:?}");
+            assert!(cell(level, 3) > cell(bounded, 3), "{sizes:?}");
+        }
+    }
+
+    #[test]
+    fn figure8_memory_bounded_scratch_does_not_grow_with_the_table() {
+        let tables = by_name("fig8");
+        let rows = &tables[0].rows;
+        let (smallest, largest) = (&rows[0], &rows[rows.len() - 1]);
+        for k in 1..=3 {
+            assert!(cell(largest, k) < 2.0 * cell(smallest, k), "K column {k}");
+            for row in rows {
+                assert!(cell(row, k) < cell(row, 4), "{row:?}");
+            }
+        }
+        assert!(cell(largest, 4) > 100.0 * cell(smallest, 4));
+        // Utilization rises with K until the device is full.
+        let utilization: Vec<f64> = tables[1].rows.iter().map(|row| cell(row, 1)).collect();
+        assert!(utilization.windows(2).all(|pair| pair[0] <= pair[1]));
+        assert!(utilization[utilization.len() - 1] > utilization[0]);
+    }
+
+    #[test]
+    fn figure9_cooperative_groups_fill_the_device_from_2_18() {
+        let table = &by_name("fig9")[0];
+        // A lone 2^14 query cannot fill the device; from 2^18 on it does.
+        assert!(cell(&table.rows[0], 1) < 0.5, "{:?}", table.rows[0]);
+        for row in &table.rows[1..] {
+            assert!(cell(row, 1) >= 0.99, "{row:?}");
+        }
+        for row in &table.rows {
+            assert!(cell(row, 2) < cell(row, 1), "{row:?}");
+        }
+    }
+
+    #[test]
+    fn figure13_memory_caps_level_by_level_batches() {
+        for table in by_name("fig13") {
+            let max_batch = |strategy: &str| {
+                table
+                    .rows
+                    .iter()
+                    .filter(|row| row[0] == strategy)
+                    .map(|row| cell(row, 1))
+                    .fold(0.0, f64::max)
+            };
+            let (level, bounded) = (max_batch("level-by-level"), max_batch("mem-bound + fusion"));
+            assert!(level >= 1.0, "{}", table.title);
+            assert!(level < bounded, "{}: {level} vs {bounded}", table.title);
+        }
+    }
+
+    #[test]
+    fn figure14_fusion_always_helps() {
+        let tables = by_name("fig14");
+        for row in &tables[0].rows {
+            assert!(cell(row, 1) < cell(row, 2), "fused latency: {row:?}");
+        }
+        for row in &tables[1].rows {
+            assert!(cell(row, 1) > cell(row, 2), "fused throughput: {row:?}");
+        }
+    }
+
+    #[test]
+    fn figure15_gpu_beats_32_threads_by_more_than_20x() {
+        for row in &by_name("fig15")[0].rows {
+            assert!(cell(row, 4) > 20.0, "{row:?}");
+        }
     }
 
     #[test]
     fn table4_shape_matches_the_paper() {
-        let rows = gpu_vs_cpu_rows(&[14, 20, 22]);
-        for (bits, gpu_qps, _, cpu1_qps, _, cpu32_qps, _) in rows {
+        // Rows come in (GPU, CPU 1-thread, CPU 32-thread) triples.
+        for sizes in by_name("table4")[0].rows.chunks(3) {
+            let [gpu, cpu1, cpu32] = sizes else {
+                unreachable!()
+            };
             assert!(
-                gpu_qps > 15.0 * cpu32_qps,
-                "2^{bits}: GPU {gpu_qps:.0} should beat 32-thread CPU {cpu32_qps:.1} by >15x"
+                cell(gpu, 3) > 15.0 * cell(cpu32, 3),
+                "GPU should beat 32-thread CPU by >15x: {sizes:?}"
             );
-            assert!(cpu32_qps > cpu1_qps);
+            assert!(cell(cpu32, 3) > cell(cpu1, 3), "{sizes:?}");
         }
     }
 
     #[test]
     fn table5_ordering_matches_the_paper() {
-        let (prf_calls, bytes) = eval_profile(20);
-        let qps: Vec<f64> = PrfKind::ALL
+        let qps: Vec<f64> = by_name("table5")[0]
+            .rows
             .iter()
-            .map(|&k| {
-                GpuThroughputModel::v100(k)
-                    .at_batch(prf_calls, bytes, 512)
-                    .qps
-            })
+            .map(|row| cell(row, 3))
             .collect();
         // Order in PrfKind::ALL: AES, SHA, ChaCha, SipHash, Highway.
         assert!(qps[3] > qps[2] && qps[2] > qps[4] && qps[4] > qps[0] && qps[0] > qps[1]);
-    }
-
-    #[test]
-    fn figure14_fusion_always_helps() {
-        let tables = figure14();
-        for row in &tables[1].rows {
-            let fused: f64 = row[1].parse().unwrap_or(0.0);
-            let unfused: f64 = row[2].parse().unwrap_or(f64::MAX);
-            assert!(fused >= unfused * 0.99, "fusion should not hurt throughput");
-        }
-    }
-
-    #[test]
-    fn figure9_utilization_grows_with_batch_and_table_size() {
-        let tables = figure9();
-        let last = tables[0].rows.last().unwrap()[1].parse::<f64>().unwrap();
-        let first = tables[0].rows[0][1].parse::<f64>().unwrap();
-        assert!(last >= first);
-        assert!(last > 0.9);
     }
 }

@@ -29,26 +29,11 @@ impl NetworkModel {
         }
     }
 
-    /// A 3G-class link, used to show when communication dominates.
-    #[must_use]
-    pub const fn three_g() -> Self {
-        Self {
-            bandwidth_mbps: 5.0,
-            one_way_latency_ms: 60.0,
-        }
-    }
-
     /// Milliseconds to transfer `bytes` one way, including propagation.
     #[must_use]
     pub fn transfer_ms(&self, bytes: u64) -> f64 {
         let seconds = (bytes as f64 * 8.0) / (self.bandwidth_mbps * 1e6);
         seconds * 1e3 + self.one_way_latency_ms
-    }
-}
-
-impl Default for NetworkModel {
-    fn default() -> Self {
-        Self::lte()
     }
 }
 
@@ -59,9 +44,6 @@ pub struct LatencyBreakdown {
     pub gen_ms: f64,
     /// Upload of the keys plus download of the response shares.
     pub network_ms: f64,
-    /// Time the query waited server-side for its batch to form (zero for the
-    /// synchronous one-call-at-a-time path; set by the serving runtime).
-    pub queue_ms: f64,
     /// Server-side PIR evaluation (`Eval` + table multiply).
     pub pir_ms: f64,
     /// On-device DNN forward pass.
@@ -72,33 +54,7 @@ impl LatencyBreakdown {
     /// Total end-to-end latency.
     #[must_use]
     pub fn total_ms(&self) -> f64 {
-        self.gen_ms + self.network_ms + self.queue_ms + self.pir_ms + self.dnn_ms
-    }
-
-    /// Builder-style: account time spent queued in a server-side batch
-    /// former. Lets the serving layer reuse the paper's Figure 12 model with
-    /// batching delay added as a first-class component.
-    #[must_use]
-    pub fn with_queue_ms(mut self, queue_ms: f64) -> Self {
-        self.queue_ms = queue_ms;
-        self
-    }
-
-    /// The dominant component's name (used in reports).
-    #[must_use]
-    pub fn dominant_component(&self) -> &'static str {
-        let components = [
-            (self.gen_ms, "gen"),
-            (self.network_ms, "network"),
-            (self.queue_ms, "queue"),
-            (self.pir_ms, "pir"),
-            (self.dnn_ms, "dnn"),
-        ];
-        components
-            .iter()
-            .max_by(|a, b| a.0.partial_cmp(&b.0).expect("latencies are finite"))
-            .expect("non-empty")
-            .1
+        self.gen_ms + self.network_ms + self.pir_ms + self.dnn_ms
     }
 }
 
@@ -166,16 +122,9 @@ impl LatencyModel {
         LatencyBreakdown {
             gen_ms: self.gen_ms(queries, domain_bits, prf),
             network_ms: self.network_ms(upload_bytes_per_server, download_bytes_per_server),
-            queue_ms: 0.0,
             pir_ms,
             dnn_ms: self.dnn_ms(model_parameters),
         }
-    }
-}
-
-impl Default for LatencyModel {
-    fn default() -> Self {
-        Self::paper_default()
     }
 }
 
@@ -201,24 +150,17 @@ mod tests {
         assert!(large > small);
         // 300 KB at 60 Mbit/s is 40 ms of serialization plus propagation.
         assert!(large < 150.0, "unexpectedly slow: {large} ms");
-        assert!(
-            NetworkModel::three_g().transfer_ms(300_000) > NetworkModel::lte().transfer_ms(300_000)
-        );
     }
 
     #[test]
-    fn breakdown_totals_and_dominance() {
+    fn breakdown_totals_its_components() {
         let model = LatencyModel::paper_default();
         let breakdown = model.breakdown(20, 17, PrfKind::Chacha20, 60_000, 20_000, 80.0, 500_000);
         let total = breakdown.total_ms();
         assert!(total > breakdown.pir_ms);
         assert!(
             (total
-                - (breakdown.gen_ms
-                    + breakdown.network_ms
-                    + breakdown.queue_ms
-                    + breakdown.pir_ms
-                    + breakdown.dnn_ms))
+                - (breakdown.gen_ms + breakdown.network_ms + breakdown.pir_ms + breakdown.dnn_ms))
                 .abs()
                 < 1e-9
         );
@@ -226,7 +168,6 @@ mod tests {
             total < 500.0,
             "within the paper's ~500 ms target, got {total}"
         );
-        assert!(!breakdown.dominant_component().is_empty());
     }
 
     #[test]
@@ -234,14 +175,5 @@ mod tests {
         let model = LatencyModel::paper_default();
         // A few-MB MLP (1M parameters) runs in a few ms on the client.
         assert!(model.dnn_ms(1_000_000) < 10.0);
-    }
-
-    #[test]
-    fn queue_time_is_a_first_class_component() {
-        let model = LatencyModel::paper_default();
-        let without = model.breakdown(4, 12, PrfKind::SipHash, 1_000, 1_000, 5.0, 0);
-        let with = without.with_queue_ms(500.0);
-        assert!((with.total_ms() - without.total_ms() - 500.0).abs() < 1e-9);
-        assert_eq!(with.dominant_component(), "queue");
     }
 }

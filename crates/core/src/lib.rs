@@ -30,31 +30,3 @@ pub use latency::{LatencyBreakdown, LatencyModel, NetworkModel};
 pub use optimizer::{CodesignOptimizer, OperatingPoint, QualityTarget};
 pub use system::{InferenceOutcome, PrivateInferenceSystem, SystemConfig};
 pub use throughput::{CpuBaselineModel, GpuThroughputModel, ThroughputPoint};
-
-/// Escape `value` for embedding between the quotes of a JSON string: `"`,
-/// `\` and control characters (as `\u00XX`). Shared by the workspace's
-/// hand-rolled JSON emitters (no JSON dependency is available offline).
-#[must_use]
-pub fn json_escape(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::json_escape;
-
-    #[test]
-    fn json_escaping_covers_quotes_and_controls() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\u000ay");
-    }
-}

@@ -81,12 +81,6 @@ impl CodesignOptimizer {
         self
     }
 
-    /// The budget being enforced.
-    #[must_use]
-    pub fn budget(&self) -> &Budget {
-        &self.budget
-    }
-
     fn quality_of(&self, app: &Application, point: &CodesignPoint) -> f64 {
         app.quality().quality_at(point.drop_rate.clamp(0.0, 1.0))
     }
@@ -207,7 +201,7 @@ impl CodesignOptimizer {
 
     /// The GPU system without ML co-design.
     #[must_use]
-    pub fn gpu_plain(
+    fn gpu_plain(
         &self,
         app: &Application,
         prf: PrfKind,
@@ -332,7 +326,7 @@ mod tests {
                     .relative_degradation(point.quality, app.quality().baseline)
                     <= app.relaxed_tolerance() + 1e-9
             );
-            assert!(point.latency_ms <= optimizer.budget().max_latency_ms);
+            assert!(point.latency_ms <= optimizer.budget.max_latency_ms);
         }
     }
 

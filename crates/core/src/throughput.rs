@@ -33,22 +33,13 @@ pub struct GpuThroughputModel {
 }
 
 impl GpuThroughputModel {
-    /// Model a server with `prf` on `device`.
-    #[must_use]
-    pub fn new(device: DeviceSpec, prf: PrfKind) -> Self {
-        Self { device, prf }
-    }
-
-    /// The paper's default: AES-128 on a V100.
+    /// Model a server with `prf` on the paper's V100.
     #[must_use]
     pub fn v100(prf: PrfKind) -> Self {
-        Self::new(DeviceSpec::v100(), prf)
-    }
-
-    /// The PRF assumed by this model.
-    #[must_use]
-    pub fn prf(&self) -> PrfKind {
-        self.prf
+        Self {
+            device: DeviceSpec::v100(),
+            prf,
+        }
     }
 
     /// Achieved utilization of the device for a given amount of independent
@@ -156,12 +147,6 @@ impl CpuBaselineModel {
             threads,
             prf,
         }
-    }
-
-    /// Thread count.
-    #[must_use]
-    pub fn threads(&self) -> u32 {
-        self.threads
     }
 
     /// Queries per second for a per-inference profile.

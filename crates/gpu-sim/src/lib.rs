@@ -2,7 +2,7 @@
 //!
 //! The paper accelerates DPF evaluation with CUDA kernels on a V100. This
 //! reproduction has no GPU available, so the GPU is replaced by a *simulated
-//! device* (see `DESIGN.md` §1):
+//! device*:
 //!
 //! * **Functional execution** — kernels are ordinary Rust closures over a
 //!   [`kernel::Kernel`] trait; the [`executor::GpuExecutor`] runs every thread

@@ -13,7 +13,6 @@
 use std::io::Write as _;
 use std::path::Path;
 
-use pir_core::json_escape;
 use pir_protocol::HotCacheStats;
 use pir_serve::LatencyHistogram;
 
@@ -343,6 +342,23 @@ impl SoakReport {
     }
 }
 
+/// Escape `value` for embedding between the quotes of a JSON string: `"`,
+/// `\` and control characters (as `\u00XX`). Shared by the workspace's
+/// hand-rolled JSON emitters (no JSON dependency is available offline).
+#[must_use]
+pub fn json_escape(value: &str) -> String {
+    let mut out = String::with_capacity(value.len());
+    for c in value.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 fn push_str_field(out: &mut String, key: &str, value: &str) {
     out.push_str(&format!("\"{key}\":\"{}\",", json_escape(value)));
 }
@@ -382,6 +398,12 @@ mod tests {
     use crate::replay::RequestRecord;
     use crate::trace::{FlashCrowd, TenantSpec, TraceConfig};
     use std::time::Duration;
+
+    #[test]
+    fn json_escaping_covers_quotes_and_controls() {
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("x\ny"), "x\\u000ay");
+    }
 
     fn sample_report() -> SoakReport {
         let trace = TraceConfig {

@@ -32,13 +32,6 @@ impl CatalogEntry {
             format!("{:.0} KB", bytes / 1e3)
         }
     }
-
-    /// Whether the table plausibly fits on a client device (the paper's
-    /// threshold discussion uses the ~200 MB extreme app size).
-    #[must_use]
-    pub fn fits_on_device(&self) -> bool {
-        self.table_bytes() <= 200 * 1_000_000
-    }
 }
 
 /// The catalog of public datasets/models the paper lists in Table 1.
@@ -99,24 +92,6 @@ mod tests {
         // Criteo 1TB is hundreds of GB; MovieLens is a few MB.
         assert!(table1[0].table_bytes() > 400_000_000_000);
         assert!(table1[5].table_bytes() < 10_000_000);
-    }
-
-    #[test]
-    fn only_the_smallest_tables_fit_on_device() {
-        let table1 = DatasetCatalog::table1();
-        let fitting: Vec<&str> = table1
-            .iter()
-            .filter(|e| e.fits_on_device())
-            .map(|e| e.application)
-            .collect();
-        assert_eq!(
-            fitting,
-            vec![
-                "Taobao Rec.",
-                "WikiText2 (Language Model)",
-                "Movielens-20M Rec."
-            ]
-        );
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! Those datasets are not redistributable here, so each is replaced by a
 //! generator that reproduces the statistics the system actually depends on —
 //! table size, entry size, queries per inference, power-law access skew and
-//! co-occurrence structure — as documented in `DESIGN.md`. The catalog
-//! (Table 1) and the production recommendation profile (Table 2) are kept as
-//! data.
+//! co-occurrence structure. The catalog (Table 1) and the production
+//! recommendation profile (Table 2) are kept as data.
 
 pub mod catalog;
 mod movielens;
@@ -16,7 +15,6 @@ mod wikitext;
 
 pub use catalog::{CatalogEntry, DatasetCatalog};
 pub use production::{ProductionProfile, ProductionTableStats};
-pub use wikitext::sessions_as_token_sequences;
 
 use serde::{Deserialize, Serialize};
 
@@ -136,12 +134,6 @@ impl SyntheticDataset {
         }
         (train * self.train_workload.len() as f64 + test * self.test_workload.len() as f64)
             / total as f64
-    }
-
-    /// Size of the full embedding table in bytes.
-    #[must_use]
-    pub fn table_bytes(&self) -> u64 {
-        self.table_entries * self.entry_bytes as u64
     }
 }
 

@@ -58,20 +58,6 @@ pub(super) fn generate(scale: DatasetScale, inferences: usize, seed: u64) -> Syn
     }
 }
 
-/// Convert an access workload generated by this module into LSTM training
-/// sequences (token ids), clamping to the given vocabulary size.
-#[must_use]
-pub fn sessions_as_token_sequences(sessions: &[Vec<u64>], vocab_size: usize) -> Vec<Vec<usize>> {
-    sessions
-        .iter()
-        .map(|s| {
-            s.iter()
-                .map(|&t| (t as usize).min(vocab_size - 1))
-                .collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,11 +86,5 @@ mod tests {
         }
         let fraction = pair_hits as f64 / total as f64;
         assert!(fraction > 0.35, "collocation fraction {fraction:.2}");
-    }
-
-    #[test]
-    fn token_sequence_conversion_clamps() {
-        let sequences = sessions_as_token_sequences(&[vec![5, 1_000_000]], 100);
-        assert_eq!(sequences, vec![vec![5usize, 99]]);
     }
 }

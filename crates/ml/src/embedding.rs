@@ -20,15 +20,6 @@ pub struct EmbeddingTable {
 }
 
 impl EmbeddingTable {
-    /// Create a table of `entries × dimension` zeros.
-    #[must_use]
-    pub fn zeros(entries: usize, dimension: usize) -> Self {
-        Self {
-            dimension,
-            values: vec![0.0; entries * dimension],
-        }
-    }
-
     /// Create a table with small random entries (uniform in `[-0.5, 0.5]`).
     pub fn random<R: Rng + ?Sized>(entries: usize, dimension: usize, rng: &mut R) -> Self {
         let values = (0..entries * dimension)
@@ -41,12 +32,6 @@ impl EmbeddingTable {
     #[must_use]
     pub fn entries(&self) -> usize {
         self.values.len().checked_div(self.dimension).unwrap_or(0)
-    }
-
-    /// Embedding dimensionality.
-    #[must_use]
-    pub fn dimension(&self) -> usize {
-        self.dimension
     }
 
     /// Bytes per entry in the quantized PIR representation.
@@ -66,40 +51,6 @@ impl EmbeddingTable {
         &self.values[index * self.dimension..(index + 1) * self.dimension]
     }
 
-    /// Mutably borrow one embedding vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn row_mut(&mut self, index: usize) -> &mut [f32] {
-        assert!(index < self.entries(), "embedding {index} out of bounds");
-        &mut self.values[index * self.dimension..(index + 1) * self.dimension]
-    }
-
-    /// Mean-pool a set of embeddings (the standard sparse-feature pooling in
-    /// recommendation models). Missing (dropped) indices are simply skipped,
-    /// which is exactly how dropped PIR queries degrade the model input.
-    #[must_use]
-    pub fn mean_pool(&self, indices: &[usize]) -> Vec<f32> {
-        let mut pooled = vec![0.0f32; self.dimension];
-        let mut count = 0usize;
-        for &index in indices {
-            if index >= self.entries() {
-                continue;
-            }
-            for (acc, v) in pooled.iter_mut().zip(self.row(index)) {
-                *acc += v;
-            }
-            count += 1;
-        }
-        if count > 0 {
-            for value in &mut pooled {
-                *value /= count as f32;
-            }
-        }
-        pooled
-    }
-
     /// Quantize the whole table into byte entries suitable for a PIR server.
     #[must_use]
     pub fn to_entries(&self) -> Vec<Vec<u8>> {
@@ -114,7 +65,7 @@ impl EmbeddingTable {
     ///
     /// Panics if `index` is out of bounds.
     #[must_use]
-    pub fn entry_to_bytes(&self, index: usize) -> Vec<u8> {
+    fn entry_to_bytes(&self, index: usize) -> Vec<u8> {
         self.row(index)
             .iter()
             .flat_map(|&v| ((v * FIXED_POINT_SCALE).round() as i32).to_le_bytes())
@@ -164,24 +115,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_pool_averages_present_rows() {
-        let mut table = EmbeddingTable::zeros(4, 2);
-        table.row_mut(0).copy_from_slice(&[1.0, 2.0]);
-        table.row_mut(1).copy_from_slice(&[3.0, 4.0]);
-        let pooled = table.mean_pool(&[0, 1]);
-        assert_eq!(pooled, vec![2.0, 3.0]);
-        // Out-of-range (dropped) indices are skipped.
-        let partial = table.mean_pool(&[0, 99]);
-        assert_eq!(partial, vec![1.0, 2.0]);
-        // Pooling nothing yields zeros.
-        assert_eq!(table.mean_pool(&[]), vec![0.0, 0.0]);
-    }
-
-    #[test]
     fn dimensions_are_consistent() {
-        let table = EmbeddingTable::zeros(10, 8);
+        let table = EmbeddingTable::random(10, 8, &mut StdRng::seed_from_u64(2));
         assert_eq!(table.entries(), 10);
-        assert_eq!(table.dimension(), 8);
         assert_eq!(table.entry_bytes(), 32);
         assert_eq!(table.to_entries().len(), 10);
     }
@@ -189,9 +125,7 @@ mod tests {
     proptest! {
         #[test]
         fn prop_quantization_error_is_bounded(values in proptest::collection::vec(-4.0f32..4.0, 1..32)) {
-            let dimension = values.len();
-            let mut table = EmbeddingTable::zeros(1, dimension);
-            table.row_mut(0).copy_from_slice(&values);
+            let table = EmbeddingTable { dimension: values.len(), values: values.clone() };
             let back = EmbeddingTable::bytes_to_vector(&table.entry_to_bytes(0));
             for (a, b) in values.iter().zip(&back) {
                 prop_assert!((a - b).abs() < 1e-4);

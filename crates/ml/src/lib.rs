@@ -3,19 +3,13 @@
 //! The paper's end-to-end claims are about *applications*: on-device
 //! recommendation models (MovieLens-20M, Taobao) and an LSTM language model
 //! (WikiText-2) whose embedding tables live on servers and are fetched with
-//! PIR. This crate builds everything those applications need, from scratch:
+//! PIR. This crate models what the PIR system sees of those applications:
 //!
-//! * [`tensor`] — a minimal dense linear-algebra layer (matrices, activations)
-//!   sufficient for small MLPs and LSTMs,
 //! * [`embedding`] — float embedding tables plus the fixed-point quantization
 //!   that turns them into byte entries a PIR server can host,
-//! * [`mlp`] — the 2-layer MLP click-through-rate model used for the
-//!   recommendation workloads,
-//! * [`lstm`] — a single-layer LSTM language model,
-//! * [`metrics`] — ROC-AUC, log-loss and perplexity,
 //! * [`datasets`] — synthetic workload generators standing in for the public
 //!   datasets (same table sizes, entry sizes, queries-per-inference and
-//!   Zipf-like access skew; see `DESIGN.md` for the substitution rationale),
+//!   Zipf-like access skew; the module docs give the substitution rationale),
 //! * [`workload`] — access-pattern statistics (frequencies, co-occurrence,
 //!   sessions) consumed by the PIR co-design search,
 //! * [`quality`] — the model-quality-vs-dropped-queries relationship that the
@@ -26,18 +20,10 @@
 
 pub mod datasets;
 pub mod embedding;
-pub mod lstm;
-pub mod metrics;
-pub mod mlp;
 pub mod quality;
-pub mod tensor;
 pub mod workload;
 
 pub use datasets::{DatasetCatalog, DatasetKind, SyntheticDataset};
 pub use embedding::EmbeddingTable;
-pub use lstm::{LstmConfig, LstmLanguageModel};
-pub use metrics::{accuracy, log_loss, perplexity, roc_auc};
-pub use mlp::{MlpConfig, MlpModel};
 pub use quality::{QualityMetric, QualityModel};
-pub use tensor::Matrix;
 pub use workload::{AccessWorkload, ZipfSampler};

@@ -2,11 +2,9 @@
 //!
 //! Batch PIR and the fixed query budgets drop some embedding lookups; the
 //! paper's Figures 11 and 16–20 trade system cost against the resulting model
-//! quality. The *empirical* relationship comes from evaluating the trained
-//! models with dropped lookups ([`crate::mlp`] / [`crate::lstm`]); this module
-//! provides a calibrated parametric [`QualityModel`] so large parameter sweeps
-//! (thousands of co-design points) don't need to re-run model evaluation for
-//! every point, plus the Acc-eco / Acc-relaxed acceptance rules.
+//! quality. This module provides a calibrated parametric [`QualityModel`] —
+//! quality as a function of the fraction of lookups dropped — so large
+//! parameter sweeps (thousands of co-design points) never re-run a model.
 
 use serde::{Deserialize, Serialize};
 
@@ -20,16 +18,6 @@ pub enum QualityMetric {
 }
 
 impl QualityMetric {
-    /// Whether `candidate` is at least as good as `reference` under this
-    /// metric's direction.
-    #[must_use]
-    pub fn at_least_as_good(self, candidate: f64, reference: f64) -> bool {
-        match self {
-            QualityMetric::Auc => candidate >= reference,
-            QualityMetric::Perplexity => candidate <= reference,
-        }
-    }
-
     /// Relative degradation of `candidate` versus `baseline` (positive =
     /// worse), expressed as a fraction of the baseline.
     #[must_use]
@@ -105,40 +93,6 @@ impl QualityModel {
         }
     }
 
-    /// Build a model from an empirically measured `(drop_rate, quality)`
-    /// sweep by least-squares fitting the span with a fixed shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two points are provided.
-    #[must_use]
-    pub fn fit(metric: QualityMetric, baseline: f64, points: &[(f64, f64)], shape: f64) -> Self {
-        assert!(points.len() >= 2, "need at least two calibration points");
-        // Least squares for span in quality = baseline ± span * drop^shape.
-        let mut numerator = 0.0;
-        let mut denominator = 0.0;
-        for &(drop, quality) in points {
-            let basis = drop.powf(shape);
-            let delta = match metric {
-                QualityMetric::Auc => baseline - quality,
-                QualityMetric::Perplexity => quality - baseline,
-            };
-            numerator += basis * delta;
-            denominator += basis * basis;
-        }
-        let span = if denominator > 0.0 {
-            (numerator / denominator).max(0.0)
-        } else {
-            0.0
-        };
-        Self {
-            metric,
-            baseline,
-            span,
-            shape,
-        }
-    }
-
     /// Predicted quality at a given drop rate.
     ///
     /// # Panics
@@ -155,44 +109,6 @@ impl QualityModel {
             QualityMetric::Auc => self.baseline - delta,
             QualityMetric::Perplexity => self.baseline + delta,
         }
-    }
-
-    /// The Acc-eco acceptance rule: the configuration must preserve the full
-    /// baseline quality (up to a hair of numerical slack).
-    #[must_use]
-    pub fn accepts_eco(&self, drop_rate: f64) -> bool {
-        self.metric
-            .relative_degradation(self.quality_at(drop_rate), self.baseline)
-            <= 1e-4
-    }
-
-    /// The Acc-relaxed acceptance rule: relative degradation of at most
-    /// `tolerance` (the paper uses 0.5 % for the recommendation tasks and 5 %
-    /// for the language model).
-    #[must_use]
-    pub fn accepts_relaxed(&self, drop_rate: f64, tolerance: f64) -> bool {
-        self.metric
-            .relative_degradation(self.quality_at(drop_rate), self.baseline)
-            <= tolerance
-    }
-
-    /// Largest drop rate whose predicted degradation stays within
-    /// `tolerance`, found by bisection.
-    #[must_use]
-    pub fn max_drop_rate_within(&self, tolerance: f64) -> f64 {
-        let (mut low, mut high) = (0.0f64, 1.0f64);
-        if self.accepts_relaxed(1.0, tolerance) {
-            return 1.0;
-        }
-        for _ in 0..60 {
-            let mid = (low + high) / 2.0;
-            if self.accepts_relaxed(mid, tolerance) {
-                low = mid;
-            } else {
-                high = mid;
-            }
-        }
-        low
     }
 }
 
@@ -211,56 +127,17 @@ mod tests {
             let q_half = model.quality_at(0.5);
             let q1 = model.quality_at(1.0);
             assert!((q0 - model.baseline).abs() < 1e-12);
+            let degradation = |q| model.metric.relative_degradation(q, model.baseline);
             assert!(
-                model.metric.at_least_as_good(q0, q_half),
+                degradation(q_half) >= 0.0,
                 "quality should not improve with drops"
             );
-            assert!(model.metric.at_least_as_good(q_half, q1));
+            assert!(degradation(q1) >= degradation(q_half));
         }
     }
 
     #[test]
-    fn acceptance_rules_match_the_paper() {
-        let movielens = QualityModel::movielens();
-        assert!(movielens.accepts_eco(0.0));
-        assert!(!movielens.accepts_eco(0.2));
-        // 0.5 % AUC tolerance admits a small but nonzero drop rate.
-        let max_drop = movielens.max_drop_rate_within(0.005);
-        assert!(max_drop > 0.0 && max_drop < 0.2, "max drop {max_drop}");
-
-        let wikitext = QualityModel::wikitext2();
-        let lm_drop = wikitext.max_drop_rate_within(0.05);
-        assert!(lm_drop > 0.0 && lm_drop < 0.3, "lm drop {lm_drop}");
-
-        // Taobao barely cares about drops (sparse features are a small part
-        // of its inputs), so even large drop rates stay within 0.5 %.
-        let taobao = QualityModel::taobao();
-        assert!(taobao.accepts_relaxed(0.5, 0.005));
-    }
-
-    #[test]
-    fn fit_recovers_span_from_synthetic_points() {
-        let truth = QualityModel {
-            metric: QualityMetric::Auc,
-            baseline: 0.8,
-            span: 0.2,
-            shape: 1.0,
-        };
-        let points: Vec<(f64, f64)> = [0.1, 0.3, 0.6, 0.9]
-            .iter()
-            .map(|&d| (d, truth.quality_at(d)))
-            .collect();
-        let fitted = QualityModel::fit(QualityMetric::Auc, 0.8, &points, 1.0);
-        assert!((fitted.span - 0.2).abs() < 1e-9);
-        assert!((fitted.quality_at(0.5) - truth.quality_at(0.5)).abs() < 1e-9);
-    }
-
-    #[test]
     fn metric_direction_is_respected() {
-        assert!(QualityMetric::Auc.at_least_as_good(0.8, 0.7));
-        assert!(!QualityMetric::Auc.at_least_as_good(0.6, 0.7));
-        assert!(QualityMetric::Perplexity.at_least_as_good(80.0, 90.0));
-        assert!(!QualityMetric::Perplexity.at_least_as_good(100.0, 90.0));
         assert!(QualityMetric::Perplexity.relative_degradation(101.0, 100.0) > 0.0);
         assert!(QualityMetric::Auc.relative_degradation(0.79, 0.80) > 0.0);
     }

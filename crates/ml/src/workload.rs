@@ -36,47 +36,6 @@ impl AccessWorkload {
         }
     }
 
-    /// Generate a synthetic Zipf-distributed workload: `sessions` inferences
-    /// of `queries_per_session` lookups each, with index popularity following
-    /// a power law of the given `exponent` (1.0 ≈ classic Zipf; larger is
-    /// more skewed; 0.0 is uniform).
-    ///
-    /// Sampling uses inverse-CDF over the exact finite Zipf mass function, so
-    /// the same RNG stream always yields the same workload — the trace
-    /// harness replays these deterministically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `table_entries` is zero or `exponent` is negative/non-finite.
-    #[must_use]
-    pub fn zipf<R: Rng + ?Sized>(
-        table_entries: u64,
-        sessions: usize,
-        queries_per_session: usize,
-        exponent: f64,
-        rng: &mut R,
-    ) -> Self {
-        let sampler = ZipfSampler::new(table_entries, exponent);
-        let sessions = (0..sessions)
-            .map(|_| {
-                (0..queries_per_session)
-                    .map(|_| sampler.sample(rng))
-                    .collect()
-            })
-            .collect();
-        Self {
-            table_entries,
-            sessions,
-        }
-    }
-
-    /// Flatten the per-inference sessions into one lookup stream, in session
-    /// order — the request sequence a trace harness replays.
-    #[must_use]
-    pub fn lookup_stream(&self) -> Vec<u64> {
-        self.sessions.iter().flatten().copied().collect()
-    }
-
     /// Number of inferences in the workload.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -100,9 +59,9 @@ impl AccessWorkload {
     }
 
     /// Per-index access counts over the whole workload (length =
-    /// `table_entries`), the input to the hot-table split.
-    #[must_use]
-    pub fn frequencies(&self) -> Vec<u64> {
+    /// `table_entries`).
+    #[cfg(test)]
+    fn frequencies(&self) -> Vec<u64> {
         let mut counts = vec![0u64; self.table_entries as usize];
         for session in &self.sessions {
             for &index in session {
@@ -114,8 +73,8 @@ impl AccessWorkload {
 
     /// Fraction of all accesses captured by the `top` most frequent indices —
     /// a direct measure of the power-law skew the hot table exploits.
-    #[must_use]
-    pub fn coverage_of_top(&self, top: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn coverage_of_top(&self, top: usize) -> f64 {
         let mut counts = self.frequencies();
         let total: u64 = counts.iter().sum();
         if total == 0 {
@@ -243,19 +202,19 @@ mod tests {
     #[test]
     fn zipf_workload_is_deterministic_and_skewed() {
         use rand::SeedableRng;
-        let mut rng_a = rand::rngs::StdRng::seed_from_u64(7);
-        let mut rng_b = rand::rngs::StdRng::seed_from_u64(7);
-        let a = AccessWorkload::zipf(1024, 200, 4, 1.1, &mut rng_a);
-        let b = AccessWorkload::zipf(1024, 200, 4, 1.1, &mut rng_b);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 200);
-        assert_eq!(a.lookup_stream().len(), 800);
-        assert!(a.lookup_stream().iter().all(|&i| i < 1024));
+        let zipf = |exponent, seed| {
+            let sampler = ZipfSampler::new(1024, exponent);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let sessions = (0..200)
+                .map(|_| (0..4).map(|_| sampler.sample(&mut rng)).collect())
+                .collect();
+            AccessWorkload::new(1024, sessions)
+        };
+        let a = zipf(1.1, 7);
+        assert_eq!(a, zipf(1.1, 7));
         // Zipf 1.1 concentrates far more than uniform on the head.
         assert!(a.coverage_of_top(16) > 0.3);
-        let mut rng_c = rand::rngs::StdRng::seed_from_u64(7);
-        let uniform = AccessWorkload::zipf(1024, 200, 4, 0.0, &mut rng_c);
-        assert!(uniform.coverage_of_top(16) < a.coverage_of_top(16));
+        assert!(zipf(0.0, 7).coverage_of_top(16) < a.coverage_of_top(16));
     }
 
     #[test]

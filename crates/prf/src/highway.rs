@@ -9,7 +9,7 @@
 //! implementation is documented as "HighwayHash-style": it provides the same
 //! interface, state width and arithmetic mix of the original, which is what
 //! the performance model needs, while its output stream is specific to this
-//! crate. This substitution is recorded in `DESIGN.md`.
+//! crate.
 
 use pir_field::{Block128, SimdBackend};
 
