@@ -18,10 +18,6 @@ pub struct Block128(u128);
 impl Block128 {
     /// The all-zero block.
     pub const ZERO: Self = Self(0);
-    /// The all-one block.
-    pub const ONES: Self = Self(u128::MAX);
-    /// Mask that clears the least-significant bit (where the control bit lives).
-    pub const CLEAR_LSB: Self = Self(u128::MAX - 1);
 
     /// Create a block from a `u128` value.
     ///
@@ -252,7 +248,7 @@ mod tests {
     #[test]
     fn debug_is_not_empty() {
         assert!(!format!("{:?}", Block128::ZERO).is_empty());
-        assert!(!format!("{}", Block128::ONES).is_empty());
+        assert!(!format!("{}", Block128::from_u128(u128::MAX)).is_empty());
     }
 
     #[test]
@@ -261,6 +257,6 @@ mod tests {
         let b = Block128::from_u128(0b1010);
         assert_eq!((a & b).as_u128(), 0b1000);
         assert_eq!((a | b).as_u128(), 0b1110);
-        assert_eq!((!Block128::ZERO), Block128::ONES);
+        assert_eq!((!Block128::ZERO).as_u128(), u128::MAX);
     }
 }

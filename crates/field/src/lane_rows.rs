@@ -10,9 +10,9 @@ use crate::LaneVector;
 /// Batched kernel launches used to collect per-query answers through one
 /// `Mutex<Option<LaneVector>>` per result, paying a lock round-trip (and an
 /// allocation) per block on the dispatch path. Since each block owns a
-/// disjoint row — or accumulates into a row with plain atomic adds — the
-/// buffer can be preallocated once per job and written with relaxed atomic
-/// lane stores, which on every major ISA compile to ordinary word writes.
+/// disjoint row, the buffer can be preallocated once per job and written
+/// with relaxed atomic lane stores, which on every major ISA compile to
+/// ordinary word writes.
 ///
 /// The grid is consumed at the end of a launch with
 /// [`AtomicLaneRows::into_lane_vectors`].
@@ -55,19 +55,6 @@ impl AtomicLaneRows {
         let cells = self.row_cells(row, values);
         for (cell, value) in cells.iter().zip(&values.0) {
             cell.store(*value, Ordering::Relaxed);
-        }
-    }
-
-    /// Accumulate `values` into `row` with wrapping lane adds. Safe for many
-    /// concurrent writers (partial-share reductions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range or `values` has the wrong lane count.
-    pub fn add_row(&self, row: usize, values: &LaneVector) {
-        let cells = self.row_cells(row, values);
-        for (cell, value) in cells.iter().zip(&values.0) {
-            cell.fetch_add(*value, Ordering::Relaxed);
         }
     }
 
@@ -120,14 +107,6 @@ mod tests {
         let all = rows.into_lane_vectors();
         assert_eq!(all.len(), 3);
         assert_eq!(all[1], LaneVector::from(vec![7, 8]));
-    }
-
-    #[test]
-    fn add_row_wraps_like_lane_vector() {
-        let rows = AtomicLaneRows::new(1, 2);
-        rows.add_row(0, &LaneVector::from(vec![u32::MAX, 1]));
-        rows.add_row(0, &LaneVector::from(vec![2, 3]));
-        assert_eq!(rows.row(0), LaneVector::from(vec![1, 4]));
     }
 
     #[test]

@@ -56,9 +56,6 @@ pub use share::{reconstruct_lanes, reconstruct_ring, share_lanes, share_ring, Ad
 pub use simd::SimdBackend;
 pub use vector::{IndicatorShares, LaneVector};
 
-/// Number of bytes in a 128-bit block.
-pub const BLOCK_BYTES: usize = 16;
-
 /// Number of bytes in one `u32` payload lane.
 pub const LANE_BYTES: usize = 4;
 

@@ -106,13 +106,6 @@ impl ShareMatrix {
         self.row_mut(row).copy_from_slice(lanes);
     }
 
-    /// Iterate over rows as lane slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[u32]> {
-        // `max(1)`: a zero-width table has no lanes to chunk (and no rows to
-        // yield), but a chunk size of zero would panic.
-        self.data.chunks_exact(self.lanes_per_row.max(1))
-    }
-
     /// The chunk sweep behind every share-weighted product in this crate:
     /// for each key `g`, `accs[g] += Σ_j weights[g · n + j] · row(base_row +
     /// j)` with `n = weights.len() / accs.len()`.

@@ -52,17 +52,6 @@ impl SimdBackend {
         }
     }
 
-    /// Parse a [`SimdBackend::label`] back into the backend value.
-    #[must_use]
-    pub fn from_label(label: &str) -> Option<Self> {
-        match label {
-            "scalar" => Some(SimdBackend::Scalar),
-            "avx2" => Some(SimdBackend::Avx2),
-            "neon" => Some(SimdBackend::Neon),
-            _ => None,
-        }
-    }
-
     /// Whether the running CPU can execute this backend.
     #[must_use]
     pub fn is_supported(self) -> bool {

@@ -315,7 +315,7 @@ impl Prf for Aes128Prf {
     /// kernel report says which AES kernel produced its number.
     fn backend_label(&self) -> &'static str {
         #[cfg(target_arch = "x86_64")]
-        if self.backend == SimdBackend::Avx2 && crate::simd::aes_x86::has_vaes() {
+        if self.backend == SimdBackend::Avx2 && std::arch::is_x86_feature_detected!("vaes") {
             return "avx2+vaes";
         }
         self.backend.label()
@@ -401,6 +401,27 @@ mod tests {
             prf.eval_block(Block128::from_u128(100), 3)
         );
         assert_eq!(prf.kind(), PrfKind::Aes128);
+    }
+
+    /// The label kernel reports and batch kernel names carry: `avx2+vaes`
+    /// exactly where the paired sweeps take the VAES kernel.
+    #[test]
+    fn backend_label_names_the_aes_kernel() {
+        let scalar = Aes128Prf::with_fixed_key().with_backend(SimdBackend::Scalar);
+        assert_eq!(scalar.backend_label(), "scalar");
+        assert_eq!(Aes128Prf::with_fixed_key().backend_label(), "scalar");
+        #[cfg(target_arch = "x86_64")]
+        {
+            let avx2 = Aes128Prf::with_fixed_key().with_backend(SimdBackend::Avx2);
+            let want = if !SimdBackend::Avx2.is_supported() {
+                "scalar"
+            } else if std::arch::is_x86_feature_detected!("vaes") {
+                "avx2+vaes"
+            } else {
+                "avx2"
+            };
+            assert_eq!(avx2.backend_label(), want);
+        }
     }
 
     #[test]

@@ -33,11 +33,13 @@
 //! ```
 
 // Unsafe code is denied crate-wide and re-allowed only inside `simd`, whose
-// per-architecture modules need `core::arch` intrinsics. Everything else in
-// this crate remains `unsafe`-free.
+// per-architecture modules need `core::arch` intrinsics. There, `unsafe` is
+// confined to raw vector loads and stores and to the one call from each safe
+// wrapper into a `#[target_feature]` kernel, justified by the detected
+// backend. Everything else in this crate remains `unsafe`-free.
 #![deny(unsafe_code)]
-// Where unsafe is re-allowed, every unsafe operation inside an `unsafe fn`
-// must still sit in an explicit `unsafe {}` block with its own SAFETY
+// Where an `unsafe fn` remains (the NEON helpers), every unsafe operation in
+// it must still sit in an explicit `unsafe {}` block with its own SAFETY
 // justification.
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]

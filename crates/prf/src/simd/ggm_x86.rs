@@ -32,10 +32,9 @@ const GROUP: usize = 32;
 /// `pick` selects from the broadcast parent word `parents`. Pair `k`'s pick
 /// is `[1, 1, 2, 2] << 2k`: its first node's bit into lanes 0–1, its
 /// second's into lanes 2–3.
-// SAFETY: caller must ensure AVX2 is available (`#[target_feature]`).
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn parent_mask(parents: __m256i, pick: __m256i) -> __m256i {
+fn parent_mask(parents: __m256i, pick: __m256i) -> __m256i {
     _mm256_cmpeq_epi64(_mm256_and_si256(parents, pick), pick)
 }
 
@@ -49,17 +48,12 @@ pub(crate) fn correct(
     children: &mut [Block128],
     child_t: &mut [u64],
 ) {
-    check_pass_shape(left, right, parent_t, children.len());
-    assert_eq!(child_t.len(), (2 * left.len()).div_ceil(64));
-    // SAFETY: caller contract — AVX2 detected at runtime; the lengths the
-    // kernel's pointer arithmetic relies on are asserted above.
+    // SAFETY: caller contract — the Avx2 backend detected AVX2 at runtime.
     unsafe { correct_impl(left, right, parent_t, cw, children, child_t) }
 }
 
-// SAFETY: caller must ensure AVX2 is available and the slice lengths of
-// `check_pass_shape`, with `child_t` holding one bit per child exactly.
 #[target_feature(enable = "avx2")]
-unsafe fn correct_impl(
+fn correct_impl(
     left: &[Block128],
     right: &[Block128],
     parent_t: &[u64],
@@ -67,6 +61,9 @@ unsafe fn correct_impl(
     children: &mut [Block128],
     child_t: &mut [u64],
 ) {
+    // The shape the loads and stores below rely on.
+    check_pass_shape(left, right, parent_t, children.len());
+    assert_eq!(child_t.len(), (2 * left.len()).div_ceil(64));
     let n = left.len();
     let (cw_low, cw_high) = cw.seed.halves();
     let cw_v = _mm256_set_epi64x(cw_high as i64, cw_low as i64, cw_high as i64, cw_low as i64);
@@ -88,29 +85,34 @@ unsafe fn correct_impl(
         for pair in 0..len / 2 {
             let node = first + 2 * pair;
             // SAFETY: `node + 1 < n`, so the 32-byte loads read nodes `node`
-            // and `node + 1` of the length-`n` sweeps and the two stores
-            // write children `2 * node .. 2 * node + 4` of the length-`2n`
-            // output (`Block128` is a transparent `u128`: 16 plain bytes).
+            // and `node + 1` of the length-`n` sweeps (`Block128` is a
+            // transparent `u128`: 16 plain bytes).
+            let (l, r) = unsafe {
+                (
+                    _mm256_loadu_si256(l_ptr.add(node).cast::<__m256i>()),
+                    _mm256_loadu_si256(r_ptr.add(node).cast::<__m256i>()),
+                )
+            };
+            let mask = parent_mask(parents_v, pick);
+            pick = _mm256_slli_epi64::<2>(pick);
+            let fix = _mm256_and_si256(cw_v, mask);
+            let l_fixed = _mm256_xor_si256(_mm256_and_si256(l, clear), fix);
+            let r_fixed = _mm256_xor_si256(_mm256_and_si256(r, clear), fix);
+            // `[l0, r0]` and `[l1, r1]`: children in output order.
+            let first_node = _mm256_permute2x128_si256::<0x20>(l_fixed, r_fixed);
+            let second_node = _mm256_permute2x128_si256::<0x31>(l_fixed, r_fixed);
+            // SAFETY: the stores write children `2 * node .. 2 * node + 4`
+            // of the length-`2n` output.
             unsafe {
-                let l = _mm256_loadu_si256(l_ptr.add(node).cast::<__m256i>());
-                let r = _mm256_loadu_si256(r_ptr.add(node).cast::<__m256i>());
-                let mask = parent_mask(parents_v, pick);
-                pick = _mm256_slli_epi64::<2>(pick);
-                let fix = _mm256_and_si256(cw_v, mask);
-                let l_fixed = _mm256_xor_si256(_mm256_and_si256(l, clear), fix);
-                let r_fixed = _mm256_xor_si256(_mm256_and_si256(r, clear), fix);
-                // `[l0, r0]` and `[l1, r1]`: children in output order.
-                let first_node = _mm256_permute2x128_si256::<0x20>(l_fixed, r_fixed);
-                let second_node = _mm256_permute2x128_si256::<0x31>(l_fixed, r_fixed);
                 _mm256_storeu_si256(c_ptr.add(2 * node).cast::<__m256i>(), first_node);
                 _mm256_storeu_si256(c_ptr.add(2 * node + 2).cast::<__m256i>(), second_node);
-                // Raw LSBs of `[l0, r0, l1, r1]` in the sign bits, then the
-                // parent mask spread to the same four children.
-                let lows = _mm256_unpacklo_epi64(l, r);
-                let raw = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_slli_epi64::<63>(lows)));
-                let spread = _mm256_movemask_pd(_mm256_castsi256_pd(mask));
-                bits |= ((raw ^ (spread & t_cw as i32)) as u64) << (4 * pair);
             }
+            // Raw LSBs of `[l0, r0, l1, r1]` in the sign bits, then the
+            // parent mask spread to the same four children.
+            let lows = _mm256_unpacklo_epi64(l, r);
+            let raw = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_slli_epi64::<63>(lows)));
+            let spread = _mm256_movemask_pd(_mm256_castsi256_pd(mask));
+            bits |= ((raw ^ (spread & t_cw as i32)) as u64) << (4 * pair);
         }
         if len % 2 == 1 {
             let node = first + len - 1;
@@ -135,16 +137,12 @@ pub(crate) fn leaves(
     negate: bool,
     out: &mut [u32],
 ) {
-    check_pass_shape(left, right, parent_t, out.len());
-    // SAFETY: caller contract — AVX2 detected at runtime; the lengths the
-    // kernel's pointer arithmetic relies on are asserted above.
+    // SAFETY: caller contract — the Avx2 backend detected AVX2 at runtime.
     unsafe { leaves_impl(left, right, parent_t, cw, final_cw, negate, out) }
 }
 
-// SAFETY: caller must ensure AVX2 is available and the slice lengths of
-// `check_pass_shape`.
 #[target_feature(enable = "avx2")]
-unsafe fn leaves_impl(
+fn leaves_impl(
     left: &[Block128],
     right: &[Block128],
     parent_t: &[u64],
@@ -153,6 +151,8 @@ unsafe fn leaves_impl(
     negate: bool,
     out: &mut [u32],
 ) {
+    // The shape the loads and stores below rely on.
+    check_pass_shape(left, right, parent_t, out.len());
     let n = left.len();
     let sign = u32::from(negate).wrapping_neg();
     // Per child in output order `[l0, r0, l1, r1]`: the control-bit
@@ -181,31 +181,35 @@ unsafe fn leaves_impl(
         for pair in 0..(n - first).min(64) / 2 {
             let node = first + 2 * pair;
             // SAFETY: `node + 1 < n`, so the loads read nodes `node` and
-            // `node + 1` of the length-`n` sweeps and the 16-byte store
-            // writes leaves `2 * node .. 2 * node + 4` of the length-`2n`
-            // output.
+            // `node + 1` of the length-`n` sweeps.
+            let (l, r) = unsafe {
+                (
+                    _mm256_loadu_si256(l_ptr.add(node).cast::<__m256i>()),
+                    _mm256_loadu_si256(r_ptr.add(node).cast::<__m256i>()),
+                )
+            };
+            // The mask's lanes `[p0, p0, p1, p1]` line up with the
+            // children `[l0, r0, l1, r1]` of the low halves.
+            let mask = parent_mask(parents_v, pick);
+            pick = _mm256_slli_epi64::<2>(pick);
+            let lows = _mm256_unpacklo_epi64(l, r);
+            let seeds = _mm256_xor_si256(
+                _mm256_and_si256(lows, not_one),
+                _mm256_and_si256(cw_low, mask),
+            );
+            let t = _mm256_xor_si256(_mm256_and_si256(lows, one), _mm256_and_si256(mask, t_cw));
+            let weight = _mm256_and_si256(_mm256_sub_epi64(zero, t), final_v);
+            let sum = _mm256_add_epi64(seeds, weight);
+            let signed = _mm256_sub_epi64(_mm256_xor_si256(sum, sign_v), sign_v);
+            let packed = _mm256_permutevar8x32_epi32(signed, low_halves);
+            // SAFETY: the 16-byte store writes leaves `2 * node .. 2 * node
+            // + 4` of the length-`2n` output.
             unsafe {
-                let l = _mm256_loadu_si256(l_ptr.add(node).cast::<__m256i>());
-                let r = _mm256_loadu_si256(r_ptr.add(node).cast::<__m256i>());
-                // The mask's lanes `[p0, p0, p1, p1]` line up with the
-                // children `[l0, r0, l1, r1]` of the low halves.
-                let mask = parent_mask(parents_v, pick);
-                pick = _mm256_slli_epi64::<2>(pick);
-                let lows = _mm256_unpacklo_epi64(l, r);
-                let seeds = _mm256_xor_si256(
-                    _mm256_and_si256(lows, not_one),
-                    _mm256_and_si256(cw_low, mask),
-                );
-                let t = _mm256_xor_si256(_mm256_and_si256(lows, one), _mm256_and_si256(mask, t_cw));
-                let weight = _mm256_and_si256(_mm256_sub_epi64(zero, t), final_v);
-                let sum = _mm256_add_epi64(seeds, weight);
-                let signed = _mm256_sub_epi64(_mm256_xor_si256(sum, sign_v), sign_v);
-                let packed = _mm256_permutevar8x32_epi32(signed, low_halves);
                 _mm_storeu_si128(
                     o_ptr.add(2 * node).cast::<__m128i>(),
                     _mm256_castsi256_si128(packed),
-                );
-            }
+                )
+            };
         }
     }
     if n % 2 == 1 {

@@ -3,12 +3,18 @@
 //! Each submodule implements the batched entry points of one primitive for
 //! one instruction set, bit-identical to the portable scalar code in the
 //! primitive's own module (which remains the semantic reference and the only
-//! implementation of `Prf::eval_block`). The submodules expose *safe*
-//! wrapper functions; their contract is that they are only reached through a
-//! [`pir_field::SimdBackend`] value that passed runtime feature detection
-//! (`SimdBackend::supported_or_scalar` enforces this at PRF construction),
-//! so the `#[target_feature]` internals cannot execute on a host lacking the
-//! instructions.
+//! implementation of `Prf::eval_block`).
+//!
+//! The x86 kernels and their helpers are safe `#[target_feature]` functions:
+//! the compiler checks that a caller enables the same features, and each
+//! kernel is memory-safe for any arguments (it walks its slices or asserts
+//! the lengths it indexes), so `unsafe` is left to its raw loads and stores.
+//! Each submodule exposes *safe* wrappers whose one `unsafe { kernel(..) }`
+//! call rests on the caller holding a [`pir_field::SimdBackend`] value that
+//! passed runtime feature detection (`SimdBackend::supported_or_scalar`
+//! enforces this at PRF construction), so a kernel cannot execute on a host
+//! lacking its instructions. The VAES kernel additionally checks
+//! `is_x86_feature_detected!("vaes")` at its call.
 //!
 //! Layout mirrors Expander's dual-backend field pattern: one portable entry
 //! point per primitive, `*_x86` (AVX2 / AES-NI / VAES) and `*_neon`

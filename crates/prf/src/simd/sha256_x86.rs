@@ -15,6 +15,7 @@ use core::arch::x86_64::{
     _mm256_or_si256, _mm256_set1_epi32, _mm256_setr_epi32, _mm256_setr_epi8, _mm256_shuffle_epi8,
     _mm256_slli_epi32, _mm256_srli_epi32, _mm256_storeu_si256, _mm256_xor_si256,
 };
+use core::slice;
 
 use pir_field::Block128;
 
@@ -31,10 +32,9 @@ macro_rules! rotr {
     };
 }
 
-// SAFETY: caller must ensure AVX2 is available (`#[target_feature]`).
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn bswap32(x: __m256i) -> __m256i {
+fn bswap32(x: __m256i) -> __m256i {
     let mask = _mm256_setr_epi8(
         3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12, //
         3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12,
@@ -45,9 +45,8 @@ unsafe fn bswap32(x: __m256i) -> __m256i {
 /// One SHA-256 compression over eight lanes: `state` is the eight working
 /// variables (one vector per variable), `w[0..16]` the prefilled message
 /// words; the remaining schedule is expanded in place.
-// SAFETY: caller must ensure AVX2 is available (`#[target_feature]`).
 #[target_feature(enable = "avx2")]
-unsafe fn compress8(state: &mut [__m256i; 8], w: &mut [__m256i; 64]) {
+fn compress8(state: &mut [__m256i; 8], w: &mut [__m256i; 64]) {
     for i in 16..64 {
         let s0 = _mm256_xor_si256(
             _mm256_xor_si256(rotr!(w[i - 15], 7, 25), rotr!(w[i - 15], 18, 14)),
@@ -104,10 +103,9 @@ unsafe fn compress8(state: &mut [__m256i; 8], w: &mut [__m256i; 64]) {
     state[7] = _mm256_add_epi32(state[7], h);
 }
 
-// SAFETY: caller must ensure AVX2 is available (`#[target_feature]`).
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn broadcast_state(words: &[u32; 8]) -> [__m256i; 8] {
+fn broadcast_state(words: &[u32; 8]) -> [__m256i; 8] {
     let mut out = [_mm256_set1_epi32(0); 8];
     for (slot, word) in out.iter_mut().zip(words) {
         *slot = _mm256_set1_epi32(*word as i32);
@@ -131,95 +129,94 @@ pub(crate) fn eval_blocks(
 ) {
     assert_eq!(inputs.len() % WIDTH, 0, "whole vector steps only");
     assert_eq!(inputs.len(), out.len(), "input/output length mismatch");
-    // SAFETY: caller contract — AVX2 detected at runtime.
+    // SAFETY: caller contract — the Avx2 backend detected AVX2 at runtime.
     unsafe { eval_blocks_impl(inner_midstate, outer_midstate, inputs, tweaks, out) }
 }
 
 #[target_feature(enable = "avx2")]
-unsafe fn eval_blocks_impl(
+fn eval_blocks_impl(
     inner_midstate: &[u32; 8],
     outer_midstate: &[u32; 8],
     inputs: &[Block128],
     tweaks: &[u64; WIDTH],
     out: &mut [Block128],
 ) {
-    // SAFETY: AVX2 is enabled by the caller; Block128 is #[repr(transparent)]
-    // over u128, so the word reads at base + 28 + j stay inside `inputs`
-    // (whose length the safe wrapper checked to be a multiple of WIDTH), the
-    // tweak-word loads read local [u32; 8] arrays, and the only stores target
-    // local [u32; 8] arrays.
-    unsafe {
-        let zero = _mm256_set1_epi32(0);
-        let pad_word = _mm256_set1_epi32(0x8000_0000_u32 as i32);
-        // Message words 4–5 (the lane's tweak) and 14–15 (the bit length) are
-        // the same for every step; as big-endian words they are byte-swapped
-        // u32s.
-        let tweak_low = tweaks.map(|tweak| (tweak as u32).swap_bytes());
-        let tweak_high = tweaks.map(|tweak| ((tweak >> 32) as u32).swap_bytes());
-        let w4 = _mm256_loadu_si256(tweak_low.as_ptr().cast::<__m256i>());
-        let w5 = _mm256_loadu_si256(tweak_high.as_ptr().cast::<__m256i>());
-        let inner_len_hi = _mm256_set1_epi32(((INNER_LEN_BITS >> 32) as u32) as i32);
-        let inner_len_lo = _mm256_set1_epi32((INNER_LEN_BITS as u32) as i32);
-        let outer_len_hi = _mm256_set1_epi32(((OUTER_LEN_BITS >> 32) as u32) as i32);
-        let outer_len_lo = _mm256_set1_epi32((OUTER_LEN_BITS as u32) as i32);
+    let zero = _mm256_set1_epi32(0);
+    let pad_word = _mm256_set1_epi32(0x8000_0000_u32 as i32);
+    // Message words 4–5 (the lane's tweak) and 14–15 (the bit length) are
+    // the same for every step; as big-endian words they are byte-swapped
+    // u32s.
+    let tweak_low = tweaks.map(|tweak| (tweak as u32).swap_bytes());
+    let tweak_high = tweaks.map(|tweak| ((tweak >> 32) as u32).swap_bytes());
+    // SAFETY: each array is 32 readable bytes; the loads are unaligned.
+    let (w4, w5) = unsafe {
+        (
+            _mm256_loadu_si256(tweak_low.as_ptr().cast::<__m256i>()),
+            _mm256_loadu_si256(tweak_high.as_ptr().cast::<__m256i>()),
+        )
+    };
+    let inner_len_hi = _mm256_set1_epi32(((INNER_LEN_BITS >> 32) as u32) as i32);
+    let inner_len_lo = _mm256_set1_epi32((INNER_LEN_BITS as u32) as i32);
+    let outer_len_hi = _mm256_set1_epi32(((OUTER_LEN_BITS >> 32) as u32) as i32);
+    let outer_len_lo = _mm256_set1_epi32((OUTER_LEN_BITS as u32) as i32);
 
-        // Block128 is #[repr(transparent)] over u128 — each block is four
-        // contiguous little-endian u32 words.
-        let words = inputs.as_ptr().cast::<u32>();
+    // SAFETY: `Block128` is a transparent `u128`, so `inputs` is `4 * len`
+    // contiguous little-endian `u32` words (and `u32` alignment divides
+    // `u128` alignment).
+    let words = unsafe { slice::from_raw_parts(inputs.as_ptr().cast::<u32>(), 4 * inputs.len()) };
+    let (steps, _) = words.as_chunks::<{ 4 * WIDTH }>();
+    let (out_steps, _) = out.as_chunks_mut::<WIDTH>();
+    for (step, out_step) in steps.iter().zip(out_steps) {
+        let mut w = [zero; 64];
+        // Words 0–3: the input block's bytes read big-endian — a transpose
+        // of the little-endian u32 words followed by a byte swap.
+        #[allow(clippy::needless_range_loop)] // j offsets `step` too, not just `w`
+        for j in 0..4 {
+            let gathered = _mm256_setr_epi32(
+                step[j] as i32,
+                step[4 + j] as i32,
+                step[8 + j] as i32,
+                step[12 + j] as i32,
+                step[16 + j] as i32,
+                step[20 + j] as i32,
+                step[24 + j] as i32,
+                step[28 + j] as i32,
+            );
+            w[j] = bswap32(gathered);
+        }
+        w[4] = w4;
+        w[5] = w5;
+        w[6] = pad_word; // 0x80 directly after the 24-byte message
+        w[14] = inner_len_hi;
+        w[15] = inner_len_lo;
 
-        for (chunk, out_chunk) in (0..inputs.len() / WIDTH).zip(out.chunks_exact_mut(WIDTH)) {
-            let base = chunk * WIDTH * 4;
-            let mut w = [zero; 64];
-            // Words 0–3: the input block's bytes read big-endian — a transpose
-            // of the little-endian u32 words followed by a byte swap
-            // (base + 7 * 4 + j < inputs.len() * 4).
-            #[allow(clippy::needless_range_loop)] // j offsets `words` too, not just `w`
-            for j in 0..4 {
-                let gathered = _mm256_setr_epi32(
-                    *words.add(base + j) as i32,
-                    *words.add(base + 4 + j) as i32,
-                    *words.add(base + 8 + j) as i32,
-                    *words.add(base + 12 + j) as i32,
-                    *words.add(base + 16 + j) as i32,
-                    *words.add(base + 20 + j) as i32,
-                    *words.add(base + 24 + j) as i32,
-                    *words.add(base + 28 + j) as i32,
-                );
-                w[j] = bswap32(gathered);
-            }
-            w[4] = w4;
-            w[5] = w5;
-            w[6] = pad_word; // 0x80 directly after the 24-byte message
-            w[14] = inner_len_hi;
-            w[15] = inner_len_lo;
+        let mut state = broadcast_state(inner_midstate);
+        compress8(&mut state, &mut w);
 
-            let mut state = broadcast_state(inner_midstate);
-            compress8(&mut state, &mut w);
+        // Outer block: the 32-byte inner digest is written big-endian and
+        // re-read big-endian, so its words carry over untouched.
+        let mut w = [zero; 64];
+        w[..8].copy_from_slice(&state);
+        w[8] = pad_word;
+        w[14] = outer_len_hi;
+        w[15] = outer_len_lo;
 
-            // Outer block: the 32-byte inner digest is written big-endian and
-            // re-read big-endian, so its words carry over untouched.
-            let mut w = [zero; 64];
-            w[..8].copy_from_slice(&state);
-            w[8] = pad_word;
-            w[14] = outer_len_hi;
-            w[15] = outer_len_lo;
+        let mut state = broadcast_state(outer_midstate);
+        compress8(&mut state, &mut w);
 
-            let mut state = broadcast_state(outer_midstate);
-            compress8(&mut state, &mut w);
-
-            // The PRF output is the first four state words serialized big-endian
-            // then reinterpreted as a little-endian u128: byte-swap each word
-            // and transpose back per block.
-            let mut lanes = [[0u32; WIDTH]; 4];
-            for (slot, vector) in lanes.iter_mut().zip(state.iter().take(4)) {
-                _mm256_storeu_si256(slot.as_mut_ptr().cast::<__m256i>(), bswap32(*vector));
-            }
-            for (j, slot) in out_chunk.iter_mut().enumerate() {
-                *slot = Block128::from_halves(
-                    (lanes[0][j] as u64) | ((lanes[1][j] as u64) << 32),
-                    (lanes[2][j] as u64) | ((lanes[3][j] as u64) << 32),
-                );
-            }
+        // The PRF output is the first four state words serialized big-endian
+        // then reinterpreted as a little-endian u128: byte-swap each word
+        // and transpose back per block.
+        let mut lanes = [[0u32; WIDTH]; 4];
+        for (slot, vector) in lanes.iter_mut().zip(state.iter().take(4)) {
+            // SAFETY: `slot` is 32 writable bytes; the store is unaligned.
+            unsafe { _mm256_storeu_si256(slot.as_mut_ptr().cast::<__m256i>(), bswap32(*vector)) };
+        }
+        for (j, slot) in out_step.iter_mut().enumerate() {
+            *slot = Block128::from_halves(
+                (lanes[0][j] as u64) | ((lanes[1][j] as u64) << 32),
+                (lanes[2][j] as u64) | ((lanes[3][j] as u64) << 32),
+            );
         }
     }
 }

@@ -35,18 +35,16 @@ struct SipVec {
 /// The padded final message word of the PRF's fixed 24-byte message shape.
 const SIP_FINAL_WORD_24: u64 = 24u64 << 56;
 
-// SAFETY: caller must ensure AVX2 is available (`#[target_feature]`).
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn rotl32(x: __m256i) -> __m256i {
+fn rotl32(x: __m256i) -> __m256i {
     // Swap the 32-bit halves of each 64-bit lane.
     _mm256_shuffle_epi32::<0b10_11_00_01>(x)
 }
 
-// SAFETY: caller must ensure AVX2 is available (`#[target_feature]`).
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn rotl16(x: __m256i) -> __m256i {
+fn rotl16(x: __m256i) -> __m256i {
     // Per-u64 left rotation by 16 = byte rotation by 2 within each lane.
     let mask = _mm256_setr_epi8(
         6, 7, 0, 1, 2, 3, 4, 5, 14, 15, 8, 9, 10, 11, 12, 13, //
@@ -55,87 +53,71 @@ unsafe fn rotl16(x: __m256i) -> __m256i {
     _mm256_shuffle_epi8(x, mask)
 }
 
-// SAFETY: caller must ensure AVX2 is available (`#[target_feature]`).
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn rotl13(x: __m256i) -> __m256i {
+fn rotl13(x: __m256i) -> __m256i {
     _mm256_or_si256(_mm256_slli_epi64::<13>(x), _mm256_srli_epi64::<51>(x))
 }
 
-// SAFETY: caller must ensure AVX2 is available (`#[target_feature]`).
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn rotl17(x: __m256i) -> __m256i {
+fn rotl17(x: __m256i) -> __m256i {
     _mm256_or_si256(_mm256_slli_epi64::<17>(x), _mm256_srli_epi64::<47>(x))
 }
 
-// SAFETY: caller must ensure AVX2 is available (`#[target_feature]`).
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn rotl21(x: __m256i) -> __m256i {
+fn rotl21(x: __m256i) -> __m256i {
     _mm256_or_si256(_mm256_slli_epi64::<21>(x), _mm256_srli_epi64::<43>(x))
 }
 
-// SAFETY: caller must ensure AVX2 is available (`#[target_feature]`).
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn sip_round(s: &mut SipVec) {
-    // SAFETY: register-only lane arithmetic; no memory preconditions.
-    unsafe {
-        s.v0 = _mm256_add_epi64(s.v0, s.v1);
-        s.v1 = rotl13(s.v1);
-        s.v1 = _mm256_xor_si256(s.v1, s.v0);
-        s.v0 = rotl32(s.v0);
-        s.v2 = _mm256_add_epi64(s.v2, s.v3);
-        s.v3 = rotl16(s.v3);
-        s.v3 = _mm256_xor_si256(s.v3, s.v2);
-        s.v0 = _mm256_add_epi64(s.v0, s.v3);
-        s.v3 = rotl21(s.v3);
-        s.v3 = _mm256_xor_si256(s.v3, s.v0);
-        s.v2 = _mm256_add_epi64(s.v2, s.v1);
-        s.v1 = rotl17(s.v1);
-        s.v1 = _mm256_xor_si256(s.v1, s.v2);
-        s.v2 = rotl32(s.v2);
-    }
+fn sip_round(s: &mut SipVec) {
+    s.v0 = _mm256_add_epi64(s.v0, s.v1);
+    s.v1 = rotl13(s.v1);
+    s.v1 = _mm256_xor_si256(s.v1, s.v0);
+    s.v0 = rotl32(s.v0);
+    s.v2 = _mm256_add_epi64(s.v2, s.v3);
+    s.v3 = rotl16(s.v3);
+    s.v3 = _mm256_xor_si256(s.v3, s.v2);
+    s.v0 = _mm256_add_epi64(s.v0, s.v3);
+    s.v3 = rotl21(s.v3);
+    s.v3 = _mm256_xor_si256(s.v3, s.v0);
+    s.v2 = _mm256_add_epi64(s.v2, s.v1);
+    s.v1 = rotl17(s.v1);
+    s.v1 = _mm256_xor_si256(s.v1, s.v2);
+    s.v2 = rotl32(s.v2);
 }
 
 /// Absorb one message word: `v3 ^= m; 2×SipRound; v0 ^= m`.
-// SAFETY: caller must ensure AVX2 is available (`#[target_feature]`).
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn absorb(s: &mut SipVec, m: __m256i) {
-    // SAFETY: register-only lane arithmetic; no memory preconditions.
-    unsafe {
-        s.v3 = _mm256_xor_si256(s.v3, m);
-        sip_round(s);
-        sip_round(s);
-        s.v0 = _mm256_xor_si256(s.v0, m);
-    }
+fn absorb(s: &mut SipVec, m: __m256i) {
+    s.v3 = _mm256_xor_si256(s.v3, m);
+    sip_round(s);
+    sip_round(s);
+    s.v0 = _mm256_xor_si256(s.v0, m);
 }
 
 /// Finalize: `v2 ^= 0xff; 4×SipRound; v0 ^ v1 ^ v2 ^ v3` per lane.
-// SAFETY: caller must ensure AVX2 is available (`#[target_feature]`).
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn finish(mut s: SipVec) -> [u64; 4] {
-    // SAFETY: the only store targets a local [u64; 4] — 32 writable bytes,
-    // unaligned store.
-    unsafe {
-        s.v2 = _mm256_xor_si256(s.v2, _mm256_set1_epi64x(0xff));
-        for _ in 0..4 {
-            sip_round(&mut s);
-        }
-        let folded = _mm256_xor_si256(_mm256_xor_si256(s.v0, s.v1), _mm256_xor_si256(s.v2, s.v3));
-        let mut lanes = [0u64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), folded);
-        lanes
+fn finish(mut s: SipVec) -> [u64; 4] {
+    s.v2 = _mm256_xor_si256(s.v2, _mm256_set1_epi64x(0xff));
+    for _ in 0..4 {
+        sip_round(&mut s);
     }
+    let folded = _mm256_xor_si256(_mm256_xor_si256(s.v0, s.v1), _mm256_xor_si256(s.v2, s.v3));
+    let mut lanes = [0u64; 4];
+    // SAFETY: `lanes` is 32 writable bytes; the store is unaligned.
+    unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), folded) };
+    lanes
 }
 
 /// The key-derived initial state for lanes `[low, high, low, high]`.
-// SAFETY: caller must ensure AVX2 is available (`#[target_feature]`).
 #[target_feature(enable = "avx2")]
-unsafe fn init_state(low_key: (u64, u64), high_key: (u64, u64)) -> SipVec {
+fn init_state(low_key: (u64, u64), high_key: (u64, u64)) -> SipVec {
     let splat2 =
         |low: u64, high: u64| _mm256_setr_epi64x(low as i64, high as i64, low as i64, high as i64);
     SipVec {
@@ -159,10 +141,9 @@ unsafe fn init_state(low_key: (u64, u64), high_key: (u64, u64)) -> SipVec {
 }
 
 /// A message-word vector for the lane layout: `[m_a, m_a, m_b, m_b]`.
-// SAFETY: caller must ensure AVX2 is available (`#[target_feature]`).
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn word_pair(m_a: u64, m_b: u64) -> __m256i {
+fn word_pair(m_a: u64, m_b: u64) -> __m256i {
     _mm256_setr_epi64x(m_a as i64, m_a as i64, m_b as i64, m_b as i64)
 }
 
@@ -180,36 +161,32 @@ pub(crate) fn eval_blocks(
 ) {
     debug_assert_eq!(inputs.len() % 2, 0);
     debug_assert_eq!(inputs.len(), out.len());
-    // SAFETY: caller contract — AVX2 detected at runtime.
+    // SAFETY: caller contract — the Avx2 backend detected AVX2 at runtime.
     unsafe { eval_blocks_impl(low_key, high_key, inputs, tweak, out) }
 }
 
 #[target_feature(enable = "avx2")]
-unsafe fn eval_blocks_impl(
+fn eval_blocks_impl(
     low_key: (u64, u64),
     high_key: (u64, u64),
     inputs: &[Block128],
     tweak: u64,
     out: &mut [Block128],
 ) {
-    // SAFETY: AVX2 is enabled by the caller; all operations are register-only
-    // or stores into local arrays.
-    unsafe {
-        let base = init_state(low_key, high_key);
-        let tweak_v = _mm256_set1_epi64x(tweak as i64);
-        let final_v = _mm256_set1_epi64x(SIP_FINAL_WORD_24 as i64);
-        for (pair, slots) in inputs.chunks_exact(2).zip(out.chunks_exact_mut(2)) {
-            let (a0, a1) = pair[0].halves();
-            let (b0, b1) = pair[1].halves();
-            let mut s = base;
-            absorb(&mut s, word_pair(a0, b0));
-            absorb(&mut s, word_pair(a1, b1));
-            absorb(&mut s, tweak_v);
-            absorb(&mut s, final_v);
-            let lanes = finish(s);
-            slots[0] = Block128::from_halves(lanes[0], lanes[1]);
-            slots[1] = Block128::from_halves(lanes[2], lanes[3]);
-        }
+    let base = init_state(low_key, high_key);
+    let tweak_v = _mm256_set1_epi64x(tweak as i64);
+    let final_v = _mm256_set1_epi64x(SIP_FINAL_WORD_24 as i64);
+    for (pair, slots) in inputs.chunks_exact(2).zip(out.chunks_exact_mut(2)) {
+        let (a0, a1) = pair[0].halves();
+        let (b0, b1) = pair[1].halves();
+        let mut s = base;
+        absorb(&mut s, word_pair(a0, b0));
+        absorb(&mut s, word_pair(a1, b1));
+        absorb(&mut s, tweak_v);
+        absorb(&mut s, final_v);
+        let lanes = finish(s);
+        slots[0] = Block128::from_halves(lanes[0], lanes[1]);
+        slots[1] = Block128::from_halves(lanes[2], lanes[3]);
     }
 }
 
@@ -235,7 +212,7 @@ pub(crate) fn pair_sweep(
     debug_assert_eq!(inputs.len() % 2, 0);
     debug_assert_eq!(inputs.len(), out_a.len());
     debug_assert_eq!(inputs.len(), out_b.len());
-    // SAFETY: caller contract — AVX2 detected at runtime.
+    // SAFETY: caller contract — the Avx2 backend detected AVX2 at runtime.
     unsafe {
         pair_sweep_impl(
             low_key, high_key, inputs, tweak_a, tweak_b, out_a, out_b, mmo,
@@ -243,10 +220,9 @@ pub(crate) fn pair_sweep(
     }
 }
 
-// SAFETY: caller must ensure AVX2 is available (`#[target_feature]`).
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn pair_sweep_impl(
+fn pair_sweep_impl(
     low_key: (u64, u64),
     high_key: (u64, u64),
     inputs: &[Block128],
@@ -256,38 +232,32 @@ unsafe fn pair_sweep_impl(
     out_b: &mut [Block128],
     mmo: bool,
 ) {
-    // SAFETY: AVX2 is enabled by the caller; all operations are register-only
-    // or stores into local arrays.
-    unsafe {
-        let base = init_state(low_key, high_key);
-        let tweak_a_v = _mm256_set1_epi64x(tweak_a as i64);
-        let tweak_b_v = _mm256_set1_epi64x(tweak_b as i64);
-        let final_v = _mm256_set1_epi64x(SIP_FINAL_WORD_24 as i64);
-        let feed = (mmo as u64).wrapping_neg();
-        for (i, pair) in inputs.chunks_exact(2).enumerate() {
-            let (a0, a1) = pair[0].halves();
-            let (b0, b1) = pair[1].halves();
-            // Input-dependent prefix, shared by both child tweaks.
-            let mut prefix = base;
-            absorb(&mut prefix, word_pair(a0, b0));
-            absorb(&mut prefix, word_pair(a1, b1));
-            // Fork per child tweak.
-            let mut s_a = prefix;
-            absorb(&mut s_a, tweak_a_v);
-            absorb(&mut s_a, final_v);
-            let mut s_b = prefix;
-            absorb(&mut s_b, tweak_b_v);
-            absorb(&mut s_b, final_v);
-            let lanes_a = finish(s_a);
-            let lanes_b = finish(s_b);
-            out_a[2 * i] =
-                Block128::from_halves(lanes_a[0] ^ (a0 & feed), lanes_a[1] ^ (a1 & feed));
-            out_a[2 * i + 1] =
-                Block128::from_halves(lanes_a[2] ^ (b0 & feed), lanes_a[3] ^ (b1 & feed));
-            out_b[2 * i] =
-                Block128::from_halves(lanes_b[0] ^ (a0 & feed), lanes_b[1] ^ (a1 & feed));
-            out_b[2 * i + 1] =
-                Block128::from_halves(lanes_b[2] ^ (b0 & feed), lanes_b[3] ^ (b1 & feed));
-        }
+    let base = init_state(low_key, high_key);
+    let tweak_a_v = _mm256_set1_epi64x(tweak_a as i64);
+    let tweak_b_v = _mm256_set1_epi64x(tweak_b as i64);
+    let final_v = _mm256_set1_epi64x(SIP_FINAL_WORD_24 as i64);
+    let feed = (mmo as u64).wrapping_neg();
+    for (i, pair) in inputs.chunks_exact(2).enumerate() {
+        let (a0, a1) = pair[0].halves();
+        let (b0, b1) = pair[1].halves();
+        // Input-dependent prefix, shared by both child tweaks.
+        let mut prefix = base;
+        absorb(&mut prefix, word_pair(a0, b0));
+        absorb(&mut prefix, word_pair(a1, b1));
+        // Fork per child tweak.
+        let mut s_a = prefix;
+        absorb(&mut s_a, tweak_a_v);
+        absorb(&mut s_a, final_v);
+        let mut s_b = prefix;
+        absorb(&mut s_b, tweak_b_v);
+        absorb(&mut s_b, final_v);
+        let lanes_a = finish(s_a);
+        let lanes_b = finish(s_b);
+        out_a[2 * i] = Block128::from_halves(lanes_a[0] ^ (a0 & feed), lanes_a[1] ^ (a1 & feed));
+        out_a[2 * i + 1] =
+            Block128::from_halves(lanes_a[2] ^ (b0 & feed), lanes_a[3] ^ (b1 & feed));
+        out_b[2 * i] = Block128::from_halves(lanes_b[0] ^ (a0 & feed), lanes_b[1] ^ (a1 & feed));
+        out_b[2 * i + 1] =
+            Block128::from_halves(lanes_b[2] ^ (b0 & feed), lanes_b[3] ^ (b1 & feed));
     }
 }
