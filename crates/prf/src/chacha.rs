@@ -16,7 +16,7 @@ use crate::simd::LaneKernel;
 use crate::{Prf, PrfKind};
 
 /// The ChaCha20 state constants ("expand 32-byte k").
-const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+pub(crate) const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
 #[inline]
 fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
@@ -84,7 +84,8 @@ impl ChaCha20Prf {
     }
 
     /// Pin the batched sweeps to a SIMD backend (unsupported requests fall
-    /// back to scalar). ChaCha has both AVX2 (8-way) and NEON (4-way) paths.
+    /// back to scalar). ChaCha has both AVX2 (8-way, 16-way on AVX-512F
+    /// CPUs) and NEON (4-way) paths.
     #[must_use]
     pub fn with_backend(mut self, backend: SimdBackend) -> Self {
         self.backend = backend.supported_or_scalar();
@@ -111,7 +112,7 @@ impl ChaCha20Prf {
 
     /// The domain-separation nonce derived from `tweak`.
     #[inline]
-    fn nonce(tweak: u64) -> [u32; 3] {
+    pub(crate) fn nonce(tweak: u64) -> [u32; 3] {
         [tweak as u32, (tweak >> 32) as u32, 0x5049_5221]
     }
 }
@@ -177,7 +178,13 @@ impl Prf for ChaCha20Prf {
         self.eval_blocks(inputs, tweak_b, out_b);
     }
 
+    /// `"avx2+avx512"` where the sweeps run the AVX-512 kernel, so a kernel
+    /// report says which ChaCha20 kernel produced its number.
     fn backend_label(&self) -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        if self.backend == SimdBackend::Avx2 && std::arch::is_x86_feature_detected!("avx512f") {
+            return "avx2+avx512";
+        }
         self.backend.label()
     }
 
@@ -238,5 +245,26 @@ mod tests {
             prf.eval_block(Block128::from_u128(1), 1)
         );
         assert_eq!(prf.kind(), PrfKind::Chacha20);
+    }
+
+    /// The label kernel reports and batch kernel names carry: `avx2+avx512`
+    /// exactly where the sweeps take the AVX-512 kernel.
+    #[test]
+    fn backend_label_names_the_chacha20_kernel() {
+        let scalar = ChaCha20Prf::with_fixed_key().with_backend(SimdBackend::Scalar);
+        assert_eq!(scalar.backend_label(), "scalar");
+        assert_eq!(ChaCha20Prf::with_fixed_key().backend_label(), "scalar");
+        #[cfg(target_arch = "x86_64")]
+        {
+            let avx2 = ChaCha20Prf::with_fixed_key().with_backend(SimdBackend::Avx2);
+            let want = if !SimdBackend::Avx2.is_supported() {
+                "scalar"
+            } else if std::arch::is_x86_feature_detected!("avx512f") {
+                "avx2+avx512"
+            } else {
+                "avx2"
+            };
+            assert_eq!(avx2.backend_label(), want);
+        }
     }
 }

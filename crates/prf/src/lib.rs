@@ -164,7 +164,8 @@ pub trait Prf: Send + Sync {
     }
 
     /// Label of the code path the batched sweeps of this instance execute
-    /// (`"scalar"`, `"avx2"`, `"avx2+vaes"` or `"neon"`), for kernel reports
+    /// (`"scalar"`, `"avx2"`, `"avx2+vaes"`, `"avx2+avx512"` or `"neon"`), for
+    /// kernel reports
     /// and serve telemetry. Primitives without a vector implementation for the active
     /// backend report `"scalar"` regardless of what was requested.
     fn backend_label(&self) -> &'static str {

@@ -1,4 +1,4 @@
-//! AVX2 8-way block-parallel ChaCha20 sweeps.
+//! AVX2 8-way and AVX-512 16-way block-parallel ChaCha20 sweeps.
 //!
 //! The scalar PRF runs one 20-round ChaCha20 block function per input with
 //! the input occupying key words 0–3. ChaCha has no intra-block parallelism
@@ -8,22 +8,38 @@
 //! block `j` — and runs the identical round schedule once. Adds, XORs and
 //! shifts act lane-wise, so every lane computes exactly the scalar result.
 //!
-//! Rotations by 16 and 8 are byte-granular and use `PSHUFB`; 12 and 7 use
-//! shift+or.
+//! In the ymm kernel, rotations by 16 and 8 are byte-granular and use
+//! `PSHUFB`; 12 and 7 use shift+or. Its 16 state vectors fill all 16 ymm
+//! registers, so the rounds spill.
+//!
+//! On CPUs with AVX-512F (`is_x86_feature_detected!("avx512f")`, which std
+//! caches) each pair of 8-block steps runs a zmm kernel instead: sixteen
+//! blocks per state vector, `VPROLD` for all four rotations, and 32
+//! registers, so the state never leaves them. An odd 8-block step, the
+//! padded tails of [`super::LaneKernel`] and every host without AVX-512F
+//! keep the ymm kernel.
 
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
-    __m256i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_or_si256, _mm256_set1_epi32,
+    __m256i, __m512i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_or_si256, _mm256_set1_epi32,
     _mm256_setr_epi32, _mm256_setr_epi8, _mm256_shuffle_epi8, _mm256_slli_epi32, _mm256_srli_epi32,
-    _mm256_storeu_si256, _mm256_xor_si256,
+    _mm256_storeu_si256, _mm256_xor_si256, _mm512_add_epi32, _mm512_broadcast_i64x4,
+    _mm512_loadu_si512, _mm512_permutex2var_epi32, _mm512_rol_epi32, _mm512_set1_epi32,
+    _mm512_setr_epi32, _mm512_setzero_si512, _mm512_shuffle_i64x2, _mm512_storeu_si512,
+    _mm512_xor_si512,
 };
 use core::slice;
 
 use pir_field::Block128;
 
+use crate::chacha::CONSTANTS;
+
 /// Number of blocks processed per vector step (u32 lanes in a `__m256i`).
 pub(crate) const WIDTH: usize = 8;
+/// Blocks per step of the zmm kernel (u32 lanes in a `__m512i`): two
+/// [`WIDTH`] steps.
+const ZMM_WIDTH: usize = 2 * WIDTH;
 
 #[inline]
 #[target_feature(enable = "avx2")]
@@ -79,6 +95,10 @@ fn quarter_round(state: &mut [__m256i; 16], a: usize, b: usize, c: usize, d: usi
 /// uniform sweep repeats one nonce in all lanes; a padded tail mixes both
 /// child tweaks in one step.
 ///
+/// Whole [`ZMM_WIDTH`]-block steps take the zmm kernel where the CPU has
+/// AVX-512F (each of its steps is two `WIDTH` steps, lane `j` and lane
+/// `WIDTH + j` under the same nonce), the rest the ymm kernel.
+///
 /// Must only be called when the Avx2 backend passed runtime detection, and
 /// with `inputs.len() % WIDTH == 0` (the caller pads the remainder up to one
 /// more step).
@@ -90,12 +110,23 @@ pub(crate) fn eval_blocks(
 ) {
     assert_eq!(inputs.len() % WIDTH, 0, "whole vector steps only");
     assert_eq!(inputs.len(), out.len(), "input/output length mismatch");
+    let wide = inputs.len() / ZMM_WIDTH * ZMM_WIDTH;
+    let (inputs, out) = if wide > 0 && std::arch::is_x86_feature_detected!("avx512f") {
+        let (head, tail) = inputs.split_at(wide);
+        let (head_out, tail_out) = out.split_at_mut(wide);
+        // SAFETY: AVX-512F is detected above.
+        unsafe { eval_blocks_zmm(key_high, nonces, head, head_out) };
+        (tail, tail_out)
+    } else {
+        (inputs, out)
+    };
     // SAFETY: caller contract — the Avx2 backend detected AVX2 at runtime.
-    unsafe { eval_blocks_impl(key_high, nonces, inputs, out) }
+    unsafe { eval_blocks_ymm(key_high, nonces, inputs, out) }
 }
 
+/// The ymm kernel over whole [`WIDTH`]-block steps.
 #[target_feature(enable = "avx2")]
-fn eval_blocks_impl(
+fn eval_blocks_ymm(
     key_high: &[u32; 4],
     nonces: &[[u32; WIDTH]; 3],
     inputs: &[Block128],
@@ -103,18 +134,8 @@ fn eval_blocks_impl(
 ) {
     // The state words that do not depend on the input are the same for every
     // block of the sweep.
-    let constants: [__m256i; 4] = [
-        _mm256_set1_epi32(0x6170_7865),
-        _mm256_set1_epi32(0x3320_646e),
-        _mm256_set1_epi32(0x7962_2d32),
-        _mm256_set1_epi32(0x6b20_6574_u32 as i32),
-    ];
-    let key_high_v: [__m256i; 4] = [
-        _mm256_set1_epi32(key_high[0] as i32),
-        _mm256_set1_epi32(key_high[1] as i32),
-        _mm256_set1_epi32(key_high[2] as i32),
-        _mm256_set1_epi32(key_high[3] as i32),
-    ];
+    let constants = CONSTANTS.map(|word| _mm256_set1_epi32(word as i32));
+    let key_high_v = key_high.map(|word| _mm256_set1_epi32(word as i32));
     // SAFETY: each `nonces[w]` is 32 readable bytes; the loads are unaligned.
     let nonce_v =
         unsafe { nonces.map(|lanes| _mm256_loadu_si256(lanes.as_ptr().cast::<__m256i>())) };
@@ -186,6 +207,205 @@ fn eval_blocks_impl(
                 (w[0][j] as u64) | ((w[1][j] as u64) << 32),
                 (w[2][j] as u64) | ((w[3][j] as u64) << 32),
             );
+        }
+    }
+}
+
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn quarter_round_zmm(state: &mut [__m512i; 16], a: usize, b: usize, c: usize, d: usize) {
+    state[a] = _mm512_add_epi32(state[a], state[b]);
+    state[d] = _mm512_rol_epi32::<16>(_mm512_xor_si512(state[d], state[a]));
+    state[c] = _mm512_add_epi32(state[c], state[d]);
+    state[b] = _mm512_rol_epi32::<12>(_mm512_xor_si512(state[b], state[c]));
+    state[a] = _mm512_add_epi32(state[a], state[b]);
+    state[d] = _mm512_rol_epi32::<8>(_mm512_xor_si512(state[d], state[a]));
+    state[c] = _mm512_add_epi32(state[c], state[d]);
+    state[b] = _mm512_rol_epi32::<7>(_mm512_xor_si512(state[b], state[c]));
+}
+
+/// Four adjacent blocks (16 words, block-major) in a zmm register; the
+/// SipHash zmm kernel loads and stores through these too.
+#[inline]
+#[target_feature(enable = "avx512f")]
+pub(super) fn load4(blocks: &[Block128; 4]) -> __m512i {
+    // SAFETY: `blocks` is 64 readable bytes; the load is unaligned.
+    unsafe { _mm512_loadu_si512(blocks.as_ptr().cast()) }
+}
+
+#[inline]
+#[target_feature(enable = "avx512f")]
+pub(super) fn store4(blocks: &mut [Block128; 4], value: __m512i) {
+    // SAFETY: `blocks` is 64 writable bytes of plain data; the store is
+    // unaligned.
+    unsafe { _mm512_storeu_si512(blocks.as_mut_ptr().cast(), value) }
+}
+
+/// Sixteen blocks, four per register and block-major, to one register per
+/// word: `words[w]` lane `j` is word `w` of block `j`.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn to_word_major(rows: [__m512i; 4]) -> [__m512i; 4] {
+    // Words 0|1 (`even`) and 2|3 (`odd`) of eight blocks, from two rows.
+    let even = _mm512_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28, 1, 5, 9, 13, 17, 21, 25, 29);
+    let odd = _mm512_setr_epi32(2, 6, 10, 14, 18, 22, 26, 30, 3, 7, 11, 15, 19, 23, 27, 31);
+    let low01 = _mm512_permutex2var_epi32(rows[0], even, rows[1]);
+    let low23 = _mm512_permutex2var_epi32(rows[0], odd, rows[1]);
+    let high01 = _mm512_permutex2var_epi32(rows[2], even, rows[3]);
+    let high23 = _mm512_permutex2var_epi32(rows[2], odd, rows[3]);
+    // Join the low halves of both (blocks 0–7 | 8–15), then the high halves.
+    [
+        _mm512_shuffle_i64x2::<0x44>(low01, high01),
+        _mm512_shuffle_i64x2::<0xee>(low01, high01),
+        _mm512_shuffle_i64x2::<0x44>(low23, high23),
+        _mm512_shuffle_i64x2::<0xee>(low23, high23),
+    ]
+}
+
+/// The inverse of [`to_word_major`].
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn to_block_major(words: [__m512i; 4]) -> [__m512i; 4] {
+    let low01 = _mm512_shuffle_i64x2::<0x44>(words[0], words[1]);
+    let high01 = _mm512_shuffle_i64x2::<0xee>(words[0], words[1]);
+    let low23 = _mm512_shuffle_i64x2::<0x44>(words[2], words[3]);
+    let high23 = _mm512_shuffle_i64x2::<0xee>(words[2], words[3]);
+    // Lane `4k + w` of a row takes word `w` of block `k`: element `8w + k`
+    // of the `01 | 23` pair.
+    let first = _mm512_setr_epi32(0, 8, 16, 24, 1, 9, 17, 25, 2, 10, 18, 26, 3, 11, 19, 27);
+    let second = _mm512_setr_epi32(4, 12, 20, 28, 5, 13, 21, 29, 6, 14, 22, 30, 7, 15, 23, 31);
+    [
+        _mm512_permutex2var_epi32(low01, first, low23),
+        _mm512_permutex2var_epi32(low01, second, low23),
+        _mm512_permutex2var_epi32(high01, first, high23),
+        _mm512_permutex2var_epi32(high01, second, high23),
+    ]
+}
+
+/// The zmm kernel over whole [`ZMM_WIDTH`]-block steps: lanes `j` and
+/// `WIDTH + j` of every step under nonce lane `j`.
+#[target_feature(enable = "avx512f")]
+fn eval_blocks_zmm(
+    key_high: &[u32; 4],
+    nonces: &[[u32; WIDTH]; 3],
+    inputs: &[Block128],
+    out: &mut [Block128],
+) {
+    assert_eq!(inputs.len() % ZMM_WIDTH, 0, "whole zmm steps only");
+    let constants = CONSTANTS.map(|word| _mm512_set1_epi32(word as i32));
+    let key_high_v = key_high.map(|word| _mm512_set1_epi32(word as i32));
+    // Lanes `j` and `WIDTH + j` share nonce lane `j`.
+    let nonce_v = nonces.map(|lanes| {
+        // SAFETY: `lanes` is 32 readable bytes; the load is unaligned.
+        let half = unsafe { _mm256_loadu_si256(lanes.as_ptr().cast()) };
+        _mm512_broadcast_i64x4(half)
+    });
+
+    let (steps, _) = inputs.as_chunks::<ZMM_WIDTH>();
+    let (out_steps, _) = out.as_chunks_mut::<ZMM_WIDTH>();
+    for (step, out_step) in steps.iter().zip(out_steps) {
+        let (rows, _) = step.as_chunks::<4>();
+        let input_words = to_word_major([
+            load4(&rows[0]),
+            load4(&rows[1]),
+            load4(&rows[2]),
+            load4(&rows[3]),
+        ]);
+        let mut state: [__m512i; 16] = [
+            constants[0],
+            constants[1],
+            constants[2],
+            constants[3],
+            input_words[0],
+            input_words[1],
+            input_words[2],
+            input_words[3],
+            key_high_v[0],
+            key_high_v[1],
+            key_high_v[2],
+            key_high_v[3],
+            _mm512_setzero_si512(), // counter
+            nonce_v[0],
+            nonce_v[1],
+            nonce_v[2],
+        ];
+        for _ in 0..10 {
+            quarter_round_zmm(&mut state, 0, 4, 8, 12);
+            quarter_round_zmm(&mut state, 1, 5, 9, 13);
+            quarter_round_zmm(&mut state, 2, 6, 10, 14);
+            quarter_round_zmm(&mut state, 3, 7, 11, 15);
+            quarter_round_zmm(&mut state, 0, 5, 10, 15);
+            quarter_round_zmm(&mut state, 1, 6, 11, 12);
+            quarter_round_zmm(&mut state, 2, 7, 8, 13);
+            quarter_round_zmm(&mut state, 3, 4, 9, 14);
+        }
+        // Feed-forward of the initial state; only words 0–3 are emitted.
+        let rows_out = to_block_major([
+            _mm512_add_epi32(state[0], constants[0]),
+            _mm512_add_epi32(state[1], constants[1]),
+            _mm512_add_epi32(state[2], constants[2]),
+            _mm512_add_epi32(state[3], constants[3]),
+        ]);
+        let (slots, _) = out_step.as_chunks_mut::<4>();
+        for (slot, row) in slots.iter_mut().zip(rows_out) {
+            store4(slot, row);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chacha::ChaCha20Prf;
+    use crate::Prf;
+    use pir_field::SimdBackend;
+
+    /// Both kernels, called directly, against the scalar block function: on
+    /// an AVX-512 host the public sweep routes whole 16-block steps to the
+    /// zmm kernel, so the ymm kernel would otherwise go untested there (and
+    /// vice versa). Every lane of a step runs under its own tweak.
+    #[test]
+    fn kernels_match_scalar() {
+        if !SimdBackend::Avx2.is_supported() {
+            eprintln!("skipped both kernels: this host lacks AVX2");
+            return;
+        }
+        let key_high = [0x0123_4567, 0x89ab_cdef, 0xfedc_ba98, 0x7654_3210];
+        let prf = ChaCha20Prf::new(key_high);
+        let tweaks: [u64; WIDTH] =
+            core::array::from_fn(|j| (j as u64 % 3) << 32 | (j as u64).wrapping_mul(0x9e37));
+        let mut nonces = [[0u32; WIDTH]; 3];
+        for (lane, tweak) in tweaks.iter().enumerate() {
+            for (lanes, word) in nonces.iter_mut().zip(ChaCha20Prf::nonce(*tweak)) {
+                lanes[lane] = word;
+            }
+        }
+        let avx512 = std::arch::is_x86_feature_detected!("avx512f");
+        if !avx512 {
+            eprintln!("skipped the zmm kernel: this host lacks AVX-512F (ymm kernel checked)");
+        }
+        // The kernels take whole steps: every multiple of `WIDTH` up to 40.
+        for len in (0..=40).step_by(WIDTH) {
+            let inputs: Vec<Block128> = (0..len as u128)
+                .map(|i| Block128::from_u128(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5bd1))
+                .collect();
+            let want: Vec<Block128> = inputs
+                .iter()
+                .enumerate()
+                .map(|(i, x)| prf.eval_block(*x, tweaks[i % WIDTH]))
+                .collect();
+            let mut got = vec![Block128::ZERO; len];
+            // SAFETY: AVX2 checked at the top of the test.
+            unsafe { eval_blocks_ymm(&key_high, &nonces, &inputs, &mut got) };
+            assert_eq!(got, want, "ymm len={len}");
+
+            if avx512 {
+                let whole = len / ZMM_WIDTH * ZMM_WIDTH;
+                let mut got = vec![Block128::ZERO; whole];
+                // SAFETY: AVX-512F checked above.
+                unsafe { eval_blocks_zmm(&key_high, &nonces, &inputs[..whole], &mut got) };
+                assert_eq!(got[..], want[..whole], "zmm len={whole}");
+            }
         }
     }
 }

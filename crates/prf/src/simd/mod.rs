@@ -13,11 +13,13 @@
 //! call rests on the caller holding a [`pir_field::SimdBackend`] value that
 //! passed runtime feature detection (`SimdBackend::supported_or_scalar`
 //! enforces this at PRF construction), so a kernel cannot execute on a host
-//! lacking its instructions. The VAES kernel additionally checks
-//! `is_x86_feature_detected!("vaes")` at its call.
+//! lacking its instructions. The wider kernels inside the `Avx2` backend —
+//! VAES for AES, AVX-512F for ChaCha20 and SipHash — additionally check
+//! `is_x86_feature_detected!` at their one call, and their PRFs report it in
+//! `Prf::backend_label` (`"avx2+vaes"`, `"avx2+avx512"`).
 //!
 //! Layout mirrors Expander's dual-backend field pattern: one portable entry
-//! point per primitive, `*_x86` (AVX2 / AES-NI / VAES) and `*_neon`
+//! point per primitive, `*_x86` (AVX2 / AES-NI / VAES / AVX-512F) and `*_neon`
 //! implementations selected behind it at runtime. `ggm_x86` is the one
 //! kernel that is not a primitive's: the GGM correction pass behind
 //! `GgmPrg`, whose scalar reference lives in `prg.rs`.

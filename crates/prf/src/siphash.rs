@@ -102,8 +102,9 @@ impl SipHashPrf {
     }
 
     /// Pin the batched sweeps to a SIMD backend (unsupported requests fall
-    /// back to scalar). Only the x86_64 backend vectorizes SipHash; NEON
-    /// hosts use the scalar interleaved path.
+    /// back to scalar). Only the x86_64 backend vectorizes SipHash (4 lanes,
+    /// 8 in the paired sweep on AVX-512F CPUs); NEON hosts use the scalar
+    /// interleaved path.
     #[must_use]
     pub fn with_backend(mut self, backend: SimdBackend) -> Self {
         self.backend = match backend.supported_or_scalar() {
@@ -315,7 +316,7 @@ impl SipHashPrf {
     /// The key of the second, domain-separated invocation that produces the
     /// high output half.
     #[inline]
-    fn high_key(&self) -> (u64, u64) {
+    pub(crate) fn high_key(&self) -> (u64, u64) {
         (self.k0 ^ 0x6868_6868_6868_6868, self.k1.rotate_left(17))
     }
 
@@ -465,7 +466,13 @@ impl Prf for SipHashPrf {
         self.pair_sweep(inputs, tweak_a, tweak_b, out_a, out_b, true);
     }
 
+    /// `"avx2+avx512"` where the paired sweeps run the AVX-512 kernel, so a
+    /// kernel report says which SipHash kernel produced its number.
     fn backend_label(&self) -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        if self.backend == SimdBackend::Avx2 && std::arch::is_x86_feature_detected!("avx512f") {
+            return "avx2+avx512";
+        }
         self.backend.label()
     }
 
@@ -576,5 +583,26 @@ mod tests {
         let out = prf.eval_block(Block128::from_u128(1), 0);
         let (low, high) = out.halves();
         assert_ne!(low, high);
+    }
+
+    /// The label kernel reports and batch kernel names carry: `avx2+avx512`
+    /// exactly where the paired sweeps take the AVX-512 kernel.
+    #[test]
+    fn backend_label_names_the_siphash_kernel() {
+        let scalar = SipHashPrf::with_fixed_key().with_backend(SimdBackend::Scalar);
+        assert_eq!(scalar.backend_label(), "scalar");
+        assert_eq!(SipHashPrf::with_fixed_key().backend_label(), "scalar");
+        #[cfg(target_arch = "x86_64")]
+        {
+            let avx2 = SipHashPrf::with_fixed_key().with_backend(SimdBackend::Avx2);
+            let want = if !SimdBackend::Avx2.is_supported() {
+                "scalar"
+            } else if std::arch::is_x86_feature_detected!("avx512f") {
+                "avx2+avx512"
+            } else {
+                "avx2"
+            };
+            assert_eq!(avx2.backend_label(), want);
+        }
     }
 }
