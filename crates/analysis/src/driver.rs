@@ -1,13 +1,12 @@
-//! Orchestration: walk the workspace, run the passes per the policy, apply
-//! annotation suppression, and assign finding keys.
+//! Orchestration: walk the workspace, run the passes per the policy, and
+//! apply annotation suppression.
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::findings::{assign_keys, Finding};
+use crate::findings::Finding;
 use crate::lexer;
-use crate::passes::{condvar, panic_path, secret_flow, unsafe_audit, FileContext};
+use crate::passes::{condvar, secret_flow, FileContext};
 use crate::policy::Policy;
 use crate::regions::{find_annotations, find_regions};
 
@@ -24,7 +23,7 @@ impl std::fmt::Display for DriverError {
 
 /// Result of one full workspace run.
 pub struct Report {
-    /// All unsuppressed findings, keys assigned, in deterministic order.
+    /// All unsuppressed findings, in deterministic order.
     pub findings: Vec<Finding>,
     /// Number of files analyzed.
     pub files_scanned: usize,
@@ -97,13 +96,8 @@ pub fn run(root: &Path, policy: &Policy) -> Result<Report, DriverError> {
         };
 
         let mut file_findings: Vec<Finding> = Vec::new();
-        file_findings.extend(unsafe_audit::run(&ctx));
         if Policy::in_scope(rel, &policy.secret_paths, &policy.secret_exclude) {
             file_findings.extend(secret_flow::run(&ctx, &policy.secret_stems));
-        }
-        if Policy::in_scope(rel, &policy.panic_paths, &policy.panic_exclude) {
-            let slice = Policy::under(rel, &policy.slice_index_paths);
-            file_findings.extend(panic_path::run(&ctx, slice));
         }
         if Policy::under(rel, &policy.condvar_paths) {
             file_findings.extend(condvar::run(&ctx));
@@ -124,117 +118,10 @@ pub fn run(root: &Path, policy: &Policy) -> Result<Report, DriverError> {
         findings.extend(file_findings);
     }
 
-    // Crate-level policy checks (forbid/deny attributes on crate roots).
-    findings.extend(check_crate_roots(root, policy)?);
-
-    assign_keys(&mut findings);
     Ok(Report {
         findings,
         files_scanned: files.len(),
     })
-}
-
-/// Enumerate crate directories (a `Cargo.toml` next to a `src/`) under the
-/// workspace and enforce the unsafe policy attributes on each crate root.
-fn check_crate_roots(root: &Path, policy: &Policy) -> Result<Vec<Finding>, DriverError> {
-    let mut crate_dirs: BTreeSet<String> = BTreeSet::new();
-    if root.join("Cargo.toml").is_file() && root.join("src").is_dir() {
-        crate_dirs.insert(String::new()); // the workspace umbrella crate
-    }
-    // Two levels is enough for crates/* and crates/shims/*.
-    for pattern_depth in [1, 2] {
-        let mut stack = vec![root.join("crates")];
-        for _ in 1..pattern_depth {
-            let mut next = Vec::new();
-            for dir in stack {
-                if let Ok(entries) = fs::read_dir(&dir) {
-                    for entry in entries.flatten() {
-                        if entry.path().is_dir() {
-                            next.push(entry.path());
-                        }
-                    }
-                }
-            }
-            stack = next;
-        }
-        for dir in stack {
-            if let Ok(entries) = fs::read_dir(&dir) {
-                for entry in entries.flatten() {
-                    let p = entry.path();
-                    if p.is_dir() && p.join("Cargo.toml").is_file() && p.join("src").is_dir() {
-                        let rel = p
-                            .strip_prefix(root)
-                            .map_err(|_| DriverError("crate outside root".into()))?
-                            .to_string_lossy()
-                            .replace('\\', "/");
-                        crate_dirs.insert(rel);
-                    }
-                }
-            }
-        }
-    }
-
-    let mut findings = Vec::new();
-    for crate_dir in &crate_dirs {
-        let src_dir = if crate_dir.is_empty() {
-            root.join("src")
-        } else {
-            root.join(crate_dir).join("src")
-        };
-        let root_file = ["lib.rs", "main.rs"]
-            .iter()
-            .map(|f| src_dir.join(f))
-            .find(|p| p.is_file());
-        let Some(root_file) = root_file else {
-            continue; // virtual manifest or exotic layout: nothing to check
-        };
-        let rel_root = root_file
-            .strip_prefix(root)
-            .map_err(|_| DriverError("crate root outside workspace".into()))?
-            .to_string_lossy()
-            .replace('\\', "/");
-        let src = fs::read_to_string(&root_file)
-            .map_err(|e| DriverError(format!("read {}: {e}", root_file.display())))?;
-        let toks =
-            lexer::lex(&src).map_err(|e| DriverError(format!("{rel_root}: lex error: {e}")))?;
-        let has_attr = |outer: &str, inner: &str| -> bool {
-            toks.windows(3)
-                .any(|w| w[0].is_ident(outer) && w[1].is_punct('(') && w[2].is_ident(inner))
-        };
-        let allowed_unsafe = Policy::under(crate_dir, &policy.unsafe_allowed_crates)
-            || policy.unsafe_allowed_crates.iter().any(|c| c == crate_dir);
-        let mk = |line: u32, message: String| Finding {
-            pass: "unsafe-audit",
-            file: rel_root.clone(),
-            line,
-            message,
-            snippet: crate::findings::line_snippet(&src, line),
-            key: String::new(),
-        };
-        if allowed_unsafe {
-            if !has_attr("deny", "unsafe_op_in_unsafe_fn") {
-                findings.push(mk(
-                    1,
-                    format!(
-                        "crate `{crate_dir}` is allowed unsafe by policy but its root \
-                         lacks `#![deny(unsafe_op_in_unsafe_fn)]`"
-                    ),
-                ));
-            }
-        } else if !Policy::under(crate_dir, &policy.forbid_exempt_crates)
-            && !has_attr("forbid", "unsafe_code")
-        {
-            let label = if crate_dir.is_empty() { "." } else { crate_dir };
-            findings.push(mk(
-                1,
-                format!(
-                    "crate `{label}` is declared unsafe-free by policy but its root \
-                     lacks `#![forbid(unsafe_code)]`"
-                ),
-            ));
-        }
-    }
-    Ok(findings)
 }
 
 #[cfg(test)]

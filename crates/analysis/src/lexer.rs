@@ -11,7 +11,8 @@
 //! - nested block comments (`/* /* */ */` is one comment in Rust);
 //! - lifetimes vs. char literals (`'a` vs `'a'` vs `b'\''`);
 //! - doc comments (`///`, `//!`, `/** */`) distinguished from plain ones so
-//!   `# Safety` sections can satisfy the unsafe audit.
+//!   documentation can quote the annotation grammar without suppressing
+//!   anything.
 //!
 //! Tokens carry their starting and ending line so multi-line tokens (block
 //! comments, raw strings) interact correctly with the adjacency windows used

@@ -1,20 +1,17 @@
 //! `pir-analysis` — the workspace's own static-analysis layer, exposed as
 //! the `pir-lint` binary.
 //!
-//! Four passes encode invariants this codebase has already paid to learn:
+//! Two passes encode invariants this codebase has already paid to learn,
+//! and that neither rustc nor clippy checks:
 //!
-//! 1. **unsafe-audit** — every `unsafe` needs an adjacent `// SAFETY:`
-//!    comment (or `# Safety` doc section on items); crates the policy
-//!    declares unsafe-free must carry `#![forbid(unsafe_code)]`, and crates
-//!    allowed unsafe must carry `#![deny(unsafe_op_in_unsafe_fn)]`.
-//! 2. **secret-flow** — in the annotated modules (DPF evaluation, PRF cores,
+//! 1. **secret-flow** — in the annotated modules (DPF evaluation, PRF cores,
 //!    wire session), no branching or data-dependent indexing on values
 //!    derived from secret roots (seeds, keys, query indices).
-//! 3. **panic-path** — no `unwrap`/`expect`/`panic!` in runtime code of the
-//!    serving tower, and no plain slice indexing in the untrusted-input wire
-//!    codec.
-//! 4. **condvar-discipline** — every `.notify_one()` call site must carry a
-//!    written lost-wakeup argument (the PR 5 autoscaler deadlock class).
+//! 2. **condvar-discipline** — every `.notify_one()` call site must carry a
+//!    written lost-wakeup argument (the class of the autoscaler deadlock).
+//!
+//! The unsafe and panic-path rules live in the crates they govern, as lint
+//! attributes on the crate roots (`README.md` § "Static analysis").
 //!
 //! Any finding fails the gate; the one escape hatch is an adjacent
 //! `// pir-lint: allow(<pass>, "<reason>")` annotation (grammar in

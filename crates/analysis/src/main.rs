@@ -86,7 +86,6 @@ fn main() -> ExitCode {
 
     for f in &report.findings {
         println!("{f}");
-        println!("    key: {}", f.key);
     }
     println!(
         "pir-lint: {} files, {} findings",

@@ -1,4 +1,4 @@
-//! Pass 4: condvar discipline — `notify_one` needs a written justification.
+//! Pass 2: condvar discipline — `notify_one` needs a written justification.
 //!
 //! This is the exact PR 5 failure class: a worker pool where some waiters are
 //! parked (scaled down, draining, or waiting on a different predicate) plus a

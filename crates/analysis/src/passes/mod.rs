@@ -1,12 +1,10 @@
-//! The four analysis passes, each a pure function from a lexed file to
+//! The two analysis passes, each a pure function from a lexed file to
 //! findings. Scope decisions (which files a pass sees) live in the driver;
 //! suppression by `pir-lint: allow(...)` annotations is applied centrally
 //! after all passes ran, so every pass here reports unconditionally.
 
 pub mod condvar;
-pub mod panic_path;
 pub mod secret_flow;
-pub mod unsafe_audit;
 
 use crate::findings::{line_snippet, Finding};
 use crate::lexer::Tok;
@@ -25,7 +23,7 @@ pub struct FileContext<'a> {
 }
 
 impl FileContext<'_> {
-    /// Build a finding at `line` (key assigned later by the driver).
+    /// Build a finding at `line`.
     pub fn finding(&self, pass: &'static str, line: u32, message: String) -> Finding {
         Finding {
             pass,
@@ -33,7 +31,6 @@ impl FileContext<'_> {
             line,
             message,
             snippet: line_snippet(self.src, line),
-            key: String::new(),
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Pass 2: secret-flow — no branching or data-dependent indexing on
+//! Pass 1: secret-flow — no branching or data-dependent indexing on
 //! secret-derived values in the annotated modules.
 //!
 //! The PIR privacy argument requires the evaluation path to be *data
@@ -176,6 +176,50 @@ fn pattern_idents(toks: &[Tok]) -> Vec<String> {
         .filter(|t| !is_primitive(&t.text))
         .map(|t| t.text.clone())
         .collect()
+}
+
+/// Keywords that can directly precede `[` without forming an index
+/// expression (`return [..]`, `break [..]`, `in [..]`, …).
+fn is_keyword(word: &str) -> bool {
+    matches!(
+        word,
+        "return"
+            | "break"
+            | "in"
+            | "if"
+            | "else"
+            | "match"
+            | "where"
+            | "mut"
+            | "ref"
+            | "move"
+            | "static"
+            | "const"
+            | "let"
+            | "as"
+            | "dyn"
+            | "impl"
+            | "for"
+            | "while"
+            | "loop"
+            | "unsafe"
+            | "fn"
+            | "use"
+            | "pub"
+            | "crate"
+            | "self"
+            | "super"
+            | "type"
+            | "struct"
+            | "enum"
+            | "trait"
+            | "mod"
+            | "extern"
+            | "box"
+            | "await"
+            | "async"
+            | "yield"
+    )
 }
 
 /// Primitive type names that may appear lowercase inside patterns' type
@@ -432,7 +476,7 @@ fn analyze_fn(
             let indexes_value = prev_code(toks, i)
                 .map(|p| {
                     let prev = &toks[p];
-                    (prev.kind == TokKind::Ident && !super::panic_path::is_keyword(&prev.text))
+                    (prev.kind == TokKind::Ident && !is_keyword(&prev.text))
                         || prev.is_punct(')')
                         || prev.is_punct(']')
                 })
@@ -579,6 +623,25 @@ mod tests {
     fn chained_public_projection_declassifies() {
         let src = "fn f(key: &Key) -> usize { let d = key.params.domain_size; if d > 4 { d } else { 0 } }\n";
         assert!(run_on(src).is_empty());
+    }
+
+    #[test]
+    fn test_regions_are_exempt() {
+        let src = "#[cfg(test)]\nmod tests {\n    fn t(seed: u64) -> u8 { if seed > 0 { 1 } else { 0 } }\n}\n";
+        assert!(run_on(src).is_empty());
+    }
+
+    #[test]
+    fn array_literals_types_attrs_and_macros_are_not_indexing() {
+        let src = "#[derive(Debug)]\nfn f(seed: u8) { let a: [u8; 2] = [seed, 2]; let v = vec![seed]; let [x, y] = a; return [seed]; }\n";
+        assert!(run_on(src).is_empty());
+    }
+
+    #[test]
+    fn chained_and_call_result_indexing_is_flagged() {
+        let src = "fn f(key: usize) { g()[key]; m[1][key]; }\n";
+        // g()[key], and [key] after `]`; m[1] indexes by a public value.
+        assert_eq!(run_on(src).len(), 2);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The policy manifest: which passes cover which paths, which crates may
-//! contain `unsafe`, and which identifiers are secret roots.
+//! The policy manifest: which passes cover which paths, and which
+//! identifiers are secret roots.
 //!
 //! The manifest is a deliberately tiny line format (`ci/lint_policy.cfg`)
 //! rather than TOML/JSON — the linter is dependency-free and the grammar fits
@@ -26,22 +26,11 @@ pub struct Policy {
     pub scan_roots: Vec<String>,
     /// Path prefixes excluded from all passes (vendored shims, generated).
     pub global_exclude: Vec<String>,
-    /// Crate directories allowed to contain `unsafe` (e.g. `crates/prf`).
-    /// Their crate roots must carry `#![deny(unsafe_op_in_unsafe_fn)]`.
-    pub unsafe_allowed_crates: Vec<String>,
-    /// Crate directories exempt from the `#![forbid(unsafe_code)]`
-    /// requirement *without* being allowed to use unsafe (none today; the
-    /// knob exists so the policy can express it explicitly if ever needed).
-    pub forbid_exempt_crates: Vec<String>,
     /// Per-pass path scopes.
     pub secret_paths: Vec<String>,
     pub secret_exclude: Vec<String>,
     /// Identifier stems treated as secret roots (see `secret_flow`).
     pub secret_stems: Vec<String>,
-    pub panic_paths: Vec<String>,
-    pub panic_exclude: Vec<String>,
-    /// Paths where plain slice indexing is also a panic-path finding.
-    pub slice_index_paths: Vec<String>,
     pub condvar_paths: Vec<String>,
 }
 
@@ -81,10 +70,7 @@ impl Policy {
                     return Err(err(line_no, "unterminated section header"));
                 };
                 let name = name.trim().to_string();
-                if !matches!(
-                    name.as_str(),
-                    "workspace" | "unsafe-audit" | "secret-flow" | "panic-path" | "condvar"
-                ) {
+                if !matches!(name.as_str(), "workspace" | "secret-flow" | "condvar") {
                     return Err(err(line_no, format!("unknown section `[{name}]`")));
                 }
                 sections.entry(name.clone()).or_default();
@@ -101,9 +87,7 @@ impl Policy {
             let known = matches!(
                 (section.as_str(), key.as_str()),
                 ("workspace", "scan_roots" | "exclude")
-                    | ("unsafe-audit", "allow_unsafe" | "forbid_exempt")
                     | ("secret-flow", "paths" | "exclude" | "secret_stems")
-                    | ("panic-path", "paths" | "exclude" | "slice_index_paths")
                     | ("condvar", "paths")
             );
             if !known {
@@ -133,14 +117,9 @@ impl Policy {
         let policy = Policy {
             scan_roots: get("workspace", "scan_roots"),
             global_exclude: get("workspace", "exclude"),
-            unsafe_allowed_crates: get("unsafe-audit", "allow_unsafe"),
-            forbid_exempt_crates: get("unsafe-audit", "forbid_exempt"),
             secret_paths: get("secret-flow", "paths"),
             secret_exclude: get("secret-flow", "exclude"),
             secret_stems: get("secret-flow", "secret_stems"),
-            panic_paths: get("panic-path", "paths"),
-            panic_exclude: get("panic-path", "exclude"),
-            slice_index_paths: get("panic-path", "slice_index_paths"),
             condvar_paths: get("condvar", "paths"),
         };
         if policy.scan_roots.is_empty() {
@@ -175,17 +154,10 @@ mod tests {
 scan_roots = crates, src
 exclude = crates/shims
 
-[unsafe-audit]
-allow_unsafe = crates/prf, crates/field
-
 [secret-flow]
 paths = crates/dpf/src, crates/wire/src/session.rs
 exclude = crates/dpf/src/gen.rs
 secret_stems = seed, key
-
-[panic-path]
-paths = crates/serve/src
-slice_index_paths = crates/wire/src
 
 [condvar]
 paths = crates
@@ -195,13 +167,17 @@ paths = crates
     fn parses_sections_and_lists() {
         let p = Policy::parse(SAMPLE).unwrap();
         assert_eq!(p.scan_roots, vec!["crates", "src"]);
-        assert_eq!(p.unsafe_allowed_crates, vec!["crates/prf", "crates/field"]);
+        assert_eq!(p.condvar_paths, vec!["crates"]);
         assert_eq!(p.secret_stems, vec!["seed", "key"]);
     }
 
     #[test]
     fn unknown_keys_and_sections_are_errors() {
         assert!(Policy::parse("[workspace]\nscan_roots = x\n[bogus]\n").is_err());
+        // Sections of retired passes are unknown too: their rules now live
+        // in crate-root lint attributes.
+        assert!(Policy::parse("[workspace]\nscan_roots = x\n[panic-path]\n").is_err());
+        assert!(Policy::parse("[workspace]\nscan_roots = x\n[unsafe-audit]\n").is_err());
         assert!(Policy::parse("[workspace]\nscan_roots = x\nwat = y\n").is_err());
         assert!(Policy::parse("orphan = 1\n").is_err());
         assert!(Policy::parse("# only comments\n").is_err());

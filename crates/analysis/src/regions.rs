@@ -1,6 +1,6 @@
 //! Test-region tracking and `pir-lint` annotation parsing.
 //!
-//! The panic-path and secret-flow passes only apply to *runtime* code, so we
+//! The secret-flow and notify-one passes only apply to *runtime* code, so we
 //! need to know which lines of a file are compiled exclusively for tests or
 //! benches. Three markers create a test region:
 //!
@@ -23,10 +23,11 @@
 //! ```
 //!
 //! suppressing findings of `<pass>` on the same line or the two lines below
-//! the comment's last line. The reason string is mandatory and must be
-//! non-empty: the annotation *is* the audit trail. A comment that contains
-//! `pir-lint:` but does not parse is reported by the driver as a
-//! `bad-annotation` finding so typos cannot silently disable a gate.
+//! the comment's last line. `<pass>` is `secret-flow` or `notify-one`. The
+//! reason string is mandatory and must be non-empty: the annotation *is* the
+//! audit trail. A comment that contains `pir-lint:` but does not parse, or
+//! names any other pass, is reported by the driver as a `bad-annotation`
+//! finding so typos and stale annotations cannot silently disable a gate.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -270,8 +271,10 @@ fn parse_allow(s: &str) -> Result<(String, String), String> {
         return Err("expected `,` separating pass name and reason".into());
     };
     let pass = rest[..comma].trim();
-    if pass.is_empty() || !pass.bytes().all(|b| b.is_ascii_lowercase() || b == b'-') {
-        return Err(format!("invalid pass name `{pass}`"));
+    if !matches!(pass, "secret-flow" | "notify-one") {
+        return Err(format!(
+            "unknown pass `{pass}`: only `secret-flow` and `notify-one` take annotations"
+        ));
     }
     let rest = rest[comma + 1..].trim_start();
     let Some(rest) = rest.strip_prefix('"') else {
@@ -369,26 +372,33 @@ mod tests {
 
     #[test]
     fn annotations_parse_and_cover_two_lines_below() {
-        let src =
-            "// pir-lint: allow(panic-path, \"invariant: slot filled before take\")\nx.unwrap();\n";
+        let src = "// pir-lint: allow(notify-one, \"one item, one wakeup\")\ncv.notify_one();\n";
         let ann = find_annotations(&lex(src).unwrap());
         assert_eq!(ann.allows.len(), 1);
-        assert_eq!(ann.allows[0].pass, "panic-path");
-        assert!(ann.allows("panic-path", 2));
-        assert!(ann.allows("panic-path", 3));
-        assert!(!ann.allows("panic-path", 4));
-        assert!(!ann.allows("notify-one", 2));
+        assert_eq!(ann.allows[0].pass, "notify-one");
+        assert!(ann.allows("notify-one", 2));
+        assert!(ann.allows("notify-one", 3));
+        assert!(!ann.allows("notify-one", 4));
+        assert!(!ann.allows("secret-flow", 2));
     }
 
     #[test]
     fn malformed_annotations_are_reported() {
-        for bad in [
-            "// pir-lint: allow(panic-path)",
-            "// pir-lint: allow(panic-path, \"\")",
-            "// pir-lint: allow(Panic_Path, \"x\")",
-            "// pir-lint: disable(panic-path, \"x\")",
-            "// pir-lint: allow(panic-path, \"x\"",
-        ] {
+        // Annotations naming a retired pass are stale: its rule moved to
+        // rustc/clippy, so they would suppress nothing.
+        let stale =
+            ["panic-path", "unsafe-audit"].map(|pass| format!("// pir-lint: allow({pass}, \"x\")"));
+        let malformed = [
+            "// pir-lint: allow(notify-one)",
+            "// pir-lint: allow(notify-one, \"\")",
+            "// pir-lint: allow(Notify_One, \"x\")",
+            "// pir-lint: disable(notify-one, \"x\")",
+            "// pir-lint: allow(notify-one, \"x\"",
+        ];
+        for bad in malformed
+            .into_iter()
+            .chain(stale.iter().map(String::as_str))
+        {
             let ann = find_annotations(&lex(bad).unwrap());
             assert_eq!(ann.allows.len(), 0, "{bad}");
             assert_eq!(ann.bad.len(), 1, "{bad}");

@@ -55,26 +55,17 @@ const POLICY: &str = r#"
 [workspace]
 scan_roots = crates
 
-[unsafe-audit]
-allow_unsafe = crates/simd
-
 [secret-flow]
 paths = crates/app/src
 secret_stems = seed, key
-
-[panic-path]
-paths = crates/app/src
-slice_index_paths = crates/app/src/codec.rs
 
 [condvar]
 paths = crates
 "#;
 
-/// One violation per pass, plus a crate-root attribute violation.
+/// One violation per pass.
 fn seed_violations(tree: &TempTree) {
     tree.write("ci/lint_policy.cfg", POLICY);
-    // Missing #![forbid(unsafe_code)] -> unsafe-audit crate finding.
-    tree.write("crates/app/Cargo.toml", "[package]\nname = \"app\"\n");
     tree.write(
         "crates/app/src/lib.rs",
         r#"pub fn branch_on_secret(seed: u64, table: &[u8]) -> u8 {
@@ -85,24 +76,8 @@ fn seed_violations(tree: &TempTree) {
     }
 }
 
-pub fn first(v: &[u64]) -> u64 {
-    v.first().copied().unwrap()
-}
-
 pub fn wake(cv: &std::sync::Condvar) {
     cv.notify_one();
-}
-"#,
-    );
-    tree.write("crates/simd/Cargo.toml", "[package]\nname = \"simd\"\n");
-    // Unsafe block with no adjacent SAFETY comment -> unsafe-audit finding.
-    tree.write(
-        "crates/simd/src/lib.rs",
-        r#"#![deny(unsafe_op_in_unsafe_fn)]
-
-pub fn read_first(v: &[u8]) -> u8 {
-    assert!(!v.is_empty());
-    unsafe { *v.as_ptr() }
 }
 "#,
     );
@@ -119,30 +94,18 @@ fn seeded_violations_trip_every_pass() {
         &tree.path("ci/lint_policy.cfg"),
     ]);
     assert_eq!(code, 1, "stdout:\n{stdout}\nstderr:\n{stderr}");
-    for pass in [
-        "[unsafe-audit]",
-        "[secret-flow]",
-        "[panic-path]",
-        "[notify-one]",
-    ] {
+    for pass in ["[secret-flow]", "[notify-one]"] {
         assert!(stdout.contains(pass), "missing {pass} in:\n{stdout}");
     }
-    assert!(
-        stdout.contains("lacks `#![forbid(unsafe_code)]`"),
-        "missing crate-root finding in:\n{stdout}"
-    );
 }
 
 #[test]
 fn clean_tree_passes() {
     let tree = TempTree::new("clean");
     tree.write("ci/lint_policy.cfg", POLICY);
-    tree.write("crates/app/Cargo.toml", "[package]\nname = \"app\"\n");
     tree.write(
         "crates/app/src/lib.rs",
-        r#"#![forbid(unsafe_code)]
-
-pub fn lookup(position: usize, table: &[u8]) -> Option<u8> {
+        r#"pub fn lookup(position: usize, table: &[u8]) -> Option<u8> {
     table.get(position).copied()
 }
 "#,
@@ -161,14 +124,11 @@ pub fn lookup(position: usize, table: &[u8]) -> Option<u8> {
 fn annotations_suppress_findings() {
     let tree = TempTree::new("annotated");
     tree.write("ci/lint_policy.cfg", POLICY);
-    tree.write("crates/app/Cargo.toml", "[package]\nname = \"app\"\n");
     tree.write(
         "crates/app/src/lib.rs",
-        r#"#![forbid(unsafe_code)]
-
-pub fn first(v: &[u64]) -> u64 {
-    // pir-lint: allow(panic-path, "callers validate non-empty input")
-    v.first().copied().unwrap()
+        r#"pub fn wake(cv: &std::sync::Condvar) {
+    // pir-lint: allow(notify-one, "a single waiter parks on this condvar")
+    cv.notify_one();
 }
 "#,
     );

@@ -224,7 +224,10 @@ impl ClusterRouter {
                 }
             }
         }
-        // pir-lint: allow(panic-path, "membership.validate() above rejects empty shard lists, so the loop ran at least once")
+        #[expect(
+            clippy::expect_used,
+            reason = "membership.validate() above rejects empty shard lists, so the loop ran at least once"
+        )]
         let tables = tables.expect("membership has at least one shard");
         let mut maps = HashMap::new();
         let mut fences = HashMap::new();
@@ -249,7 +252,10 @@ impl ClusterRouter {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xfe9c_e0ca_11b8_47ed);
         for entry in &tables {
             let client = pir_protocol::PirClient::new(entry.schema, entry.prf_kind);
-            // pir-lint: allow(panic-path, "the loop above inserted a fence for every table entry")
+            #[expect(
+                clippy::expect_used,
+                reason = "the loop above inserted a fence for every table entry"
+            )]
             let fence = fences.get_mut(&entry.name).expect("inserted above");
             for conn in &conns {
                 let frame = encode_message(&WireMessage::Query(QueryMsg {
@@ -292,6 +298,10 @@ impl ClusterRouter {
             telemetry: RouterTelemetry::default(),
             stop: AtomicBool::new(false),
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "OS thread spawn fails only on resource exhaustion; no recovery path at connect"
+        )]
         let prober = config.probe_interval.map(|interval| {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
@@ -307,7 +317,6 @@ impl ClusterRouter {
                         std::thread::park_timeout(interval);
                     }
                 })
-                // pir-lint: allow(panic-path, "OS thread spawn fails only on resource exhaustion; no recovery path at connect")
                 .expect("spawn cluster prober")
         });
         Ok(Self {
@@ -368,6 +377,10 @@ impl ClusterRouter {
             ));
         };
         let (reply, replies) = mpsc::channel::<Vec<u8>>();
+        #[expect(
+            clippy::expect_used,
+            reason = "OS thread spawn fails only on resource exhaustion; the connection cannot proceed without its writer"
+        )]
         let writer = std::thread::Builder::new()
             .name(format!("cluster-writer-party{}", self.inner.party))
             .spawn(move || -> Result<(), WireError> {
@@ -376,7 +389,6 @@ impl ClusterRouter {
                 }
                 Ok(())
             })
-            // pir-lint: allow(panic-path, "OS thread spawn fails only on resource exhaustion; the connection cannot proceed without its writer")
             .expect("spawn cluster writer");
         let outcome = loop {
             match recv.recv() {
@@ -592,10 +604,11 @@ impl RouterInner {
         match self.conns[owner].broadcast_update(&WireMessage::UpdateEntry(update)) {
             Ok(_acks) => {
                 let mut fences = self.fences.lock();
-                let fence = fences
-                    .get_mut(&table)
-                    // pir-lint: allow(panic-path, "a fence is created for every hosted table at connect, and the map lookup above proved the table is hosted")
-                    .expect("hosted table has a fence");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a fence is created for every hosted table at connect, and the map lookup above proved the table is hosted"
+                )]
+                let fence = fences.get_mut(&table).expect("hosted table has a fence");
                 if let (Some(version), Some(before)) = (fence.shard[owner].as_mut(), before) {
                     // Each replica applied exactly one update: the shard's
                     // own version counter advanced by one.

@@ -221,9 +221,12 @@ impl<'a> BatchEvalJob<'a> {
     /// # Panics
     ///
     /// Panics if the batch is empty.
+    #[expect(
+        clippy::expect_used,
+        reason = "one device splits on zero bits, which every depth admits"
+    )]
     fn whole_domain(&self) -> DeviceSplit {
         assert!(!self.keys.is_empty(), "batch must contain at least one key");
-        // pir-lint: allow(panic-path, "one device splits on zero bits, which every depth admits")
         DeviceSplit::new(self.keys[0].depth(), 1).expect("one device always splits")
     }
 
@@ -477,8 +480,12 @@ impl<'a> BatchEvalJob<'a> {
         let rows = download_rows(backend, &out_alloc, rows);
         backend.free(out_alloc);
         backend.free(keys_alloc);
-        // pir-lint: allow(panic-path, "the launch loop above set it for the first key; empty batches never reach a device")
-        (rows, merged.expect("batch is non-empty"))
+        #[expect(
+            clippy::expect_used,
+            reason = "the launch loop above set it for the first key; empty batches never reach a device"
+        )]
+        let report = merged.expect("batch is non-empty");
+        (rows, report)
     }
 }
 

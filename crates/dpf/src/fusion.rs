@@ -59,6 +59,7 @@ where
 ///
 /// Panics if the table has fewer rows than the key's domain size.
 #[must_use]
+#[expect(clippy::expect_used, reason = "a group of one key yields one share")]
 pub fn fused_eval_matmul_subtree<R>(
     prg: &GgmPrg,
     key: &DpfKey,
@@ -73,7 +74,6 @@ where
     let mut shares =
         fused_eval_matmul_group(prg, std::slice::from_ref(key), table, subtree, strategy);
     record_fused(key.depth(), table, subtree, strategy, recorder);
-    // pir-lint: allow(panic-path, "a group of one key yields one share")
     shares.pop().expect("one share per key")
 }
 

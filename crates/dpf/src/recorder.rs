@@ -104,13 +104,16 @@ impl Recorder for CountingRecorder {
     }
 
     fn release(&self, bytes: u64) {
+        #[expect(
+            clippy::expect_used,
+            reason = "the closure always returns Some, so fetch_update cannot fail"
+        )]
         self.current_bytes
             .fetch_update(
                 std::sync::atomic::Ordering::Relaxed,
                 std::sync::atomic::Ordering::Relaxed,
                 |cur| Some(cur.saturating_sub(bytes)),
             )
-            // pir-lint: allow(panic-path, "the closure always returns Some, so fetch_update cannot fail")
             .expect("fetch_update with Some never fails");
     }
 

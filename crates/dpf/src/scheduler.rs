@@ -174,8 +174,11 @@ impl Scheduler {
     /// [`SchedulerConfig::validate`]); use [`Scheduler::try_new`] to handle
     /// the error instead.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking constructor; try_new is the fallible form"
+    )]
     pub fn new(config: SchedulerConfig) -> Self {
-        // pir-lint: allow(panic-path, "documented panicking constructor; try_new is the fallible form")
         Self::try_new(config).expect("invalid scheduler config")
     }
 

@@ -42,6 +42,7 @@
 // it must still sit in an explicit `unsafe {}` block with its own SAFETY
 // justification.
 #![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
 #![warn(missing_docs)]
 
 mod aes;

@@ -499,9 +499,14 @@ impl PendingQuery {
             return Poll::Ready(outcome);
         }
 
-        // pir-lint: allow(panic-path, "both sides are Ready, which fills the slots")
-        let share0 = self.response0.take().expect("side 0 resolved");
-        let share1 = self.response1.take().expect("side 1 resolved");
+        #[expect(
+            clippy::expect_used,
+            reason = "both sides are Ready, which fills the slots"
+        )]
+        let (share0, share1) = (
+            self.response0.take().expect("side 0 resolved"),
+            self.response1.take().expect("side 1 resolved"),
+        );
         // Pair-enqueued queries are protected by the cross-queue update
         // barrier: both parties must have answered from the same table
         // version. The stamp exists for wire clients; here it only guards

@@ -116,7 +116,10 @@ impl<T> Future for Receiver<T> {
                 };
                 Poll::Pending
             }
-            // pir-lint: allow(panic-path, "Future contract violation: poll after Ready, mirroring std channel semantics")
+            #[expect(
+                clippy::panic,
+                reason = "Future contract violation: poll after Ready, mirroring std channel semantics"
+            )]
             State::Taken => panic!("oneshot polled after completion"),
         }
     }

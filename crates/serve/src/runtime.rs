@@ -268,22 +268,28 @@ impl PirServeRuntime {
             for replica in 0..hosted.config.replicas.max {
                 let hosted = Arc::clone(&hosted);
                 let budget = Arc::clone(&self.inner.budget);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "OS thread spawn fails only on resource exhaustion; no recovery path at table admission"
+                )]
                 workers.push(
                     std::thread::Builder::new()
                         .name(format!("batcher-{name}-{party}-{replica}"))
                         .spawn(move || run_batch_former(hosted, party, replica, budget))
-                        // pir-lint: allow(panic-path, "OS thread spawn fails only on resource exhaustion; no recovery path at table admission")
                         .expect("spawn batch former"),
                 );
             }
         }
         if hosted.config.replicas.is_elastic() {
             let inner = Arc::clone(&self.inner);
+            #[expect(
+                clippy::expect_used,
+                reason = "OS thread spawn fails only on resource exhaustion; no recovery path at table admission"
+            )]
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("autoscaler-{name}"))
                     .spawn(move || run_autoscaler(&inner, &hosted))
-                    // pir-lint: allow(panic-path, "OS thread spawn fails only on resource exhaustion; no recovery path at table admission")
                     .expect("spawn autoscaler"),
             );
         }

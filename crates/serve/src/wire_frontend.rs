@@ -120,12 +120,15 @@ impl WireFrontend {
             ));
         };
         let remux = Arc::new(Remux::default());
+        #[expect(
+            clippy::expect_used,
+            reason = "OS thread spawn fails only on resource exhaustion; the connection cannot proceed without its writer"
+        )]
         let writer = {
             let remux = Arc::clone(&remux);
             std::thread::Builder::new()
                 .name(format!("remux-party{}", self.party))
                 .spawn(move || run_remux(&remux, send.as_mut()))
-                // pir-lint: allow(panic-path, "OS thread spawn fails only on resource exhaustion; the connection cannot proceed without its writer")
                 .expect("spawn remux writer")
         };
         let outcome = loop {

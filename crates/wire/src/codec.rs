@@ -9,6 +9,10 @@
 //! as the exact lengths these encoders produce, and tests assert the two
 //! never drift.
 
+// The bytes decoded here come off the network: an out-of-range index
+// would be a remote panic.
+#![deny(clippy::indexing_slicing)]
+
 use pir_dpf::{DpfKey, DpfParams, LevelCorrection};
 use pir_field::{Block128, Ring128};
 use pir_prf::PrfKind;
@@ -167,7 +171,8 @@ impl<'a> WireReader<'a> {
     ///
     /// Returns [`WireError::Truncated`] at end of frame.
     pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        let [byte] = self.take_array::<1>()?;
+        Ok(byte)
     }
 
     /// Read a little-endian `u16`.

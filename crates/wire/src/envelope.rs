@@ -19,6 +19,10 @@
 //! sender learns what to speak from the typed
 //! [`WireError::UnsupportedVersion`].
 
+// The bytes decoded here come off the network: an out-of-range index
+// would be a remote panic.
+#![deny(clippy::indexing_slicing)]
+
 use crate::codec::{WireReader, WireWriter};
 use crate::error::WireError;
 

@@ -7,6 +7,10 @@
 //! [`PirQuery`](pir_protocol::PirQuery) never leaves the client — each
 //! server only ever receives its own [`ServerQuery`] projection.
 
+// The bytes decoded here come off the network: an out-of-range index
+// would be a remote panic.
+#![deny(clippy::indexing_slicing)]
+
 use pir_prf::PrfKind;
 use pir_protocol::{PirResponse, ServerQuery, TableSchema};
 

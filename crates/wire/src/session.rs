@@ -538,9 +538,12 @@ impl PirSession {
                         // entropy banked at submit time — never from on-wire
                         // values, which the servers know (see `retry_rng`).
                         let mut seed = <rand::rngs::StdRng as SeedableRng>::Seed::default();
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "banked at every submit; completions only exist for submitted queries"
+                        )]
                         self.retry_rng
                             .as_mut()
-                            // pir-lint: allow(panic-path, "banked at every submit; completions only exist for submitted queries")
                             .expect("retries are of submitted queries")
                             .fill_bytes(seed.as_mut());
                         let mut rng = rand::rngs::StdRng::from_seed(seed);
