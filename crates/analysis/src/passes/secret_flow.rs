@@ -292,15 +292,22 @@ pub fn run(ctx: &FileContext<'_>, stems: &[String]) -> Vec<Finding> {
                 .unwrap_or(false);
             if is_named {
                 // Body = first `{` after the header (signatures cannot
-                // contain braces in this codebase's grammar subset).
+                // contain braces in this codebase's grammar subset). A `;`
+                // inside brackets is an array type (`key: [u8; 16]`), not
+                // the end of a bodiless declaration.
                 let mut j = name_idx.expect("checked is_named") + 1;
                 let mut body_open = None;
+                let mut depth = 0i32;
                 while j < toks.len() {
-                    if toks[j].is_punct('{') {
+                    let t = &toks[j];
+                    if t.is_punct('(') || t.is_punct('[') {
+                        depth += 1;
+                    } else if t.is_punct(')') || t.is_punct(']') {
+                        depth -= 1;
+                    } else if t.is_punct('{') {
                         body_open = Some(j);
                         break;
-                    }
-                    if toks[j].is_punct(';') {
+                    } else if t.is_punct(';') && depth <= 0 {
                         break; // trait method declaration, no body
                     }
                     j += 1;
@@ -642,6 +649,19 @@ mod tests {
         let src = "fn f(key: usize) { g()[key]; m[1][key]; }\n";
         // g()[key], and [key] after `]`; m[1] indexes by a public value.
         assert_eq!(run_on(src).len(), 2);
+    }
+
+    #[test]
+    fn array_typed_signatures_are_analyzed() {
+        // The `;` of an array type must not end the header scan: both bodies
+        // are analyzed, and a bodiless declaration still has none.
+        let src =
+            "fn f(columns: &[[u32; 4]; 11], seed: u64) -> u8 { if seed > 0 { 1 } else { 0 } }\n\
+                   fn g(key: [u8; 16]) -> [u8; 16];\n\
+                   fn h(x: [u8; 2], key: usize) -> u8 { x[key] }\n";
+        let f = run_on(src);
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert_eq!((f[0].line, f[1].line), (1, 3));
     }
 
     #[test]

@@ -190,9 +190,11 @@ fn bench_reference_shape(c: &mut Criterion) {
 /// host run's worth of nodes: a 1 024-node level to corrected children and
 /// packed bits (the run's 1 023 inner nodes), then a 1 024-node level to
 /// `u32` leaves (its last level). `scalar` is the reference pass, `simd` the
-/// pass of a PRF built for this host's best backend (two nodes per ymm
-/// register on AVX2). The correction word has its LSB set and every parent
-/// bit pattern occurs. `simd` is gated against `ci/bench_baseline.json`.
+/// pass of a PRF built for this host's best backend (on AVX2, four nodes per
+/// zmm register where the CPU has AVX-512F, two per ymm register otherwise).
+/// The correction word has its LSB set and every parent bit pattern occurs.
+/// `simd` is gated against `ci/bench_baseline.json`, whose value is the ymm
+/// pass's: a runner without AVX-512F runs that one.
 fn bench_correction_pass(c: &mut Criterion) {
     const NODES: usize = 1024;
     let mut rng = StdRng::seed_from_u64(29);

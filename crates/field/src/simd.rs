@@ -327,21 +327,96 @@ fn xor_blocks_inplace_scalar(out: &mut [Block128], inputs: &[Block128]) {
 
 /// AVX2 implementations of the lane kernels.
 ///
-/// Safety: every function in this module is compiled with
-/// `#[target_feature(enable = "avx2")]` and must only be reached through a
-/// [`SimdBackend::Avx2`] value, which (via `supported_or_scalar`) exists only
-/// on hosts where AVX2 was detected at runtime.
+/// Every kernel is a safe `#[target_feature]` function that walks its slices
+/// in whole vector steps (`as_chunks`) or checked sub-slices, so it is
+/// memory-safe for any arguments; `unsafe` is left to the reference-taking
+/// load/store helpers and to the one call per wrapper into its kernel, which
+/// the caller's [`SimdBackend::Avx2`] value (constructed only where AVX2 was
+/// detected at runtime) justifies.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
     use core::arch::x86_64::{
-        __m256i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_maskload_epi32,
-        _mm256_maskstore_epi32, _mm256_mullo_epi32, _mm256_set1_epi32, _mm256_setzero_si256,
-        _mm256_storeu_si256, _mm256_xor_si256,
+        __m256i, _mm256_add_epi32, _mm256_cmpgt_epi32, _mm256_loadu_si256, _mm256_maskload_epi32,
+        _mm256_maskstore_epi32, _mm256_mullo_epi32, _mm256_set1_epi32, _mm256_setr_epi32,
+        _mm256_setzero_si256, _mm256_storeu_si256, _mm256_xor_si256,
     };
 
     use super::LaneWeight;
     use crate::{Block128, LaneVector};
+
+    /// Eight lanes in a ymm register.
+    #[inline]
+    #[target_feature(enable = "avx")]
+    fn load8(lanes: &[u32; 8]) -> __m256i {
+        // SAFETY: `lanes` is 32 readable bytes; the load is unaligned.
+        unsafe { _mm256_loadu_si256(lanes.as_ptr().cast()) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx")]
+    fn store8(lanes: &mut [u32; 8], value: __m256i) {
+        // SAFETY: `lanes` is 32 writable bytes; the store is unaligned.
+        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), value) }
+    }
+
+    /// Two blocks (32 bytes) in a ymm register.
+    #[inline]
+    #[target_feature(enable = "avx")]
+    fn load2(blocks: &[Block128; 2]) -> __m256i {
+        // SAFETY: `Block128` is a transparent `u128`, so `blocks` is 32
+        // readable bytes; the load is unaligned.
+        unsafe { _mm256_loadu_si256(blocks.as_ptr().cast()) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx")]
+    fn store2(blocks: &mut [Block128; 2], value: __m256i) {
+        // SAFETY: `blocks` is 32 writable bytes of plain data; the store is
+        // unaligned.
+        unsafe { _mm256_storeu_si256(blocks.as_mut_ptr().cast(), value) }
+    }
+
+    /// The masked sub-vector tail of a row: its first `live` lanes (1–8) and
+    /// the lane mask that selects exactly them. Masked loads read nothing
+    /// (and fault on nothing) in the other lanes; masked stores write
+    /// nothing there.
+    #[derive(Clone, Copy)]
+    struct Tail {
+        live: usize,
+        mask: __m256i,
+    }
+
+    impl Tail {
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn new(live: usize) -> Self {
+            assert!((1..=8).contains(&live), "a tail is 1 to 8 lanes");
+            // Lane j has its sign bit set iff j < live.
+            let mask = _mm256_cmpgt_epi32(
+                _mm256_set1_epi32(live as i32),
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            );
+            Self { live, mask }
+        }
+
+        /// The first `live` lanes of `lanes`, zero above.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn load(self, lanes: &[u32]) -> __m256i {
+            let lanes = &lanes[..self.live];
+            // SAFETY: the mask selects exactly lanes `..live`, all readable.
+            unsafe { _mm256_maskload_epi32(lanes.as_ptr().cast(), self.mask) }
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn store(self, lanes: &mut [u32], value: __m256i) {
+            let lanes = &mut lanes[..self.live];
+            // SAFETY: the mask selects exactly lanes `..live`, all writable.
+            unsafe { _mm256_maskstore_epi32(lanes.as_mut_ptr().cast(), self.mask, value) }
+        }
+    }
 
     #[inline]
     pub(super) fn accumulate_scaled(acc: &mut [u32], scale: u32, row: &[u32]) {
@@ -349,49 +424,42 @@ mod avx2 {
         unsafe { accumulate_scaled_impl(acc, scale, row) }
     }
 
-    // SAFETY: caller must ensure AVX2 is available (`#[target_feature]`).
     #[target_feature(enable = "avx2")]
-    unsafe fn accumulate_scaled_impl(acc: &mut [u32], scale: u32, row: &[u32]) {
-        // SAFETY: i * 8 + 8 <= lanes == row.len(), so the unaligned
-        // loads/stores stay inside the slices.
-        unsafe {
-            let lanes = acc.len();
-            let chunks = lanes / 8;
-            let scale_v = _mm256_set1_epi32(scale as i32);
-            let acc_ptr = acc.as_mut_ptr();
-            let row_ptr = row.as_ptr();
-            for i in 0..chunks {
-                let a = _mm256_loadu_si256(acc_ptr.add(i * 8).cast::<__m256i>());
-                let r = _mm256_loadu_si256(row_ptr.add(i * 8).cast::<__m256i>());
-                // _mm256_mullo_epi32 keeps the low 32 bits of each product —
-                // exactly `wrapping_mul` — and _mm256_add_epi32 is wrapping_add.
-                let sum = _mm256_add_epi32(a, _mm256_mullo_epi32(r, scale_v));
-                _mm256_storeu_si256(acc_ptr.add(i * 8).cast::<__m256i>(), sum);
-            }
-            for i in chunks * 8..lanes {
-                acc[i] = acc[i].wrapping_add(scale.wrapping_mul(row[i]));
-            }
+    fn accumulate_scaled_impl(acc: &mut [u32], scale: u32, row: &[u32]) {
+        let scale_v = _mm256_set1_epi32(scale as i32);
+        let (acc_steps, acc_tail) = acc.as_chunks_mut::<8>();
+        let (row_steps, row_tail) = row.as_chunks::<8>();
+        for (a, r) in acc_steps.iter_mut().zip(row_steps) {
+            // _mm256_mullo_epi32 keeps the low 32 bits of each product —
+            // exactly `wrapping_mul` — and _mm256_add_epi32 is wrapping_add.
+            let sum = _mm256_add_epi32(load8(a), _mm256_mullo_epi32(load8(r), scale_v));
+            store8(a, sum);
         }
+        super::accumulate_scaled_scalar(acc_tail, scale, row_tail);
     }
 
     /// `accs[g][i] += Σ_r weights[g · n + r] · rows[r · lanes + i]`; the safe
     /// dispatcher has checked that the accumulators share one width
     /// `lanes > 0`, that `weights.len() == accs.len() · n` with `n > 0`, and
-    /// that `rows.len() == n · lanes`.
+    /// that `rows.len() == n · lanes`. Hosts with AVX-512F take the zmm
+    /// sweep ([`super::avx512`]).
     #[inline]
     pub(super) fn accumulate_rows<W: LaneWeight>(
         accs: &mut [LaneVector],
         weights: &[W],
         rows: &[u32],
     ) {
-        // SAFETY: reached only via a supported Avx2 backend value, and with
-        // the shapes the dispatcher asserted.
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: AVX-512F is detected above.
+            return unsafe { super::avx512::accumulate_rows_impl(accs, weights, rows) };
+        }
+        // SAFETY: reached only via a supported Avx2 backend value.
         unsafe { accumulate_rows_impl(accs, weights, rows) }
     }
 
     /// Rows per pass of every register tile: 8 KiB of a 64-byte-row table,
     /// so the tiles after the first re-read the block from L1.
-    const ROW_BLOCK: usize = 128;
+    pub(super) const ROW_BLOCK: usize = 128;
 
     /// The chunk is swept in blocks of [`ROW_BLOCK`] rows. Within a block the
     /// lane dimension is cut into column blocks of 4, 2 or 1 whole vectors
@@ -399,10 +467,8 @@ mod avx2 {
     /// eight accumulator vectors (2 keys × 4 vectors, 4 × 2, 8 × 1; smaller
     /// at the key tail). A tile keeps its accumulators in registers across
     /// the block's rows and loads each row vector once for all its keys.
-    // SAFETY: caller must ensure AVX2 is available (`#[target_feature]`) and
-    // the shapes `accumulate_rows` documents.
     #[target_feature(enable = "avx2")]
-    unsafe fn accumulate_rows_impl<W: LaneWeight>(
+    pub(super) fn accumulate_rows_impl<W: LaneWeight>(
         accs: &mut [LaneVector],
         weights: &[W],
         rows: &[u32],
@@ -417,46 +483,38 @@ mod avx2 {
                 rows: (chunk - first).min(ROW_BLOCK),
             };
             let mut column = 0;
-            // SAFETY: every column block below covers lanes [column, column
-            // + 8·N) (or the `lanes - column < 8` masked tail) with column +
-            // 8·N <= lanes, so per row r < chunk it touches rows[r·lanes +
-            // column ..] strictly inside row r, and accs[g][column ..]
-            // inside each accumulator.
-            unsafe {
-                while lanes - column >= 32 {
-                    sweep_keys::<4, false, W>(accs, weights, rows, &block, column, 8);
-                    column += 32;
-                }
-                if lanes - column >= 16 {
-                    sweep_keys::<2, false, W>(accs, weights, rows, &block, column, 8);
-                    column += 16;
-                }
-                if lanes - column >= 8 {
-                    sweep_keys::<1, false, W>(accs, weights, rows, &block, column, 8);
-                    column += 8;
-                }
-                if lanes > column {
-                    sweep_keys::<1, true, W>(accs, weights, rows, &block, column, lanes - column);
-                }
+            while lanes - column >= 32 {
+                sweep_keys::<4, false, W>(accs, weights, rows, &block, column, 8);
+                column += 32;
+            }
+            if lanes - column >= 16 {
+                sweep_keys::<2, false, W>(accs, weights, rows, &block, column, 8);
+                column += 16;
+            }
+            if lanes - column >= 8 {
+                sweep_keys::<1, false, W>(accs, weights, rows, &block, column, 8);
+                column += 8;
+            }
+            if lanes > column {
+                sweep_keys::<1, true, W>(accs, weights, rows, &block, column, lanes - column);
             }
             first += block.rows;
         }
     }
 
     /// The rows `first .. first + rows` of a `chunk`-row sweep.
-    struct Block {
-        chunk: usize,
-        first: usize,
-        rows: usize,
+    pub(super) struct Block {
+        pub(super) chunk: usize,
+        pub(super) first: usize,
+        pub(super) rows: usize,
     }
 
     /// One column block of one row block, for every key: register tiles of
     /// up to eight accumulator vectors, `N` per key (`TAIL` and `live` as for
     /// [`sweep_tile`]).
-    // SAFETY: as for `sweep_tile`, for every key.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn sweep_keys<const N: usize, const TAIL: bool, W: LaneWeight>(
+    fn sweep_keys<const N: usize, const TAIL: bool, W: LaneWeight>(
         accs: &mut [LaneVector],
         weights: &[W],
         rows: &[u32],
@@ -465,21 +523,17 @@ mod avx2 {
         live: usize,
     ) {
         let mut key = 0;
-        // SAFETY: each tile covers keys [key, key + KT) with key + KT <=
-        // accs.len(); the column and row bounds are the caller's.
-        unsafe {
-            while key < accs.len() {
-                let left = accs.len() - key;
-                key += if N == 1 && left >= 8 {
-                    sweep_tile::<N, 8, TAIL, W>(accs, key, weights, rows, block, column, live)
-                } else if N <= 2 && left >= 4 {
-                    sweep_tile::<N, 4, TAIL, W>(accs, key, weights, rows, block, column, live)
-                } else if left >= 2 {
-                    sweep_tile::<N, 2, TAIL, W>(accs, key, weights, rows, block, column, live)
-                } else {
-                    sweep_tile::<N, 1, TAIL, W>(accs, key, weights, rows, block, column, live)
-                };
-            }
+        while key < accs.len() {
+            let left = accs.len() - key;
+            key += if N == 1 && left >= 8 {
+                sweep_tile::<N, 8, TAIL, W>(accs, key, weights, rows, block, column, live)
+            } else if N <= 2 && left >= 4 {
+                sweep_tile::<N, 4, TAIL, W>(accs, key, weights, rows, block, column, live)
+            } else if left >= 2 {
+                sweep_tile::<N, 2, TAIL, W>(accs, key, weights, rows, block, column, live)
+            } else {
+                sweep_tile::<N, 1, TAIL, W>(accs, key, weights, rows, block, column, live)
+            };
         }
     }
 
@@ -488,13 +542,9 @@ mod avx2 {
     /// `TAIL` block (the lane dimension's masked tail) the last vector of a
     /// key carries only `live` lanes; otherwise every vector is whole.
     /// Returns `KT`.
-    // SAFETY: caller must ensure AVX2 is available, the shapes
-    // `accumulate_rows` documents, `key + KT <= accs.len()`, `block.first +
-    // block.rows <= block.chunk`, and `column + 8·(N − 1) + live <= lanes`
-    // with `1 <= live <= 8`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn sweep_tile<const N: usize, const KT: usize, const TAIL: bool, W: LaneWeight>(
+    fn sweep_tile<const N: usize, const KT: usize, const TAIL: bool, W: LaneWeight>(
         accs: &mut [LaneVector],
         key: usize,
         weights: &[W],
@@ -503,76 +553,66 @@ mod avx2 {
         column: usize,
         live: usize,
     ) -> usize {
-        // Lane j of the mask has its sign bit set iff j < live; masked loads
-        // read nothing (and fault on nothing) in the other lanes, masked
-        // stores write nothing there.
-        const RAMP: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
         let lanes = accs[key].len();
-        // Accumulator pointers stay inside keys key .. key + KT, weight
-        // pointers inside each key's chunk (first + r < chunk), and row
-        // pointers inside `rows` (rows.len() == chunk · lanes).
-        // SAFETY: RAMP[8 - live ..][..8] is in bounds for 1 <= live <= 8;
-        // vectors j < N − 1 are whole (column + 8·j + 8 <= lanes), the last
-        // one touches only its `live` lanes through the mask.
-        unsafe {
-            let mask = _mm256_loadu_si256(RAMP.as_ptr().add(8 - live).cast::<__m256i>());
-            // Only the last vector of a tail block goes through the mask.
-            let masked = |j: usize| TAIL && j + 1 == N;
-            let acc_ptrs: [*mut u32; KT] =
-                core::array::from_fn(|k| accs[key + k].0.as_mut_ptr().add(column));
-            let weight_ptrs: [*const W; KT] = core::array::from_fn(|k| {
-                weights.as_ptr().add((key + k) * block.chunk + block.first)
-            });
-            let mut sums = [[_mm256_setzero_si256(); N]; KT];
-            for (sum, acc_ptr) in sums.iter_mut().zip(acc_ptrs) {
-                for (j, vector) in sum.iter_mut().enumerate() {
-                    *vector = load_vector(acc_ptr.add(8 * j), masked(j), mask);
+        // The tile's lanes of every row and accumulator.
+        let width = 8 * (N - 1) + if TAIL { live } else { 8 };
+        assert!(column + width <= lanes, "column block past the row");
+        let tail = Tail::new(live);
+        // Only the last vector of a tail block goes through the mask.
+        let masked = |j: usize| TAIL && j + 1 == N;
+        let tile = &mut accs[key..key + KT];
+        let mut sums = [[_mm256_setzero_si256(); N]; KT];
+        for (sum, acc) in sums.iter_mut().zip(tile.iter()) {
+            let acc = &acc.0[column..column + width];
+            for (j, vector) in sum.iter_mut().enumerate() {
+                *vector = load_vector(&acc[8 * j..], masked(j), tail);
+            }
+        }
+        let block_rows = &rows[block.first * lanes..][..block.rows * lanes];
+        // `block.rows` again, in the form the row loop's bound takes, so
+        // the weight reads below need no bounds check.
+        let n = block.rows.min(block_rows.len() / lanes);
+        let mut tile_weights = [&weights[..0]; KT];
+        for (k, slot) in tile_weights.iter_mut().enumerate() {
+            *slot = &weights[(key + k) * block.chunk + block.first..][..n];
+        }
+        let mut row = [_mm256_setzero_si256(); N];
+        for (r, lanes_r) in (0..n).zip(block_rows.chunks_exact(lanes)) {
+            let lanes_r = &lanes_r[column..column + width];
+            for (j, vector) in row.iter_mut().enumerate() {
+                *vector = load_vector(&lanes_r[8 * j..], masked(j), tail);
+            }
+            for (sum, weights) in sums.iter_mut().zip(tile_weights) {
+                let scale = _mm256_set1_epi32(weights[r].lane() as i32);
+                for (vector, lanes_j) in sum.iter_mut().zip(row) {
+                    // mullo keeps the low 32 bits of each product — exactly
+                    // `wrapping_mul` — and add_epi32 is `wrapping_add`.
+                    *vector = _mm256_add_epi32(*vector, _mm256_mullo_epi32(lanes_j, scale));
                 }
             }
-            let mut row_ptr = rows.as_ptr().add(block.first * lanes + column);
-            let mut row = [_mm256_setzero_si256(); N];
-            for r in 0..block.rows {
-                for (j, vector) in row.iter_mut().enumerate() {
-                    *vector = load_vector(row_ptr.add(8 * j), masked(j), mask);
-                }
-                for (sum, weight_ptr) in sums.iter_mut().zip(weight_ptrs) {
-                    let scale = _mm256_set1_epi32((*weight_ptr.add(r)).lane() as i32);
-                    for (vector, lanes_j) in sum.iter_mut().zip(row) {
-                        // mullo keeps the low 32 bits of each product —
-                        // exactly `wrapping_mul` — and add_epi32 is
-                        // `wrapping_add`.
-                        *vector = _mm256_add_epi32(*vector, _mm256_mullo_epi32(lanes_j, scale));
-                    }
-                }
-                // One past the last row's block start is never dereferenced.
-                row_ptr = row_ptr.wrapping_add(lanes);
-            }
-            for (sum, acc_ptr) in sums.iter().zip(acc_ptrs) {
-                for (j, vector) in sum.iter().enumerate() {
-                    if masked(j) {
-                        _mm256_maskstore_epi32(acc_ptr.add(8 * j).cast::<i32>(), mask, *vector);
-                    } else {
-                        _mm256_storeu_si256(acc_ptr.add(8 * j).cast::<__m256i>(), *vector);
-                    }
+        }
+        for (sum, acc) in sums.iter().zip(tile) {
+            let acc = &mut acc.0[column..column + width];
+            for (j, vector) in sum.iter().enumerate() {
+                if masked(j) {
+                    tail.store(&mut acc[8 * j..], *vector);
+                } else {
+                    let lanes = acc[8 * j..].first_chunk_mut().expect("a whole vector");
+                    store8(lanes, *vector);
                 }
             }
         }
         KT
     }
 
-    /// Eight lanes at `ptr`, or only the `mask`ed ones.
-    // SAFETY: caller must ensure AVX2 is available and that the eight lanes
-    // at `ptr` (the masked ones, if `masked`) are readable.
+    /// A whole vector at the start of `lanes`, or its `tail` if `masked`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn load_vector(ptr: *const u32, masked: bool, mask: __m256i) -> __m256i {
-        // SAFETY: the caller's bounds.
-        unsafe {
-            if masked {
-                _mm256_maskload_epi32(ptr.cast::<i32>(), mask)
-            } else {
-                _mm256_loadu_si256(ptr.cast::<__m256i>())
-            }
+    fn load_vector(lanes: &[u32], masked: bool, tail: Tail) -> __m256i {
+        if masked {
+            tail.load(lanes)
+        } else {
+            load8(lanes.first_chunk().expect("a whole vector"))
         }
     }
 
@@ -582,25 +622,14 @@ mod avx2 {
         unsafe { add_wrapping_impl(acc, row) }
     }
 
-    // SAFETY: caller must ensure AVX2 is available (`#[target_feature]`).
     #[target_feature(enable = "avx2")]
-    unsafe fn add_wrapping_impl(acc: &mut [u32], row: &[u32]) {
-        // SAFETY: i * 8 + 8 <= lanes == row.len(), so the unaligned
-        // loads/stores stay inside the slices.
-        unsafe {
-            let lanes = acc.len();
-            let chunks = lanes / 8;
-            let acc_ptr = acc.as_mut_ptr();
-            let row_ptr = row.as_ptr();
-            for i in 0..chunks {
-                let a = _mm256_loadu_si256(acc_ptr.add(i * 8).cast::<__m256i>());
-                let r = _mm256_loadu_si256(row_ptr.add(i * 8).cast::<__m256i>());
-                _mm256_storeu_si256(acc_ptr.add(i * 8).cast::<__m256i>(), _mm256_add_epi32(a, r));
-            }
-            for i in chunks * 8..lanes {
-                acc[i] = acc[i].wrapping_add(row[i]);
-            }
+    fn add_wrapping_impl(acc: &mut [u32], row: &[u32]) {
+        let (acc_steps, acc_tail) = acc.as_chunks_mut::<8>();
+        let (row_steps, row_tail) = row.as_chunks::<8>();
+        for (a, r) in acc_steps.iter_mut().zip(row_steps) {
+            store8(a, _mm256_add_epi32(load8(a), load8(r)));
         }
+        super::add_wrapping_scalar(acc_tail, row_tail);
     }
 
     #[inline]
@@ -609,26 +638,219 @@ mod avx2 {
         unsafe { xor_blocks_impl(out, inputs) }
     }
 
-    // SAFETY: caller must ensure AVX2 is available (`#[target_feature]`).
+    /// A pair of blocks is one 256-bit lane.
     #[target_feature(enable = "avx2")]
-    unsafe fn xor_blocks_impl(out: &mut [Block128], inputs: &[Block128]) {
-        // Block128 is #[repr(transparent)] over u128, so a pair of blocks is
-        // 32 contiguous bytes — one 256-bit lane.
-        // SAFETY: i * 2 + 2 <= out.len() == inputs.len(), so the unaligned
-        // loads/stores stay inside the slices.
-        unsafe {
-            let pairs = out.len() / 2;
-            let out_ptr = out.as_mut_ptr().cast::<__m256i>();
-            let in_ptr = inputs.as_ptr().cast::<__m256i>();
-            for i in 0..pairs {
-                let a = _mm256_loadu_si256(out_ptr.add(i));
-                let b = _mm256_loadu_si256(in_ptr.add(i));
-                _mm256_storeu_si256(out_ptr.add(i), _mm256_xor_si256(a, b));
+    fn xor_blocks_impl(out: &mut [Block128], inputs: &[Block128]) {
+        let (out_steps, out_tail) = out.as_chunks_mut::<2>();
+        let (in_steps, in_tail) = inputs.as_chunks::<2>();
+        for (o, i) in out_steps.iter_mut().zip(in_steps) {
+            store2(o, _mm256_xor_si256(load2(o), load2(i)));
+        }
+        super::xor_blocks_inplace_scalar(out_tail, in_tail);
+    }
+}
+
+/// The AVX-512F row sweep, reached from the `Avx2` backend's
+/// [`accumulate_rows`] where the CPU has AVX-512F: [`avx2`]'s tiling with
+/// 16 `u32` lanes per vector (a 64-byte row is one zmm register) and a
+/// `__mmask16` for the lane tail of any row width. Same safety structure:
+/// safe `#[target_feature]` kernels over checked slices, `unsafe` only in the
+/// load/store helpers; the `Avx2` wrapper makes the one call into it.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod avx512 {
+    use core::arch::x86_64::{
+        __m512i, __mmask16, _mm512_add_epi32, _mm512_loadu_si512, _mm512_mask_storeu_epi32,
+        _mm512_maskz_loadu_epi32, _mm512_mullo_epi32, _mm512_set1_epi32, _mm512_setzero_si512,
+        _mm512_storeu_si512,
+    };
+
+    use super::avx2::{Block, ROW_BLOCK};
+    use super::LaneWeight;
+    use crate::LaneVector;
+
+    /// Sixteen lanes in a zmm register.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load16(lanes: &[u32; 16]) -> __m512i {
+        // SAFETY: `lanes` is 64 readable bytes; the load is unaligned.
+        unsafe { _mm512_loadu_si512(lanes.as_ptr().cast()) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn store16(lanes: &mut [u32; 16], value: __m512i) {
+        // SAFETY: `lanes` is 64 writable bytes; the store is unaligned.
+        unsafe { _mm512_storeu_si512(lanes.as_mut_ptr().cast(), value) }
+    }
+
+    /// The masked sub-vector tail of a row: its first `live` lanes (1–16)
+    /// and the k-mask that selects exactly them.
+    #[derive(Clone, Copy)]
+    struct Tail {
+        live: usize,
+        mask: __mmask16,
+    }
+
+    impl Tail {
+        #[inline]
+        fn new(live: usize) -> Self {
+            assert!((1..=16).contains(&live), "a tail is 1 to 16 lanes");
+            Self {
+                live,
+                mask: (1u32 << live).wrapping_sub(1) as __mmask16,
             }
-            if out.len() % 2 == 1 {
-                let last = out.len() - 1;
-                out[last] ^= inputs[last];
+        }
+
+        /// The first `live` lanes of `lanes`, zero above.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn load(self, lanes: &[u32]) -> __m512i {
+            let lanes = &lanes[..self.live];
+            // SAFETY: the mask selects exactly lanes `..live`, all readable;
+            // masked-off lanes are neither read nor faulted on.
+            unsafe { _mm512_maskz_loadu_epi32(self.mask, lanes.as_ptr().cast()) }
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn store(self, lanes: &mut [u32], value: __m512i) {
+            let lanes = &mut lanes[..self.live];
+            // SAFETY: the mask selects exactly lanes `..live`, all writable.
+            unsafe { _mm512_mask_storeu_epi32(lanes.as_mut_ptr().cast(), self.mask, value) }
+        }
+    }
+
+    /// [`super::avx2::accumulate_rows_impl`] at 16 lanes per vector.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn accumulate_rows_impl<W: LaneWeight>(
+        accs: &mut [LaneVector],
+        weights: &[W],
+        rows: &[u32],
+    ) {
+        let lanes = accs[0].len();
+        let chunk = weights.len() / accs.len();
+        let mut first = 0;
+        while first < chunk {
+            let block = Block {
+                chunk,
+                first,
+                rows: (chunk - first).min(ROW_BLOCK),
+            };
+            let mut column = 0;
+            while lanes - column >= 64 {
+                sweep_keys::<4, false, W>(accs, weights, rows, &block, column, 16);
+                column += 64;
             }
+            if lanes - column >= 32 {
+                sweep_keys::<2, false, W>(accs, weights, rows, &block, column, 16);
+                column += 32;
+            }
+            if lanes - column >= 16 {
+                sweep_keys::<1, false, W>(accs, weights, rows, &block, column, 16);
+                column += 16;
+            }
+            if lanes > column {
+                sweep_keys::<1, true, W>(accs, weights, rows, &block, column, lanes - column);
+            }
+            first += block.rows;
+        }
+    }
+
+    /// Register tiles of up to eight accumulator vectors: 8, 4, 2 or 1 keys.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn sweep_keys<const N: usize, const TAIL: bool, W: LaneWeight>(
+        accs: &mut [LaneVector],
+        weights: &[W],
+        rows: &[u32],
+        block: &Block,
+        column: usize,
+        live: usize,
+    ) {
+        let mut key = 0;
+        while key < accs.len() {
+            let left = accs.len() - key;
+            key += if N == 1 && left >= 8 {
+                sweep_tile::<N, 8, TAIL, W>(accs, key, weights, rows, block, column, live)
+            } else if N <= 2 && left >= 4 {
+                sweep_tile::<N, 4, TAIL, W>(accs, key, weights, rows, block, column, live)
+            } else if left >= 2 {
+                sweep_tile::<N, 2, TAIL, W>(accs, key, weights, rows, block, column, live)
+            } else {
+                sweep_tile::<N, 1, TAIL, W>(accs, key, weights, rows, block, column, live)
+            };
+        }
+    }
+
+    /// [`super::avx2`]'s register tile at 16 lanes per vector.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn sweep_tile<const N: usize, const KT: usize, const TAIL: bool, W: LaneWeight>(
+        accs: &mut [LaneVector],
+        key: usize,
+        weights: &[W],
+        rows: &[u32],
+        block: &Block,
+        column: usize,
+        live: usize,
+    ) -> usize {
+        let lanes = accs[key].len();
+        let width = 16 * (N - 1) + if TAIL { live } else { 16 };
+        assert!(column + width <= lanes, "column block past the row");
+        let tail = Tail::new(live);
+        let masked = |j: usize| TAIL && j + 1 == N;
+        let tile = &mut accs[key..key + KT];
+        let mut sums = [[_mm512_setzero_si512(); N]; KT];
+        for (sum, acc) in sums.iter_mut().zip(tile.iter()) {
+            let acc = &acc.0[column..column + width];
+            for (j, vector) in sum.iter_mut().enumerate() {
+                *vector = load_vector(&acc[16 * j..], masked(j), tail);
+            }
+        }
+        let block_rows = &rows[block.first * lanes..][..block.rows * lanes];
+        // `block.rows` again, in the form the row loop's bound takes, so
+        // the weight reads below need no bounds check.
+        let n = block.rows.min(block_rows.len() / lanes);
+        let mut tile_weights = [&weights[..0]; KT];
+        for (k, slot) in tile_weights.iter_mut().enumerate() {
+            *slot = &weights[(key + k) * block.chunk + block.first..][..n];
+        }
+        let mut row = [_mm512_setzero_si512(); N];
+        for (r, lanes_r) in (0..n).zip(block_rows.chunks_exact(lanes)) {
+            let lanes_r = &lanes_r[column..column + width];
+            for (j, vector) in row.iter_mut().enumerate() {
+                *vector = load_vector(&lanes_r[16 * j..], masked(j), tail);
+            }
+            for (sum, weights) in sums.iter_mut().zip(tile_weights) {
+                let scale = _mm512_set1_epi32(weights[r].lane() as i32);
+                for (vector, lanes_j) in sum.iter_mut().zip(row) {
+                    *vector = _mm512_add_epi32(*vector, _mm512_mullo_epi32(lanes_j, scale));
+                }
+            }
+        }
+        for (sum, acc) in sums.iter().zip(tile) {
+            let acc = &mut acc.0[column..column + width];
+            for (j, vector) in sum.iter().enumerate() {
+                if masked(j) {
+                    tail.store(&mut acc[16 * j..], *vector);
+                } else {
+                    let lanes = acc[16 * j..].first_chunk_mut().expect("a whole vector");
+                    store16(lanes, *vector);
+                }
+            }
+        }
+        KT
+    }
+
+    /// A whole vector at the start of `lanes`, or its `tail` if `masked`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load_vector(lanes: &[u32], masked: bool, tail: Tail) -> __m512i {
+        if masked {
+            tail.load(lanes)
+        } else {
+            load16(lanes.first_chunk().expect("a whole vector"))
         }
     }
 }
@@ -737,6 +959,50 @@ mod tests {
                     let mut got = [LaneVector(base.clone())];
                     accumulate_rows_with(*backend, &mut got, &shares, &table);
                     assert_eq!(got[0].0, want, "{what}: Ring128 weights");
+                }
+            }
+        }
+    }
+
+    /// Both x86 row sweeps, called directly, against the scalar reference:
+    /// every register-tile shape (1–9 keys) × every column-block seam of
+    /// both widths (1–40 lanes) × a one-row chunk and one with a ragged
+    /// last row block. On an AVX-512 host the dispatcher reaches only the
+    /// zmm sweep, so the ymm one is checked here.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    fn row_sweep_kernels_match_scalar() {
+        if !SimdBackend::Avx2.is_supported() {
+            eprintln!("skipped both row sweeps: this host lacks AVX2");
+            return;
+        }
+        let zmm = std::arch::is_x86_feature_detected!("avx512f");
+        if !zmm {
+            eprintln!("skipped the zmm row sweep: this host lacks AVX-512F (ymm checked)");
+        }
+        let mut rng = StdRng::seed_from_u64(0x5EE9);
+        for keys in 1usize..=9 {
+            for lanes in 1usize..=40 {
+                for rows in [1usize, 130] {
+                    let table: Vec<u32> = (0..rows * lanes).map(|_| rng.gen()).collect();
+                    let weights: Vec<u32> = (0..keys * rows).map(|_| rng.gen()).collect();
+                    let base: Vec<LaneVector> = (0..keys)
+                        .map(|_| (0..lanes).map(|_| rng.gen()).collect())
+                        .collect();
+                    let mut want = base.clone();
+                    accumulate_rows_scalar(&mut want, &weights, &table);
+                    let what = format!("keys={keys} lanes={lanes} rows={rows}");
+                    let mut got = base.clone();
+                    // SAFETY: AVX2 checked at the top of the test.
+                    unsafe { avx2::accumulate_rows_impl(&mut got, &weights, &table) };
+                    assert_eq!(got, want, "ymm {what}");
+                    if zmm {
+                        let mut got = base.clone();
+                        // SAFETY: AVX-512F checked above.
+                        unsafe { avx512::accumulate_rows_impl(&mut got, &weights, &table) };
+                        assert_eq!(got, want, "zmm {what}");
+                    }
                 }
             }
         }

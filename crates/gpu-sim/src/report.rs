@@ -27,8 +27,8 @@ pub struct KernelReport {
     /// for judging simulation cost, not part of the model).
     pub host_wall_time_s: f64,
     /// Host SIMD backend that executed the PRF sweeps (`"scalar"`, `"avx2"`,
-    /// `"avx2+vaes"`, `"avx2+avx512"` or `"neon"`); empty when the launch did
-    /// not involve PRF work.
+    /// `"avx2+vaes"` for AES on ymm VAES, `"avx2+avx512"` for a zmm PRF
+    /// kernel, or `"neon"`); empty when the launch did not involve PRF work.
     #[serde(default)]
     pub prf_backend: String,
 }

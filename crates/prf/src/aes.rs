@@ -119,12 +119,11 @@ impl Aes128 {
                 words[i][j] = words[i - 4][j] ^ temp[j];
             }
         }
-        let mut round_key_columns = [[0u32; 4]; ROUNDS + 1];
-        for (round, columns) in round_key_columns.iter_mut().enumerate() {
-            for (word, column) in columns.iter_mut().enumerate() {
-                *column = u32::from_le_bytes(words[4 * round + word]);
-            }
-        }
+        // Column `word` of round `round` is schedule word `4 * round + word`:
+        // a public position.
+        let round_key_columns = core::array::from_fn(|round| {
+            core::array::from_fn(|word| u32::from_le_bytes(words[4 * round + word]))
+        });
         Self { round_key_columns }
     }
 
@@ -311,12 +310,18 @@ impl Prf for Aes128Prf {
         pir_field::simd::xor_blocks_inplace(out_b, inputs);
     }
 
-    /// `"avx2+vaes"` where the paired sweeps run the VAES kernel, so a
-    /// kernel report says which AES kernel produced its number.
+    /// `"avx2+avx512"` where the paired sweeps run the zmm VAES kernel and
+    /// `"avx2+vaes"` where they run the ymm one, so a kernel report says
+    /// which AES kernel produced its number.
     fn backend_label(&self) -> &'static str {
         #[cfg(target_arch = "x86_64")]
-        if self.backend == SimdBackend::Avx2 && std::arch::is_x86_feature_detected!("vaes") {
-            return "avx2+vaes";
+        if self.backend == SimdBackend::Avx2 {
+            if crate::simd::aes_x86::has_zmm_kernel() {
+                return "avx2+avx512";
+            }
+            if std::arch::is_x86_feature_detected!("vaes") {
+                return "avx2+vaes";
+            }
         }
         self.backend.label()
     }
@@ -403,8 +408,9 @@ mod tests {
         assert_eq!(prf.kind(), PrfKind::Aes128);
     }
 
-    /// The label kernel reports and batch kernel names carry: `avx2+vaes`
-    /// exactly where the paired sweeps take the VAES kernel.
+    /// The label kernel reports and batch kernel names carry: `avx2+avx512`
+    /// exactly where the paired sweeps take the zmm VAES kernel (VAES and
+    /// AVX-512F), `avx2+vaes` where they take the ymm one.
     #[test]
     fn backend_label_names_the_aes_kernel() {
         let scalar = Aes128Prf::with_fixed_key().with_backend(SimdBackend::Scalar);
@@ -413,9 +419,12 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         {
             let avx2 = Aes128Prf::with_fixed_key().with_backend(SimdBackend::Avx2);
+            let vaes = std::arch::is_x86_feature_detected!("vaes");
             let want = if !SimdBackend::Avx2.is_supported() {
                 "scalar"
-            } else if std::arch::is_x86_feature_detected!("vaes") {
+            } else if vaes && std::arch::is_x86_feature_detected!("avx512f") {
+                "avx2+avx512"
+            } else if vaes {
                 "avx2+vaes"
             } else {
                 "avx2"

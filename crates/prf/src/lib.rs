@@ -165,10 +165,11 @@ pub trait Prf: Send + Sync {
     }
 
     /// Label of the code path the batched sweeps of this instance execute
-    /// (`"scalar"`, `"avx2"`, `"avx2+vaes"`, `"avx2+avx512"` or `"neon"`), for
-    /// kernel reports
-    /// and serve telemetry. Primitives without a vector implementation for the active
-    /// backend report `"scalar"` regardless of what was requested.
+    /// (`"scalar"`, `"avx2"`, `"avx2+vaes"` for AES on the ymm VAES kernel,
+    /// `"avx2+avx512"` for a zmm kernel — AES with VAES, ChaCha20, SipHash —
+    /// or `"neon"`), for kernel reports and serve telemetry. Primitives
+    /// without a vector implementation for the active backend report
+    /// `"scalar"` regardless of what was requested.
     fn backend_label(&self) -> &'static str {
         "scalar"
     }

@@ -140,8 +140,10 @@ impl GgmPrg {
     /// [`GgmPrg::expand_frontier`]; any length is accepted, and parent bits
     /// past the frontier are ignored.
     ///
-    /// Runs on the backend of this PRG's PRF ([`Prf::simd_backend`]): two
-    /// nodes per ymm register on AVX2, the scalar reference otherwise.
+    /// Runs on the backend of this PRG's PRF ([`Prf::simd_backend`]): on
+    /// AVX2, four nodes per zmm register where the CPU has AVX-512F and two
+    /// per ymm register otherwise (and for the sub-step remainder); the
+    /// scalar reference on every other backend.
     ///
     /// # Panics
     ///

@@ -225,7 +225,7 @@ fn quarter_round_zmm(state: &mut [__m512i; 16], a: usize, b: usize, c: usize, d:
 }
 
 /// Four adjacent blocks (16 words, block-major) in a zmm register; the
-/// SipHash zmm kernel loads and stores through these too.
+/// SipHash, AES and GGM-pass zmm kernels load and store through these too.
 #[inline]
 #[target_feature(enable = "avx512f")]
 pub(super) fn load4(blocks: &[Block128; 4]) -> __m512i {

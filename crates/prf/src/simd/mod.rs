@@ -14,9 +14,10 @@
 //! passed runtime feature detection (`SimdBackend::supported_or_scalar`
 //! enforces this at PRF construction), so a kernel cannot execute on a host
 //! lacking its instructions. The wider kernels inside the `Avx2` backend —
-//! VAES for AES, AVX-512F for ChaCha20 and SipHash — additionally check
-//! `is_x86_feature_detected!` at their one call, and their PRFs report it in
-//! `Prf::backend_label` (`"avx2+vaes"`, `"avx2+avx512"`).
+//! VAES (ymm, and zmm with AVX-512F) for AES, AVX-512F for ChaCha20,
+//! SipHash and the GGM pass — additionally check `is_x86_feature_detected!`
+//! at their one call, and the PRFs report it in `Prf::backend_label`
+//! (`"avx2+vaes"`, `"avx2+avx512"`).
 //!
 //! Layout mirrors Expander's dual-backend field pattern: one portable entry
 //! point per primitive, `*_x86` (AVX2 / AES-NI / VAES / AVX-512F) and `*_neon`
