@@ -1,12 +1,13 @@
 //! Criterion benchmark of the wire boundary's serialization overhead.
 //!
-//! Measures (1) the pure encode+decode+framing cost per query/response pair
-//! and (2) a full loopback session round trip (encode → frame → frontend
+//! Measures (1) the pure encode+decode+framing cost per query/response pair,
+//! (2) a full loopback session round trip (encode → frame → frontend
 //! decode → batch former → device → encode → client decode → reconstruct)
 //! against the in-process `ServeHandle` path on an identical runtime, so
 //! the cost of making the trust boundary a byte protocol shows up in the
-//! perf trajectory.
+//! perf trajectory, and (3) the same pipelined wave over TCP on 127.0.0.1.
 
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -14,7 +15,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pir_prf::PrfKind;
 use pir_protocol::{PirClient, PirTable};
 use pir_serve::{PirServeRuntime, ServeConfig, TableConfig, WireFrontend};
-use pir_wire::{decode_message, encode_message, loopback_pair, PirSession, QueryMsg, WireMessage};
+use pir_wire::{
+    decode_message, encode_message, loopback_pair, PirSession, QueryMsg, TcpTransport, WireMessage,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -116,19 +119,35 @@ fn bench_roundtrip_paths(c: &mut Criterion) {
     // comparing per-iteration times against 16 lockstep roundtrips shows
     // the pipelining win directly.
     group.bench_function("wire_session_pipelined_wave16", |b| {
-        b.iter(|| {
-            for _ in 0..16 {
-                index = (index + 97) % ENTRIES;
-                session.submit("bench", index, &mut rng).expect("submitted");
-            }
-            while session.in_flight() + session.ready() > 0 {
-                session
-                    .poll()
-                    .expect("completed")
-                    .outcome
-                    .expect("answered");
-            }
-        });
+        b.iter(|| wave16(&mut session, &mut index, &mut rng));
+    });
+    drop(session);
+    for worker in workers {
+        worker.join().expect("serve loop exits");
+    }
+    runtime.shutdown();
+
+    // The same wave over TCP on 127.0.0.1: each side's writer sends what it
+    // has ready as one burst, so this is where the transport's syscalls per
+    // frame show.
+    let runtime = Arc::new(build_runtime(24));
+    let mut workers = Vec::new();
+    let mut addrs = Vec::new();
+    for party in 0..2u8 {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback listener");
+        addrs.push(listener.local_addr().expect("listener has an address"));
+        let frontend = WireFrontend::new(runtime.handle(), party);
+        workers.push(std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept the session");
+            let transport = TcpTransport::from_stream(stream).expect("socket options");
+            let _ = frontend.serve(Box::new(transport));
+        }));
+    }
+    let dial = |addr| Box::new(TcpTransport::connect(addr).expect("connect"));
+    let mut session =
+        PirSession::connect(dial(addrs[0]), dial(addrs[1]), "bench-tenant").expect("connect");
+    group.bench_function("tcp_session_pipelined_wave16", |b| {
+        b.iter(|| wave16(&mut session, &mut index, &mut rng));
     });
     group.finish();
 
@@ -137,6 +156,21 @@ fn bench_roundtrip_paths(c: &mut Criterion) {
         worker.join().expect("serve loop exits");
     }
     runtime.shutdown();
+}
+
+/// Submit 16 lookups, then drain them all.
+fn wave16(session: &mut PirSession, index: &mut u64, rng: &mut StdRng) {
+    for _ in 0..16 {
+        *index = (*index + 97) % ENTRIES;
+        session.submit("bench", *index, rng).expect("submitted");
+    }
+    while session.in_flight() + session.ready() > 0 {
+        session
+            .poll()
+            .expect("completed")
+            .outcome
+            .expect("answered");
+    }
 }
 
 fn benches(c: &mut Criterion) {

@@ -606,13 +606,11 @@ impl ShardConn {
     }
 }
 
-/// Write frames to the query link's live connection.
+/// Write frames to the query link's live connection, as one burst.
 fn write_all(link: &mut Link, frames: &[Arc<Vec<u8>>]) -> Result<(), WireError> {
     let send = link.send.as_mut().ok_or(WireError::ConnectionClosed)?;
-    for frame in frames {
-        send.send(frame)?;
-    }
-    Ok(())
+    let frames: Vec<&[u8]> = frames.iter().map(|frame| frame.as_slice()).collect();
+    send.send_many(&frames)
 }
 
 /// One lockstep exchange on an admin connection.

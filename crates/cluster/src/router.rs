@@ -384,8 +384,13 @@ impl ClusterRouter {
         let writer = std::thread::Builder::new()
             .name(format!("cluster-writer-party{}", self.inner.party))
             .spawn(move || -> Result<(), WireError> {
-                for frame in replies {
-                    send.send(&frame)?;
+                // Every reply ready by the time the writer wakes goes out
+                // as one burst.
+                while let Ok(first) = replies.recv() {
+                    let burst: Vec<Vec<u8>> =
+                        std::iter::once(first).chain(replies.try_iter()).collect();
+                    let frames: Vec<&[u8]> = burst.iter().map(Vec::as_slice).collect();
+                    send.send_many(&frames)?;
                 }
                 Ok(())
             })

@@ -321,7 +321,8 @@ impl Wake for RemuxWaker {
 }
 
 /// The remux writer loop: drain control frames in arrival order and
-/// completed shares in completion order, encode, send.
+/// completed shares in completion order, encode, and send each drain as one
+/// burst.
 fn run_remux(remux: &Arc<Remux>, send: &mut dyn PirTransport) {
     let waker = Waker::from(Arc::new(RemuxWaker(Arc::clone(remux))));
     let mut cx = Context::from_waker(&waker);
@@ -361,18 +362,19 @@ fn run_remux(remux: &Arc<Remux>, send: &mut dyn PirTransport) {
                 remux.bell.wait(&mut state);
             }
         };
-        for frame in frames {
-            if let Err(err) = send.send(&frame) {
-                close_remux(remux, err);
-                return;
-            }
-        }
-        for (query_id, outcome) in ready {
-            let frame = encode_message(&share_reply(query_id, outcome));
-            if let Err(err) = send.send(&frame) {
-                close_remux(remux, err);
-                return;
-            }
+        // One burst: control frames first, then completions.
+        let completions: Vec<Vec<u8>> = ready
+            .into_iter()
+            .map(|(query_id, outcome)| encode_message(&share_reply(query_id, outcome)))
+            .collect();
+        let burst: Vec<&[u8]> = frames
+            .iter()
+            .chain(&completions)
+            .map(Vec::as_slice)
+            .collect();
+        if let Err(err) = send.send_many(&burst) {
+            close_remux(remux, err);
+            return;
         }
         if exit {
             return;

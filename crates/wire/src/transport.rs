@@ -8,9 +8,19 @@
 //!   without sockets;
 //! * [`TcpTransport`] — length-prefixed frames over a [`TcpStream`], the
 //!   real networked deployment shape.
+//!
+//! A pipelined writer hands a whole burst of ready frames to
+//! [`PirTransport::send_many`]. Over TCP that burst costs one vectored
+//! `write` (every `len ‖ frame` pair gathered, nothing copied) instead of two
+//! syscalls and two segments per frame. On the receive side, the half that
+//! [`PirTransport::split`] hands to a dedicated reader buffers its reads, so
+//! a burst that arrives in one segment is taken in one `read`. A whole,
+//! unsplit transport stays unbuffered: it never reads past the frame it
+//! returns, so a readiness poll on its socket (or on a clone of it) tells
+//! the truth about whether another frame is waiting.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,6 +65,22 @@ pub trait PirTransport: Send {
     /// any byte is written, so an oversized frame never poisons the stream)
     /// and [`WireError::Transport`] for I/O failures.
     fn send(&mut self, frame: &[u8]) -> Result<(), WireError>;
+
+    /// Send a burst of frames, in order, as if by one `send` each.
+    ///
+    /// Transports that can move a burst more cheaply than frame by frame
+    /// override this; the default loops [`Self::send`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::send`]. A burst holding an oversized frame fails with
+    /// [`WireError::FrameTooLarge`] before any of its frames is written.
+    fn send_many(&mut self, frames: &[&[u8]]) -> Result<(), WireError> {
+        for frame in frames {
+            check_frame_len(frame.len())?;
+        }
+        frames.iter().try_for_each(|frame| self.send(frame))
+    }
 
     /// Receive one frame, blocking until it arrives.
     ///
@@ -153,14 +179,20 @@ pub fn loopback_pair() -> (LoopbackTransport, LoopbackTransport) {
     )
 }
 
+/// Refuse a frame of `len` bytes if it is over [`MAX_FRAME_BYTES`].
+fn check_frame_len(len: usize) -> Result<(), WireError> {
+    if len > MAX_FRAME_BYTES {
+        return Err(WireError::FrameTooLarge {
+            len,
+            limit: MAX_FRAME_BYTES,
+        });
+    }
+    Ok(())
+}
+
 impl PirTransport for LoopbackTransport {
     fn send(&mut self, frame: &[u8]) -> Result<(), WireError> {
-        if frame.len() > MAX_FRAME_BYTES {
-            return Err(WireError::FrameTooLarge {
-                len: frame.len(),
-                limit: MAX_FRAME_BYTES,
-            });
-        }
+        check_frame_len(frame.len())?;
         self.tx.push(frame.to_vec())
     }
 
@@ -199,8 +231,20 @@ impl std::fmt::Debug for LoopbackTransport {
 
 /// Length-prefixed framing over a [`TcpStream`]: each frame travels as a
 /// 4-byte little-endian length followed by the frame bytes.
+///
+/// A burst of frames ([`PirTransport::send_many`], and `send` as a burst of
+/// one) goes out as one vectored write of every `len ‖ frame` pair.
+///
+/// Reads go through a [`BufReader`] whose capacity depends on the handle. A
+/// whole transport has capacity 0, so every read bypasses the buffer and
+/// `recv` never takes a byte past the frame it returns: a caller that polls
+/// the socket for readiness between frames sees exactly what is still
+/// unread. The receive half that [`PirTransport::split`] returns has std's
+/// default capacity, so a burst of small frames costs one `read`, not two
+/// per frame; nothing else reads that socket, so the bytes it buffers
+/// ahead belong to no one else.
 pub struct TcpTransport {
-    stream: TcpStream,
+    reader: BufReader<TcpStream>,
 }
 
 impl TcpTransport {
@@ -214,7 +258,13 @@ impl TcpTransport {
     /// Returns [`WireError::Transport`] if socket options cannot be set.
     pub fn from_stream(stream: TcpStream) -> Result<Self, WireError> {
         stream.set_nodelay(true).map_err(io_error)?;
-        Ok(Self { stream })
+        Ok(Self {
+            reader: BufReader::with_capacity(0, stream),
+        })
+    }
+
+    fn stream(&self) -> &TcpStream {
+        self.reader.get_ref()
     }
 
     /// Connect to a listening server.
@@ -257,7 +307,11 @@ impl TcpTransport {
     ///
     /// A call that fails with [`WireError::TimedOut`] may have moved a
     /// partial frame: the stream is desynchronized and the transport must
-    /// be discarded (redial), never reused.
+    /// be discarded (redial), never reused. A `recv` that times out before
+    /// taking any byte of a frame (an idle link) consumed nothing, and the
+    /// transport stays usable. On a split receive half, bytes already
+    /// buffered count as read: a frame whose start sits in the buffer when
+    /// the deadline elapses is a partial frame.
     ///
     /// # Errors
     ///
@@ -268,8 +322,8 @@ impl TcpTransport {
         read: Option<Duration>,
         write: Option<Duration>,
     ) -> Result<(), WireError> {
-        self.stream.set_read_timeout(read).map_err(io_error)?;
-        self.stream.set_write_timeout(write).map_err(io_error)
+        self.stream().set_read_timeout(read).map_err(io_error)?;
+        self.stream().set_write_timeout(write).map_err(io_error)
     }
 
     /// The peer's socket address, for diagnostics.
@@ -279,7 +333,7 @@ impl TcpTransport {
     /// Returns [`WireError::Transport`] if the socket is no longer
     /// connected.
     pub fn peer_addr(&self) -> Result<std::net::SocketAddr, WireError> {
-        self.stream.peer_addr().map_err(io_error)
+        self.stream().peer_addr().map_err(io_error)
     }
 }
 
@@ -294,21 +348,39 @@ fn io_error(err: std::io::Error) -> WireError {
 
 impl PirTransport for TcpTransport {
     fn send(&mut self, frame: &[u8]) -> Result<(), WireError> {
-        if frame.len() > MAX_FRAME_BYTES {
-            return Err(WireError::FrameTooLarge {
-                len: frame.len(),
-                limit: MAX_FRAME_BYTES,
-            });
+        self.send_many(&[frame])
+    }
+
+    fn send_many(&mut self, frames: &[&[u8]]) -> Result<(), WireError> {
+        for frame in frames {
+            check_frame_len(frame.len())?;
         }
-        let len = (frame.len() as u32).to_le_bytes();
-        self.stream.write_all(&len).map_err(io_error)?;
-        self.stream.write_all(frame).map_err(io_error)?;
-        self.stream.flush().map_err(io_error)
+        // Checked above: every length fits the 4-byte prefix.
+        let lens: Vec<[u8; 4]> = frames
+            .iter()
+            .map(|frame| (frame.len() as u32).to_le_bytes())
+            .collect();
+        let mut slices: Vec<IoSlice<'_>> = lens
+            .iter()
+            .zip(frames)
+            .flat_map(|(len, frame)| [IoSlice::new(len), IoSlice::new(frame)])
+            .collect();
+        let mut unsent = &mut slices[..];
+        let mut stream = self.stream();
+        while !unsent.is_empty() {
+            match stream.write_vectored(unsent) {
+                Ok(0) => return Err(io_error(std::io::ErrorKind::WriteZero.into())),
+                Ok(written) => IoSlice::advance_slices(&mut unsent, written),
+                Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(err) => return Err(io_error(err)),
+            }
+        }
+        Ok(())
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, WireError> {
         let mut len_bytes = [0u8; 4];
-        if let Err(err) = self.stream.read_exact(&mut len_bytes) {
+        if let Err(err) = self.reader.read_exact(&mut len_bytes) {
             // A clean shutdown between frames is a hang-up, not a failure.
             if err.kind() == std::io::ErrorKind::UnexpectedEof {
                 return Err(WireError::ConnectionClosed);
@@ -316,14 +388,9 @@ impl PirTransport for TcpTransport {
             return Err(io_error(err));
         }
         let len = u32::from_le_bytes(len_bytes) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(WireError::FrameTooLarge {
-                len,
-                limit: MAX_FRAME_BYTES,
-            });
-        }
+        check_frame_len(len)?;
         let mut frame = vec![0u8; len];
-        self.stream.read_exact(&mut frame).map_err(|err| {
+        self.reader.read_exact(&mut frame).map_err(|err| {
             if err.kind() == std::io::ErrorKind::UnexpectedEof {
                 WireError::ConnectionClosed
             } else {
@@ -336,12 +403,24 @@ impl PirTransport for TcpTransport {
     fn split(self: Box<Self>) -> SplitTransport {
         // A TCP socket is already full-duplex; the halves are two handles to
         // the same kernel socket (the OS closes it when both are dropped).
-        match self.stream.try_clone() {
-            Ok(stream) => SplitTransport::Halves {
-                recv: Box::new(TcpTransport { stream }),
-                send: self,
+        // Only the receive half reads, so only it buffers. A whole
+        // transport's reader has capacity 0 and holds no bytes, so
+        // re-wrapping its stream loses nothing; a receive half split again
+        // keeps its buffer.
+        let send = match self.stream().try_clone() {
+            Ok(stream) => TcpTransport {
+                reader: BufReader::with_capacity(0, stream),
             },
-            Err(_) => SplitTransport::Whole(self),
+            Err(_) => return SplitTransport::Whole(self),
+        };
+        let reader = if self.reader.capacity() == 0 {
+            BufReader::new(self.reader.into_inner())
+        } else {
+            self.reader
+        };
+        SplitTransport::Halves {
+            recv: Box::new(TcpTransport { reader }),
+            send: Box::new(send),
         }
     }
 }
@@ -349,7 +428,7 @@ impl PirTransport for TcpTransport {
 impl std::fmt::Debug for TcpTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpTransport")
-            .field("peer", &self.stream.peer_addr().ok())
+            .field("peer", &self.stream().peer_addr().ok())
             .finish()
     }
 }
@@ -494,16 +573,123 @@ mod tests {
 
         let mut client = TcpTransport::connect(addr).unwrap();
         let huge = vec![0u8; MAX_FRAME_BYTES + 1];
-        assert_eq!(
-            client.send(&huge),
-            Err(WireError::FrameTooLarge {
-                len: MAX_FRAME_BYTES + 1,
-                limit: MAX_FRAME_BYTES,
-            })
-        );
+        let too_large = Err(WireError::FrameTooLarge {
+            len: MAX_FRAME_BYTES + 1,
+            limit: MAX_FRAME_BYTES,
+        });
+        assert_eq!(client.send(&huge), too_large);
+        // Anywhere in a burst, the oversized frame fails the whole burst
+        // before its legal neighbours are written.
+        for burst in [
+            [&huge[..], &[7][..], &[8][..]],
+            [&[7][..], &huge[..], &[8][..]],
+            [&[7][..], &[8][..], &huge[..]],
+        ] {
+            assert_eq!(client.send_many(&burst), too_large);
+        }
         client.send(&[1, 2, 3]).unwrap();
         drop(client);
         server.join().unwrap();
+    }
+
+    /// A connected pair of loopback sockets.
+    fn tcp_pair() -> (TcpStream, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (far, _) = listener.accept().unwrap();
+        (near, far)
+    }
+
+    /// The wire image of a burst: each frame as `len ‖ frame`.
+    fn framed(frames: &[&[u8]]) -> Vec<u8> {
+        frames
+            .iter()
+            .flat_map(|frame| {
+                let len = (frame.len() as u32).to_le_bytes();
+                len.into_iter().chain(frame.iter().copied())
+            })
+            .collect()
+    }
+
+    fn halves(transport: TcpTransport) -> (Box<dyn PirTransport>, Box<dyn PirTransport>) {
+        match Box::new(transport).split() {
+            SplitTransport::Halves { recv, send } => (recv, send),
+            SplitTransport::Whole(_) => panic!("tcp must split"),
+        }
+    }
+
+    #[test]
+    fn tcp_send_many_writes_each_frame_behind_its_length() {
+        let (near, mut far) = tcp_pair();
+        let reader = std::thread::spawn(move || {
+            let mut bytes = Vec::new();
+            far.read_to_end(&mut bytes).unwrap();
+            bytes
+        });
+        let mut sender = TcpTransport::from_stream(near).unwrap();
+        let big = vec![0xa5u8; 1 << 20];
+        let burst: [&[u8]; 4] = [&[1, 2, 3], &[], &big, &[9]];
+        sender.send_many(&burst).unwrap();
+        sender.send(&[4, 4]).unwrap();
+        drop(sender);
+        let bytes = reader.join().unwrap();
+        let mut expected = framed(&burst);
+        expected.extend(framed(&[&[4, 4]]));
+        assert_eq!(bytes, expected);
+    }
+
+    #[test]
+    fn whole_tcp_transport_never_reads_past_its_frame() {
+        let (near, mut far) = tcp_pair();
+        let probe = near.try_clone().unwrap();
+        let mut whole = TcpTransport::from_stream(near).unwrap();
+        far.write_all(&framed(&[&[1, 2, 3], &[4, 5]])).unwrap();
+        assert_eq!(whole.recv().unwrap(), vec![1, 2, 3]);
+        // The second frame is still in the socket, where a readiness poll
+        // on another handle can see it.
+        probe.set_nonblocking(true).unwrap();
+        let mut peeked = [0u8; 16];
+        let seen = probe.peek(&mut peeked).unwrap();
+        assert_eq!(&peeked[..seen], framed(&[&[4, 5]]).as_slice());
+        probe.set_nonblocking(false).unwrap();
+        assert_eq!(whole.recv().unwrap(), vec![4, 5]);
+    }
+
+    #[test]
+    fn split_receive_half_delivers_a_burst_intact() {
+        let (near, mut far) = tcp_pair();
+        let (mut recv, _send) = halves(TcpTransport::from_stream(near).unwrap());
+        let capacity = BufReader::new(std::io::empty()).capacity();
+        // The first frame ends two bytes short of the buffer's edge, so the
+        // second frame's length straddles it; a later frame is larger than
+        // the whole buffer.
+        let first = vec![1u8; capacity - 6];
+        let larger = (0..3 * capacity).map(|i| i as u8).collect::<Vec<_>>();
+        let burst: Vec<&[u8]> = vec![&first, &[2, 2, 2], &[], &larger, &[3], &[4; 40]];
+        far.write_all(&framed(&burst)).unwrap();
+        for frame in &burst {
+            assert_eq!(recv.recv().unwrap(), *frame);
+        }
+        drop(far);
+        assert_eq!(recv.recv(), Err(WireError::ConnectionClosed));
+    }
+
+    #[test]
+    fn an_idle_timeout_leaves_a_split_receive_half_usable() {
+        let (near, mut far) = tcp_pair();
+        let transport = TcpTransport::from_stream(near).unwrap();
+        transport
+            .set_io_timeouts(Some(Duration::from_millis(30)), None)
+            .unwrap();
+        let (mut recv, _send) = halves(transport);
+        assert_eq!(recv.recv(), Err(WireError::TimedOut));
+        far.write_all(&framed(&[&[1], &[2, 2]])).unwrap();
+        assert_eq!(recv.recv().unwrap(), vec![1]);
+        assert_eq!(recv.recv().unwrap(), vec![2, 2]);
+        // Idle again with the buffer drained: still no byte of a frame taken.
+        assert_eq!(recv.recv(), Err(WireError::TimedOut));
+        far.write_all(&framed(&[&[3, 3, 3]])).unwrap();
+        assert_eq!(recv.recv().unwrap(), vec![3, 3, 3]);
     }
 
     #[test]
@@ -525,11 +711,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
-            let transport = Box::new(TcpTransport::from_stream(stream).unwrap());
-            let (mut recv_half, mut send_half) = match transport.split() {
-                SplitTransport::Halves { recv, send } => (recv, send),
-                SplitTransport::Whole(_) => panic!("tcp must split"),
-            };
+            let (mut recv_half, mut send_half) = halves(TcpTransport::from_stream(stream).unwrap());
             // Echo from a different handle than the one receiving.
             let frame = recv_half.recv().unwrap();
             send_half.send(&frame).unwrap();
