@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 
 use crate::findings::Finding;
 use crate::lexer;
-use crate::passes::{condvar, secret_flow, FileContext};
+use crate::passes::{secret_flow, FileContext};
 use crate::policy::Policy;
 use crate::regions::{find_annotations, find_regions};
 
@@ -98,9 +98,6 @@ pub fn run(root: &Path, policy: &Policy) -> Result<Report, DriverError> {
         let mut file_findings: Vec<Finding> = Vec::new();
         if Policy::in_scope(rel, &policy.secret_paths, &policy.secret_exclude) {
             file_findings.extend(secret_flow::run(&ctx, &policy.secret_stems));
-        }
-        if Policy::under(rel, &policy.condvar_paths) {
-            file_findings.extend(condvar::run(&ctx));
         }
 
         // Central annotation suppression. `bad-annotation` findings are not

@@ -5,8 +5,7 @@ use std::fmt;
 /// One static-analysis finding.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Pass that produced this (`secret-flow`, `notify-one`,
-    /// `bad-annotation`).
+    /// Pass that produced this (`secret-flow` or `bad-annotation`).
     pub pass: &'static str,
     /// Repo-relative path, `/`-separated.
     pub file: String,

@@ -1,17 +1,16 @@
 //! `pir-analysis` — the workspace's own static-analysis layer, exposed as
 //! the `pir-lint` binary.
 //!
-//! Two passes encode invariants this codebase has already paid to learn,
-//! and that neither rustc nor clippy checks:
-//!
-//! 1. **secret-flow** — in the annotated modules (DPF evaluation, PRF cores,
-//!    wire session), no branching or data-dependent indexing on values
-//!    derived from secret roots (seeds, keys, query indices).
-//! 2. **condvar-discipline** — every `.notify_one()` call site must carry a
-//!    written lost-wakeup argument (the class of the autoscaler deadlock).
+//! One pass encodes an invariant this codebase has already paid to learn,
+//! and that neither rustc nor clippy checks: **secret-flow** — in the
+//! annotated modules (DPF evaluation, PRF cores, wire session), no branching
+//! or data-dependent indexing on values derived from secret roots (seeds,
+//! keys, query indices).
 //!
 //! The unsafe and panic-path rules live in the crates they govern, as lint
-//! attributes on the crate roots (`README.md` § "Static analysis").
+//! attributes on the crate roots, and the `notify_one` rule is a
+//! `disallowed-methods` entry in the root `clippy.toml` (`README.md` §
+//! "Static analysis").
 //!
 //! Any finding fails the gate; the one escape hatch is an adjacent
 //! `// pir-lint: allow(<pass>, "<reason>")` annotation (grammar in

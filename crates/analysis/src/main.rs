@@ -1,4 +1,4 @@
-//! `pir-lint` — run the workspace static-analysis passes; any finding fails.
+//! `pir-lint` — run the workspace static-analysis pass; any finding fails.
 //!
 //! ```text
 //! pir-lint [--root DIR] [--policy FILE]

@@ -1,9 +1,7 @@
-//! The two analysis passes, each a pure function from a lexed file to
-//! findings. Scope decisions (which files a pass sees) live in the driver;
+//! The analysis pass, a pure function from a lexed file to findings. Scope decisions (which files a pass sees) live in the driver;
 //! suppression by `pir-lint: allow(...)` annotations is applied centrally
-//! after all passes ran, so every pass here reports unconditionally.
+//! after the pass ran, so it reports unconditionally.
 
-pub mod condvar;
 pub mod secret_flow;
 
 use crate::findings::{line_snippet, Finding};

@@ -31,7 +31,6 @@ pub struct Policy {
     pub secret_exclude: Vec<String>,
     /// Identifier stems treated as secret roots (see `secret_flow`).
     pub secret_stems: Vec<String>,
-    pub condvar_paths: Vec<String>,
 }
 
 /// A policy parse failure with its line number.
@@ -70,7 +69,7 @@ impl Policy {
                     return Err(err(line_no, "unterminated section header"));
                 };
                 let name = name.trim().to_string();
-                if !matches!(name.as_str(), "workspace" | "secret-flow" | "condvar") {
+                if !matches!(name.as_str(), "workspace" | "secret-flow") {
                     return Err(err(line_no, format!("unknown section `[{name}]`")));
                 }
                 sections.entry(name.clone()).or_default();
@@ -88,7 +87,6 @@ impl Policy {
                 (section.as_str(), key.as_str()),
                 ("workspace", "scan_roots" | "exclude")
                     | ("secret-flow", "paths" | "exclude" | "secret_stems")
-                    | ("condvar", "paths")
             );
             if !known {
                 return Err(err(line_no, format!("unknown key `{key}` in [{section}]")));
@@ -120,7 +118,6 @@ impl Policy {
             secret_paths: get("secret-flow", "paths"),
             secret_exclude: get("secret-flow", "exclude"),
             secret_stems: get("secret-flow", "secret_stems"),
-            condvar_paths: get("condvar", "paths"),
         };
         if policy.scan_roots.is_empty() {
             return Err(err(
@@ -158,16 +155,16 @@ exclude = crates/shims
 paths = crates/dpf/src, crates/wire/src/session.rs
 exclude = crates/dpf/src/gen.rs
 secret_stems = seed, key
-
-[condvar]
-paths = crates
 ";
 
     #[test]
     fn parses_sections_and_lists() {
         let p = Policy::parse(SAMPLE).unwrap();
         assert_eq!(p.scan_roots, vec!["crates", "src"]);
-        assert_eq!(p.condvar_paths, vec!["crates"]);
+        assert_eq!(
+            p.secret_paths,
+            vec!["crates/dpf/src", "crates/wire/src/session.rs"]
+        );
         assert_eq!(p.secret_stems, vec!["seed", "key"]);
     }
 
@@ -175,9 +172,14 @@ paths = crates
     fn unknown_keys_and_sections_are_errors() {
         assert!(Policy::parse("[workspace]\nscan_roots = x\n[bogus]\n").is_err());
         // Sections of retired passes are unknown too: their rules now live
-        // in crate-root lint attributes.
+        // in crate-root lint attributes and, for `notify_one`, in the root
+        // clippy.toml. A policy still scoping one fails, not checks less.
         assert!(Policy::parse("[workspace]\nscan_roots = x\n[panic-path]\n").is_err());
         assert!(Policy::parse("[workspace]\nscan_roots = x\n[unsafe-audit]\n").is_err());
+        let err =
+            Policy::parse("[workspace]\nscan_roots = x\n[condvar]\npaths = crates\n").unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("unknown section `[condvar]`"), "{err}");
         assert!(Policy::parse("[workspace]\nscan_roots = x\nwat = y\n").is_err());
         assert!(Policy::parse("orphan = 1\n").is_err());
         assert!(Policy::parse("# only comments\n").is_err());

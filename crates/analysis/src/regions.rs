@@ -1,6 +1,6 @@
 //! Test-region tracking and `pir-lint` annotation parsing.
 //!
-//! The secret-flow and notify-one passes only apply to *runtime* code, so we
+//! The secret-flow pass only applies to *runtime* code, so we
 //! need to know which lines of a file are compiled exclusively for tests or
 //! benches. Three markers create a test region:
 //!
@@ -23,7 +23,7 @@
 //! ```
 //!
 //! suppressing findings of `<pass>` on the same line or the two lines below
-//! the comment's last line. `<pass>` is `secret-flow` or `notify-one`. The
+//! the comment's last line. `<pass>` is `secret-flow`. The
 //! reason string is mandatory and must be non-empty: the annotation *is* the
 //! audit trail. A comment that contains `pir-lint:` but does not parse, or
 //! names any other pass, is reported by the driver as a `bad-annotation`
@@ -271,9 +271,9 @@ fn parse_allow(s: &str) -> Result<(String, String), String> {
         return Err("expected `,` separating pass name and reason".into());
     };
     let pass = rest[..comma].trim();
-    if !matches!(pass, "secret-flow" | "notify-one") {
+    if pass != "secret-flow" {
         return Err(format!(
-            "unknown pass `{pass}`: only `secret-flow` and `notify-one` take annotations"
+            "unknown pass `{pass}`: only `secret-flow` takes annotations"
         ));
     }
     let rest = rest[comma + 1..].trim_start();
@@ -372,28 +372,28 @@ mod tests {
 
     #[test]
     fn annotations_parse_and_cover_two_lines_below() {
-        let src = "// pir-lint: allow(notify-one, \"one item, one wakeup\")\ncv.notify_one();\n";
+        let src = "// pir-lint: allow(secret-flow, \"public bit\")\nif seed.lsb() {}\n";
         let ann = find_annotations(&lex(src).unwrap());
         assert_eq!(ann.allows.len(), 1);
-        assert_eq!(ann.allows[0].pass, "notify-one");
-        assert!(ann.allows("notify-one", 2));
-        assert!(ann.allows("notify-one", 3));
-        assert!(!ann.allows("notify-one", 4));
-        assert!(!ann.allows("secret-flow", 2));
+        assert_eq!(ann.allows[0].pass, "secret-flow");
+        assert!(ann.allows("secret-flow", 2));
+        assert!(ann.allows("secret-flow", 3));
+        assert!(!ann.allows("secret-flow", 4));
+        assert!(!ann.allows("bad-annotation", 2));
     }
 
     #[test]
     fn malformed_annotations_are_reported() {
         // Annotations naming a retired pass are stale: its rule moved to
         // rustc/clippy, so they would suppress nothing.
-        let stale =
-            ["panic-path", "unsafe-audit"].map(|pass| format!("// pir-lint: allow({pass}, \"x\")"));
+        let stale = ["panic-path", "unsafe-audit", "notify-one"]
+            .map(|pass| format!("// pir-lint: allow({pass}, \"x\")"));
         let malformed = [
-            "// pir-lint: allow(notify-one)",
-            "// pir-lint: allow(notify-one, \"\")",
-            "// pir-lint: allow(Notify_One, \"x\")",
-            "// pir-lint: disable(notify-one, \"x\")",
-            "// pir-lint: allow(notify-one, \"x\"",
+            "// pir-lint: allow(secret-flow)",
+            "// pir-lint: allow(secret-flow, \"\")",
+            "// pir-lint: allow(Secret_Flow, \"x\")",
+            "// pir-lint: disable(secret-flow, \"x\")",
+            "// pir-lint: allow(secret-flow, \"x\"",
         ];
         for bad in malformed
             .into_iter()
@@ -407,9 +407,9 @@ mod tests {
 
     #[test]
     fn annotation_in_block_comment_counts_from_its_last_line() {
-        let src = "/* pir-lint: allow(notify-one,\n   \"baton pass\") */\nq.notify_one();\n";
+        let src = "/* pir-lint: allow(secret-flow,\n   \"public bit\") */\nif seed.lsb() {}\n";
         let ann = find_annotations(&lex(src).unwrap());
         assert_eq!(ann.allows.len(), 1);
-        assert!(ann.allows("notify-one", 3));
+        assert!(ann.allows("secret-flow", 3));
     }
 }

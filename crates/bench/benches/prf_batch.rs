@@ -4,8 +4,8 @@
 //! engine: key schedules, round constants and state initialization are
 //! hoisted out of the per-block loop and the dynamic dispatch happens once
 //! per sweep instead of once per block. This bench quantifies that gap for
-//! every PRF family of the paper's Table 5, plus the frontier-level win of
-//! `GgmPrg::expand_frontier` over per-node `expand`.
+//! every PRF the system executes (three of Table 5's five), plus the
+//! frontier-level win of `GgmPrg::expand_frontier` over per-node `expand`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pir_field::Block128;

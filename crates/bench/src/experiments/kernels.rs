@@ -3,7 +3,7 @@
 use gpu_sim::{DeviceSpec, LaunchConfig, OccupancyEstimate};
 use pir_core::{CpuBaselineModel, GpuThroughputModel, LatencyModel};
 use pir_dpf::{DpfParams, EvalStrategy, StrategyProfile};
-use pir_prf::PrfKind;
+use pir_prf::{PrfKind, TABLE5};
 use pir_protocol::Budget;
 
 use crate::report::{fmt_f64, Table};
@@ -367,11 +367,11 @@ pub fn table5() -> Table {
         &["PRF", "type", "latency (ms)", "QPS"],
     );
     let (prf_calls, bytes) = eval_profile(20);
-    for kind in PrfKind::ALL {
-        let point = GpuThroughputModel::v100(kind).at_batch(prf_calls, bytes, 512);
+    for prf in TABLE5 {
+        let point = GpuThroughputModel::v100_costing(prf).at_batch(prf_calls, bytes, 512);
         table.push_row(vec![
-            kind.name().to_string(),
-            kind.security_note().to_string(),
+            prf.name.to_string(),
+            prf.security_note.to_string(),
             fmt_f64(point.latency_ms),
             fmt_f64(point.qps),
         ]);
@@ -496,7 +496,11 @@ mod tests {
             .iter()
             .map(|row| cell(row, 3))
             .collect();
-        // Order in PrfKind::ALL: AES, SHA, ChaCha, SipHash, Highway.
-        assert!(qps[3] > qps[2] && qps[2] > qps[4] && qps[4] > qps[0] && qps[0] > qps[1]);
+        // Rows in catalogue order: AES, SHA-256, ChaCha20, SipHash,
+        // HighwayHash.
+        let [aes, sha, chacha, sip, highway] = qps[..] else {
+            panic!("Table 5 has five rows, got {}", qps.len());
+        };
+        assert!(sip > chacha && chacha > highway && highway > aes && aes > sha);
     }
 }

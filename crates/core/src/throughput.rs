@@ -8,7 +8,7 @@
 //! Figures 11/13–15 and Tables 3–4.
 
 use gpu_sim::{CpuCostModel, CpuSpec, DeviceSpec};
-use pir_prf::PrfKind;
+use pir_prf::{PrfCost, PrfKind};
 use pir_protocol::{Budget, CodesignPoint};
 use serde::{Deserialize, Serialize};
 
@@ -29,16 +29,23 @@ pub struct ThroughputPoint {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct GpuThroughputModel {
     device: DeviceSpec,
-    prf: PrfKind,
+    prf_cycles_per_block: u64,
 }
 
 impl GpuThroughputModel {
     /// Model a server with `prf` on the paper's V100.
     #[must_use]
     pub fn v100(prf: PrfKind) -> Self {
+        Self::v100_costing(prf.cost())
+    }
+
+    /// Model a server on the paper's V100 running any PRF of the Table 5
+    /// catalogue ([`pir_prf::TABLE5`]), executable or not.
+    #[must_use]
+    pub fn v100_costing(prf: PrfCost) -> Self {
         Self {
             device: DeviceSpec::v100(),
-            prf,
+            prf_cycles_per_block: prf.gpu_cycles_per_block,
         }
     }
 
@@ -68,8 +75,7 @@ impl GpuThroughputModel {
     ) -> ThroughputPoint {
         let leaves_per_query = (prf_calls_per_inference / 2.0).max(1.0);
         let utilization = self.utilization(leaves_per_query, batch);
-        let prf_cycles =
-            prf_calls_per_inference * batch as f64 * self.prf.gpu_cycles_per_block() as f64;
+        let prf_cycles = prf_calls_per_inference * batch as f64 * self.prf_cycles_per_block as f64;
         let effective_ops =
             self.device.peak_ops_per_second() * self.device.issue_efficiency * utilization;
         let compute_s = prf_cycles / effective_ops;

@@ -11,9 +11,9 @@ use pir_field::{Block128, SimdBackend};
 use crate::simd::chacha_neon as vector;
 #[cfg(target_arch = "x86_64")]
 use crate::simd::chacha_x86 as vector;
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-use crate::simd::LaneKernel;
 use crate::{Prf, PrfKind};
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+use vector::WIDTH;
 
 /// The ChaCha20 state constants ("expand 32-byte k").
 pub(crate) const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
@@ -117,10 +117,28 @@ impl ChaCha20Prf {
     }
 }
 
+/// The vector sweeps: the kernel evaluates `WIDTH` independent blocks per
+/// step, each lane under its own tweak.
+///
+/// A batch splits into whole steps plus a sub-`WIDTH` tail, which goes
+/// through one more *padded* step — zero blocks in the unused lanes, only
+/// the real results stored — instead of `n` scalar block functions. Both
+/// child tweaks of the tail share that step when they fit (`2n <= WIDTH`):
+/// that is the whole sweep for the 1-, 2- and (on x86) 4-node levels at the
+/// top of every memory-bounded chunk. The one shape a padded step loses on
+/// is a lone block under a single tweak (one useful lane), which keeps the
+/// scalar block function.
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-impl LaneKernel<{ vector::WIDTH }> for ChaCha20Prf {
-    fn steps(&self, inputs: &[Block128], tweaks: &[u64; vector::WIDTH], out: &mut [Block128]) {
-        let mut nonces = [[0u32; vector::WIDTH]; 3];
+impl ChaCha20Prf {
+    /// Whole vector steps over `inputs` (a multiple of `WIDTH` blocks), lane
+    /// `j` of every step under `tweaks[j]`; an empty batch skips the
+    /// kernel's constant setup (every sub-`WIDTH` level of a chunk). Only
+    /// called on an instance whose backend passed runtime detection.
+    fn steps(&self, inputs: &[Block128], tweaks: &[u64; WIDTH], out: &mut [Block128]) {
+        if inputs.is_empty() {
+            return;
+        }
+        let mut nonces = [[0u32; WIDTH]; 3];
         for (lane, tweak) in tweaks.iter().enumerate() {
             let nonce = Self::nonce(*tweak);
             for (word, lanes) in nonces.iter_mut().enumerate() {
@@ -128,6 +146,61 @@ impl LaneKernel<{ vector::WIDTH }> for ChaCha20Prf {
             }
         }
         vector::eval_blocks(&self.key_high, &nonces, inputs, out);
+    }
+
+    /// `out[i] = PRF(inputs[i], tweak)` through the vector kernel.
+    fn sweep(&self, inputs: &[Block128], tweak: u64, out: &mut [Block128]) {
+        assert_eq!(inputs.len(), out.len(), "sweep length mismatch");
+        let whole = inputs.len() - inputs.len() % WIDTH;
+        let (head, tail) = inputs.split_at(whole);
+        let (head_out, tail_out) = out.split_at_mut(whole);
+        self.steps(head, &[tweak; WIDTH], head_out);
+        match tail {
+            [] => {}
+            [lone] => tail_out[0] = self.eval_block(*lone, tweak),
+            _ => {
+                let mut lanes = [Block128::ZERO; WIDTH];
+                let mut results = [Block128::ZERO; WIDTH];
+                lanes[..tail.len()].copy_from_slice(tail);
+                self.steps(&lanes, &[tweak; WIDTH], &mut results);
+                tail_out.copy_from_slice(&results[..tail.len()]);
+            }
+        }
+    }
+
+    /// `out_a[i] = PRF(inputs[i], tweak_a)`, `out_b[i] = PRF(inputs[i],
+    /// tweak_b)` through the vector kernel.
+    fn sweep_pair(
+        &self,
+        inputs: &[Block128],
+        tweak_a: u64,
+        tweak_b: u64,
+        out_a: &mut [Block128],
+        out_b: &mut [Block128],
+    ) {
+        let n = inputs.len() % WIDTH;
+        if 2 * n > WIDTH || n == 0 {
+            self.sweep(inputs, tweak_a, out_a);
+            self.sweep(inputs, tweak_b, out_b);
+            return;
+        }
+        assert_eq!(inputs.len(), out_a.len(), "paired sweep length mismatch");
+        assert_eq!(inputs.len(), out_b.len(), "paired sweep length mismatch");
+        let (head, tail) = inputs.split_at(inputs.len() - n);
+        let (head_a, tail_a) = out_a.split_at_mut(head.len());
+        let (head_b, tail_b) = out_b.split_at_mut(head.len());
+        self.steps(head, &[tweak_a; WIDTH], head_a);
+        self.steps(head, &[tweak_b; WIDTH], head_b);
+        // Lanes [0, n) under tweak_a, lanes [n, 2n) under tweak_b.
+        let mut lanes = [Block128::ZERO; WIDTH];
+        let mut tweaks = [tweak_a; WIDTH];
+        let mut results = [Block128::ZERO; WIDTH];
+        lanes[..n].copy_from_slice(tail);
+        lanes[n..2 * n].copy_from_slice(tail);
+        tweaks[n..2 * n].fill(tweak_b);
+        self.steps(&lanes, &tweaks, &mut results);
+        tail_a.copy_from_slice(&results[..n]);
+        tail_b.copy_from_slice(&results[n..2 * n]);
     }
 }
 

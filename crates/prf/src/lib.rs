@@ -6,8 +6,11 @@
 //! AES hardware and therefore benefit from choosing a cheaper PRF; Table 5
 //! compares AES-128, SHA-256 (HMAC), ChaCha20, SipHash and HighwayHash.
 //!
-//! This crate implements each of those primitives from scratch in portable
-//! Rust behind a single object-safe [`Prf`] trait, together with:
+//! The system executes three of them — AES-128, ChaCha20 and SipHash, the
+//! [`PrfKind`]s — implemented from scratch in portable Rust (plus x86 and
+//! NEON kernels) behind a single object-safe [`Prf`] trait. All five are
+//! modelled: [`TABLE5`] holds each one's cost, and Table 5 is computed from
+//! it. Alongside the primitives the crate provides:
 //!
 //! * [`GgmPrg`] — the length-doubling PRG (built from any [`Prf`] with a
 //!   Matyas–Meyer–Oseas feed-forward) that drives GGM-tree expansion, with
@@ -15,9 +18,9 @@
 //! * [`CountingPrf`] — a decorator that counts invocations, used by the GPU
 //!   simulator's cost model and by the paper's Figure 6 "number of PRFs"
 //!   metric,
-//! * per-PRF cost metadata ([`PrfKind::gpu_cycles_per_block`] /
-//!   [`PrfKind::cpu_cycles_per_block`]) calibrated so the simulated V100 and
-//!   Xeon reproduce the relative throughputs of Table 5 and Table 4.
+//! * the [`TABLE5`] cost catalogue (GPU and CPU cycles per block)
+//!   calibrated so the simulated V100 and Xeon reproduce the relative
+//!   throughputs of Table 5 and Table 4.
 //!
 //! # Example
 //!
@@ -48,9 +51,7 @@
 mod aes;
 mod chacha;
 mod counter;
-mod highway;
 mod prg;
-mod sha256;
 mod simd;
 mod siphash;
 
@@ -63,10 +64,8 @@ use serde::{Deserialize, Serialize};
 pub use aes::Aes128Prf;
 pub use chacha::ChaCha20Prf;
 pub use counter::CountingPrf;
-pub use highway::HighwayPrf;
 pub use pir_field::SimdBackend;
 pub use prg::{FrontierScratch, GgmPrg, LevelCorrection, PrgExpansion};
-pub use sha256::{hmac_sha256, sha256, Sha256Prf};
 pub use siphash::{siphash24, SipHashPrf};
 
 /// A pseudorandom function mapping a 128-bit block (plus a 64-bit tweak) to a
@@ -183,90 +182,112 @@ pub trait Prf: Send + Sync {
     }
 }
 
-/// The PRF families evaluated by the paper (Table 5), plus their cost model.
+/// One PRF of the paper's Table 5 and the cost the models charge for it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PrfCost {
+    /// Human-readable name matching the paper's tables.
+    pub name: &'static str,
+    /// Security margin note used when reporting results (paper §3.2.6).
+    pub security_note: &'static str,
+    /// Estimated GPU cycles to evaluate one 128-bit block on one CUDA core
+    /// (software implementation, no crypto hardware).
+    pub gpu_cycles_per_block: u64,
+    /// Effective CPU cycles per DPF node expansion on a Xeon core.
+    pub cpu_cycles_per_block: u64,
+}
+
+/// The paper's Table 5 as a cost catalogue: the five PRFs it compares, in
+/// its order. The system executes the three [`PrfKind`]s, each at the row
+/// its discriminant names; SHA-256 (HMAC) and HighwayHash are modelled only.
+///
+/// The GPU figures are calibrated so the simulated V100 reproduces the
+/// throughput ordering and approximate ratios of Table 5 (AES ≈ 965 QPS,
+/// ChaCha20 ≈ 3,640 QPS, SipHash ≈ 7,447 QPS on a 2^20-entry table at batch
+/// 512). The CPU figures are *effective* costs — raw AES-NI encrypts a block
+/// in tens of cycles, but a DPF node expansion also pays key scheduling,
+/// control-bit bookkeeping and memory traffic. The AES figure is calibrated
+/// so the modelled Xeon Gold 6230 reproduces the single-thread throughput
+/// the paper measures for the Google CPU DPF baseline (Table 4: ~1.3 queries
+/// per second on a 2^20-entry table); the others keep their relative
+/// software cost versus AES-NI.
+pub const TABLE5: [PrfCost; 5] = [
+    PrfCost {
+        name: "AES-128 Block Cipher (Ctr Mode)",
+        security_note: "standard; matches CPU baseline",
+        gpu_cycles_per_block: 2000,
+        cpu_cycles_per_block: 750,
+    },
+    PrfCost {
+        name: "SHA-256 Hash (HMAC)",
+        security_note: "standard hash-based PRF",
+        gpu_cycles_per_block: 2095,
+        cpu_cycles_per_block: 4000,
+    },
+    PrfCost {
+        name: "Chacha20 Stream Cipher",
+        security_note: "standard stream cipher (TLS 1.3)",
+        gpu_cycles_per_block: 530,
+        cpu_cycles_per_block: 1400,
+    },
+    PrfCost {
+        name: "SipHash PRF",
+        security_note: "non-standard for PIR; weaker analysis",
+        gpu_cycles_per_block: 260,
+        cpu_cycles_per_block: 500,
+    },
+    PrfCost {
+        name: "HighwayHash PRF",
+        security_note: "non-standard for PIR; weaker analysis",
+        gpu_cycles_per_block: 980,
+        cpu_cycles_per_block: 1100,
+    },
+];
+
+/// The PRFs the system executes. Each discriminant is the kind's row in
+/// [`TABLE5`], its wire byte and the DPF parity suite's RNG seed, so none
+/// may move; 1 (SHA-256) and 4 (HighwayHash) are retired and never reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum PrfKind {
     /// AES-128 in counter mode (the CPU baseline's PRF; AES-NI on CPUs).
-    Aes128,
-    /// SHA-256 used as an HMAC-style PRF.
-    Sha256,
+    Aes128 = 0,
     /// ChaCha20 stream cipher block function (TLS 1.3-grade security).
-    Chacha20,
+    Chacha20 = 2,
     /// SipHash-2-4 keyed hash (fast but with weaker security margin).
-    SipHash,
-    /// HighwayHash-style SIMD keyed hash.
-    HighwayHash,
+    SipHash = 3,
 }
 
 impl PrfKind {
     /// All PRF kinds in the order Table 5 reports them.
-    pub const ALL: [PrfKind; 5] = [
-        PrfKind::Aes128,
-        PrfKind::Sha256,
-        PrfKind::Chacha20,
-        PrfKind::SipHash,
-        PrfKind::HighwayHash,
-    ];
+    pub const ALL: [PrfKind; 3] = [PrfKind::Aes128, PrfKind::Chacha20, PrfKind::SipHash];
+
+    /// This kind's row of [`TABLE5`].
+    #[must_use]
+    pub const fn cost(self) -> PrfCost {
+        TABLE5[self as usize]
+    }
 
     /// Human-readable name matching the paper's tables.
     #[must_use]
     pub const fn name(self) -> &'static str {
-        match self {
-            PrfKind::Aes128 => "AES-128 Block Cipher (Ctr Mode)",
-            PrfKind::Sha256 => "SHA-256 Hash (HMAC)",
-            PrfKind::Chacha20 => "Chacha20 Stream Cipher",
-            PrfKind::SipHash => "SipHash PRF",
-            PrfKind::HighwayHash => "HighwayHash PRF",
-        }
+        self.cost().name
     }
 
-    /// Estimated GPU cycles to evaluate one 128-bit block on one CUDA core
-    /// (software implementation, no crypto hardware).
-    ///
-    /// Calibrated so the simulated V100 reproduces the throughput ordering and
-    /// approximate ratios of the paper's Table 5 (AES ≈ 965 QPS, ChaCha20 ≈
-    /// 3,640 QPS, SipHash ≈ 7,447 QPS on a 2^20-entry table at batch 512).
+    /// [`PrfCost::gpu_cycles_per_block`] of this kind.
     #[must_use]
     pub const fn gpu_cycles_per_block(self) -> u64 {
-        match self {
-            PrfKind::Aes128 => 2000,
-            PrfKind::Sha256 => 2095,
-            PrfKind::Chacha20 => 530,
-            PrfKind::SipHash => 260,
-            PrfKind::HighwayHash => 980,
-        }
+        self.cost().gpu_cycles_per_block
     }
 
-    /// Effective CPU cycles per DPF node expansion on a Xeon core.
-    ///
-    /// These are *effective* costs — raw AES-NI encrypts a block in tens of
-    /// cycles, but a DPF node expansion also pays key scheduling, control-bit
-    /// bookkeeping and memory traffic. The AES figure is calibrated so the
-    /// modelled Xeon Gold 6230 reproduces the single-thread throughput the
-    /// paper measures for the Google CPU DPF baseline (Table 4: ~1.3 queries
-    /// per second on a 2^20-entry table); the others keep their relative
-    /// software cost versus AES-NI.
+    /// [`PrfCost::cpu_cycles_per_block`] of this kind.
     #[must_use]
     pub const fn cpu_cycles_per_block(self) -> u64 {
-        match self {
-            PrfKind::Aes128 => 750,
-            PrfKind::Sha256 => 4000,
-            PrfKind::Chacha20 => 1400,
-            PrfKind::SipHash => 500,
-            PrfKind::HighwayHash => 1100,
-        }
+        self.cost().cpu_cycles_per_block
     }
 
-    /// Security margin note used when reporting results (paper §3.2.6).
+    /// [`PrfCost::security_note`] of this kind.
     #[must_use]
     pub const fn security_note(self) -> &'static str {
-        match self {
-            PrfKind::Aes128 => "standard; matches CPU baseline",
-            PrfKind::Sha256 => "standard hash-based PRF",
-            PrfKind::Chacha20 => "standard stream cipher (TLS 1.3)",
-            PrfKind::SipHash => "non-standard for PIR; weaker analysis",
-            PrfKind::HighwayHash => "non-standard for PIR; weaker analysis",
-        }
+        self.cost().security_note
     }
 }
 
@@ -296,10 +317,8 @@ pub fn build_prf(kind: PrfKind) -> Arc<dyn Prf> {
 pub fn build_prf_with_backend(kind: PrfKind, backend: SimdBackend) -> Arc<dyn Prf> {
     match kind {
         PrfKind::Aes128 => Arc::new(Aes128Prf::with_fixed_key().with_backend(backend)),
-        PrfKind::Sha256 => Arc::new(Sha256Prf::with_fixed_key().with_backend(backend)),
         PrfKind::Chacha20 => Arc::new(ChaCha20Prf::with_fixed_key().with_backend(backend)),
         PrfKind::SipHash => Arc::new(SipHashPrf::with_fixed_key().with_backend(backend)),
-        PrfKind::HighwayHash => Arc::new(HighwayPrf::with_fixed_key().with_backend(backend)),
     }
 }
 
@@ -336,22 +355,28 @@ mod tests {
 
     #[test]
     fn cost_model_ordering_matches_table5() {
-        // Table 5: SipHash > ChaCha20 > HighwayHash > SHA-256 ≈ AES in QPS,
+        // Table 5: SipHash > ChaCha20 > HighwayHash > AES > SHA-256 in QPS,
         // i.e. the reverse ordering in cycle cost.
-        assert!(PrfKind::SipHash.gpu_cycles_per_block() < PrfKind::Chacha20.gpu_cycles_per_block());
-        assert!(
-            PrfKind::Chacha20.gpu_cycles_per_block() < PrfKind::HighwayHash.gpu_cycles_per_block()
-        );
-        assert!(
-            PrfKind::HighwayHash.gpu_cycles_per_block() < PrfKind::Aes128.gpu_cycles_per_block()
-        );
-        assert!(PrfKind::Aes128.gpu_cycles_per_block() < PrfKind::Sha256.gpu_cycles_per_block());
+        let [aes, sha, chacha, sip, highway] = TABLE5.map(|prf| prf.gpu_cycles_per_block);
+        assert!(sip < chacha && chacha < highway && highway < aes && aes < sha);
         // On the CPU, AES-NI keeps AES well below the software-heavy
         // primitives (SHA-256, ChaCha20, HighwayHash); only the very light
         // SipHash comes close.
-        for kind in [PrfKind::Sha256, PrfKind::Chacha20, PrfKind::HighwayHash] {
-            assert!(kind.cpu_cycles_per_block() > PrfKind::Aes128.cpu_cycles_per_block());
-        }
+        let [aes, sha, chacha, _, highway] = TABLE5.map(|prf| prf.cpu_cycles_per_block);
+        assert!([sha, chacha, highway].iter().all(|&cycles| cycles > aes));
+    }
+
+    #[test]
+    fn each_kind_reads_its_own_table5_row() {
+        let rows: Vec<&str> = PrfKind::ALL.iter().map(|kind| kind.name()).collect();
+        assert_eq!(
+            rows,
+            [
+                "AES-128 Block Cipher (Ctr Mode)",
+                "Chacha20 Stream Cipher",
+                "SipHash PRF"
+            ]
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! caches) each pair of 8-block steps runs a zmm kernel instead: sixteen
 //! blocks per state vector, `VPROLD` for all four rotations, and 32
 //! registers, so the state never leaves them. An odd 8-block step, the
-//! padded tails of [`super::LaneKernel`] and every host without AVX-512F
+//! padded tails of `ChaCha20Prf`'s sweeps and every host without AVX-512F
 //! keep the ymm kernel.
 
 #![allow(unsafe_code)]

@@ -15,9 +15,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The widest vector lane in the tree (AVX2 ChaCha20 / SHA-256 process 8
-/// blocks per step), so `LANE - 1`, `LANE` and `LANE + 1` bracket every
-/// backend's split point.
+/// The widest vector lane in the tree (AVX2 ChaCha20 processes 8 blocks per
+/// step), so `LANE - 1`, `LANE` and `LANE + 1` bracket every backend's split
+/// point.
 const LANE: usize = 8;
 
 /// Deterministic edge lengths every property run always covers, in addition

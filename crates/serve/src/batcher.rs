@@ -92,7 +92,10 @@ pub(crate) fn run_batch_former(
                     // consumed a single-wakeup notification meant for an
                     // active worker — pass the baton before parking on the
                     // dedicated condvar.
-                    // pir-lint: allow(notify-one, "baton re-pass: barrier is false under this lock, so every arrived-waiter is an active worker (or another to-be-parked one, which re-passes); barrier epochs end in notify_all")
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "baton re-pass: barrier is false under this lock, so every arrived-waiter is an active worker (or another to-be-parked one, which re-passes); barrier epochs end in notify_all"
+                    )]
                     queue.arrived.notify_one();
                     queue.activated.wait(&mut state);
                     continue;

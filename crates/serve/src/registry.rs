@@ -292,7 +292,10 @@ impl HostedTable {
             // `arrived` (parked ones sit on `activated`), and a worker that
             // discovers it was scaled down mid-wait re-notifies before
             // parking so the baton cannot be lost.
-            // pir-lint: allow(notify-one, "one item, one wakeup: parked workers re-pass the baton, and barrier epochs end in notify_all, so no enqueue notification is lost")
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "one item, one wakeup: parked workers re-pass the baton, and barrier epochs end in notify_all, so no enqueue notification is lost"
+            )]
             queue.arrived.notify_one();
         }
         Ok(())

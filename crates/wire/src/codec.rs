@@ -264,30 +264,25 @@ impl<'a> WireReader<'a> {
     }
 }
 
-/// Encode a [`PrfKind`] as its stable wire byte.
+/// Encode a [`PrfKind`] as its stable wire byte: its discriminant (0 AES-128,
+/// 2 ChaCha20, 3 SipHash).
 #[must_use]
 pub fn encode_prf_kind(kind: PrfKind) -> u8 {
-    match kind {
-        PrfKind::Aes128 => 0,
-        PrfKind::Sha256 => 1,
-        PrfKind::Chacha20 => 2,
-        PrfKind::SipHash => 3,
-        PrfKind::HighwayHash => 4,
-    }
+    kind as u8
 }
 
 /// Decode a [`PrfKind`] from its wire byte.
 ///
 /// # Errors
 ///
-/// Returns [`WireError::InvalidValue`] for unknown bytes.
+/// Returns [`WireError::InvalidValue`] for unknown bytes, including the
+/// retired 1 (SHA-256) and 4 (HighwayHash): those PRFs are modelled in
+/// Table 5 but not executed, and their bytes are never reused.
 pub fn decode_prf_kind(value: u8) -> Result<PrfKind, WireError> {
     match value {
         0 => Ok(PrfKind::Aes128),
-        1 => Ok(PrfKind::Sha256),
         2 => Ok(PrfKind::Chacha20),
         3 => Ok(PrfKind::SipHash),
-        4 => Ok(PrfKind::HighwayHash),
         _ => Err(WireError::InvalidValue("unknown PRF kind byte")),
     }
 }
@@ -577,6 +572,15 @@ mod tests {
         for kind in PrfKind::ALL {
             assert_eq!(decode_prf_kind(encode_prf_kind(kind)).unwrap(), kind);
         }
-        assert!(decode_prf_kind(9).is_err());
+        let bytes = PrfKind::ALL.map(encode_prf_kind);
+        assert_eq!(bytes, [0, 2, 3], "served bytes never move");
+        // 1 and 4 were SHA-256 and HighwayHash: retired, never reused. 9
+        // was never assigned.
+        for byte in [1, 4, 9] {
+            assert!(matches!(
+                decode_prf_kind(byte),
+                Err(WireError::InvalidValue(_))
+            ));
+        }
     }
 }

@@ -128,7 +128,10 @@ impl Channel {
         }
         state.frames.push_back(frame);
         drop(state);
-        // pir-lint: allow(notify-one, "one frame, one wakeup: each pop consumes exactly one frame per wait exit, and close() uses notify_all")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "one frame, one wakeup: each pop consumes exactly one frame per wait exit, and close() uses notify_all"
+        )]
         self.arrived.notify_one();
         Ok(())
     }

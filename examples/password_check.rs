@@ -9,7 +9,7 @@
 //! its password's fingerprint appears in a breach corpus hosted by two
 //! servers, without revealing which bucket it looked up.
 
-use gpu_pir_repro::pir_prf::{sha256, PrfKind};
+use gpu_pir_repro::pir_prf::{siphash24, PrfKind};
 use gpu_pir_repro::pir_protocol::{GpuPirServer, PirClient, PirServer, PirTable};
 use rand::SeedableRng;
 
@@ -18,11 +18,18 @@ use rand::SeedableRng;
 const BUCKETS: u64 = 1 << 14;
 /// Bytes per bucket.
 const BUCKET_BYTES: usize = 64;
+/// The fingerprint's SipHash key: fixed and published, so client and corpus
+/// builder agree on it.
+const FINGERPRINT_KEY: (u64, u64) = (0x7061_7373_776f_7264, 0x6272_6561_6368_6564);
 
+/// The password's bucket (low bits of its fingerprint) and Bloom probe (bits
+/// 32 and up).
 fn bucket_and_probe(password: &str) -> (u64, usize) {
-    let digest = sha256(password.as_bytes());
-    let bucket = u64::from_le_bytes(digest[..8].try_into().expect("8 bytes")) % BUCKETS;
-    let probe = (digest[8] as usize) % (BUCKET_BYTES * 8);
+    // A keyed hash with a public key is enough: it only spreads passwords
+    // over buckets and probes, and PIR hides the bucket whatever the hash.
+    let fingerprint = siphash24(FINGERPRINT_KEY.0, FINGERPRINT_KEY.1, password.as_bytes());
+    let bucket = fingerprint % BUCKETS;
+    let probe = (fingerprint >> 32) as usize % (BUCKET_BYTES * 8);
     (bucket, probe)
 }
 

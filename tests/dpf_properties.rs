@@ -20,10 +20,10 @@ fn table_from_seed(seed: u64, rows: usize, lanes: usize) -> ShareMatrix {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// DPF correctness holds for every PRF family the paper evaluates.
+    /// DPF correctness holds for every PRF the system executes.
     #[test]
     fn dpf_correctness_for_every_prf(
-        prf_index in 0usize..5,
+        prf_index in 0..PrfKind::ALL.len(),
         domain in 2u64..200,
         seed in any::<u64>(),
     ) {
