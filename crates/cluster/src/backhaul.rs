@@ -415,7 +415,7 @@ impl ShardConn {
         };
         let conn = Arc::clone(self);
         std::thread::Builder::new()
-            .name(format!("cluster-link-shard{}", self.shard))
+            .name(crate::thread_name("link-s", self.shard))
             .spawn(move || conn.read_loop(epoch, recv))
             .map_err(|err| DialError::Failed(format!("replica {replica}: reader thread: {err}")))?;
         link.send = Some(send);

@@ -74,3 +74,21 @@ pub use error::ClusterError;
 pub use map::ShardMap;
 pub use router::ClusterRouter;
 pub use stats::{RouterStatsSnapshot, ShardStatsSnapshot, TableFenceSnapshot};
+
+/// The name of a router thread, `cl-{role}{id}`: `prober-p` and `writer-p`
+/// take the party, `link-s` the shard. Linux keeps 15 bytes of a thread
+/// name, which hold every role with an id below 100.
+fn thread_name(role: &str, id: impl std::fmt::Display) -> String {
+    format!("cl-{role}{id}")
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn thread_names_fit_in_fifteen_bytes() {
+        for role in ["prober-p", "writer-p", "link-s"] {
+            let name = super::thread_name(role, 99);
+            assert!(name.len() <= 15, "{name}");
+        }
+    }
+}

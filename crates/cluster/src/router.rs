@@ -305,7 +305,7 @@ impl ClusterRouter {
         let prober = config.probe_interval.map(|interval| {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
-                .name(format!("cluster-prober-party{party}"))
+                .name(crate::thread_name("prober-p", party))
                 .spawn(move || {
                     while !inner.stop.load(Ordering::SeqCst) {
                         for conn in &inner.conns {
@@ -382,7 +382,7 @@ impl ClusterRouter {
             reason = "OS thread spawn fails only on resource exhaustion; the connection cannot proceed without its writer"
         )]
         let writer = std::thread::Builder::new()
-            .name(format!("cluster-writer-party{}", self.inner.party))
+            .name(crate::thread_name("writer-p", self.inner.party))
             .spawn(move || -> Result<(), WireError> {
                 // Every reply ready by the time the writer wakes goes out
                 // as one burst.

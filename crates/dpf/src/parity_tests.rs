@@ -714,7 +714,7 @@ mod tests {
         use pir_prf::{build_prf_with_backend, SimdBackend};
 
         let mut rng = StdRng::seed_from_u64(0x0BAD_5EED);
-        for kind in [PrfKind::Aes128, PrfKind::SipHash] {
+        for kind in PrfKind::ALL {
             for domain in [1u64, 13, 200, 1024] {
                 let params = DpfParams::for_domain(domain);
                 let lanes = 5usize;

@@ -3,6 +3,13 @@
 //! ChaCha20 is built from 32-bit add/rotate/xor operations with no table
 //! lookups, which maps well onto GPU ALUs — the paper reports a ~3.8×
 //! throughput improvement over software AES on a V100 (Table 5).
+//!
+//! One block function yields 512 bits of keystream, and a GGM node needs
+//! 256 of them: both children. So tweaks `2k` and `2k + 1` are the two
+//! halves of one block — `PRF(x, t)` is words `4·(t & 1) … 4·(t & 1) + 3`
+//! of `chacha20_block(x ‖ K, 0, nonce(t >> 1))` — and a paired sweep under
+//! sibling tweaks (the GGM PRG's 0 and 1) runs one block function per seed
+//! (Goldreich–Goldwasser–Micali's length-doubling PRG over a stream cipher).
 
 use pir_field::{Block128, SimdBackend};
 
@@ -30,6 +37,25 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
+/// ChaCha20's 20 rounds over a 16-word state: ten column-then-diagonal
+/// double rounds of `$quarter_round($state, a, b, c, d)`, shared by the
+/// block function and every vector kernel.
+macro_rules! twenty_rounds {
+    ($quarter_round:ident, $state:expr) => {
+        for _ in 0..10 {
+            $quarter_round($state, 0, 4, 8, 12);
+            $quarter_round($state, 1, 5, 9, 13);
+            $quarter_round($state, 2, 6, 10, 14);
+            $quarter_round($state, 3, 7, 11, 15);
+            $quarter_round($state, 0, 5, 10, 15);
+            $quarter_round($state, 1, 6, 11, 12);
+            $quarter_round($state, 2, 7, 8, 13);
+            $quarter_round($state, 3, 4, 9, 14);
+        }
+    };
+}
+pub(crate) use twenty_rounds;
+
 /// Run the full ChaCha20 block function (20 rounds) and return the 64-byte
 /// keystream block.
 #[must_use]
@@ -41,29 +67,29 @@ pub fn chacha20_block(key: &[u32; 8], counter: u32, nonce: &[u32; 3]) -> [u32; 1
     state[13..16].copy_from_slice(nonce);
 
     let initial = state;
-    for _ in 0..10 {
-        // Column rounds.
-        quarter_round(&mut state, 0, 4, 8, 12);
-        quarter_round(&mut state, 1, 5, 9, 13);
-        quarter_round(&mut state, 2, 6, 10, 14);
-        quarter_round(&mut state, 3, 7, 11, 15);
-        // Diagonal rounds.
-        quarter_round(&mut state, 0, 5, 10, 15);
-        quarter_round(&mut state, 1, 6, 11, 12);
-        quarter_round(&mut state, 2, 7, 8, 13);
-        quarter_round(&mut state, 3, 4, 9, 14);
-    }
+    twenty_rounds!(quarter_round, &mut state);
     for (word, init) in state.iter_mut().zip(&initial) {
         *word = word.wrapping_add(*init);
     }
     state
 }
 
-/// ChaCha20 used as a PRF: the 128-bit input fills half of the key, the tweak
-/// becomes the nonce, and the first 128 bits of keystream are the output.
+/// ChaCha20 used as a PRF: the 128-bit input fills half of the key, the
+/// tweak pair `t >> 1` becomes the nonce, and keystream words `4·(t & 1) …
+/// 4·(t & 1) + 3` are the output (module docs).
 pub struct ChaCha20Prf {
     key_high: [u32; 4],
     backend: SimdBackend,
+}
+
+/// Where a sweep stores each keystream half: `halves[h]` receives words
+/// `4h … 4h + 3` of every block, and `None` skips that half.
+pub(crate) type Halves<'a> = [Option<&'a mut [Block128]>; 2];
+
+/// Four little-endian `u32` words (word 0 lowest) as one 128-bit block.
+#[inline]
+pub(crate) fn block_from_words(words: [u32; 4]) -> Block128 {
+    Block128::from_u128((0..4).fold(0, |acc, w| acc | ((words[w] as u128) << (32 * w))))
 }
 
 impl ChaCha20Prf {
@@ -91,116 +117,115 @@ impl ChaCha20Prf {
         self.backend = backend.supported_or_scalar();
         self
     }
-}
 
-impl ChaCha20Prf {
-    /// Evaluate one block against a prepared key/nonce template; only the
-    /// input-derived key half varies per call.
+    /// The keystream block of `input` against a key template whose words
+    /// 4–7 hold `key_high`; only the input-derived key half varies per call.
     #[inline]
-    fn eval_with_key(&self, input: Block128, key: &mut [u32; 8], nonce: &[u32; 3]) -> Block128 {
-        let (low, high) = input.halves();
-        key[0] = low as u32;
-        key[1] = (low >> 32) as u32;
-        key[2] = high as u32;
-        key[3] = (high >> 32) as u32;
-        let out = chacha20_block(key, 0, nonce);
-        Block128::from_halves(
-            (out[0] as u64) | ((out[1] as u64) << 32),
-            (out[2] as u64) | ((out[3] as u64) << 32),
-        )
+    fn block(input: Block128, key: &mut [u32; 8], nonce: &[u32; 3]) -> [u32; 16] {
+        key[..4].copy_from_slice(&[0, 1, 2, 3].map(|word| (input.as_u128() >> (32 * word)) as u32));
+        chacha20_block(key, 0, nonce)
     }
 
-    /// The domain-separation nonce derived from `tweak`.
+    /// The domain-separation nonce of tweak pair `pair` (tweaks `2·pair`
+    /// and `2·pair + 1`).
     #[inline]
-    pub(crate) fn nonce(tweak: u64) -> [u32; 3] {
-        [tweak as u32, (tweak >> 32) as u32, 0x5049_5221]
-    }
-}
-
-/// The vector sweeps: the kernel evaluates `WIDTH` independent blocks per
-/// step, each lane under its own tweak.
-///
-/// A batch splits into whole steps plus a sub-`WIDTH` tail, which goes
-/// through one more *padded* step — zero blocks in the unused lanes, only
-/// the real results stored — instead of `n` scalar block functions. Both
-/// child tweaks of the tail share that step when they fit (`2n <= WIDTH`):
-/// that is the whole sweep for the 1-, 2- and (on x86) 4-node levels at the
-/// top of every memory-bounded chunk. The one shape a padded step loses on
-/// is a lone block under a single tweak (one useful lane), which keeps the
-/// scalar block function.
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-impl ChaCha20Prf {
-    /// Whole vector steps over `inputs` (a multiple of `WIDTH` blocks), lane
-    /// `j` of every step under `tweaks[j]`; an empty batch skips the
-    /// kernel's constant setup (every sub-`WIDTH` level of a chunk). Only
-    /// called on an instance whose backend passed runtime detection.
-    fn steps(&self, inputs: &[Block128], tweaks: &[u64; WIDTH], out: &mut [Block128]) {
-        if inputs.is_empty() {
-            return;
-        }
-        let mut nonces = [[0u32; WIDTH]; 3];
-        for (lane, tweak) in tweaks.iter().enumerate() {
-            let nonce = Self::nonce(*tweak);
-            for (word, lanes) in nonces.iter_mut().enumerate() {
-                lanes[lane] = nonce[word];
-            }
-        }
-        vector::eval_blocks(&self.key_high, &nonces, inputs, out);
+    pub(crate) fn nonce(pair: u64) -> [u32; 3] {
+        [pair as u32, (pair >> 32) as u32, 0x5049_5221]
     }
 
-    /// `out[i] = PRF(inputs[i], tweak)` through the vector kernel.
-    fn sweep(&self, inputs: &[Block128], tweak: u64, out: &mut [Block128]) {
-        assert_eq!(inputs.len(), out.len(), "sweep length mismatch");
-        let whole = inputs.len() - inputs.len() % WIDTH;
-        let (head, tail) = inputs.split_at(whole);
-        let (head_out, tail_out) = out.split_at_mut(whole);
-        self.steps(head, &[tweak; WIDTH], head_out);
-        match tail {
-            [] => {}
-            [lone] => tail_out[0] = self.eval_block(*lone, tweak),
-            _ => {
-                let mut lanes = [Block128::ZERO; WIDTH];
-                let mut results = [Block128::ZERO; WIDTH];
-                lanes[..tail.len()].copy_from_slice(tail);
-                self.steps(&lanes, &[tweak; WIDTH], &mut results);
-                tail_out.copy_from_slice(&results[..tail.len()]);
+    /// The one sweep behind every batched entry point: `out[i] =
+    /// PRF(inputs[i], tweak)` and, given `sibling`, `sibling[i] =
+    /// PRF(inputs[i], tweak ^ 1)` from the same keystream block; `mmo` XORs
+    /// each input into its outputs (the Matyas–Meyer–Oseas feed-forward).
+    fn sweep(
+        &self,
+        inputs: &[Block128],
+        tweak: u64,
+        out: &mut [Block128],
+        sibling: Option<&mut [Block128]>,
+        mmo: bool,
+    ) {
+        let mut halves: Halves<'_> = [Some(out), sibling];
+        for out in halves.iter().flatten() {
+            assert_eq!(inputs.len(), out.len(), "sweep length mismatch");
+        }
+        // The odd tweak of a pair reads the second half.
+        halves.rotate_left((tweak & 1) as usize);
+        let nonce = Self::nonce(tweak >> 1);
+        // A non-scalar backend value exists only after runtime detection of
+        // this architecture's kernel (`with_backend`).
+        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+        let done = match self.backend {
+            SimdBackend::Scalar => 0,
+            _ => self.vector_sweep(inputs, &nonce, &mut halves, mmo),
+        };
+        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+        let done = 0;
+        let mut key = [0u32; 8];
+        key[4..].copy_from_slice(&self.key_high);
+        for (i, input) in inputs.iter().enumerate().skip(done) {
+            let block = Self::block(*input, &mut key, &nonce);
+            for (half, out) in halves.iter_mut().enumerate() {
+                let Some(out) = out else { continue };
+                out[i] = block_from_words(block.as_chunks().0[half]).xor_if(mmo, *input);
             }
         }
     }
 
-    /// `out_a[i] = PRF(inputs[i], tweak_a)`, `out_b[i] = PRF(inputs[i],
-    /// tweak_b)` through the vector kernel.
-    fn sweep_pair(
+    /// [`Prf::eval_blocks_pair`] (`mmo` unset) and [`Prf::expand_blocks_mmo`]
+    /// (set): sibling tweaks — `tweak_a ^ tweak_b == 1`, as the GGM PRG's 0
+    /// and 1 — share one block function per input; any other pair takes
+    /// two sweeps.
+    fn pair_sweep(
         &self,
         inputs: &[Block128],
         tweak_a: u64,
         tweak_b: u64,
         out_a: &mut [Block128],
         out_b: &mut [Block128],
+        mmo: bool,
     ) {
-        let n = inputs.len() % WIDTH;
-        if 2 * n > WIDTH || n == 0 {
-            self.sweep(inputs, tweak_a, out_a);
-            self.sweep(inputs, tweak_b, out_b);
-            return;
+        if tweak_a ^ tweak_b == 1 {
+            self.sweep(inputs, tweak_a, out_a, Some(out_b), mmo);
+        } else {
+            self.sweep(inputs, tweak_a, out_a, None, mmo);
+            self.sweep(inputs, tweak_b, out_b, None, mmo);
         }
-        assert_eq!(inputs.len(), out_a.len(), "paired sweep length mismatch");
-        assert_eq!(inputs.len(), out_b.len(), "paired sweep length mismatch");
-        let (head, tail) = inputs.split_at(inputs.len() - n);
-        let (head_a, tail_a) = out_a.split_at_mut(head.len());
-        let (head_b, tail_b) = out_b.split_at_mut(head.len());
-        self.steps(head, &[tweak_a; WIDTH], head_a);
-        self.steps(head, &[tweak_b; WIDTH], head_b);
-        // Lanes [0, n) under tweak_a, lanes [n, 2n) under tweak_b.
+    }
+
+    /// The vector part of [`Self::sweep`], `WIDTH` blocks per kernel step.
+    /// A sub-`WIDTH` tail takes one more *padded* step (zero blocks in the
+    /// unused lanes, only real results stored), except a lone block (one
+    /// useful lane), left to the scalar block function. Returns how many
+    /// leading blocks it wrote; only called on a runtime-detected backend.
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    fn vector_sweep(
+        &self,
+        inputs: &[Block128],
+        nonce: &[u32; 3],
+        halves: &mut Halves<'_>,
+        mmo: bool,
+    ) -> usize {
+        let whole = inputs.len() - inputs.len() % WIDTH;
+        let head = halves
+            .each_mut()
+            .map(|half| half.as_deref_mut().map(|out| &mut out[..whole]));
+        vector::eval_blocks(&self.key_high, nonce, &inputs[..whole], head, mmo);
+        let tail = &inputs[whole..];
+        if tail.len() < 2 {
+            return whole;
+        }
         let mut lanes = [Block128::ZERO; WIDTH];
-        let mut tweaks = [tweak_a; WIDTH];
-        let mut results = [Block128::ZERO; WIDTH];
-        lanes[..n].copy_from_slice(tail);
-        lanes[n..2 * n].copy_from_slice(tail);
-        tweaks[n..2 * n].fill(tweak_b);
-        self.steps(&lanes, &tweaks, &mut results);
-        tail_a.copy_from_slice(&results[..n]);
-        tail_b.copy_from_slice(&results[n..2 * n]);
+        let mut results = [[Block128::ZERO; WIDTH]; 2];
+        lanes[..tail.len()].copy_from_slice(tail);
+        let [low, high] = &mut results;
+        vector::eval_blocks(&self.key_high, nonce, &lanes, [Some(low), Some(high)], mmo);
+        for (half, results) in halves.iter_mut().zip(&results) {
+            if let Some(out) = half {
+                out[whole..].copy_from_slice(&results[..tail.len()]);
+            }
+        }
+        inputs.len()
     }
 }
 
@@ -211,28 +236,13 @@ impl Prf for ChaCha20Prf {
 
     fn eval_block(&self, input: Block128, tweak: u64) -> Block128 {
         let mut key = [0u32; 8];
-        key[4..8].copy_from_slice(&self.key_high);
-        self.eval_with_key(input, &mut key, &Self::nonce(tweak))
+        key[4..].copy_from_slice(&self.key_high);
+        let block = Self::block(input, &mut key, &Self::nonce(tweak >> 1));
+        block_from_words(block.as_chunks().0[(tweak & 1) as usize])
     }
 
     fn eval_blocks(&self, inputs: &[Block128], tweak: u64, out: &mut [Block128]) {
-        // A non-scalar backend value exists only after runtime detection of
-        // this architecture's kernel (`with_backend`).
-        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-        if self.backend != SimdBackend::Scalar {
-            return self.sweep(inputs, tweak, out);
-        }
-        assert_eq!(
-            inputs.len(),
-            out.len(),
-            "eval_blocks input/output length mismatch"
-        );
-        let nonce = Self::nonce(tweak);
-        let mut key = [0u32; 8];
-        key[4..8].copy_from_slice(&self.key_high);
-        for (input, slot) in inputs.iter().zip(out.iter_mut()) {
-            *slot = self.eval_with_key(*input, &mut key, &nonce);
-        }
+        self.sweep(inputs, tweak, out, None, false);
     }
 
     fn eval_blocks_pair(
@@ -243,12 +253,19 @@ impl Prf for ChaCha20Prf {
         out_a: &mut [Block128],
         out_b: &mut [Block128],
     ) {
-        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-        if self.backend != SimdBackend::Scalar {
-            return self.sweep_pair(inputs, tweak_a, tweak_b, out_a, out_b);
-        }
-        self.eval_blocks(inputs, tweak_a, out_a);
-        self.eval_blocks(inputs, tweak_b, out_b);
+        self.pair_sweep(inputs, tweak_a, tweak_b, out_a, out_b, false);
+    }
+
+    /// The feed-forward is applied as each half is stored.
+    fn expand_blocks_mmo(
+        &self,
+        inputs: &[Block128],
+        tweak_a: u64,
+        tweak_b: u64,
+        out_a: &mut [Block128],
+        out_b: &mut [Block128],
+    ) {
+        self.pair_sweep(inputs, tweak_a, tweak_b, out_a, out_b, true);
     }
 
     /// `"avx2+avx512"` where the sweeps run the AVX-512 kernel, so a kernel
@@ -270,22 +287,24 @@ impl Prf for ChaCha20Prf {
 mod tests {
     use super::*;
 
+    /// The key of RFC 7539 §2.3.2: bytes 0, 1, …, 31.
+    const RFC_KEY: [u32; 8] = [
+        0x0302_0100,
+        0x0706_0504,
+        0x0b0a_0908,
+        0x0f0e_0d0c,
+        0x1312_1110,
+        0x1716_1514,
+        0x1b1a_1918,
+        0x1f1e_1d1c,
+    ];
+
     /// RFC 7539 §2.3.2 block function test vector.
     #[test]
     fn rfc7539_block_vector() {
-        let key: [u32; 8] = [
-            0x0302_0100,
-            0x0706_0504,
-            0x0b0a_0908,
-            0x0f0e_0d0c,
-            0x1312_1110,
-            0x1716_1514,
-            0x1b1a_1918,
-            0x1f1e_1d1c,
-        ];
         let nonce: [u32; 3] = [0x0900_0000, 0x4a00_0000, 0x0000_0000];
         let counter = 1;
-        let out = chacha20_block(&key, counter, &nonce);
+        let out = chacha20_block(&RFC_KEY, counter, &nonce);
         let expected: [u32; 16] = [
             0xe4e7_f110,
             0x1559_3bd1,
@@ -318,6 +337,60 @@ mod tests {
             prf.eval_block(Block128::from_u128(1), 1)
         );
         assert_eq!(prf.kind(), PrfKind::Chacha20);
+    }
+
+    /// The definition: tweaks `2k` and `2k + 1` are words 0–3 and 4–7 of
+    /// one block under nonce `k`, with the input in key words 0–3 (the
+    /// block function itself is pinned by `rfc7539_block_vector`).
+    #[test]
+    fn sibling_tweaks_are_the_two_halves_of_one_block() {
+        // The input fills key words 0–3 and the PRF's key words 4–7.
+        let x = Block128::from_u128(0x0f0e_0d0c_0b0a_0908_0706_0504_0302_0100);
+        let prf = ChaCha20Prf::new([0x1312_1110, 0x1716_1514, 0x1b1a_1918, 0x1f1e_1d1c]);
+        for k in [0u64, 1, 0x1_0000_0002] {
+            let block = chacha20_block(&RFC_KEY, 0, &[k as u32, (k >> 32) as u32, 0x5049_5221]);
+            let bytes: Vec<u8> = block[..8].iter().flat_map(|w| w.to_le_bytes()).collect();
+            let (even, odd) = bytes.split_at(16);
+            let want = [even, odd].map(|half| Block128::from_le_bytes(half.try_into().unwrap()));
+            let got = [2 * k, 2 * k + 1].map(|tweak| prf.eval_block(x, tweak));
+            assert_eq!(got, want, "k={k}");
+        }
+    }
+
+    /// Every batched entry point against per-block `eval_block` (with the
+    /// feed-forward XOR for `expand_blocks_mmo`): sibling tweak pairs in
+    /// both orders take the one-block path, a non-adjacent pair two sweeps;
+    /// every length up to five `WIDTH` steps, on the scalar instance and
+    /// the `Avx2` one (the vector sweeps where the host has AVX2).
+    #[test]
+    fn batched_sweeps_match_eval_block() {
+        for backend in [SimdBackend::Scalar, SimdBackend::Avx2] {
+            let prf = ChaCha20Prf::with_fixed_key().with_backend(backend);
+            for (tweak_a, tweak_b) in [(0, 1), (1, 0), (0, 2)] {
+                for len in 0..=40u128 {
+                    let what = format!("{backend:?} tweaks=({tweak_a}, {tweak_b}) len={len}");
+                    let inputs: Vec<Block128> = (0..len)
+                        .map(|i| Block128::from_u128((i * 0x9e37_79b9) ^ 0x5bd1))
+                        .collect();
+                    let want = |tweak, mmo| -> Vec<Block128> {
+                        inputs
+                            .iter()
+                            .map(|x| prf.eval_block(*x, tweak).xor_if(mmo, *x))
+                            .collect()
+                    };
+                    let mut got_a = vec![Block128::ZERO; inputs.len()];
+                    let mut got_b = vec![Block128::ZERO; inputs.len()];
+                    prf.eval_blocks(&inputs, tweak_a, &mut got_a);
+                    assert_eq!(got_a, want(tweak_a, false), "eval_blocks, {what}");
+                    prf.eval_blocks_pair(&inputs, tweak_a, tweak_b, &mut got_a, &mut got_b);
+                    assert_eq!(got_a, want(tweak_a, false), "eval_blocks_pair (a), {what}");
+                    assert_eq!(got_b, want(tweak_b, false), "eval_blocks_pair (b), {what}");
+                    prf.expand_blocks_mmo(&inputs, tweak_a, tweak_b, &mut got_a, &mut got_b);
+                    assert_eq!(got_a, want(tweak_a, true), "expand_blocks_mmo (a), {what}");
+                    assert_eq!(got_b, want(tweak_b, true), "expand_blocks_mmo (b), {what}");
+                }
+            }
+        }
     }
 
     /// The label kernel reports and batch kernel names carry: `avx2+avx512`

@@ -109,10 +109,10 @@ pub trait Prf: Send + Sync {
     /// tweak_b)`.
     ///
     /// This is the shape of a GGM node expansion (left and right child derive
-    /// from the same seed under tweaks 0 and 1), so primitives that absorb
-    /// the input before the tweak can share the input-dependent prefix of the
-    /// computation between the two tweaks (see the SipHash implementation).
-    /// The default simply runs two batched sweeps. Counts as `2 *
+    /// from the same seed under tweaks 0 and 1), so a primitive can share
+    /// work between the two tweaks: SipHash absorbs the input before the
+    /// tweak once for both, and ChaCha20 takes tweaks `2k` and `2k + 1` from
+    /// the two halves of one keystream block. The default runs two sweeps. Counts as `2 *
     /// inputs.len()` PRF block evaluations; outputs must be bit-identical to
     /// the scalar path.
     ///
@@ -137,7 +137,7 @@ pub trait Prf: Send + Sync {
     /// `b`).
     ///
     /// Primitives whose hot loop already holds the input block in registers
-    /// (SipHash) override this to apply the feed-forward for free; the
+    /// (SipHash, ChaCha20) override this to apply the feed-forward for free; the
     /// default XORs in a separate pass. Counts as `2 * inputs.len()` PRF
     /// block evaluations.
     ///

@@ -1,12 +1,15 @@
 //! AVX2 8-way and AVX-512 16-way block-parallel ChaCha20 sweeps.
 //!
-//! The scalar PRF runs one 20-round ChaCha20 block function per input with
-//! the input occupying key words 0–3. ChaCha has no intra-block parallelism
-//! to speak of (the quarter-rounds form one dependency chain), but blocks
-//! are fully independent, so the vector path transposes eight inputs into
-//! sixteen `__m256i` state vectors — lane `j` of every vector belongs to
-//! block `j` — and runs the identical round schedule once. Adds, XORs and
-//! shifts act lane-wise, so every lane computes exactly the scalar result.
+//! The PRF runs one 20-round ChaCha20 block function per input with the
+//! input occupying key words 0–3; keystream words 0–3 are its output under
+//! the even tweak of a pair, words 4–7 under the odd one (see
+//! `ChaCha20Prf`). ChaCha has no intra-block parallelism to speak of (the
+//! quarter-rounds form one dependency chain), but blocks are fully
+//! independent, so the vector path transposes eight inputs into sixteen
+//! `__m256i` state vectors — lane `j` of every vector belongs to block `j`
+//! — and runs the identical round schedule once. Adds, XORs and shifts act
+//! lane-wise, so every lane computes exactly the scalar result. Each step
+//! stores either half or both, with the Matyas–Meyer–Oseas XOR if asked.
 //!
 //! In the ymm kernel, rotations by 16 and 8 are byte-granular and use
 //! `PSHUFB`; 12 and 7 use shift+or. Its 16 state vectors fill all 16 ymm
@@ -22,18 +25,17 @@
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
-    __m256i, __m512i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_or_si256, _mm256_set1_epi32,
-    _mm256_setr_epi32, _mm256_setr_epi8, _mm256_shuffle_epi8, _mm256_slli_epi32, _mm256_srli_epi32,
-    _mm256_storeu_si256, _mm256_xor_si256, _mm512_add_epi32, _mm512_broadcast_i64x4,
-    _mm512_loadu_si512, _mm512_permutex2var_epi32, _mm512_rol_epi32, _mm512_set1_epi32,
-    _mm512_setr_epi32, _mm512_setzero_si512, _mm512_shuffle_i64x2, _mm512_storeu_si512,
-    _mm512_xor_si512,
+    __m256i, __m512i, _mm256_add_epi32, _mm256_and_si256, _mm256_loadu_si256, _mm256_or_si256,
+    _mm256_set1_epi32, _mm256_setr_epi8, _mm256_shuffle_epi8, _mm256_slli_epi32, _mm256_srli_epi32,
+    _mm256_storeu_si256, _mm256_xor_si256, _mm512_add_epi32, _mm512_and_si512, _mm512_loadu_si512,
+    _mm512_permutex2var_epi32, _mm512_rol_epi32, _mm512_set1_epi32, _mm512_setr_epi32,
+    _mm512_shuffle_i64x2, _mm512_storeu_si512, _mm512_xor_si512,
 };
 use core::slice;
 
 use pir_field::Block128;
 
-use crate::chacha::CONSTANTS;
+use crate::chacha::{block_from_words, twenty_rounds, Halves, CONSTANTS};
 
 /// Number of blocks processed per vector step (u32 lanes in a `__m256i`).
 pub(crate) const WIDTH: usize = 8;
@@ -88,125 +90,91 @@ fn quarter_round(state: &mut [__m256i; 16], a: usize, b: usize, c: usize, d: usi
     state[b] = rotl7(_mm256_xor_si256(state[b], state[c]));
 }
 
-/// Vectorized `eval_blocks` over a whole-multiple-of-[`WIDTH`] batch.
-///
-/// `nonces[w]` holds nonce word `w` of every lane: lane `j` of each vector
-/// step evaluates under `(nonces[0][j], nonces[1][j], nonces[2][j])`. A
-/// uniform sweep repeats one nonce in all lanes; a padded tail mixes both
-/// child tweaks in one step.
-///
+/// Vectorized sweep over a whole-multiple-of-[`WIDTH`] batch under one
+/// `nonce`, into [`Halves`], XORing each input into its outputs if `mmo`.
 /// Whole [`ZMM_WIDTH`]-block steps take the zmm kernel where the CPU has
-/// AVX-512F (each of its steps is two `WIDTH` steps, lane `j` and lane
-/// `WIDTH + j` under the same nonce), the rest the ymm kernel.
+/// AVX-512F, the rest the ymm kernel.
 ///
 /// Must only be called when the Avx2 backend passed runtime detection, and
 /// with `inputs.len() % WIDTH == 0` (the caller pads the remainder up to one
 /// more step).
 pub(crate) fn eval_blocks(
     key_high: &[u32; 4],
-    nonces: &[[u32; WIDTH]; 3],
+    nonce: &[u32; 3],
     inputs: &[Block128],
-    out: &mut [Block128],
+    halves: Halves<'_>,
+    mmo: bool,
 ) {
     assert_eq!(inputs.len() % WIDTH, 0, "whole vector steps only");
-    assert_eq!(inputs.len(), out.len(), "input/output length mismatch");
+    for out in halves.iter().flatten() {
+        assert_eq!(inputs.len(), out.len(), "input/output length mismatch");
+    }
     let wide = inputs.len() / ZMM_WIDTH * ZMM_WIDTH;
-    let (inputs, out) = if wide > 0 && std::arch::is_x86_feature_detected!("avx512f") {
+    let (inputs, halves) = if wide > 0 && std::arch::is_x86_feature_detected!("avx512f") {
         let (head, tail) = inputs.split_at(wide);
-        let (head_out, tail_out) = out.split_at_mut(wide);
+        let [(low, low_tail), (high, high_tail)] =
+            halves.map(|half| half.map(|out| out.split_at_mut(wide)).unzip());
         // SAFETY: AVX-512F is detected above.
-        unsafe { eval_blocks_zmm(key_high, nonces, head, head_out) };
-        (tail, tail_out)
+        unsafe { eval_blocks_zmm(key_high, nonce, head, [low, high], mmo) };
+        (tail, [low_tail, high_tail])
     } else {
-        (inputs, out)
+        (inputs, halves)
     };
     // SAFETY: caller contract — the Avx2 backend detected AVX2 at runtime.
-    unsafe { eval_blocks_ymm(key_high, nonces, inputs, out) }
+    unsafe { eval_blocks_ymm(key_high, nonce, inputs, halves, mmo) }
 }
 
 /// The ymm kernel over whole [`WIDTH`]-block steps.
 #[target_feature(enable = "avx2")]
 fn eval_blocks_ymm(
     key_high: &[u32; 4],
-    nonces: &[[u32; WIDTH]; 3],
+    nonce: &[u32; 3],
     inputs: &[Block128],
-    out: &mut [Block128],
+    halves: Halves<'_>,
+    mmo: bool,
 ) {
-    // The state words that do not depend on the input are the same for every
-    // block of the sweep.
-    let constants = CONSTANTS.map(|word| _mm256_set1_epi32(word as i32));
-    let key_high_v = key_high.map(|word| _mm256_set1_epi32(word as i32));
-    // SAFETY: each `nonces[w]` is 32 readable bytes; the loads are unaligned.
-    let nonce_v =
-        unsafe { nonces.map(|lanes| _mm256_loadu_si256(lanes.as_ptr().cast::<__m256i>())) };
+    // The state words that do not depend on the input: constants, key
+    // words 4–7, counter and nonce.
+    let splat = |words: [u32; 4]| words.map(|word| _mm256_set1_epi32(word as i32));
+    let constants = splat(CONSTANTS);
+    let key_high_v = splat(*key_high);
+    let tail = splat([0, nonce[0], nonce[1], nonce[2]]);
+    let feed = _mm256_set1_epi32(-(mmo as i32));
 
     // SAFETY: `Block128` is a transparent `u128`, so `inputs` is `4 * len`
     // contiguous little-endian `u32` words (and `u32` alignment divides
     // `u128` alignment).
     let words = unsafe { slice::from_raw_parts(inputs.as_ptr().cast::<u32>(), 4 * inputs.len()) };
     let (steps, _) = words.as_chunks::<{ 4 * WIDTH }>();
-    let (out_steps, _) = out.as_chunks_mut::<WIDTH>();
-    for (step, out_step) in steps.iter().zip(out_steps) {
+    let mut outs = halves.map(|half| half.map(|out| out.as_chunks_mut::<WIDTH>().0.iter_mut()));
+    for step in steps {
         // Transpose: vector j holds input word j of the eight blocks.
-        let mut input_words = [constants[0]; 4];
-        for (j, slot) in input_words.iter_mut().enumerate() {
-            *slot = _mm256_setr_epi32(
-                step[j] as i32,
-                step[4 + j] as i32,
-                step[8 + j] as i32,
-                step[12 + j] as i32,
-                step[16 + j] as i32,
-                step[20 + j] as i32,
-                step[24 + j] as i32,
-                step[28 + j] as i32,
-            );
-        }
+        let input_words: [__m256i; 4] = core::array::from_fn(|j| {
+            let lanes: [u32; WIDTH] = core::array::from_fn(|block| step[4 * block + j]);
+            // SAFETY: `lanes` is 32 readable bytes; the load is unaligned.
+            unsafe { _mm256_loadu_si256(lanes.as_ptr().cast()) }
+        });
+        let parts = [constants, input_words, key_high_v, tail];
+        let mut state: [__m256i; 16] = core::array::from_fn(|i| parts[i / 4][i % 4]);
+        twenty_rounds!(quarter_round, &mut state);
 
-        let mut state: [__m256i; 16] = [
-            constants[0],
-            constants[1],
-            constants[2],
-            constants[3],
-            input_words[0],
-            input_words[1],
-            input_words[2],
-            input_words[3],
-            key_high_v[0],
-            key_high_v[1],
-            key_high_v[2],
-            key_high_v[3],
-            _mm256_set1_epi32(0), // counter
-            nonce_v[0],
-            nonce_v[1],
-            nonce_v[2],
-        ];
-        for _ in 0..10 {
-            quarter_round(&mut state, 0, 4, 8, 12);
-            quarter_round(&mut state, 1, 5, 9, 13);
-            quarter_round(&mut state, 2, 6, 10, 14);
-            quarter_round(&mut state, 3, 7, 11, 15);
-            quarter_round(&mut state, 0, 5, 10, 15);
-            quarter_round(&mut state, 1, 6, 11, 12);
-            quarter_round(&mut state, 2, 7, 8, 13);
-            quarter_round(&mut state, 3, 4, 9, 14);
-        }
-        // Feed-forward of the initial state; only words 0–3 are emitted.
-        let out0 = _mm256_add_epi32(state[0], constants[0]);
-        let out1 = _mm256_add_epi32(state[1], constants[1]);
-        let out2 = _mm256_add_epi32(state[2], constants[2]);
-        let out3 = _mm256_add_epi32(state[3], constants[3]);
-
-        // Transpose back: block j reads lane j of each output vector.
-        let mut w = [[0u32; WIDTH]; 4];
-        for (vector, lanes) in [out0, out1, out2, out3].into_iter().zip(w.iter_mut()) {
-            // SAFETY: `lanes` is 32 writable bytes; the store is unaligned.
-            unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), vector) };
-        }
-        for (j, slot) in out_step.iter_mut().enumerate() {
-            *slot = Block128::from_halves(
-                (w[0][j] as u64) | ((w[1][j] as u64) << 32),
-                (w[2][j] as u64) | ((w[3][j] as u64) << 32),
-            );
+        // Feed-forward (constants into words 0–3, the input into 4–7) and
+        // the MMO XOR, then transpose back: block j reads lane j of each
+        // output vector.
+        let fed = input_words.map(|word| _mm256_and_si256(word, feed));
+        let [s0, s1, s2, s3, s4, s5, s6, s7, ..] = state;
+        let words = [[s0, s1, s2, s3], [s4, s5, s6, s7]];
+        for ((out, words), initial) in outs.iter_mut().zip(words).zip([constants, input_words]) {
+            let Some(out_step) = out.as_mut().and_then(Iterator::next) else {
+                continue;
+            };
+            let mut w = [[0u32; WIDTH]; 4];
+            for (k, lanes) in w.iter_mut().enumerate() {
+                let word = _mm256_xor_si256(_mm256_add_epi32(words[k], initial[k]), fed[k]);
+                // SAFETY: `lanes` is 32 writable bytes; the store is unaligned.
+                unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), word) };
+            }
+            *out_step = core::array::from_fn(|j| block_from_words(w.map(|lanes| lanes[j])));
         }
     }
 }
@@ -282,73 +250,46 @@ fn to_block_major(words: [__m512i; 4]) -> [__m512i; 4] {
     ]
 }
 
-/// The zmm kernel over whole [`ZMM_WIDTH`]-block steps: lanes `j` and
-/// `WIDTH + j` of every step under nonce lane `j`.
+/// The zmm kernel over whole [`ZMM_WIDTH`]-block steps.
 #[target_feature(enable = "avx512f")]
 fn eval_blocks_zmm(
     key_high: &[u32; 4],
-    nonces: &[[u32; WIDTH]; 3],
+    nonce: &[u32; 3],
     inputs: &[Block128],
-    out: &mut [Block128],
+    halves: Halves<'_>,
+    mmo: bool,
 ) {
     assert_eq!(inputs.len() % ZMM_WIDTH, 0, "whole zmm steps only");
-    let constants = CONSTANTS.map(|word| _mm512_set1_epi32(word as i32));
-    let key_high_v = key_high.map(|word| _mm512_set1_epi32(word as i32));
-    // Lanes `j` and `WIDTH + j` share nonce lane `j`.
-    let nonce_v = nonces.map(|lanes| {
-        // SAFETY: `lanes` is 32 readable bytes; the load is unaligned.
-        let half = unsafe { _mm256_loadu_si256(lanes.as_ptr().cast()) };
-        _mm512_broadcast_i64x4(half)
-    });
+    let splat = |words: [u32; 4]| words.map(|word| _mm512_set1_epi32(word as i32));
+    let constants = splat(CONSTANTS);
+    let key_high_v = splat(*key_high);
+    let tail = splat([0, nonce[0], nonce[1], nonce[2]]);
+    let feed = _mm512_set1_epi32(-(mmo as i32));
 
     let (steps, _) = inputs.as_chunks::<ZMM_WIDTH>();
-    let (out_steps, _) = out.as_chunks_mut::<ZMM_WIDTH>();
-    for (step, out_step) in steps.iter().zip(out_steps) {
+    let mut outs = halves.map(|half| half.map(|out| out.as_chunks_mut::<ZMM_WIDTH>().0.iter_mut()));
+    for step in steps {
         let (rows, _) = step.as_chunks::<4>();
-        let input_words = to_word_major([
-            load4(&rows[0]),
-            load4(&rows[1]),
-            load4(&rows[2]),
-            load4(&rows[3]),
-        ]);
-        let mut state: [__m512i; 16] = [
-            constants[0],
-            constants[1],
-            constants[2],
-            constants[3],
-            input_words[0],
-            input_words[1],
-            input_words[2],
-            input_words[3],
-            key_high_v[0],
-            key_high_v[1],
-            key_high_v[2],
-            key_high_v[3],
-            _mm512_setzero_si512(), // counter
-            nonce_v[0],
-            nonce_v[1],
-            nonce_v[2],
-        ];
-        for _ in 0..10 {
-            quarter_round_zmm(&mut state, 0, 4, 8, 12);
-            quarter_round_zmm(&mut state, 1, 5, 9, 13);
-            quarter_round_zmm(&mut state, 2, 6, 10, 14);
-            quarter_round_zmm(&mut state, 3, 7, 11, 15);
-            quarter_round_zmm(&mut state, 0, 5, 10, 15);
-            quarter_round_zmm(&mut state, 1, 6, 11, 12);
-            quarter_round_zmm(&mut state, 2, 7, 8, 13);
-            quarter_round_zmm(&mut state, 3, 4, 9, 14);
-        }
-        // Feed-forward of the initial state; only words 0–3 are emitted.
-        let rows_out = to_block_major([
-            _mm512_add_epi32(state[0], constants[0]),
-            _mm512_add_epi32(state[1], constants[1]),
-            _mm512_add_epi32(state[2], constants[2]),
-            _mm512_add_epi32(state[3], constants[3]),
-        ]);
-        let (slots, _) = out_step.as_chunks_mut::<4>();
-        for (slot, row) in slots.iter_mut().zip(rows_out) {
-            store4(slot, row);
+        let input_words = to_word_major(core::array::from_fn(|row| load4(&rows[row])));
+        let parts = [constants, input_words, key_high_v, tail];
+        let mut state: [__m512i; 16] = core::array::from_fn(|i| parts[i / 4][i % 4]);
+        twenty_rounds!(quarter_round_zmm, &mut state);
+
+        // Feed-forward and MMO XOR as in the ymm kernel.
+        let fed = input_words.map(|word| _mm512_and_si512(word, feed));
+        let [s0, s1, s2, s3, s4, s5, s6, s7, ..] = state;
+        let words = [[s0, s1, s2, s3], [s4, s5, s6, s7]];
+        for ((out, words), initial) in outs.iter_mut().zip(words).zip([constants, input_words]) {
+            let Some(out_step) = out.as_mut().and_then(Iterator::next) else {
+                continue;
+            };
+            let rows_out = to_block_major(core::array::from_fn(|w| {
+                _mm512_xor_si512(_mm512_add_epi32(words[w], initial[w]), fed[w])
+            }));
+            let (slots, _) = out_step.as_chunks_mut::<4>();
+            for (slot, value) in slots.iter_mut().zip(rows_out) {
+                store4(slot, value);
+            }
         }
     }
 }
@@ -363,48 +304,57 @@ mod tests {
     /// Both kernels, called directly, against the scalar block function: on
     /// an AVX-512 host the public sweep routes whole 16-block steps to the
     /// zmm kernel, so the ymm kernel would otherwise go untested there (and
-    /// vice versa). Every lane of a step runs under its own tweak.
+    /// vice versa). Each kernel stores both keystream halves — the PRF under
+    /// the even and the odd tweak of a pair — then each half alone, with and
+    /// without the feed-forward XOR.
     #[test]
     fn kernels_match_scalar() {
         if !SimdBackend::Avx2.is_supported() {
             eprintln!("skipped both kernels: this host lacks AVX2");
             return;
         }
-        let key_high = [0x0123_4567, 0x89ab_cdef, 0xfedc_ba98, 0x7654_3210];
-        let prf = ChaCha20Prf::new(key_high);
-        let tweaks: [u64; WIDTH] =
-            core::array::from_fn(|j| (j as u64 % 3) << 32 | (j as u64).wrapping_mul(0x9e37));
-        let mut nonces = [[0u32; WIDTH]; 3];
-        for (lane, tweak) in tweaks.iter().enumerate() {
-            for (lanes, word) in nonces.iter_mut().zip(ChaCha20Prf::nonce(*tweak)) {
-                lanes[lane] = word;
-            }
-        }
-        let avx512 = std::arch::is_x86_feature_detected!("avx512f");
-        if !avx512 {
+        type Kernel = unsafe fn(&[u32; 4], &[u32; 3], &[Block128], Halves<'_>, bool);
+        let mut kernels: Vec<(&str, Kernel, usize)> = vec![("ymm", eval_blocks_ymm, WIDTH)];
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            kernels.push(("zmm", eval_blocks_zmm, ZMM_WIDTH));
+        } else {
             eprintln!("skipped the zmm kernel: this host lacks AVX-512F (ymm kernel checked)");
         }
-        // The kernels take whole steps: every multiple of `WIDTH` up to 40.
-        for len in (0..=40).step_by(WIDTH) {
-            let inputs: Vec<Block128> = (0..len as u128)
-                .map(|i| Block128::from_u128(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5bd1))
-                .collect();
-            let want: Vec<Block128> = inputs
-                .iter()
-                .enumerate()
-                .map(|(i, x)| prf.eval_block(*x, tweaks[i % WIDTH]))
-                .collect();
-            let mut got = vec![Block128::ZERO; len];
-            // SAFETY: AVX2 checked at the top of the test.
-            unsafe { eval_blocks_ymm(&key_high, &nonces, &inputs, &mut got) };
-            assert_eq!(got, want, "ymm len={len}");
-
-            if avx512 {
-                let whole = len / ZMM_WIDTH * ZMM_WIDTH;
-                let mut got = vec![Block128::ZERO; whole];
-                // SAFETY: AVX-512F checked above.
-                unsafe { eval_blocks_zmm(&key_high, &nonces, &inputs[..whole], &mut got) };
-                assert_eq!(got[..], want[..whole], "zmm len={whole}");
+        let key_high = [0x0123_4567, 0x89ab_cdef, 0xfedc_ba98, 0x7654_3210];
+        let prf = ChaCha20Prf::new(key_high);
+        for (name, kernel, step) in kernels {
+            for (pair, mmo) in [(0u64, false), (0x9e37, true), (3 << 32 | 5, true)] {
+                let nonce = ChaCha20Prf::nonce(pair);
+                // The kernels take whole steps: every multiple of one up to 48.
+                for len in (0..=48).step_by(step) {
+                    let what = format!("{name} pair={pair} mmo={mmo} len={len}");
+                    let inputs: Vec<Block128> = (0..len as u128)
+                        .map(|i| {
+                            Block128::from_u128(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5bd1)
+                        })
+                        .collect();
+                    let want = [0, 1].map(|half| {
+                        let tweak = 2 * pair + half;
+                        let want = inputs
+                            .iter()
+                            .map(|x| prf.eval_block(*x, tweak).xor_if(mmo, *x));
+                        want.collect::<Vec<_>>()
+                    });
+                    let mut got = [vec![Block128::ZERO; len], vec![Block128::ZERO; len]];
+                    let [low, high] = &mut got;
+                    let halves = [Some(low.as_mut_slice()), Some(high.as_mut_slice())];
+                    // SAFETY: the host has the kernel's features (checked above).
+                    unsafe { kernel(&key_high, &nonce, &inputs, halves, mmo) };
+                    assert_eq!(got, want, "{what}");
+                    for (half, want) in want.iter().enumerate() {
+                        let mut alone = vec![Block128::ZERO; len];
+                        let mut halves = [None, None];
+                        halves[half] = Some(alone.as_mut_slice());
+                        // SAFETY: as above.
+                        unsafe { kernel(&key_high, &nonce, &inputs, halves, mmo) };
+                        assert_eq!(&alone, want, "half {half} alone, {what}");
+                    }
+                }
             }
         }
     }

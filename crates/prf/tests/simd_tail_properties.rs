@@ -1,8 +1,8 @@
 //! Tail-correctness proofs for the vectorized PRF backends.
 //!
 //! Every SIMD path splits a batch into a vector-width-aligned prefix and a
-//! remainder (padded through one more vector step, both child tweaks sharing
-//! it when they fit; scalar only where the kernel is narrower than a pair);
+//! remainder (padded through one more vector step; scalar for a lone
+//! ChaCha20 block and where the kernel is narrower than a pair);
 //! the seams (length 0, 1, half a lane, one-below-a-lane, one-above, and
 //! arbitrary non-multiples) are exactly where a wrong split corrupts
 //! outputs. These tests pin every batch entry point — `eval_blocks`,

@@ -274,7 +274,7 @@ impl PirServeRuntime {
                 )]
                 workers.push(
                     std::thread::Builder::new()
-                        .name(format!("batcher-{name}-{party}-{replica}"))
+                        .name(batcher_thread_name(name, party, replica))
                         .spawn(move || run_batch_former(hosted, party, replica, budget))
                         .expect("spawn batch former"),
                 );
@@ -438,6 +438,13 @@ impl std::fmt::Debug for PirServeRuntime {
     }
 }
 
+/// A batch former's thread name: role and ids first, the table name last,
+/// so the 15 bytes Linux keeps of a thread name hold `batcher-{party}-{replica}-`
+/// whole for single-digit ids, however long the table name.
+fn batcher_thread_name(table: &str, party: usize, replica: usize) -> String {
+    format!("batcher-{party}-{replica}-{table}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,6 +465,12 @@ mod tests {
             .unwrap();
         runtime.register_table(name, table, config).unwrap();
         runtime
+    }
+
+    #[test]
+    fn batcher_thread_names_keep_their_ids_within_fifteen_bytes() {
+        let name = batcher_thread_name("embeddings_table_v2", 1, 9);
+        assert!(name.as_bytes()[..15].starts_with(b"batcher-1-9-"), "{name}");
     }
 
     #[test]
