@@ -105,9 +105,10 @@ impl ShardMap {
     /// The view `shard` is provisioned with: [`PirTable::masked`] to the
     /// shard's owned ranges — the table's schema, so any full-domain query
     /// key is accepted, and only the shard's rows, so the answer is the
-    /// shard's additive partial share. Served through the ordinary runtime,
-    /// which sweeps, uploads and keeps resident the owned subtrees only and
-    /// refuses a write outside them.
+    /// shard's additive partial share. The view stores the bounding range
+    /// of the shard's rows alone, and the ordinary runtime serving it sweeps,
+    /// uploads and keeps resident the owned subtrees only and refuses a
+    /// write outside them.
     #[must_use]
     pub fn mask_table(&self, table: &PirTable, shard: usize) -> PirTable {
         assert_eq!(
@@ -167,6 +168,38 @@ mod tests {
                 }
             }
             assert_eq!(holders, 1);
+        }
+    }
+
+    #[test]
+    fn a_shard_view_stores_only_its_bounding_range() {
+        let entries = 1u64 << 14;
+        let table = PirTable::generate(entries, 16, fill);
+        let row_bytes = table.matrix().lanes_per_row() * 4;
+        let zero = vec![0u32; table.matrix().lanes_per_row()];
+        for shards in 1..=5 {
+            let map = ShardMap::new(entries, shards).unwrap();
+            for (shard, view) in map.provision(&table).iter().enumerate() {
+                let kept = view.kept_ranges();
+                let bounding = kept[0].start..kept[kept.len() - 1].end;
+                let stored = view.matrix().stored_bytes();
+                assert_eq!(
+                    stored,
+                    (bounding.end - bounding.start) as usize * row_bytes,
+                    "shard {shard} of {shards}"
+                );
+                if shards.is_power_of_two() {
+                    assert_eq!(stored * shards, table.matrix().stored_bytes());
+                }
+                for row in 0..entries {
+                    let want = if map.owns(shard, row) {
+                        table.matrix().row(row as usize)
+                    } else {
+                        &zero
+                    };
+                    assert_eq!(view.matrix().row(row as usize), want, "row {row}");
+                }
+            }
         }
     }
 

@@ -12,7 +12,6 @@
 //! time and, at one host thread, peak memory are those of the blocks run one
 //! by one.
 
-use std::borrow::Cow;
 use std::ops::Range;
 
 use gpu_sim::{
@@ -286,6 +285,10 @@ impl<'a> BatchEvalJob<'a> {
     /// assigns to that device, in subtree order. The caller owns the
     /// returned allocations (and frees them on the same backends).
     ///
+    /// The upload carries the slice's byte count and no payload on every
+    /// backend: kernels read the job's table, never a staged copy, so the
+    /// ledger accounts every table byte without the host copying one.
+    ///
     /// # Panics
     ///
     /// Panics if `backends` is not one per device of `split`.
@@ -297,10 +300,6 @@ impl<'a> BatchEvalJob<'a> {
     ) -> Vec<ResidentAllocation> {
         let rows = self.table.rows() as u64;
         let row_bytes = self.row_bytes();
-        let lanes = self.table.lanes_per_row();
-        let lanes_of = |range: &std::ops::Range<u64>| {
-            &self.table.lanes()[range.start as usize * lanes..range.end as usize * lanes]
-        };
         let owned_ranges = split.owned_ranges(rows);
         assert_eq!(backends.len(), owned_ranges.len(), "one backend per device");
         backends
@@ -309,19 +308,8 @@ impl<'a> BatchEvalJob<'a> {
             .zip(split.slice_bytes(rows, row_bytes))
             .map(|((backend, owned), bytes)| {
                 let alloc = backend.alloc(bytes);
-                if backend.stores_payloads() {
-                    // One contiguous range (every power-of-two device count)
-                    // uploads straight from the table; striped ownership is
-                    // gathered into one payload first.
-                    let payload: Cow<'_, [u32]> = match owned.as_slice() {
-                        [range] => Cow::Borrowed(lanes_of(range)),
-                        ranges => Cow::Owned(ranges.iter().flat_map(lanes_of).copied().collect()),
-                    };
-                    backend.upload_table(&alloc, TransferSrc::Lanes(&payload));
-                } else {
-                    let owned_rows: u64 = owned.iter().map(|range| range.end - range.start).sum();
-                    backend.upload_table(&alloc, TransferSrc::Opaque(owned_rows * row_bytes));
-                }
+                let owned_rows: u64 = owned.iter().map(|range| range.end - range.start).sum();
+                backend.upload_table(&alloc, TransferSrc::Opaque(owned_rows * row_bytes));
                 alloc
             })
             .collect()

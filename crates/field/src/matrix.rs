@@ -1,5 +1,7 @@
 //! Share-weighted matrix–vector products over embedding tables.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use crate::simd::LaneWeight;
@@ -10,22 +12,29 @@ use crate::{LaneVector, Ring128};
 /// This is the in-memory layout the PIR servers multiply against the expanded
 /// DPF output. Rows are stored contiguously, which mirrors how the GPU kernel
 /// streams the table from global memory.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// A matrix may store only a window of its rows ([`ShareMatrix::windowed`]):
+/// the rows a shard-owner holds, every other row reading as zero. Every sweep
+/// clips to the window, whose bounds are public, so a windowed matrix
+/// multiplies exactly like the whole matrix with the same rows zeroed — and
+/// compares equal to it.
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ShareMatrix {
     rows: usize,
     lanes_per_row: usize,
+    /// The stored rows; every row outside reads as zero.
+    window: Range<usize>,
+    /// Row-major lanes of the window's rows.
     data: Vec<u32>,
+    /// The row every row outside the window reads as.
+    zero_row: Vec<u32>,
 }
 
 impl ShareMatrix {
     /// Create a zeroed matrix with `rows` rows of `lanes_per_row` lanes each.
     #[must_use]
     pub fn zeroed(rows: usize, lanes_per_row: usize) -> Self {
-        Self {
-            rows,
-            lanes_per_row,
-            data: vec![0; rows * lanes_per_row],
-        }
+        Self::from_rows(rows, lanes_per_row, vec![0; rows * lanes_per_row])
     }
 
     /// Build a matrix from a row-major lane buffer.
@@ -35,15 +44,38 @@ impl ShareMatrix {
     /// Panics if `data.len() != rows * lanes_per_row`.
     #[must_use]
     pub fn from_rows(rows: usize, lanes_per_row: usize, data: Vec<u32>) -> Self {
+        Self::windowed(rows, lanes_per_row, 0..rows, data)
+    }
+
+    /// A matrix of `rows` rows that stores only the rows of `window`, from
+    /// their row-major lane buffer; every other row reads as zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window reaches past the last row or `data.len()` is
+    /// not the window's rows times `lanes_per_row`.
+    #[must_use]
+    pub fn windowed(
+        rows: usize,
+        lanes_per_row: usize,
+        window: Range<usize>,
+        data: Vec<u32>,
+    ) -> Self {
+        assert!(
+            window.end <= rows,
+            "window {window:?} reaches past the last row ({rows})"
+        );
         assert_eq!(
             data.len(),
-            rows * lanes_per_row,
+            window.len() * lanes_per_row,
             "row-major buffer has wrong length"
         );
         Self {
             rows,
             lanes_per_row,
+            window,
             data,
+            zero_row: vec![0; lanes_per_row],
         }
     }
 
@@ -59,20 +91,27 @@ impl ShareMatrix {
         self.lanes_per_row
     }
 
-    /// Total size of the table in bytes.
+    /// Total size of the table in bytes, every row counted whether stored
+    /// or not: the bytes a device holding the whole table would keep.
     #[must_use]
     pub fn size_bytes(&self) -> usize {
+        self.rows * self.lanes_per_row * 4
+    }
+
+    /// Bytes of the rows this matrix stores (its window's).
+    #[must_use]
+    pub fn stored_bytes(&self) -> usize {
         self.data.len() * 4
     }
 
-    /// Borrow the whole table as one row-major lane slice — the exact buffer
-    /// a device backend uploads when the table is made resident.
+    /// Borrow the stored rows as one row-major lane slice: the whole table
+    /// unless the matrix is [`windowed`](ShareMatrix::windowed).
     #[must_use]
     pub fn lanes(&self) -> &[u32] {
         &self.data
     }
 
-    /// Borrow one row as a lane slice.
+    /// Borrow one row as a lane slice; a row outside the window is zero.
     ///
     /// # Panics
     ///
@@ -80,27 +119,35 @@ impl ShareMatrix {
     #[must_use]
     pub fn row(&self, row: usize) -> &[u32] {
         assert!(row < self.rows, "row {row} out of bounds ({})", self.rows);
-        let start = row * self.lanes_per_row;
+        if !self.window.contains(&row) {
+            return &self.zero_row;
+        }
+        let start = (row - self.window.start) * self.lanes_per_row;
         &self.data[start..start + self.lanes_per_row]
     }
 
-    /// Mutably borrow one row.
+    /// Mutably borrow one stored row.
     ///
     /// # Panics
     ///
-    /// Panics if `row >= rows`.
+    /// Panics if `row >= rows` or the row is outside the window.
     pub fn row_mut(&mut self, row: usize) -> &mut [u32] {
         assert!(row < self.rows, "row {row} out of bounds ({})", self.rows);
-        let start = row * self.lanes_per_row;
+        assert!(
+            self.window.contains(&row),
+            "row {row} is outside the stored window {:?}",
+            self.window
+        );
+        let start = (row - self.window.start) * self.lanes_per_row;
         &mut self.data[start..start + self.lanes_per_row]
     }
 
-    /// Overwrite one row from a lane slice.
+    /// Overwrite one stored row from a lane slice.
     ///
     /// # Panics
     ///
-    /// Panics if the slice length differs from `lanes_per_row` or the row is
-    /// out of bounds.
+    /// Panics if the slice length differs from `lanes_per_row`, or the row is
+    /// out of bounds or outside the window.
     pub fn set_row(&mut self, row: usize, lanes: &[u32]) {
         assert_eq!(lanes.len(), self.lanes_per_row, "row width mismatch");
         self.row_mut(row).copy_from_slice(lanes);
@@ -109,6 +156,9 @@ impl ShareMatrix {
     /// The chunk sweep behind every share-weighted product in this crate:
     /// for each key `g`, `accs[g] += Σ_j weights[g · n + j] · row(base_row +
     /// j)` with `n = weights.len() / accs.len()`.
+    ///
+    /// Only the stored rows are read: the chunk is clipped to the window,
+    /// whose bounds are public, and the rows outside add zero.
     fn accumulate<W: LaneWeight>(&self, accs: &mut [LaneVector], weights: &[W], base_row: usize) {
         let chunk = weights.len().checked_div(accs.len()).unwrap_or(0);
         assert!(
@@ -121,11 +171,41 @@ impl ShareMatrix {
             accs.iter().all(|acc| acc.len() == self.lanes_per_row),
             "accumulator width mismatch"
         );
-        let start = base_row * self.lanes_per_row;
-        let rows = &self.data[start..start + chunk * self.lanes_per_row];
-        crate::simd::accumulate_rows(accs, weights, rows);
+        let from = base_row.max(self.window.start);
+        let to = (base_row + chunk).min(self.window.end);
+        if from >= to {
+            return;
+        }
+        let start = (from - self.window.start) * self.lanes_per_row;
+        let rows = &self.data[start..start + (to - from) * self.lanes_per_row];
+        if to - from == chunk {
+            crate::simd::accumulate_rows(accs, weights, rows);
+        } else {
+            // The window cuts the chunk: each key's weights for the stored
+            // rows are a sub-slice of its own chunk.
+            let clipped = from - base_row..to - base_row;
+            for (acc, key_weights) in accs.iter_mut().zip(weights.chunks_exact(chunk)) {
+                crate::simd::accumulate_rows(
+                    std::slice::from_mut(acc),
+                    &key_weights[clipped.clone()],
+                    rows,
+                );
+            }
+        }
     }
 }
+
+/// Equality of the logical rows: a windowed matrix equals the whole matrix
+/// with the same rows zeroed.
+impl PartialEq for ShareMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+            && self.lanes_per_row == other.lanes_per_row
+            && (0..self.rows).all(|row| self.row(row) == other.row(row))
+    }
+}
+
+impl Eq for ShareMatrix {}
 
 /// Compute `weights × matrix` where `weights` are DPF output shares, yielding
 /// an additive share of the selected row.
@@ -275,6 +355,43 @@ mod tests {
             &matrix,
             4,
         );
+    }
+
+    #[test]
+    fn a_windowed_matrix_sweeps_and_compares_like_the_zeroed_whole() {
+        let mut rng = StdRng::seed_from_u64(24);
+        let full = random_matrix(&mut rng, 40, 6);
+        let window = 9..27;
+        let data = full.lanes()[window.start * 6..window.end * 6].to_vec();
+        let windowed = ShareMatrix::windowed(40, 6, window.clone(), data);
+        let mut zeroed = ShareMatrix::zeroed(40, 6);
+        for row in window.clone() {
+            zeroed.set_row(row, full.row(row));
+        }
+        assert_eq!(windowed, zeroed);
+        assert_ne!(windowed, full);
+        assert_eq!(windowed.stored_bytes(), 18 * 6 * 4);
+        assert_eq!(windowed.size_bytes(), full.size_bytes());
+        assert_eq!(windowed.row(3), &[0; 6]);
+        // Chunks before, across either edge of, inside, around and after
+        // the window, for one key and for a group.
+        for (base, chunk) in [(0, 8), (4, 10), (20, 12), (12, 6), (0, 40), (30, 10)] {
+            for keys in [1usize, 3] {
+                let weights: Vec<u32> = (0..keys * chunk).map(|_| rng.gen()).collect();
+                let mut got = vec![LaneVector::zeroed(6); keys];
+                let mut want = vec![LaneVector::zeroed(6); keys];
+                matvec_accumulate_keys(&mut got, &weights, &windowed, base);
+                matvec_accumulate_keys(&mut want, &weights, &zeroed, base);
+                assert_eq!(got, want, "rows [{base}, {}) x{keys}", base + chunk);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the stored window")]
+    fn writing_outside_the_window_panics() {
+        let mut matrix = ShareMatrix::windowed(8, 2, 2..4, vec![0; 4]);
+        matrix.set_row(5, &[1, 1]);
     }
 
     #[test]

@@ -9,17 +9,20 @@
 //! * [`GpuExecutor`](crate::GpuExecutor) — the analytical backend. Transfers
 //!   are *accounted* (the ledger tracks every byte) but not performed; launch
 //!   time comes from the roofline [`CostModel`](crate::CostModel).
-//! * [`HostBackend`] — the measured backend. Uploads really copy bytes into
-//!   per-allocation staging buffers, downloads copy them back out, and launch
-//!   time is the host wall clock. No cost model is consulted anywhere.
+//! * [`HostBackend`] — the measured backend. A payload upload really copies
+//!   bytes into a per-allocation staging buffer (made when the first payload
+//!   is written) and a download copies them back out; launch time is the
+//!   host wall clock. No cost model is consulted anywhere. A table upload
+//!   carries a byte count and no payload (kernels read the table in host
+//!   memory), so it is accounted and stages nothing.
 //!
 //! Because both backends execute kernels through the same block runner, a
 //! kernel records byte-for-byte identical counters on either one — the parity
 //! suite in `pir-dpf` asserts exactly that.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::{
@@ -70,8 +73,9 @@ pub enum TransferKind {
 ///
 /// Backends that really move bytes ([`HostBackend`]) copy `Bytes`/`Lanes`
 /// payloads; the analytical backend only reads the length. `Opaque` carries a
-/// byte count with no payload — callers use it on hot paths where serializing
-/// for an accounting-only backend would be wasted work (consult
+/// byte count with no payload — callers use it where no kernel reads the
+/// bytes (table slices, read by kernels from host memory) or where
+/// serializing for an accounting-only backend would be wasted work (consult
 /// [`DeviceBackend::stores_payloads`]).
 #[derive(Clone, Copy, Debug)]
 pub enum TransferSrc<'a> {
@@ -135,8 +139,31 @@ impl BackendStats {
 #[derive(Debug)]
 struct LiveAllocation {
     bytes: u64,
-    /// Staging buffer for backends that really copy payloads.
+    /// Staging buffer of a payload-storing ledger, made when the first
+    /// payload (a key or output payload) is written into the allocation.
     staging: Option<Vec<u8>>,
+}
+
+impl LiveAllocation {
+    /// The staging buffer, made zeroed on first use.
+    fn staging(&mut self) -> &mut [u8] {
+        let bytes = self.bytes as usize;
+        self.staging.get_or_insert_with(|| vec![0; bytes])
+    }
+
+    /// Copy a payload into the staging buffer. A byte count without a
+    /// payload stages nothing.
+    fn stage(&mut self, src: TransferSrc<'_>) {
+        match src {
+            TransferSrc::Bytes(payload) => self.staging()[..payload.len()].copy_from_slice(payload),
+            TransferSrc::Lanes(lanes) => {
+                for (lane, chunk) in lanes.iter().zip(self.staging().chunks_exact_mut(4)) {
+                    chunk.copy_from_slice(&lane.to_le_bytes());
+                }
+            }
+            TransferSrc::Opaque(_) => {}
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -148,27 +175,36 @@ struct LedgerState {
 
 /// Shared allocation/transfer bookkeeping used by both in-tree backends.
 ///
-/// `store_payloads` decides whether uploads memcpy into per-allocation
-/// staging buffers (the measured [`HostBackend`]) or only account bytes (the
-/// analytical executor).
+/// A payload-storing ledger (the measured [`HostBackend`]) copies every
+/// payload it is handed through per-allocation staging buffers; the default
+/// one (the analytical executor) only accounts bytes. Either way a transfer
+/// without a payload — a table upload — is accounted and copies nothing.
 #[derive(Debug, Default)]
 pub(crate) struct BackendLedger {
+    stores_payloads: bool,
     state: Mutex<LedgerState>,
 }
 
 impl BackendLedger {
-    fn lock(&self) -> std::sync::MutexGuard<'_, LedgerState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// A ledger that copies payloads through staging buffers.
+    fn storing_payloads() -> Self {
+        Self {
+            stores_payloads: true,
+            state: Mutex::default(),
+        }
     }
 
-    pub(crate) fn alloc(&self, bytes: u64, store_payloads: bool) -> ResidentAllocation {
-        let mut state = self.lock();
+    pub(crate) fn alloc(&self, bytes: u64) -> ResidentAllocation {
+        let mut state = self.state.lock();
         let id = state.next_id;
         state.next_id += 1;
-        let staging = store_payloads.then(|| vec![0u8; bytes as usize]);
-        state.live.insert(id, LiveAllocation { bytes, staging });
+        state.live.insert(
+            id,
+            LiveAllocation {
+                bytes,
+                staging: None,
+            },
+        );
         state.stats.allocs += 1;
         state.stats.resident_bytes += bytes;
         state.stats.peak_resident_bytes = state
@@ -191,7 +227,7 @@ impl BackendLedger {
         src: TransferSrc<'_>,
     ) {
         let len = src.len_bytes();
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         let live = state
             .live
             .get_mut(&dst.id)
@@ -202,16 +238,8 @@ impl BackendLedger {
             live.bytes,
             dst.id
         );
-        if let Some(staging) = live.staging.as_mut() {
-            match src {
-                TransferSrc::Bytes(bytes) => staging[..bytes.len()].copy_from_slice(bytes),
-                TransferSrc::Lanes(lanes) => {
-                    for (lane, chunk) in lanes.iter().zip(staging.chunks_exact_mut(4)) {
-                        chunk.copy_from_slice(&lane.to_le_bytes());
-                    }
-                }
-                TransferSrc::Opaque(_) => {}
-            }
+        if self.stores_payloads {
+            live.stage(src);
         }
         state.stats.uploads += 1;
         state.stats.upload_bytes += len;
@@ -231,7 +259,7 @@ impl BackendLedger {
         produced: TransferSrc<'_>,
     ) -> Option<Vec<u8>> {
         let len = produced.len_bytes();
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         let live = state
             .live
             .get_mut(&src.id)
@@ -242,17 +270,13 @@ impl BackendLedger {
             live.bytes,
             src.id
         );
-        let out = live.staging.as_mut().map(|staging| {
-            match produced {
-                TransferSrc::Bytes(bytes) => staging[..bytes.len()].copy_from_slice(bytes),
-                TransferSrc::Lanes(lanes) => {
-                    for (lane, chunk) in lanes.iter().zip(staging.chunks_exact_mut(4)) {
-                        chunk.copy_from_slice(&lane.to_le_bytes());
-                    }
-                }
-                TransferSrc::Opaque(_) => {}
-            }
-            staging[..len as usize].to_vec()
+        let out = self.stores_payloads.then(|| {
+            live.stage(produced);
+            // Never-written device memory reads as zero.
+            live.staging.as_ref().map_or_else(
+                || vec![0; len as usize],
+                |staging| staging[..len as usize].to_vec(),
+            )
         });
         state.stats.downloads += 1;
         state.stats.download_bytes += len;
@@ -260,7 +284,7 @@ impl BackendLedger {
     }
 
     pub(crate) fn free(&self, allocation: ResidentAllocation) {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         let live = state
             .live
             .remove(&allocation.id)
@@ -270,15 +294,27 @@ impl BackendLedger {
     }
 
     pub(crate) fn count_launch(&self) {
-        self.lock().stats.launches += 1;
+        self.state.lock().stats.launches += 1;
     }
 
     pub(crate) fn count_reduced_lanes(&self, lanes: u64) {
-        self.lock().stats.reduced_lanes += lanes;
+        self.state.lock().stats.reduced_lanes += lanes;
     }
 
     pub(crate) fn stats(&self) -> BackendStats {
-        self.lock().stats
+        self.state.lock().stats
+    }
+
+    /// Bytes of staging buffers currently held.
+    #[cfg(test)]
+    fn staged_bytes(&self) -> u64 {
+        let state = self.state.lock();
+        state
+            .live
+            .values()
+            .filter_map(|live| live.staging.as_ref())
+            .map(|staging| staging.len() as u64)
+            .sum()
     }
 }
 
@@ -377,7 +413,7 @@ impl DeviceBackend for crate::GpuExecutor {
     }
 
     fn alloc(&self, bytes: u64) -> ResidentAllocation {
-        self.ledger.alloc(bytes, false)
+        self.ledger.alloc(bytes)
     }
 
     fn upload(&self, dst: &ResidentAllocation, kind: TransferKind, src: TransferSrc<'_>) {
@@ -417,8 +453,9 @@ impl DeviceBackend for crate::GpuExecutor {
 ///
 /// Kernels execute functionally on host threads exactly as under the
 /// analytical executor (same block runner, same counters), but every
-/// reported time is the measured host wall clock and every upload/download
-/// physically copies bytes through per-allocation staging buffers. The
+/// reported time is the measured host wall clock and every payload upload or
+/// download physically copies bytes through a per-allocation staging buffer
+/// (a table upload carries no payload and copies nothing). The
 /// [`DeviceSpec`] is used only for launch-geometry legality (occupancy
 /// asserts), defaulting to the V100 so grids match the simulated backend.
 #[derive(Debug)]
@@ -450,7 +487,7 @@ impl HostBackend {
         Self {
             device,
             host_threads,
-            ledger: BackendLedger::default(),
+            ledger: BackendLedger::storing_payloads(),
         }
     }
 }
@@ -475,7 +512,7 @@ impl DeviceBackend for HostBackend {
     }
 
     fn alloc(&self, bytes: u64) -> ResidentAllocation {
-        self.ledger.alloc(bytes, true)
+        self.ledger.alloc(bytes)
     }
 
     fn upload(&self, dst: &ResidentAllocation, kind: TransferKind, src: TransferSrc<'_>) {
@@ -643,6 +680,44 @@ mod tests {
             .expect("host backend stores payloads");
         assert_eq!(out, vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
         backend.free(alloc);
+    }
+
+    #[test]
+    fn a_table_upload_stages_nothing_but_is_accounted() {
+        let backend = HostBackend::with_host_threads(DeviceSpec::v100(), 1);
+        let table = backend.alloc(1 << 20);
+        backend.upload_table(&table, TransferSrc::Opaque(1 << 20));
+        assert_eq!(backend.ledger.staged_bytes(), 0);
+        let stats = backend.stats();
+        assert_eq!(stats.uploads, 1);
+        assert_eq!(stats.upload_bytes, 1 << 20);
+        assert_eq!(stats.table_upload_bytes, 1 << 20);
+        assert_eq!(stats.resident_bytes, 1 << 20);
+
+        // Keys and outputs still round-trip byte-exact, staged on first write.
+        let keys = backend.alloc(6);
+        backend.upload_keys(&keys, TransferSrc::Bytes(&[1, 2, 3, 4, 5, 6]));
+        assert_eq!(backend.ledger.staged_bytes(), 6);
+        let round_trip = backend.download(&keys, TransferSrc::Opaque(6));
+        assert_eq!(round_trip.as_deref(), Some(&[1u8, 2, 3, 4, 5, 6][..]));
+        let output = backend.alloc(8);
+        let lanes = [0xdead_beef_u32, 7];
+        let out = backend.download(&output, TransferSrc::Lanes(&lanes));
+        assert_eq!(
+            out,
+            Some([0xdead_beef_u32.to_le_bytes(), 7u32.to_le_bytes()].concat())
+        );
+        assert_eq!(backend.ledger.staged_bytes(), 6 + 8);
+        // Never-written memory downloads as zeros.
+        assert_eq!(
+            backend.download(&table, TransferSrc::Opaque(4)),
+            Some(vec![0; 4])
+        );
+        assert_eq!(backend.ledger.staged_bytes(), 6 + 8);
+        for alloc in [table, keys, output] {
+            backend.free(alloc);
+        }
+        assert_eq!(backend.ledger.staged_bytes(), 0);
     }
 
     #[test]

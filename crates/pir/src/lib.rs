@@ -70,7 +70,7 @@ pub use message::{
 pub use naive::{NaivePir, NaiveQuery};
 pub use pbr::{BinAssignment, PbrClient, PbrConfig, PbrServer};
 pub use server::{
-    build_replica_with_backend, shard_owned_ranges, shard_split_bits, validate_update,
-    CpuBatchTiming, CpuPirServer, GpuPirServer, PirServer, ServerMetrics,
+    build_replica_with_backend, build_shared_replica, shard_owned_ranges, shard_split_bits,
+    validate_update, CpuBatchTiming, CpuPirServer, GpuPirServer, PirServer, ServerMetrics,
 };
 pub use table::{PirTable, TableSchema};

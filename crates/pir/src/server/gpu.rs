@@ -11,11 +11,12 @@
 //! A cluster shard is the same argument one level up: its table is a
 //! [`PirTable::masked`] view, the other owners live in other processes, and
 //! the server narrows its split to the subtrees that cover the rows the view
-//! kept — so a shard expands, uploads and keeps resident a shard's worth of
-//! the table, and its answer to a full-domain key is unchanged because the
-//! rows it skips are zero.
+//! kept — so a shard stores, expands, uploads and keeps resident a shard's
+//! worth of the table, and its answer to a full-domain key is unchanged
+//! because the rows it skips are zero.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -62,10 +63,12 @@ struct Resident {
 /// The table sits behind an `RwLock` so entries can be hot-reloaded through
 /// [`PirServer::update_entry`] while queries are being served: a batch holds
 /// the read lock for the whole launch, so every device sees one consistent
-/// table version.
+/// table version. It is held as an `Arc`, so servers built from one table
+/// share its storage until one of them writes: the first update copies the
+/// table for the writer alone.
 pub struct GpuPirServer {
     schema: TableSchema,
-    table: RwLock<PirTable>,
+    table: RwLock<Arc<PirTable>>,
     /// In-memory row width. Fixed for the server's lifetime (updates pin the
     /// entry width), so the residency rule never needs the table lock to
     /// read it.
@@ -94,7 +97,8 @@ pub struct GpuPirServer {
 
 impl GpuPirServer {
     /// Create a server over an explicit list of devices (one table slice per
-    /// device), a scheduler configuration and a [`BackendKind`].
+    /// device), a scheduler configuration and a [`BackendKind`]. Given an
+    /// `Arc<PirTable>`, the server shares that table until its first write.
     ///
     /// # Errors
     ///
@@ -102,12 +106,13 @@ impl GpuPirServer {
     /// table's domain cannot be split into that many subtrees, so serving
     /// layers never have to pre-validate the decomposition themselves.
     pub fn new(
-        table: PirTable,
+        table: impl Into<Arc<PirTable>>,
         prf_kind: PrfKind,
         devices: Vec<DeviceSpec>,
         scheduler_config: SchedulerConfig,
         backend: BackendKind,
     ) -> Result<Self, PirError> {
+        let table = table.into();
         let schema = table.schema();
         let split = device_split(schema.entries, devices.len())?
             .restricted_to(table.kept_ranges(), schema.entries);
@@ -159,10 +164,11 @@ impl GpuPirServer {
         self.prf_kind
     }
 
-    /// A snapshot of the table served by this server.
+    /// A snapshot of the table served by this server: the shared table
+    /// itself, which a later write to this server leaves untouched.
     #[must_use]
-    pub fn table_snapshot(&self) -> PirTable {
-        self.table.read().clone()
+    pub fn table_snapshot(&self) -> Arc<PirTable> {
+        Arc::clone(&self.table.read())
     }
 
     /// The backend this server evaluates on (`"simulated"` or `"host"`).
@@ -289,7 +295,8 @@ impl PirServer for GpuPirServer {
     fn update_entry(&self, index: u64, bytes: &[u8]) -> Result<(), PirError> {
         let mut table = self.table.write();
         validate_owned_update(&table, index, bytes)?;
-        table.update_entry(index, bytes);
+        // Copies the table first if another server still shares it.
+        Arc::make_mut(&mut table).update_entry(index, bytes);
         // Bumped while the write lock is held, so every batch that reads the
         // new table also sees the new generation and re-uploads residency.
         self.table_generation.fetch_add(1, Ordering::Release);
@@ -497,6 +504,49 @@ mod tests {
                 Err(PirError::SchemaMismatch { .. })
             ));
         }
+    }
+
+    #[test]
+    fn replicas_share_one_table_until_they_write() {
+        let shared = Arc::new(table());
+        let build = || {
+            GpuPirServer::new(
+                Arc::clone(&shared),
+                PrfKind::SipHash,
+                vec![DeviceSpec::v100()],
+                SchedulerConfig::default(),
+                BackendKind::Simulated,
+            )
+            .unwrap()
+        };
+        let (writer, reader, other_party) = (build(), build(), build());
+        assert!(Arc::ptr_eq(&writer.table_snapshot(), &shared));
+        assert!(Arc::ptr_eq(&reader.table_snapshot(), &shared));
+
+        let client = PirClient::new(shared.schema(), PrfKind::SipHash);
+        let mut rng = StdRng::seed_from_u64(78);
+        let queries: Vec<_> = [5u64, 137, 299]
+            .iter()
+            .map(|&i| client.query(i, &mut rng))
+            .collect();
+        let to0: Vec<_> = queries.iter().map(|q| q.to_server(0)).collect();
+        let before = reader.answer_batch(&to0).unwrap();
+
+        let fresh = vec![0xC3u8; 16];
+        writer.update_entry(137, &fresh).unwrap();
+        other_party.update_entry(137, &fresh).unwrap();
+        assert!(!Arc::ptr_eq(&writer.table_snapshot(), &shared));
+        assert!(Arc::ptr_eq(&reader.table_snapshot(), &shared));
+        assert_eq!(shared.entry(137), table().entry(137));
+
+        // The writer serves the new row ...
+        let r0 = writer.answer(&queries[1].to_server(0)).unwrap();
+        let r1 = other_party.answer(&queries[1].to_server(1)).unwrap();
+        assert_eq!(client.reconstruct(&queries[1], &r0, &r1).unwrap(), fresh);
+        // ... and the reader still answers from the old table, bit for bit.
+        assert_eq!(reader.answer_batch(&to0).unwrap(), before);
+        let unshared = server(&table(), 1).answer_batch(&to0).unwrap();
+        assert_eq!(before, unshared);
     }
 
     #[test]

@@ -6,6 +6,8 @@ mod gpu;
 pub use cpu::{CpuBatchTiming, CpuPirServer};
 pub use gpu::GpuPirServer;
 
+use std::sync::Arc;
+
 use gpu_sim::{BackendKind, DeviceSpec};
 use pir_dpf::{DeviceSplit, DpfParams, PlanLedger, SchedulerConfig};
 use pir_field::LaneVector;
@@ -65,10 +67,8 @@ pub fn shard_owned_ranges(
 
 /// Build one interchangeable GPU server replica for `table`: a
 /// [`GpuPirServer`] over `shards` V100s evaluating on `backend` — the
-/// analytical simulated device or the in-process host backend.
-///
-/// Serving layers that keep pools of identical replicas per party construct
-/// each member through this helper.
+/// analytical simulated device or the in-process host backend. The replica
+/// holds its own copy of `table`; [`build_shared_replica`] shares one.
 ///
 /// # Errors
 ///
@@ -81,8 +81,35 @@ pub fn build_replica_with_backend(
     scheduler: SchedulerConfig,
     backend: BackendKind,
 ) -> Result<Box<dyn PirServer>, PirError> {
+    build_shared_replica(
+        Arc::new(table.clone()),
+        prf_kind,
+        shards,
+        scheduler,
+        backend,
+    )
+}
+
+/// [`build_replica_with_backend`] over a shared table: every replica built
+/// from clones of one `Arc` holds that one table until it writes
+/// ([`GpuPirServer`] copies it on its first update).
+///
+/// Serving layers that keep pools of identical replicas per party construct
+/// each member through this helper.
+///
+/// # Errors
+///
+/// Returns [`PirError::InvalidSharding`] if the table cannot be split across
+/// `shards` devices.
+pub fn build_shared_replica(
+    table: Arc<PirTable>,
+    prf_kind: PrfKind,
+    shards: usize,
+    scheduler: SchedulerConfig,
+    backend: BackendKind,
+) -> Result<Box<dyn PirServer>, PirError> {
     let devices = vec![DeviceSpec::v100(); shards];
-    let server = GpuPirServer::new(table.clone(), prf_kind, devices, scheduler, backend)?;
+    let server = GpuPirServer::new(table, prf_kind, devices, scheduler, backend)?;
     Ok(Box::new(server))
 }
 

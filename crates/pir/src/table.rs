@@ -132,15 +132,16 @@ impl PirTable {
     /// keeps resident only those rows and refuses writes to the others; a
     /// view that keeps every row *is* the table.
     ///
+    /// The view stores only the bounding range of its kept rows (a
+    /// [`ShareMatrix::windowed`] matrix), so a shard of a power-of-two split
+    /// holds its own rows and nothing else; it still compares equal to the
+    /// whole-size table with the other rows zeroed.
+    ///
     /// # Panics
     ///
     /// Panics if a range reaches past the last row.
     #[must_use]
     pub fn masked(&self, keep: &[Range<u64>]) -> Self {
-        let mut matrix = ShareMatrix::zeroed(self.matrix.rows(), self.matrix.lanes_per_row());
-        for row in keep.iter().flat_map(Clone::clone) {
-            matrix.set_row(row as usize, self.matrix.row(row as usize));
-        }
         // Sorted, with overlapping and touching ranges merged, so equal row
         // sets compare equal.
         let mut sorted: Vec<Range<u64>> = keep.iter().filter(|r| !r.is_empty()).cloned().collect();
@@ -152,9 +153,24 @@ impl PirTable {
                 _ => kept.push(range),
             }
         }
+        let window = match (kept.first(), kept.last()) {
+            (Some(first), Some(last)) => first.start as usize..last.end as usize,
+            _ => 0..0,
+        };
+        assert!(
+            window.end as u64 <= self.entries(),
+            "kept rows {window:?} reach past the last row ({})",
+            self.entries()
+        );
+        let lanes = self.matrix.lanes_per_row();
+        let mut data = vec![0; window.len() * lanes];
+        for row in kept.iter().flat_map(Clone::clone) {
+            let at = (row as usize - window.start) * lanes;
+            data[at..at + lanes].copy_from_slice(self.matrix.row(row as usize));
+        }
         Self {
             schema: self.schema,
-            matrix,
+            matrix: ShareMatrix::windowed(self.matrix.rows(), lanes, window, data),
             kept,
         }
     }
@@ -296,6 +312,34 @@ mod tests {
             table.masked(&[]).matrix(),
             PirTable::generate(10, 5, |_, _| 0).matrix()
         );
+    }
+
+    #[test]
+    fn a_view_stores_only_the_bounding_range_of_its_rows() {
+        let table = PirTable::generate(10, 5, |row, offset| row as u8 * 16 + offset as u8 + 1);
+        let row_bytes = table.matrix().lanes_per_row() * 4;
+        let view = table.masked(&[6..7, 2..4]);
+        // Rows 2..7: the kept rows and the gap between them.
+        assert_eq!(view.matrix().stored_bytes(), 5 * row_bytes);
+        // Sizes and sweeps still see the whole-size table.
+        assert_eq!(view.size_bytes(), table.size_bytes());
+        assert_eq!(view.matrix().size_bytes(), table.matrix().size_bytes());
+        assert_eq!(table.masked(&[]).matrix().stored_bytes(), 0);
+        // A view of a view stores its own bounding range; the rows the
+        // first view dropped stay zero.
+        let narrower = view.masked(std::slice::from_ref(&(3..9)));
+        assert_eq!(narrower.matrix().stored_bytes(), 6 * row_bytes);
+        for row in 0..10u64 {
+            let kept = row == 3 || row == 6;
+            let expected = if kept { table.entry(row) } else { vec![0; 5] };
+            assert_eq!(narrower.entry(row), expected, "row {row}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the last row")]
+    fn a_view_past_the_last_row_panics() {
+        let _ = PirTable::generate(10, 5, |_, _| 1).masked(std::slice::from_ref(&(8..11)));
     }
 
     #[test]

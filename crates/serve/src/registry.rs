@@ -8,8 +8,8 @@ use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use pir_protocol::{
-    build_replica_with_backend, shard_split_bits, PirClient, PirError, PirResponse, PirServer,
-    PirTable, ServerQuery,
+    build_shared_replica, shard_split_bits, PirClient, PirError, PirResponse, PirServer, PirTable,
+    ServerQuery,
 };
 
 use crate::config::TableConfig;
@@ -136,7 +136,8 @@ pub(crate) struct HostedTable {
     pub name: String,
     pub config: TableConfig,
     /// The table's (immutable) shape; entry *values* may change through
-    /// hot reloads (each replica server owns its copy behind the
+    /// hot reloads (every replica server shares the registered table until
+    /// its first reload gives it a copy of its own, behind the
     /// [`pir_protocol::PirServer`] trait), the shape never does.
     pub schema: pir_protocol::TableSchema,
     pub client: PirClient,
@@ -159,21 +160,23 @@ pub(crate) struct HostedTable {
 impl HostedTable {
     pub(crate) fn build(
         name: &str,
-        table: PirTable,
+        table: impl Into<Arc<PirTable>>,
         config: TableConfig,
     ) -> Result<Self, ServeError> {
+        let table = table.into();
         // Reject configs the DPF domain cannot satisfy with a typed error
         // before any replica is constructed; replica construction re-checks, but
         // failing early keeps partial pools from ever existing.
         shard_split_bits(table.entries(), config.shards).map_err(invalid_sharding)?;
-        // The pool is built at the range's max: replica construction clones
-        // the table, and paying that at scale-up time would stall serving.
+        // The pool is built at the range's max, so a scale-up never waits on
+        // a replica's planning. Every replica of both parties shares the one
+        // registered table until its first reload.
         let make_pool = || -> Result<Vec<ReplicaSlot>, ServeError> {
             (0..config.replicas.max)
                 .map(|_| {
                     Ok(ReplicaSlot {
-                        server: build_replica_with_backend(
-                            &table,
+                        server: build_shared_replica(
+                            Arc::clone(&table),
                             config.prf_kind,
                             config.shards,
                             config.scheduler,
@@ -527,6 +530,26 @@ mod tests {
                 assert_eq!(slot.server.schema().entries, 128);
             }
         }
+    }
+
+    #[test]
+    fn every_replica_shares_the_registered_table_until_written() {
+        let table = Arc::new(PirTable::generate(128, 8, |row, _| row as u8));
+        let registered = Arc::downgrade(&table);
+        let config = TableConfig::builder()
+            .prf_kind(PrfKind::SipHash)
+            .replica_range(1, 3)
+            .build()
+            .unwrap();
+        let hosted = HostedTable::build("elastic", table, config).expect("valid table");
+        // One table allocation, held by all six replicas of both parties.
+        assert_eq!(registered.strong_count(), 2 * 3);
+        // A write gives that replica a copy of its own and nobody else one.
+        hosted.pools[0][1]
+            .server
+            .update_entry(7, &[9; 8])
+            .expect("valid update");
+        assert_eq!(registered.strong_count(), 2 * 3 - 1);
     }
 
     fn entry(hosted: &HostedTable, party: u8) -> PendingEntry {

@@ -263,7 +263,7 @@ impl PirServeRuntime {
         // Every replica of the range gets a worker thread up front; workers
         // beyond the active count park on the queue condvar until the
         // autoscale controller raises it, so a scale-up costs one notify,
-        // not a thread spawn plus a table clone.
+        // not a thread spawn plus a replica build.
         for party in 0..2 {
             for replica in 0..hosted.config.replicas.max {
                 let hosted = Arc::clone(&hosted);

@@ -3,9 +3,9 @@
 //! The build environment has no crates.io access, so this crate provides the
 //! surface the workspace's benches use — `Criterion`, benchmark groups,
 //! `BenchmarkId`, `criterion_group!`/`criterion_main!` and `Bencher::iter` —
-//! with a simple mean-of-N wall-clock measurement instead of criterion's
+//! with a simple median-of-N wall-clock measurement instead of criterion's
 //! statistical machinery. Run with `cargo bench`; each benchmark prints one
-//! line with its mean time per iteration.
+//! line with its median time per iteration.
 //!
 //! Two environment variables drive CI integration:
 //!
@@ -29,6 +29,10 @@ const TIME_BUDGET: Duration = Duration::from_millis(300);
 /// Time budget under `BENCH_QUICK` — enough iterations to be meaningful as
 /// a >2x-regression tripwire, small enough for CI smoke jobs.
 const QUICK_TIME_BUDGET: Duration = Duration::from_millis(40);
+
+/// Iterations timed whatever the budget: the median of three is the fewest
+/// that one descheduled iteration cannot decide.
+const MIN_ITERS: usize = 3;
 
 /// Whether smoke mode is on.
 fn quick_mode() -> bool {
@@ -136,12 +140,16 @@ impl fmt::Display for BenchmarkId {
 /// Passed to the benchmark closure; call [`Bencher::iter`] with the routine.
 pub struct Bencher {
     sample_size: usize,
-    mean_ns: f64,
+    median_ns: f64,
     iters: u64,
 }
 
 impl Bencher {
-    /// Measure `routine`, recording the mean wall-clock time per call.
+    /// Measure `routine`, recording the median wall-clock time per call.
+    ///
+    /// Iterations are timed one by one until the sample size or the time
+    /// budget is reached, but never fewer than three, so a single iteration
+    /// stretched by a descheduled thread cannot set the result.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
         // Warm-up (also primes lazily-allocated state).
         black_box(routine());
@@ -151,40 +159,49 @@ impl Bencher {
         } else {
             TIME_BUDGET
         };
-        let mut iters = 0u64;
+        let mut times_ns = Vec::with_capacity(self.sample_size.max(MIN_ITERS));
         let started = Instant::now();
-        while iters < self.sample_size as u64 && started.elapsed() < budget {
+        while times_ns.len() < MIN_ITERS
+            || (times_ns.len() < self.sample_size && started.elapsed() < budget)
+        {
+            let iteration = Instant::now();
             black_box(routine());
-            iters += 1;
+            times_ns.push(iteration.elapsed().as_nanos() as f64);
         }
-        let elapsed = started.elapsed();
-        self.iters = iters.max(1);
-        self.mean_ns = elapsed.as_nanos() as f64 / self.iters as f64;
+        self.iters = times_ns.len() as u64;
+        self.median_ns = median(&mut times_ns);
     }
+}
+
+/// The median of `values` (the mean of the middle two for an even count).
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let len = values.len();
+    (values[(len - 1) / 2] + values[len / 2]) / 2.0
 }
 
 fn run_benchmark<F: FnMut(&mut Bencher)>(label: &str, sample_size: usize, mut f: F) {
     let mut bencher = Bencher {
         sample_size,
-        mean_ns: 0.0,
+        median_ns: 0.0,
         iters: 0,
     };
     f(&mut bencher);
-    let (value, unit) = humanize_ns(bencher.mean_ns);
+    let (value, unit) = humanize_ns(bencher.median_ns);
     println!(
         "bench {label:<56} {value:>10.3} {unit}/iter ({} iters)",
         bencher.iters
     );
     if let Ok(path) = std::env::var("BENCH_JSON") {
         if !path.is_empty() {
-            append_json_line(&path, label, bencher.mean_ns, bencher.iters);
+            append_json_line(&path, label, bencher.median_ns, bencher.iters);
         }
     }
 }
 
 /// Append one machine-readable result line (benchmark names are plain
 /// ASCII identifiers; only quote/backslash need escaping).
-fn append_json_line(path: &str, label: &str, mean_ns: f64, iters: u64) {
+fn append_json_line(path: &str, label: &str, ns_per_iter: f64, iters: u64) {
     let escaped: String = label
         .chars()
         .flat_map(|c| match c {
@@ -193,7 +210,7 @@ fn append_json_line(path: &str, label: &str, mean_ns: f64, iters: u64) {
         })
         .collect();
     let line =
-        format!("{{\"name\":\"{escaped}\",\"ns_per_iter\":{mean_ns:.1},\"iters\":{iters}}}\n");
+        format!("{{\"name\":\"{escaped}\",\"ns_per_iter\":{ns_per_iter:.1},\"iters\":{iters}}}\n");
     let written = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -265,6 +282,25 @@ mod tests {
     #[test]
     fn harness_runs_groups() {
         benches();
+    }
+
+    #[test]
+    fn an_entry_times_at_least_three_iterations() {
+        let mut bencher = Bencher {
+            sample_size: 1,
+            median_ns: 0.0,
+            iters: 0,
+        };
+        let mut calls = 0;
+        bencher.iter(|| calls += 1);
+        assert_eq!(bencher.iters, MIN_ITERS as u64);
+        assert_eq!(calls, 1 + MIN_ITERS, "one warm-up, then the timed ones");
+    }
+
+    #[test]
+    fn one_slow_iteration_does_not_set_the_median() {
+        assert_eq!(median(&mut [1.0, 100.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
     }
 
     #[test]
