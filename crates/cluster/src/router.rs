@@ -12,18 +12,9 @@
 //!
 //! # Pipelined service
 //!
-//! [`ClusterRouter::serve`] has the wire frontend's demux/remux shape. The
-//! calling thread decodes each client frame; a query is renumbered under a
-//! router-wide back-haul id (every session numbers its own wire ids from 1,
-//! so two sessions on one router would collide), encoded once, written to
-//! every shard's pipelined link, and the thread goes straight back to
-//! reading. Each shard link's reader matches replies by that id; the leg
-//! that completes a query's aggregate runs the fence check, the once-only
-//! re-ask, the lane-wise sum and the digest stamp, restores the client's id
-//! and hands the encoded reply to the connection's writer thread. So a
-//! shard sees the session's whole window at once and batches it, and no
-//! thread is spawned per query. Control frames (catalogs, updates, errors)
-//! are answered inline, in arrival order.
+//! [`ClusterRouter::serve`] runs [`pir_wire::serve_split`]; a query's
+//! [`Replies`] handle travels with its aggregate, and the leg that
+//! completes the aggregate sends the reply.
 //!
 //! # Trust model
 //!
@@ -64,15 +55,15 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 use pir_protocol::{validate_update, PirError, PirResponse};
 use pir_wire::{
-    decode_request, encode_message, Catalog, CatalogEntry, ErrorCode, ErrorReply, PirTransport,
-    QueryMsg, ResponseMsg, SplitTransport, UpdateAckMsg, UpdateEntryMsg, WireError, WireMessage,
-    MAX_SUPPORTED_VERSION, MIN_SUPPORTED_VERSION,
+    answer_one, decode_request, encode_message, serve_split, Catalog, CatalogEntry, ErrorCode,
+    ErrorReply, PirTransport, QueryMsg, Replies, Request, ResponseMsg, UpdateAckMsg,
+    UpdateEntryMsg, WireError, WireMessage, MAX_SUPPORTED_VERSION, MIN_SUPPORTED_VERSION,
 };
 use rand::SeedableRng;
 
@@ -142,8 +133,8 @@ struct Aggregate {
     table: String,
     /// The encoded leg, shared by every shard and by a fence re-ask.
     frame: Arc<Vec<u8>>,
-    /// The client connection's writer.
-    reply: mpsc::Sender<Vec<u8>>,
+    /// The client connection's replies.
+    replies: Replies,
     gather: Mutex<Gather>,
 }
 
@@ -358,10 +349,9 @@ impl ClusterRouter {
         }
     }
 
-    /// Serve one client connection until the peer hangs up: the demux loop
-    /// (this thread) plus a writer thread — see the module docs. Run one
-    /// `serve` thread per accepted connection. A client that stops reading
-    /// stalls only its own writer.
+    /// Serve one client connection until the peer hangs up, through
+    /// [`pir_wire::serve_split`]. Run one `serve` thread per accepted
+    /// connection. A client that stops reading stalls only its own writer.
     ///
     /// # Errors
     ///
@@ -369,49 +359,11 @@ impl ClusterRouter {
     /// transport that cannot split into halves (nothing is read from it); a
     /// clean [`WireError::ConnectionClosed`] hang-up returns `Ok(())`.
     pub fn serve(&self, transport: Box<dyn PirTransport>) -> Result<(), WireError> {
-        let SplitTransport::Halves { mut recv, mut send } = transport.split() else {
-            return Err(WireError::Transport(
-                "transport cannot split into receive/send halves, which the router's \
-                 demux/writer pair needs"
-                    .into(),
-            ));
-        };
-        let (reply, replies) = mpsc::channel::<Vec<u8>>();
-        #[expect(
-            clippy::expect_used,
-            reason = "OS thread spawn fails only on resource exhaustion; the connection cannot proceed without its writer"
-        )]
-        let writer = std::thread::Builder::new()
-            .name(crate::thread_name("writer-p", self.inner.party))
-            .spawn(move || -> Result<(), WireError> {
-                // Every reply ready by the time the writer wakes goes out
-                // as one burst.
-                while let Ok(first) = replies.recv() {
-                    let burst: Vec<Vec<u8>> =
-                        std::iter::once(first).chain(replies.try_iter()).collect();
-                    let frames: Vec<&[u8]> = burst.iter().map(Vec::as_slice).collect();
-                    send.send_many(&frames)?;
-                }
-                Ok(())
-            })
-            .expect("spawn cluster writer");
-        let outcome = loop {
-            match recv.recv() {
-                Ok(frame) => self.inner.dispatch(&frame, &reply),
-                Err(WireError::ConnectionClosed) => break Ok(()),
-                Err(err) => break Err(err),
-            }
-        };
-        // The writer sends what in-flight queries still owe, then exits
-        // once the last of them drops its sender.
-        drop(reply);
-        let written = writer
-            .join()
-            .unwrap_or_else(|_| Err(WireError::Transport("cluster writer panicked".into())));
-        match (outcome, written) {
-            (Ok(()), Err(err)) if err != WireError::ConnectionClosed => Err(err),
-            (outcome, _) => outcome,
-        }
+        serve_split(
+            transport,
+            crate::thread_name("writer-p", self.inner.party),
+            |frame, replies| self.inner.dispatch(frame, replies),
+        )
     }
 
     /// Handle one request frame and produce the reply frame, blocking until
@@ -419,14 +371,7 @@ impl ClusterRouter {
     /// every input, including garbage, yields an encoded reply.
     #[must_use]
     pub fn handle_frame(&self, frame: &[u8]) -> Vec<u8> {
-        let (reply, replies) = mpsc::channel();
-        self.inner.dispatch(frame, &reply);
-        drop(reply);
-        replies.recv().unwrap_or_else(|_| {
-            encode_message(
-                &ErrorReply::new(ErrorCode::Protocol, 0, "query dropped unanswered").into(),
-            )
-        })
+        answer_one(frame, |frame, replies| self.inner.dispatch(frame, replies))
     }
 
     /// Point-in-time router stats (telemetry, per-shard back-haul, fences).
@@ -458,39 +403,29 @@ impl ClusterRouter {
 }
 
 impl RouterInner {
-    /// Answer one request frame through `reply`: control frames inline, a
-    /// query by fanning it out (the leg that completes it replies).
-    fn dispatch(self: &Arc<Self>, frame: &[u8], reply: &mpsc::Sender<Vec<u8>>) {
+    /// Answer one request frame: control frames at once, a query by fanning
+    /// it out (the leg that completes it replies).
+    fn dispatch(self: &Arc<Self>, frame: &[u8], replies: &Replies) {
         let message = match decode_request(frame) {
             Err(error) => error.into(),
-            Ok(WireMessage::CatalogRequest) => WireMessage::Catalog(Catalog {
+            Ok(Request::CatalogRequest) => WireMessage::Catalog(Catalog {
                 protocol_version: MAX_SUPPORTED_VERSION,
                 party: self.party,
                 tables: self.tables.clone(),
             }),
-            Ok(WireMessage::Query(query)) => match self.fan_out(query, reply) {
+            Ok(Request::Query(query)) => match self.fan_out(query, replies) {
                 Ok(()) => return,
                 Err(error) => error.into(),
             },
-            Ok(WireMessage::UpdateEntry(update)) => self.handle_update(update),
-            Ok(other) => ErrorReply::new(
-                ErrorCode::InvalidRequest,
-                0,
-                format!("router cannot accept a {} message", other.name()),
-            )
-            .into(),
+            Ok(Request::UpdateEntry(update)) => self.handle_update(update),
         };
-        let _ = reply.send(encode_message(&message));
+        replies.send(encode_message(&message));
     }
 
     /// Renumber one query under a fresh back-haul id and write it to every
     /// shard without waiting; each masked view turns the same projection
     /// into that shard's additive partial share.
-    fn fan_out(
-        self: &Arc<Self>,
-        mut query: QueryMsg,
-        reply: &mpsc::Sender<Vec<u8>>,
-    ) -> Result<(), ErrorReply> {
+    fn fan_out(self: &Arc<Self>, mut query: QueryMsg, replies: &Replies) -> Result<(), ErrorReply> {
         let client_id = query.query.query_id;
         self.telemetry.queries.fetch_add(1, Ordering::Relaxed);
         if query.query.party() != self.party {
@@ -521,7 +456,7 @@ impl RouterInner {
             id,
             table,
             frame: Arc::clone(&frame),
-            reply: reply.clone(),
+            replies: replies.clone(),
             gather: Mutex::new(Gather {
                 answers: vec![None; self.conns.len()],
                 outstanding: self.conns.len(),
@@ -646,7 +581,7 @@ impl LegSink for Aggregate {
         };
         // Every leg has landed, so nothing else touches the gather now.
         if let Some(message) = self.settle(answers) {
-            let _ = self.reply.send(encode_message(&message));
+            self.replies.send(encode_message(&message));
         }
     }
 }

@@ -15,8 +15,8 @@ use pir_protocol::PirTable;
 use pir_serve::{PirServeRuntime, ServeConfig, TableConfig, WireFrontend};
 use pir_wire::{
     decode_message, encode_message, loopback_pair, Dialer, ErrorCode, ErrorReply,
-    LoopbackTransport, PirSession, PirTransport, QueryMsg, SplitTransport, TcpDialer, TcpTransport,
-    UpdateEntryMsg, WireError, WireMessage,
+    LoopbackTransport, PirSession, PirTransport, QueryMsg, ResponseMsg, SplitTransport, TcpDialer,
+    TcpTransport, UpdateEntryMsg, WireError, WireMessage,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -519,6 +519,16 @@ fn routers_answer_hostile_frames_with_typed_bounded_replies() {
     for frame in [&b""[..], &b"XX"[..], &[0x50, 0x57, 2, 0, 3][..]] {
         assert_eq!(error_of(frame).code, ErrorCode::Malformed);
     }
+    // A server→client message sent to the router.
+    let response = encode_message(&WireMessage::Response(ResponseMsg {
+        response: pir_protocol::PirResponse {
+            query_id: 1,
+            party: 0,
+            share: vec![1],
+        },
+        table_version: 0,
+    }));
+    assert_eq!(error_of(&response).code, ErrorCode::InvalidRequest);
     // A table name as long as the string codec allows is echoed truncated,
     // not re-encoded past the codec's limit.
     let client = pir_protocol::PirClient::new(base_table().schema(), PrfKind::SipHash);
@@ -725,14 +735,14 @@ fn shutdown_with_live_shards_and_idle_readers_returns_promptly() {
     );
 }
 
-#[test]
-fn a_query_in_flight_at_shutdown_gets_a_typed_shed_error() {
+/// A party-0 router over one shard whose query link swallows every leg
+/// (the first dial, the admin connection, is served), with the shard's
+/// runtime.
+fn swallowing_router(seed: u64) -> (Arc<ClusterRouter>, Arc<PirServeRuntime>) {
     let views = pir_cluster::ShardMap::new(ENTRIES, 1)
         .unwrap()
         .provision(&base_table());
-    let runtime = shard_runtime(views[0].clone(), 85);
-    // The first dial (the admin connection) is served; the query link
-    // swallows every leg.
+    let runtime = shard_runtime(views[0].clone(), seed);
     let dials = AtomicUsize::new(0);
     let handle = runtime.handle();
     let dialer = move || -> Result<Box<dyn PirTransport>, WireError> {
@@ -749,18 +759,29 @@ fn a_query_in_flight_at_shutdown_gets_a_typed_shed_error() {
     let config = ClusterConfig {
         probe_interval: None,
     };
-    let router = Arc::new(ClusterRouter::connect(&membership, &config, 0).unwrap());
+    let router = ClusterRouter::connect(&membership, &config, 0).unwrap();
+    (Arc::new(router), runtime)
+}
+
+/// Wait until `router`'s only shard has a leg in flight.
+fn await_leg_in_flight(router: &ClusterRouter) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while router.stats().shards[0].in_flight == 0 {
+        assert!(Instant::now() < deadline, "the leg never went out");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn a_query_in_flight_at_shutdown_gets_a_typed_shed_error() {
+    let (router, _runtime) = swallowing_router(85);
     let (frame, id) = query_frame(5, 0, 5);
     let (tx, rx) = mpsc::channel();
     {
         let router = Arc::clone(&router);
         std::thread::spawn(move || tx.send(router.handle_frame(&frame)));
     }
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while router.stats().shards[0].in_flight == 0 {
-        assert!(Instant::now() < deadline, "the leg never went out");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    await_leg_in_flight(&router);
     router.shutdown();
     let reply = rx
         .recv_timeout(Duration::from_secs(2))
@@ -780,6 +801,29 @@ fn a_query_in_flight_at_shutdown_gets_a_typed_shed_error() {
         WireMessage::Error(error) => assert_eq!(error.code, ErrorCode::Shed),
         other => panic!("expected a typed error, got {}", other.name()),
     }
+    assert_eq!(router.stats().shards[0].in_flight, 0);
+}
+
+#[test]
+fn a_client_that_hangs_up_is_not_waited_for_by_its_router() {
+    // The swallowed leg never lands on its own (the link has no io
+    // timeout), so a router that drained what it owes would never return.
+    let (router, _runtime) = swallowing_router(88);
+    let (mut client, server) = loopback_pair();
+    let (done, served) = mpsc::channel();
+    {
+        let router = Arc::clone(&router);
+        std::thread::spawn(move || done.send(router.serve(Box::new(server))));
+    }
+    client.send(&query_frame(5, 0, 5).0).unwrap();
+    await_leg_in_flight(&router);
+    drop(client);
+    let outcome = served
+        .recv_timeout(Duration::from_secs(2))
+        .expect("serve returns at the hang-up, without waiting for the leg");
+    assert_eq!(outcome, Ok(()));
+    // The leg that lands later has no one to answer.
+    router.shutdown();
     assert_eq!(router.stats().shards[0].in_flight, 0);
 }
 

@@ -550,13 +550,6 @@ pub(crate) struct PendingShare {
     done: Completion,
 }
 
-impl PendingShare {
-    /// Block until this party's share is computed.
-    pub(crate) fn wait(self) -> Result<AnsweredShare, ServeError> {
-        oneshot::block_on(self)
-    }
-}
-
 impl Future for PendingShare {
     type Output = Result<AnsweredShare, ServeError>;
 
@@ -636,7 +629,7 @@ mod tests {
                     .map(|pending| Box::new(|| pending.wait().map(drop)) as Admitted),
                 Path::Wire => handle
                     .submit_server_query("t", tenant, client.query(3, &mut rng).to_server(0))
-                    .map(|pending| Box::new(|| pending.wait().map(drop)) as Admitted),
+                    .map(|pending| Box::new(|| oneshot::block_on(pending).map(drop)) as Admitted),
             }
         };
 
@@ -733,7 +726,7 @@ mod tests {
             background.wait(),
             Err(ServeError::Displaced { .. })
         ));
-        urgent.wait().unwrap();
+        oneshot::block_on(urgent).unwrap();
         parked.wait().unwrap();
         assert_eq!(handle.stats().table("t").unwrap().displaced, 1);
     }

@@ -308,7 +308,7 @@ impl HostedTable {
     /// eviction.
     ///
     /// Called *off* the queue locks: responder delivery runs an arbitrary
-    /// waker (thread unpark, remux poke), which must never execute under a
+    /// waker (thread unpark, writer poke), which must never execute under a
     /// dispatch-queue lock.
     fn settle_displaced(&self, displaced: Vec<PendingEntry>) {
         for victim in displaced {

@@ -10,18 +10,9 @@
 //!
 //! # Pipelined service
 //!
-//! [`WireFrontend::serve`] is a **demux/remux pair**: the transport splits
-//! into halves, the calling thread becomes the *demux* (decode each
-//! arriving frame, enqueue its query into the batcher without waiting) and
-//! a *remux* writer thread drains completed shares **in completion order**
-//! — so a client's later query that lands in a faster batch is answered
-//! before an earlier slow one, and the batcher sees the whole pipeline
-//! window at once instead of one query at a time. Control frames
-//! (catalogs, errors, update acks) are answered inline. Query responses are
-//! stamped with the answering party's table version and error replies echo
-//! the query id they answer, which is what makes out-of-order delivery and
-//! hot-reload detection possible client-side. This is the only service
-//! loop: a transport that cannot split is refused with a typed error.
+//! [`WireFrontend::serve`] runs [`pir_wire::serve_split`]; each admitted
+//! query is a completion, answered with a share stamped with this party's
+//! table version.
 //!
 //! Malformed, truncated or wrong-version frames produce typed
 //! [`ErrorReply`]s (for version mismatches, carrying the supported range
@@ -32,17 +23,12 @@
 //! up with queries still in flight costs no further device work: the
 //! dropped pending shares cancel their queued entries.
 
-use std::collections::VecDeque;
 use std::future::Future;
-use std::pin::Pin;
-use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
 
-use parking_lot::{Condvar, Mutex};
 use pir_wire::{
-    decode_request, encode_message, Catalog, CatalogEntry, ErrorCode, ErrorReply, PirTransport,
-    QueryMsg, ResponseMsg, SplitTransport, UpdateAckMsg, UpdateEntryMsg, WireError, WireMessage,
-    MAX_SUPPORTED_VERSION,
+    answer_one, decode_request, encode_message, serve_split, Catalog, CatalogEntry, ErrorCode,
+    ErrorReply, PirTransport, QueryMsg, Replies, Request, ResponseMsg, UpdateAckMsg,
+    UpdateEntryMsg, WireError, WireMessage, MAX_SUPPORTED_VERSION,
 };
 
 use crate::error::ServeError;
@@ -52,15 +38,6 @@ use crate::handle::{PendingShare, ServeHandle};
 pub struct WireFrontend {
     handle: ServeHandle,
     party: u8,
-}
-
-/// What one decoded frame asks the frontend to do.
-enum FrameAction {
-    /// Answer immediately (catalogs, acks, every kind of error).
-    Reply(WireMessage),
-    /// A query was admitted into the batcher; answer when its share
-    /// completes.
-    Share { query_id: u64, share: PendingShare },
 }
 
 impl WireFrontend {
@@ -82,29 +59,17 @@ impl WireFrontend {
     }
 
     /// Handle one request frame and produce the reply frame, blocking until
-    /// the answer is ready (the one-frame special case; a connection is
-    /// served by [`Self::serve`]).
+    /// the answer is ready (the one-frame special case of [`Self::serve`]).
     ///
     /// Total: every input, including garbage, yields an encoded reply.
     #[must_use]
     pub fn handle_frame(&self, frame: &[u8]) -> Vec<u8> {
-        let reply = match self.process(frame) {
-            FrameAction::Reply(message) => message,
-            FrameAction::Share { query_id, share } => share_reply(query_id, share.wait()),
-        };
-        encode_message(&reply)
+        answer_one(frame, |frame, replies| self.dispatch(frame, replies))
     }
 
-    /// Decode one frame and decide how to answer it.
-    fn process(&self, frame: &[u8]) -> FrameAction {
-        match decode_request(frame) {
-            Ok(message) => self.dispatch(message),
-            Err(reply) => FrameAction::Reply(reply.into()),
-        }
-    }
-
-    /// Serve one connection until the peer hangs up: the demux loop (this
-    /// thread) plus the remux writer (spawned) — see the module docs above.
+    /// Serve one connection until the peer hangs up, through
+    /// [`pir_wire::serve_split`]: a client that hangs up with queries in
+    /// flight cancels them.
     ///
     /// # Errors
     ///
@@ -112,88 +77,26 @@ impl WireFrontend {
     /// transport that cannot split into halves (nothing is read from it); a
     /// clean [`WireError::ConnectionClosed`] hang-up returns `Ok(())`.
     pub fn serve(&self, transport: Box<dyn PirTransport>) -> Result<(), WireError> {
-        let SplitTransport::Halves { mut recv, mut send } = transport.split() else {
-            return Err(WireError::Transport(
-                "transport cannot split into receive/send halves, which the demux/remux \
-                 service loop needs"
-                    .into(),
-            ));
-        };
-        let remux = Arc::new(Remux::default());
-        #[expect(
-            clippy::expect_used,
-            reason = "OS thread spawn fails only on resource exhaustion; the connection cannot proceed without its writer"
-        )]
-        let writer = {
-            let remux = Arc::clone(&remux);
-            std::thread::Builder::new()
-                .name(format!("remux-party{}", self.party))
-                .spawn(move || run_remux(&remux, send.as_mut()))
-                .expect("spawn remux writer")
-        };
-        let outcome = loop {
-            let frame = match recv.recv() {
-                Ok(frame) => frame,
-                Err(WireError::ConnectionClosed) => break Ok(()),
-                Err(err) => break Err(err),
-            };
-            // Control handling (including the blocking update barrier)
-            // happens on this thread; only completed shares go through the
-            // writer's completion queue.
-            let action = self.process(&frame);
-            let mut state = remux.state.lock();
-            if state.closed {
-                // The writer hit a send failure: the connection is dead.
-                // Its error (if it was a real I/O failure and not a peer
-                // hang-up) is picked up after the join below.
-                break Ok(());
-            }
-            match action {
-                FrameAction::Reply(message) => {
-                    state.frames.push_back(encode_message(&message));
-                }
-                FrameAction::Share { query_id, share } => {
-                    state.pending.push(PendingReply { share, query_id });
-                }
-            }
-            drop(state);
-            remux.bell.notify_all();
-        };
-        {
-            // Closing drops whatever is still pending — each dropped share
-            // cancels its queued entry, so a vanished client stops costing
-            // device work immediately.
-            let mut state = remux.state.lock();
-            state.closed = true;
-            state.pending.clear();
-            state.frames.clear();
-        }
-        remux.bell.notify_all();
-        let _ = writer.join();
-        // A writer-side transport failure must reach whoever supervises
-        // `serve` — breaking with a clean `Ok(())` would mask it; the
-        // reader's own error (if any) stays the primary report.
-        let writer_error = remux.state.lock().error.take();
-        match (outcome, writer_error) {
-            (Ok(()), Some(err)) => Err(err),
-            (outcome, _) => outcome,
-        }
+        serve_split(
+            transport,
+            format!("fe-writer-p{}", self.party),
+            |frame, replies| self.dispatch(frame, replies),
+        )
     }
 
-    fn dispatch(&self, message: WireMessage) -> FrameAction {
-        match message {
-            WireMessage::CatalogRequest => FrameAction::Reply(self.catalog()),
-            WireMessage::Query(query) => self.query(query),
-            WireMessage::UpdateEntry(update) => FrameAction::Reply(self.update(update)),
-            other => FrameAction::Reply(
-                ErrorReply::new(
-                    ErrorCode::InvalidRequest,
-                    0,
-                    format!("server cannot accept a {} message", other.name()),
-                )
-                .into(),
-            ),
-        }
+    /// Answer one frame: control requests at once, an admitted query when
+    /// its share completes.
+    fn dispatch(&self, frame: &[u8], replies: &Replies) {
+        let reply = match decode_request(frame) {
+            Err(reply) => reply.into(),
+            Ok(Request::CatalogRequest) => self.catalog(),
+            Ok(Request::Query(query)) => match self.query(query) {
+                Ok(share) => return replies.complete(share),
+                Err(reply) => reply.into(),
+            },
+            Ok(Request::UpdateEntry(update)) => self.update(update),
+        };
+        replies.send(encode_message(&reply));
     }
 
     fn catalog(&self) -> WireMessage {
@@ -216,29 +119,25 @@ impl WireFrontend {
         })
     }
 
-    fn query(&self, query: QueryMsg) -> FrameAction {
+    /// Admit one query into the batcher; its reply is ready when its share
+    /// is.
+    fn query(&self, query: QueryMsg) -> Result<impl Future<Output = Vec<u8>>, ErrorReply> {
         let query_id = query.query.query_id;
         if query.query.party() != self.party {
-            return FrameAction::Reply(
-                ErrorReply::new(
-                    ErrorCode::InvalidRequest,
-                    query_id,
-                    format!(
-                        "this server answers for party {}, key is for party {}",
-                        self.party,
-                        query.query.party()
-                    ),
-                )
-                .into(),
-            );
+            return Err(ErrorReply::new(
+                ErrorCode::InvalidRequest,
+                query_id,
+                format!(
+                    "this server answers for party {}, key is for party {}",
+                    self.party,
+                    query.query.party()
+                ),
+            ));
         }
-        match self
-            .handle
+        self.handle
             .submit_server_query(&query.table, &query.tenant, query.query)
-        {
-            Ok(share) => FrameAction::Share { query_id, share },
-            Err(err) => FrameAction::Reply(serve_error_reply(&err, query_id).into()),
-        }
+            .map(|share| share_reply(query_id, share))
+            .map_err(|err| serve_error_reply(&err, query_id))
     }
 
     fn update(&self, update: UpdateEntryMsg) -> WireMessage {
@@ -263,137 +162,17 @@ impl std::fmt::Debug for WireFrontend {
     }
 }
 
-/// Turn one completed share (or its per-query failure) into the reply
-/// message.
-fn share_reply(
-    query_id: u64,
-    outcome: Result<crate::registry::AnsweredShare, ServeError>,
-) -> WireMessage {
-    match outcome {
+/// The encoded reply to one admitted query, once its share (or its
+/// per-query failure) is in.
+async fn share_reply(query_id: u64, share: PendingShare) -> Vec<u8> {
+    let reply = match share.await {
         Ok(answered) => WireMessage::Response(ResponseMsg {
             response: answered.response,
             table_version: answered.table_version,
         }),
         Err(err) => serve_error_reply(&err, query_id).into(),
-    }
-}
-
-/// One admitted query awaiting completion in the remux writer.
-struct PendingReply {
-    share: PendingShare,
-    query_id: u64,
-}
-
-#[derive(Default)]
-struct RemuxState {
-    /// Encoded control replies, sent ahead of completions.
-    frames: VecDeque<Vec<u8>>,
-    /// Admitted queries whose shares are still computing.
-    pending: Vec<PendingReply>,
-    /// Set by the reader on hang-up and by the writer on send failure.
-    closed: bool,
-    /// The writer's send failure, when it was a real I/O error rather than
-    /// a peer hang-up; `serve` surfaces it to its caller.
-    error: Option<WireError>,
-    /// A share completed (or work arrived) since the writer last looked.
-    woken: bool,
-}
-
-/// The completion queue between the demux reader and the remux writer.
-#[derive(Default)]
-struct Remux {
-    state: Mutex<RemuxState>,
-    bell: Condvar,
-}
-
-/// Waker handed to every pending share: rings the remux bell.
-struct RemuxWaker(Arc<Remux>);
-
-impl Wake for RemuxWaker {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.0.state.lock().woken = true;
-        self.0.bell.notify_all();
-    }
-}
-
-/// The remux writer loop: drain control frames in arrival order and
-/// completed shares in completion order, encode, and send each drain as one
-/// burst.
-fn run_remux(remux: &Arc<Remux>, send: &mut dyn PirTransport) {
-    let waker = Waker::from(Arc::new(RemuxWaker(Arc::clone(remux))));
-    let mut cx = Context::from_waker(&waker);
-    loop {
-        // Gather everything sendable under the lock, then send without it.
-        let (frames, ready, exit) = {
-            let mut state = remux.state.lock();
-            loop {
-                state.woken = false;
-                let frames: Vec<Vec<u8>> = state.frames.drain(..).collect();
-                let mut ready = Vec::new();
-                let mut index = 0;
-                while index < state.pending.len() {
-                    // Safe to poll while holding the remux lock: a batcher
-                    // delivering a share releases the oneshot's lock
-                    // *before* it calls the waker, so there is no
-                    // lock-order cycle.
-                    match Pin::new(&mut state.pending[index].share).poll(&mut cx) {
-                        Poll::Ready(outcome) => {
-                            let done = state.pending.swap_remove(index);
-                            ready.push((done.query_id, outcome));
-                        }
-                        Poll::Pending => index += 1,
-                    }
-                }
-                if !frames.is_empty() || !ready.is_empty() {
-                    break (frames, ready, false);
-                }
-                if state.closed && state.pending.is_empty() {
-                    break (frames, ready, true);
-                }
-                if state.woken {
-                    // A completion raced between the drain above and here;
-                    // rescan instead of sleeping through it.
-                    continue;
-                }
-                remux.bell.wait(&mut state);
-            }
-        };
-        // One burst: control frames first, then completions.
-        let completions: Vec<Vec<u8>> = ready
-            .into_iter()
-            .map(|(query_id, outcome)| encode_message(&share_reply(query_id, outcome)))
-            .collect();
-        let burst: Vec<&[u8]> = frames
-            .iter()
-            .chain(&completions)
-            .map(Vec::as_slice)
-            .collect();
-        if let Err(err) = send.send_many(&burst) {
-            close_remux(remux, err);
-            return;
-        }
-        if exit {
-            return;
-        }
-    }
-}
-
-/// Mark the connection dead after a send failure so the reader stops
-/// feeding it, recording the failure for `serve` to surface.
-fn close_remux(remux: &Remux, err: WireError) {
-    let mut state = remux.state.lock();
-    // A peer that hangs up mid-send is the same clean close the reader
-    // reports as `Ok`; only real I/O failures are worth surfacing.
-    if !matches!(err, WireError::ConnectionClosed) {
-        state.error = Some(err);
-    }
-    state.closed = true;
-    state.pending.clear();
-    state.frames.clear();
+    };
+    encode_message(&reply)
 }
 
 /// Map a runtime error onto the wire's typed error reply, attributed to
@@ -551,26 +330,61 @@ mod tests {
     }
 
     #[test]
-    fn unsplittable_transports_are_refused_with_a_typed_error() {
-        /// A transport that cannot split; touching it is a test failure.
-        struct Unsplittable;
-        impl PirTransport for Unsplittable {
-            fn send(&mut self, _frame: &[u8]) -> Result<(), WireError> {
-                panic!("an unsplittable transport must not be served");
-            }
-            fn recv(&mut self) -> Result<Vec<u8>, WireError> {
-                panic!("an unsplittable transport must not be served");
-            }
-            fn split(self: Box<Self>) -> SplitTransport {
-                SplitTransport::Whole(self)
-            }
-        }
-        let runtime = runtime();
+    fn a_client_that_hangs_up_cancels_every_query_it_still_has_in_flight() {
+        // Formation is work-conserving, so only a held replica keeps the
+        // client's queries queued until it hangs up.
+        const QUERIES: u64 = 4;
+        let runtime = PirServeRuntime::new(
+            ServeConfig::builder()
+                .device_budget(1)
+                .seed(7)
+                .build()
+                .unwrap(),
+        );
+        let config = TableConfig::builder()
+            .prf_kind(PrfKind::SipHash)
+            .max_batch(8)
+            .build()
+            .unwrap();
+        let table = PirTable::generate(128, 8, |row, _| row as u8);
+        runtime.register_table("emb", table, config).unwrap();
+        let (launching, parked) = runtime.park_replicas("emb");
+        let parked_batches = runtime.stats().table("emb").unwrap().batches;
         let frontend = WireFrontend::new(runtime.handle(), 0);
-        match frontend.serve(Box::new(Unsplittable)) {
-            Err(WireError::Transport(detail)) => assert!(detail.contains("cannot split")),
-            other => panic!("expected a transport error, got {other:?}"),
+        let (mut client, server) = pir_wire::loopback_pair();
+        let keys =
+            pir_protocol::PirClient::new(pir_protocol::TableSchema::new(128, 8), PrfKind::SipHash);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+        for index in 0..QUERIES {
+            let frame = encode_message(&WireMessage::Query(QueryMsg {
+                table: "emb".into(),
+                tenant: "t".into(),
+                query: keys.query(index, &mut rng).to_server(0),
+            }));
+            client.send(&frame).unwrap();
         }
+        drop(client);
+        // The frames were delivered before the hang-up, so `serve` admits
+        // all of them, then drops what it owes and returns.
+        let serving = std::thread::spawn(move || frontend.serve(Box::new(server)));
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !serving.is_finished() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "serve awaited the queries"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        serving.join().unwrap().unwrap();
+        let stats = runtime.stats();
+        let table = stats.table("emb").unwrap();
+        assert_eq!(table.canceled, QUERIES);
+        assert_eq!(
+            table.batches, parked_batches,
+            "no batch formed after the park"
+        );
+        drop(launching);
+        assert!(parked.wait().is_ok());
     }
 
     #[test]

@@ -25,10 +25,9 @@
 //!   servers' catalogs, uploads exactly one key projection per server and
 //!   reconstructs rows from the two byte responses. The key pair never
 //!   crosses the boundary — no message type can carry it.
-//!
-//! The server half of the boundary (decoding envelopes into the batching
-//! runtime) lives in `pir-serve`'s `WireFrontend`, keeping this crate free
-//! of any serving-policy dependencies.
+//! * **The server connection loop** ([`serve_split`], [`answer_one`]): what
+//!   a server does with a request is its `dispatch` closure, which keeps
+//!   this crate free of any serving-policy dependencies.
 
 #![forbid(unsafe_code)]
 #![deny(
@@ -44,6 +43,7 @@ pub mod codec;
 pub mod envelope;
 pub mod error;
 pub mod messages;
+pub mod serve;
 pub mod session;
 pub mod transport;
 
@@ -54,8 +54,9 @@ pub use envelope::{
 pub use error::{ErrorCode, WireError};
 pub use messages::{
     decode_message, decode_request, encode_message, encode_message_v, Catalog, CatalogEntry,
-    ErrorReply, QueryMsg, ResponseMsg, UpdateAckMsg, UpdateEntryMsg, WireMessage,
+    ErrorReply, QueryMsg, Request, ResponseMsg, UpdateAckMsg, UpdateEntryMsg, WireMessage,
 };
+pub use serve::{answer_one, serve_split, Replies};
 pub use session::{CompletedQuery, ConnStats, PipelineStats, PirSession};
 pub use transport::{
     loopback_pair, Dialer, LoopbackTransport, PirTransport, SplitTransport, TcpDialer,

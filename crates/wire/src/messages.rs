@@ -389,20 +389,42 @@ pub fn decode_message(frame: &[u8]) -> Result<WireMessage, WireError> {
     Ok(message)
 }
 
+/// A message a client may send a server: the three a server accepts.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Request {
+    /// Describe your tables.
+    CatalogRequest,
+    /// One key projection of a query.
+    Query(QueryMsg),
+    /// Overwrite one entry (admin).
+    UpdateEntry(UpdateEntryMsg),
+}
+
 /// Decode a frame a server received from an untrusted peer, mapping every
 /// failure onto the connection-level [`ErrorReply`] to send back: a version
 /// outside the supported range is rejected with that range (the
-/// reject-with-supported-range rule), anything else undecodable is
+/// reject-with-supported-range rule), a server→client message is
+/// [`ErrorCode::InvalidRequest`], and anything else undecodable is
 /// [`ErrorCode::Malformed`].
 ///
 /// # Errors
 ///
 /// The reply to encode and send instead of serving the frame.
-pub fn decode_request(frame: &[u8]) -> Result<WireMessage, ErrorReply> {
-    decode_message(frame).map_err(|err| match err {
+pub fn decode_request(frame: &[u8]) -> Result<Request, ErrorReply> {
+    let message = decode_message(frame).map_err(|err| match err {
         WireError::UnsupportedVersion { got, .. } => ErrorReply::unsupported_version(got),
         err => ErrorReply::new(ErrorCode::Malformed, 0, err.to_string()),
-    })
+    })?;
+    match message {
+        WireMessage::CatalogRequest => Ok(Request::CatalogRequest),
+        WireMessage::Query(query) => Ok(Request::Query(query)),
+        WireMessage::UpdateEntry(update) => Ok(Request::UpdateEntry(update)),
+        other => Err(ErrorReply::new(
+            ErrorCode::InvalidRequest,
+            0,
+            format!("a server cannot accept a {} message", other.name()),
+        )),
+    }
 }
 
 #[cfg(test)]
@@ -479,13 +501,31 @@ mod tests {
     #[test]
     fn undecodable_requests_map_to_typed_replies() {
         let mut frame = encode_message(&WireMessage::CatalogRequest);
-        assert_eq!(decode_request(&frame), Ok(WireMessage::CatalogRequest));
+        assert_eq!(decode_request(&frame), Ok(Request::CatalogRequest));
         frame[2] = 1; // the retired version 1
         let reply = decode_request(&frame).unwrap_err();
         assert_eq!(reply, ErrorReply::unsupported_version(1));
         let reply = decode_request(b"XX").unwrap_err();
         assert_eq!(reply.code, ErrorCode::Malformed);
         assert_eq!((reply.min_version, reply.max_version), (0, 0));
+        // Every server→client message is refused, and every client→server
+        // one decodes.
+        for message in sample_messages() {
+            let outcome = decode_request(&encode_message(&message));
+            match message {
+                WireMessage::CatalogRequest
+                | WireMessage::Query(_)
+                | WireMessage::UpdateEntry(_) => assert!(outcome.is_ok(), "{}", message.name()),
+                WireMessage::Catalog(_)
+                | WireMessage::Response(_)
+                | WireMessage::Error(_)
+                | WireMessage::UpdateAck(_) => {
+                    let reply = outcome.unwrap_err();
+                    assert_eq!(reply.code, ErrorCode::InvalidRequest, "{}", message.name());
+                    assert!(reply.message.contains(message.name()), "{}", reply.message);
+                }
+            }
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub const MAX_FRAME_BYTES: usize = 1 << 26; // 64 MiB
 pub enum SplitTransport {
     /// Two independently-usable handles onto the *same* connection: one for
     /// the receive direction, one for the send direction. A pipelined
-    /// endpoint runs them on separate threads (demux reader / remux writer).
+    /// endpoint runs them on separate threads (see [`crate::serve_split`]).
     Halves {
         /// Handle intended for `recv` calls.
         recv: Box<dyn PirTransport>,
