@@ -1,10 +1,13 @@
 //! Binding between an ML application and the PIR tables that serve it.
 
-use pir_ml::datasets::{DatasetKind, DatasetScale, SyntheticDataset};
-use pir_ml::{AccessWorkload, EmbeddingTable, QualityModel};
 use pir_protocol::{PirTable, TableSchema};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+use crate::datasets::{DatasetKind, DatasetScale, SyntheticDataset};
+use crate::embedding::EmbeddingTable;
+use crate::quality::QualityModel;
+use crate::workload::AccessWorkload;
 
 /// An application instance: its embedding table (float and PIR forms), its
 /// access workload and its quality profile.

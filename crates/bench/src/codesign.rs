@@ -12,11 +12,10 @@
 
 use std::collections::HashSet;
 
-use pir_prf::PrfKind;
+use pir_protocol::TableSchema;
 use serde::{Deserialize, Serialize};
 
 use crate::colocation::ColocationMap;
-use crate::table::TableSchema;
 
 /// How requests that miss the hot table reach the full table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -134,25 +133,12 @@ impl CodesignSpace {
             q_full_options: vec![1, 2, 4],
         }
     }
-
-    /// A minimal grid containing only the plain baseline configurations.
-    #[must_use]
-    pub fn baseline_only(q_full: usize) -> Self {
-        Self {
-            colocation_degrees: vec![0],
-            hot_fractions: vec![0.0],
-            q_hot_options: vec![1],
-            bin_sizes: vec![],
-            q_full_options: vec![q_full],
-        }
-    }
 }
 
 /// Evaluates co-design configurations against training access patterns.
 #[derive(Debug)]
 pub struct CodesignSearch<'a> {
     schema: TableSchema,
-    prf_kind: PrfKind,
     /// Per-inference requested index sets observed on training data.
     training_sessions: &'a [Vec<u64>],
     /// Memoized co-location maps keyed by group size: building a grouping is
@@ -183,14 +169,13 @@ impl<'a> CodesignSearch<'a> {
     ///
     /// Panics if there are no training sessions.
     #[must_use]
-    pub fn new(schema: TableSchema, prf_kind: PrfKind, training_sessions: &'a [Vec<u64>]) -> Self {
+    pub fn new(schema: TableSchema, training_sessions: &'a [Vec<u64>]) -> Self {
         assert!(
             !training_sessions.is_empty(),
             "need at least one training session to evaluate co-design"
         );
         Self {
             schema,
-            prf_kind,
             training_sessions,
             map_cache: std::cell::RefCell::new(std::collections::HashMap::new()),
         }
@@ -208,13 +193,6 @@ impl<'a> CodesignSearch<'a> {
                 })
             })
             .clone()
-    }
-
-    /// The PRF family assumed for server-side evaluation (affects nothing in
-    /// the analytic counts, but is carried along for reporting).
-    #[must_use]
-    pub fn prf_kind(&self) -> PrfKind {
-        self.prf_kind
     }
 
     /// Analytically evaluate one configuration against the training sessions.
@@ -452,7 +430,7 @@ mod tests {
     #[test]
     fn plain_baseline_costs_scale_with_q_full() {
         let sessions = sessions();
-        let search = CodesignSearch::new(schema(), PrfKind::Aes128, &sessions);
+        let search = CodesignSearch::new(schema(), &sessions);
         let one = search.evaluate(&CodesignParams::plain(1));
         let four = search.evaluate(&CodesignParams::plain(4));
         assert!((four.prf_calls_per_inference / one.prf_calls_per_inference - 4.0).abs() < 1e-9);
@@ -462,7 +440,7 @@ mod tests {
     #[test]
     fn pbr_is_cheaper_than_many_full_queries() {
         let sessions = sessions();
-        let search = CodesignSearch::new(schema(), PrfKind::Aes128, &sessions);
+        let search = CodesignSearch::new(schema(), &sessions);
         let plain = search.evaluate(&CodesignParams::plain(8));
         let pbr = search.evaluate(&CodesignParams::batch_pir(512));
         assert!(pbr.prf_calls_per_inference < plain.prf_calls_per_inference);
@@ -471,7 +449,7 @@ mod tests {
     #[test]
     fn hot_table_and_colocation_reduce_drops_at_similar_cost() {
         let sessions = sessions();
-        let search = CodesignSearch::new(schema(), PrfKind::Aes128, &sessions);
+        let search = CodesignSearch::new(schema(), &sessions);
         let without = search.evaluate(&CodesignParams::batch_pir(1024));
         let with = search.evaluate(&CodesignParams {
             colocation_degree: 1,
@@ -490,7 +468,7 @@ mod tests {
     #[test]
     fn smaller_bins_trade_communication_for_drops() {
         let sessions = sessions();
-        let search = CodesignSearch::new(schema(), PrfKind::Aes128, &sessions);
+        let search = CodesignSearch::new(schema(), &sessions);
         let coarse = search.evaluate(&CodesignParams::batch_pir(2048));
         let fine = search.evaluate(&CodesignParams::batch_pir(128));
         assert!(fine.communication_bytes_per_inference > coarse.communication_bytes_per_inference);
@@ -500,7 +478,7 @@ mod tests {
     #[test]
     fn sweep_produces_unique_points_and_a_pareto_front() {
         let sessions = sessions();
-        let search = CodesignSearch::new(schema(), PrfKind::Aes128, &sessions);
+        let search = CodesignSearch::new(schema(), &sessions);
         let points = search.sweep(&CodesignSpace::default_grid());
         assert!(points.len() > 20);
 
@@ -545,6 +523,6 @@ mod tests {
     #[should_panic(expected = "at least one training session")]
     fn empty_training_set_panics() {
         let sessions: Vec<Vec<u64>> = Vec::new();
-        let _ = CodesignSearch::new(schema(), PrfKind::Aes128, &sessions);
+        let _ = CodesignSearch::new(schema(), &sessions);
     }
 }

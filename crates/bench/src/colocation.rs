@@ -8,9 +8,8 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
+use pir_protocol::PirTable;
 use serde::{Deserialize, Serialize};
-
-use crate::table::PirTable;
 
 /// Mapping from original embedding indices to co-located groups.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -173,12 +172,6 @@ impl ColocationMap {
             }
         }
         (groups, unknown)
-    }
-
-    /// Client-side size of the index → group mapping in bytes.
-    #[must_use]
-    pub fn client_map_bytes(&self) -> u64 {
-        self.placement.len() as u64 * 12
     }
 }
 

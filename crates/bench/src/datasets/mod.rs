@@ -13,8 +13,8 @@ pub mod production;
 mod taobao;
 mod wikitext;
 
-pub use catalog::{CatalogEntry, DatasetCatalog};
-pub use production::{ProductionProfile, ProductionTableStats};
+pub use catalog::DatasetCatalog;
+pub use production::ProductionProfile;
 
 use serde::{Deserialize, Serialize};
 

@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::datasets::{split_workload, DatasetKind, DatasetScale, SyntheticDataset};
 use crate::quality::QualityModel;
-use crate::workload::ZipfSampler;
+use pir_ml::ZipfSampler;
 
 const PAPER_ENTRIES: u64 = 27_000;
 const EMBEDDING_DIM: usize = 32;

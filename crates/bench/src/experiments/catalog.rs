@@ -1,7 +1,6 @@
 //! Tables 1 and 2: the embedding-table catalog and the production profile.
 
-use pir_ml::datasets::{DatasetCatalog, ProductionProfile};
-
+use crate::datasets::{DatasetCatalog, ProductionProfile};
 use crate::report::Table;
 
 /// Table 1: embedding table sizes for public datasets and models.

@@ -1,11 +1,13 @@
 //! Co-design experiments: Figures 16, 17 and 18–20.
 
-use pir_core::{Application, GpuThroughputModel};
-use pir_ml::datasets::DatasetScale;
 use pir_prf::PrfKind;
-use pir_protocol::{Budget, CodesignParams, CodesignPoint, CodesignSearch, CodesignSpace};
 
+use crate::application::Application;
+use crate::budget::Budget;
+use crate::codesign::{CodesignParams, CodesignPoint, CodesignSearch, CodesignSpace};
+use crate::datasets::DatasetScale;
 use crate::report::{fmt_f64, Table};
+use crate::throughput::GpuThroughputModel;
 
 const INFERENCES: usize = 80;
 const SEED: u64 = 2024;
@@ -27,7 +29,7 @@ fn sweep_space() -> CodesignSpace {
 /// All candidate points for one app, split into (without co-design, with co-design).
 fn candidates(app: &Application) -> (Vec<CodesignPoint>, Vec<CodesignPoint>) {
     let sessions = &app.train_workload().sessions;
-    let search = CodesignSearch::new(app.schema(), PrfKind::Chacha20, sessions);
+    let search = CodesignSearch::new(app.schema(), sessions);
     let without: Vec<CodesignPoint> = [1usize, 2, 4, 8, 16, 24, 32, 48, 64, 96]
         .iter()
         .map(|&q| search.evaluate(&CodesignParams::plain(q)))

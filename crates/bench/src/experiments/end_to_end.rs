@@ -1,10 +1,13 @@
 //! End-to-end application experiments: Figure 11, Figure 12 and Table 3.
 
-use pir_core::{Application, CodesignOptimizer, LatencyModel, OperatingPoint, QualityTarget};
-use pir_ml::datasets::DatasetScale;
 use pir_prf::PrfKind;
-use pir_protocol::{Budget, CodesignSpace};
 
+use crate::application::Application;
+use crate::budget::Budget;
+use crate::codesign::CodesignSpace;
+use crate::datasets::DatasetScale;
+use crate::latency::LatencyModel;
+use crate::optimizer::{CodesignOptimizer, OperatingPoint, QualityTarget};
 use crate::report::{fmt_f64, Table};
 
 /// Number of synthetic inferences used to fit/evaluate the applications.

@@ -1,12 +1,13 @@
 //! Kernel-level experiments: Figures 3, 6, 8, 9, 13, 14, 15 and Tables 4–5.
 
 use gpu_sim::{DeviceSpec, LaunchConfig, OccupancyEstimate};
-use pir_core::{CpuBaselineModel, GpuThroughputModel, LatencyModel};
 use pir_dpf::{DpfParams, EvalStrategy, StrategyProfile};
 use pir_prf::{PrfKind, TABLE5};
-use pir_protocol::Budget;
 
+use crate::budget::Budget;
+use crate::latency::LatencyModel;
 use crate::report::{fmt_f64, Table};
+use crate::throughput::{CpuBaselineModel, GpuThroughputModel};
 
 /// Entry size (bits) used by the application-independent experiments.
 const DEFAULT_ENTRY_BITS: u64 = 2048;

@@ -12,9 +12,8 @@
 
 use std::collections::HashMap;
 
+use pir_protocol::PirTable;
 use serde::{Deserialize, Serialize};
-
-use crate::table::PirTable;
 
 /// Configuration of the hot/full split.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]

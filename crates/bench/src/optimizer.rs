@@ -10,10 +10,11 @@
 //! modelled throughput is highest within the latency budget.
 
 use pir_prf::PrfKind;
-use pir_protocol::{Budget, CodesignParams, CodesignPoint, CodesignSearch, CodesignSpace};
 use serde::{Deserialize, Serialize};
 
 use crate::application::Application;
+use crate::budget::Budget;
+use crate::codesign::{CodesignParams, CodesignPoint, CodesignSearch, CodesignSpace};
 use crate::throughput::{CpuBaselineModel, GpuThroughputModel, ThroughputPoint};
 
 /// Which quality bar an operating point must clear.
@@ -174,7 +175,7 @@ impl CodesignOptimizer {
     #[must_use]
     pub fn cpu_baseline(&self, app: &Application, target: QualityTarget) -> Option<OperatingPoint> {
         let sessions = &app.train_workload().sessions;
-        let search = CodesignSearch::new(app.schema(), PrfKind::Aes128, sessions);
+        let search = CodesignSearch::new(app.schema(), sessions);
         let model = CpuBaselineModel::xeon(32, PrfKind::Aes128);
         let mut best: Option<OperatingPoint> = None;
         for params in self.baseline_candidates(app) {
@@ -208,7 +209,7 @@ impl CodesignOptimizer {
         target: QualityTarget,
     ) -> Option<OperatingPoint> {
         let sessions = &app.train_workload().sessions;
-        let search = CodesignSearch::new(app.schema(), prf, sessions);
+        let search = CodesignSearch::new(app.schema(), sessions);
         let candidates: Vec<CodesignPoint> = self
             .baseline_candidates(app)
             .iter()
@@ -226,7 +227,7 @@ impl CodesignOptimizer {
         target: QualityTarget,
     ) -> Option<OperatingPoint> {
         let sessions = &app.train_workload().sessions;
-        let search = CodesignSearch::new(app.schema(), prf, sessions);
+        let search = CodesignSearch::new(app.schema(), sessions);
         let mut candidates = search.sweep(&self.space);
         // The plain configurations are always available too.
         candidates.extend(
@@ -272,7 +273,7 @@ impl Default for CodesignOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pir_ml::datasets::{DatasetKind, DatasetScale, SyntheticDataset};
+    use crate::datasets::{DatasetKind, DatasetScale, SyntheticDataset};
 
     fn app(kind: DatasetKind) -> Application {
         Application::new(

@@ -16,14 +16,12 @@
 use std::collections::BTreeMap;
 
 use pir_prf::PrfKind;
+use pir_protocol::{
+    GpuPirServer, PirClient, PirError, PirQuery, PirResponse, PirServer, PirTable, ServerQuery,
+    TableSchema,
+};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-use crate::client::PirClient;
-use crate::error::PirError;
-use crate::message::{PirQuery, PirResponse, ServerQuery};
-use crate::server::{GpuPirServer, PirServer};
-use crate::table::{PirTable, TableSchema};
 
 /// Configuration of the bin layout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -91,7 +89,6 @@ impl BinAssignment {
 pub struct PbrClient {
     schema: TableSchema,
     config: PbrConfig,
-    prf_kind: PrfKind,
     /// Clients keyed by bin length (the last bin may be shorter).
     bin_clients: BTreeMap<u64, PirClient>,
 }
@@ -112,21 +109,8 @@ impl PbrClient {
         Self {
             schema,
             config,
-            prf_kind,
             bin_clients,
         }
-    }
-
-    /// The bin configuration.
-    #[must_use]
-    pub fn config(&self) -> PbrConfig {
-        self.config
-    }
-
-    /// The PRF family used for the bin queries.
-    #[must_use]
-    pub fn prf_kind(&self) -> PrfKind {
-        self.prf_kind
     }
 
     /// Assign desired indices to bins, dropping conflicts.
@@ -227,7 +211,6 @@ impl PbrClient {
 
 /// Server-side PBR state: the table split into per-bin PIR servers.
 pub struct PbrServer {
-    config: PbrConfig,
     bins: Vec<GpuPirServer>,
 }
 
@@ -243,22 +226,7 @@ impl PbrServer {
                 GpuPirServer::with_defaults(PirTable::from_entries(&entries), prf_kind)
             })
             .collect();
-        Self {
-            config,
-            bins: servers,
-        }
-    }
-
-    /// Number of bins.
-    #[must_use]
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// The bin configuration.
-    #[must_use]
-    pub fn config(&self) -> PbrConfig {
-        self.config
+        Self { bins: servers }
     }
 
     /// Answer one inference's per-bin queries (one query per bin, in order).

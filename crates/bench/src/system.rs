@@ -10,16 +10,17 @@
 
 use std::collections::BTreeMap;
 
-use pir_ml::EmbeddingTable;
 use pir_prf::PrfKind;
-use pir_protocol::{
-    CodesignParams, ColocatedTable, ColocationMap, FullTableMode, GpuPirServer, HotTableConfig,
-    HotTableSplit, PbrClient, PbrConfig, PbrServer, PirClient, PirError, PirServer, PirTable,
-};
+use pir_protocol::{GpuPirServer, PirClient, PirError, PirServer, PirTable};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::application::Application;
+use crate::codesign::{CodesignParams, FullTableMode};
+use crate::colocation::{ColocatedTable, ColocationMap};
+use crate::embedding::EmbeddingTable;
+use crate::hot_table::{HotTableConfig, HotTableSplit};
+use crate::pbr::{PbrClient, PbrConfig, PbrServer};
 
 /// Configuration of the deployed system.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -373,7 +374,7 @@ impl PrivateInferenceSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pir_ml::datasets::{DatasetKind, DatasetScale, SyntheticDataset};
+    use crate::datasets::{DatasetKind, DatasetScale, SyntheticDataset};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -1,7 +1,7 @@
 //! Server-side throughput models for the GPU system and the CPU baseline.
 //!
 //! These analytic models turn a per-inference work profile (PRF calls and
-//! table bytes, e.g. from a [`pir_protocol::CodesignPoint`]) into sustained
+//! table bytes, e.g. from a [`crate::codesign::CodesignPoint`]) into sustained
 //! queries-per-second on the simulated V100 or the modelled Xeon baseline,
 //! picking the batch size that maximizes throughput subject to the latency
 //! and memory constraints — exactly the tuning loop behind the paper's
@@ -9,8 +9,10 @@
 
 use gpu_sim::{CpuCostModel, CpuSpec, DeviceSpec};
 use pir_prf::{PrfCost, PrfKind};
-use pir_protocol::{Budget, CodesignPoint};
 use serde::{Deserialize, Serialize};
+
+use crate::budget::Budget;
+use crate::codesign::CodesignPoint;
 
 /// One feasible operating point of a server.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]

@@ -2,7 +2,6 @@
 //! serve, and the statistics (frequencies, co-occurrence, skew) the co-design
 //! exploits.
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A collection of per-inference embedding accesses against one table.
@@ -112,55 +111,10 @@ impl AccessWorkload {
     }
 }
 
-/// Inverse-CDF sampler over the finite Zipf distribution
-/// `P(i) ∝ 1 / (i + 1)^s` for `i` in `0..n`.
-///
-/// The CDF table costs `O(n)` to build and each sample is one binary search,
-/// which keeps trace generation cheap even for skew sweeps. Public so the
-/// load harness can sample lookups one at a time without materializing whole
-/// sessions.
-#[derive(Clone, Debug)]
-pub struct ZipfSampler {
-    cdf: Vec<f64>,
-}
-
-impl ZipfSampler {
-    /// Build a sampler over `n` indices with skew `exponent`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or `exponent` is negative or non-finite.
-    #[must_use]
-    pub fn new(n: u64, exponent: f64) -> Self {
-        assert!(n > 0, "Zipf needs at least one index");
-        assert!(
-            exponent.is_finite() && exponent >= 0.0,
-            "Zipf exponent must be finite and non-negative"
-        );
-        let mut cdf = Vec::with_capacity(n as usize);
-        let mut total = 0.0;
-        for i in 0..n {
-            total += 1.0 / ((i + 1) as f64).powf(exponent);
-            cdf.push(total);
-        }
-        for mass in &mut cdf {
-            *mass /= total;
-        }
-        Self { cdf }
-    }
-
-    /// Draw one index in `0..n`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let unit: f64 = rng.gen_range(0.0..1.0);
-        // partition_point: first index whose cumulative mass covers `unit`.
-        let index = self.cdf.partition_point(|&mass| mass < unit);
-        index.min(self.cdf.len() - 1) as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pir_ml::ZipfSampler;
 
     fn workload() -> AccessWorkload {
         AccessWorkload::new(

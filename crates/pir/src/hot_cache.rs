@@ -1,10 +1,10 @@
 //! Client-side hot-entry cache, keyed by table generation.
 //!
-//! Layered on the frequency-based hot-table split ([`crate::hot_table`]): the
-//! same power-law skew that makes a hot *table* worthwhile makes a small
-//! client-local cache of recently reconstructed rows effective. The cache is
-//! **privacy-neutral by construction** — it only ever stores rows the client
-//! already reconstructed from two honest answer shares, and a hit merely
+//! The same power-law skew that makes the paper's hot *table* (§4.2)
+//! worthwhile makes a small client-local cache of recently reconstructed rows
+//! effective. The cache is **privacy-neutral by construction** — it only
+//! ever stores rows the client already reconstructed from two honest answer
+//! shares, and a hit merely
 //! *skips* a lookup the client would otherwise issue. Hit/miss accounting is
 //! client-local telemetry; nothing about cache state is ever encoded into a
 //! wire query, so the servers' view is unchanged (they see fewer queries, as
@@ -88,16 +88,6 @@ impl HotEntryCache {
             order: std::collections::VecDeque::new(),
             stats: HotCacheStats::default(),
         }
-    }
-
-    /// Size the cache for a hot-table split: one slot per hot entry.
-    ///
-    /// The hot table already holds the working set the access distribution
-    /// concentrates on, so its entry count is the natural capacity for a
-    /// client cache layered over the same workload.
-    #[must_use]
-    pub fn for_split(split: &crate::hot_table::HotTableSplit) -> Self {
-        Self::new(split.hot_table().entries() as usize)
     }
 
     /// The configured capacity.
@@ -282,20 +272,5 @@ mod tests {
         assert!(!cache.admit(1, 1, vec![1]));
         assert!(cache.lookup(1, 1).is_none());
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn for_split_sizes_to_hot_entries() {
-        let table = crate::table::PirTable::generate(64, 8, |row, offset| {
-            (row as u8).wrapping_add(offset as u8)
-        });
-        let frequencies: Vec<u64> = (0..64u64).map(|i| 1000 / (i + 1)).collect();
-        let split = crate::hot_table::HotTableSplit::build(
-            &table,
-            &frequencies,
-            crate::hot_table::HotTableConfig::new(8, 4),
-        );
-        let cache = HotEntryCache::for_split(&split);
-        assert_eq!(cache.capacity(), 8);
     }
 }

@@ -6,16 +6,16 @@
 //! 1. the client turns a private table index into two DPF keys
 //!    ([`PirClient`]),
 //! 2. each of two non-colluding servers expands its key against the table and
-//!    returns an additive share of the answer ([`GpuPirServer`] on the
-//!    simulated V100, [`CpuPirServer`] as the optimized multi-core baseline),
+//!    returns an additive share of the answer ([`GpuPirServer`], on the
+//!    simulated V100 or the in-process host backend),
 //! 3. the client adds the two shares to recover the embedding row.
 //!
-//! On top of single-query PIR it implements the paper's batch and co-design
-//! machinery: partial batch retrieval ([`pbr`]), the frequency-based hot-table
-//! split ([`hot_table`]), access-pattern-aware embedding co-location
-//! ([`colocation`]) and the co-design parameter sweep ([`codesign`]) that
-//! trades computation, communication and dropped queries under explicit
-//! [`budget`]s.
+//! Around that it keeps what the serving layers share: the table and its
+//! masked shard views ([`PirTable`], [`shard_owned_ranges`]), the plaintext
+//! oracle ([`NaivePir`]) and a client-side cache of reconstructed rows keyed
+//! by table generation ([`HotEntryCache`]). The paper's co-design (partial
+//! batch retrieval, the hot table, co-location and the parameter search) is
+//! modelled in the `bench` crate.
 //!
 //! # Example
 //!
@@ -43,34 +43,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod budget;
 pub mod client;
-pub mod codesign;
-pub mod colocation;
 pub mod error;
 pub mod hot_cache;
-pub mod hot_table;
 pub mod message;
 pub mod naive;
-pub mod pbr;
 pub mod server;
 pub mod table;
 
-pub use budget::Budget;
 pub use client::{PirClient, QueryHandle};
-pub use codesign::{CodesignParams, CodesignPoint, CodesignSearch, CodesignSpace, FullTableMode};
-pub use colocation::{ColocatedTable, ColocationMap};
 pub use error::PirError;
 pub use hot_cache::{HotCacheStats, HotEntryCache};
-pub use hot_table::{HotTableConfig, HotTablePlan, HotTableSplit};
 pub use message::{
     PirQuery, PirResponse, ServerQuery, RESPONSE_PREFIX_BYTES, SCHEMA_WIRE_BYTES,
     SERVER_QUERY_PREFIX_BYTES,
 };
 pub use naive::{NaivePir, NaiveQuery};
-pub use pbr::{BinAssignment, PbrClient, PbrConfig, PbrServer};
 pub use server::{
     build_replica_with_backend, build_shared_replica, shard_owned_ranges, shard_split_bits,
-    validate_update, CpuBatchTiming, CpuPirServer, GpuPirServer, PirServer, ServerMetrics,
+    validate_update, GpuPirServer, PirServer, ServerMetrics,
 };
 pub use table::{PirTable, TableSchema};

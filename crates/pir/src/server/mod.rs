@@ -1,9 +1,8 @@
-//! PIR servers: the GPU-accelerated implementation and the CPU baseline.
+//! The GPU-accelerated PIR server, the trait the serving layers hold it
+//! behind, and the shard plan a scale-out tier splits tables by.
 
-mod cpu;
 mod gpu;
 
-pub use cpu::{CpuBatchTiming, CpuPirServer};
 pub use gpu::GpuPirServer;
 
 use std::sync::Arc;
@@ -115,9 +114,9 @@ pub fn build_shared_replica(
 
 /// Validate an in-place entry update against a table's schema.
 ///
-/// Shared by every [`PirServer::update_entry`] implementation so hot-reload
-/// requests fail with typed errors instead of tripping the table's internal
-/// assertions.
+/// Shared by [`PirServer::update_entry`] and the cluster router's staged
+/// updates so hot-reload requests fail with typed errors instead of tripping
+/// the table's internal assertions.
 ///
 /// # Errors
 ///
@@ -176,10 +175,10 @@ impl ServerMetrics {
     }
 }
 
-/// Behaviour common to both server implementations.
+/// What the serving layers ask of a PIR server.
 ///
-/// The trait is object-safe so higher layers (the batch-PIR router, the
-/// end-to-end system) can mix CPU and GPU servers behind `dyn PirServer`.
+/// [`GpuPirServer`] is its one implementation; the trait is object-safe, and
+/// the serving runtime's registry holds replicas as `Box<dyn PirServer>`.
 pub trait PirServer: Send + Sync {
     /// The schema of the table this server holds.
     fn schema(&self) -> TableSchema;
@@ -200,9 +199,7 @@ pub trait PirServer: Send + Sync {
     ///
     /// Returns [`PirError::SchemaMismatch`] if any query targets a different
     /// table shape.
-    fn answer_batch(&self, queries: &[ServerQuery]) -> Result<Vec<PirResponse>, PirError> {
-        queries.iter().map(|query| self.answer(query)).collect()
-    }
+    fn answer_batch(&self, queries: &[ServerQuery]) -> Result<Vec<PirResponse>, PirError>;
 
     /// Overwrite one table entry in place (hot reload, §4.2 "Changes to
     /// Embedding Table": value updates are transparent to clients — no new
@@ -226,19 +223,12 @@ pub trait PirServer: Send + Sync {
     /// The device bytes this server keeps resident across batches of `batch`
     /// queries (its table slices when the residency rule holds, zero when it
     /// streams) — what a serving-layer device budget should lease on top of
-    /// the per-batch working set. Servers without a device (the CPU
-    /// baseline) report zero.
-    fn planned_resident_bytes(&self, batch: usize) -> u64 {
-        let _ = batch;
-        0
-    }
+    /// the per-batch working set.
+    fn planned_resident_bytes(&self, batch: usize) -> u64;
 
     /// Residency telemetry accumulated since the server was created:
     /// backend-reported resident bytes and table transfers issued/avoided.
-    /// Servers without a device report an empty ledger.
-    fn plan_ledger(&self) -> PlanLedger {
-        PlanLedger::default()
-    }
+    fn plan_ledger(&self) -> PlanLedger;
 }
 
 /// Assemble wire responses from evaluated answer shares.

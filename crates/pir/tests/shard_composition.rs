@@ -14,8 +14,7 @@ use gpu_sim::{BackendKind, DeviceSpec};
 use pir_dpf::SchedulerConfig;
 use pir_prf::PrfKind;
 use pir_protocol::{
-    shard_owned_ranges, CpuPirServer, GpuPirServer, PirClient, PirError, PirResponse, PirServer,
-    PirTable,
+    shard_owned_ranges, GpuPirServer, PirClient, PirError, PirResponse, PirServer, PirTable,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -80,10 +79,16 @@ proptest! {
             return Ok(());
         };
         let table = PirTable::generate(entries, entry_bytes, fill);
-        let backend = if host { BackendKind::Host } else { BackendKind::Simulated };
+        let (backend, other) = if host {
+            (BackendKind::Host, BackendKind::Simulated)
+        } else {
+            (BackendKind::Simulated, BackendKind::Host)
+        };
 
-        // The unsharded reference is the other implementation.
-        let whole_server = CpuPirServer::new(table.clone(), PrfKind::SipHash, 1);
+        // The unsharded reference runs on the other backend and grid
+        // mapping, and the row it helps reconstruct is checked against the
+        // table itself below.
+        let whole_server = gpu_server(table.clone(), other, !cooperative);
         let shard_servers: Vec<GpuPirServer> = ranges
             .iter()
             .map(|owned| gpu_server(table.masked(owned), backend, cooperative))
@@ -211,10 +216,8 @@ fn a_view_aligned_to_nothing_is_covered_exactly() {
 fn a_write_outside_the_view_is_refused_by_both_servers() {
     let table = PirTable::generate(64, 4, fill);
     let view = table.masked(&shard_owned_ranges(64, 2).unwrap()[1]);
-    let servers: [Box<dyn PirServer>; 2] = [
-        Box::new(GpuPirServer::with_defaults(view.clone(), PrfKind::SipHash)),
-        Box::new(CpuPirServer::new(view, PrfKind::SipHash, 1)),
-    ];
+    let servers = [BackendKind::Simulated, BackendKind::Host]
+        .map(|backend| gpu_server(view.clone(), backend, false));
     let client = PirClient::new(table.schema(), PrfKind::SipHash);
     let mut rng = StdRng::seed_from_u64(9);
     for server in &servers {

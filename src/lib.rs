@@ -3,13 +3,12 @@
 //! This crate re-exports the public API of every member crate so the
 //! runnable examples under `examples/` and the integration tests under
 //! `tests/` can use a single, convenient namespace. Library users should
-//! depend on the individual crates (`pir-core`, `pir-dpf`, ...) directly.
+//! depend on the individual crates (`pir-protocol`, `pir-dpf`, ...) directly.
 
 #![forbid(unsafe_code)]
 
 pub use gpu_sim;
 pub use pir_cluster;
-pub use pir_core;
 pub use pir_dpf;
 pub use pir_field;
 pub use pir_load;
