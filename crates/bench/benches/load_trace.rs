@@ -10,12 +10,18 @@
 //! queue lock, so it sits directly on the serving critical path; the mixed
 //! workload (half expired, interleaved priorities) exercises the full
 //! comparator rather than the sorted-input fast path.
+//!
+//! `latency_histogram` measures [`pir_serve::LatencyHistogram`]: the serving
+//! runtime records into it once per query on the batcher and the answer
+//! path (`record_1k` is 1 000 such calls), and reads p50/p99 from it on
+//! every stats snapshot (`quantiles`, over a histogram holding 100 000
+//! log-uniform samples).
 
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pir_load::{Diurnal, FlashCrowd, TenantSpec, TraceConfig};
-use pir_serve::{formation_order, BatchCandidate};
+use pir_serve::{formation_order, BatchCandidate, LatencyHistogram};
 
 fn trace_config(duration: Duration, base_rps: f64) -> TraceConfig {
     TraceConfig {
@@ -91,9 +97,39 @@ fn bench_batch_formation(c: &mut Criterion) {
     group.finish();
 }
 
+/// `n` deterministic latencies spread over 0.05 – 50 ms, log-uniformly.
+fn latencies(n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|i| 0.05 * 1000f64.powf((i * 7919 % n) as f64 / n as f64))
+        .collect()
+}
+
+fn bench_latency_histogram(c: &mut Criterion) {
+    let mut group = c.benchmark_group("latency_histogram");
+    let samples = latencies(1_000);
+    let hist = LatencyHistogram::new();
+    // Recorded through `black_box(&hist)`: the runtime's histograms are
+    // shared, so their atomics must not be optimized as a private local's.
+    group.bench_function("record_1k", |b| {
+        b.iter(|| {
+            for &ms in &samples {
+                std::hint::black_box(&hist).record_ms(std::hint::black_box(ms));
+            }
+        })
+    });
+    let full = LatencyHistogram::new();
+    for ms in latencies(100_000) {
+        full.record_ms(ms);
+    }
+    group.bench_function("quantiles", |b| {
+        b.iter(|| full.quantiles_ms(std::hint::black_box(&[0.50, 0.99])))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_trace_gen, bench_batch_formation
+    targets = bench_trace_gen, bench_batch_formation, bench_latency_histogram
 }
 criterion_main!(benches);

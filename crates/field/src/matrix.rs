@@ -1,6 +1,7 @@
 //! Share-weighted matrix–vector products over embedding tables.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -18,14 +19,18 @@ use crate::{LaneVector, Ring128};
 /// clips to the window, whose bounds are public, so a windowed matrix
 /// multiplies exactly like the whole matrix with the same rows zeroed — and
 /// compares equal to it.
+///
+/// Clones share the stored rows until one of them writes a row, which then
+/// copies them ([`Arc::make_mut`]): a table registered with a server as a
+/// clone of the caller's copy is one allocation, not two.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ShareMatrix {
     rows: usize,
     lanes_per_row: usize,
     /// The stored rows; every row outside reads as zero.
     window: Range<usize>,
-    /// Row-major lanes of the window's rows.
-    data: Vec<u32>,
+    /// Row-major lanes of the window's rows, shared by clones until written.
+    data: Arc<Vec<u32>>,
     /// The row every row outside the window reads as.
     zero_row: Vec<u32>,
 }
@@ -74,7 +79,7 @@ impl ShareMatrix {
             rows,
             lanes_per_row,
             window,
-            data,
+            data: Arc::new(data),
             zero_row: vec![0; lanes_per_row],
         }
     }
@@ -139,7 +144,7 @@ impl ShareMatrix {
             self.window
         );
         let start = (row - self.window.start) * self.lanes_per_row;
-        &mut self.data[start..start + self.lanes_per_row]
+        &mut Arc::make_mut(&mut self.data)[start..start + self.lanes_per_row]
     }
 
     /// Overwrite one stored row from a lane slice.
@@ -392,6 +397,19 @@ mod tests {
     fn writing_outside_the_window_panics() {
         let mut matrix = ShareMatrix::windowed(8, 2, 2..4, vec![0; 4]);
         matrix.set_row(5, &[1, 1]);
+    }
+
+    #[test]
+    fn clones_share_rows_until_one_writes() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let original = random_matrix(&mut rng, 8, 3);
+        let mut copy = original.clone();
+        assert_eq!(original.lanes().as_ptr(), copy.lanes().as_ptr());
+        let before = original.row(2).to_vec();
+        copy.set_row(2, &[7, 8, 9]);
+        assert_ne!(original.lanes().as_ptr(), copy.lanes().as_ptr());
+        assert_eq!(original.row(2), before.as_slice());
+        assert_eq!(copy.row(2), &[7, 8, 9]);
     }
 
     #[test]

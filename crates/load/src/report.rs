@@ -173,12 +173,12 @@ impl SoakReport {
         };
 
         let mut tenant_counts = vec![OutcomeCounts::default(); trace.tenants.len()];
-        let mut tenant_latency = vec![LatencyHistogram::default(); trace.tenants.len()];
+        let tenant_latency = vec![LatencyHistogram::default(); trace.tenants.len()];
         let mut tier_counts = vec![OutcomeCounts::default(); tier_names.len()];
-        let mut tier_latency = vec![LatencyHistogram::default(); tier_names.len()];
+        let tier_latency = vec![LatencyHistogram::default(); tier_names.len()];
         let phases = [Phase::Steady, Phase::Flash, Phase::Recovery];
         let mut phase_counts = vec![OutcomeCounts::default(); phases.len() * tier_names.len()];
-        let mut phase_latency = vec![LatencyHistogram::default(); phases.len() * tier_names.len()];
+        let phase_latency = vec![LatencyHistogram::default(); phases.len() * tier_names.len()];
 
         for record in &result.records {
             let tier = tier_of(record.tenant);

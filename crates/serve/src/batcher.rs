@@ -153,12 +153,9 @@ pub(crate) fn run_batch_former(
         let queries: Vec<_> = batch.iter().map(|entry| entry.query.clone()).collect();
         let drained_at = Instant::now();
         table.stats.record_batch(batch.len());
-        {
-            let mut queue_wait = table.stats.queue_wait.lock();
-            for entry in &batch {
-                let waited = drained_at.saturating_duration_since(entry.enqueued_at);
-                queue_wait.record_ms(waited.as_secs_f64() * 1e3);
-            }
+        for entry in &batch {
+            let waited = drained_at.saturating_duration_since(entry.enqueued_at);
+            table.stats.queue_wait.record_ms(waited.as_secs_f64() * 1e3);
         }
 
         // The lease carries the table slices the replica keeps on-device
@@ -383,7 +380,7 @@ mod tests {
         assert_eq!(hosted.stats.batches.load(Ordering::Relaxed), 1);
         assert_eq!(hosted.stats.batched_queries.load(Ordering::Relaxed), 5);
         assert_eq!(hosted.stats.max_batch.load(Ordering::Relaxed), 5);
-        assert_eq!(hosted.stats.queue_wait.lock().count(), 5);
+        assert_eq!(hosted.stats.queue_wait.count(), 5);
         // The replica that served the batch recorded its work.
         assert_eq!(hosted.pools[0][0].stats.batches.load(Ordering::Relaxed), 1);
         assert_eq!(hosted.pools[0][0].stats.queries.load(Ordering::Relaxed), 5);
@@ -467,7 +464,7 @@ mod tests {
         hosted.queues[0].close();
         worker.join().unwrap();
         assert_eq!(hosted.stats.batches.load(Ordering::Relaxed), 1);
-        let waited_ms = hosted.stats.queue_wait.lock().quantile_ms(1.0).unwrap();
+        let waited_ms = hosted.stats.queue_wait.quantile_ms(1.0).unwrap();
         assert!(
             waited_ms < 100.0,
             "an idle replica must not sit out the 10 s max_wait (waited {waited_ms} ms)"

@@ -235,32 +235,19 @@ enum Side {
 /// admission refusal, enqueue shed and settled future is counted here.
 /// `Ok` carries the submission time the end-to-end latency is measured from.
 fn account(hosted: &HostedTable, tier: usize, outcome: Result<Instant, &ServeError>) {
-    let stats = &hosted.stats;
-    let tier = stats.tier(tier);
-    match outcome {
-        Ok(submitted_at) => {
-            stats.answered.fetch_add(1, Ordering::Relaxed);
-            let elapsed_ms = submitted_at.elapsed().as_secs_f64() * 1e3;
-            stats.e2e.lock().record_ms(elapsed_ms);
-            if let Some(tier) = tier {
-                tier.answered.fetch_add(1, Ordering::Relaxed);
-                tier.e2e.lock().record_ms(elapsed_ms);
+    let elapsed_ms = outcome.map(|submitted_at| submitted_at.elapsed().as_secs_f64() * 1e3);
+    for stats in hosted.stats.levels(tier) {
+        let counter = match elapsed_ms {
+            Ok(ms) => {
+                stats.e2e.record_ms(ms);
+                &stats.answered
             }
-        }
-        // Backpressure and tier displacement are typed sheds, not protocol
-        // failures; keep the two ledgers apart.
-        Err(err) if err.is_shed() => {
-            stats.shed.fetch_add(1, Ordering::Relaxed);
-            if let Some(tier) = tier {
-                tier.shed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Err(_) => {
-            stats.failed.fetch_add(1, Ordering::Relaxed);
-            if let Some(tier) = tier {
-                tier.failed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+            // Backpressure and tier displacement are typed sheds, not
+            // protocol failures; keep the two ledgers apart.
+            Err(err) if err.is_shed() => &stats.shed,
+            Err(_) => &stats.failed,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -314,13 +301,11 @@ impl Ticket {
         // Counted *before* the entries become visible to the batch formers:
         // a worker can answer within the enqueue call itself, and a stats
         // snapshot must never transiently observe answered > submitted.
-        hosted.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        if let Some(stats) = hosted.stats.tier(tier) {
+        for stats in hosted.stats.levels(tier) {
             stats.submitted.fetch_add(1, Ordering::Relaxed);
         }
         if let Err(err) = hosted.enqueue(capacity, entries) {
-            hosted.stats.submitted.fetch_sub(1, Ordering::Relaxed);
-            if let Some(stats) = hosted.stats.tier(tier) {
+            for stats in hosted.stats.levels(tier) {
                 stats.submitted.fetch_sub(1, Ordering::Relaxed);
             }
             account(&hosted, tier, Err(&err));

@@ -33,7 +33,8 @@
 //!   and per-tenant in-flight quotas — sheds load with typed
 //!   [`ServeError`]s instead of letting latency collapse.
 //! * **Telemetry** ([`StatsSnapshot`]) exports queue depth, batch occupancy
-//!   and p50/p99 latency built on [`LatencyHistogram`].
+//!   and p50/p99 latency built on [`LatencyHistogram`]: fixed-size,
+//!   lock-free log buckets whose quantiles are within 1 % of exact.
 //! * **[`ServeHandle`]** is the clonable *embedded* client API: `query(table,
 //!   tenant, index)` admits a lookup and returns a [`PendingQuery`] — a plain
 //!   [`std::future::Future`] — which either resolves on the caller's

@@ -155,6 +155,8 @@ pub(crate) struct HostedTable {
     pub versions: [AtomicU64; 2],
     pub stats: TableStats,
     pub registered_at: Instant,
+    /// The kernel label of the PRF every replica of this table runs.
+    pub prf_backend: &'static str,
 }
 
 impl HostedTable {
@@ -201,6 +203,7 @@ impl HostedTable {
             versions: [AtomicU64::new(1), AtomicU64::new(1)],
             stats: TableStats::with_tiers(config.tiers.len()),
             registered_at: Instant::now(),
+            prf_backend: pir_prf::build_prf(config.prf_kind).backend_label(),
             config,
         })
     }
@@ -321,9 +324,8 @@ impl HostedTable {
             if victim.canceled.swap(true, Ordering::AcqRel) {
                 continue;
             }
-            self.stats.displaced.fetch_add(1, Ordering::Relaxed);
-            if let Some(tier) = self.stats.tier(victim.tier) {
-                tier.displaced.fetch_add(1, Ordering::Relaxed);
+            for stats in self.stats.levels(victim.tier) {
+                stats.displaced.fetch_add(1, Ordering::Relaxed);
             }
             let tier = self.config.tiers.class(victim.tier).name.clone();
             victim.responder.send(Err(ServeError::Displaced {

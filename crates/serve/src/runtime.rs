@@ -72,18 +72,8 @@ impl RuntimeInner {
             .into_iter()
             .map(|hosted| {
                 let stats = &hosted.stats;
-                // One sort per histogram for both quantiles, and the locks
-                // (contended by the batch formers and the answer path) are
-                // released before assembling the snapshot.
-                let (queue_quantiles, e2e_quantiles, e2e_mean) = {
-                    let queue_wait = stats.queue_wait.lock();
-                    let e2e = stats.e2e.lock();
-                    (
-                        queue_wait.quantiles_ms(&[0.50, 0.99]),
-                        e2e.quantiles_ms(&[0.50, 0.99]),
-                        e2e.mean_ms(),
-                    )
-                };
+                let queue_quantiles = stats.queue_wait.quantiles_ms(&[0.50, 0.99]);
+                let e2e_quantiles = stats.totals.e2e.quantiles_ms(&[0.50, 0.99]);
                 let elapsed_s = hosted.registered_at.elapsed().as_secs_f64().max(1e-9);
                 let active = [hosted.active_replicas(0), hosted.active_replicas(1)];
                 let replicas = hosted
@@ -119,7 +109,7 @@ impl RuntimeInner {
                     });
                 // Per-tier telemetry: class identity comes from the config,
                 // counters and latency quantiles from the matching
-                // `TierStats` slot.
+                // `OutcomeStats` slot.
                 let tiers = hosted
                     .config
                     .tiers
@@ -127,12 +117,12 @@ impl RuntimeInner {
                     .iter()
                     .enumerate()
                     .map(|(index, class)| {
-                        let tier = hosted.stats.tier(index);
-                        let load = |get: fn(&crate::stats::TierStats) -> u64| {
+                        let tier = hosted.stats.tiers.get(index);
+                        let load = |get: fn(&crate::stats::OutcomeStats) -> u64| {
                             tier.map(get).unwrap_or_default()
                         };
                         let e2e = tier
-                            .map(|t| t.e2e.lock().quantiles_ms(&[0.50, 0.99]))
+                            .map(|t| t.e2e.quantiles_ms(&[0.50, 0.99]))
                             .unwrap_or_else(|| vec![None, None]);
                         TierStatsSnapshot {
                             tier: class.name.clone(),
@@ -150,11 +140,11 @@ impl RuntimeInner {
                     .collect();
                 TableStatsSnapshot {
                     table: hosted.name.clone(),
-                    submitted: stats.submitted.load(Ordering::Relaxed),
-                    answered: stats.answered.load(Ordering::Relaxed),
-                    shed: stats.shed.load(Ordering::Relaxed),
-                    displaced: stats.displaced.load(Ordering::Relaxed),
-                    failed: stats.failed.load(Ordering::Relaxed),
+                    submitted: stats.totals.submitted.load(Ordering::Relaxed),
+                    answered: stats.totals.answered.load(Ordering::Relaxed),
+                    shed: stats.totals.shed.load(Ordering::Relaxed),
+                    displaced: stats.totals.displaced.load(Ordering::Relaxed),
+                    failed: stats.totals.failed.load(Ordering::Relaxed),
                     canceled: stats.canceled.load(Ordering::Relaxed),
                     batches: stats.batches.load(Ordering::Relaxed),
                     batched_queries: stats.batched_queries.load(Ordering::Relaxed),
@@ -171,12 +161,12 @@ impl RuntimeInner {
                     tiers,
                     replicas,
                     plan,
-                    prf_backend: pir_prf::SimdBackend::active().label(),
+                    prf_backend: hosted.prf_backend,
                     queue_p50_ms: queue_quantiles[0],
                     queue_p99_ms: queue_quantiles[1],
                     e2e_p50_ms: e2e_quantiles[0],
                     e2e_p99_ms: e2e_quantiles[1],
-                    e2e_mean_ms: e2e_mean,
+                    e2e_mean_ms: stats.totals.e2e.mean_ms(),
                 }
             })
             .collect();
@@ -471,6 +461,24 @@ mod tests {
     fn batcher_thread_names_keep_their_ids_within_fifteen_bytes() {
         let name = batcher_thread_name("embeddings_table_v2", 1, 9);
         assert!(name.as_bytes()[..15].starts_with(b"batcher-1-9-"), "{name}");
+    }
+
+    #[test]
+    fn prf_backend_names_the_kernel_the_table_runs() {
+        let runtime = PirServeRuntime::new(ServeConfig::default());
+        for kind in PrfKind::ALL {
+            let config = TableConfig::builder().prf_kind(kind).build().unwrap();
+            let expected = pir_prf::build_prf(config.prf_kind).backend_label();
+            let table = PirTable::generate(64, 8, |row, _| row as u8);
+            let name = format!("{kind:?}");
+            runtime.register_table(&name, table, config).unwrap();
+            let stats = runtime.stats();
+            assert_eq!(
+                stats.table(&name).unwrap().prf_backend,
+                expected,
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,74 +1,133 @@
 //! Serving telemetry: queue depth, batch occupancy, per-replica utilization
 //! and latency quantiles.
 //!
-//! Counters are updated lock-free from the hot paths; latency samples go
-//! through [`LatencyHistogram`] behind a mutex (one lock per
-//! answered query, far off the device critical path).
+//! Every update on the hot paths is lock-free: counters are atomics, and
+//! latency samples go into [`LatencyHistogram`]'s fixed array of atomic
+//! buckets, so the memory they take does not grow with uptime.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use pir_dpf::PlanLedger;
 
-/// An accumulating latency histogram with exact quantiles.
+/// Relative accuracy of a bucketed quantile.
+const ALPHA: f64 = 0.01;
+/// Ratio of consecutive bucket bounds: one point lies within `ALPHA` of both.
+const GAMMA: f64 = (1.0 + ALPHA) / (1.0 - ALPHA);
+/// Bucket 0 takes every sample at or below 1 µs.
+const FLOOR_MS: f64 = 1e-3;
+/// Bucket `i > 0` is `(FLOOR_MS·γ^(i−1), FLOOR_MS·γ^i]`; the last one holds
+/// 100 s (`ln(1e8)/ln γ` rounds up to 922) and everything above.
+const BUCKETS: usize = 923;
+
+/// The bucket of a non-negative, finite sample.
+fn bucket_index(ms: f64) -> usize {
+    if ms <= FLOOR_MS {
+        return 0;
+    }
+    // The compiler folds `GAMMA.ln()` to a constant.
+    (((ms / FLOOR_MS).ln() / GAMMA.ln()).ceil() as usize).min(BUCKETS - 1)
+}
+
+/// The point within `ALPHA` of both bounds of bucket `index`.
+fn bucket_value(index: usize) -> f64 {
+    2.0 * FLOOR_MS * GAMMA.powi(index as i32) / (GAMMA + 1.0)
+}
+
+/// A fixed-size, lock-free latency histogram with relative-accuracy buckets.
 ///
-/// The serving runtime records one sample per answered query and exports
-/// p50/p99 through its stats snapshot; the load harness uses it to summarize
-/// a run. Samples are kept as recorded (milliseconds) and quantiles are
-/// computed by nearest-rank on demand, so small-sample behaviour is exact
-/// rather than bucket-approximated.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// The serving runtime records one sample per answered query through
+/// `&self` and exports p50/p99 through its stats snapshot; the load harness
+/// uses it to summarize a run. Samples are counted in log-spaced buckets in
+/// the style of DDSketch (Masson, Rim and Lee, VLDB 2019): with α = 1 %,
+/// 923 buckets cover 1 µs – 100 s, so a histogram is ≈ 7.2 KiB however many
+/// samples it has seen, and recording takes no lock.
+///
+/// The trade against keeping raw samples: a quantile is within α relative
+/// error of the exact nearest-rank sample, not equal to it (under 1 µs off
+/// for samples at or below 1 µs, zeros included, which share one bucket).
+/// The count, minimum and maximum stay exact, so the 0- and 1-quantiles
+/// are exact; the sum is kept in whole nanoseconds. Merging is bucket-wise
+/// addition, exact and independent of order.
+#[derive(Debug)]
 pub struct LatencyHistogram {
-    samples_ms: Vec<f64>,
-    /// Ring cursor once the retention cap is reached.
-    next: usize,
+    buckets: [AtomicU64; BUCKETS],
+    count: AtomicU64,
+    sum_ns: AtomicU64,
+    /// `f64::to_bits` of the smallest sample (`u64::MAX` while empty): the
+    /// bits of non-negative floats order as the floats do.
+    min_bits: AtomicU64,
+    max_bits: AtomicU64,
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Clone for LatencyHistogram {
+    fn clone(&self) -> Self {
+        let copy = Self::new();
+        copy.merge(self);
+        copy
+    }
 }
 
 impl LatencyHistogram {
-    /// Retention cap: once this many samples are held, new samples
-    /// overwrite the oldest (sliding-window quantiles), bounding the memory
-    /// of a long-lived serving process at ~512 KiB per histogram.
-    pub const MAX_SAMPLES: usize = 65_536;
-
     /// An empty histogram.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            buckets: [const { AtomicU64::new(0) }; BUCKETS],
+            count: AtomicU64::new(0),
+            sum_ns: AtomicU64::new(0),
+            min_bits: AtomicU64::new(u64::MAX),
+            max_bits: AtomicU64::new(0),
+        }
     }
 
     /// Record one latency sample in milliseconds.
     ///
-    /// Non-finite samples are ignored (they would poison every quantile).
-    pub fn record_ms(&mut self, ms: f64) {
+    /// Non-finite samples are ignored (they would poison every quantile);
+    /// negative ones count as zero.
+    pub fn record_ms(&self, ms: f64) {
         if !ms.is_finite() {
             return;
         }
-        if self.samples_ms.len() < Self::MAX_SAMPLES {
-            self.samples_ms.push(ms);
-        } else {
-            self.samples_ms[self.next] = ms;
-            self.next = (self.next + 1) % Self::MAX_SAMPLES;
+        let ms = if ms > 0.0 { ms } else { 0.0 };
+        let bits = ms.to_bits();
+        // Skip the read-modify-write when the sample is no new extreme.
+        if bits < self.min_bits.load(Ordering::Relaxed) {
+            self.min_bits.fetch_min(bits, Ordering::Relaxed);
         }
+        if bits > self.max_bits.load(Ordering::Relaxed) {
+            self.max_bits.fetch_max(bits, Ordering::Relaxed);
+        }
+        self.sum_ns
+            .fetch_add((ms * 1e6).round() as u64, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        // Release pairs with the Acquire loads in `quantiles_ms`: a reader
+        // that counts this sample also sees the extremes it set above.
+        self.buckets[bucket_index(ms)].fetch_add(1, Ordering::Release);
     }
 
     /// Number of recorded samples.
     #[must_use]
     pub fn count(&self) -> usize {
-        self.samples_ms.len()
+        self.count.load(Ordering::Relaxed) as usize
     }
 
     /// Mean latency, or `None` when empty.
     #[must_use]
     pub fn mean_ms(&self) -> Option<f64> {
-        if self.samples_ms.is_empty() {
-            return None;
-        }
-        Some(self.samples_ms.iter().sum::<f64>() / self.samples_ms.len() as f64)
+        let count = self.count.load(Ordering::Relaxed);
+        (count > 0).then(|| self.sum_ns.load(Ordering::Relaxed) as f64 / 1e6 / count as f64)
     }
 
-    /// Several `q`-quantiles (nearest-rank) in milliseconds, sharing one
-    /// sort of the retained samples; entries are `None` when empty.
+    /// Several `q`-quantiles in milliseconds, each within α of the exact
+    /// nearest-rank sample (the first and last ranks exact), from one read
+    /// of the buckets; entries are `None` when empty.
     ///
     /// # Panics
     ///
@@ -78,21 +137,33 @@ impl LatencyHistogram {
         for q in qs {
             assert!((0.0..=1.0).contains(q), "quantile {q} outside [0, 1]");
         }
-        if self.samples_ms.is_empty() {
+        let counts = self.buckets.each_ref().map(|b| b.load(Ordering::Acquire));
+        let total: u64 = counts.iter().sum();
+        if total == 0 {
             return vec![None; qs.len()];
         }
-        let mut sorted = self.samples_ms.clone();
-        // Samples are finite (`record_ms` filters), so this is numeric order.
-        sorted.sort_by(f64::total_cmp);
+        let min = f64::from_bits(self.min_bits.load(Ordering::Relaxed));
+        let max = f64::from_bits(self.max_bits.load(Ordering::Relaxed));
         qs.iter()
             .map(|q| {
-                let rank = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
-                Some(sorted[rank.min(sorted.len() - 1)])
+                let rank = ((q * total as f64).ceil() as u64).max(1);
+                let mut seen = 0;
+                let index = counts.iter().position(|&c| {
+                    seen += c;
+                    seen >= rank
+                });
+                Some(match index {
+                    // The first and last ranks are the exact extremes.
+                    _ if rank == 1 => min,
+                    Some(index) if rank < total => bucket_value(index).max(min).min(max),
+                    _ => max,
+                })
             })
             .collect()
     }
 
-    /// The `q`-quantile (nearest-rank) in milliseconds, or `None` when empty.
+    /// The `q`-quantile in milliseconds (see [`Self::quantiles_ms`]), or
+    /// `None` when empty.
     ///
     /// # Panics
     ///
@@ -102,23 +173,18 @@ impl LatencyHistogram {
         self.quantiles_ms(&[q])[0]
     }
 
-    /// Median latency (p50), or `None` when empty.
-    #[must_use]
-    pub fn p50_ms(&self) -> Option<f64> {
-        self.quantile_ms(0.50)
-    }
-
-    /// Tail latency (p99), or `None` when empty.
-    #[must_use]
-    pub fn p99_ms(&self) -> Option<f64> {
-        self.quantile_ms(0.99)
-    }
-
-    /// Merge another histogram's samples into this one (subject to the same
-    /// retention cap).
-    pub fn merge(&mut self, other: &Self) {
-        for &ms in &other.samples_ms {
-            self.record_ms(ms);
+    /// Add another histogram's samples to this one, bucket by bucket.
+    pub fn merge(&self, other: &Self) {
+        let load = |cell: &AtomicU64| cell.load(Ordering::Acquire);
+        self.min_bits
+            .fetch_min(load(&other.min_bits), Ordering::Relaxed);
+        self.max_bits
+            .fetch_max(load(&other.max_bits), Ordering::Relaxed);
+        self.sum_ns
+            .fetch_add(load(&other.sum_ns), Ordering::Relaxed);
+        self.count.fetch_add(load(&other.count), Ordering::Relaxed);
+        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
+            mine.fetch_add(load(theirs), Ordering::Release);
         }
     }
 }
@@ -126,14 +192,9 @@ impl LatencyHistogram {
 /// Internal, shared per-table statistics.
 #[derive(Debug, Default)]
 pub(crate) struct TableStats {
-    pub submitted: AtomicU64,
-    pub answered: AtomicU64,
-    pub shed: AtomicU64,
-    pub failed: AtomicU64,
+    /// Outcomes and end-to-end latency over every tier of the table.
+    pub totals: OutcomeStats,
     pub canceled: AtomicU64,
-    /// Queries evicted from a full queue by a higher-priority arrival
-    /// (a subset of `shed`).
-    pub displaced: AtomicU64,
     pub batches: AtomicU64,
     pub batched_queries: AtomicU64,
     pub max_batch: AtomicU64,
@@ -142,18 +203,17 @@ pub(crate) struct TableStats {
     pub scale_ups: AtomicU64,
     /// Autoscale steps that deactivated a replica (across both parties).
     pub scale_downs: AtomicU64,
-    pub queue_wait: Mutex<LatencyHistogram>,
-    pub e2e: Mutex<LatencyHistogram>,
+    pub queue_wait: LatencyHistogram,
     /// One slot per SLO tier class, index-aligned with the table's
     /// `SloTiers::classes()`.
-    pub tiers: Vec<TierStats>,
+    pub tiers: Vec<OutcomeStats>,
 }
 
 impl TableStats {
     /// Stats block sized for a table with `tier_count` SLO classes.
     pub(crate) fn with_tiers(tier_count: usize) -> Self {
         Self {
-            tiers: (0..tier_count).map(|_| TierStats::default()).collect(),
+            tiers: (0..tier_count).map(|_| OutcomeStats::default()).collect(),
             ..Self::default()
         }
     }
@@ -165,15 +225,17 @@ impl TableStats {
         self.max_batch.fetch_max(size as u64, Ordering::Relaxed);
     }
 
-    /// The counter slot for `tier`, if the table declared that many tiers.
-    pub(crate) fn tier(&self, tier: usize) -> Option<&TierStats> {
-        self.tiers.get(tier)
+    /// Where an outcome of a `tier` query is counted: the table's totals,
+    /// then the tier's slot if the table declared that many tiers.
+    pub(crate) fn levels(&self, tier: usize) -> impl Iterator<Item = &OutcomeStats> {
+        std::iter::once(&self.totals).chain(self.tiers.get(tier))
     }
 }
 
-/// Internal, shared per-SLO-tier statistics.
+/// Internal, shared outcome counters and end-to-end latency of a table or
+/// of one SLO tier of it.
 #[derive(Debug, Default)]
-pub(crate) struct TierStats {
+pub(crate) struct OutcomeStats {
     pub submitted: AtomicU64,
     pub answered: AtomicU64,
     pub shed: AtomicU64,
@@ -181,7 +243,7 @@ pub(crate) struct TierStats {
     /// counted in `shed`).
     pub displaced: AtomicU64,
     pub failed: AtomicU64,
-    pub e2e: Mutex<LatencyHistogram>,
+    pub e2e: LatencyHistogram,
 }
 
 /// Internal, shared per-replica dispatch statistics.
@@ -301,9 +363,11 @@ pub struct TableStatsSnapshot {
     /// serve layer reports what the device layer measured, it never
     /// re-derives sizes.
     pub plan: PlanLedger,
-    /// Host SIMD backend executing this table's PRF sweeps (`"scalar"`,
-    /// `"avx2"` or `"neon"` — runtime-detected, overridable with the
-    /// `PIR_PRF_BACKEND` environment variable).
+    /// Kernel label of the PRF executing this table's sweeps, as its
+    /// `backend_label()` reports it: `"scalar"`, `"avx2"`, `"neon"`, or a
+    /// wide-kernel label such as `"avx2+vaes"` or `"avx2+avx512"` — runtime
+    /// detected, overridable with the `PIR_PRF_BACKEND` environment
+    /// variable.
     pub prf_backend: &'static str,
     /// Median time a query waited in the batch former, in milliseconds.
     pub queue_p50_ms: Option<f64>,
@@ -400,6 +464,8 @@ impl TableStatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn occupancy_is_queries_per_batch() {
@@ -480,15 +546,16 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_are_nearest_rank() {
-        let mut hist = LatencyHistogram::new();
-        assert_eq!(hist.p50_ms(), None);
+        let hist = LatencyHistogram::new();
+        assert_eq!(hist.quantile_ms(0.5), None);
         assert_eq!(hist.mean_ms(), None);
         for ms in 1..=100 {
             hist.record_ms(ms as f64);
         }
         assert_eq!(hist.count(), 100);
-        assert_eq!(hist.p50_ms(), Some(50.0));
-        assert_eq!(hist.p99_ms(), Some(99.0));
+        let quantiles = hist.quantiles_ms(&[0.5, 0.99]);
+        assert!((quantiles[0].unwrap() - 50.0).abs() <= ALPHA * 50.0);
+        assert!((quantiles[1].unwrap() - 99.0).abs() <= ALPHA * 99.0);
         assert_eq!(hist.quantile_ms(1.0), Some(100.0));
         assert_eq!(hist.quantile_ms(0.0), Some(1.0));
         assert!((hist.mean_ms().unwrap() - 50.5).abs() < 1e-9);
@@ -496,28 +563,166 @@ mod tests {
 
     #[test]
     fn histogram_retention_is_bounded() {
-        let mut hist = LatencyHistogram::new();
-        for ms in 0..(LatencyHistogram::MAX_SAMPLES + 10) {
+        // The 65 536-sample cap of a sample ring is no limit any more: the
+        // count stays exact past it and nothing is overwritten.
+        let hist = LatencyHistogram::new();
+        let samples = 65_536 + 10;
+        for ms in 0..samples {
             hist.record_ms(ms as f64);
         }
-        assert_eq!(hist.count(), LatencyHistogram::MAX_SAMPLES);
-        // The oldest samples were overwritten by the newest.
-        assert_eq!(hist.quantile_ms(0.0), Some(10.0));
-        let quantiles = hist.quantiles_ms(&[0.5, 0.99]);
-        assert_eq!(quantiles.len(), 2);
-        assert!(quantiles[0].unwrap() < quantiles[1].unwrap());
+        assert_eq!(hist.count(), samples);
+        assert_eq!(hist.quantile_ms(0.0), Some(0.0));
+        assert_eq!(hist.quantile_ms(1.0), Some((samples - 1) as f64));
+        // The footprint is the type's size: buckets and four scalars, no
+        // heap storage that could grow with the samples.
+        assert_eq!(
+            std::mem::size_of::<LatencyHistogram>(),
+            (BUCKETS + 4) * std::mem::size_of::<u64>()
+        );
     }
 
     #[test]
     fn histogram_merge_and_nonfinite_filtering() {
-        let mut a = LatencyHistogram::new();
+        let a = LatencyHistogram::new();
         a.record_ms(1.0);
         a.record_ms(f64::NAN);
         a.record_ms(f64::INFINITY);
-        let mut b = LatencyHistogram::new();
+        let b = LatencyHistogram::new();
         b.record_ms(3.0);
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert_eq!(a.quantile_ms(1.0), Some(3.0));
+
+        // Merging two halves gives the whole, bucket for bucket, in either
+        // order.
+        let samples = lognormal(&mut StdRng::seed_from_u64(3), 5_000);
+        let (whole, first, second) = (
+            LatencyHistogram::new(),
+            LatencyHistogram::new(),
+            LatencyHistogram::new(),
+        );
+        for (i, &ms) in samples.iter().enumerate() {
+            whole.record_ms(ms);
+            if i % 3 == 0 { &first } else { &second }.record_ms(ms);
+        }
+        let (first_then_second, second_then_first) = (first.clone(), second.clone());
+        first_then_second.merge(&second);
+        second_then_first.merge(&first);
+        let state = |h: &LatencyHistogram| {
+            let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+            let buckets = h.buckets.each_ref().map(load);
+            (
+                buckets,
+                [&h.count, &h.sum_ns, &h.min_bits, &h.max_bits].map(load),
+            )
+        };
+        assert!(state(&first_then_second) == state(&whole));
+        assert!(state(&second_then_first) == state(&whole));
+    }
+
+    fn lognormal(rng: &mut StdRng, n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|_| {
+                let (u1, u2): (f64, f64) = (rng.gen_range(1e-12..1.0), rng.gen());
+                let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+                (0.5 + z).exp()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_bucket_value_is_within_alpha_of_its_samples() {
+        assert_eq!(bucket_index(FLOOR_MS), 0);
+        assert_eq!(bucket_index(1e5), BUCKETS - 1, "100 s is the last bucket");
+        let steps = 200_000;
+        let mut previous = 0;
+        for step in 1..=steps {
+            // Log-spaced over (1 µs, 100 s].
+            let ms = FLOOR_MS * 1e8f64.powf(step as f64 / steps as f64);
+            let index = bucket_index(ms);
+            assert!(index >= previous, "bucket order at {ms} ms");
+            previous = index;
+            let error = (bucket_value(index) - ms).abs() / ms;
+            assert!(error <= ALPHA * (1.0 + 1e-9), "{ms} ms: error {error}");
+        }
+    }
+
+    #[test]
+    fn quantiles_stay_within_alpha_of_exact_nearest_rank() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let uniform: Vec<f64> = (0..10_000).map(|_| rng.gen_range(0.05..20.0)).collect();
+        let bimodal: Vec<f64> = (0..10_000)
+            .map(|i| {
+                let centre = if i % 4 == 0 { 8.0 } else { 0.2 };
+                centre * rng.gen_range(0.9..1.1)
+            })
+            .collect();
+        // Zeros at q = 0, sub-µs samples at q = 0.01, the rest above 1 µs.
+        let floor: Vec<f64> = (0..10_000)
+            .map(|i| match i % 200 {
+                0 => 0.0,
+                1..=3 => rng.gen_range(1e-6..FLOOR_MS),
+                _ => rng.gen_range(FLOOR_MS..1.0),
+            })
+            .collect();
+        let sets = [
+            ("uniform", uniform),
+            ("lognormal", lognormal(&mut rng, 10_000)),
+            ("bimodal", bimodal),
+            ("zeros and sub-µs", floor),
+        ];
+        for (name, samples) in sets {
+            let hist = LatencyHistogram::new();
+            for &ms in &samples {
+                hist.record_ms(ms);
+            }
+            let mut sorted = samples.clone();
+            sorted.sort_by(f64::total_cmp);
+            let qs = [0.0, 0.01, 0.5, 0.9, 0.99, 1.0];
+            for (q, estimate) in qs.iter().zip(hist.quantiles_ms(&qs)) {
+                let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
+                let exact = sorted[rank - 1];
+                let estimate = estimate.unwrap();
+                let bound = if exact > FLOOR_MS {
+                    ALPHA * exact * (1.0 + 1e-9)
+                } else {
+                    FLOOR_MS
+                };
+                assert!(
+                    (estimate - exact).abs() <= bound,
+                    "{name} q={q}: {estimate} against {exact}"
+                );
+                if *q == 0.0 || *q == 1.0 {
+                    assert_eq!(estimate, exact, "{name} q={q} is exact");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_records_keep_count_and_sum_exact() {
+        let (threads, per_thread) = (4, 10_000);
+        let hist = LatencyHistogram::new();
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let (hist, start) = (&hist, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..per_thread {
+                        hist.record_ms(((t * per_thread + i) % 1_000) as f64 / 100.0);
+                    }
+                });
+            }
+        });
+        let expected_ns: u64 = (0..threads * per_thread)
+            .map(|n| (n % 1_000) as u64 * 10_000)
+            .sum();
+        assert_eq!(hist.count(), threads * per_thread);
+        assert_eq!(hist.sum_ns.load(Ordering::Relaxed), expected_ns);
+        let bucketed: u64 = hist.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum();
+        assert_eq!(bucketed, (threads * per_thread) as u64);
+        assert_eq!(hist.quantile_ms(0.0), Some(0.0));
+        assert_eq!(hist.quantile_ms(1.0), Some(9.99));
     }
 }
