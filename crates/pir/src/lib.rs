@@ -60,7 +60,7 @@ pub use message::{
 };
 pub use naive::{NaivePir, NaiveQuery};
 pub use server::{
-    build_replica_with_backend, build_shared_replica, shard_owned_ranges, shard_split_bits,
-    validate_update, GpuPirServer, PirServer, ServerMetrics,
+    build_replica_with_backend, shard_owned_ranges, shard_split_bits, validate_update,
+    GpuPirServer, PirServer, ServerMetrics,
 };
 pub use table::{PirTable, TableSchema};

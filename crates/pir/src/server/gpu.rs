@@ -35,6 +35,13 @@ use crate::server::{
 };
 use crate::table::{PirTable, TableSchema};
 
+/// A party's table and the number of hot reloads applied to it: the one
+/// cell every replica of the party reads, and the one a write goes through.
+struct VersionedTable {
+    table: PirTable,
+    generation: u64,
+}
+
 /// The per-device table-slice allocations the residency rule keeps on the
 /// devices, tagged with the table version they were uploaded from so hot
 /// reloads invalidate them.
@@ -63,12 +70,11 @@ struct Resident {
 /// The table sits behind an `RwLock` so entries can be hot-reloaded through
 /// [`PirServer::update_entry`] while queries are being served: a batch holds
 /// the read lock for the whole launch, so every device sees one consistent
-/// table version. It is held as an `Arc`, so servers built from one table
-/// share its storage until one of them writes: the first update copies the
-/// table for the writer alone.
+/// table version. The lock is shared with every [`GpuPirServer::replica`],
+/// so a write through any one of them is served by all of them.
 pub struct GpuPirServer {
     schema: TableSchema,
-    table: RwLock<Arc<PirTable>>,
+    table: Arc<RwLock<VersionedTable>>,
     /// In-memory row width. Fixed for the server's lifetime (updates pin the
     /// entry width), so the residency rule never needs the table lock to
     /// read it.
@@ -86,19 +92,20 @@ pub struct GpuPirServer {
     plan: ExecutionPlan,
     prg: GgmPrg,
     prf_kind: PrfKind,
+    backend: BackendKind,
     backends: Vec<Box<dyn DeviceBackend>>,
     scheduler: Scheduler,
     metrics: Mutex<ServerMetrics>,
     resident: Mutex<Option<Resident>>,
-    table_generation: AtomicU64,
     transfers_issued: AtomicU64,
     transfers_avoided: AtomicU64,
 }
 
 impl GpuPirServer {
     /// Create a server over an explicit list of devices (one table slice per
-    /// device), a scheduler configuration and a [`BackendKind`]. Given an
-    /// `Arc<PirTable>`, the server shares that table until its first write.
+    /// device), a scheduler configuration and a [`BackendKind`]. A
+    /// [`PirTable`] clone shares its rows until either side writes one, so
+    /// two parties' servers built from one table hold it once until then.
     ///
     /// # Errors
     ///
@@ -106,18 +113,48 @@ impl GpuPirServer {
     /// table's domain cannot be split into that many subtrees, so serving
     /// layers never have to pre-validate the decomposition themselves.
     pub fn new(
-        table: impl Into<Arc<PirTable>>,
+        table: PirTable,
         prf_kind: PrfKind,
         devices: Vec<DeviceSpec>,
         scheduler_config: SchedulerConfig,
         backend: BackendKind,
     ) -> Result<Self, PirError> {
-        let table = table.into();
-        let schema = table.schema();
-        let split = device_split(schema.entries, devices.len())?
-            .restricted_to(table.kept_ranges(), schema.entries);
+        let cell = Arc::new(RwLock::new(VersionedTable {
+            table,
+            generation: 0,
+        }));
+        Self::over(cell, prf_kind, devices, scheduler_config, backend)
+    }
+
+    /// Another replica of this server: the same table cell, so every write
+    /// through either is served by both, on fresh backends for the same
+    /// devices, with its own residency, metrics and transfer counters.
+    #[must_use]
+    pub fn replica(&self) -> Self {
+        let devices = self.backends.iter().map(|b| b.device().clone()).collect();
+        let table = Arc::clone(&self.table);
+        let config = *self.scheduler.config();
+        Self::over(table, self.prf_kind, devices, config, self.backend)
+            .expect("these devices already split this table")
+    }
+
+    /// Plan a server over the table `cell`: everything `new` promises, for
+    /// any number of servers sharing one cell.
+    fn over(
+        cell: Arc<RwLock<VersionedTable>>,
+        prf_kind: PrfKind,
+        devices: Vec<DeviceSpec>,
+        scheduler_config: SchedulerConfig,
+        backend: BackendKind,
+    ) -> Result<Self, PirError> {
+        let (schema, split, row_bytes) = {
+            let table = &cell.read().table;
+            let schema = table.schema();
+            let split = device_split(schema.entries, devices.len())?
+                .restricted_to(table.kept_ranges(), schema.entries);
+            (schema, split, table.matrix().lanes_per_row() as u64 * 4)
+        };
         let scheduler = Scheduler::new(scheduler_config);
-        let row_bytes = table.matrix().lanes_per_row() as u64 * 4;
         let slice_bytes = split.slice_bytes(schema.entries, row_bytes);
         // The most rows any one device sweeps per query (slices floor at one).
         let rows_per_device = slice_bytes
@@ -131,14 +168,14 @@ impl GpuPirServer {
             slice_bytes,
             params: DpfParams::for_domain(schema.entries),
             plan: scheduler.plan(rows_per_device),
-            table: RwLock::new(table),
+            table: cell,
             prg: GgmPrg::new(build_prf(prf_kind)),
             prf_kind,
+            backend,
             backends: devices.into_iter().map(|d| backend.build(d)).collect(),
             scheduler,
             metrics: Mutex::new(ServerMetrics::default()),
             resident: Mutex::new(None),
-            table_generation: AtomicU64::new(0),
             transfers_issued: AtomicU64::new(0),
             transfers_avoided: AtomicU64::new(0),
         })
@@ -164,17 +201,17 @@ impl GpuPirServer {
         self.prf_kind
     }
 
-    /// A snapshot of the table served by this server: the shared table
-    /// itself, which a later write to this server leaves untouched.
+    /// Hot reloads applied to this server's table, through it or any of its
+    /// replicas.
     #[must_use]
-    pub fn table_snapshot(&self) -> Arc<PirTable> {
-        Arc::clone(&self.table.read())
+    pub fn generation(&self) -> u64 {
+        self.table.read().generation
     }
 
     /// The backend this server evaluates on (`"simulated"` or `"host"`).
     #[must_use]
     pub fn backend_name(&self) -> &str {
-        self.backends[0].name()
+        self.backend.label()
     }
 
     /// The number of devices the table is sharded over.
@@ -254,16 +291,15 @@ impl GpuPirServer {
         let keys: Vec<_> = queries.iter().map(|q| q.key.clone()).collect();
         // The read lock brackets the whole multi-device launch: a concurrent
         // hot reload waits, so this batch sees exactly one table version.
-        let table = self.table.read();
-        let generation = self.table_generation.load(Ordering::Acquire);
-        let job = BatchEvalJob::new(&self.prg, self.prf_kind, &keys, table.matrix())
+        let cell = self.table.read();
+        let job = BatchEvalJob::new(&self.prg, self.prf_kind, &keys, cell.table.matrix())
             .with_plan(&self.plan);
         let backends: Vec<&dyn DeviceBackend> = self.backends.iter().map(AsRef::as_ref).collect();
         let output = if residency == TableResidency::Resident {
             // Held across the launch so a concurrent batch cannot free or
             // replace the slices mid-flight.
             let mut resident = self.resident.lock();
-            let held = self.ensure_resident(&mut resident, generation, &job, &backends);
+            let held = self.ensure_resident(&mut resident, cell.generation, &job, &backends);
             let slices: Vec<&ResidentAllocation> = held.iter().collect();
             job.run_resident_on_devices(&self.split, &backends, &slices)
         } else {
@@ -274,7 +310,7 @@ impl GpuPirServer {
                 .fetch_add(backends.len() as u64, Ordering::Relaxed);
             job.run_on_devices(&self.split, &backends)
         };
-        drop(table);
+        drop(cell);
 
         let prf_calls = output.total_prf_calls();
         let busy_time_s = output.estimated_time_s();
@@ -293,13 +329,12 @@ impl PirServer for GpuPirServer {
     }
 
     fn update_entry(&self, index: u64, bytes: &[u8]) -> Result<(), PirError> {
-        let mut table = self.table.write();
-        validate_owned_update(&table, index, bytes)?;
-        // Copies the table first if another server still shares it.
-        Arc::make_mut(&mut table).update_entry(index, bytes);
-        // Bumped while the write lock is held, so every batch that reads the
-        // new table also sees the new generation and re-uploads residency.
-        self.table_generation.fetch_add(1, Ordering::Release);
+        let mut cell = self.table.write();
+        validate_owned_update(&cell.table, index, bytes)?;
+        cell.table.update_entry(index, bytes);
+        // Bumped under the write lock, so every batch that reads the new
+        // rows also sees the new generation and re-uploads residency.
+        cell.generation += 1;
         Ok(())
     }
 
@@ -358,6 +393,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::AtomicBool;
 
     /// One device, a power-of-two split, and two non-power-of-two splits
     /// (3 devices -> 4 subtrees, device 0 owns two; 5 devices -> 8 subtrees).
@@ -507,46 +543,101 @@ mod tests {
     }
 
     #[test]
-    fn replicas_share_one_table_until_they_write() {
-        let shared = Arc::new(table());
-        let build = || {
-            GpuPirServer::new(
-                Arc::clone(&shared),
-                PrfKind::SipHash,
-                vec![DeviceSpec::v100()],
-                SchedulerConfig::default(),
-                BackendKind::Simulated,
-            )
-            .unwrap()
-        };
-        let (writer, reader, other_party) = (build(), build(), build());
-        assert!(Arc::ptr_eq(&writer.table_snapshot(), &shared));
-        assert!(Arc::ptr_eq(&reader.table_snapshot(), &shared));
-
-        let client = PirClient::new(shared.schema(), PrfKind::SipHash);
+    fn a_write_through_one_replica_is_served_by_every_replica() {
+        let table = table();
+        let first = server(&table, 1);
+        let replicas = [first.replica(), first.replica().replica()];
+        let other_party = server(&table, 1);
+        let client = PirClient::new(table.schema(), PrfKind::SipHash);
         let mut rng = StdRng::seed_from_u64(78);
         let queries: Vec<_> = [5u64, 137, 299]
             .iter()
             .map(|&i| client.query(i, &mut rng))
             .collect();
-        let to0: Vec<_> = queries.iter().map(|q| q.to_server(0)).collect();
-        let before = reader.answer_batch(&to0).unwrap();
+        let to = |party| -> Vec<_> { queries.iter().map(|q| q.to_server(party)).collect() };
+        let party = [&first, &replicas[0], &replicas[1]];
+        for server in party {
+            server.answer_batch(&to(0)).unwrap();
+        }
 
         let fresh = vec![0xC3u8; 16];
-        writer.update_entry(137, &fresh).unwrap();
+        replicas[1].update_entry(137, &fresh).unwrap();
+        let mut written = table.clone();
+        written.update_entry(137, &fresh);
+        // Every replica of the writing party serves the new row, bit for bit,
+        // and re-uploads the slices it held of the old one ...
+        let expected = server(&written, 1).answer_batch(&to(0)).unwrap();
+        for server in party {
+            assert_eq!(server.answer_batch(&to(0)).unwrap(), expected);
+            assert_eq!(server.generation(), 1);
+            assert_eq!(server.plan_ledger().transfers_issued, 2);
+        }
+        // ... while the other party's table, and the caller's, are untouched
+        // until their own writes.
+        let unshared = server(&table, 1).answer_batch(&to(1)).unwrap();
+        assert_eq!(other_party.answer_batch(&to(1)).unwrap(), unshared);
+        assert_eq!(other_party.generation(), 0);
+        assert_eq!(table, self::table());
         other_party.update_entry(137, &fresh).unwrap();
-        assert!(!Arc::ptr_eq(&writer.table_snapshot(), &shared));
-        assert!(Arc::ptr_eq(&reader.table_snapshot(), &shared));
-        assert_eq!(shared.entry(137), table().entry(137));
-
-        // The writer serves the new row ...
-        let r0 = writer.answer(&queries[1].to_server(0)).unwrap();
+        let r0 = first.answer(&queries[1].to_server(0)).unwrap();
         let r1 = other_party.answer(&queries[1].to_server(1)).unwrap();
         assert_eq!(client.reconstruct(&queries[1], &r0, &r1).unwrap(), fresh);
-        // ... and the reader still answers from the old table, bit for bit.
-        assert_eq!(reader.answer_batch(&to0).unwrap(), before);
-        let unshared = server(&table(), 1).answer_batch(&to0).unwrap();
-        assert_eq!(before, unshared);
+    }
+
+    #[test]
+    fn a_replica_answers_from_one_whole_version_while_another_writes() {
+        let table = table();
+        let contents = [vec![0x11u8; 16], vec![0xEEu8; 16]];
+        let versions = contents.clone().map(|row| {
+            let mut version = table.clone();
+            version.update_entry(137, &row);
+            version
+        });
+        let client = PirClient::new(table.schema(), PrfKind::SipHash);
+        let mut rng = StdRng::seed_from_u64(79);
+        let queries: Vec<_> = [5u64, 137, 299]
+            .iter()
+            .map(|&i| client.query(i, &mut rng).to_server(0))
+            .collect();
+        // Every share depends on every row, so a batch that read a row
+        // half-written, or one row of each version, matches neither.
+        let expected = versions
+            .each_ref()
+            .map(|version| server(version, 1).answer_batch(&queries).unwrap());
+        let writer = server_on(&versions[0], 3, BackendKind::Host);
+        let reader = writer.replica();
+
+        let stop = AtomicBool::new(false);
+        let (seen, torn) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    for row in &contents {
+                        writer.update_entry(137, row).unwrap();
+                        std::thread::yield_now();
+                    }
+                }
+            });
+            // Nothing below panics while the writer runs.
+            let mut seen = [0usize; 2];
+            let mut torn = 0;
+            for _ in 0..10_000 {
+                let answer = reader.answer_batch(&queries).ok();
+                match expected.iter().position(|e| Some(e) == answer.as_ref()) {
+                    Some(version) => seen[version] += 1,
+                    None => torn += 1,
+                }
+                if seen.iter().all(|&n| n >= 16) {
+                    break;
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            (seen, torn)
+        });
+        assert_eq!(torn, 0, "a batch mixed two versions ({seen:?} whole)");
+        assert!(
+            seen.iter().all(|&n| n >= 16),
+            "both versions served: {seen:?}"
+        );
     }
 
     #[test]
@@ -593,7 +684,7 @@ mod tests {
             assert_eq!(ledger.transfers_avoided, shards, "second batch re-uses");
             assert_eq!(
                 ledger.resident_bytes,
-                server.table_snapshot().matrix().size_bytes() as u64,
+                table.matrix().size_bytes() as u64,
                 "between batches only the slices — exactly the table — stay on the devices"
             );
 

@@ -5,8 +5,6 @@ mod gpu;
 
 pub use gpu::GpuPirServer;
 
-use std::sync::Arc;
-
 use gpu_sim::{BackendKind, DeviceSpec};
 use pir_dpf::{DeviceSplit, DpfParams, PlanLedger, SchedulerConfig};
 use pir_field::LaneVector;
@@ -64,10 +62,11 @@ pub fn shard_owned_ranges(
     device_split(entries, shards).map(|split| split.owned_ranges(entries))
 }
 
-/// Build one interchangeable GPU server replica for `table`: a
-/// [`GpuPirServer`] over `shards` V100s evaluating on `backend` — the
-/// analytical simulated device or the in-process host backend. The replica
-/// holds its own copy of `table`; [`build_shared_replica`] shares one.
+/// Build one GPU server for `table`: a [`GpuPirServer`] over `shards` V100s
+/// evaluating on `backend` — the analytical simulated device or the
+/// in-process host backend. The server shares `table`'s rows until either
+/// side writes one; [`GpuPirServer::replica`] builds more servers over the
+/// one table the returned server writes.
 ///
 /// # Errors
 ///
@@ -80,35 +79,8 @@ pub fn build_replica_with_backend(
     scheduler: SchedulerConfig,
     backend: BackendKind,
 ) -> Result<Box<dyn PirServer>, PirError> {
-    build_shared_replica(
-        Arc::new(table.clone()),
-        prf_kind,
-        shards,
-        scheduler,
-        backend,
-    )
-}
-
-/// [`build_replica_with_backend`] over a shared table: every replica built
-/// from clones of one `Arc` holds that one table until it writes
-/// ([`GpuPirServer`] copies it on its first update).
-///
-/// Serving layers that keep pools of identical replicas per party construct
-/// each member through this helper.
-///
-/// # Errors
-///
-/// Returns [`PirError::InvalidSharding`] if the table cannot be split across
-/// `shards` devices.
-pub fn build_shared_replica(
-    table: Arc<PirTable>,
-    prf_kind: PrfKind,
-    shards: usize,
-    scheduler: SchedulerConfig,
-    backend: BackendKind,
-) -> Result<Box<dyn PirServer>, PirError> {
     let devices = vec![DeviceSpec::v100(); shards];
-    let server = GpuPirServer::new(table, prf_kind, devices, scheduler, backend)?;
+    let server = GpuPirServer::new(table.clone(), prf_kind, devices, scheduler, backend)?;
     Ok(Box::new(server))
 }
 
@@ -178,7 +150,7 @@ impl ServerMetrics {
 /// What the serving layers ask of a PIR server.
 ///
 /// [`GpuPirServer`] is its one implementation; the trait is object-safe, and
-/// the serving runtime's registry holds replicas as `Box<dyn PirServer>`.
+/// [`build_replica_with_backend`] returns a `Box<dyn PirServer>`.
 pub trait PirServer: Send + Sync {
     /// The schema of the table this server holds.
     fn schema(&self) -> TableSchema;

@@ -25,6 +25,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
+use pir_protocol::PirServer;
+
 use crate::budget::DeviceBudget;
 use crate::error::ServeError;
 use crate::registry::{
@@ -36,7 +38,7 @@ use crate::tier::{formation_order, BatchCandidate};
 enum Action {
     /// Launch a formed batch.
     Batch(Vec<PendingEntry>),
-    /// Apply a hot-reload barrier to every replica of this party.
+    /// Apply a hot-reload barrier to this party's table.
     Apply(UpdateMarker),
     /// Queue closed and drained: exit.
     Exit,
@@ -54,8 +56,8 @@ enum Action {
 /// Hot reloads ride the same queue as [`QueueItem::Update`] barriers.
 /// Whichever replica worker finds a marker at the queue front claims it:
 /// it raises the party's barrier flag (pausing all pops), waits until every
-/// previously-popped batch has finished its launch, applies the update to
-/// every replica of the party, then lowers the barrier. Together with the
+/// previously-popped batch has finished its launch, writes the party's one
+/// table (every replica serves it), then lowers the barrier. Together with the
 /// atomic pair/marker enqueue ordering this yields the consistency
 /// guarantee: both parties answer any given *pair-enqueued* query from the
 /// same table version (wire-path projections enqueue per party and carry
@@ -172,7 +174,7 @@ pub(crate) fn run_batch_former(
         // popped batch has finished (`inflight_batches == 0`) before the
         // version moves, so every share in this batch reads — and is
         // stamped with — the same table version.
-        let table_version = table.versions[party].load(Ordering::Acquire);
+        let table_version = table.version(party);
         let launched_at = Instant::now();
         let outcome = slot.server.answer_batch(&queries);
         slot.stats
@@ -263,7 +265,10 @@ fn form_batch(state: &mut QueueState, max_batch: usize) -> Vec<PendingEntry> {
     ranked.into_iter().map(|(_, entry)| entry).collect()
 }
 
-/// Apply one hot-reload marker to every replica of `party`.
+/// Apply one hot-reload marker to `party`'s table: one write, served by
+/// every replica of the pool — active or parked, so a later scale-up
+/// activates a replica that is already current — and the same write moves
+/// the party's stamp, which batches launched from here on carry.
 ///
 /// Called with the party's barrier raised and no batches in flight, so no
 /// replica is reading while the rows change.
@@ -272,17 +277,10 @@ fn apply_update(
     party: usize,
     marker: &UpdateMarker,
 ) -> Result<(), ServeError> {
-    // Every replica of the pool — active or parked — takes the update, so
-    // a later scale-up activates a replica that is already current.
-    for slot in &table.pools[party] {
-        slot.server
-            .update_entry(marker.index, &marker.bytes)
-            .map_err(ServeError::from)?;
-    }
-    // Bump the party's stamp only after every replica serves the new
-    // version; batches launched from here on carry it.
-    table.versions[party].fetch_add(1, Ordering::AcqRel);
-    Ok(())
+    table.pools[party][0]
+        .server
+        .update_entry(marker.index, &marker.bytes)
+        .map_err(ServeError::from)
 }
 
 #[cfg(test)]

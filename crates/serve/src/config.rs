@@ -40,10 +40,11 @@ impl Default for BatchPolicy {
 
 /// How many interchangeable server replicas a party's pool may run.
 ///
-/// The pool is built at `max` size up front (replica construction clones
-/// the table; doing it at scale-up time would stall the hot path), but only
-/// `active` replicas — a number the autoscaler moves inside `min..=max` —
-/// drain the dispatch queue at any instant.
+/// The pool is built at `max` size up front (a replica is its planning and
+/// its devices over the party's one table; building it at scale-up time
+/// would stall the hot path), but only `active` replicas — a number the
+/// autoscaler moves inside `min..=max` — drain the dispatch queue at any
+/// instant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReplicaRange {
     /// Replicas always kept active (≥ 1).

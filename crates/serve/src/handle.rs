@@ -205,10 +205,7 @@ impl ServeHandle {
     /// Returns [`ServeError::UnknownTable`] if no such table is registered.
     pub fn table_versions(&self, table: &str) -> Result<[u64; 2], ServeError> {
         let hosted = self.inner.registry.get(table)?;
-        Ok([
-            hosted.versions[0].load(Ordering::SeqCst),
-            hosted.versions[1].load(Ordering::SeqCst),
-        ])
+        Ok([hosted.version(0), hosted.version(1)])
     }
 
     /// A point-in-time statistics snapshot across all tables.

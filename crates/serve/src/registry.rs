@@ -2,15 +2,13 @@
 //! parameters, per-party replica pools and batch-formation queues.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use gpu_sim::DeviceSpec;
 use parking_lot::{Condvar, Mutex, RwLock};
-use pir_protocol::{
-    build_shared_replica, shard_split_bits, PirClient, PirError, PirResponse, PirServer, PirTable,
-    ServerQuery,
-};
+use pir_protocol::{GpuPirServer, PirClient, PirResponse, PirTable, ServerQuery};
 
 use crate::config::TableConfig;
 use crate::error::ServeError;
@@ -125,7 +123,7 @@ impl BatchQueue {
 /// One interchangeable server replica in a party's pool, plus its dispatch
 /// telemetry.
 pub(crate) struct ReplicaSlot {
-    pub server: Box<dyn PirServer>,
+    pub server: GpuPirServer,
     pub stats: ReplicaStats,
 }
 
@@ -136,23 +134,20 @@ pub(crate) struct HostedTable {
     pub name: String,
     pub config: TableConfig,
     /// The table's (immutable) shape; entry *values* may change through
-    /// hot reloads (every replica server shares the registered table until
-    /// its first reload gives it a copy of its own, behind the
-    /// [`pir_protocol::PirServer`] trait), the shape never does.
+    /// hot reloads, the shape never does.
     pub schema: pir_protocol::TableSchema,
     pub client: PirClient,
-    /// `pools[party][replica]`: every replica of a party holds the same
-    /// table and answers any batch, so formed batches go to whichever
-    /// active replica is idle. Built at the range's `max` size; only the
-    /// first [`Self::active_replicas`] of a party drain the queue.
+    /// `pools[party][replica]`: the replicas of a party share one table (a
+    /// write through any of them is served by all) and answer any batch, so
+    /// formed batches go to whichever active replica is idle. The parties'
+    /// tables share rows until one party writes them. Built at the range's
+    /// `max` size; only the first [`Self::active_replicas`] of a party drain
+    /// the queue.
     pub pools: [Vec<ReplicaSlot>; 2],
     pub queues: [BatchQueue; 2],
     /// Replicas currently draining each party's queue, moved by the
     /// autoscale controller inside `config.replicas`.
     pub active: [AtomicUsize; 2],
-    /// Hot reloads applied per party, plus one (stamps start at 1, so 0
-    /// stays free for "no row" in `CompletedQuery::table_version`).
-    pub versions: [AtomicU64; 2],
     pub stats: TableStats,
     pub registered_at: Instant,
     /// The kernel label of the PRF every replica of this table runs.
@@ -162,33 +157,27 @@ pub(crate) struct HostedTable {
 impl HostedTable {
     pub(crate) fn build(
         name: &str,
-        table: impl Into<Arc<PirTable>>,
+        table: PirTable,
         config: TableConfig,
     ) -> Result<Self, ServeError> {
-        let table = table.into();
-        // Reject configs the DPF domain cannot satisfy with a typed error
-        // before any replica is constructed; replica construction re-checks, but
-        // failing early keeps partial pools from ever existing.
-        shard_split_bits(table.entries(), config.shards).map_err(invalid_sharding)?;
-        // The pool is built at the range's max, so a scale-up never waits on
-        // a replica's planning. Every replica of both parties shares the one
-        // registered table until its first reload.
+        // A config the DPF domain cannot satisfy fails on a party's first
+        // server, before any replica exists. The pool is built at the
+        // range's max, so a scale-up never waits on a replica's planning.
         let make_pool = || -> Result<Vec<ReplicaSlot>, ServeError> {
-            (0..config.replicas.max)
-                .map(|_| {
-                    Ok(ReplicaSlot {
-                        server: build_shared_replica(
-                            Arc::clone(&table),
-                            config.prf_kind,
-                            config.shards,
-                            config.scheduler,
-                            config.backend,
-                        )
-                        .map_err(invalid_sharding)?,
-                        stats: ReplicaStats::default(),
-                    })
-                })
-                .collect()
+            let first = GpuPirServer::new(
+                table.clone(),
+                config.prf_kind,
+                vec![DeviceSpec::v100(); config.shards],
+                config.scheduler,
+                config.backend,
+            )
+            .map_err(|err| ServeError::InvalidConfig(err.to_string()))?;
+            let replicas: Vec<_> = (1..config.replicas.max).map(|_| first.replica()).collect();
+            let slot = |server| ReplicaSlot {
+                server,
+                stats: ReplicaStats::default(),
+            };
+            Ok(std::iter::once(first).chain(replicas).map(slot).collect())
         };
         Ok(Self {
             name: name.to_string(),
@@ -200,12 +189,18 @@ impl HostedTable {
                 AtomicUsize::new(config.replicas.min),
                 AtomicUsize::new(config.replicas.min),
             ],
-            versions: [AtomicU64::new(1), AtomicU64::new(1)],
             stats: TableStats::with_tiers(config.tiers.len()),
             registered_at: Instant::now(),
             prf_backend: pir_prf::build_prf(config.prf_kind).backend_label(),
             config,
         })
+    }
+
+    /// `party`'s table-version stamp: hot reloads applied, plus one (stamps
+    /// start at 1, so 0 stays free for "no row" in
+    /// `CompletedQuery::table_version`).
+    pub(crate) fn version(&self, party: usize) -> u64 {
+        self.pools[party][0].server.generation() + 1
     }
 
     /// Replicas currently draining `party`'s queue.
@@ -363,10 +358,6 @@ impl HostedTable {
     }
 }
 
-fn invalid_sharding(err: PirError) -> ServeError {
-    ServeError::InvalidConfig(err.to_string())
-}
-
 /// How one queue can make room for an arriving entry.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum SlotPlan {
@@ -477,6 +468,7 @@ impl TableRegistry {
 mod tests {
     use super::*;
     use pir_prf::PrfKind;
+    use pir_protocol::PirServer;
 
     fn hosted(name: &str) -> Arc<HostedTable> {
         let table = PirTable::generate(64, 8, |row, _| row as u8);
@@ -509,7 +501,7 @@ mod tests {
             .build()
             .unwrap();
         let hosted = HostedTable::build("big", table, config).expect("valid table");
-        // Both parties' replicas serve the same schema through the trait.
+        // Both parties' replicas serve the same schema.
         assert_eq!(
             hosted.pools[0][0].server.schema(),
             hosted.pools[1][0].server.schema()
@@ -535,23 +527,34 @@ mod tests {
     }
 
     #[test]
-    fn every_replica_shares_the_registered_table_until_written() {
-        let table = Arc::new(PirTable::generate(128, 8, |row, _| row as u8));
-        let registered = Arc::downgrade(&table);
+    fn a_write_reaches_every_replica_of_its_party_and_no_other() {
+        let table = PirTable::generate(128, 8, |row, _| row as u8);
         let config = TableConfig::builder()
             .prf_kind(PrfKind::SipHash)
             .replica_range(1, 3)
             .build()
             .unwrap();
-        let hosted = HostedTable::build("elastic", table, config).expect("valid table");
-        // One table allocation, held by all six replicas of both parties.
-        assert_eq!(registered.strong_count(), 2 * 3);
-        // A write gives that replica a copy of its own and nobody else one.
+        let hosted = HostedTable::build("elastic", table.clone(), config).expect("valid table");
+        let mut written = table.clone();
+        written.update_entry(7, &[9; 8]);
+        // Replica 1 is parked (one of three is active); its write is the
+        // party's.
         hosted.pools[0][1]
             .server
             .update_entry(7, &[9; 8])
             .expect("valid update");
-        assert_eq!(registered.strong_count(), 2 * 3 - 1);
+
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(2);
+        let query = hosted.client.query(7, &mut rng);
+        for (party, served) in [(0u8, &written), (1, &table)] {
+            let projection = [query.to_server(party)];
+            let unshared = GpuPirServer::with_defaults(served.clone(), PrfKind::SipHash);
+            let expected = unshared.answer_batch(&projection).unwrap();
+            for slot in &hosted.pools[usize::from(party)] {
+                assert_eq!(slot.server.answer_batch(&projection).unwrap(), expected);
+            }
+        }
+        assert_eq!([hosted.version(0), hosted.version(1)], [2, 1]);
     }
 
     fn entry(hosted: &HostedTable, party: u8) -> PendingEntry {

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
-use pir_protocol::PirTable;
+use pir_protocol::{PirServer, PirTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -154,10 +154,7 @@ impl RuntimeInner {
                     active_replicas: active,
                     scale_up_events: stats.scale_ups.load(Ordering::Relaxed),
                     scale_down_events: stats.scale_downs.load(Ordering::Relaxed),
-                    table_versions: [
-                        hosted.versions[0].load(Ordering::Relaxed),
-                        hosted.versions[1].load(Ordering::Relaxed),
-                    ],
+                    table_versions: [hosted.version(0), hosted.version(1)],
                     tiers,
                     replicas,
                     plan,

@@ -359,9 +359,9 @@ pub struct TableStatsSnapshot {
     /// One entry per (party, replica) in the table's pools.
     pub replicas: Vec<ReplicaStatsSnapshot>,
     /// Residency telemetry summed over every replica of both pools, straight
-    /// from each replica's [`pir_protocol::PirServer::plan_ledger`] — the
-    /// serve layer reports what the device layer measured, it never
-    /// re-derives sizes.
+    /// from each replica's ledger (`plan_ledger` of a
+    /// [`pir_protocol::GpuPirServer`]) — the serve layer reports what the
+    /// device layer measured, it never re-derives sizes.
     pub plan: PlanLedger,
     /// Kernel label of the PRF executing this table's sweeps, as its
     /// `backend_label()` reports it: `"scalar"`, `"avx2"`, `"neon"`, or a
