@@ -160,22 +160,28 @@ fn bench_reference_shape(c: &mut Criterion) {
     let keys: Vec<DpfKey> = (0..32u64)
         .map(|i| generate_keys(&prg, &params, i * 2053, Ring128::ONE, &mut rng).0)
         .collect();
-    let job = BatchEvalJob::new(&prg, PrfKind::Aes128, &keys, &table);
     let mut group = c.benchmark_group("batch_resident");
     // Every host thread, and one: the one-thread batch shows the per-key
-    // cost of the lockstep ranges without thread scheduling in it.
-    for (name, host) in [
-        ("host", HostBackend::new(DeviceSpec::v100())),
+    // cost of the lockstep ranges without thread scheduling in it. An 8-key
+    // batch is one range, so it runs on the launching thread alone even with
+    // every host thread available: `host/b8` shows what that costs an idle
+    // host.
+    for (name, host, batches) in [
+        ("host", HostBackend::new(DeviceSpec::v100()), &[8, 32][..]),
         (
             "host1",
             HostBackend::with_host_threads(DeviceSpec::v100(), 1),
+            &[32][..],
         ),
     ] {
         let resident = host.alloc(table.size_bytes() as u64);
         host.upload_table(&resident, TransferSrc::Lanes(table.lanes()));
-        group.bench_function(BenchmarkId::new(name, "b32"), |b| {
-            b.iter(|| job.run_resident(&host, &resident))
-        });
+        for &batch in batches {
+            let job = BatchEvalJob::new(&prg, PrfKind::Aes128, &keys[..batch], &table);
+            group.bench_function(BenchmarkId::new(name, format!("b{batch}")), |b| {
+                b.iter(|| job.run_resident(&host, &resident))
+            });
+        }
         host.free(resident);
     }
     group.finish();

@@ -20,8 +20,6 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use pir_load::report::json_escape;
-
 /// One parsed result line.
 #[derive(Clone, Copy, Debug)]
 struct Sample {
@@ -75,6 +73,23 @@ fn extract_number(line: &str, key: &str) -> Option<f64> {
         })
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
+}
+
+/// Escape a benchmark name for the quotes of a JSON string: `"`, `\` and
+/// control characters (as `\u00XX`).
+fn json_escape(name: &str) -> String {
+    let mut out = String::with_capacity(name.len());
+    for c in name.chars() {
+        match c {
+            '"' | '\\' => {
+                out.push('\\');
+                out.push(c);
+            }
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// One machine-readable line summarizing observed-vs-baseline factors, so CI
@@ -221,6 +236,12 @@ mod tests {
         let samples = parse_lines(text);
         assert_eq!(samples.len(), 1);
         assert!(samples.contains_key("group\\x/\"odd\""));
+    }
+
+    #[test]
+    fn names_are_escaped_for_json() {
+        assert_eq!(json_escape("a\"b\\c/d"), "a\\\"b\\\\c/d");
+        assert_eq!(json_escape("x\ny"), "x\\u000ay");
     }
 
     #[test]

@@ -3,14 +3,15 @@
 //! A launch is one block per `(key, owned subtree)` pair, numbered
 //! subtree-major. The host runs a launch's blocks in contiguous ranges, one
 //! range per worker at a time (`gpu_sim`'s ranges: at most eight blocks, cut
-//! from the launch shape alone). The blocks of a range that share a subtree
+//! from the launch shape and host thread count alone, so a launch of at most
+//! eight blocks is one range on the launching thread). The blocks of a range that share a subtree
 //! run in lockstep as one key group — for each host run, every key's leaves,
 //! then one sweep of the run's rows for all of them — so the table is read
 //! once per group, as the blocks an SM holds at the same time share it
 //! through L2 on a GPU. Each block then records its own key's events on its
 //! own recorder, one recorder alive at a time: counters, the ledger, modelled
-//! time and, at one host thread, peak memory are those of the blocks run one
-//! by one.
+//! time and, on one worker (one host thread, or a launch of at most eight
+//! blocks), peak memory are those of the blocks run one by one.
 
 use std::ops::Range;
 
@@ -674,11 +675,11 @@ mod tests {
     }
 
     /// A host worker runs the keys of its range that share a subtree in
-    /// lockstep. Whatever the batch size (whole ranges of eight, ragged
-    /// ones, ranges of one), the host threads, the backend and the ownership
-    /// (the root, or a restricted split whose subtrees cut ranges apart),
-    /// every share is the key's own fused evaluation. 2 500 rows make two
-    /// host runs, the second cut short by the end of the table.
+    /// lockstep. Whatever the batch size (one range for a whole small batch,
+    /// whole ranges of eight, ragged ones), the host threads, the backend and
+    /// the ownership (the root, or a restricted split whose subtrees cut
+    /// ranges apart), every share is the key's own fused evaluation. 2 500
+    /// rows make two host runs, the second cut short by the end of the table.
     #[test]
     fn lockstep_ranges_give_every_key_its_own_share() {
         let (prg, full, _, keys, _) = setup(2500, 4, 32, 58);

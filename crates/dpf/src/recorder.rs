@@ -147,10 +147,11 @@ impl Recorder for CountingRecorder {
 /// *rise* of the block's peak is published to the launch's
 /// [`gpu_sim::MemoryTracker`] as it happens and the whole peak is returned on
 /// drop, so the tracker holds the sum of the live recorders' peaks. The peak
-/// is exact only at one host thread: there one recorder is alive at a time
+/// is exact only when one worker runs the launch (one host thread, or a
+/// launch of at most eight blocks): there one recorder is alive at a time
 /// (the batch kernel records a block after computing its key group, and
 /// drops each block's recorder before creating the next), so the tracker's
-/// high-water mark is the largest block's. On several threads each holds
+/// high-water mark is the largest block's. On several workers each holds
 /// one, and the mark is an upper bound — never less.
 pub struct KernelRecorder<'a, 'b> {
     ctx: &'a BlockContext<'b>,

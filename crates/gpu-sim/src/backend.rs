@@ -476,7 +476,8 @@ impl HostBackend {
         Self::with_host_threads(device, host_threads)
     }
 
-    /// A host backend with an explicit worker count (deterministic tests).
+    /// A host backend with at most `host_threads` workers per launch
+    /// (deterministic tests).
     ///
     /// # Panics
     ///

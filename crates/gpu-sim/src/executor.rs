@@ -13,18 +13,21 @@ use crate::{
 const RANGE_BLOCKS: u64 = 8;
 
 /// Blocks per range of a `total_blocks` launch over `workers` workers:
-/// `min(8, ceil(total_blocks / workers))`, at least one. A function of the
-/// public launch shape only, so a launch of at most `workers` blocks — a lone
-/// query included — runs block by block, exactly as without ranges.
+/// `min(8, ceil(total_blocks / workers))`, at least one. With the worker
+/// count of [`run_blocks`] this is a function of the public launch shape and
+/// the host thread count only: a launch of at most eight blocks is one range
+/// (a lone query a range of one block), and a larger one is cut into ranges
+/// of `ceil(total_blocks / workers)` blocks, eight at most.
 fn range_blocks(total_blocks: u64, workers: usize) -> u64 {
     total_blocks.div_ceil(workers as u64).clamp(1, RANGE_BLOCKS)
 }
 
-/// Run every block of `config` over a pool of `host_threads` workers (the
-/// caller and `host_threads - 1` scoped threads), each taking contiguous
-/// ranges of [`range_blocks`] blocks from a work-stealing index and running
-/// them through [`Kernel::execute_range`], recording into the shared
-/// `counters`/`memory`.
+/// Run every block of `config` over `min(host_threads, ceil(total_blocks /
+/// 8))` workers — the caller, plus one scoped thread for each further eight
+/// blocks or part of eight, so a launch of at most eight blocks spawns no
+/// thread — each taking contiguous ranges of [`range_blocks`] blocks from a
+/// work-stealing index and running them through [`Kernel::execute_range`],
+/// recording into the shared `counters`/`memory`.
 ///
 /// Returns the host wall-clock seconds the sweep took. Both device backends
 /// share this exact loop — the analytical [`GpuExecutor`] and the measured
@@ -42,7 +45,9 @@ pub(crate) fn run_blocks(
     let next_block = AtomicU64::new(0);
     let start = Instant::now();
 
-    let workers = host_threads.min(total_blocks.max(1) as usize);
+    // A helper is spawned only for a further eight blocks: spawning and
+    // joining a thread costs more CPU than a few blocks of a small batch.
+    let workers = host_threads.min(total_blocks.div_ceil(RANGE_BLOCKS).max(1) as usize);
     let range_len = range_blocks(total_blocks, workers);
     let work = || loop {
         let first = next_block.fetch_add(range_len, Ordering::Relaxed);
@@ -52,9 +57,10 @@ pub(crate) fn run_blocks(
         let end = (first + range_len).min(total_blocks);
         kernel.execute_range(&BlockRange::new(first..end, config, counters, memory));
     };
-    // The launching thread is one of the workers: a one-block launch (a lone
-    // query) spawns nothing, and a serving thread's launches keep allocating
-    // from that thread's own heap instead of a fresh thread's.
+    // The launching thread is one of the workers: a launch of at most eight
+    // blocks (a lone query included) spawns nothing and joins nothing, and a
+    // serving thread's launches keep allocating from that thread's own heap
+    // instead of a fresh thread's.
     std::thread::scope(|scope| {
         for _ in 1..workers {
             scope.spawn(work);
@@ -68,8 +74,11 @@ pub(crate) fn run_blocks(
 /// Executes simulated kernels and produces [`KernelReport`]s.
 ///
 /// Blocks of a launch are distributed over host worker threads in contiguous
-/// ranges from a work-stealing index; this parallelism only accelerates the
-/// *simulation*, the modelled GPU time comes from the cost model.
+/// ranges of at most eight blocks from a work-stealing index, one worker per
+/// eight blocks or part of eight up to the host thread count, so a launch of
+/// at most eight blocks runs on the launching thread alone. This parallelism
+/// only accelerates the *simulation*; the modelled GPU time comes from the
+/// cost model.
 #[derive(Debug)]
 pub struct GpuExecutor {
     device: DeviceSpec,
@@ -110,7 +119,8 @@ impl GpuExecutor {
         }
     }
 
-    /// Host worker threads used for the functional simulation.
+    /// Most host worker threads one launch uses for the functional
+    /// simulation.
     #[must_use]
     pub fn host_threads(&self) -> usize {
         self.host_threads
@@ -216,10 +226,24 @@ mod tests {
         assert!(report.estimated_time_s > 0.0);
     }
 
-    /// Counts how often each block runs and the length of every range.
+    /// Counts how often each block runs, the ranges and their longest length,
+    /// and the threads that ran them.
     struct RangeProbe {
         runs: Vec<StdAtomicU64>,
+        ranges: StdAtomicU64,
         longest_range: StdAtomicU64,
+        threads: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+    }
+
+    impl RangeProbe {
+        fn new(blocks: u32) -> Self {
+            Self {
+                runs: (0..blocks).map(|_| StdAtomicU64::new(0)).collect(),
+                ranges: StdAtomicU64::new(0),
+                longest_range: StdAtomicU64::new(0),
+                threads: std::sync::Mutex::default(),
+            }
+        }
     }
 
     impl Kernel for RangeProbe {
@@ -229,7 +253,12 @@ mod tests {
 
         fn execute_range(&self, range: &BlockRange<'_>) {
             let len = range.indices().end - range.indices().start;
+            self.ranges.fetch_add(1, Ordering::Relaxed);
             self.longest_range.fetch_max(len, Ordering::Relaxed);
+            self.threads
+                .lock()
+                .unwrap()
+                .insert(std::thread::current().id());
             for index in range.indices() {
                 self.execute_block(&range.block(index));
             }
@@ -241,43 +270,76 @@ mod tests {
         for threads in 1..=4usize {
             for blocks in 1..=40u32 {
                 let executor = GpuExecutor::with_host_threads(DeviceSpec::v100(), threads);
-                let probe = RangeProbe {
-                    runs: (0..blocks).map(|_| StdAtomicU64::new(0)).collect(),
-                    longest_range: StdAtomicU64::new(0),
-                };
+                let probe = RangeProbe::new(blocks);
                 executor.launch_dyn("ranges", LaunchConfig::linear(blocks, 32), 0, &probe);
                 let what = format!("{blocks} blocks on {threads} threads");
                 assert!(
                     probe.runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
                     "{what}"
                 );
-                let longest = probe.longest_range.load(Ordering::Relaxed);
-                let workers = threads.min(blocks as usize) as u64;
+                // One worker per eight blocks or part of eight, capped at the
+                // host threads; ranges of ceil(blocks / workers), eight at most.
+                let blocks = u64::from(blocks);
+                let workers = (threads as u64).min(blocks.div_ceil(8));
+                let range = blocks.div_ceil(workers).min(8);
+                assert_eq!(probe.longest_range.load(Ordering::Relaxed), range, "{what}");
                 assert_eq!(
-                    longest,
-                    u64::from(blocks).div_ceil(workers).min(8),
+                    probe.ranges.load(Ordering::Relaxed),
+                    blocks.div_ceil(range),
                     "{what}"
                 );
-                if blocks as usize <= threads {
-                    assert_eq!(longest, 1, "{what}: a launch of ≤ workers blocks");
-                }
+                let used = probe.threads.lock().unwrap().len() as u64;
+                assert!((1..=workers).contains(&used), "{what}: {used} threads");
             }
         }
     }
 
+    /// Each range waits, up to 5 s, until two ranges have started: two
+    /// workers then run one range each, however the threads are scheduled.
+    struct Rendezvous {
+        probe: RangeProbe,
+        started: StdAtomicU64,
+    }
+
+    impl Kernel for Rendezvous {
+        fn execute_block(&self, block: &BlockContext<'_>) {
+            self.probe.execute_block(block);
+        }
+
+        fn execute_range(&self, range: &BlockRange<'_>) {
+            self.started.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + std::time::Duration::from_secs(5);
+            while self.started.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            self.probe.execute_range(range);
+        }
+    }
+
     #[test]
-    fn a_one_block_launch_runs_on_the_launching_thread() {
-        let executor = GpuExecutor::with_host_threads(DeviceSpec::v100(), 4);
+    fn a_worker_is_spawned_only_for_a_further_eight_blocks() {
         let launcher = std::thread::current().id();
-        let ran_on = std::sync::Mutex::new(None);
-        executor.launch(
-            "lone_block",
-            LaunchConfig::linear(1, 32),
-            |_: &BlockContext<'_>| {
-                *ran_on.lock().unwrap() = Some(std::thread::current().id());
-            },
-        );
-        assert_eq!(ran_on.into_inner().unwrap(), Some(launcher));
+        let executor = GpuExecutor::with_host_threads(DeviceSpec::v100(), 4);
+        for blocks in 1..=8u32 {
+            let probe = RangeProbe::new(blocks);
+            executor.launch_dyn("small", LaunchConfig::linear(blocks, 32), 0, &probe);
+            assert_eq!(probe.ranges.load(Ordering::Relaxed), 1, "{blocks} blocks");
+            assert_eq!(
+                probe.threads.into_inner().unwrap(),
+                [launcher].into(),
+                "{blocks} blocks run on the launching thread"
+            );
+        }
+
+        let executor = GpuExecutor::with_host_threads(DeviceSpec::v100(), 2);
+        let kernel = Rendezvous {
+            probe: RangeProbe::new(16),
+            started: StdAtomicU64::new(0),
+        };
+        executor.launch_dyn("two_ranges", LaunchConfig::linear(16, 32), 0, &kernel);
+        let threads = kernel.probe.threads.into_inner().unwrap();
+        assert_eq!(threads.len(), 2, "16 blocks on 2 threads use both");
+        assert!(threads.contains(&launcher));
     }
 
     #[test]
