@@ -28,6 +28,10 @@ const _: () = assert!(FRONTIER_TILE.is_multiple_of(64));
 /// VAES pair sweep; the shares, chunking and counters stay those of `K`.
 pub(crate) const HOST_FRONTIER_LEAVES: usize = 2048;
 
+// A host run is aligned and no longer than a table chunk, so it lies in one
+// copy-on-write chunk and its keys' lockstep sweep reads one slice.
+const _: () = assert!(pir_field::CHUNK_ROWS.is_multiple_of(HOST_FRONTIER_LEAVES));
+
 /// [`FRONTIER_TILE`], whatever the PRF — kept as a function because
 /// `benchmark/` imports it.
 #[must_use]

@@ -51,6 +51,7 @@ pub use block::Block128;
 pub use lane_rows::AtomicLaneRows;
 pub use matrix::{
     matvec_accumulate, matvec_accumulate_keys, matvec_accumulate_lanes, matvec_shares, ShareMatrix,
+    CHUNK_ROWS,
 };
 pub use ring::{Ring128, RingElement};
 pub use share::{reconstruct_lanes, reconstruct_ring, share_lanes, share_ring, AdditiveShare};

@@ -104,8 +104,10 @@ pub struct GpuPirServer {
 impl GpuPirServer {
     /// Create a server over an explicit list of devices (one table slice per
     /// device), a scheduler configuration and a [`BackendKind`]. A
-    /// [`PirTable`] clone shares its rows until either side writes one, so
-    /// two parties' servers built from one table hold it once until then.
+    /// [`PirTable`] clone shares its rows, and a write copies only the
+    /// [`CHUNK_ROWS`](pir_field::CHUNK_ROWS)-row chunk that holds its row, so
+    /// two parties' servers built from one table hold it once, plus the
+    /// chunks each has written.
     ///
     /// # Errors
     ///
@@ -582,6 +584,82 @@ mod tests {
         let r0 = first.answer(&queries[1].to_server(0)).unwrap();
         let r1 = other_party.answer(&queries[1].to_server(1)).unwrap();
         assert_eq!(client.reconstruct(&queries[1], &r0, &r1).unwrap(), fresh);
+    }
+
+    #[test]
+    fn a_reload_copies_one_chunk_per_written_chunk_and_shares_the_rest() {
+        use pir_field::CHUNK_ROWS;
+        let generate = || {
+            PirTable::generate(3 * CHUNK_ROWS as u64 + 300, 16, |row, offset| {
+                (row as u8).wrapping_mul(5) ^ offset as u8
+            })
+        };
+        let table = generate();
+        let (first, other) = (server(&table, 1), server(&table, 1));
+        let parties = [
+            [first.replica(), first.replica().replica(), first],
+            [other.replica(), other.replica().replica(), other],
+        ];
+        // One row in each of chunks 1–3, the last of them ragged.
+        let rows = [
+            CHUNK_ROWS as u64 + 17,
+            2 * CHUNK_ROWS as u64,
+            3 * CHUNK_ROWS as u64 + 299,
+        ];
+        let fresh = |i: usize| vec![0xA0 + i as u8; 16];
+        let mut written = table.clone();
+        for (i, &row) in rows.iter().enumerate() {
+            for party in &parties {
+                party[i % 3].update_entry(row, &fresh(i)).unwrap();
+            }
+            written.update_entry(row, &fresh(i));
+        }
+        let written_chunk = |row: usize| {
+            rows.iter()
+                .any(|&r| r as usize / CHUNK_ROWS == row / CHUNK_ROWS)
+        };
+        for party in &parties {
+            let cell = party[0].table.read();
+            let matrix = cell.table.matrix();
+            assert_eq!(matrix.copied_chunks(), rows.len());
+            for row in (0..matrix.rows()).filter(|&row| !written_chunk(row)) {
+                assert_eq!(
+                    matrix.row(row).as_ptr(),
+                    table.matrix().row(row).as_ptr(),
+                    "row {row}"
+                );
+            }
+        }
+        // Every replica of both parties answers the new rows bit for bit.
+        let client = PirClient::new(table.schema(), PrfKind::SipHash);
+        let mut rng = StdRng::seed_from_u64(80);
+        let queries: Vec<_> = rows
+            .iter()
+            .chain(&[0, 5])
+            .map(|&i| client.query(i, &mut rng))
+            .collect();
+        for (p, party) in parties.iter().enumerate() {
+            let to: Vec<_> = queries.iter().map(|q| q.to_server(p as u8)).collect();
+            let expected = server(&written, 1).answer_batch(&to).unwrap();
+            for replica in party {
+                assert_eq!(replica.answer_batch(&to).unwrap(), expected, "party {p}");
+            }
+        }
+        for (i, query) in queries.iter().take(rows.len()).enumerate() {
+            let r0 = parties[0][i].answer(&query.to_server(0)).unwrap();
+            let r1 = parties[1][2 - i].answer(&query.to_server(1)).unwrap();
+            assert_eq!(client.reconstruct(query, &r0, &r1).unwrap(), fresh(i));
+        }
+        // A further write to a copied chunk copies nothing more.
+        parties[0][1]
+            .update_entry(2 * CHUNK_ROWS as u64 + 1, &fresh(9))
+            .unwrap();
+        assert_eq!(
+            parties[0][0].table.read().table.matrix().copied_chunks(),
+            rows.len()
+        );
+        // The caller's table never changed.
+        assert_eq!(table, generate());
     }
 
     #[test]

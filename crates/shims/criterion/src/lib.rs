@@ -5,7 +5,9 @@
 //! `BenchmarkId`, `criterion_group!`/`criterion_main!` and `Bencher::iter` —
 //! with a simple median-of-N wall-clock measurement instead of criterion's
 //! statistical machinery. Run with `cargo bench`; each benchmark prints one
-//! line with its median time per iteration.
+//! line with its median time per iteration. A routine shorter than 10 µs is
+//! timed in batches of calls, each sample one batch divided by its calls, so
+//! the timer's own cost and a lone cold call do not set its median.
 //!
 //! Two environment variables drive CI integration:
 //!
@@ -30,9 +32,16 @@ const TIME_BUDGET: Duration = Duration::from_millis(300);
 /// a >2x-regression tripwire, small enough for CI smoke jobs.
 const QUICK_TIME_BUDGET: Duration = Duration::from_millis(40);
 
-/// Iterations timed whatever the budget: the median of three is the fewest
-/// that one descheduled iteration cannot decide.
+/// Samples timed whatever the budget: the median of three is the fewest
+/// that one descheduled sample cannot decide.
 const MIN_ITERS: usize = 3;
+
+/// The shortest sample: calls of a shorter routine are batched until one
+/// batch lasts this long.
+const BATCH_TARGET: Duration = Duration::from_micros(10);
+
+/// The most calls one sample may batch.
+const MAX_BATCH: u64 = 1 << 20;
 
 /// Whether smoke mode is on.
 fn quick_mode() -> bool {
@@ -141,15 +150,20 @@ impl fmt::Display for BenchmarkId {
 pub struct Bencher {
     sample_size: usize,
     median_ns: f64,
+    /// Calls timed, over every sample.
     iters: u64,
+    /// Calls per sample.
+    batch: u64,
 }
 
 impl Bencher {
     /// Measure `routine`, recording the median wall-clock time per call.
     ///
-    /// Iterations are timed one by one until the sample size or the time
-    /// budget is reached, but never fewer than three, so a single iteration
-    /// stretched by a descheduled thread cannot set the result.
+    /// Samples are timed one by one until the sample size or the time
+    /// budget is reached, but never fewer than three, so a single sample
+    /// stretched by a descheduled thread cannot set the result. A sample is
+    /// one call, or for a routine shorter than 10 µs a batch of calls sized
+    /// to last that long (doubling from one call), read per call.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
         // Warm-up (also primes lazily-allocated state).
         black_box(routine());
@@ -159,16 +173,31 @@ impl Bencher {
         } else {
             TIME_BUDGET
         };
-        let mut times_ns = Vec::with_capacity(self.sample_size.max(MIN_ITERS));
+        let mut sample = |calls: u64| {
+            let started = Instant::now();
+            for _ in 0..calls {
+                black_box(routine());
+            }
+            started.elapsed()
+        };
         let started = Instant::now();
+        // The sample that reaches the target (or the cap) is the first one.
+        let mut batch = 1;
+        let mut first = sample(batch);
+        while first < BATCH_TARGET && batch < MAX_BATCH {
+            batch *= 2;
+            first = sample(batch);
+        }
+        let per_call = |elapsed: Duration| elapsed.as_nanos() as f64 / batch as f64;
+        let mut times_ns = Vec::with_capacity(self.sample_size.max(MIN_ITERS));
+        times_ns.push(per_call(first));
         while times_ns.len() < MIN_ITERS
             || (times_ns.len() < self.sample_size && started.elapsed() < budget)
         {
-            let iteration = Instant::now();
-            black_box(routine());
-            times_ns.push(iteration.elapsed().as_nanos() as f64);
+            times_ns.push(per_call(sample(batch)));
         }
-        self.iters = times_ns.len() as u64;
+        self.batch = batch;
+        self.iters = times_ns.len() as u64 * batch;
         self.median_ns = median(&mut times_ns);
     }
 }
@@ -185,12 +214,13 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(label: &str, sample_size: usize, mut f:
         sample_size,
         median_ns: 0.0,
         iters: 0,
+        batch: 1,
     };
     f(&mut bencher);
     let (value, unit) = humanize_ns(bencher.median_ns);
     println!(
-        "bench {label:<56} {value:>10.3} {unit}/iter ({} iters)",
-        bencher.iters
+        "bench {label:<56} {value:>10.3} {unit}/iter ({} iters, {} per sample)",
+        bencher.iters, bencher.batch
     );
     if let Ok(path) = std::env::var("BENCH_JSON") {
         if !path.is_empty() {
@@ -284,17 +314,45 @@ mod tests {
         benches();
     }
 
-    #[test]
-    fn an_entry_times_at_least_three_iterations() {
-        let mut bencher = Bencher {
-            sample_size: 1,
+    fn bencher(sample_size: usize) -> Bencher {
+        Bencher {
+            sample_size,
             median_ns: 0.0,
             iters: 0,
-        };
+            batch: 1,
+        }
+    }
+
+    /// A routine that lasts at least [`BATCH_TARGET`].
+    fn slow_call(calls: &mut usize) {
+        let started = Instant::now();
+        while started.elapsed() < BATCH_TARGET {
+            std::hint::spin_loop();
+        }
+        *calls += 1;
+    }
+
+    #[test]
+    fn an_entry_times_at_least_three_iterations() {
+        let mut bencher = bencher(1);
         let mut calls = 0;
-        bencher.iter(|| calls += 1);
+        bencher.iter(|| slow_call(&mut calls));
         assert_eq!(bencher.iters, MIN_ITERS as u64);
         assert_eq!(calls, 1 + MIN_ITERS, "one warm-up, then the timed ones");
+    }
+
+    #[test]
+    fn a_short_routine_is_timed_in_batches_that_last_the_target() {
+        let mut bencher = bencher(5);
+        let mut calls = 0u64;
+        bencher.iter(|| calls = black_box(calls + 1));
+        assert!(bencher.batch > 1, "a batch of {}", bencher.batch);
+        assert!(bencher.batch.is_power_of_two() && bencher.batch <= MAX_BATCH);
+        assert_eq!(bencher.iters % bencher.batch, 0);
+        // The warm-up, the doubling batches below the last, then the samples.
+        assert_eq!(calls, 1 + (bencher.batch - 1) + bencher.iters);
+        assert!(bencher.median_ns * bencher.batch as f64 >= BATCH_TARGET.as_nanos() as f64 / 64.0);
+        assert!(bencher.median_ns < BATCH_TARGET.as_nanos() as f64);
     }
 
     #[test]
