@@ -175,7 +175,7 @@ fn bench_reference_shape(c: &mut Criterion) {
         ),
     ] {
         let resident = host.alloc(table.size_bytes() as u64);
-        host.upload_table(&resident, TransferSrc::Lanes(table.lanes()));
+        host.upload_table(&resident, TransferSrc::Opaque(table.size_bytes() as u64));
         for &batch in batches {
             let job = BatchEvalJob::new(&prg, PrfKind::Aes128, &keys[..batch], &table);
             group.bench_function(BenchmarkId::new(name, format!("b{batch}")), |b| {

@@ -286,8 +286,8 @@ impl<'a> BatchEvalJob<'a> {
     /// assigns to that device, in subtree order. The caller owns the
     /// returned allocations (and frees them on the same backends).
     ///
-    /// The upload carries the slice's byte count and no payload on every
-    /// backend: kernels read the job's table, never a staged copy, so the
+    /// The upload carries the slice's byte count and no payload, as every
+    /// transfer does: kernels read the job's table in host memory, so the
     /// ledger accounts every table byte without the host copying one.
     ///
     /// # Panics
@@ -407,16 +407,14 @@ impl<'a> BatchEvalJob<'a> {
         let cycles = self.prf_kind.gpu_cycles_per_block();
 
         // Keys and outputs for the whole batch are allocated once; every
-        // launch runs against the same three allocations.
+        // launch runs against the same three allocations. The transfers are
+        // counted: the kernel reads `self.keys` and writes the rows it
+        // returns in host memory.
         let key_bytes = self.key_bytes();
         let keys_alloc = backend.alloc(key_bytes);
-        if backend.stores_payloads() {
-            let staged: Vec<u8> = self.keys.iter().flat_map(DpfKey::to_bytes).collect();
-            backend.upload_keys(&keys_alloc, TransferSrc::Bytes(&staged));
-        } else {
-            backend.upload_keys(&keys_alloc, TransferSrc::Opaque(key_bytes));
-        }
-        let out_alloc = backend.alloc(self.keys.len() as u64 * self.row_bytes());
+        backend.upload_keys(&keys_alloc, TransferSrc::Opaque(key_bytes));
+        let out_bytes = self.keys.len() as u64 * self.row_bytes();
+        let out_alloc = backend.alloc(out_bytes);
 
         let mut rows = Vec::with_capacity(self.keys.len());
         let mut merged: Option<KernelReport> = None;
@@ -466,7 +464,7 @@ impl<'a> BatchEvalJob<'a> {
             });
         }
 
-        let rows = download_rows(backend, &out_alloc, rows);
+        backend.download(&out_alloc, out_bytes);
         backend.free(out_alloc);
         backend.free(keys_alloc);
         #[expect(
@@ -556,34 +554,6 @@ struct Grid {
     kernel_name: String,
     launch_width: usize,
     cooperative: bool,
-}
-
-/// Download `rows` out of `alloc`. A payload-storing backend round-trips the
-/// lanes through its staging buffer and the *downloaded* bytes are decoded
-/// into the returned rows — proving the copies are honest end to end. An
-/// accounting-only backend records the transfer and returns `rows` as-is.
-fn download_rows(
-    backend: &dyn DeviceBackend,
-    alloc: &ResidentAllocation,
-    rows: Vec<LaneVector>,
-) -> Vec<LaneVector> {
-    let flattened: Vec<u32> = rows.iter().flat_map(|row| row.0.iter().copied()).collect();
-    match backend.download(alloc, TransferSrc::Lanes(&flattened)) {
-        None => rows,
-        Some(bytes) => {
-            let mut decoded = Vec::with_capacity(rows.len());
-            let mut chunks = bytes.chunks_exact(4);
-            for row in &rows {
-                let lanes: Vec<u32> = chunks
-                    .by_ref()
-                    .take(row.0.len())
-                    .map(|chunk| u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]))
-                    .collect();
-                decoded.push(LaneVector(lanes));
-            }
-            decoded
-        }
-    }
 }
 
 #[cfg(test)]

@@ -92,25 +92,6 @@ impl DpfKey {
     pub fn depth(&self) -> u32 {
         self.params.domain_bits
     }
-
-    /// Serialize the key into the wire layout [`DpfKey::size_bytes`]
-    /// describes: party byte, 16-byte root seed, 17 bytes per level (seed
-    /// correction + control-bit byte), 16-byte final correction word.
-    ///
-    /// This is the payload a device backend physically copies when keys are
-    /// uploaded for a batch.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.size_bytes());
-        out.push(self.party);
-        out.extend_from_slice(&u128::from(self.root_seed).to_le_bytes());
-        for level in &self.levels {
-            out.extend_from_slice(&u128::from(level.seed).to_le_bytes());
-            out.push(u8::from(level.t_left) | (u8::from(level.t_right) << 1));
-        }
-        out.extend_from_slice(&u128::from(self.final_cw).to_le_bytes());
-        out
-    }
 }
 
 #[cfg(test)]
@@ -160,10 +141,7 @@ mod tests {
                 ],
                 final_cw: Ring128::from(3u128),
             };
-            let bytes = key.to_bytes();
-            assert_eq!(bytes.len(), key.size_bytes());
-            assert_eq!(bytes.len() as u64, params.key_size_bytes());
-            assert_eq!(bytes[0], 1);
+            assert_eq!(key.size_bytes() as u64, params.key_size_bytes());
         }
     }
 

@@ -521,11 +521,11 @@ mod tests {
         }
     }
 
-    /// The host backend (real memcpys, wall-clock timing, no cost model) and
-    /// the simulated backend (analytical roofline) must be *functionally
-    /// indistinguishable*: for every PRF family, every strategy and both a
-    /// single device and a non-power-of-two split (3 devices over 4 subtrees,
-    /// one of them pure padding) the same [`BatchEvalJob`] yields
+    /// The host backend (wall-clock timing, no cost model) and the simulated
+    /// backend (analytical roofline) must be *functionally indistinguishable*:
+    /// for every PRF family, every strategy and both a single device and a
+    /// non-power-of-two split (3 devices over 4 subtrees, one of them pure
+    /// padding) the same [`BatchEvalJob`] yields
     /// bit-identical answer shares and, per device, an exactly-equal
     /// [`gpu_sim::CounterSnapshot`], the same peak device memory, and the
     /// same transfer/allocation ledger. Only the time attribution may differ.

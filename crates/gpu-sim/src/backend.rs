@@ -3,32 +3,20 @@
 //! [`DeviceBackend`] is the boundary a real accelerator backend (CUDA,
 //! Metal, wgpu) would implement: explicit allocation handles, explicit
 //! host↔device transfers, kernel launches against a set of resident
-//! allocations, a device-side reduction primitive and a download step. Two
-//! in-tree implementations prove the seam from both sides:
-//!
-//! * [`GpuExecutor`](crate::GpuExecutor) — the analytical backend. Transfers
-//!   are *accounted* (the ledger tracks every byte) but not performed; launch
-//!   time comes from the roofline [`CostModel`](crate::CostModel).
-//! * [`HostBackend`] — the measured backend. A payload upload really copies
-//!   bytes into a per-allocation staging buffer (made when the first payload
-//!   is written) and a download copies them back out; launch time is the
-//!   host wall clock. No cost model is consulted anywhere. A table upload
-//!   carries a byte count and no payload (kernels read the table in host
-//!   memory), so it is accounted and stages nothing.
-//!
-//! Because both backends execute kernels through the same block runner, a
-//! kernel records byte-for-byte identical counters on either one — the parity
-//! suite in `pir-dpf` asserts exactly that.
+//! allocations, a device-side reduction primitive and a download step. Its
+//! one in-tree implementation is the [`Executor`]. A transfer is a ledger
+//! entry: the ledger counts every byte, and nothing is copied, because
+//! kernels read their inputs in host memory. The two clocks, the roofline
+//! [`CostModel`](crate::CostModel) ([`GpuExecutor`]) and the host wall clock
+//! ([`HostBackend`]), share one launch body, so a kernel records the same
+//! counters under either.
 
 use std::collections::HashMap;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::{
-    DeviceSpec, Kernel, KernelCounters, KernelReport, LaunchConfig, MemoryTracker,
-    OccupancyEstimate,
-};
+use crate::{DeviceSpec, Executor, GpuExecutor, HostBackend, Kernel, KernelReport, LaunchConfig};
 
 /// Handle to one live device-memory allocation.
 ///
@@ -69,18 +57,14 @@ pub enum TransferKind {
     Output,
 }
 
-/// Source (upload) or destination (download) payload of a transfer.
+/// What an upload carries: only its length is read, since a transfer is a
+/// ledger entry and kernels read their inputs in host memory.
 ///
-/// Backends that really move bytes ([`HostBackend`]) copy `Bytes`/`Lanes`
-/// payloads; the analytical backend only reads the length. `Opaque` carries a
-/// byte count with no payload — callers use it where no kernel reads the
-/// bytes (table slices, read by kernels from host memory) or where
-/// serializing for an accounting-only backend would be wasted work (consult
-/// [`DeviceBackend::stores_payloads`]).
+/// `Opaque` is the byte count every caller in the workspace passes. `Lanes`
+/// stays only because the repository benchmark (`benchmark/src/kernels.rs`)
+/// still names it; it counts four bytes per lane.
 #[derive(Clone, Copy, Debug)]
 pub enum TransferSrc<'a> {
-    /// Raw bytes.
-    Bytes(&'a [u8]),
     /// Little-endian `u32` lanes (the table / answer-share layout).
     Lanes(&'a [u32]),
     /// A byte count without a payload.
@@ -92,7 +76,6 @@ impl TransferSrc<'_> {
     #[must_use]
     pub fn len_bytes(&self) -> u64 {
         match self {
-            TransferSrc::Bytes(bytes) => bytes.len() as u64,
             TransferSrc::Lanes(lanes) => lanes.len() as u64 * 4,
             TransferSrc::Opaque(bytes) => *bytes,
         }
@@ -135,76 +118,43 @@ impl BackendStats {
     }
 }
 
-/// One live ledger entry.
-#[derive(Debug)]
-struct LiveAllocation {
-    bytes: u64,
-    /// Staging buffer of a payload-storing ledger, made when the first
-    /// payload (a key or output payload) is written into the allocation.
-    staging: Option<Vec<u8>>,
-}
-
-impl LiveAllocation {
-    /// The staging buffer, made zeroed on first use.
-    fn staging(&mut self) -> &mut [u8] {
-        let bytes = self.bytes as usize;
-        self.staging.get_or_insert_with(|| vec![0; bytes])
-    }
-
-    /// Copy a payload into the staging buffer. A byte count without a
-    /// payload stages nothing.
-    fn stage(&mut self, src: TransferSrc<'_>) {
-        match src {
-            TransferSrc::Bytes(payload) => self.staging()[..payload.len()].copy_from_slice(payload),
-            TransferSrc::Lanes(lanes) => {
-                for (lane, chunk) in lanes.iter().zip(self.staging().chunks_exact_mut(4)) {
-                    chunk.copy_from_slice(&lane.to_le_bytes());
-                }
-            }
-            TransferSrc::Opaque(_) => {}
-        }
-    }
-}
-
 #[derive(Debug, Default)]
 struct LedgerState {
     next_id: u64,
-    live: HashMap<u64, LiveAllocation>,
+    /// Size in bytes of each live allocation, by id.
+    live: HashMap<u64, u64>,
     stats: BackendStats,
 }
 
-/// Shared allocation/transfer bookkeeping used by both in-tree backends.
-///
-/// A payload-storing ledger (the measured [`HostBackend`]) copies every
-/// payload it is handed through per-allocation staging buffers; the default
-/// one (the analytical executor) only accounts bytes. Either way a transfer
-/// without a payload — a table upload — is accounted and copies nothing.
+impl LedgerState {
+    /// Panic unless `allocation` is live here and holds `len` bytes: either
+    /// would be a memory-safety bug on a real device.
+    fn check_transfer(&self, allocation: &ResidentAllocation, len: u64, what: &str) {
+        let id = allocation.id;
+        let bytes = *self
+            .live
+            .get(&id)
+            .unwrap_or_else(|| panic!("{what} of freed or foreign allocation #{id}"));
+        assert!(
+            len <= bytes,
+            "{what} of {len} bytes overflows {bytes}-byte allocation #{id}"
+        );
+    }
+}
+
+/// The allocation/transfer bookkeeping of one [`Executor`]: every transfer
+/// is counted, none is performed.
 #[derive(Debug, Default)]
 pub(crate) struct BackendLedger {
-    stores_payloads: bool,
     state: Mutex<LedgerState>,
 }
 
 impl BackendLedger {
-    /// A ledger that copies payloads through staging buffers.
-    fn storing_payloads() -> Self {
-        Self {
-            stores_payloads: true,
-            state: Mutex::default(),
-        }
-    }
-
     pub(crate) fn alloc(&self, bytes: u64) -> ResidentAllocation {
         let mut state = self.state.lock();
         let id = state.next_id;
         state.next_id += 1;
-        state.live.insert(
-            id,
-            LiveAllocation {
-                bytes,
-                staging: None,
-            },
-        );
+        state.live.insert(id, bytes);
         state.stats.allocs += 1;
         state.stats.resident_bytes += bytes;
         state.stats.peak_resident_bytes = state
@@ -214,12 +164,12 @@ impl BackendLedger {
         ResidentAllocation { id, bytes }
     }
 
-    /// Record (and for payload-storing ledgers, perform) a host→device copy.
+    /// Record a host→device copy.
     ///
     /// # Panics
     ///
     /// Panics if `dst` is not live on this backend or the payload exceeds the
-    /// allocation — both would be memory-safety bugs on a real device.
+    /// allocation.
     pub(crate) fn upload(
         &self,
         dst: &ResidentAllocation,
@@ -228,19 +178,7 @@ impl BackendLedger {
     ) {
         let len = src.len_bytes();
         let mut state = self.state.lock();
-        let live = state
-            .live
-            .get_mut(&dst.id)
-            .unwrap_or_else(|| panic!("upload to freed or foreign allocation #{}", dst.id));
-        assert!(
-            len <= live.bytes,
-            "upload of {len} bytes overflows {}-byte allocation #{}",
-            live.bytes,
-            dst.id
-        );
-        if self.stores_payloads {
-            live.stage(src);
-        }
+        state.check_transfer(dst, len, "upload");
         state.stats.uploads += 1;
         state.stats.upload_bytes += len;
         if kind == TransferKind::Table {
@@ -248,49 +186,27 @@ impl BackendLedger {
         }
     }
 
-    /// Record (and for payload-storing ledgers, perform) a device→host copy.
+    /// Record a device→host copy of `bytes` bytes.
     ///
-    /// Payload-storing ledgers first copy `produced` into the allocation's
-    /// staging buffer (the kernel "wrote" device memory) and then return the
-    /// staged bytes — the round trip the caller can verify bit-for-bit.
-    pub(crate) fn download(
-        &self,
-        src: &ResidentAllocation,
-        produced: TransferSrc<'_>,
-    ) -> Option<Vec<u8>> {
-        let len = produced.len_bytes();
+    /// # Panics
+    ///
+    /// Panics if `src` is not live on this backend or `bytes` exceeds the
+    /// allocation.
+    pub(crate) fn download(&self, src: &ResidentAllocation, bytes: u64) {
         let mut state = self.state.lock();
-        let live = state
-            .live
-            .get_mut(&src.id)
-            .unwrap_or_else(|| panic!("download from freed or foreign allocation #{}", src.id));
-        assert!(
-            len <= live.bytes,
-            "download of {len} bytes overflows {}-byte allocation #{}",
-            live.bytes,
-            src.id
-        );
-        let out = self.stores_payloads.then(|| {
-            live.stage(produced);
-            // Never-written device memory reads as zero.
-            live.staging.as_ref().map_or_else(
-                || vec![0; len as usize],
-                |staging| staging[..len as usize].to_vec(),
-            )
-        });
+        state.check_transfer(src, bytes, "download");
         state.stats.downloads += 1;
-        state.stats.download_bytes += len;
-        out
+        state.stats.download_bytes += bytes;
     }
 
     pub(crate) fn free(&self, allocation: ResidentAllocation) {
         let mut state = self.state.lock();
-        let live = state
+        let bytes = state
             .live
             .remove(&allocation.id)
             .unwrap_or_else(|| panic!("double free of allocation #{}", allocation.id));
         state.stats.frees += 1;
-        state.stats.resident_bytes -= live.bytes;
+        state.stats.resident_bytes -= bytes;
     }
 
     pub(crate) fn count_launch(&self) {
@@ -304,39 +220,21 @@ impl BackendLedger {
     pub(crate) fn stats(&self) -> BackendStats {
         self.state.lock().stats
     }
-
-    /// Bytes of staging buffers currently held.
-    #[cfg(test)]
-    fn staged_bytes(&self) -> u64 {
-        let state = self.state.lock();
-        state
-            .live
-            .values()
-            .filter_map(|live| live.staging.as_ref())
-            .map(|staging| staging.len() as u64)
-            .sum()
-    }
 }
 
 /// The full device lifecycle a PIR batch dispatch needs, as one trait.
 ///
-/// Implementors: the analytical [`GpuExecutor`](crate::GpuExecutor) and the
-/// measured [`HostBackend`]; a real CUDA/Metal/wgpu backend slots in by
-/// implementing these same nine operations over a device context (see the
-/// README's "Device backends & table residency" section for the mapping onto
-/// `cudaMalloc`/`cudaMemcpy`/launch/`cudaMemcpyD2H`/`cudaFree`).
+/// Its implementor is the [`Executor`], under either clock; a real
+/// CUDA/Metal/wgpu backend slots in by implementing the same operations —
+/// allocate, upload, launch, reduce, download, free — over a device context
+/// (see the README's "Device backends & table residency" section for the
+/// mapping onto `cudaMalloc`/`cudaMemcpy`/launch/`cudaMemcpyD2H`/`cudaFree`).
 pub trait DeviceBackend: Send + Sync {
     /// Human-readable backend name (telemetry, ledger printouts).
     fn name(&self) -> &str;
 
     /// The device this backend drives.
     fn device(&self) -> &DeviceSpec;
-
-    /// Whether uploads must carry real payloads (`Bytes`/`Lanes`).
-    ///
-    /// Accounting-only backends return `false`, letting callers pass
-    /// [`TransferSrc::Opaque`] instead of serializing data nobody will read.
-    fn stores_payloads(&self) -> bool;
 
     /// Allocate `bytes` of device memory.
     fn alloc(&self, bytes: u64) -> ResidentAllocation;
@@ -373,12 +271,8 @@ pub trait DeviceBackend: Send + Sync {
     /// Panics if the slices differ in length.
     fn reduce(&self, accumulator: &mut [u32], partial: &[u32]);
 
-    /// Copy `produced` out of `src` (device→host).
-    ///
-    /// Backends that store payloads return the staged bytes (so callers can
-    /// consume the round-tripped data and prove the copies honest);
-    /// accounting-only backends return `None`.
-    fn download(&self, src: &ResidentAllocation, produced: TransferSrc<'_>) -> Option<Vec<u8>>;
+    /// Copy `bytes` bytes out of `src` (device→host).
+    fn download(&self, src: &ResidentAllocation, bytes: u64);
 
     /// Release an allocation.
     fn free(&self, allocation: ResidentAllocation);
@@ -387,29 +281,17 @@ pub trait DeviceBackend: Send + Sync {
     fn stats(&self) -> BackendStats;
 }
 
-fn reduce_wrapping(ledger: &BackendLedger, accumulator: &mut [u32], partial: &[u32]) {
-    assert_eq!(
-        accumulator.len(),
-        partial.len(),
-        "reduce over mismatched lane counts"
-    );
-    for (acc, add) in accumulator.iter_mut().zip(partial) {
-        *acc = acc.wrapping_add(*add);
-    }
-    ledger.count_reduced_lanes(partial.len() as u64);
-}
-
-impl DeviceBackend for crate::GpuExecutor {
+impl<const MEASURED: bool> DeviceBackend for Executor<MEASURED> {
     fn name(&self) -> &str {
-        "simulated"
+        if MEASURED {
+            BackendKind::Host.label()
+        } else {
+            BackendKind::Simulated.label()
+        }
     }
 
     fn device(&self) -> &DeviceSpec {
-        crate::GpuExecutor::device(self)
-    }
-
-    fn stores_payloads(&self) -> bool {
-        false
+        Executor::device(self)
     }
 
     fn alloc(&self, bytes: u64) -> ResidentAllocation {
@@ -433,11 +315,19 @@ impl DeviceBackend for crate::GpuExecutor {
     }
 
     fn reduce(&self, accumulator: &mut [u32], partial: &[u32]) {
-        reduce_wrapping(&self.ledger, accumulator, partial);
+        assert_eq!(
+            accumulator.len(),
+            partial.len(),
+            "reduce over mismatched lane counts"
+        );
+        for (acc, add) in accumulator.iter_mut().zip(partial) {
+            *acc = acc.wrapping_add(*add);
+        }
+        self.ledger.count_reduced_lanes(partial.len() as u64);
     }
 
-    fn download(&self, src: &ResidentAllocation, produced: TransferSrc<'_>) -> Option<Vec<u8>> {
-        self.ledger.download(src, produced)
+    fn download(&self, src: &ResidentAllocation, bytes: u64) {
+        self.ledger.download(src, bytes);
     }
 
     fn free(&self, allocation: ResidentAllocation) {
@@ -449,142 +339,17 @@ impl DeviceBackend for crate::GpuExecutor {
     }
 }
 
-/// The measured in-process backend: real memcpys, no cost model.
-///
-/// Kernels execute functionally on host threads exactly as under the
-/// analytical executor (same block runner, same counters), but every
-/// reported time is the measured host wall clock and every payload upload or
-/// download physically copies bytes through a per-allocation staging buffer
-/// (a table upload carries no payload and copies nothing). The
-/// [`DeviceSpec`] is used only for launch-geometry legality (occupancy
-/// asserts), defaulting to the V100 so grids match the simulated backend.
-#[derive(Debug)]
-pub struct HostBackend {
-    device: DeviceSpec,
-    host_threads: usize,
-    ledger: BackendLedger,
-}
-
-impl HostBackend {
-    /// A host backend validating launch geometry against `device`, using all
-    /// available host cores.
-    #[must_use]
-    pub fn new(device: DeviceSpec) -> Self {
-        let host_threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4);
-        Self::with_host_threads(device, host_threads)
-    }
-
-    /// A host backend with at most `host_threads` workers per launch
-    /// (deterministic tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `host_threads` is zero.
-    #[must_use]
-    pub fn with_host_threads(device: DeviceSpec, host_threads: usize) -> Self {
-        assert!(host_threads > 0, "need at least one host thread");
-        Self {
-            device,
-            host_threads,
-            ledger: BackendLedger::storing_payloads(),
-        }
-    }
-}
-
-impl Default for HostBackend {
-    fn default() -> Self {
-        Self::new(DeviceSpec::v100())
-    }
-}
-
-impl DeviceBackend for HostBackend {
-    fn name(&self) -> &str {
-        "host"
-    }
-
-    fn device(&self) -> &DeviceSpec {
-        &self.device
-    }
-
-    fn stores_payloads(&self) -> bool {
-        true
-    }
-
-    fn alloc(&self, bytes: u64) -> ResidentAllocation {
-        self.ledger.alloc(bytes)
-    }
-
-    fn upload(&self, dst: &ResidentAllocation, kind: TransferKind, src: TransferSrc<'_>) {
-        self.ledger.upload(dst, kind, src);
-    }
-
-    fn launch(
-        &self,
-        name: &str,
-        config: LaunchConfig,
-        resident: &[&ResidentAllocation],
-        kernel: &dyn Kernel,
-    ) -> KernelReport {
-        self.ledger.count_launch();
-        let occupancy = OccupancyEstimate::estimate(&self.device, &config);
-        let counters = KernelCounters::new();
-        let memory = MemoryTracker::new();
-        memory.set_resident(resident.iter().map(|a| a.bytes()).sum());
-
-        let wall_s =
-            crate::executor::run_blocks(config, self.host_threads, &counters, &memory, kernel);
-
-        // Measured, not modelled: the whole wall time is attributed to
-        // compute and there is no launch-overhead or bandwidth term.
-        let time = crate::cost::TimeBreakdown {
-            compute_s: wall_s,
-            memory_s: 0.0,
-            launch_overhead_s: 0.0,
-            total_s: wall_s,
-        };
-        KernelReport {
-            name: name.to_string(),
-            config,
-            counters: counters.snapshot(),
-            occupancy,
-            time,
-            estimated_time_s: wall_s,
-            peak_memory_bytes: memory.peak(),
-            host_wall_time_s: wall_s,
-            prf_backend: String::new(),
-        }
-    }
-
-    fn reduce(&self, accumulator: &mut [u32], partial: &[u32]) {
-        reduce_wrapping(&self.ledger, accumulator, partial);
-    }
-
-    fn download(&self, src: &ResidentAllocation, produced: TransferSrc<'_>) -> Option<Vec<u8>> {
-        self.ledger.download(src, produced)
-    }
-
-    fn free(&self, allocation: ResidentAllocation) {
-        self.ledger.free(allocation);
-    }
-
-    fn stats(&self) -> BackendStats {
-        self.ledger.stats()
-    }
-}
-
-/// Which in-tree [`DeviceBackend`] a server should drive.
+/// Which clock a server's [`Executor`] reports.
 ///
 /// This is the selection knob threaded from `pir-serve`'s `TableConfig`
 /// down to replica construction; a real accelerator backend would add a
 /// variant here (plus the trait impl) and nothing above the seam changes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BackendKind {
-    /// The analytical cost-model executor ([`GpuExecutor`](crate::GpuExecutor)).
+    /// The analytical cost-model executor ([`GpuExecutor`]).
     #[default]
     Simulated,
-    /// The measured in-process [`HostBackend`].
+    /// The measured, wall-clock executor ([`HostBackend`]).
     Host,
 }
 
@@ -593,7 +358,7 @@ impl BackendKind {
     #[must_use]
     pub fn build(self, device: DeviceSpec) -> Box<dyn DeviceBackend> {
         match self {
-            BackendKind::Simulated => Box::new(crate::GpuExecutor::new(device)),
+            BackendKind::Simulated => Box::new(GpuExecutor::new(device)),
             BackendKind::Host => Box::new(HostBackend::new(device)),
         }
     }
@@ -607,7 +372,7 @@ impl BackendKind {
     ) -> Box<dyn DeviceBackend> {
         match self {
             BackendKind::Simulated => {
-                Box::new(crate::GpuExecutor::with_host_threads(device, host_threads))
+                Box::new(GpuExecutor::with_host_threads(device, host_threads))
             }
             BackendKind::Host => Box::new(HostBackend::with_host_threads(device, host_threads)),
         }
@@ -626,7 +391,7 @@ impl BackendKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BlockContext, GpuExecutor};
+    use crate::BlockContext;
 
     fn backends() -> Vec<Box<dyn DeviceBackend>> {
         vec![
@@ -640,8 +405,11 @@ mod tests {
         for backend in backends() {
             let table = backend.alloc(64);
             let keys = backend.alloc(16);
+            let output = backend.alloc(8);
             backend.upload_table(&table, TransferSrc::Lanes(&[7u32; 16]));
             backend.upload_keys(&keys, TransferSrc::Opaque(16));
+            // Only table bytes count as table uploads.
+            backend.upload(&output, TransferKind::Output, TransferSrc::Opaque(8));
             let report = backend.launch(
                 "noop",
                 LaunchConfig::linear(4, 32),
@@ -651,89 +419,24 @@ mod tests {
                 },
             );
             assert!(report.peak_memory_bytes >= 80, "{}", backend.name());
-            let _ = backend.download(&table, TransferSrc::Opaque(8));
-            backend.free(keys);
-            backend.free(table);
+            backend.download(&table, 8);
+            for alloc in [output, keys, table] {
+                backend.free(alloc);
+            }
 
             let stats = backend.stats();
-            assert_eq!(stats.allocs, 2, "{}", backend.name());
-            assert_eq!(stats.frees, 2);
+            assert_eq!(stats.allocs, 3, "{}", backend.name());
+            assert_eq!(stats.frees, 3);
             assert_eq!(stats.live_allocations(), 0);
             assert_eq!(stats.resident_bytes, 0);
-            assert_eq!(stats.peak_resident_bytes, 80);
-            assert_eq!(stats.uploads, 2);
-            assert_eq!(stats.upload_bytes, 80);
+            assert_eq!(stats.peak_resident_bytes, 88);
+            assert_eq!(stats.uploads, 3);
+            assert_eq!(stats.upload_bytes, 88);
             assert_eq!(stats.table_upload_bytes, 64);
             assert_eq!(stats.downloads, 1);
             assert_eq!(stats.download_bytes, 8);
             assert_eq!(stats.launches, 1);
         }
-    }
-
-    #[test]
-    fn host_backend_round_trips_payloads() {
-        let backend = HostBackend::with_host_threads(DeviceSpec::v100(), 1);
-        let alloc = backend.alloc(12);
-        backend.upload(&alloc, TransferKind::Keys, TransferSrc::Bytes(&[1, 2, 3]));
-        let lanes = [0x0403_0201u32, 0x0807_0605, 0x0c0b_0a09];
-        let out = backend
-            .download(&alloc, TransferSrc::Lanes(&lanes))
-            .expect("host backend stores payloads");
-        assert_eq!(out, vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
-        backend.free(alloc);
-    }
-
-    #[test]
-    fn a_table_upload_stages_nothing_but_is_accounted() {
-        let backend = HostBackend::with_host_threads(DeviceSpec::v100(), 1);
-        let table = backend.alloc(1 << 20);
-        backend.upload_table(&table, TransferSrc::Opaque(1 << 20));
-        assert_eq!(backend.ledger.staged_bytes(), 0);
-        let stats = backend.stats();
-        assert_eq!(stats.uploads, 1);
-        assert_eq!(stats.upload_bytes, 1 << 20);
-        assert_eq!(stats.table_upload_bytes, 1 << 20);
-        assert_eq!(stats.resident_bytes, 1 << 20);
-
-        // Keys and outputs still round-trip byte-exact, staged on first write.
-        let keys = backend.alloc(6);
-        backend.upload_keys(&keys, TransferSrc::Bytes(&[1, 2, 3, 4, 5, 6]));
-        assert_eq!(backend.ledger.staged_bytes(), 6);
-        let round_trip = backend.download(&keys, TransferSrc::Opaque(6));
-        assert_eq!(round_trip.as_deref(), Some(&[1u8, 2, 3, 4, 5, 6][..]));
-        let output = backend.alloc(8);
-        let lanes = [0xdead_beef_u32, 7];
-        let out = backend.download(&output, TransferSrc::Lanes(&lanes));
-        assert_eq!(
-            out,
-            Some([0xdead_beef_u32.to_le_bytes(), 7u32.to_le_bytes()].concat())
-        );
-        assert_eq!(backend.ledger.staged_bytes(), 6 + 8);
-        // Never-written memory downloads as zeros.
-        assert_eq!(
-            backend.download(&table, TransferSrc::Opaque(4)),
-            Some(vec![0; 4])
-        );
-        assert_eq!(backend.ledger.staged_bytes(), 6 + 8);
-        for alloc in [table, keys, output] {
-            backend.free(alloc);
-        }
-        assert_eq!(backend.ledger.staged_bytes(), 0);
-    }
-
-    #[test]
-    fn simulated_backend_only_accounts() {
-        let backend = GpuExecutor::with_host_threads(DeviceSpec::v100(), 1);
-        let alloc = DeviceBackend::alloc(&backend, 8);
-        DeviceBackend::upload(
-            &backend,
-            &alloc,
-            TransferKind::Output,
-            TransferSrc::Bytes(&[9; 8]),
-        );
-        assert!(backend.download(&alloc, TransferSrc::Opaque(8)).is_none());
-        assert!(!DeviceBackend::stores_payloads(&backend));
-        DeviceBackend::free(&backend, alloc);
     }
 
     #[test]
@@ -764,7 +467,7 @@ mod tests {
     fn oversized_upload_panics() {
         let backend = HostBackend::with_host_threads(DeviceSpec::v100(), 1);
         let alloc = backend.alloc(4);
-        backend.upload(&alloc, TransferKind::Table, TransferSrc::Bytes(&[0; 8]));
+        backend.upload(&alloc, TransferKind::Table, TransferSrc::Opaque(8));
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Functional execution of kernels on a host thread pool.
+//! Functional execution of kernels on the launching thread plus one scoped
+//! helper for each further eight blocks, and the one executor that drives it
+//! under either clock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::{
     BlockRange, CostModel, DeviceSpec, Kernel, KernelCounters, KernelReport, LaunchConfig,
-    MemoryTracker, OccupancyEstimate,
+    MemoryTracker, OccupancyEstimate, TimeBreakdown,
 };
 
 /// Most blocks one host worker takes at a time: the GPU analogue is the
@@ -29,11 +31,9 @@ fn range_blocks(total_blocks: u64, workers: usize) -> u64 {
 /// work-stealing index and running them through [`Kernel::execute_range`],
 /// recording into the shared `counters`/`memory`.
 ///
-/// Returns the host wall-clock seconds the sweep took. Both device backends
-/// share this exact loop — the analytical [`GpuExecutor`] and the measured
-/// [`crate::HostBackend`] — so their functional execution (and therefore
-/// every counter a kernel records) is identical by construction; only the
-/// time attribution differs.
+/// Returns the host wall-clock seconds the sweep took. Every launch of an
+/// [`Executor`] runs this loop, so a kernel records the same counters under
+/// either clock.
 pub(crate) fn run_blocks(
     config: LaunchConfig,
     host_threads: usize,
@@ -71,16 +71,22 @@ pub(crate) fn run_blocks(
     start.elapsed().as_secs_f64()
 }
 
-/// Executes simulated kernels and produces [`KernelReport`]s.
+/// Executes simulated kernels and produces [`KernelReport`]s; it is also the
+/// one [`crate::DeviceBackend`].
 ///
 /// Blocks of a launch are distributed over host worker threads in contiguous
 /// ranges of at most eight blocks from a work-stealing index, one worker per
 /// eight blocks or part of eight up to the host thread count, so a launch of
-/// at most eight blocks runs on the launching thread alone. This parallelism
-/// only accelerates the *simulation*; the modelled GPU time comes from the
-/// cost model.
+/// at most eight blocks runs on the launching thread alone. Transfers are
+/// counted in a ledger, never copied: kernels read their inputs in host
+/// memory.
+///
+/// `MEASURED` picks the clock a report's time comes from, and nothing else:
+/// the cost model over the launch's counters ([`GpuExecutor`]) or the host
+/// wall clock ([`HostBackend`]). The [`DeviceSpec`] sets the occupancy (and
+/// launch-geometry legality) under both.
 #[derive(Debug)]
-pub struct GpuExecutor {
+pub struct Executor<const MEASURED: bool> {
     device: DeviceSpec,
     cost_model: CostModel,
     host_threads: usize,
@@ -90,7 +96,15 @@ pub struct GpuExecutor {
     pub(crate) ledger: crate::backend::BackendLedger,
 }
 
-impl GpuExecutor {
+/// The analytical executor: a report's time is the roofline cost model over
+/// the launch's counters.
+pub type GpuExecutor = Executor<false>;
+
+/// The measured executor: a report's time is the host wall clock, with no
+/// launch-overhead or bandwidth term.
+pub type HostBackend = Executor<true>;
+
+impl<const MEASURED: bool> Executor<MEASURED> {
     /// Create an executor for `device` using all available host cores for the
     /// functional simulation.
     #[must_use]
@@ -132,6 +146,57 @@ impl GpuExecutor {
         &self.device
     }
 
+    /// Run every block of `kernel` and report it, with `resident_bytes` of
+    /// device memory held for the whole launch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the launch geometry is invalid for the device (propagated
+    /// from [`OccupancyEstimate::estimate`]), mirroring a CUDA launch failure.
+    pub(crate) fn launch_dyn(
+        &self,
+        name: &str,
+        config: LaunchConfig,
+        resident_bytes: u64,
+        kernel: &dyn Kernel,
+    ) -> KernelReport {
+        let occupancy = OccupancyEstimate::estimate(&self.device, &config);
+        let counters = KernelCounters::new();
+        let memory = MemoryTracker::new();
+        memory.set_resident(resident_bytes);
+
+        let host_wall_time_s = run_blocks(config, self.host_threads, &counters, &memory, kernel);
+        let snapshot = counters.snapshot();
+        let time = if MEASURED {
+            // Measured, not modelled: the whole wall time is attributed to
+            // compute.
+            TimeBreakdown {
+                compute_s: host_wall_time_s,
+                memory_s: 0.0,
+                launch_overhead_s: 0.0,
+                total_s: host_wall_time_s,
+            }
+        } else {
+            self.cost_model.kernel_time(&snapshot, &occupancy)
+        };
+
+        KernelReport {
+            name: name.to_string(),
+            config,
+            counters: snapshot,
+            occupancy,
+            time,
+            estimated_time_s: time.total_s,
+            peak_memory_bytes: memory.peak(),
+            host_wall_time_s,
+            prf_backend: String::new(),
+        }
+    }
+}
+
+// Inherent launches on the modelled clock only: on a `HostBackend`,
+// `launch` names `DeviceBackend::launch`, which inherent methods would shadow.
+impl GpuExecutor {
     /// Launch `kernel` with `config`, running every block functionally and
     /// returning the combined report.
     ///
@@ -161,41 +226,9 @@ impl GpuExecutor {
     {
         self.launch_dyn(name, config, resident_bytes, &kernel)
     }
-
-    /// [`GpuExecutor::launch_with_resident_memory`] behind the object-safe
-    /// [`crate::DeviceBackend::launch`], keeping the kernel's own
-    /// [`Kernel::execute_range`].
-    pub(crate) fn launch_dyn(
-        &self,
-        name: &str,
-        config: LaunchConfig,
-        resident_bytes: u64,
-        kernel: &dyn Kernel,
-    ) -> KernelReport {
-        let occupancy = OccupancyEstimate::estimate(&self.device, &config);
-        let counters = KernelCounters::new();
-        let memory = MemoryTracker::new();
-        memory.set_resident(resident_bytes);
-
-        let host_wall_time_s = run_blocks(config, self.host_threads, &counters, &memory, kernel);
-        let snapshot = counters.snapshot();
-        let time = self.cost_model.kernel_time(&snapshot, &occupancy);
-
-        KernelReport {
-            name: name.to_string(),
-            config,
-            counters: snapshot,
-            occupancy,
-            time,
-            estimated_time_s: time.total_s,
-            peak_memory_bytes: memory.peak(),
-            host_wall_time_s,
-            prf_backend: String::new(),
-        }
-    }
 }
 
-impl Default for GpuExecutor {
+impl<const MEASURED: bool> Default for Executor<MEASURED> {
     fn default() -> Self {
         Self::new(DeviceSpec::v100())
     }

@@ -5,16 +5,20 @@
 //! device*:
 //!
 //! * **Functional execution** — kernels are ordinary Rust closures over a
-//!   [`kernel::Kernel`] trait; the [`executor::GpuExecutor`] runs every thread
-//!   block on a host thread pool, so results are bit-exact with a real
-//!   implementation of the same algorithm.
+//!   [`kernel::Kernel`] trait; the [`executor::Executor`] runs every thread
+//!   block on the launching thread plus one scoped helper thread for each
+//!   further eight blocks, so results are bit-exact with a real
+//!   implementation of the same algorithm. Host↔device transfers are
+//!   counted in a ledger ([`backend::BackendStats`]), not copied.
 //! * **Performance modelling** — while blocks execute they record hardware
 //!   events ([`counters::KernelCounters`]): PRF evaluations, global/shared
 //!   memory traffic, arithmetic operations and synchronisations. The
 //!   [`cost::CostModel`] combines those counters with a [`device::DeviceSpec`]
 //!   (V100 by default) and the kernel's [`occupancy`] to estimate execution
 //!   time, throughput and utilization — the quantities plotted in the paper's
-//!   Figures 6, 8, 9, 13–15 and Tables 4–5.
+//!   Figures 6, 8, 9, 13–15 and Tables 4–5. [`executor::GpuExecutor`] reports
+//!   that modelled time; [`executor::HostBackend`], the same executor on the
+//!   host wall clock, reports measured time instead.
 //!
 //! The same crate also provides the CPU cost model ([`device::CpuSpec`]) used
 //! for the Xeon baseline and the client-side key-generation latency estimate.
@@ -50,13 +54,12 @@ pub mod occupancy;
 pub mod report;
 
 pub use backend::{
-    BackendKind, BackendStats, DeviceBackend, HostBackend, ResidentAllocation, TransferKind,
-    TransferSrc,
+    BackendKind, BackendStats, DeviceBackend, ResidentAllocation, TransferKind, TransferSrc,
 };
 pub use cost::{CostModel, CpuCostModel, TimeBreakdown};
 pub use counters::{CounterSnapshot, KernelCounters};
 pub use device::{CpuSpec, DeviceSpec};
-pub use executor::GpuExecutor;
+pub use executor::{Executor, GpuExecutor, HostBackend};
 pub use grid::{Dim3, LaunchConfig};
 pub use kernel::{BlockContext, BlockRange, Kernel};
 pub use memory::MemoryTracker;

@@ -6,10 +6,10 @@
 //! cargo run --example backend_swap --release
 //! ```
 //!
-//! The two backends share one kernel-execution path and differ only in
-//! what a "transfer" is (accounted bytes vs real staged memcpys) and how
-//! time is attributed (cost model vs wall clock) — so swapping them must
-//! change *nothing* about the answers. This example drives a skewed
+//! The two backends are one executor that differs only in its clock (cost
+//! model vs wall clock): kernels run the same way and transfers are counted
+//! the same way — so swapping them must change *nothing* about the
+//! answers. This example drives a skewed
 //! two-table load (one sharded, one pooled) through both configurations
 //! with the same seed, asserts every reconstructed row matches its
 //! ground truth *and* its counterpart from the other backend, and prints
