@@ -440,6 +440,28 @@ mod tests {
     }
 
     #[test]
+    fn simulated_backend_only_accounts() {
+        let backend = GpuExecutor::with_host_threads(DeviceSpec::v100(), 1);
+        let alloc = DeviceBackend::alloc(&backend, 8);
+        DeviceBackend::upload(
+            &backend,
+            &alloc,
+            TransferKind::Output,
+            TransferSrc::Lanes(&[9; 2]),
+        );
+        DeviceBackend::download(&backend, &alloc, 8);
+        DeviceBackend::free(&backend, alloc);
+
+        let stats = DeviceBackend::stats(&backend);
+        assert_eq!(stats.uploads, 1);
+        assert_eq!(stats.upload_bytes, 8);
+        assert_eq!(stats.table_upload_bytes, 0);
+        assert_eq!(stats.downloads, 1);
+        assert_eq!(stats.download_bytes, 8);
+        assert_eq!(stats.resident_bytes, 0);
+    }
+
+    #[test]
     fn reduce_is_wrapping_lane_addition() {
         for backend in backends() {
             let mut acc = vec![u32::MAX, 1, 2];
