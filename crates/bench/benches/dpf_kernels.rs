@@ -10,7 +10,7 @@ use pir_dpf::{
     eval_point, fused_eval_matmul, generate_keys, unfused_eval_matmul, BatchEvalJob, DeviceSplit,
     DpfKey, DpfParams, EvalStrategy, NullRecorder,
 };
-use pir_field::{matvec_accumulate, Block128, LaneVector, Ring128, ShareMatrix};
+use pir_field::{matvec_accumulate, Block128, LaneVector, Ring128, Secret, ShareMatrix};
 use pir_prf::{build_prf, build_prf_with_backend, GgmPrg, LevelCorrection, PrfKind, SimdBackend};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -199,15 +199,19 @@ fn bench_reference_shape(c: &mut Criterion) {
 fn bench_correction_pass(c: &mut Criterion) {
     const NODES: usize = 1024;
     let mut rng = StdRng::seed_from_u64(29);
-    let left: Vec<Block128> = (0..NODES).map(|_| Block128::random(&mut rng)).collect();
-    let right: Vec<Block128> = (0..NODES).map(|_| Block128::random(&mut rng)).collect();
-    let parents: Vec<u64> = (0..NODES / 64).map(|_| rng.gen()).collect();
-    let cw = LevelCorrection {
-        seed: Block128::from_u128(rng.gen::<u128>() | 1),
-        t_left: true,
-        t_right: false,
+    let mut sweep = || -> Vec<Secret<Block128>> {
+        (0..NODES)
+            .map(|_| Secret::new(Block128::random(&mut rng)))
+            .collect()
     };
-    let final_cw: u32 = rng.gen();
+    let (left, right) = (sweep(), sweep());
+    let parents: Vec<Secret<u64>> = (0..NODES / 64).map(|_| Secret::new(rng.gen())).collect();
+    let cw = LevelCorrection {
+        seed: Secret::new(Block128::from_u128(rng.gen::<u128>() | 1)),
+        t_left: Secret::new(true),
+        t_right: Secret::new(false),
+    };
+    let final_cw = Secret::new(rng.gen::<u32>());
 
     let mut group = c.benchmark_group("correction_pass");
     for (name, backend) in [
@@ -215,8 +219,8 @@ fn bench_correction_pass(c: &mut Criterion) {
         ("simd", SimdBackend::detect()),
     ] {
         let prg = GgmPrg::new(build_prf_with_backend(PrfKind::Aes128, backend));
-        let mut children = vec![Block128::ZERO; 2 * NODES];
-        let mut child_t = vec![0u64; 2 * NODES / 64];
+        let mut children = vec![Secret::default(); 2 * NODES];
+        let mut child_t = vec![Secret::default(); 2 * NODES / 64];
         let mut leaves = vec![0u32; 2 * NODES];
         group.bench_function(BenchmarkId::new("run_2048", name), |b| {
             b.iter(|| {

@@ -8,7 +8,7 @@
 //! frontier-level win of `GgmPrg::expand_frontier` over per-node `expand`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pir_field::Block128;
+use pir_field::{Block128, Secret};
 use pir_prf::{
     build_prf, build_prf_with_backend, FrontierScratch, GgmPrg, LevelCorrection, PrfKind,
     SimdBackend,
@@ -101,13 +101,13 @@ fn bench_backend_expand(c: &mut Criterion) {
 
 /// Per-node GGM expansion vs one frontier sweep over the same seeds.
 fn bench_frontier_expansion(c: &mut Criterion) {
-    let seeds = inputs();
+    let seeds: Vec<Secret<Block128>> = inputs().into_iter().map(Secret::new).collect();
     for kind in [PrfKind::SipHash, PrfKind::Aes128] {
         let prg = GgmPrg::new(build_prf(kind));
         let mut group = c.benchmark_group(format!("ggm_level/{kind:?}"));
         group.bench_function(BenchmarkId::from_parameter("per-node"), |b| {
             b.iter(|| {
-                let mut acc = Block128::ZERO;
+                let mut acc = Secret::default();
                 for seed in &seeds {
                     let expansion = prg.expand(*seed);
                     acc ^= expansion.seed_left ^ expansion.seed_right;
@@ -117,9 +117,9 @@ fn bench_frontier_expansion(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::from_parameter("frontier"), |b| {
             let mut scratch = FrontierScratch::with_capacity(BATCH);
-            let mut children = vec![Block128::ZERO; 2 * BATCH];
-            let mut t_bits = vec![0u64; (2 * BATCH).div_ceil(64)];
-            let parents = vec![0u64; BATCH / 64];
+            let mut children = vec![Secret::default(); 2 * BATCH];
+            let mut t_bits = vec![Secret::default(); (2 * BATCH).div_ceil(64)];
+            let parents = vec![Secret::new(0u64); BATCH / 64];
             let zero = LevelCorrection::default();
             b.iter(|| {
                 prg.expand_frontier(

@@ -457,7 +457,6 @@ impl<'a> BatchEvalJob<'a> {
                 }
                 rows.push(row);
             }
-            // pir-lint: allow(secret-flow, "matches the report accumulator's Some/None state, which tracks the public batch position, not key bits")
             merged = Some(match merged {
                 None => report,
                 Some(previous) => previous.merged_with(&report),

@@ -1,23 +1,38 @@
 //! Single-point DPF evaluation and path walking.
 
-use pir_field::{Block128, Ring128};
+use pir_field::{Block128, Ring128, Secret};
 use pir_prf::{GgmPrg, LevelCorrection};
 
 use crate::recorder::Recorder;
 use crate::{DpfKey, NullRecorder};
 
 /// Internal node state during evaluation: the seed and control bit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct NodeState {
-    pub seed: Block128,
-    pub t: bool,
+    pub seed: Secret<Block128>,
+    pub t: Secret<bool>,
 }
 
 impl NodeState {
     pub(crate) fn root(key: &DpfKey) -> Self {
         Self {
             seed: key.root_seed,
-            t: key.initial_control_bit(),
+            t: Secret::new(key.initial_control_bit()),
+        }
+    }
+
+    /// This node's child from the PRG output `(seed, t)`, corrected by the
+    /// level's `seed_cw` and `t_cw` under this node's control bit.
+    #[inline(always)]
+    fn child(
+        self,
+        (seed, t): (Secret<Block128>, Secret<bool>),
+        seed_cw: Secret<Block128>,
+        t_cw: Secret<bool>,
+    ) -> Self {
+        Self {
+            seed: seed ^ (seed_cw & self.t.lsb_mask()),
+            t: t ^ (self.t & t_cw),
         }
     }
 }
@@ -36,12 +51,9 @@ pub(crate) fn descend_one<R: Recorder>(
     recorder: &R,
 ) -> NodeState {
     recorder.prf_calls(1);
-    let (mut seed, mut t) = prg.expand_one(state.seed, right);
     let cw = &key.levels[level];
     let t_cw = if right { cw.t_right } else { cw.t_left };
-    seed = seed.xor_if(state.t, cw.seed);
-    t ^= state.t & t_cw;
-    NodeState { seed, t }
+    state.child(prg.expand_one(state.seed, right), cw.seed, t_cw)
 }
 
 /// Descend one level expanding *both* children (used by the full-domain
@@ -56,25 +68,27 @@ pub(crate) fn descend_both<R: Recorder>(
     recorder.prf_calls(2);
     let expansion = prg.expand(state.seed);
     let cw = &key.levels[level];
-    let left = NodeState {
-        seed: expansion.seed_left.xor_if(state.t, cw.seed),
-        t: expansion.t_left ^ (state.t & cw.t_left),
-    };
-    let right = NodeState {
-        seed: expansion.seed_right.xor_if(state.t, cw.seed),
-        t: expansion.t_right ^ (state.t & cw.t_right),
-    };
-    (left, right)
+    (
+        state.child((expansion.seed_left, expansion.t_left), cw.seed, cw.t_left),
+        state.child(
+            (expansion.seed_right, expansion.t_right),
+            cw.seed,
+            cw.t_right,
+        ),
+    )
 }
 
 /// Convert a leaf state into this party's additive output share.
 ///
 /// Branch-free: the control bit is pseudorandom, so a conditional add would
 /// mispredict on every other leaf of a full-domain expansion.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a leaf share is the evaluation's output, uniformly random on its own"
+)]
 pub(crate) fn leaf_share(key: &DpfKey, state: NodeState) -> Ring128 {
-    let mask = (state.t as u128).wrapping_neg();
-    let value = Ring128::from(state.seed) + Ring128::new(key.final_cw.value() & mask);
-    value.negate_if(key.party == 1)
+    let value = Secret::from(state.seed) + (key.final_cw & state.t.lsb_mask());
+    value.expose().negate_if(key.party == 1)
 }
 
 /// A width the expansion engine can emit leaf shares at.
@@ -96,8 +110,8 @@ pub(crate) trait Leaf: Copy + Default {
     fn last_level(
         prg: &GgmPrg,
         key: &DpfKey,
-        sweeps: (&[Block128], &[Block128]),
-        parent_t: &[u64],
+        sweeps: (&[Secret<Block128>], &[Secret<Block128>]),
+        parent_t: &[Secret<u64>],
         cw: &LevelCorrection,
         out: &mut [Self],
     );
@@ -114,13 +128,13 @@ impl Leaf for Ring128 {
     fn last_level(
         prg: &GgmPrg,
         key: &DpfKey,
-        (left, right): (&[Block128], &[Block128]),
-        parent_t: &[u64],
+        (left, right): (&[Secret<Block128>], &[Secret<Block128>]),
+        parent_t: &[Secret<u64>],
         cw: &LevelCorrection,
         out: &mut [Self],
     ) {
-        let mut children = [Block128::ZERO; 128];
-        let mut child_t = [0u64; 2];
+        let mut children = [Secret::default(); 128];
+        let mut child_t = [Secret::default(); 2];
         let chunks = left
             .chunks(64)
             .zip(right.chunks(64))
@@ -135,7 +149,7 @@ impl Leaf for Ring128 {
                 &mut child_t[..(2 * n).div_ceil(64)],
             );
             for (j, (child, share)) in children.iter().zip(shares.iter_mut()).enumerate() {
-                let t = (child_t[j / 64] >> (j % 64)) & 1 == 1;
+                let t = (child_t[j / 64] >> (j % 64) as u32).lsb_mask();
                 *share = leaf_share(key, NodeState { seed: *child, t });
             }
         }
@@ -151,8 +165,8 @@ impl Leaf for u32 {
     fn last_level(
         prg: &GgmPrg,
         key: &DpfKey,
-        sweeps: (&[Block128], &[Block128]),
-        parent_t: &[u64],
+        sweeps: (&[Secret<Block128>], &[Secret<Block128>]),
+        parent_t: &[Secret<u64>],
         cw: &LevelCorrection,
         out: &mut [Self],
     ) {
@@ -186,7 +200,8 @@ pub fn eval_point(prg: &GgmPrg, key: &DpfKey, index: u64) -> Ring128 {
 }
 
 /// Walk from the root to the subtree root addressed by the top `prefix_bits`
-/// bits in `prefix`, returning the node's seed and control bit.
+/// bits in `prefix`, returning the node's seed and control bit (both key
+/// material).
 ///
 /// This is how cooperative-groups blocks and multi-GPU shards position
 /// themselves on disjoint slices of the domain before expanding them.
@@ -201,7 +216,7 @@ pub fn eval_subtree_root(
     key: &DpfKey,
     prefix: u64,
     prefix_bits: u32,
-) -> (Block128, bool) {
+) -> (Secret<Block128>, Secret<bool>) {
     let state = subtree_root_state(prg, key, prefix, prefix_bits, &NullRecorder);
     (state.seed, state.t)
 }

@@ -1,6 +1,6 @@
 //! DPF key generation (`Gen`).
 
-use pir_field::{Block128, Ring128};
+use pir_field::{Block128, Ring128, Secret};
 use pir_prf::GgmPrg;
 use rand::Rng;
 
@@ -30,16 +30,18 @@ pub fn generate_keys<R: Rng + ?Sized>(
     );
     let depth = params.domain_bits;
 
-    let root_a = Block128::random(rng);
-    let root_b = Block128::random(rng);
+    let root_a = Secret::new(Block128::random(rng));
+    let root_b = Secret::new(Block128::random(rng));
 
     let mut seed_a = root_a;
     let mut seed_b = root_b;
-    let mut t_a = false;
-    let mut t_b = true;
+    let mut t_a = Secret::new(false);
+    let mut t_b = Secret::new(true);
 
     let mut levels = Vec::with_capacity(depth as usize);
 
+    // The client owns `alpha`: branching on its bits here leaks nothing to a
+    // server. The seeds and control bits are still key material.
     for level in 0..depth {
         // Bit of alpha at this level, most-significant first.
         let bit = (alpha >> (depth - 1 - level)) & 1 == 1;
@@ -55,8 +57,8 @@ pub fn generate_keys<R: Rng + ?Sized>(
             (exp_a.seed_right, exp_b.seed_right)
         };
         let seed_cw = lose_a ^ lose_b;
-        let t_left_cw = exp_a.t_left ^ exp_b.t_left ^ bit ^ true;
-        let t_right_cw = exp_a.t_right ^ exp_b.t_right ^ bit;
+        let t_left_cw = exp_a.t_left ^ exp_b.t_left ^ Secret::new(!bit);
+        let t_right_cw = exp_a.t_right ^ exp_b.t_right ^ Secret::new(bit);
 
         levels.push(LevelCorrection {
             seed: seed_cw,
@@ -78,16 +80,16 @@ pub fn generate_keys<R: Rng + ?Sized>(
         };
         let t_cw_keep = if bit { t_right_cw } else { t_left_cw };
 
-        seed_a = keep_seed_a.xor_if(t_a, seed_cw);
-        seed_b = keep_seed_b.xor_if(t_b, seed_cw);
-        let next_t_a = keep_t_a ^ (t_a & t_cw_keep);
-        let next_t_b = keep_t_b ^ (t_b & t_cw_keep);
-        t_a = next_t_a;
-        t_b = next_t_b;
+        seed_a = keep_seed_a ^ (seed_cw & t_a.lsb_mask());
+        seed_b = keep_seed_b ^ (seed_cw & t_b.lsb_mask());
+        t_a = keep_t_a ^ (t_a & t_cw_keep);
+        t_b = keep_t_b ^ (t_b & t_cw_keep);
     }
 
-    // Final correction word: make the two leaf conversions sum to beta.
-    let final_cw = (beta - Ring128::from(seed_a) + Ring128::from(seed_b)).negate_if(t_b);
+    // Final correction word: make the two leaf conversions sum to beta,
+    // negated where party 1's last control bit is set.
+    let sum = Secret::new(beta) - Secret::from(seed_a) + Secret::from(seed_b);
+    let final_cw = Secret::select(t_b.lsb_mask(), -sum, sum);
 
     let key_a = DpfKey {
         party: 0,
@@ -107,6 +109,10 @@ pub fn generate_keys<R: Rng + ?Sized>(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests read key material back to compare it"
+)]
 mod tests {
     use super::*;
     use pir_prf::{build_prf, PrfKind};
@@ -119,9 +125,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let params = DpfParams::for_domain(256);
         let (a, b) = generate_keys(&prg, &params, 7, Ring128::ONE, &mut rng);
-        assert_eq!(a.levels, b.levels);
-        assert_eq!(a.final_cw, b.final_cw);
-        assert_ne!(a.root_seed, b.root_seed);
+        let levels = |key: &DpfKey| -> Vec<(Block128, bool, bool)> {
+            key.levels
+                .iter()
+                .map(|cw| (cw.seed.expose(), cw.t_left.expose(), cw.t_right.expose()))
+                .collect()
+        };
+        assert_eq!(levels(&a), levels(&b));
+        assert_eq!(a.final_cw.expose(), b.final_cw.expose());
+        assert_ne!(a.root_seed.expose(), b.root_seed.expose());
         assert_eq!(a.party, 0);
         assert_eq!(b.party, 1);
         assert_eq!(a.levels.len(), 8);
@@ -156,6 +168,30 @@ mod tests {
             let (a, _) = generate_keys(&prg, &params, 0, Ring128::ONE, &mut rng);
             assert_eq!(a.depth(), bits);
             assert_eq!(a.size_bytes(), 33 + 17 * bits as usize);
+        }
+    }
+
+    /// A key's `Debug` shows its public shape and none of its key material:
+    /// not the root seed, a correction seed or the final word, in hex or in
+    /// decimal.
+    #[test]
+    fn debug_of_a_key_redacts_its_key_material() {
+        let prg = GgmPrg::new(build_prf(PrfKind::Aes128));
+        let mut rng = StdRng::seed_from_u64(5);
+        let params = DpfParams::for_domain(1 << 6);
+        for key in <[DpfKey; 2]>::from(generate_keys(&prg, &params, 9, Ring128::ONE, &mut rng)) {
+            let printed = format!("{key:?}");
+            assert!(printed.contains("party: ") && printed.contains("Secret(..)"));
+            let mut words = vec![
+                key.root_seed.expose().as_u128(),
+                key.final_cw.expose().value(),
+            ];
+            words.extend(key.levels.iter().map(|cw| cw.seed.expose().as_u128()));
+            for word in words {
+                for digits in [format!("{word:x}"), format!("{word:X}"), word.to_string()] {
+                    assert!(!printed.contains(&digits), "{digits} in {printed}");
+                }
+            }
         }
     }
 }

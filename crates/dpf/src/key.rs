@@ -1,6 +1,6 @@
 //! DPF key material and domain parameters.
 
-use pir_field::{Block128, Ring128};
+use pir_field::{Block128, Ring128, Secret};
 use pir_prf::LevelCorrection;
 use serde::{Deserialize, Serialize};
 
@@ -55,18 +55,22 @@ impl DpfParams {
 /// correction word per tree level and a final output correction word. Its
 /// size is `O(λ·log L)` — the communication advantage of DPF-PIR over the
 /// naive `O(L)` scheme.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// The root seed and every correction word are [`Secret`]: nothing in the
+/// server can branch on them, `Debug` prints them as `Secret(..)`, and the
+/// canonical wire codec is the key's only encoding (no serde).
+#[derive(Clone, Debug)]
 pub struct DpfKey {
     /// Which server this key is for (0 or 1).
     pub party: u8,
     /// Domain parameters the key was generated for.
     pub params: DpfParams,
     /// Root seed.
-    pub root_seed: Block128,
+    pub root_seed: Secret<Block128>,
     /// Per-level correction words (`params.domain_bits` of them).
     pub levels: Vec<LevelCorrection>,
     /// Final output correction word in `Z_{2^128}`.
-    pub final_cw: Ring128,
+    pub final_cw: Secret<Ring128>,
 }
 
 impl DpfKey {
@@ -130,16 +134,16 @@ mod tests {
             let key = DpfKey {
                 party: 1,
                 params,
-                root_seed: Block128::from(7u128),
+                root_seed: Secret::new(Block128::from(7u128)),
                 levels: vec![
                     LevelCorrection {
-                        seed: Block128::from(9u128),
-                        t_left: true,
-                        t_right: false,
+                        seed: Secret::new(Block128::from(9u128)),
+                        t_left: Secret::new(true),
+                        t_right: Secret::new(false),
                     };
                     bits as usize
                 ],
-                final_cw: Ring128::from(3u128),
+                final_cw: Secret::new(Ring128::from(3u128)),
             };
             assert_eq!(key.size_bytes() as u64, params.key_size_bytes());
         }
@@ -150,16 +154,9 @@ mod tests {
         let make = |bits: u32| DpfKey {
             party: 0,
             params: DpfParams::for_domain(1 << bits),
-            root_seed: Block128::ZERO,
-            levels: vec![
-                LevelCorrection {
-                    seed: Block128::ZERO,
-                    t_left: false,
-                    t_right: false,
-                };
-                bits as usize
-            ],
-            final_cw: Ring128::ZERO,
+            root_seed: Secret::default(),
+            levels: vec![LevelCorrection::default(); bits as usize],
+            final_cw: Secret::default(),
         };
         let small = make(14).size_bytes();
         let large = make(24).size_bytes();

@@ -710,7 +710,7 @@ mod tests {
     #[test]
     fn hostile_keys_expand_exactly_like_the_reference() {
         use crate::{fused_eval_matmul, LevelCorrection};
-        use pir_field::Block128;
+        use pir_field::{Block128, Secret};
         use pir_prf::{build_prf_with_backend, SimdBackend};
 
         let mut rng = StdRng::seed_from_u64(0x0BAD_5EED);
@@ -724,15 +724,15 @@ mod tests {
                     let key = DpfKey {
                         party,
                         params,
-                        root_seed: Block128::from_u128(rng.gen()),
+                        root_seed: Secret::new(Block128::from_u128(rng.gen())),
                         levels: (0..params.domain_bits)
                             .map(|_| LevelCorrection {
-                                seed: Block128::from_u128(rng.gen::<u128>() | 1),
-                                t_left: rng.gen(),
-                                t_right: rng.gen(),
+                                seed: Secret::new(Block128::from_u128(rng.gen::<u128>() | 1)),
+                                t_left: Secret::new(rng.gen()),
+                                t_right: Secret::new(rng.gen()),
                             })
                             .collect(),
-                        final_cw: Ring128::new(rng.gen()),
+                        final_cw: Secret::new(Ring128::new(rng.gen())),
                     };
                     for backend in SimdBackend::candidates() {
                         let prg = GgmPrg::new(build_prf_with_backend(kind, *backend));

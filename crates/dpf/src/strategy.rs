@@ -22,7 +22,7 @@
 //! full `Ring128` shares for the evaluation API, `u32` lane weights for the
 //! fused DPF × table kernel, which reads nothing else of a share.
 
-use pir_field::{Block128, Ring128};
+use pir_field::{Block128, Ring128, Secret};
 use pir_prf::{FrontierScratch, GgmPrg};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -540,13 +540,13 @@ fn rewalk<L: Leaf>(
 /// first run.
 pub(crate) struct FrontierBuffers {
     /// Seeds of the current level (the frontier).
-    seeds: Vec<Block128>,
+    seeds: Vec<Secret<Block128>>,
     /// Seeds of the next level (swap target).
-    next_seeds: Vec<Block128>,
+    next_seeds: Vec<Secret<Block128>>,
     /// Control bits of the current level, packed 64 per word.
-    t_bits: Vec<u64>,
+    t_bits: Vec<Secret<u64>>,
     /// Control bits of the next level.
-    next_t_bits: Vec<u64>,
+    next_t_bits: Vec<Secret<u64>>,
     /// Raw PRF sweep outputs, owned by [`GgmPrg::frontier_sweeps`].
     scratch: FrontierScratch,
 }
@@ -597,10 +597,10 @@ fn level_by_level<L: Leaf>(
     // every slot in play is overwritten by the correction pass, so per-level
     // resizing (with its zero-fill on regrowth) would be pure overhead when
     // the buffers are reused across levels and runs.
-    grow(&mut frontier.seeds, 1, Block128::ZERO);
+    grow(&mut frontier.seeds, 1, Secret::default());
     frontier.seeds[0] = root.seed;
-    grow(&mut frontier.t_bits, 1, 0);
-    frontier.t_bits[0] = u64::from(root.t);
+    grow(&mut frontier.t_bits, 1, Secret::default());
+    frontier.t_bits[0] = root.t.lsb_mask::<u64>() & Secret::new(1);
 
     let mut len = 1usize;
     for level in 0..depth_below {
@@ -609,8 +609,12 @@ fn level_by_level<L: Leaf>(
         // them straight to shares, never stored as a seed level.
         let is_last = level + 1 == depth_below;
         if !is_last {
-            grow(&mut frontier.next_seeds, 2 * len, Block128::ZERO);
-            grow(&mut frontier.next_t_bits, (2 * len).div_ceil(64), 0);
+            grow(&mut frontier.next_seeds, 2 * len, Secret::default());
+            grow(
+                &mut frontier.next_t_bits,
+                (2 * len).div_ceil(64),
+                Secret::default(),
+            );
         }
         // Sweep the level in L1-sized tiles and hand each tile's raw outputs
         // to the correction pass while they are in cache. A tile starts on a

@@ -1,6 +1,8 @@
-//! Dynamic obliviousness check: the complement of the lexical `secret-flow`
-//! lint. A server's work must not depend on the index a key hides, so for a
-//! fixed public shape — table, batch size, strategy, grid mapping — every
+//! Dynamic obliviousness check: the complement of the `Secret` type, which
+//! keeps key material out of branches and indices, and of the timing test
+//! (`timing_leakage.rs`), which watches the clock. A server's work must not
+//! depend on the index a key hides, so for a fixed public shape — table,
+//! batch size, strategy, grid mapping — every
 //! observable the device layer exports must be *identical* across random
 //! target indices and across the two parties: the launch's event counters
 //! and peak memory, the backend's allocation/transfer ledger, and the number

@@ -16,8 +16,10 @@
 //! crop. The second crop is there because a delay that the fixed input never
 //! takes lands above the pooled median, where the median crop cannot see it.
 //! At these sample counts that bounds leaks of about 100 ns per evaluation,
-//! not single cycles: a delay of about 10 ns is not reliably seen, and noise
-//! alone can reach dudect's usual 4.5.
+//! not single cycles: on the fused path and the batch a delay of about 10 ns
+//! is not reliably seen, and noise alone can reach dudect's usual 4.5. The
+//! kernel targets, whose calls take 50 ns to 2 µs, see more: one
+//! mispredicted branch per call shows there.
 //!
 //! Targets: the one-key fused path and the lockstep batch (eight keys in one
 //! host range) on a small table, so that a 100 ns delay stands out of the
@@ -40,7 +42,7 @@ use gpu_sim::{DeviceBackend, DeviceSpec, HostBackend, TransferSrc};
 use pir_dpf::{
     fused_eval_matmul, generate_keys, BatchEvalJob, DpfKey, DpfParams, EvalStrategy, NullRecorder,
 };
-use pir_field::{Block128, Ring128, ShareMatrix, SimdBackend};
+use pir_field::{Block128, Ring128, Secret, ShareMatrix, SimdBackend};
 use pir_prf::{build_prf_with_backend, GgmPrg, LevelCorrection, PrfKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -143,7 +145,10 @@ fn leakage<I: Clone>(
     let mut sorted = times.clone();
     sorted.sort_unstable();
     let at = |p: f64| sorted[((sorted.len() - 1) as f64 * p) as usize];
-    let ts: Vec<f64> = CROPS.iter().map(|&p| welch_t(&times, &fixed, at(p))).collect();
+    let ts: Vec<f64> = CROPS
+        .iter()
+        .map(|&p| welch_t(&times, &fixed, at(p)))
+        .collect();
     let worst = ts.iter().fold(0.0f64, |worst, t| worst.max(t.abs()));
     let line = format!(
         "{name:<34} t(p50) = {:>7.2}  t(p90) = {:>7.2}  median {:>8} ns",
@@ -191,24 +196,27 @@ fn sweep_lengths(kind: PrfKind, backend: SimdBackend) -> Vec<(&'static str, usiz
 /// bits and a level correction whose seed has its LSB set.
 #[derive(Clone)]
 struct PassInput {
-    left: Vec<Block128>,
-    right: Vec<Block128>,
-    parent_t: Vec<u64>,
+    left: Vec<Secret<Block128>>,
+    right: Vec<Secret<Block128>>,
+    parent_t: Vec<Secret<u64>>,
     cw: LevelCorrection,
-    final_cw: u32,
+    final_cw: Secret<u32>,
 }
 
 fn pass_input(rng: &mut StdRng, n: usize) -> PassInput {
+    let mut secret_blocks = |n| random_blocks(rng, n).into_iter().map(Secret::new).collect();
     PassInput {
-        left: random_blocks(rng, n),
-        right: random_blocks(rng, n),
-        parent_t: (0..n.div_ceil(64)).map(|_| rng.gen()).collect(),
+        left: secret_blocks(n),
+        right: secret_blocks(n),
+        parent_t: (0..n.div_ceil(64))
+            .map(|_| Secret::new(rng.gen()))
+            .collect(),
         cw: LevelCorrection {
-            seed: Block128::from_u128(rng.gen::<u128>() | 1),
-            t_left: rng.gen(),
-            t_right: rng.gen(),
+            seed: Secret::new(Block128::from_u128(rng.gen::<u128>() | 1)),
+            t_left: Secret::new(rng.gen()),
+            t_right: Secret::new(rng.gen()),
         },
-        final_cw: rng.gen(),
+        final_cw: Secret::new(rng.gen()),
     }
 }
 
@@ -249,8 +257,8 @@ fn server_evaluation_time_does_not_depend_on_the_key() {
             &[("ymm", 16, 4), ("zmm", 32, 32)]
         };
         for &(width, children_n, leaves_n) in widths {
-            let mut children = vec![Block128::ZERO; 2 * children_n];
-            let mut child_t = vec![0u64; (2 * children_n).div_ceil(64)];
+            let mut children = vec![Secret::default(); 2 * children_n];
+            let mut child_t = vec![Secret::default(); (2 * children_n).div_ceil(64)];
             results.push(leakage(
                 &format!("correct_frontier {width}"),
                 KERNEL_SAMPLES,

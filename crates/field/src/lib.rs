@@ -30,7 +30,8 @@
 
 // Unsafe code is denied crate-wide; the only opt-outs are the per-arch SIMD
 // modules in `simd.rs`, which are reachable solely through runtime feature
-// detection.
+// detection, and `Secret`'s two slice views, which rest on its
+// `#[repr(transparent)]`.
 #![deny(unsafe_code)]
 // Where unsafe is re-allowed, every unsafe operation inside an `unsafe fn`
 // must still sit in an explicit `unsafe {}` block with its own SAFETY
@@ -43,6 +44,7 @@ mod block;
 mod lane_rows;
 mod matrix;
 mod ring;
+mod secret;
 mod share;
 pub mod simd;
 mod vector;
@@ -54,6 +56,7 @@ pub use matrix::{
     CHUNK_ROWS,
 };
 pub use ring::{Ring128, RingElement};
+pub use secret::{Secret, Word};
 pub use share::{reconstruct_lanes, reconstruct_ring, share_lanes, share_ring, AdditiveShare};
 pub use simd::SimdBackend;
 pub use vector::{IndicatorShares, LaneVector};

@@ -20,8 +20,10 @@ pub const RESPONSE_PREFIX_BYTES: usize = 8 + 1 + 4;
 /// A complete PIR query: the pair of DPF keys for the two servers.
 ///
 /// Only [`PirQuery::to_server`] projections ever leave the client; the pair is
-/// kept together client-side so the response can be reconstructed.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// kept together client-side so the response can be reconstructed. It holds
+/// key material, so it has no `PartialEq` and no serde: the wire codec is
+/// its projection's only encoding.
+#[derive(Clone, Debug)]
 pub struct PirQuery {
     /// Monotonic client-side identifier used to match responses to queries.
     pub query_id: u64,
@@ -64,8 +66,9 @@ impl PirQuery {
     }
 }
 
-/// The single-server projection of a [`PirQuery`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// The single-server projection of a [`PirQuery`]. Like it, no `PartialEq`
+/// and no serde: compare two by their canonical encodings.
+#[derive(Clone, Debug)]
 pub struct ServerQuery {
     /// Client-side query identifier (opaque to the server).
     pub query_id: u64,
@@ -141,7 +144,12 @@ mod tests {
         assert_eq!(to0.party(), 0);
         assert_eq!(to1.party(), 1);
         assert_eq!(to0.query_id, 17);
-        assert_ne!(to0.key.root_seed, to1.key.root_seed);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test checks the projections carry different seeds"
+        )]
+        let seeds = (to0.key.root_seed.expose(), to1.key.root_seed.expose());
+        assert_ne!(seeds.0, seeds.1);
     }
 
     #[test]

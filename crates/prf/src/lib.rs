@@ -26,13 +26,16 @@
 //!
 //! ```rust
 //! use pir_prf::{build_prf, GgmPrg, PrfKind};
-//! use pir_field::Block128;
+//! use pir_field::{Block128, Secret};
 //!
-//! let prf = build_prf(PrfKind::Chacha20);
-//! let prg = GgmPrg::new(prf);
-//! let expansion = prg.expand(Block128::from_u128(42));
-//! // Deterministic: the same seed always expands to the same children.
-//! assert_eq!(expansion, prg.expand(Block128::from_u128(42)));
+//! let prg = GgmPrg::new(build_prf(PrfKind::Chacha20));
+//! // Seeds and control bits are key material (`Secret`): nothing to branch
+//! // on or compare, only masks.
+//! let children = prg.expand(Secret::new(Block128::from_u128(42)));
+//! let _corrected = children.seed_left ^ (children.seed_right & children.t_left.lsb_mask());
+//! // The PRF under it maps public blocks, deterministically.
+//! let block = Block128::from_u128(42);
+//! assert_eq!(prg.prf().eval_block(block, 0), prg.prf().eval_block(block, 0));
 //! ```
 
 // Unsafe code is denied crate-wide and re-allowed only inside `simd`, whose

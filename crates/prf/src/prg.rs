@@ -3,8 +3,7 @@
 
 use std::sync::Arc;
 
-use pir_field::{Block128, SimdBackend};
-use serde::{Deserialize, Serialize};
+use pir_field::{Block128, Secret, SimdBackend};
 
 use crate::Prf;
 
@@ -13,15 +12,39 @@ use crate::Prf;
 /// During evaluation, a node whose control bit is set XORs `seed` into both
 /// children's seeds and the respective `t_*` bits into their control bits.
 /// Nothing assumes `seed`'s least-significant bit is clear: keys arrive off
-/// the wire unvalidated.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// the wire unvalidated. All three are key material.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LevelCorrection {
     /// Seed correction applied to both children.
-    pub seed: Block128,
+    pub seed: Secret<Block128>,
     /// Control-bit correction for the left child.
-    pub t_left: bool,
+    pub t_left: Secret<bool>,
     /// Control-bit correction for the right child.
-    pub t_right: bool,
+    pub t_right: Secret<bool>,
+}
+
+impl LevelCorrection {
+    /// The correction as the pass kernels read it, exposed once per pass.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the correction kernels' word, read once per pass, never per node"
+    )]
+    fn raw(&self) -> RawCorrection {
+        RawCorrection {
+            seed: self.seed.expose(),
+            t_left: self.t_left.expose(),
+            t_right: self.t_right.expose(),
+        }
+    }
+}
+
+/// A [`LevelCorrection`] inside the correction kernels, which compute on
+/// raw words without branching on them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct RawCorrection {
+    pub(crate) seed: Block128,
+    pub(crate) t_left: bool,
+    pub(crate) t_right: bool,
 }
 
 /// The result of expanding one tree node into its two children.
@@ -29,16 +52,23 @@ pub struct LevelCorrection {
 /// Each child carries a 127-bit seed (least-significant bit cleared) plus a
 /// one-bit control flag, exactly the `(s_L, t_L, s_R, t_R)` tuple of the
 /// Gilboa–Ishai DPF.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub struct PrgExpansion {
     /// Left child seed (LSB cleared).
-    pub seed_left: Block128,
+    pub seed_left: Secret<Block128>,
     /// Right child seed (LSB cleared).
-    pub seed_right: Block128,
+    pub seed_right: Secret<Block128>,
     /// Left control bit.
-    pub t_left: bool,
+    pub t_left: Secret<bool>,
     /// Right control bit.
-    pub t_right: bool,
+    pub t_right: Secret<bool>,
+}
+
+/// A PRG output as a child: its seed, least-significant bit cleared, and
+/// that bit as its control bit.
+#[inline(always)]
+fn split(out: Secret<Block128>) -> (Secret<Block128>, Secret<bool>) {
+    (out & Secret::new(Block128::from_u128(!1)), out.lsb_mask())
 }
 
 /// A GGM-style length-doubling PRG built from a [`Prf`] with a
@@ -81,27 +111,48 @@ impl GgmPrg {
     /// same batched sweep as a whole frontier (a one-element slice), so hosts
     /// with a vector backend never fall to the table-driven scalar primitive.
     #[must_use]
-    pub fn expand(&self, seed: Block128) -> PrgExpansion {
-        let (mut left, mut right) = ([Block128::ZERO], [Block128::ZERO]);
-        self.prf
-            .expand_blocks_mmo(&[seed], LEFT_TWEAK, RIGHT_TWEAK, &mut left, &mut right);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the PRF kernel's slices, once per call"
+    )]
+    pub fn expand(&self, seed: Secret<Block128>) -> PrgExpansion {
+        let (mut left, mut right) = ([Secret::default()], [Secret::default()]);
+        self.prf.expand_blocks_mmo(
+            Secret::expose_slice(&[seed]),
+            LEFT_TWEAK,
+            RIGHT_TWEAK,
+            Secret::expose_slice_mut(&mut left),
+            Secret::expose_slice_mut(&mut right),
+        );
+        let ((seed_left, t_left), (seed_right, t_right)) = (split(left[0]), split(right[0]));
         PrgExpansion {
-            seed_left: left[0].with_cleared_lsb(),
-            seed_right: right[0].with_cleared_lsb(),
-            t_left: left[0].lsb(),
-            t_right: right[0].lsb(),
+            seed_left,
+            seed_right,
+            t_left,
+            t_right,
         }
     }
 
     /// Expand only one child (used by the single-point `Eval`); costs one PRF
     /// block evaluation, through the batched single-tweak sweep.
     #[must_use]
-    pub fn expand_one(&self, seed: Block128, right: bool) -> (Block128, bool) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the PRF kernel's slices, once per call"
+    )]
+    pub fn expand_one(
+        &self,
+        seed: Secret<Block128>,
+        right: bool,
+    ) -> (Secret<Block128>, Secret<bool>) {
         let tweak = if right { RIGHT_TWEAK } else { LEFT_TWEAK };
-        let mut out = [Block128::ZERO];
-        self.prf.eval_blocks(&[seed], tweak, &mut out);
-        let out = out[0] ^ seed;
-        (out.with_cleared_lsb(), out.lsb())
+        let mut out = [Secret::default()];
+        self.prf.eval_blocks(
+            Secret::expose_slice(&[seed]),
+            tweak,
+            Secret::expose_slice_mut(&mut out),
+        );
+        split(out[0] ^ seed)
     }
 
     /// Expand a whole frontier of DPF nodes one level down: two batched PRF
@@ -122,12 +173,12 @@ impl GgmPrg {
     /// As [`GgmPrg::correct_frontier`].
     pub fn expand_frontier(
         &self,
-        seeds: &[Block128],
-        parent_t: &[u64],
+        seeds: &[Secret<Block128>],
+        parent_t: &[Secret<u64>],
         cw: &LevelCorrection,
         scratch: &mut FrontierScratch,
-        children: &mut [Block128],
-        child_t: &mut [u64],
+        children: &mut [Secret<Block128>],
+        child_t: &mut [Secret<u64>],
     ) {
         let sweeps = self.frontier_sweeps(seeds, scratch);
         self.correct_frontier(sweeps, parent_t, cw, children, child_t);
@@ -150,14 +201,23 @@ impl GgmPrg {
     /// Panics if `left` and `right` differ in length, `parent_t` holds fewer
     /// than one bit per node, `children` is not exactly two per node, or
     /// `child_t` is not exactly the words that hold one bit per child.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the correction kernel's slices, once per call"
+    )]
     pub fn correct_frontier(
         &self,
-        (left, right): (&[Block128], &[Block128]),
-        parent_t: &[u64],
+        (left, right): (&[Secret<Block128>], &[Secret<Block128>]),
+        parent_t: &[Secret<u64>],
         cw: &LevelCorrection,
-        children: &mut [Block128],
-        child_t: &mut [u64],
+        children: &mut [Secret<Block128>],
+        child_t: &mut [Secret<u64>],
     ) {
+        let (left, right) = (Secret::expose_slice(left), Secret::expose_slice(right));
+        let parent_t = Secret::expose_slice(parent_t);
+        let children = Secret::expose_slice_mut(children);
+        let child_t = Secret::expose_slice_mut(child_t);
+        let cw = &cw.raw();
         check_pass_shape(left, right, parent_t, children.len());
         assert_eq!(
             child_t.len(),
@@ -180,15 +240,22 @@ impl GgmPrg {
     ///
     /// Panics if `left` and `right` differ in length, `parent_t` holds fewer
     /// than one bit per node, or `out` is not exactly two per node.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the leaf kernel's slices and final word, once per call; its outputs are the leaf shares"
+    )]
     pub fn correct_frontier_leaves(
         &self,
-        (left, right): (&[Block128], &[Block128]),
-        parent_t: &[u64],
+        (left, right): (&[Secret<Block128>], &[Secret<Block128>]),
+        parent_t: &[Secret<u64>],
         cw: &LevelCorrection,
-        final_cw: u32,
+        final_cw: Secret<u32>,
         negate: bool,
         out: &mut [u32],
     ) {
+        let (left, right) = (Secret::expose_slice(left), Secret::expose_slice(right));
+        let parent_t = Secret::expose_slice(parent_t);
+        let (cw, final_cw) = (&cw.raw(), final_cw.expose());
         check_pass_shape(left, right, parent_t, out.len());
         #[cfg(target_arch = "x86_64")]
         if self.pass == SimdBackend::Avx2 {
@@ -206,24 +273,28 @@ impl GgmPrg {
     /// [`GgmPrg::correct_frontier`] or [`GgmPrg::correct_frontier_leaves`]
     /// while they are in cache. Costs exactly `2 * seeds.len()` PRF block
     /// evaluations.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the PRF kernel's slices, once per call"
+    )]
     pub fn frontier_sweeps<'s>(
         &self,
-        seeds: &[Block128],
+        seeds: &[Secret<Block128>],
         scratch: &'s mut FrontierScratch,
-    ) -> (&'s [Block128], &'s [Block128]) {
+    ) -> (&'s [Secret<Block128>], &'s [Secret<Block128>]) {
         let n = seeds.len();
         // Grow-only: both sweeps overwrite `[..n]` entirely, so shrinking (and
         // re-zeroing on the next growth) would be pure waste in the hot loop.
         if scratch.left.len() < n {
-            scratch.left.resize(n, Block128::ZERO);
-            scratch.right.resize(n, Block128::ZERO);
+            scratch.left.resize(n, Secret::default());
+            scratch.right.resize(n, Secret::default());
         }
         self.prf.expand_blocks_mmo(
-            seeds,
+            Secret::expose_slice(seeds),
             LEFT_TWEAK,
             RIGHT_TWEAK,
-            &mut scratch.left[..n],
-            &mut scratch.right[..n],
+            Secret::expose_slice_mut(&mut scratch.left[..n]),
+            Secret::expose_slice_mut(&mut scratch.right[..n]),
         );
         (&scratch.left[..n], &scratch.right[..n])
     }
@@ -235,8 +306,8 @@ impl GgmPrg {
 /// chunk of a job.
 #[derive(Clone, Debug, Default)]
 pub struct FrontierScratch {
-    left: Vec<Block128>,
-    right: Vec<Block128>,
+    left: Vec<Secret<Block128>>,
+    right: Vec<Secret<Block128>>,
 }
 
 impl FrontierScratch {
@@ -283,7 +354,7 @@ pub(crate) fn correct_node(
     left: Block128,
     right: Block128,
     parent: u64,
-    cw: &LevelCorrection,
+    cw: &RawCorrection,
 ) -> (Block128, Block128, u64) {
     let mask = 0u64.wrapping_sub(parent);
     let (cw_low, cw_high) = cw.seed.halves();
@@ -314,7 +385,7 @@ pub(crate) fn correct_scalar(
     left: &[Block128],
     right: &[Block128],
     parent_t: &[u64],
-    cw: &LevelCorrection,
+    cw: &RawCorrection,
     children: &mut [Block128],
     child_t: &mut [u64],
 ) {
@@ -340,7 +411,7 @@ pub(crate) fn leaves_scalar(
     left: &[Block128],
     right: &[Block128],
     parent_t: &[u64],
-    cw: &LevelCorrection,
+    cw: &RawCorrection,
     final_cw: u32,
     negate: bool,
     out: &mut [u32],
@@ -364,16 +435,34 @@ impl std::fmt::Debug for GgmPrg {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests read children back to compare them"
+)]
 mod tests {
     use super::*;
     use crate::{build_prf, PrfKind};
+
+    fn secret(value: u128) -> Secret<Block128> {
+        Secret::new(Block128::from_u128(value))
+    }
+
+    /// An expansion's children and bits, read back.
+    fn raw(out: PrgExpansion) -> (Block128, Block128, bool, bool) {
+        (
+            out.seed_left.expose(),
+            out.seed_right.expose(),
+            out.t_left.expose(),
+            out.t_right.expose(),
+        )
+    }
 
     #[test]
     fn expansion_is_deterministic() {
         for kind in PrfKind::ALL {
             let prg = GgmPrg::new(build_prf(kind));
-            let seed = Block128::from_u128(0x42);
-            assert_eq!(prg.expand(seed), prg.expand(seed), "{kind}");
+            let seed = secret(0x42);
+            assert_eq!(raw(prg.expand(seed)), raw(prg.expand(seed)), "{kind}");
         }
     }
 
@@ -381,29 +470,33 @@ mod tests {
     fn children_differ_from_each_other_and_parent() {
         let prg = GgmPrg::new(build_prf(PrfKind::Aes128));
         let seed = Block128::from_u128(0x1357_9bdf);
-        let out = prg.expand(seed);
-        assert_ne!(out.seed_left, out.seed_right);
-        assert_ne!(out.seed_left, seed);
-        assert_ne!(out.seed_right, seed);
+        let (left, right, _, _) = raw(prg.expand(Secret::new(seed)));
+        assert_ne!(left, right);
+        assert_ne!(left, seed);
+        assert_ne!(right, seed);
     }
 
     #[test]
     fn children_have_cleared_lsb() {
         let prg = GgmPrg::new(build_prf(PrfKind::Chacha20));
         for i in 0..64u128 {
-            let out = prg.expand(Block128::from_u128(i));
-            assert!(!out.seed_left.lsb());
-            assert!(!out.seed_right.lsb());
+            let (left, right, _, _) = raw(prg.expand(secret(i)));
+            assert!(!left.lsb());
+            assert!(!right.lsb());
         }
     }
 
     #[test]
     fn expand_one_matches_expand() {
         let prg = GgmPrg::new(build_prf(PrfKind::SipHash));
-        let seed = Block128::from_u128(0xdead);
-        let both = prg.expand(seed);
-        assert_eq!(prg.expand_one(seed, false), (both.seed_left, both.t_left));
-        assert_eq!(prg.expand_one(seed, true), (both.seed_right, both.t_right));
+        let seed = secret(0xdead);
+        let (left, right, t_left, t_right) = raw(prg.expand(seed));
+        let one = |right| {
+            let (child, t) = prg.expand_one(seed, right);
+            (child.expose(), t.expose())
+        };
+        assert_eq!(one(false), (left, t_left));
+        assert_eq!(one(true), (right, t_right));
     }
 
     /// Lone nodes go through the batched sweeps, which must not change what
@@ -418,15 +511,19 @@ mod tests {
                 )));
                 let prg = GgmPrg::new(counting.clone() as Arc<dyn Prf>);
                 let seed = Block128::from_u128(5);
-                let both = prg.expand(seed);
+                let both = raw(prg.expand(Secret::new(seed)));
                 assert_eq!(counting.calls(), 2, "{kind} {backend:?}: expand");
-                let right = prg.expand_one(seed, true);
+                let (right, t_right) = prg.expand_one(Secret::new(seed), true);
                 assert_eq!(counting.calls(), 3, "{kind} {backend:?}: expand_one");
-                assert_eq!(right, (both.seed_right, both.t_right), "{kind} {backend:?}");
+                assert_eq!(
+                    (right.expose(), t_right.expose()),
+                    (both.1, both.3),
+                    "{kind} {backend:?}"
+                );
                 // And they still equal the scalar block function.
                 let reference = counting.inner().eval_block(seed, LEFT_TWEAK) ^ seed;
-                assert_eq!(both.seed_left, reference.with_cleared_lsb(), "{kind}");
-                assert_eq!(both.t_left, reference.lsb(), "{kind}");
+                assert_eq!(both.0, reference.with_cleared_lsb(), "{kind}");
+                assert_eq!(both.2, reference.lsb(), "{kind}");
             }
         }
     }
@@ -438,15 +535,14 @@ mod tests {
         for kind in PrfKind::ALL {
             let prg = GgmPrg::new(build_prf(kind));
             for n in [1usize, 2, 31, 32, 33, 65] {
-                let seeds: Vec<Block128> = (0..n as u128)
-                    .map(|i| Block128::from_u128(i * 0x9e37 + 7))
-                    .collect();
+                let seeds: Vec<Secret<Block128>> =
+                    (0..n as u128).map(|i| secret(i * 0x9e37 + 7)).collect();
                 let mut scratch = FrontierScratch::new();
-                let mut children = vec![Block128::ZERO; 2 * n];
-                let mut t_bits = vec![0u64; (2 * n).div_ceil(64)];
+                let mut children = vec![Secret::default(); 2 * n];
+                let mut t_bits = vec![Secret::default(); (2 * n).div_ceil(64)];
                 // A zero correction leaves every node, set bit or not, as
                 // `expand` gives it.
-                let parents = vec![u64::MAX; n.div_ceil(64)];
+                let parents = vec![Secret::new(u64::MAX); n.div_ceil(64)];
                 let zero = LevelCorrection::default();
                 prg.expand_frontier(
                     &seeds,
@@ -457,14 +553,17 @@ mod tests {
                     &mut t_bits,
                 );
 
+                let (children, t_bits) = (
+                    Secret::expose_slice(&children),
+                    Secret::expose_slice(&t_bits),
+                );
                 for (i, seed) in seeds.iter().enumerate() {
-                    let expected = prg.expand(*seed);
-                    assert_eq!(children[2 * i], expected.seed_left, "{kind} left {i}");
-                    assert_eq!(children[2 * i + 1], expected.seed_right, "{kind} right {i}");
-                    let t_left = (t_bits[(2 * i) / 64] >> ((2 * i) % 64)) & 1 == 1;
-                    let t_right = (t_bits[(2 * i + 1) / 64] >> ((2 * i + 1) % 64)) & 1 == 1;
-                    assert_eq!(t_left, expected.t_left, "{kind} t_left {i}");
-                    assert_eq!(t_right, expected.t_right, "{kind} t_right {i}");
+                    let (left, right, t_left, t_right) = raw(prg.expand(*seed));
+                    assert_eq!(children[2 * i], left, "{kind} left {i}");
+                    assert_eq!(children[2 * i + 1], right, "{kind} right {i}");
+                    let bit = |j: usize| (t_bits[j / 64] >> (j % 64)) & 1 == 1;
+                    assert_eq!(bit(2 * i), t_left, "{kind} t_left {i}");
+                    assert_eq!(bit(2 * i + 1), t_right, "{kind} t_right {i}");
                 }
             }
         }
@@ -474,14 +573,14 @@ mod tests {
     fn frontier_counts_two_prf_calls_per_seed() {
         let counting = crate::build_counting_prf(PrfKind::SipHash);
         let prg = GgmPrg::new(counting.clone() as Arc<dyn Prf>);
-        let seeds: Vec<Block128> = (0..40u128).map(Block128::from_u128).collect();
+        let seeds: Vec<Secret<Block128>> = (0..40u128).map(secret).collect();
         let mut scratch = FrontierScratch::new();
-        let mut children = vec![Block128::ZERO; 80];
-        let mut t_bits = vec![0u64; 2];
+        let mut children = vec![Secret::default(); 80];
+        let mut t_bits = vec![Secret::default(); 2];
         let zero = LevelCorrection::default();
         prg.expand_frontier(
             &seeds,
-            &[0],
+            &[Secret::new(0)],
             &zero,
             &mut scratch,
             &mut children,
@@ -494,19 +593,23 @@ mod tests {
     #[test]
     fn frontier_overwrites_stale_control_bits() {
         let prg = GgmPrg::new(build_prf(PrfKind::Chacha20));
-        let seeds = [Block128::from_u128(3)];
+        let seeds = [secret(3)];
         let mut scratch = FrontierScratch::with_capacity(1);
-        let mut children = vec![Block128::ZERO; 2];
-        let mut t_bits = vec![u64::MAX];
+        let mut children = vec![Secret::default(); 2];
+        let mut t_bits = vec![Secret::new(u64::MAX)];
         let zero = LevelCorrection::default();
         prg.expand_frontier(
             &seeds,
-            &[0],
+            &[Secret::new(0)],
             &zero,
             &mut scratch,
             &mut children,
             &mut t_bits,
         );
-        assert_eq!(t_bits[0] >> 2, 0, "bits beyond the frontier must be zero");
+        assert_eq!(
+            t_bits[0].expose() >> 2,
+            0,
+            "bits beyond the frontier must be zero"
+        );
     }
 }

@@ -43,7 +43,7 @@ use core::arch::x86_64::{
 use pir_field::Block128;
 
 use super::chacha_x86::{load4, store4};
-use crate::prg::{check_pass_shape, correct_node, leaf_lane, LevelCorrection};
+use crate::prg::{check_pass_shape, correct_node, leaf_lane, RawCorrection};
 
 /// Nodes whose child bits fill one packed output word.
 const GROUP: usize = 32;
@@ -66,7 +66,7 @@ pub(crate) fn correct(
     left: &[Block128],
     right: &[Block128],
     parent_t: &[u64],
-    cw: &LevelCorrection,
+    cw: &RawCorrection,
     children: &mut [Block128],
     child_t: &mut [u64],
 ) {
@@ -110,7 +110,7 @@ fn correct_ymm(
     left: &[Block128],
     right: &[Block128],
     parent_t: &[u64],
-    cw: &LevelCorrection,
+    cw: &RawCorrection,
     children: &mut [Block128],
     child_t: &mut [u64],
 ) {
@@ -187,7 +187,7 @@ pub(crate) fn leaves(
     left: &[Block128],
     right: &[Block128],
     parent_t: &[u64],
-    cw: &LevelCorrection,
+    cw: &RawCorrection,
     final_cw: u32,
     negate: bool,
     out: &mut [u32],
@@ -233,7 +233,7 @@ fn leaves_ymm(
     left: &[Block128],
     right: &[Block128],
     parent_t: &[u64],
-    cw: &LevelCorrection,
+    cw: &RawCorrection,
     final_cw: u32,
     negate: bool,
     out: &mut [u32],
@@ -326,7 +326,7 @@ fn correct_zmm(
     left: &[Block128],
     right: &[Block128],
     parent_t: &[u64],
-    cw: &LevelCorrection,
+    cw: &RawCorrection,
     children: &mut [Block128],
     child_t: &mut [u64],
 ) {
@@ -389,7 +389,7 @@ fn leaves_zmm(
     left: &[Block128],
     right: &[Block128],
     parent_t: &[u64],
-    cw: &LevelCorrection,
+    cw: &RawCorrection,
     final_cw: u32,
     negate: bool,
     out: &mut [u32],
@@ -485,7 +485,7 @@ mod tests {
                 let parent_t: Vec<u64> = (0..n.div_ceil(64)).map(|_| rng.gen()).collect();
                 let seed = Block128::from_u128(rng.gen::<u128>() | 1);
                 for (t_left, t_right) in [(false, false), (false, true), (true, false), (true, true)] {
-                    let cw = LevelCorrection { seed, t_left, t_right };
+                    let cw = RawCorrection { seed, t_left, t_right };
                     let words = (2 * n).div_ceil(64);
                     let mut want = (vec![Block128::ZERO; 2 * n], vec![u64::MAX; words]);
                     correct_scalar(&left, &right, &parent_t, &cw, &mut want.0, &mut want.1);

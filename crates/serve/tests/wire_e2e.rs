@@ -201,8 +201,15 @@ fn no_connection_ever_carries_both_dpf_keys() {
         assert_eq!(q0.query_id, q1.query_id);
         // ...and the sibling's key material never appears anywhere in the
         // bytes of the other connection, not even incidentally.
-        let seed0 = q0.key.root_seed.to_le_bytes();
-        let seed1 = q1.key.root_seed.to_le_bytes();
+        let seed_bytes = |query: &ServerQuery| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the test looks for a seed's bytes in the other party's frames"
+            )]
+            let seed = query.key.root_seed.expose();
+            seed.to_le_bytes()
+        };
+        let (seed0, seed1) = (seed_bytes(q0), seed_bytes(q1));
         assert_ne!(seed0, seed1);
         for frame in sent0.lock().iter() {
             assert!(!contains(frame, &seed1), "party 1 seed leaked to server 0");

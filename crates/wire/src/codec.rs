@@ -14,7 +14,7 @@
 #![deny(clippy::indexing_slicing)]
 
 use pir_dpf::{DpfKey, DpfParams, LevelCorrection};
-use pir_field::{Block128, Ring128};
+use pir_field::{Block128, Ring128, Secret};
 use pir_prf::PrfKind;
 use pir_protocol::{PirResponse, ServerQuery, TableSchema};
 
@@ -328,6 +328,10 @@ const CW_T_RIGHT: u8 = 0x02;
 /// The domain *size* is not part of the key record — it travels in the
 /// enclosing [`ServerQuery`]'s schema, and the depth is re-derived from it
 /// on decode.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the key's canonical encoding: its bytes are what the client uploads"
+)]
 pub fn encode_dpf_key(key: &DpfKey, writer: &mut WireWriter) {
     debug_assert_eq!(
         key.levels.len(),
@@ -336,19 +340,14 @@ pub fn encode_dpf_key(key: &DpfKey, writer: &mut WireWriter) {
     );
     debug_assert!(key.params.domain_bits <= u32::from(KEY_DEPTH_MASK));
     writer.put_u8((key.party & 1) << 7 | (key.params.domain_bits as u8 & KEY_DEPTH_MASK));
-    writer.put_u128(key.root_seed.as_u128());
+    writer.put_u128(key.root_seed.expose().as_u128());
     for level in &key.levels {
-        writer.put_u128(level.seed.as_u128());
-        let mut flags = 0u8;
-        if level.t_left {
-            flags |= CW_T_LEFT;
-        }
-        if level.t_right {
-            flags |= CW_T_RIGHT;
-        }
-        writer.put_u8(flags);
+        writer.put_u128(level.seed.expose().as_u128());
+        let t_left = u8::from(level.t_left.expose()) * CW_T_LEFT;
+        let t_right = u8::from(level.t_right.expose()) * CW_T_RIGHT;
+        writer.put_u8(t_left | t_right);
     }
-    writer.put_u128(key.final_cw.value());
+    writer.put_u128(key.final_cw.expose().value());
 }
 
 /// Decode a [`DpfKey`] for a table of `domain_size` entries.
@@ -367,10 +366,10 @@ pub fn decode_dpf_key(reader: &mut WireReader<'_>, domain_size: u64) -> Result<D
     if params.domain_bits != depth {
         return Err(WireError::InvalidValue("key depth does not match schema"));
     }
-    let root_seed = Block128::from_u128(reader.u128()?);
+    let root_seed = Secret::new(Block128::from_u128(reader.u128()?));
     let mut levels = Vec::with_capacity(depth as usize);
     for _ in 0..depth {
-        let seed = Block128::from_u128(reader.u128()?);
+        let seed = Secret::new(Block128::from_u128(reader.u128()?));
         let flags = reader.u8()?;
         if flags & !(CW_T_LEFT | CW_T_RIGHT) != 0 {
             return Err(WireError::InvalidValue(
@@ -379,11 +378,11 @@ pub fn decode_dpf_key(reader: &mut WireReader<'_>, domain_size: u64) -> Result<D
         }
         levels.push(LevelCorrection {
             seed,
-            t_left: flags & CW_T_LEFT != 0,
-            t_right: flags & CW_T_RIGHT != 0,
+            t_left: Secret::new(flags & CW_T_LEFT != 0),
+            t_right: Secret::new(flags & CW_T_RIGHT != 0),
         });
     }
-    let final_cw = Ring128::new(reader.u128()?);
+    let final_cw = Secret::new(Ring128::new(reader.u128()?));
     Ok(DpfKey {
         party,
         params,
@@ -494,7 +493,11 @@ mod tests {
             let mut reader = WireReader::new(&bytes);
             let decoded = decode_server_query(&mut reader).unwrap();
             reader.finish().unwrap();
-            assert_eq!(decoded, query);
+            // Keys have no `==`: the decoded query must re-encode to the
+            // very bytes it came from.
+            let mut writer = WireWriter::new();
+            encode_server_query(&decoded, &mut writer);
+            assert_eq!(writer.into_bytes(), bytes, "{entries} entries");
         }
     }
 
@@ -524,8 +527,8 @@ mod tests {
         encode_dpf_key(&query.key, &mut writer);
         let bytes = writer.into_bytes();
         assert_eq!(
-            decode_server_query(&mut WireReader::new(&bytes)),
-            Err(WireError::InvalidValue("key depth does not match schema"))
+            decode_server_query(&mut WireReader::new(&bytes)).unwrap_err(),
+            WireError::InvalidValue("key depth does not match schema")
         );
     }
 

@@ -184,6 +184,7 @@ mod tests {
         let decoded = WireEnvelope::decode(&frame).unwrap();
         assert_eq!(decoded.version, PROTOCOL_V2);
         assert_eq!(decoded, envelope);
+        assert_eq!(decoded.encode(), frame);
     }
 
     #[test]

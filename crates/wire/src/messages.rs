@@ -47,7 +47,9 @@ pub struct Catalog {
 }
 
 /// A client query frame: routing fields plus one server's key projection.
-#[derive(Clone, Debug, PartialEq)]
+/// It carries key material, so it has no `PartialEq`: compare two by their
+/// encodings.
+#[derive(Clone, Debug)]
 pub struct QueryMsg {
     /// Which hosted table to read.
     pub table: String,
@@ -193,8 +195,9 @@ impl From<ErrorReply> for WireMessage {
     }
 }
 
-/// Every message that can cross the wire.
-#[derive(Clone, Debug, PartialEq)]
+/// Every message that can cross the wire. A `Query` carries key material,
+/// so messages compare by their canonical encodings, not by `PartialEq`.
+#[derive(Clone, Debug)]
 pub enum WireMessage {
     /// Client → server: describe your tables.
     CatalogRequest,
@@ -390,7 +393,7 @@ pub fn decode_message(frame: &[u8]) -> Result<WireMessage, WireError> {
 }
 
 /// A message a client may send a server: the three a server accepts.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub enum Request {
     /// Describe your tables.
     CatalogRequest,
@@ -494,14 +497,19 @@ mod tests {
         for message in sample_messages() {
             let frame = encode_message(&message);
             let decoded = decode_message(&frame).unwrap();
-            assert_eq!(decoded, message, "{}", message.name());
+            // Queries carry keys, which have no `==`: the decoded message
+            // must re-encode to the very frame it came from.
+            assert_eq!(encode_message(&decoded), frame, "{}", message.name());
         }
     }
 
     #[test]
     fn undecodable_requests_map_to_typed_replies() {
         let mut frame = encode_message(&WireMessage::CatalogRequest);
-        assert_eq!(decode_request(&frame), Ok(Request::CatalogRequest));
+        assert!(matches!(
+            decode_request(&frame),
+            Ok(Request::CatalogRequest)
+        ));
         frame[2] = 1; // the retired version 1
         let reply = decode_request(&frame).unwrap_err();
         assert_eq!(reply, ErrorReply::unsupported_version(1));
@@ -549,8 +557,8 @@ mod tests {
         let body_len = (frame.len() - 9) as u32;
         frame[5..9].copy_from_slice(&body_len.to_le_bytes());
         assert_eq!(
-            decode_message(&frame),
-            Err(WireError::TrailingBytes { remaining: 1 })
+            decode_message(&frame).unwrap_err(),
+            WireError::TrailingBytes { remaining: 1 }
         );
     }
 
@@ -586,8 +594,14 @@ mod tests {
                 key: key0.clone(),
             },
         }));
-        let needle0 = key0.root_seed.to_le_bytes();
-        let needle1 = key1.root_seed.to_le_bytes();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test looks for each root seed's bytes in the frame"
+        )]
+        let (needle0, needle1) = (
+            key0.root_seed.expose().to_le_bytes(),
+            key1.root_seed.expose().to_le_bytes(),
+        );
         let contains = |hay: &[u8], needle: &[u8]| hay.windows(needle.len()).any(|w| w == needle);
         assert!(contains(&frame, &needle0));
         assert!(!contains(&frame, &needle1));

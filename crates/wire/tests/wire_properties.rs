@@ -96,7 +96,9 @@ proptest! {
         let message = sample_message(seed);
         let frame = encode_message(&message);
         let decoded = decode_message(&frame).expect("canonical frame decodes");
-        prop_assert_eq!(decoded, message);
+        // A canonical codec round-trips iff re-encoding the decoded value
+        // gives the original frame (messages carrying keys have no `==`).
+        prop_assert_eq!(encode_message(&decoded), frame.clone());
         // Determinism: encoding the same message twice yields identical bytes.
         prop_assert_eq!(encode_message(&sample_message(seed)), frame);
     }

@@ -9,7 +9,7 @@ use gpu_pir_repro::gpu_sim::{BackendKind, DeviceSpec, HostBackend};
 use gpu_pir_repro::pir_dpf::{
     eval_point, generate_keys, BatchEvalJob, DpfKey, DpfParams, SchedulerConfig,
 };
-use gpu_pir_repro::pir_field::{reconstruct_lanes, Block128, Ring128};
+use gpu_pir_repro::pir_field::{reconstruct_lanes, Block128, Ring128, Secret};
 use gpu_pir_repro::pir_prf::{build_prf, GgmPrg, PrfKind};
 use gpu_pir_repro::pir_protocol::{
     shard_owned_ranges, GpuPirServer, NaivePir, NaiveQuery, PirClient, PirResponse, PirServer,
@@ -244,7 +244,8 @@ fn keys_with_lsb_set_correction_seeds_expand_like_the_per_node_walk() {
     let mut rng = StdRng::seed_from_u64(29);
     let hostile = |mut key: DpfKey| {
         for level in &mut key.levels {
-            level.seed = Block128::from_u128(level.seed.as_u128() | 1);
+            // Gen clears the bit, so flipping it sets it.
+            level.seed ^= Secret::new(Block128::from_u128(1));
         }
         key
     };
