@@ -200,27 +200,14 @@ pub fn eval_point(prg: &GgmPrg, key: &DpfKey, index: u64) -> Ring128 {
 }
 
 /// Walk from the root to the subtree root addressed by the top `prefix_bits`
-/// bits in `prefix`, returning the node's seed and control bit (both key
-/// material).
-///
-/// This is how cooperative-groups blocks and multi-GPU shards position
-/// themselves on disjoint slices of the domain before expanding them.
+/// bits in `prefix`: how cooperative-groups blocks and multi-GPU shards
+/// position themselves on disjoint slices of the domain before expanding
+/// them.
 ///
 /// # Panics
 ///
 /// Panics if `prefix_bits` exceeds the key depth or `prefix` does not fit in
 /// `prefix_bits` bits.
-#[must_use]
-pub fn eval_subtree_root(
-    prg: &GgmPrg,
-    key: &DpfKey,
-    prefix: u64,
-    prefix_bits: u32,
-) -> (Secret<Block128>, Secret<bool>) {
-    let state = subtree_root_state(prg, key, prefix, prefix_bits, &NullRecorder);
-    (state.seed, state.t)
-}
-
 pub(crate) fn subtree_root_state<R: Recorder>(
     prg: &GgmPrg,
     key: &DpfKey,
@@ -364,6 +351,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let params = DpfParams::for_domain(8);
         let (a, _) = generate_keys(&prg, &params, 0, Ring128::ONE, &mut rng);
-        let _ = eval_subtree_root(&prg, &a, 0, 4);
+        let _ = subtree_root_state(&prg, &a, 0, 4, &NullRecorder);
     }
 }

@@ -69,7 +69,7 @@ pub mod tile;
 
 pub use analysis::StrategyProfile;
 pub use batch::{BatchEvalJob, BatchEvalOutput, GridMapping};
-pub use eval::{eval_point, eval_subtree_root};
+pub use eval::eval_point;
 pub use fusion::{fused_eval_matmul, unfused_eval_matmul};
 pub use gen::generate_keys;
 pub use key::{DpfKey, DpfParams};

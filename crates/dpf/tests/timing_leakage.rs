@@ -67,55 +67,36 @@ const BATCH_KEYS: usize = 8;
 const ROWS: usize = 1 << 8;
 const LANES: usize = 16;
 
-/// One class's running mean and variance (Welford).
-#[derive(Default)]
-struct Moments {
-    n: f64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Moments {
-    fn push(&mut self, x: f64) {
-        self.n += 1.0;
-        let delta = x - self.mean;
-        self.mean += delta / self.n;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    fn variance(&self) -> f64 {
-        self.m2 / (self.n - 1.0)
-    }
-}
-
 /// Welch's t between the fixed and the random class over the samples at or
 /// below `cut` nanoseconds.
 fn welch_t(times: &[u64], fixed: &[bool], cut: u64) -> f64 {
-    let mut classes = [Moments::default(), Moments::default()];
-    for (&time, &is_fixed) in times.iter().zip(fixed) {
-        if time <= cut {
-            classes[usize::from(is_fixed)].push(time as f64);
-        }
-    }
-    let [random, fixed] = classes;
-    if random.n < 2.0 || fixed.n < 2.0 {
-        return 0.0;
-    }
-    (fixed.mean - random.mean) / (fixed.variance() / fixed.n + random.variance() / random.n).sqrt()
+    let moments = |class: bool| {
+        let kept = times
+            .iter()
+            .zip(fixed)
+            .filter(|&(&t, &f)| f == class && t <= cut);
+        let xs: Vec<f64> = kept.map(|(&t, _)| t as f64).collect();
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let variance = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+        (n, mean, variance)
+    };
+    let ((n_f, mean_f, var_f), (n_r, mean_r, var_r)) = (moments(true), moments(false));
+    (mean_f - mean_r) / (var_f / n_f + var_r / n_r).sqrt()
 }
 
-/// Time `run` on `samples` inputs, each the fixed input or a fresh one from
-/// `make` by a coin flip, and return the worst |t| over [`CROPS`] with a
-/// report line. Inputs are made [`ROUND`] at a time, untimed, so memory stays
-/// bounded whatever the sample count.
+/// Time `run` on `samples` inputs, each a copy of `fixed_input` or a fresh
+/// one from `make` by a coin flip, and return the worst |t| over [`CROPS`]
+/// with a report line. Inputs are made [`ROUND`] at a time, untimed, so
+/// memory stays bounded whatever the sample count.
 fn leakage<I: Clone>(
     name: &str,
     samples: usize,
     rng: &mut StdRng,
+    fixed_input: I,
     mut make: impl FnMut(&mut StdRng) -> I,
     mut run: impl FnMut(&I),
 ) -> (f64, String) {
-    let fixed_input = make(rng);
     let mut fixed = Vec::with_capacity(samples);
     let mut times = Vec::with_capacity(samples);
     while times.len() < samples {
@@ -168,16 +149,11 @@ fn table(rng: &mut StdRng) -> ShareMatrix {
     ShareMatrix::from_rows(ROWS, LANES, data)
 }
 
-/// One party's key for `alpha`.
-fn key(prg: &GgmPrg, rng: &mut StdRng, alpha: u64) -> DpfKey {
+/// One party's key for `alpha`, or for a random index.
+fn key(prg: &GgmPrg, rng: &mut StdRng, alpha: Option<u64>) -> DpfKey {
+    let alpha = alpha.unwrap_or_else(|| rng.gen_range(0..ROWS as u64));
     let params = DpfParams::for_domain(ROWS as u64);
     generate_keys(prg, &params, alpha, Ring128::ONE, rng).0
-}
-
-/// The backends a kernel target runs on: scalar, and the vector one this
-/// host has.
-fn backends() -> Vec<SimdBackend> {
-    SimdBackend::candidates().to_vec()
 }
 
 /// The kernel a paired sweep of `n` inputs runs for `kind` on the `Avx2`
@@ -227,16 +203,18 @@ fn server_evaluation_time_does_not_depend_on_the_key() {
     let mut results = Vec::new();
 
     // Each PRF's paired MMO sweep, at each width.
-    for backend in backends() {
+    for &backend in SimdBackend::candidates() {
         for kind in PrfKind::ALL {
             let prf = build_prf_with_backend(kind, backend);
             for (width, n) in sweep_lengths(kind, backend) {
                 let name = format!("sweep {kind:?} {width} ({})", prf.backend_label());
                 let (mut left, mut right) = (vec![Block128::ZERO; n], vec![Block128::ZERO; n]);
+                let fixed = random_blocks(&mut rng, n);
                 results.push(leakage(
                     &name,
                     KERNEL_SAMPLES,
                     &mut rng,
+                    fixed,
                     |rng| random_blocks(rng, n),
                     |seeds| {
                         prf.expand_blocks_mmo(black_box(seeds), 0, 1, &mut left, &mut right);
@@ -248,7 +226,7 @@ fn server_evaluation_time_does_not_depend_on_the_key() {
     }
 
     // The correction pass alone, to child seeds and to leaf shares.
-    for backend in backends() {
+    for &backend in SimdBackend::candidates() {
         let prg = GgmPrg::new(build_prf_with_backend(PrfKind::Aes128, backend));
         let widths: &[(&str, usize, usize)] = if backend == SimdBackend::Scalar {
             &[("scalar", 32, 32)]
@@ -259,10 +237,12 @@ fn server_evaluation_time_does_not_depend_on_the_key() {
         for &(width, children_n, leaves_n) in widths {
             let mut children = vec![Secret::default(); 2 * children_n];
             let mut child_t = vec![Secret::default(); (2 * children_n).div_ceil(64)];
+            let fixed = pass_input(&mut rng, children_n);
             results.push(leakage(
                 &format!("correct_frontier {width}"),
                 KERNEL_SAMPLES,
                 &mut rng,
+                fixed,
                 |rng| pass_input(rng, children_n),
                 |input| {
                     prg.correct_frontier(
@@ -276,10 +256,12 @@ fn server_evaluation_time_does_not_depend_on_the_key() {
                 },
             ));
             let mut out = vec![0u32; 2 * leaves_n];
+            let fixed = pass_input(&mut rng, leaves_n);
             results.push(leakage(
                 &format!("correct_frontier_leaves {width}"),
                 KERNEL_SAMPLES,
                 &mut rng,
+                fixed,
                 |rng| pass_input(rng, leaves_n),
                 |input| {
                     prg.correct_frontier_leaves(
@@ -302,18 +284,13 @@ fn server_evaluation_time_does_not_depend_on_the_key() {
     let fixed_alpha = rng.gen_range(0..ROWS as u64);
     for kind in PrfKind::ALL {
         let prg = GgmPrg::new(build_prf_with_backend(kind, SimdBackend::active()));
-        let mut fixed_key = Some(key(&prg, &mut rng, fixed_alpha));
+        let fixed = key(&prg, &mut rng, Some(fixed_alpha));
         results.push(leakage(
             &format!("fused_eval_matmul {kind:?}"),
             FUSED_SAMPLES,
             &mut rng,
-            |rng| match fixed_key.take() {
-                Some(key) => key,
-                None => {
-                    let alpha = rng.gen_range(0..ROWS as u64);
-                    key(&prg, rng, alpha)
-                }
-            },
+            fixed,
+            |rng| key(&prg, rng, None),
             |key| {
                 black_box(fused_eval_matmul(
                     &prg,
@@ -336,20 +313,13 @@ fn server_evaluation_time_does_not_depend_on_the_key() {
     host.upload_table(&resident, TransferSrc::Lanes(table.lanes()));
     // The fixed batch is one fixed key eight times: eight distinct fixed
     // keys could balance a per-key leak to the random batch's mean.
-    let mut fixed_batch = Some(vec![key(&prg, &mut rng, fixed_alpha); BATCH_KEYS]);
+    let fixed = vec![key(&prg, &mut rng, Some(fixed_alpha)); BATCH_KEYS];
     results.push(leakage(
         "lockstep batch of 8, Aes128",
         BATCH_SAMPLES,
         &mut rng,
-        |rng| match fixed_batch.take() {
-            Some(batch) => batch,
-            None => (0..BATCH_KEYS)
-                .map(|_| {
-                    let alpha = rng.gen_range(0..ROWS as u64);
-                    key(&prg, rng, alpha)
-                })
-                .collect(),
-        },
+        fixed,
+        |rng| (0..BATCH_KEYS).map(|_| key(&prg, rng, None)).collect(),
         |keys| {
             let job = BatchEvalJob::new(&prg, PrfKind::Aes128, keys, &table);
             black_box(job.run_resident(&host, &resident));

@@ -93,12 +93,6 @@ impl Block128 {
         Self(self.0 ^ (other.0 & mask))
     }
 
-    /// Whether this is the all-zero block.
-    #[must_use]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Constant-time equality check (no early exit on differing bytes).
     #[must_use]
     pub fn ct_eq(self, other: Self) -> bool {
@@ -117,24 +111,6 @@ impl fmt::Debug for Block128 {
 impl fmt::Display for Block128 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "0x{:032x}", self.0)
-    }
-}
-
-impl fmt::LowerHex for Block128 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::LowerHex::fmt(&self.0, f)
-    }
-}
-
-impl fmt::UpperHex for Block128 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::UpperHex::fmt(&self.0, f)
-    }
-}
-
-impl fmt::Binary for Block128 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Binary::fmt(&self.0, f)
     }
 }
 

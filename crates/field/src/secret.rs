@@ -1,7 +1,7 @@
 //! Key material that code cannot branch on, index by or compare.
 
 use core::fmt;
-use core::ops::{Add, BitAnd, BitAndAssign, BitXor, BitXorAssign, Neg, Not, Shl, Shr, Sub};
+use core::ops::{Add, BitAnd, BitXor, BitXorAssign, Neg, Not, Shl, Shr, Sub};
 
 use crate::{Block128, Ring128};
 
@@ -160,8 +160,10 @@ pub trait Word: Copy {
     fn spread(bit: u64) -> Self;
 }
 
-macro_rules! word_for_uint {
-    ($($ty:ty),*) => {$(
+/// `Word` for a type with the bitwise operators, given its `lsb` and
+/// `spread`.
+macro_rules! word {
+    ($($ty:ty: |$x:ident| $lsb:expr, |$bit:ident| $spread:expr;)*) => {$(
         impl Word for $ty {
             #[inline(always)]
             fn xor(self, other: Self) -> Self { self ^ other }
@@ -170,59 +172,19 @@ macro_rules! word_for_uint {
             #[inline(always)]
             fn not(self) -> Self { !self }
             #[inline(always)]
-            fn lsb(self) -> u64 { (self & 1) as u64 }
+            fn lsb(self) -> u64 { let $x = self; $lsb }
             #[inline(always)]
-            fn spread(bit: u64) -> Self { (bit as Self).wrapping_neg() }
+            fn spread($bit: u64) -> Self { $spread }
         }
     )*};
 }
 
-word_for_uint!(u32, u64, u128, usize);
-
-impl Word for bool {
-    #[inline(always)]
-    fn xor(self, other: Self) -> Self {
-        self ^ other
-    }
-    #[inline(always)]
-    fn and(self, other: Self) -> Self {
-        self & other
-    }
-    #[inline(always)]
-    fn not(self) -> Self {
-        !self
-    }
-    #[inline(always)]
-    fn lsb(self) -> u64 {
-        u64::from(self)
-    }
-    #[inline(always)]
-    fn spread(bit: u64) -> Self {
-        bit & 1 == 1
-    }
-}
-
-impl Word for Block128 {
-    #[inline(always)]
-    fn xor(self, other: Self) -> Self {
-        self ^ other
-    }
-    #[inline(always)]
-    fn and(self, other: Self) -> Self {
-        self & other
-    }
-    #[inline(always)]
-    fn not(self) -> Self {
-        !self
-    }
-    #[inline(always)]
-    fn lsb(self) -> u64 {
-        self.as_u128().lsb()
-    }
-    #[inline(always)]
-    fn spread(bit: u64) -> Self {
-        Self::from_u128(u128::spread(bit))
-    }
+word! {
+    bool: |x| u64::from(x), |bit| bit & 1 == 1;
+    u32: |x| u64::from(x & 1), |bit| (bit as u32).wrapping_neg();
+    u64: |x| x & 1, |bit| bit.wrapping_neg();
+    u128: |x| (x & 1) as u64, |bit| u128::from(bit).wrapping_neg();
+    Block128: |x| x.as_u128().lsb(), |bit| Block128::from_u128(u128::spread(bit));
 }
 
 impl Word for Ring128 {
@@ -272,33 +234,26 @@ impl<T> fmt::Debug for Secret<T> {
     }
 }
 
-impl<T: Word> BitXor for Secret<T> {
-    type Output = Self;
-    #[inline(always)]
-    fn bitxor(self, rhs: Self) -> Self {
-        Self(self.0.xor(rhs.0))
-    }
+/// A bitwise operator on two secrets, through the `Word` method `$word`.
+macro_rules! bitwise {
+    ($($trait:ident::$method:ident => $word:ident;)*) => {$(
+        impl<T: Word> $trait for Secret<T> {
+            type Output = Self;
+            #[inline(always)]
+            fn $method(self, rhs: Self) -> Self { Self(self.0.$word(rhs.0)) }
+        }
+    )*};
+}
+
+bitwise! {
+    BitXor::bitxor => xor;
+    BitAnd::bitand => and;
 }
 
 impl<T: Word> BitXorAssign for Secret<T> {
     #[inline(always)]
     fn bitxor_assign(&mut self, rhs: Self) {
         self.0 = self.0.xor(rhs.0);
-    }
-}
-
-impl<T: Word> BitAnd for Secret<T> {
-    type Output = Self;
-    #[inline(always)]
-    fn bitand(self, rhs: Self) -> Self {
-        Self(self.0.and(rhs.0))
-    }
-}
-
-impl<T: Word> BitAndAssign for Secret<T> {
-    #[inline(always)]
-    fn bitand_assign(&mut self, rhs: Self) {
-        self.0 = self.0.and(rhs.0);
     }
 }
 
@@ -310,36 +265,36 @@ impl<T: Word> Not for Secret<T> {
     }
 }
 
-impl<T: Shl<u32, Output = T>> Shl<u32> for Secret<T> {
-    type Output = Self;
-    #[inline(always)]
-    fn shl(self, amount: u32) -> Self {
-        Self(self.0 << amount)
-    }
+/// A shift by a public amount.
+macro_rules! shift {
+    ($($trait:ident::$method:ident, $op:tt;)*) => {$(
+        impl<T: $trait<u32, Output = T>> $trait<u32> for Secret<T> {
+            type Output = Self;
+            #[inline(always)]
+            fn $method(self, amount: u32) -> Self { Self(self.0 $op amount) }
+        }
+    )*};
 }
 
-impl<T: Shr<u32, Output = T>> Shr<u32> for Secret<T> {
-    type Output = Self;
-    #[inline(always)]
-    fn shr(self, amount: u32) -> Self {
-        Self(self.0 >> amount)
-    }
+shift! {
+    Shl::shl, <<;
+    Shr::shr, >>;
 }
 
-impl Add for Secret<Ring128> {
-    type Output = Self;
-    #[inline(always)]
-    fn add(self, rhs: Self) -> Self {
-        Self(self.0 + rhs.0)
-    }
+/// Wrapping ring arithmetic on two secret ring elements.
+macro_rules! ring {
+    ($($trait:ident::$method:ident, $op:tt;)*) => {$(
+        impl $trait for Secret<Ring128> {
+            type Output = Self;
+            #[inline(always)]
+            fn $method(self, rhs: Self) -> Self { Self(self.0 $op rhs.0) }
+        }
+    )*};
 }
 
-impl Sub for Secret<Ring128> {
-    type Output = Self;
-    #[inline(always)]
-    fn sub(self, rhs: Self) -> Self {
-        Self(self.0 - rhs.0)
-    }
+ring! {
+    Add::add, +;
+    Sub::sub, -;
 }
 
 impl Neg for Secret<Ring128> {
@@ -413,11 +368,5 @@ mod tests {
         assert_eq!((-one + one).expose(), Ring128::ZERO);
         assert_eq!((one - max).expose(), Ring128::new(2));
         assert_eq!(max.to_lane().expose(), u32::MAX);
-    }
-
-    #[test]
-    fn debug_prints_no_digits() {
-        let seed = Secret::new(Block128::from_u128(0x1234_5678_9abc_def0));
-        assert_eq!(format!("{seed:?}"), "Secret(..)");
     }
 }

@@ -111,19 +111,9 @@ impl GgmPrg {
     /// same batched sweep as a whole frontier (a one-element slice), so hosts
     /// with a vector backend never fall to the table-driven scalar primitive.
     #[must_use]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the PRF kernel's slices, once per call"
-    )]
     pub fn expand(&self, seed: Secret<Block128>) -> PrgExpansion {
         let (mut left, mut right) = ([Secret::default()], [Secret::default()]);
-        self.prf.expand_blocks_mmo(
-            Secret::expose_slice(&[seed]),
-            LEFT_TWEAK,
-            RIGHT_TWEAK,
-            Secret::expose_slice_mut(&mut left),
-            Secret::expose_slice_mut(&mut right),
-        );
+        self.sweep_pair(&[seed], &mut left, &mut right);
         let ((seed_left, t_left), (seed_right, t_right)) = (split(left[0]), split(right[0]));
         PrgExpansion {
             seed_left,
@@ -131,6 +121,26 @@ impl GgmPrg {
             t_left,
             t_right,
         }
+    }
+
+    /// The paired MMO sweep `G_0`, `G_1` of `seeds` into `left` and `right`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the PRF kernel's slices, once per call"
+    )]
+    fn sweep_pair(
+        &self,
+        seeds: &[Secret<Block128>],
+        left: &mut [Secret<Block128>],
+        right: &mut [Secret<Block128>],
+    ) {
+        self.prf.expand_blocks_mmo(
+            Secret::expose_slice(seeds),
+            LEFT_TWEAK,
+            RIGHT_TWEAK,
+            Secret::expose_slice_mut(left),
+            Secret::expose_slice_mut(right),
+        );
     }
 
     /// Expand only one child (used by the single-point `Eval`); costs one PRF
@@ -273,10 +283,6 @@ impl GgmPrg {
     /// [`GgmPrg::correct_frontier`] or [`GgmPrg::correct_frontier_leaves`]
     /// while they are in cache. Costs exactly `2 * seeds.len()` PRF block
     /// evaluations.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the PRF kernel's slices, once per call"
-    )]
     pub fn frontier_sweeps<'s>(
         &self,
         seeds: &[Secret<Block128>],
@@ -289,13 +295,7 @@ impl GgmPrg {
             scratch.left.resize(n, Secret::default());
             scratch.right.resize(n, Secret::default());
         }
-        self.prf.expand_blocks_mmo(
-            Secret::expose_slice(seeds),
-            LEFT_TWEAK,
-            RIGHT_TWEAK,
-            Secret::expose_slice_mut(&mut scratch.left[..n]),
-            Secret::expose_slice_mut(&mut scratch.right[..n]),
-        );
+        self.sweep_pair(seeds, &mut scratch.left[..n], &mut scratch.right[..n]);
         (&scratch.left[..n], &scratch.right[..n])
     }
 }
